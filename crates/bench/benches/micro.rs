@@ -148,7 +148,6 @@ mod engine {
     use phi_core::harness::{provision_cubic, run_experiment, ExperimentSpec};
     use phi_sim::engine::{packet_to, Agent, Ctx, SchedStats, Simulator};
     use phi_sim::packet::{FlowId, NodeId, Packet};
-    use phi_sim::par::ParallelSimulator;
     use phi_sim::queue::Capacity;
     use phi_sim::time::Dur;
     use phi_sim::topology::{parking_lot, ParkingLotSpec};
@@ -248,46 +247,7 @@ mod engine {
         (sim.events_processed(), wall, sim.sched_stats())
     }
 
-    /// One `parallel_multihop` measurement: the blast scenario through
-    /// the conservative parallel engine at `k` domains.
-    struct ParBlast {
-        domains: u32,
-        events: u64,
-        wall: f64,
-        barrier_rounds: u64,
-        cross_domain: u64,
-        /// Cut crossings per event processed — how much of the workload
-        /// actually rides the barrier protocol.
-        cross_fraction: f64,
-    }
-
-    /// The same blast scenario, partitioned. At `k == 1` this measures
-    /// pure partitioned-path overhead (no cut, no worker threads); at
-    /// `k > 1` it measures windowed-execution throughput.
-    fn par_blast(packets_per_source: u32, k: u32) -> ParBlast {
-        let lot = parking_lot(&blast_spec());
-        let mut sim = ParallelSimulator::new(lot.topology.clone(), k);
-        let mut pairs = vec![lot.long_path];
-        pairs.extend(lot.cross.iter().copied());
-        for (i, (src, dst)) in pairs.iter().enumerate() {
-            sim.add_agent(*src, 10, blast_pump(i, *dst, packets_per_source));
-            sim.add_agent(*dst, 80, Box::<Drain>::default());
-        }
-        let t0 = Instant::now();
-        sim.run_to_completion();
-        let wall = t0.elapsed().as_secs_f64();
-        let events = sim.events_processed();
-        ParBlast {
-            domains: k,
-            events,
-            wall,
-            barrier_rounds: sim.barrier_rounds(),
-            cross_domain: sim.cross_domain_messages(),
-            cross_fraction: sim.cross_domain_messages() as f64 / events.max(1) as f64,
-        }
-    }
-
-    /// The serial blast with a run budget installed but set far out of
+    /// The blast with a run budget installed but set far out of
     /// reach: every event goes through the budgeted pop loop's checks
     /// without any cap ever firing, so (this row ÷ the un-budgeted row)
     /// is exactly the supervision overhead a budget-capped sweep pays.
@@ -393,34 +353,6 @@ mod engine {
             "an out-of-reach budget must not change what runs"
         );
 
-        // Parallel engine trajectory: the same blast through the
-        // domain-partitioned path at 1, 2, and 4 domains. K=1 vs the
-        // serial row above is the partitioned-path overhead bound.
-        let mut par_rows: Vec<ParBlast> = Vec::new();
-        for k in [1u32, 2, 4] {
-            let mut best: Option<ParBlast> = None;
-            for _ in 0..iters {
-                let row = par_blast(blast_packets, k);
-                if best.is_none() || row.wall < best.as_ref().unwrap().wall {
-                    best = Some(row);
-                }
-            }
-            let row = best.unwrap();
-            let row_eps = row.events as f64 / row.wall;
-            println!(
-                "engine/parallel_multihop k={}            events: {}  wall: {:.1} ms  \
-                 thrpt: {:.3e} events/s  barriers: {}  cross-domain: {} ({:.2}% of events)",
-                row.domains,
-                row.events,
-                row.wall * 1e3,
-                row_eps,
-                row.barrier_rounds,
-                row.cross_domain,
-                row.cross_fraction * 100.0,
-            );
-            par_rows.push(row);
-        }
-
         let mut best_e2e: Option<(u64, f64, SchedStats)> = None;
         for _ in 0..iters {
             let (events, wall, stats) = e2e_cubic(e2e_secs);
@@ -452,25 +384,6 @@ mod engine {
             // Ratios print in scientific notation (`{:e}` — valid JSON):
             // fixed 5-decimal formatting used to round small nonzero
             // ratios down to a misleading literal `0.00000`.
-            let par_json: String = par_rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "    {{\n      \"domains\": {},\n      \"events\": {},\n      \
-                         \"wall_ms\": {:.3},\n      \"events_per_sec\": {:.1},\n      \
-                         \"barrier_rounds\": {},\n      \"cross_domain_messages\": {},\n      \
-                         \"cross_domain_fraction\": {:e}\n    }}",
-                        r.domains,
-                        r.events,
-                        r.wall * 1e3,
-                        r.events as f64 / r.wall,
-                        r.barrier_rounds,
-                        r.cross_domain,
-                        r.cross_fraction,
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",\n");
             let json = format!(
                 "{{\n  \"blast_multihop\": {{\n    \"events\": {blast_events},\n    \
                  \"wall_ms\": {:.3},\n    \"events_per_sec\": {eps:.1},\n    \
@@ -480,7 +393,6 @@ mod engine {
                  \"budgeted_blast_multihop\": {{\n    \"events\": {budgeted_events},\n    \
                  \"wall_ms\": {:.3},\n    \"events_per_sec\": {budgeted_eps:.1},\n    \
                  \"overhead_vs_unbudgeted\": {:e}\n  }},\n  \
-                 \"parallel_multihop\": [\n{par_json}\n  ],\n  \
                  \"e2e_dumbbell_cubic\": {{\n    \"events\": {e2e_events},\n    \
                  \"wall_ms\": {:.3},\n    \"events_per_sec\": {e2e_eps:.1},\n    \
                  \"ns_per_event\": {:.2},\n    \"speedup_vs_main\": {:.3},\n    \

@@ -8,10 +8,9 @@
 //! hook), which is exactly the axis the paper varies: default Cubic,
 //! Phi-tuned Cubic, mixed deployments, Remy variants.
 
-use phi_sim::engine::{Agent, BudgetExceeded, RunBudget, SchedStats, Simulator};
+use phi_sim::engine::{BudgetExceeded, RunBudget, SchedStats, Simulator};
 use phi_sim::fluid::{FluidFlowPlan, FluidSim};
-use phi_sim::packet::{wire, AgentId, FlowId, LinkId, NodeId};
-use phi_sim::par::ParallelSimulator;
+use phi_sim::packet::{wire, FlowId};
 use phi_sim::queue::{Capacity, DisciplineSpec};
 use phi_sim::switch::{SwitchSpec, SwitchStats};
 use phi_sim::time::{Dur, Time};
@@ -79,16 +78,6 @@ pub struct ExperimentSpec {
     /// valid.
     #[serde(default)]
     pub fluid: Option<FluidSpec>,
-    /// Domain count for the conservative parallel engine. `None` (the
-    /// default, and what every pre-existing spec deserializes to) runs
-    /// the classic serial engine with its historical FIFO event keys, so
-    /// established run digests are untouched. `Some(k)` partitions the
-    /// topology into (at most) `k` domains and runs the windowed barrier
-    /// protocol; results are bit-identical for every `k`, including
-    /// `Some(1)`, but differ from `None` (content-derived event keys
-    /// assign different packet ids).
-    #[serde(default)]
-    pub domains: Option<u32>,
     /// Run budget: hard caps on events, simulated time, and wall-clock
     /// time, for supervised sweeps whose cells must not run away. `None`
     /// (the default, and what every pre-existing spec deserializes to)
@@ -182,18 +171,10 @@ impl ExperimentSpec {
             queue: BottleneckQueue::DropTail,
             ha: None,
             fluid: None,
-            domains: None,
             budget: None,
             switch: None,
             incast: None,
         }
-    }
-
-    /// The same spec routed through the conservative parallel engine
-    /// with (at most) `k` domains.
-    pub fn with_domains(mut self, k: u32) -> Self {
-        self.domains = Some(k);
-        self
     }
 
     /// The same spec routed through the fluid fast path with default
@@ -281,8 +262,8 @@ pub struct RunResult {
     pub store: ContextStore,
     /// Events the simulator processed (determinism checks, perf metrics).
     pub events: u64,
-    /// Scheduler-level accounting for the run (summed across domains on
-    /// partitioned runs; the conservation identity holds for the sum).
+    /// Scheduler-level accounting for the run; the conservation identity
+    /// [`SchedStats::conserved`] holds.
     pub sched: SchedStats,
     /// What the crash-injected HA plane did, when the spec carried an
     /// unsharded one ([`HaSpec::shards`] absent or `count <= 1`).
@@ -348,8 +329,6 @@ pub fn run_experiment(
     let routers = [net.left_router, net.right_router];
     let queue_kind = spec.queue;
     let switch_pool = spec.switch.as_ref().map(|s| s.pool_bytes);
-    // Routed through the serializable DisciplineSpec so the serial and
-    // partitioned engines build bit-identical queues from one recipe.
     let disciplines = move |id, link: &phi_sim::topology::LinkSpec| {
         if let Some(pool) = switch_pool {
             if routers.contains(&link.from) {
@@ -365,17 +344,7 @@ pub fn run_experiment(
             _ => DisciplineSpec::DropTail.build(link.capacity),
         }
     };
-    let mut sim = match spec.domains {
-        Some(k) => Engine::Par(ParallelSimulator::with_disciplines(
-            net.topology.clone(),
-            k,
-            disciplines,
-        )),
-        None => Engine::Serial(Box::new(Simulator::with_disciplines(
-            net.topology.clone(),
-            disciplines,
-        ))),
-    };
+    let mut sim = Simulator::with_disciplines(net.topology.clone(), disciplines);
     if let Some(sw) = spec.switch {
         sim.install_switch(net.left_router, sw);
         sim.install_switch(net.right_router, sw);
@@ -508,87 +477,6 @@ pub fn run_experiment(
         ha_shards,
         terminated,
         switch_stats,
-    }
-}
-
-/// The packet engine behind one harness run: the classic serial simulator
-/// (FIFO event keys, the historical digests) or the domain-partitioned
-/// parallel engine, chosen by [`ExperimentSpec::domains`]. Only the five
-/// calls the harness makes are delegated.
-enum Engine {
-    Serial(Box<Simulator>),
-    Par(ParallelSimulator),
-}
-
-impl Engine {
-    fn add_agent(&mut self, node: NodeId, port: u16, agent: Box<dyn Agent>) -> AgentId {
-        match self {
-            Engine::Serial(s) => s.add_agent(node, port, agent),
-            Engine::Par(p) => p.add_agent(node, port, agent),
-        }
-    }
-
-    fn run_until(&mut self, deadline: Time) -> Time {
-        match self {
-            Engine::Serial(s) => s.run_until(deadline),
-            Engine::Par(p) => p.run_until(deadline),
-        }
-    }
-
-    fn set_budget(&mut self, budget: RunBudget) {
-        match self {
-            Engine::Serial(s) => s.set_budget(budget),
-            Engine::Par(p) => p.set_budget(budget),
-        }
-    }
-
-    fn termination(&self) -> Option<BudgetExceeded> {
-        match self {
-            Engine::Serial(s) => s.termination(),
-            Engine::Par(p) => p.termination(),
-        }
-    }
-
-    fn agent_as<T: Agent>(&self, id: AgentId) -> Option<&T> {
-        match self {
-            Engine::Serial(s) => s.agent_as(id),
-            Engine::Par(p) => p.agent_as(id),
-        }
-    }
-
-    fn install_switch(&mut self, node: NodeId, spec: SwitchSpec) {
-        match self {
-            Engine::Serial(s) => s.install_switch(node, spec),
-            Engine::Par(p) => p.install_switch(node, spec),
-        }
-    }
-
-    fn switch_stats(&self, node: NodeId) -> SwitchStats {
-        match self {
-            Engine::Serial(s) => s.switch_stats(node),
-            Engine::Par(p) => p.switch_stats(node),
-        }
-    }
-
-    fn link_stats(&self, link: LinkId) -> &phi_sim::stats::LinkStats {
-        match self {
-            Engine::Serial(s) => s.link_stats(link),
-            Engine::Par(p) => p.link_stats(link),
-        }
-    }
-
-    fn events_processed(&self) -> u64 {
-        match self {
-            Engine::Serial(s) => s.events_processed(),
-            Engine::Par(p) => p.events_processed(),
-        }
-    }
-
-    fn sched_stats(&self) -> SchedStats {
-        match self {
-            Engine::Serial(s) => s.sched_stats(),
-            Engine::Par(p) => p.sched_stats(),
-        }
     }
 }
 

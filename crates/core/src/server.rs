@@ -2350,6 +2350,13 @@ mod tests {
             ..HaOptions::default()
         });
 
+        // A new link opens with a snapshot sync. Let it land first, or it
+        // can carry the mutations below and leave the delta stream — what
+        // this test is about — with fewer than two entries to apply.
+        wait_until("the link's initial snapshot sync", || {
+            backup.stats().repl_syncs.load(Ordering::Relaxed) >= 1
+        });
+
         let mut c = ContextClient::connect(primary_addr).expect("connect");
         c.lookup(PathKey(4)).expect("lookup");
         c.report(PathKey(4), summary(2_000_000)).expect("report");

@@ -41,10 +41,10 @@ use crate::trace::{TraceEvent, TraceOp, Tracer};
 
 /// A simulation participant attached to a node.
 ///
-/// `Send` because the parallel engine (`par.rs`) runs each topology
-/// domain — simulator, agents and all — on its own worker thread. Agents
-/// are still called from exactly one event loop at a time, never
-/// concurrently.
+/// `Send` so that a [`Simulator`] and everything attached to it can be
+/// built on one thread and run on another (a `RunPool` worker, a
+/// supervised cell). Agents are called from exactly one event loop at a
+/// time, never concurrently.
 pub trait Agent: Any + Send {
     /// Called once when the simulation starts.
     fn start(&mut self, _ctx: &mut Ctx<'_>) {}
@@ -74,9 +74,8 @@ enum Event {
         via: LinkId,
     },
     /// A PFC PAUSE (`xoff`) or RESUME frame arrives at the transmitting
-    /// end of `link`. `seq` is the emitting switch's per-ingress edge
-    /// counter (tie-break key).
-    Pfc { link: LinkId, xoff: bool, seq: u64 },
+    /// end of `link`.
+    Pfc { link: LinkId, xoff: bool },
     /// A pause-storm watchdog armed by the switch on `node` for ingress
     /// `link` expires; `epoch` validates against the switch's pause
     /// state (a resume in the meantime makes the timer stale).
@@ -88,55 +87,15 @@ enum Event {
     /// An agent timer fired. `slot`/`gen` validate against the timer slab:
     /// a mismatch means the timer was cancelled (or superseded) after it
     /// was scheduled, and the event is skipped without touching the agent.
-    /// `arm` is the agent's monotonically increasing arm counter, used
-    /// only as a partition-invariant tie-break key in parallel runs.
     Timer {
         agent: AgentId,
         token: u64,
         slot: u32,
         gen: u64,
-        arm: u64,
     },
     /// A precomputed link state transition from the fault plane: the link
-    /// goes down (`up == false`) or heals (`up == true`). `idx` is the
-    /// edge's index in the plan's precomputed schedule (tie-break key).
-    FaultEdge { link: LinkId, up: bool, idx: u32 },
-}
-
-impl Event {
-    /// Content-derived `(class, a, b)` triple identifying this event among
-    /// all events scheduled for the same timestamp. Used by [`ParKey`] to
-    /// give parallel runs a tie-break order that does not depend on which
-    /// domain scheduled an event first (the serial engine's FIFO counter
-    /// does, so it cannot survive partitioning).
-    ///
-    /// Uniqueness at equal timestamps: a link serializes one packet at a
-    /// time (`TxEnd`), packet ids are globally unique (`Deliver`; the only
-    /// collision is a fault-plane duplicate, which is a byte-identical
-    /// event, so its order is unobservable), `arm` counts per agent
-    /// (`Timer`), and `idx` counts per plan (`FaultEdge`).
-    fn key_parts(&self) -> (u8, u32, u64) {
-        match self {
-            Event::FaultEdge { link, idx, .. } => (0, link.0, u64::from(*idx)),
-            Event::TxEnd { link, pkt } => (1, link.0, pkt.id),
-            Event::Deliver { node, pkt, .. } => (2, node.0, pkt.id),
-            Event::Timer { agent, arm, .. } => (3, agent.0, *arm),
-            Event::Pfc { link, seq, .. } => (4, link.0, *seq),
-            Event::PfcWatchdog { link, epoch, .. } => (5, link.0, *epoch),
-        }
-    }
-}
-
-/// Tie-break key for simultaneous events in parallel (domain-partitioned)
-/// runs: events at equal timestamps order by `(class, a, b)` from
-/// [`Event::key_parts`] instead of by scheduling order. The resulting pop
-/// order is a pure function of event *content*, so every domain count
-/// produces the same execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct ParKey {
-    class: u8,
-    a: u32,
-    b: u64,
+    /// goes down (`up == false`) or heals (`up == true`).
+    FaultEdge { link: LinkId, up: bool },
 }
 
 /// A handle identifying one scheduled timer, returned by
@@ -215,133 +174,6 @@ struct LinkState {
     fault: Option<Box<LinkFault>>,
 }
 
-mod sealed {
-    // Signatures here mention private engine types on purpose: the trait
-    // is reachable only as the sealed supertrait of `EventSeq`, which
-    // external code can neither implement nor call methods on.
-    #![allow(private_interfaces)]
-
-    use super::{CtxInner, Event, SimCore, TimerSlab};
-    use crate::sched::TieredScheduler;
-    use std::sync::Mutex;
-
-    /// Crate-internal half of [`super::EventSeq`]: the operations that
-    /// mention private engine types, kept out of the public trait.
-    pub trait Sealed: Sized {
-        /// Mint the tie-break key for an event scheduled as the `fifo`-th
-        /// push with content triple `(class, a, b)`.
-        fn mint(fifo: &mut u64, class: u8, a: u32, b: u64) -> Self;
-        /// The carcass-recycling pool for this key discipline.
-        fn pool() -> &'static Mutex<Vec<(TieredScheduler<Event, Self>, TimerSlab)>>;
-        /// Wrap a core borrow into the type-erased agent context.
-        fn ctx_inner(core: &mut SimCore<Self>) -> CtxInner<'_>
-        where
-            Self: super::EventSeq;
-    }
-}
-
-/// The event queue's tie-break discipline: how simultaneous events order.
-///
-/// Two implementations exist, and the set is sealed:
-/// * `u64` (the default) — FIFO by scheduling order, the serial engine's
-///   historical behavior; every pinned golden trace runs under it.
-/// * the parallel engine's content-derived key — identical pop order for
-///   any domain count, used by [`crate::par::ParallelSimulator`].
-pub trait EventSeq: sealed::Sealed + Copy + Ord + std::fmt::Debug + Send + 'static {}
-
-// The engine types in these signatures are deliberately unnameable
-// outside the crate: the trait is only reachable through the sealed
-// supertrait of `EventSeq`, which external code cannot implement or call.
-#[allow(private_interfaces)]
-impl sealed::Sealed for u64 {
-    fn mint(fifo: &mut u64, _class: u8, _a: u32, _b: u64) -> u64 {
-        let seq = *fifo;
-        *fifo += 1;
-        seq
-    }
-    fn pool() -> &'static Mutex<Vec<(TieredScheduler<Event, u64>, TimerSlab)>> {
-        static POOL: Mutex<Vec<(TieredScheduler<Event, u64>, TimerSlab)>> = Mutex::new(Vec::new());
-        &POOL
-    }
-    fn ctx_inner(core: &mut SimCore<u64>) -> CtxInner<'_> {
-        CtxInner::Serial(core)
-    }
-}
-impl EventSeq for u64 {}
-
-#[allow(private_interfaces)]
-impl sealed::Sealed for ParKey {
-    fn mint(_fifo: &mut u64, class: u8, a: u32, b: u64) -> ParKey {
-        ParKey { class, a, b }
-    }
-    fn pool() -> &'static Mutex<Vec<(TieredScheduler<Event, ParKey>, TimerSlab)>> {
-        static POOL: Mutex<Vec<(TieredScheduler<Event, ParKey>, TimerSlab)>> =
-            Mutex::new(Vec::new());
-        &POOL
-    }
-    fn ctx_inner(core: &mut SimCore<ParKey>) -> CtxInner<'_> {
-        CtxInner::Par(core)
-    }
-}
-impl EventSeq for ParKey {}
-
-/// A cross-domain handoff arriving at `node` (owned by another domain)
-/// at `at`: a packet delivery, or a PFC pause/resume frame whose paused
-/// link is transmitted from a foreign node. Collected in the sending
-/// domain's outbox during a window and injected into the receiving
-/// domain at the next barrier. PFC frames can ride the same mailboxes
-/// because they travel one ingress-link propagation delay upstream, and
-/// a partition-cut link's delay is at least the lookahead.
-#[derive(Debug)]
-pub(crate) struct Xmsg {
-    pub(crate) at: Time,
-    pub(crate) node: NodeId,
-    pub(crate) body: XmsgBody,
-}
-
-/// Payload of one cross-domain handoff.
-#[derive(Debug)]
-pub(crate) enum XmsgBody {
-    /// `pkt` reaches `node` having arrived over `via`.
-    Deliver { pkt: Packet, via: LinkId },
-    /// A PAUSE (`xoff`) or RESUME frame for `link` (transmitted from
-    /// `node`, which the receiving domain owns).
-    Pfc { link: LinkId, xoff: bool, seq: u64 },
-}
-
-/// Domain-partitioning state carried by a parallel-run core. `None` on
-/// serial simulators, so the single branch it costs on the forwarding
-/// path is perfectly predicted.
-#[derive(Debug, Default)]
-struct ParState {
-    /// This simulator's domain.
-    my_domain: u32,
-    /// Owning domain of every node.
-    node_domain: Vec<u32>,
-    /// Cross-domain deliveries produced this window, awaiting the barrier.
-    outbox: Vec<Xmsg>,
-    /// Per-agent packet-id counters (`id = agent << 40 | counter`), so
-    /// ids are unique and identical for any domain count.
-    agent_pkt: Vec<u64>,
-    /// Per-agent timer arm counters (tie-break key for `Event::Timer`).
-    agent_arm: Vec<u64>,
-    /// Lifetime count of exported (cross-domain) deliveries.
-    exported: u64,
-}
-
-impl ParState {
-    fn counter(v: &mut Vec<u64>, agent: AgentId) -> &mut u64 {
-        let idx = agent.0 as usize;
-        if v.len() <= idx {
-            v.resize(idx + 1, 0);
-        }
-        &mut v[idx]
-    }
-}
-
-/// Everything the engine owns except the agents themselves. Splitting this
-/// out lets [`Ctx`] hold `&mut SimCore` while an agent (removed from the
-/// agent table for the duration of its callback) runs.
 /// Sentinel for "no agent bound" in the dense per-node port tables.
 const NO_AGENT: AgentId = AgentId(u32::MAX);
 
@@ -349,9 +181,12 @@ const NO_AGENT: AgentId = AgentId(u32::MAX);
 /// link to attribute PFC accounting to).
 const NO_LINK: LinkId = LinkId(u32::MAX);
 
-struct SimCore<S: EventSeq> {
+/// Everything the engine owns except the agents themselves. Splitting this
+/// out lets [`Ctx`] hold `&mut SimCore` while an agent (removed from the
+/// agent table for the duration of its callback) runs.
+struct SimCore {
     now: Time,
-    queue: TieredScheduler<Event, S>,
+    queue: TieredScheduler<Event>,
     timers: TimerSlab,
     topology: Topology,
     links: Vec<LinkState>,
@@ -364,13 +199,8 @@ struct SimCore<S: EventSeq> {
     /// 100), so the tables stay tiny.
     ports: Vec<Vec<AgentId>>,
     agent_nodes: Vec<NodeId>,
-    /// FIFO sequence counter feeding `u64` key minting; unused (but
-    /// harmless) under content-derived keys.
-    fifo: u64,
-    /// Domain-partitioning state; `None` on serial simulators.
-    par: Option<Box<ParState>>,
-    /// Packets injected via [`Ctx::send`] by agents on this core (in
-    /// serial runs this doubles as the next packet id).
+    /// Packets injected via [`Ctx::send`] so far; doubles as the next
+    /// packet id.
     next_packet_id: u64,
     /// Packets that arrived for a (node, port) with no agent bound.
     pub undeliverable: u64,
@@ -394,104 +224,51 @@ struct SimCore<S: EventSeq> {
     terminated: Option<BudgetExceeded>,
 }
 
-/// Carcasses kept per pool; beyond this, retiring schedulers deallocate.
-/// Sized for a `RunPool`'s worth of concurrent serial sweeps or a
-/// parallel run's worth of domains, whichever retires first.
+/// Carcasses kept in the pool; beyond this, retiring schedulers
+/// deallocate. Sized for a `RunPool`'s worth of concurrent sweeps.
 const SCHED_POOL_LIMIT: usize = 16;
 
 /// Recycled scheduler carcasses. Parameter sweeps and trainer rounds
 /// build thousands of short-lived simulators; each would otherwise regrow
 /// the calendar's bucket vectors and overflow heap from empty. A retiring
-/// simulator parks its (cleared) scheduler and timer slab in a per-key-
-/// discipline global pool (a `Mutex`, touched once per simulator lifetime
-/// — never on the event hot path — so K parallel domains neither contend
-/// nor leak carcasses across runs). A cleared scheduler is logically
-/// identical to a fresh one (sequence numbers, cursor, and counters all
-/// reset), so pooling cannot perturb results.
-fn recycled_scheduler<S: EventSeq>() -> (TieredScheduler<Event, S>, TimerSlab) {
-    S::pool()
+/// simulator parks its (cleared) scheduler and timer slab in a global
+/// pool (a `Mutex`, touched once per simulator lifetime — never on the
+/// event hot path). A cleared scheduler is logically identical to a
+/// fresh one (sequence numbers, cursor, and counters all reset), so
+/// pooling cannot perturb results.
+static SCHED_POOL: Mutex<Vec<(TieredScheduler<Event>, TimerSlab)>> = Mutex::new(Vec::new());
+
+fn recycled_scheduler() -> (TieredScheduler<Event>, TimerSlab) {
+    SCHED_POOL
         .lock()
         .expect("scheduler pool poisoned")
         .pop()
         .unwrap_or_default()
 }
 
-impl<S: EventSeq> Drop for SimCore<S> {
+impl Drop for SimCore {
     fn drop(&mut self) {
         let mut sched = std::mem::take(&mut self.queue);
         let mut timers = std::mem::take(&mut self.timers);
         sched.clear();
         timers.clear();
-        let mut pool = S::pool().lock().expect("scheduler pool poisoned");
+        let mut pool = SCHED_POOL.lock().expect("scheduler pool poisoned");
         if pool.len() < SCHED_POOL_LIMIT {
             pool.push((sched, timers));
         }
     }
 }
 
-impl<S: EventSeq> SimCore<S> {
+impl SimCore {
     fn trace(&mut self, op: TraceOp, link: Option<LinkId>, node: Option<NodeId>, pkt: &Packet) {
         if let Some(t) = self.tracer.as_mut() {
             t.event(&TraceEvent::new(self.now, op, link, node, pkt));
         }
     }
-}
 
-impl<S: EventSeq> SimCore<S> {
     fn schedule(&mut self, at: Time, event: Event) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
-        let (class, a, b) = event.key_parts();
-        let key = S::mint(&mut self.fifo, class, a, b);
-        self.queue.push_keyed(at, key, event);
-    }
-
-    /// Assign the id for a packet injected by `agent` and count the
-    /// injection. Serial runs use one global counter (the historical id
-    /// sequence every golden trace pins); parallel runs partition the id
-    /// space by agent so ids are identical for any domain count.
-    fn mint_packet_id(&mut self, agent: AgentId) -> u64 {
-        self.next_packet_id += 1;
-        match self.par.as_deref_mut() {
-            Some(p) => {
-                let c = ParState::counter(&mut p.agent_pkt, agent);
-                let id = (u64::from(agent.0) << 40) | *c;
-                *c += 1;
-                id
-            }
-            None => self.next_packet_id - 1,
-        }
-    }
-
-    /// Next timer arm number for `agent` (0 in serial runs, where the
-    /// FIFO key makes the arm counter redundant).
-    fn next_arm(&mut self, agent: AgentId) -> u64 {
-        match self.par.as_deref_mut() {
-            Some(p) => {
-                let c = ParState::counter(&mut p.agent_arm, agent);
-                let arm = *c;
-                *c += 1;
-                arm
-            }
-            None => 0,
-        }
-    }
-
-    /// Schedule delivery of `pkt` (arriving over `via`) at `node`, or
-    /// export it to the owning domain's mailbox when `node` lives across
-    /// a partition cut.
-    fn deliver_or_export(&mut self, at: Time, node: NodeId, pkt: Packet, via: LinkId) {
-        if let Some(p) = self.par.as_deref_mut() {
-            if p.node_domain[node.0 as usize] != p.my_domain {
-                p.exported += 1;
-                p.outbox.push(Xmsg {
-                    at,
-                    node,
-                    body: XmsgBody::Deliver { pkt, via },
-                });
-                return;
-            }
-        }
-        self.schedule(at, Event::Deliver { node, pkt, via });
+        self.queue.push(at, event);
     }
 
     /// Route `pkt` (which arrived at `at` over `via`) toward its
@@ -628,7 +405,7 @@ impl<S: EventSeq> SimCore<S> {
             let j = splitmix64(pkt.id) % spec.jitter.as_nanos().max(1);
             delay += Dur::from_nanos(j);
         }
-        let to = spec.to;
+        let node = spec.to;
         {
             let ls = &mut self.links[link_id.0 as usize];
             ls.busy = false;
@@ -651,10 +428,11 @@ impl<S: EventSeq> SimCore<S> {
         match verdict {
             EgressVerdict::Forward { extra, duplicate } => {
                 let dup = duplicate.then(|| pkt.clone());
-                self.deliver_or_export(now + delay + extra, to, pkt, link_id);
-                if let Some(p) = dup {
-                    self.trace(TraceOp::Duplicate, Some(link_id), None, &p);
-                    self.deliver_or_export(now + delay + extra, to, p, link_id);
+                let (at, via) = (now + delay + extra, link_id);
+                self.schedule(at, Event::Deliver { node, pkt, via });
+                if let Some(pkt) = dup {
+                    self.trace(TraceOp::Duplicate, Some(link_id), None, &pkt);
+                    self.schedule(at, Event::Deliver { node, pkt, via });
                 }
             }
             EgressVerdict::Blackhole => self.trace(TraceOp::Blackhole, Some(link_id), None, &pkt),
@@ -724,42 +502,22 @@ impl<S: EventSeq> SimCore<S> {
         match edge {
             PfcEdge::Xoff {
                 link,
-                seq,
                 epoch,
                 watchdog,
             } => {
                 let spec = self.topology.link(link);
                 let (delay, node) = (spec.delay, spec.to);
-                self.pfc_or_export(self.now + delay, link, true, seq);
+                self.schedule(self.now + delay, Event::Pfc { link, xoff: true });
                 self.schedule(
                     self.now + watchdog,
                     Event::PfcWatchdog { node, link, epoch },
                 );
             }
-            PfcEdge::Xon { link, seq } => {
+            PfcEdge::Xon { link } => {
                 let delay = self.topology.link(link).delay;
-                self.pfc_or_export(self.now + delay, link, false, seq);
+                self.schedule(self.now + delay, Event::Pfc { link, xoff: false });
             }
         }
-    }
-
-    /// Schedule a PFC frame's arrival at `link`'s transmitting node, or
-    /// export it when that node belongs to another domain. Safe at
-    /// barriers for the same reason deliveries are: the frame travels
-    /// one cut-link propagation delay, which is at least the lookahead.
-    fn pfc_or_export(&mut self, at: Time, link: LinkId, xoff: bool, seq: u64) {
-        let from = self.topology.link(link).from;
-        if let Some(p) = self.par.as_deref_mut() {
-            if p.node_domain[from.0 as usize] != p.my_domain {
-                p.outbox.push(Xmsg {
-                    at,
-                    node: from,
-                    body: XmsgBody::Pfc { link, xoff, seq },
-                });
-                return;
-            }
-        }
-        self.schedule(at, Event::Pfc { link, xoff, seq });
     }
 
     /// A PFC frame arrives at `link`'s transmitting end: gate (or
@@ -830,42 +588,9 @@ impl<S: EventSeq> SimCore<S> {
     }
 }
 
-/// Type-erased borrow of a simulator core, so [`Ctx`] (and therefore the
-/// object-safe [`Agent`] trait) stays a single concrete type while the
-/// engine is generic over its key discipline. Exactly two variants exist
-/// because [`EventSeq`] is sealed.
-#[allow(private_interfaces)]
-pub(crate) enum CtxInner<'a> {
-    /// A serial (FIFO-keyed) core.
-    Serial(&'a mut SimCore<u64>),
-    /// A parallel-domain (content-keyed) core.
-    Par(&'a mut SimCore<ParKey>),
-}
-
-/// Dispatch a body over whichever core variant this context wraps. The
-/// body is written once and monomorphized per variant, like a generic
-/// function — but through an enum, so `Ctx` can cross the object-safe
-/// `dyn Agent` boundary.
-macro_rules! on_core {
-    ($ctx:expr, |$core:ident| $body:expr) => {
-        match &$ctx.inner {
-            CtxInner::Serial($core) => $body,
-            CtxInner::Par($core) => $body,
-        }
-    };
-}
-macro_rules! on_core_mut {
-    ($ctx:expr, |$core:ident| $body:expr) => {
-        match &mut $ctx.inner {
-            CtxInner::Serial($core) => $body,
-            CtxInner::Par($core) => $body,
-        }
-    };
-}
-
 /// The handle through which agents act on the simulation.
 pub struct Ctx<'a> {
-    inner: CtxInner<'a>,
+    core: &'a mut SimCore,
     agent: AgentId,
     node: NodeId,
 }
@@ -873,7 +598,7 @@ pub struct Ctx<'a> {
 impl Ctx<'_> {
     /// Current simulated time.
     pub fn now(&self) -> Time {
-        on_core!(self, |c| c.now)
+        self.core.now
     }
 
     /// The id of the agent being called.
@@ -889,13 +614,11 @@ impl Ctx<'_> {
     /// Send a packet from this agent's node. The engine assigns the unique
     /// packet id and stamps `sent_at`; routing starts immediately.
     pub fn send(&mut self, mut pkt: Packet) {
-        let (agent, node) = (self.agent, self.node);
-        on_core_mut!(self, |c| {
-            pkt.id = c.mint_packet_id(agent);
-            pkt.sent_at = c.now;
-            pkt.src = node;
-            c.forward(node, pkt, NO_LINK);
-        })
+        pkt.id = self.core.next_packet_id;
+        self.core.next_packet_id += 1;
+        pkt.sent_at = self.core.now;
+        pkt.src = self.node;
+        self.core.forward(self.node, pkt, NO_LINK);
     }
 
     /// Schedule [`Agent::on_timer`] with `token` at absolute time `at`.
@@ -903,23 +626,18 @@ impl Ctx<'_> {
     /// The returned [`TimerHandle`] can be passed to
     /// [`Ctx::cancel_timer`]; agents that never cancel can ignore it.
     pub fn set_timer_at(&mut self, at: Time, token: u64) -> TimerHandle {
-        let agent = self.agent;
-        on_core_mut!(self, |c| {
-            let at = at.max(c.now);
-            let (slot, gen) = c.timers.alloc();
-            let arm = c.next_arm(agent);
-            c.schedule(
-                at,
-                Event::Timer {
-                    agent,
-                    token,
-                    slot,
-                    gen,
-                    arm,
-                },
-            );
-            TimerHandle { slot, gen }
-        })
+        let at = at.max(self.core.now);
+        let (slot, gen) = self.core.timers.alloc();
+        self.core.schedule(
+            at,
+            Event::Timer {
+                agent: self.agent,
+                token,
+                slot,
+                gen,
+            },
+        );
+        TimerHandle { slot, gen }
     }
 
     /// Schedule [`Agent::on_timer`] with `token` after `delay`.
@@ -932,43 +650,34 @@ impl Ctx<'_> {
     /// never dispatched. Returns false if the timer already fired or was
     /// already cancelled (both are harmless).
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        on_core_mut!(self, |c| {
-            let live = c.timers.retire(handle.slot, handle.gen);
-            if live {
-                c.cancelled += 1;
-            }
-            live
-        })
+        let live = self.core.timers.retire(handle.slot, handle.gen);
+        if live {
+            self.core.cancelled += 1;
+        }
+        live
     }
 
     /// Cumulative statistics of a link (ideal-oracle read access).
-    ///
-    /// In parallel runs only links whose source node belongs to this
-    /// agent's domain carry live statistics; oracle reads are therefore
-    /// meaningful only for domain-local paths (see DESIGN.md).
     pub fn link_stats(&self, link: LinkId) -> &LinkStats {
-        on_core!(self, |c| &c.links[link.0 as usize].stats)
+        &self.core.links[link.0 as usize].stats
     }
 
     /// Busy-fraction of a link over its rolling window (ideal oracle).
     pub fn link_utilization(&self, link: LinkId) -> f64 {
-        on_core!(self, |c| c.links[link.0 as usize]
+        self.core.links[link.0 as usize]
             .rolling
-            .utilization(c.now))
+            .utilization(self.core.now)
     }
 
     /// Packets currently queued at a link.
     pub fn link_queue_bytes(&self, link: LinkId) -> u64 {
-        on_core!(self, |c| c.links[link.0 as usize].queue.len_bytes())
+        self.core.links[link.0 as usize].queue.len_bytes()
     }
 }
 
 /// The simulator: topology + agents + event loop.
-///
-/// `S` is the event queue's tie-break discipline (see [`EventSeq`]); the
-/// default `u64` is the serial engine every public constructor builds.
-pub struct Simulator<S: EventSeq = u64> {
-    core: SimCore<S>,
+pub struct Simulator {
+    core: SimCore,
     agents: Vec<Option<Box<dyn Agent>>>,
     started: bool,
 }
@@ -992,37 +701,7 @@ impl Simulator {
     /// bottleneck) — the hook behind the §3.1 incentives ablation.
     pub fn with_disciplines(
         topology: Topology,
-        factory: impl FnMut(LinkId, &crate::topology::LinkSpec) -> LinkQueue,
-    ) -> Self {
-        Simulator::build(topology, factory, None)
-    }
-}
-
-impl Simulator<ParKey> {
-    /// Build the domain-`my_domain` member of a partitioned run: content-
-    /// keyed events, deliveries to foreign nodes exported at barriers.
-    /// Every domain receives the full topology (foreign links stay inert);
-    /// `node_domain` maps each node to its owner.
-    pub(crate) fn for_domain(
-        topology: Topology,
-        factory: impl FnMut(LinkId, &crate::topology::LinkSpec) -> LinkQueue,
-        my_domain: u32,
-        node_domain: Vec<u32>,
-    ) -> Self {
-        let par = ParState {
-            my_domain,
-            node_domain,
-            ..ParState::default()
-        };
-        Simulator::build(topology, factory, Some(Box::new(par)))
-    }
-}
-
-impl<S: EventSeq> Simulator<S> {
-    fn build(
-        topology: Topology,
         mut factory: impl FnMut(LinkId, &crate::topology::LinkSpec) -> LinkQueue,
-        par: Option<Box<ParState>>,
     ) -> Self {
         let links = topology
             .links()
@@ -1039,7 +718,7 @@ impl<S: EventSeq> Simulator<S> {
                 fault: None,
             })
             .collect();
-        let (queue, timers) = recycled_scheduler::<S>();
+        let (queue, timers) = recycled_scheduler();
         let ports = vec![Vec::new(); topology.node_count()];
         let switches = (0..topology.node_count()).map(|_| None).collect();
         Simulator {
@@ -1052,8 +731,6 @@ impl<S: EventSeq> Simulator<S> {
                 switches,
                 ports,
                 agent_nodes: Vec::new(),
-                fifo: 0,
-                par,
                 next_packet_id: 0,
                 undeliverable: 0,
                 delivered: 0,
@@ -1114,15 +791,8 @@ impl<S: EventSeq> Simulator<S> {
         let rng = root.fork_indexed("faults/link", u64::from(link.0));
         let (fault, edges) = LinkFault::new(plan, rng);
         ls.fault = Some(Box::new(fault));
-        for (idx, (at, up)) in edges.into_iter().enumerate() {
-            self.core.schedule(
-                at,
-                Event::FaultEdge {
-                    link,
-                    up,
-                    idx: idx as u32,
-                },
-            );
+        for (at, up) in edges {
+            self.core.schedule(at, Event::FaultEdge { link, up });
         }
     }
 
@@ -1303,47 +973,18 @@ impl<S: EventSeq> Simulator<S> {
             .and_then(|a| a.as_any_mut().downcast_mut::<T>())
     }
 
-    /// Dispatch every agent's `start` callback once, in id order. Idempotent.
-    pub(crate) fn start_agents(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.agents.len() {
-            // In partitioned runs foreign agents leave placeholder slots.
-            if self.agents[i].is_some() {
-                self.with_agent(AgentId(i as u32), |agent, ctx| agent.start(ctx));
-            }
-        }
-    }
-
     fn with_agent(&mut self, id: AgentId, f: impl FnOnce(&mut dyn Agent, &mut Ctx<'_>)) {
         let mut agent = self.agents[id.0 as usize]
             .take()
             .expect("agent re-entrancy is impossible: events are dispatched serially");
         let node = self.core.agent_nodes[id.0 as usize];
         let mut ctx = Ctx {
-            inner: S::ctx_inner(&mut self.core),
+            core: &mut self.core,
             agent: id,
             node,
         };
         f(agent.as_mut(), &mut ctx);
         self.agents[id.0 as usize] = Some(agent);
-    }
-
-    /// Dispatch pending events in `(time, key)` order until none remain at
-    /// or before `upto`. The clock follows the popped events; it is NOT
-    /// advanced to `upto` afterwards (see [`Simulator::advance_clock`]) —
-    /// the parallel engine pumps one bounded window per barrier round and
-    /// only squares up clocks at the very end of a run.
-    pub(crate) fn pump(&mut self, upto: Time) {
-        if self.core.budget.is_some() {
-            return self.pump_budgeted(upto);
-        }
-        while let Some((at, event)) = self.core.queue.pop_if(upto) {
-            self.core.now = at;
-            self.dispatch(event);
-        }
     }
 
     /// Dispatch one popped event. Shared verbatim by the un-budgeted and
@@ -1383,7 +1024,6 @@ impl<S: EventSeq> Simulator<S> {
                 token,
                 slot,
                 gen,
-                arm: _,
             } => {
                 if self.core.timers.retire(slot, gen) {
                     self.core.events_fired += 1;
@@ -1392,11 +1032,11 @@ impl<S: EventSeq> Simulator<S> {
                     self.core.skipped_stale += 1;
                 }
             }
-            Event::FaultEdge { link, up, idx: _ } => {
+            Event::FaultEdge { link, up } => {
                 self.core.events_fired += 1;
                 self.core.on_fault_edge(link, up);
             }
-            Event::Pfc { link, xoff, seq: _ } => {
+            Event::Pfc { link, xoff } => {
                 self.core.events_fired += 1;
                 self.core.on_pfc(link, xoff);
             }
@@ -1408,8 +1048,9 @@ impl<S: EventSeq> Simulator<S> {
     }
 
     /// The budgeted pop loop: identical dispatch, plus limit checks after
-    /// every event. Split from [`Simulator::pump`] so un-budgeted runs pay
-    /// nothing — not even a per-pop branch beyond the one at pump entry.
+    /// every event. Split from the loop in [`Simulator::run_until`] so
+    /// un-budgeted runs pay nothing — not even a per-pop branch beyond the
+    /// one at entry.
     fn pump_budgeted(&mut self, upto: Time) {
         /// Wall-clock reads are amortized: one `Instant::now` per this
         /// many dispatched events.
@@ -1451,7 +1092,7 @@ impl<S: EventSeq> Simulator<S> {
 
     /// Advance the clock to the deadline so utilization denominators and
     /// occupancy integrals cover the full requested span.
-    pub(crate) fn advance_clock(&mut self, deadline: Time) {
+    fn advance_clock(&mut self, deadline: Time) {
         if self.core.now < deadline && deadline != Time::MAX {
             self.core.now = deadline;
             for ls in &mut self.core.links {
@@ -1468,10 +1109,19 @@ impl<S: EventSeq> Simulator<S> {
     /// reason is readable from [`Simulator::termination`] and the clock is
     /// only squared up over the span actually covered.
     pub fn run_until(&mut self, deadline: Time) -> Time {
-        self.start_agents();
-        self.pump(deadline);
+        if !self.started {
+            self.started = true;
+            for i in 0..self.agents.len() {
+                self.with_agent(AgentId(i as u32), |agent, ctx| agent.start(ctx));
+            }
+        }
         if self.core.budget.is_some() {
+            self.pump_budgeted(deadline);
             return self.finish_budgeted(deadline);
+        }
+        while let Some((at, event)) = self.core.queue.pop_if(deadline) {
+            self.core.now = at;
+            self.dispatch(event);
         }
         self.advance_clock(deadline);
         self.core.now
@@ -1488,7 +1138,7 @@ impl<S: EventSeq> Simulator<S> {
         }
         if let Some(cap) = self.core.budget.as_ref().and_then(|b| b.sim_cap()) {
             if cap < deadline {
-                if self.next_event_time().is_some_and(|t| t <= deadline) {
+                if self.core.queue.next_time().is_some_and(|t| t <= deadline) {
                     // Events the caller asked for remain beyond the cap:
                     // the sim-time budget bound.
                     self.core.terminated = Some(BudgetExceeded::SimTime);
@@ -1523,76 +1173,6 @@ impl<S: EventSeq> Simulator<S> {
     /// Run until no events remain.
     pub fn run_to_completion(&mut self) -> Time {
         self.run_until(Time::MAX)
-    }
-
-    /// Timestamp of the earliest pending event (barrier-window voting).
-    pub(crate) fn next_event_time(&self) -> Option<Time> {
-        self.core.queue.next_time()
-    }
-
-    /// Drain this domain's cross-domain outbox (empty on serial cores).
-    pub(crate) fn take_outbox(&mut self) -> Vec<Xmsg> {
-        match self.core.par.as_deref_mut() {
-            Some(p) => std::mem::take(&mut p.outbox),
-            None => Vec::new(),
-        }
-    }
-
-    /// Inject a cross-domain handoff received at a barrier. The message's
-    /// arrival time is at least one lookahead past the window that
-    /// produced it, so it is never in this domain's past.
-    pub(crate) fn inject(&mut self, m: Xmsg) {
-        match m.body {
-            XmsgBody::Deliver { pkt, via } => self.core.schedule(
-                m.at,
-                Event::Deliver {
-                    node: m.node,
-                    pkt,
-                    via,
-                },
-            ),
-            XmsgBody::Pfc { link, xoff, seq } => {
-                self.core.schedule(m.at, Event::Pfc { link, xoff, seq });
-            }
-        }
-    }
-
-    /// Lifetime count of deliveries exported across the partition cut.
-    pub(crate) fn exported_count(&self) -> u64 {
-        self.core.par.as_deref().map_or(0, |p| p.exported)
-    }
-
-    /// Register global agent id `id` on this domain simulator. Foreign
-    /// agents (owned by another domain) pass `None`: the slot exists so
-    /// ids stay globally aligned, but no port binding is created and the
-    /// agent is never started or dispatched here.
-    pub(crate) fn add_agent_slot(
-        &mut self,
-        id: AgentId,
-        node: NodeId,
-        port: u16,
-        agent: Option<Box<dyn Agent>>,
-    ) {
-        assert!(!self.started, "cannot add agents after start");
-        let idx = id.0 as usize;
-        if self.agents.len() <= idx {
-            self.agents.resize_with(idx + 1, || None);
-            self.core.agent_nodes.resize(idx + 1, NodeId(u32::MAX));
-        }
-        assert!(self.agents[idx].is_none(), "agent slot {idx} already bound");
-        self.core.agent_nodes[idx] = node;
-        if agent.is_some() {
-            let table = &mut self.core.ports[node.0 as usize];
-            if table.len() <= usize::from(port) {
-                table.resize(usize::from(port) + 1, NO_AGENT);
-            }
-            assert!(
-                table[usize::from(port)] == NO_AGENT,
-                "({node}, :{port}) already bound"
-            );
-            table[usize::from(port)] = id;
-            self.agents[idx] = agent;
-        }
     }
 }
 
@@ -1696,11 +1276,10 @@ pub struct SchedStats {
     pub pending: u64,
 }
 
-/// Resource budget for one run, enforced in the engine's pop loop (and,
-/// for partitioned runs, at the parallel engine's barrier windows — see
-/// `par.rs`). Every limit is optional; the default budget is unlimited
-/// and an unlimited budget leaves the hot loop untouched, so runs
-/// without a budget replay bit-for-bit against their historical digests.
+/// Resource budget for one run, enforced in the engine's pop loop. Every
+/// limit is optional; the default budget is unlimited and an unlimited
+/// budget leaves the hot loop untouched, so runs without a budget replay
+/// bit-for-bit against their historical digests.
 ///
 /// A run that hits a limit stops *gracefully*: agents keep their state,
 /// statistics and censuses stay conserved, and the caller reads the
@@ -1715,8 +1294,7 @@ pub struct RunBudget {
     pub max_events: Option<u64>,
     /// Cap the simulated span: the run never advances past
     /// `Time::ZERO + max_sim_time`, even if the caller's deadline is
-    /// later. Deterministic, and — uniquely among the three limits —
-    /// also invariant across domain counts in parallel runs.
+    /// later. Deterministic.
     #[serde(default)]
     pub max_sim_time: Option<Dur>,
     /// Wall-clock watchdog, in milliseconds of host time since the first
@@ -2161,9 +1739,6 @@ mod tests {
         let (t, a, z) = two_nodes(1_000_000, Dur::from_millis(1), Capacity::Packets(10));
         // RED with thresholds far below the load: early drops must occur
         // where plain drop-tail (capacity 10_000) would accept everything.
-        // Routed through the same serializable DisciplineSpec the
-        // parallel engine's factory consumes, so the exact queue built
-        // here is also installable on partitioned runs.
         let mut sim = Simulator::with_disciplines(t, |id, spec| {
             if id.0 == 0 {
                 DisciplineSpec::Red {

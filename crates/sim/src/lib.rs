@@ -44,7 +44,6 @@ pub mod engine;
 pub mod faults;
 pub mod fluid;
 pub mod packet;
-pub mod par;
 pub mod queue;
 pub mod sched;
 pub mod stats;
@@ -64,14 +63,13 @@ pub mod prelude {
     };
     pub use crate::fluid::{FluidCensus, FluidFlowPlan, FluidFlowRecord, FluidSim};
     pub use crate::packet::{wire, AgentId, Flags, FlowId, LinkId, NodeId, Packet};
-    pub use crate::par::{domains_from_env, ParallelSimulator};
     pub use crate::queue::{Capacity, DisciplineSpec, LinkQueue};
     pub use crate::stats::{Ewma, LinkStats, OnlineStats};
     pub use crate::switch::{EcnSpec, PfcSpec, SharedBuffer, SwitchSpec, SwitchStats};
     pub use crate::time::{Dur, Time};
     pub use crate::topology::{
         dumbbell, parking_lot, Dumbbell, DumbbellSpec, LinkSpec, ParkingLot, ParkingLotSpec,
-        Partition, Topology, TopologyBuilder,
+        Topology, TopologyBuilder,
     };
     pub use crate::trace::{TraceCollector, TraceEvent, TraceOp, TraceWriter, Tracer};
 }

@@ -194,13 +194,8 @@ impl LinkQueue {
 /// A serializable queueing-discipline choice, materialized per link.
 ///
 /// [`LinkQueue`] holds trait objects and cannot travel inside an
-/// experiment spec, and the serial and parallel engines each take their
-/// own per-link factory closure — before this enum existed, a run that
-/// wanted RED under the partitioned engine had no spec-level way to say
-/// so (`ParallelSimulator::new` installs drop-tail everywhere). Both
-/// engines' factories can now route through [`DisciplineSpec::build`],
-/// so any discipline expressible here installs identically under every
-/// domain count.
+/// experiment spec; this enum can, and a per-link factory closure turns
+/// it into the queue with [`DisciplineSpec::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DisciplineSpec {
     /// Classic FIFO drop-tail (the engine default).
@@ -223,9 +218,7 @@ pub enum DisciplineSpec {
 impl DisciplineSpec {
     /// Build the queue for a link of physical capacity `capacity`.
     ///
-    /// Deterministic in its arguments, as both engines' factory
-    /// contracts require (the parallel engine instantiates every link
-    /// once per domain).
+    /// Deterministic in its arguments.
     pub fn build(&self, capacity: Capacity) -> LinkQueue {
         let pkts = match capacity {
             Capacity::Packets(p) => p,

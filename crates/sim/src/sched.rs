@@ -55,29 +55,27 @@ const WORDS: usize = NUM_BUCKETS / 64;
 /// simulator is a full `Event` with an inline packet) is written into
 /// the slab once at push and read once at pop.
 ///
-/// `S` is the same-timestamp tie-break. The serial engine uses a `u64`
-/// arrival counter (FIFO among simultaneous events); the parallel engine
-/// substitutes a content-derived canonical key so that the pop order is
-/// independent of which domain scheduled an event first.
+/// `seq` is the same-timestamp tie-break: the push-order counter, so
+/// simultaneous events pop FIFO.
 #[derive(Debug, Clone, Copy)]
-struct Key<S> {
+struct Key {
     at: Time,
-    seq: S,
+    seq: u64,
     idx: u32,
 }
 
-impl<S: Ord + Copy> PartialEq for Key<S> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<S: Ord + Copy> Eq for Key<S> {}
-impl<S: Ord + Copy> PartialOrd for Key<S> {
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<S: Ord + Copy> Ord for Key<S> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
@@ -94,17 +92,14 @@ pub struct TierCounters {
     pub peak_pending: u64,
 }
 
-/// A two-tier calendar/heap priority queue popping in `(time, seq)` order.
-///
-/// `S` is the tie-break key for simultaneous events (default: a `u64`
-/// push-order counter, giving FIFO semantics). See the private `Key`
-/// struct for the full ordering tuple.
+/// A two-tier calendar/heap priority queue popping in `(time, seq)` order,
+/// `seq` being the order of the `push` calls.
 #[derive(Debug)]
-pub struct TieredScheduler<T, S = u64> {
+pub struct TieredScheduler<T> {
     /// Payload slab; `Key::idx` points in here. Freed slots are recycled.
     items: Vec<Option<T>>,
     free: Vec<u32>,
-    buckets: Vec<Vec<Key<S>>>,
+    buckets: Vec<Vec<Key>>,
     bitmap: [u64; WORDS],
     /// Entries currently in the near tier.
     near_len: usize,
@@ -114,20 +109,20 @@ pub struct TieredScheduler<T, S = u64> {
     limit: u64,
     /// Whether the bucket at `cursor` is sorted (descending).
     cur_sorted: bool,
-    overflow: BinaryHeap<Reverse<Key<S>>>,
+    overflow: BinaryHeap<Reverse<Key>>,
     len: usize,
-    /// Next sequence number (used only by the FIFO `push` on `S = u64`).
+    /// Next sequence number.
     seq: u64,
     counters: TierCounters,
 }
 
-impl<T, S: Ord + Copy> Default for TieredScheduler<T, S> {
+impl<T> Default for TieredScheduler<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T, S: Ord + Copy> TieredScheduler<T, S> {
+impl<T> TieredScheduler<T> {
     /// An empty scheduler anchored at t = 0.
     pub fn new() -> Self {
         TieredScheduler {
@@ -161,10 +156,12 @@ impl<T, S: Ord + Copy> TieredScheduler<T, S> {
         self.counters
     }
 
-    /// Schedule `item` at `at` with an explicit tie-break key `seq`.
-    /// Events must not be scheduled before the time of the last popped
-    /// event (the simulation's "now").
-    pub fn push_keyed(&mut self, at: Time, seq: S, item: T) {
+    /// Schedule `item` at `at`. Simultaneous events pop in the order they
+    /// were pushed (FIFO). Events must not be scheduled before the time of
+    /// the last popped event (the simulation's "now").
+    pub fn push(&mut self, at: Time, item: T) {
+        let seq = self.seq;
+        self.seq += 1;
         self.counters.scheduled += 1;
         self.len += 1;
         if self.len as u64 > self.counters.peak_pending {
@@ -276,8 +273,7 @@ impl<T, S: Ord + Copy> TieredScheduler<T, S> {
     /// global minimum lives in the first occupied bucket (or, when the
     /// near tier is empty, at the overflow heap's root); within that
     /// bucket a linear scan suffices because the bucket may not be
-    /// sorted yet. The parallel engine calls this once per barrier round
-    /// to agree on the next synchronization window.
+    /// sorted yet.
     pub fn next_time(&self) -> Option<Time> {
         if self.len == 0 {
             return None;
@@ -361,16 +357,6 @@ impl<T, S: Ord + Copy> TieredScheduler<T, S> {
             self.near_len += 1;
         }
         debug_assert!(self.near_len > 0, "rebase promoted nothing");
-    }
-}
-
-impl<T> TieredScheduler<T, u64> {
-    /// Schedule `item` at `at`. Simultaneous events pop in the order they
-    /// were pushed (FIFO): the tie-break is an internal arrival counter.
-    pub fn push(&mut self, at: Time, item: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.push_keyed(at, seq, item);
     }
 }
 

@@ -28,7 +28,7 @@
 //!   mark with linearly rising probability (RED-style). A step marking
 //!   threshold (DCTCP's `K`) is the degenerate `min == max` case.
 //!   The probabilistic draw hashes the packet id, so marking is
-//!   deterministic and bit-identical for any domain count.
+//!   deterministic.
 //! * **PFC** — per-ingress occupancy is tracked by attributing each
 //!   admitted packet to the link it arrived on. Crossing
 //!   [`PfcSpec::xoff_bytes`] sends a PAUSE upstream (taking effect one
@@ -44,10 +44,7 @@
 //!
 //! Determinism contract: admission, marking, pause edges, and watchdog
 //! drains are pure functions of the (deterministic) event order and
-//! packet contents. Pause frames crossing a partition cut ride the same
-//! barrier mailboxes as packets, and a cut link's propagation delay is
-//! at least the lookahead, so parallel runs are bit-identical for any
-//! domain count.
+//! packet contents.
 
 use std::collections::HashMap;
 
@@ -263,8 +260,6 @@ pub(crate) enum PfcEdge {
     Xoff {
         /// The ingress link to pause.
         link: LinkId,
-        /// Deterministic per-link edge counter (event tie-break key).
-        seq: u64,
         /// Epoch validating the matching watchdog timer.
         epoch: u64,
         /// Watchdog delay to arm.
@@ -274,8 +269,6 @@ pub(crate) enum PfcEdge {
     Xon {
         /// The ingress link to resume.
         link: LinkId,
-        /// Deterministic per-link edge counter (event tie-break key).
-        seq: u64,
     },
 }
 
@@ -314,7 +307,7 @@ pub(crate) struct SwitchState {
     /// Whether an XOFF is outstanding toward each ingress.
     ing_paused: Vec<bool>,
     /// Per-ingress pause-edge counter: bumped on every XOFF and XON
-    /// decision. Doubles as the watchdog epoch.
+    /// decision. The value at an XOFF is that pause's watchdog epoch.
     pause_seq: Vec<u64>,
     /// Packet id → ingress attribution for pooled packets.
     in_pool: HashMap<u64, PoolEntry>,
@@ -394,7 +387,6 @@ impl SwitchState {
                     self.stats.pauses += 1;
                     edge = Some(PfcEdge::Xoff {
                         link: self.ingress[i],
-                        seq: self.pause_seq[i],
                         epoch: self.pause_seq[i],
                         watchdog: pfc.watchdog,
                     });
@@ -418,7 +410,6 @@ impl SwitchState {
             self.stats.resumes += 1;
             return Some(PfcEdge::Xon {
                 link: self.ingress[i],
-                seq: self.pause_seq[i],
             });
         }
         None
@@ -476,7 +467,6 @@ impl SwitchState {
                 self.stats.resumes += 1;
                 out.push(PfcEdge::Xon {
                     link: self.ingress[i],
-                    seq: self.pause_seq[i],
                 });
             }
         }

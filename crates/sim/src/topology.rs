@@ -369,173 +369,6 @@ pub fn parking_lot(spec: &ParkingLotSpec) -> ParkingLot {
     }
 }
 
-/// A stable assignment of nodes to `domains` simulation domains, plus the
-/// cut statistics the conservative parallel engine synchronizes on.
-///
-/// Computed by [`Partition::compute`] from the topology alone — no seeds,
-/// no RNG, no hash-map iteration — so the same topology always partitions
-/// the same way on every machine and for every run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition {
-    /// Number of domains actually produced (≤ the requested count when
-    /// the topology has fewer mergeable atoms than domains asked for).
-    pub domains: u32,
-    /// Owning domain of each node, indexed by node id. Labels are dense
-    /// (`0..domains`) and ordered by each domain's minimum node id.
-    pub node_domain: Vec<u32>,
-    /// Minimum propagation delay over all cut (cross-domain) links: the
-    /// barrier-window width. Safety: a packet crossing the cut at time
-    /// `t` arrives no earlier than `t + lookahead`, so a domain that has
-    /// processed window `[W, W + lookahead)` has already seen every
-    /// message that could land in it. [`Dur::MAX`] when nothing is cut.
-    pub lookahead: Dur,
-    /// Links whose endpoints live in different domains.
-    pub cut_links: usize,
-    /// All links, for computing the cross-traffic fraction.
-    pub total_links: usize,
-}
-
-/// Union-find over node ids with path halving; merge order is driven
-/// only by sorted link data, so the result is deterministic.
-struct DisjointSets {
-    parent: Vec<u32>,
-    size: Vec<u32>,
-}
-
-impl DisjointSets {
-    fn new(n: usize) -> Self {
-        DisjointSets {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-        }
-    }
-
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
-    /// Merge the sets of `a` and `b`; returns false if already joined.
-    fn union(&mut self, a: u32, b: u32) -> bool {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return false;
-        }
-        // Deterministic orientation: the smaller root id wins, so the
-        // representative of a set is always its minimum-rooted member.
-        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-        self.parent[hi as usize] = lo;
-        self.size[lo as usize] += self.size[hi as usize];
-        true
-    }
-}
-
-impl Partition {
-    /// Partition `topology` into (at most) `k` domains.
-    ///
-    /// The heuristic is a capacity-capped Kruskal pass: links are merged
-    /// in ascending `(delay, link id)` order — gluing tightly coupled
-    /// (low-delay) nodes into the same domain so the *cut* falls across
-    /// the highest-delay links, which maximizes the lookahead — subject
-    /// to a `ceil(n / k)` domain-size cap that keeps domains balanced.
-    /// Zero-delay links are pre-merged unconditionally (a zero-delay cut
-    /// would make the lookahead zero and serialize the whole run). If the
-    /// cap strands more than `k` components, the smallest are folded into
-    /// their cheapest neighbor until `k` remain.
-    pub fn compute(topology: &Topology, k: u32) -> Partition {
-        let n = topology.node_count();
-        let total_links = topology.link_count();
-        let k = k.clamp(1, n.max(1) as u32);
-        let mut sets = DisjointSets::new(n);
-        let mut components = n as u32;
-
-        // Zero-delay links must never be cut.
-        for spec in topology.links() {
-            if spec.delay.is_zero() && sets.union(spec.from.0, spec.to.0) {
-                components -= 1;
-            }
-        }
-
-        if components > k {
-            let cap = n.div_ceil(k as usize) as u32;
-            let mut order: Vec<u32> = (0..total_links as u32).collect();
-            order.sort_by_key(|&l| (topology.link(LinkId(l)).delay, l));
-            for &l in &order {
-                if components == k {
-                    break;
-                }
-                let spec = topology.link(LinkId(l));
-                let (ra, rb) = (sets.find(spec.from.0), sets.find(spec.to.0));
-                if ra != rb && sets.size[ra as usize] + sets.size[rb as usize] <= cap {
-                    sets.union(ra, rb);
-                    components -= 1;
-                }
-            }
-            // The cap can strand small components; fold the smallest into
-            // whichever neighbor the cheapest connecting link reaches.
-            while components > k {
-                let mut roots: Vec<u32> = (0..n as u32).filter(|&x| sets.find(x) == x).collect();
-                roots.sort_by_key(|&r| (sets.size[r as usize], r));
-                let victim = roots[0];
-                let mut best: Option<(Dur, u32, u32)> = None;
-                for l in 0..total_links as u32 {
-                    let spec = topology.link(LinkId(l));
-                    let (ra, rb) = (sets.find(spec.from.0), sets.find(spec.to.0));
-                    let other = match (ra == victim, rb == victim) {
-                        (true, false) => rb,
-                        (false, true) => ra,
-                        _ => continue,
-                    };
-                    let cand = (spec.delay, l, other);
-                    best = Some(best.map_or(cand, |b| b.min(cand)));
-                }
-                let (_, _, other) = best.expect("builder guarantees a connected topology");
-                sets.union(victim, other);
-                components -= 1;
-            }
-        }
-
-        // Dense relabeling ordered by minimum node id, so labels do not
-        // depend on union-find internals.
-        let mut node_domain = vec![u32::MAX; n];
-        let mut next = 0u32;
-        let mut label_of_root = vec![u32::MAX; n];
-        for node in 0..n as u32 {
-            let root = sets.find(node) as usize;
-            if label_of_root[root] == u32::MAX {
-                label_of_root[root] = next;
-                next += 1;
-            }
-            node_domain[node as usize] = label_of_root[root];
-        }
-
-        let mut cut_links = 0usize;
-        let mut lookahead = Dur::MAX;
-        for spec in topology.links() {
-            if node_domain[spec.from.0 as usize] != node_domain[spec.to.0 as usize] {
-                cut_links += 1;
-                lookahead = lookahead.min(spec.delay);
-            }
-        }
-        Partition {
-            domains: next,
-            node_domain,
-            lookahead,
-            cut_links,
-            total_links,
-        }
-    }
-
-    /// Owning domain of `node`.
-    pub fn domain_of(&self, node: NodeId) -> u32 {
-        self.node_domain[node.0 as usize]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,102 +536,5 @@ mod tests {
             total += d.topology.link(l).delay;
         }
         assert_eq!(total, spec.rtt);
-    }
-
-    fn lot(hops: usize) -> ParkingLot {
-        parking_lot(&ParkingLotSpec {
-            hops,
-            backbone_bps: 10_000_000,
-            hop_delay: Dur::from_millis(5),
-            capacity: Capacity::Packets(50),
-            access_bps: 100_000_000,
-        })
-    }
-
-    #[test]
-    fn partition_k1_is_one_domain() {
-        let d = dumbbell(&DumbbellSpec::paper(3));
-        let p = Partition::compute(&d.topology, 1);
-        assert_eq!(p.domains, 1);
-        assert!(p.node_domain.iter().all(|&d| d == 0));
-        assert_eq!(p.cut_links, 0);
-        assert_eq!(p.lookahead, Dur::MAX);
-    }
-
-    #[test]
-    fn partition_dumbbell_cuts_backbone() {
-        let d = dumbbell(&DumbbellSpec::paper(3));
-        let p = Partition::compute(&d.topology, 2);
-        assert_eq!(p.domains, 2);
-        // The two routers end up on opposite sides, each with its hosts.
-        assert_ne!(p.domain_of(d.left_router), p.domain_of(d.right_router));
-        for (&s, &r) in d.senders.iter().zip(&d.receivers) {
-            assert_eq!(p.domain_of(s), p.domain_of(d.left_router));
-            assert_eq!(p.domain_of(r), p.domain_of(d.right_router));
-        }
-        // Only the duplex backbone pair crosses the cut, so the lookahead
-        // is the full backbone propagation delay.
-        assert_eq!(p.cut_links, 2);
-        assert_eq!(p.lookahead, d.topology.link(d.bottleneck).delay);
-    }
-
-    #[test]
-    fn partition_parking_lot_cuts_only_backbone_links() {
-        let l = lot(3);
-        let p = Partition::compute(&l.topology, 2);
-        assert_eq!(p.domains, 2);
-        // Hosts always ride with their router (access delay ≪ hop delay).
-        for (i, &(s, d)) in l.cross.iter().enumerate() {
-            assert_eq!(p.domain_of(s), p.domain_of(l.routers[i]));
-            assert_eq!(p.domain_of(d), p.domain_of(l.routers[i + 1]));
-        }
-        assert_eq!(p.lookahead, Dur::from_millis(5));
-        // Labels are dense and start at the domain of node 0.
-        assert_eq!(p.node_domain[0], 0);
-        let mut seen: Vec<u32> = p.node_domain.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen, vec![0, 1]);
-    }
-
-    #[test]
-    fn partition_is_deterministic() {
-        let l = lot(4);
-        let a = Partition::compute(&l.topology, 4);
-        let b = Partition::compute(&l.topology, 4);
-        assert_eq!(a, b);
-        assert_eq!(a.domains, 4);
-    }
-
-    #[test]
-    fn partition_k_at_least_nodes_clamps() {
-        let (t, _) = (lot(2).topology, ());
-        let n = t.node_count() as u32;
-        let p = Partition::compute(&t, n + 50);
-        assert!(p.domains <= n);
-        // Every label in range and dense.
-        let mut seen: Vec<u32> = p.node_domain.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen, (0..p.domains).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn partition_never_cuts_zero_delay_links() {
-        let mut b = TopologyBuilder::new();
-        let a = b.add_node();
-        let c = b.add_node();
-        let d = b.add_node();
-        let e = b.add_node();
-        let cap = Capacity::Packets(10);
-        // a=c and d=e glued by zero-delay links; a—d has real delay.
-        b.add_duplex(a, c, 1_000_000, Dur::ZERO, cap);
-        b.add_duplex(d, e, 1_000_000, Dur::ZERO, cap);
-        b.add_duplex(a, d, 1_000_000, Dur::from_millis(2), cap);
-        let p = Partition::compute(&b.build(), 4);
-        assert_eq!(p.domain_of(a), p.domain_of(c));
-        assert_eq!(p.domain_of(d), p.domain_of(e));
-        assert_eq!(p.domains, 2);
-        assert!(p.lookahead >= Dur::from_millis(2));
     }
 }

@@ -77,45 +77,12 @@ impl TraceEvent {
     }
 }
 
-impl TraceEvent {
-    /// Content-derived total-order key, used by the parallel engine to
-    /// merge per-domain trace buffers into one canonical sequence.
-    ///
-    /// The key covers *every* field, so two events comparing equal are
-    /// byte-identical records (this happens only for fault-plane
-    /// duplicate deliveries) and the merged order is independent of how
-    /// the run was partitioned into domains.
-    #[allow(clippy::type_complexity)]
-    pub fn canonical_key(&self) -> (Time, u64, u8, u32, u32, u64, u64, u32, bool) {
-        let op = match self.op {
-            TraceOp::Enqueue => 0u8,
-            TraceOp::Drop => 1,
-            TraceOp::Transmit => 2,
-            TraceOp::Deliver => 3,
-            TraceOp::Blackhole => 4,
-            TraceOp::Corrupt => 5,
-            TraceOp::Duplicate => 6,
-            TraceOp::PfcDrop => 7,
-        };
-        (
-            self.at,
-            self.packet_id,
-            op,
-            self.link.map_or(u32::MAX, |l| l.0),
-            self.node.map_or(u32::MAX, |n| n.0),
-            self.flow,
-            self.seq,
-            self.size,
-            self.is_ack,
-        )
-    }
-}
-
 /// Observes simulator packet events.
 ///
-/// `Send` because the parallel engine moves per-domain tracers onto
-/// worker threads; tracers are still called synchronously from exactly
-/// one event loop at a time.
+/// `Send` so that a `Simulator` holding a tracer can be built on one
+/// thread and run on another (a `RunPool` worker, a supervised cell);
+/// tracers are called synchronously from exactly one event loop at a
+/// time.
 pub trait Tracer: Send {
     /// One event; called synchronously from the event loop.
     fn event(&mut self, ev: &TraceEvent);
@@ -137,9 +104,9 @@ impl Tracer for TraceCollector {
 /// A collector whose buffer is shared with the caller, so events can be
 /// inspected while (or after) the simulator owns the tracer half.
 ///
-/// The buffer is an `Arc<Mutex<_>>` (rather than `Rc<RefCell<_>>`) so the
-/// tracer half can ride a domain simulator onto a parallel-engine worker
-/// thread; the lock is uncontended in serial runs.
+/// The buffer is an `Arc<Mutex<_>>` (rather than `Rc<RefCell<_>>`) because
+/// [`Tracer`] is `Send`; the lock is never contended (one event loop
+/// writes, the caller reads between or after runs).
 #[derive(Debug, Default)]
 pub struct SharedTraceCollector {
     events: std::sync::Arc<std::sync::Mutex<Vec<TraceEvent>>>,

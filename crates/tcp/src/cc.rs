@@ -45,8 +45,8 @@ pub struct LossEvent {
 }
 
 /// The sending policy of one connection.
-/// `Send` because senders (and the congestion controllers they own) ride
-/// domain simulators onto parallel-engine worker threads.
+/// `Send` because senders (and the congestion controllers they own) are
+/// [`phi_sim::engine::Agent`]s, which are `Send`.
 pub trait CongestionControl: Send {
     /// A fresh connection is starting at `now`. Controllers reset all
     /// transient state here (each on-period is a fresh connection, §2.2.1).

@@ -29,8 +29,8 @@ pub struct ContextSnapshot {
 }
 
 /// Transport-to-Phi interaction points for one sender.
-/// `Send` because hook-carrying senders ride domain simulators onto
-/// parallel-engine worker threads.
+/// `Send` because hook-carrying senders are [`phi_sim::engine::Agent`]s,
+/// which are `Send`.
 pub trait SessionHook: Send {
     /// A new connection is starting: look up the shared context, if any.
     /// The returned snapshot is handed to the congestion-control factory.

@@ -4,8 +4,7 @@
 //! The script a robustness layer has to survive, compressed:
 //!
 //! 1. an 8-cell sweep where one cell's agent hook panics mid-simulation
-//!    (inside the 2-domain parallel engine) and another runs under a
-//!    tiny event budget — the sweep must finish with 6 clean cells, one
+//!    and another runs under a tiny event budget — the sweep must finish with 6 clean cells, one
 //!    quarantined, one terminated, and sane aggregate metrics;
 //! 2. the journal is then torn mid-frame, as a `kill -9` during an
 //!    append would leave it, and the sweep re-runs without the injected
@@ -50,7 +49,6 @@ fn spec() -> ExperimentSpec {
     );
     spec.dumbbell.bottleneck_bps = 6_000_000;
     spec.dumbbell.rtt = Dur::from_millis(50);
-    spec.domains = Some(2); // panics must cross the PDES barrier protocol
     spec
 }
 

@@ -14,9 +14,7 @@
 //!    still closes, and every destroyed packet is accounted as
 //!    `pfc_dropped`.
 //! 3. **Bit-identity** — all of it is deterministic: the harness run is
-//!    fingerprint-identical for PHI_JOBS ∈ {1, 4} and K ∈ {1, 2}
-//!    domains, and the PFC triangle produces identical traces for
-//!    K ∈ {1, 2}.
+//!    fingerprint-identical for PHI_JOBS ∈ {1, 4}.
 
 use std::any::Any;
 
@@ -24,14 +22,12 @@ use phi::core::harness::{
     provision_cubic, provision_dctcp, run_experiment, run_repeated_on, ExperimentSpec,
 };
 use phi::core::{RunPool, RunResult};
-use phi::sim::engine::{packet_to, Agent, Ctx, PacketCensus};
+use phi::sim::engine::{packet_to, Agent, Ctx, PacketCensus, Simulator};
 use phi::sim::packet::{FlowId, NodeId, Packet};
-use phi::sim::par::ParallelSimulator;
 use phi::sim::queue::Capacity;
 use phi::sim::switch::{EcnSpec, PfcSpec, SwitchSpec, SwitchStats};
 use phi::sim::time::{Dur, Time};
 use phi::sim::topology::{LinkSpec, TopologyBuilder};
-use phi::sim::trace::TraceEvent;
 use phi::tcp::cubic::CubicParams;
 use phi::tcp::dctcp::DctcpParams;
 use phi::workload::IncastConfig;
@@ -190,9 +186,6 @@ struct TriangleRun {
     census: PacketCensus,
     stats: [SwitchStats; 3],
     delivered_per_sink: [u64; 3],
-    trace: Vec<TraceEvent>,
-    events: u64,
-    cross_domain: u64,
 }
 
 /// A three-switch one-way ring (s0→s1→s2→s0) with one host per switch
@@ -201,12 +194,11 @@ struct TriangleRun {
 /// terminates at the next switch's host and one that continues — the
 /// textbook cyclic buffer dependency. PFC per ingress with `watchdog`
 /// as the pause-storm period; a huge period approximates "no watchdog".
-fn triangle(watchdog: Dur, k: u32, horizon: Time) -> TriangleRun {
+fn triangle(watchdog: Dur, horizon: Time) -> TriangleRun {
     let mut b = TopologyBuilder::new();
     let s: Vec<NodeId> = (0..3).map(|_| b.add_node()).collect();
     let h: Vec<NodeId> = (0..3).map(|_| b.add_node()).collect();
     // Slow one-way ring: the only route between non-adjacent hosts.
-    // The 1 ms propagation delay doubles as comfortable PDES lookahead.
     for i in 0..3 {
         b.add_link(LinkSpec::new(
             s[i],
@@ -227,8 +219,7 @@ fn triangle(watchdog: Dur, k: u32, horizon: Time) -> TriangleRun {
             Capacity::Packets(10_000),
         );
     }
-    let mut sim = ParallelSimulator::new(b.build(), k);
-    sim.enable_tracing();
+    let mut sim = Simulator::new(b.build());
     let spec = SwitchSpec::shared(400_000).with_pfc(PfcSpec {
         xoff_bytes: 25_000,
         xon_bytes: 10_000,
@@ -268,23 +259,7 @@ fn triangle(watchdog: Dur, k: u32, horizon: Time) -> TriangleRun {
         census,
         stats,
         delivered_per_sink,
-        trace: sim.merged_trace(),
-        events: sim.events_processed(),
-        cross_domain: sim.cross_domain_messages(),
     }
-}
-
-/// FNV-1a over the debug formatting of a trace (the digest scheme the
-/// golden e2e_parallel trace pins).
-fn trace_digest(events: &[TraceEvent]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for ev in events {
-        for b in format!("{ev:?}\n").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-    }
-    h
 }
 
 const HORIZON: Time = Time::from_secs(20);
@@ -294,7 +269,7 @@ fn pfc_pause_cycle_deadlocks_without_the_watchdog() {
     // Watchdog period beyond the horizon ≈ no watchdog: the cyclic
     // dependency forms and the fabric wedges — packets still queued at
     // the horizon, nothing draining, not one watchdog fire.
-    let wedged = triangle(Dur::from_secs(3_600), 1, HORIZON);
+    let wedged = triangle(Dur::from_secs(3_600), HORIZON);
     let pauses: u64 = wedged.stats.iter().map(|s| s.pauses).sum();
     let fires: u64 = wedged.stats.iter().map(|s| s.watchdog_fires).sum();
     assert!(
@@ -314,7 +289,7 @@ fn pfc_pause_cycle_deadlocks_without_the_watchdog() {
 
 #[test]
 fn pfc_watchdog_breaks_the_pause_cycle_within_a_bounded_window() {
-    let broken = triangle(Dur::from_millis(50), 1, HORIZON);
+    let broken = triangle(Dur::from_millis(50), HORIZON);
     let fires: u64 = broken.stats.iter().map(|s| s.watchdog_fires).sum();
     let pauses: u64 = broken.stats.iter().map(|s| s.pauses).sum();
     let resumes: u64 = broken.stats.iter().map(|s| s.resumes).sum();
@@ -366,27 +341,8 @@ fn pfc_watchdog_breaks_the_pause_cycle_within_a_bounded_window() {
     }
 }
 
-#[test]
-fn pfc_triangle_is_bit_identical_for_k_1_and_2() {
-    let one = triangle(Dur::from_millis(50), 1, HORIZON);
-    let two = triangle(Dur::from_millis(50), 2, HORIZON);
-    assert!(two.cross_domain > 0, "K=2 must actually cross a cut");
-    assert_eq!(one.census, two.census, "census diverged across K");
-    assert_eq!(one.stats, two.stats, "switch stats diverged across K");
-    assert_eq!(
-        one.delivered_per_sink, two.delivered_per_sink,
-        "sink deliveries diverged across K"
-    );
-    assert_eq!(one.events, two.events, "event counts diverged across K");
-    assert_eq!(
-        trace_digest(&one.trace),
-        trace_digest(&two.trace),
-        "trace digests diverged across K"
-    );
-}
-
 // ---------------------------------------------------------------------------
-// (3) Harness bit-identity: PHI_JOBS ∈ {1, 4} and K ∈ {1, 2}.
+// (3) Harness bit-identity: PHI_JOBS ∈ {1, 4}.
 // ---------------------------------------------------------------------------
 
 /// Serialize everything observable about a harness run (including the
@@ -426,21 +382,4 @@ fn incast_run_is_bit_identical_for_jobs_1_and_4() {
             "run {i} diverged between PHI_JOBS=1 and PHI_JOBS=4"
         );
     }
-}
-
-#[test]
-fn incast_run_is_bit_identical_for_domains_1_and_2() {
-    let mut spec = incast_spec();
-    spec.domains = Some(1);
-    let one = run_experiment(&spec, provision_dctcp(DctcpParams::default()));
-    assert!(one.metrics.flows_completed > 0, "must carry load");
-    let [l, _] = one.switch_stats.expect("switch installed");
-    assert!(l.ecn_marked > 0, "partitioned runs must still mark: {l:?}");
-    spec.domains = Some(2);
-    let two = run_experiment(&spec, provision_dctcp(DctcpParams::default()));
-    assert_eq!(
-        fingerprint(&one),
-        fingerprint(&two),
-        "incast run diverged between K=1 and K=2"
-    );
 }

@@ -4,11 +4,10 @@
 //! synthetic run results):
 //!
 //! 1. **Panic isolation, full stack.** An agent hook that panics inside
-//!    a `domains = Some(2)` run unwinds through the PDES barrier
-//!    protocol (worker poisons the window vote instead of deadlocking
-//!    its sibling), through `catch_unwind` in the run pool, and lands
-//!    as a quarantined cell — while every healthy cell's metrics stay
-//!    bit-identical to an unsupervised sweep.
+//!    a run unwinds through the engine's dispatch loop, through
+//!    `catch_unwind` in the run pool, and lands as a quarantined cell —
+//!    while every healthy cell's metrics stay bit-identical to an
+//!    unsupervised sweep.
 //! 2. **Kill-and-resume bit-identity.** A sweep journal truncated
 //!    mid-frame (simulating `kill -9` during an append) resumes to the
 //!    same [`SweepReport::fingerprint`] as the uninterrupted sweep, for
@@ -82,13 +81,12 @@ fn provision_with_bomb() -> impl Fn(phi::core::harness::ProvisionCtx<'_>) -> Pro
     }
 }
 
-/// Contract 1: a panicking agent inside a parallel-engine run is
+/// Contract 1: a panicking agent inside one cell of a parallel sweep is
 /// quarantined without sinking the sweep, and the healthy cells are
 /// bit-identical to an unsupervised reference sweep.
 #[test]
 fn agent_panic_in_parallel_run_quarantines_one_cell_only() {
-    let mut spec = quick_spec();
-    spec.domains = Some(2); // the panic must cross the PDES barrier protocol
+    let spec = quick_spec();
     let n = 4;
     let bomb_cell = 2;
 
@@ -128,7 +126,7 @@ fn agent_panic_in_parallel_run_quarantines_one_cell_only() {
         report.quarantined[0]
             .last_panic()
             .contains("injected hook panic"),
-        "panic payload preserved through barrier + catch_unwind"
+        "panic payload preserved through catch_unwind"
     );
 
     assert_eq!(report.completed.len(), n - 1);

@@ -95,35 +95,26 @@ fn pre_fluid_spec_json_deserializes_to_packet_path() {
     assert_eq!(back.seed, 7);
 }
 
-/// The `domains` section is additive exactly like `ha` and `fluid`: it
-/// round-trips when present, and a spec serialized before the field
-/// existed (no `"domains"` key) still deserializes — to `None`, the
-/// classic serial engine with its historical digests.
+/// Specs stored while the harness still had a `domains` option carry a
+/// `"domains"` key. The option is gone; such a spec must still load, the
+/// key ignored, as the same spec without it.
 #[test]
-fn domains_roundtrips_and_pre_domains_json_deserializes_to_serial() {
-    let spec = ExperimentSpec::new(4, OnOffConfig::fig2(), Dur::from_secs(30), 7).with_domains(4);
-    let back = roundtrip(&spec);
-    assert_eq!(back.domains, Some(4));
-
+fn retired_domains_key_is_ignored_on_deserialize() {
     let spec = ExperimentSpec::new(4, OnOffConfig::fig2(), Dur::from_secs(30), 7);
-    let mut json = serde_json::to_string(&spec).expect("serialize");
-    assert!(
-        json.contains("\"domains\""),
-        "field should serialize when present"
+    let json = serde_json::to_string(&spec).expect("serialize");
+    assert!(!json.contains("\"domains\""), "the field is gone");
+    let old = json.replacen(",\"budget\":", ",\"domains\":4,\"budget\":", 1);
+    assert!(old.contains("\"domains\":4"), "test must insert the key");
+    let back: ExperimentSpec = serde_json::from_str(&old).expect("old JSON must deserialize");
+    assert_eq!(
+        serde_json::to_string(&back).expect("serialize"),
+        json,
+        "a stored spec with the retired key equals the spec without it"
     );
-    json = json.replace(",\"domains\":null", "");
-    assert!(
-        !json.contains("\"domains\""),
-        "test must actually remove the key"
-    );
-    let back: ExperimentSpec = serde_json::from_str(&json).expect("old JSON must deserialize");
-    assert_eq!(back.domains, None);
-    assert_eq!(back.seed, 7);
 }
 
-/// The `budget` section is additive exactly like `ha`, `fluid`, and
-/// `domains`: it round-trips when present (every cap, individually and
-/// combined), and a spec serialized before the field existed (no
+/// The `budget` section is additive exactly like `ha` and `fluid`: it
+/// round-trips when present (every cap, individually and combined), and a spec serialized before the field existed (no
 /// `"budget"` key) still deserializes — to `None`, the un-budgeted pop
 /// loop with its historical digests.
 #[test]
@@ -328,7 +319,7 @@ fn store_config_and_flow_summary_roundtrip() {
 }
 
 /// The datacenter backpressure sections ride the same additive contract
-/// as `ha`/`fluid`/`domains`/`budget`: `SwitchSpec` (with its nested
+/// as `ha`/`fluid`/`budget`: `SwitchSpec` (with its nested
 /// `EcnSpec`/`PfcSpec`) and `IncastConfig` round-trip when present, and
 /// a spec serialized before the fields existed (no `"switch"` or
 /// `"incast"` key) still deserializes — to `None`, the classic per-link
