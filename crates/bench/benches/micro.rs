@@ -78,25 +78,46 @@ fn bench_wire(c: &mut Criterion) {
 
 fn bench_store(c: &mut Criterion) {
     let mut g = c.benchmark_group("context_store");
+    let summary = |duration_ns| FlowSummary {
+        bytes: 500_000,
+        duration_ns,
+        mean_rtt_ms: 160.0,
+        min_rtt_ms: 150.0,
+        retransmits: 0,
+        timeouts: 0,
+    };
     g.bench_function("lookup_report_cycle", |b| {
         let mut store = ContextStore::new(StoreConfig::default());
         let mut t = 0u64;
         b.iter(|| {
             t += 1_000_000;
             store.lookup(PathKey(1), t);
+            store.report(PathKey(1), t + 500_000, &summary(400_000));
+        })
+    });
+    // A busy path: 10⁵ reports in the 10 s window, one every 100 µs, with
+    // durations from 0.2 s to 20 s so that about half of a window's
+    // reports began before it did. Capacity is learned, as in every
+    // simulated run, so the report asks for the rate too.
+    g.bench_function("lookup_report_cycle_deep_window", |b| {
+        let mut store = ContextStore::new(StoreConfig::default());
+        let mut n = 0u64;
+        let mut cycle = |lookup: bool| {
+            n += 1;
+            let t = n * 100_000;
+            if lookup {
+                store.lookup(PathKey(1), t);
+            }
             store.report(
                 PathKey(1),
-                t + 500_000,
-                &FlowSummary {
-                    bytes: 500_000,
-                    duration_ns: 400_000,
-                    mean_rtt_ms: 160.0,
-                    min_rtt_ms: 150.0,
-                    retransmits: 0,
-                    timeouts: 0,
-                },
+                t + 50_000,
+                &summary(200_000_000 * (1 + n % 100)),
             );
-        })
+        };
+        for _ in 0..100_000 {
+            cycle(false);
+        }
+        b.iter(|| cycle(true))
     });
     g.finish();
 }

@@ -21,7 +21,8 @@
 //! paper's deliberate practicality trade-off, quantified by the
 //! `exp_ablation` bench.
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use phi_tcp::hook::ContextSnapshot;
 use serde::{Deserialize, Serialize};
@@ -37,7 +38,11 @@ pub struct PathKey(pub u64);
 pub struct FlowSummary {
     /// Bytes the connection delivered.
     pub bytes: u64,
-    /// Connection duration, nanoseconds.
+    /// Connection duration, nanoseconds. A report delivers at
+    /// `8·bytes / duration_ns` over `[end − duration_ns, end]`; with a zero
+    /// duration that rate is undefined, so the report adds nothing to the
+    /// utilization estimate (it still counts, releases its slot and feeds
+    /// the queue and loss estimates).
     pub duration_ns: u64,
     /// Mean RTT over the connection, milliseconds.
     pub mean_rtt_ms: f64,
@@ -71,13 +76,133 @@ impl Default for StoreConfig {
     }
 }
 
+/// Fixed-point scale of the index's bit counts and rates (Q56). A rate is
+/// floored to 2⁻⁵⁶ bit/ns, so a report that began `t` ns before the horizon
+/// is off by less than `t·2⁻⁵⁶` bits.
+const FRAC_BITS: u32 = 56;
+
+/// A report's index terms: Q56 bits, Q56 rate in bits/ns, and its true
+/// start `end − dur` as a wrapping `u128` (negative when `dur > end`).
+/// `None` for a zero-duration report, which contributes nothing.
+fn terms(end: u64, bytes: u64, dur: u64) -> Option<(u128, u128, u128)> {
+    if dur == 0 {
+        return None;
+    }
+    // 8·bytes < 2⁶⁷, so the shifted value fits with room to spare.
+    let bits = (u128::from(bytes) * 8) << FRAC_BITS;
+    let start = u128::from(end).wrapping_sub(u128::from(dur));
+    Some((bits, bits / u128::from(dur), start))
+}
+
+/// Running sums that answer "bits delivered after `horizon`" without
+/// walking the window (DESIGN.md, "Windowed-rate index").
+///
+/// A report spreads its bits evenly over `[start, end]`, so of the reports
+/// still in the window (`end > horizon`) the bits *before* the horizon are
+/// `Σ rate·(horizon − start)` over those that began by then, which is
+/// `horizon·slope − offset`. Everything is an exact integer mod 2¹²⁸:
+/// expiry subtracts precisely what classification added, so the answer
+/// depends only on what is in the window relative to the horizon — not
+/// on when, or whether, earlier questions were asked.
+///
+/// Derived from [`PathState::recent`] alone and rebuilt from it on demand:
+/// never serialized, never compared.
+#[derive(Debug, Clone, Default)]
+struct RateIndex {
+    /// Horizon the sums stand at; it only moves forward.
+    horizon: u64,
+    /// How many entries at the front of `recent` have been subtracted
+    /// again (`end <= horizon`), and how many have been added at all.
+    /// `expired <= classified <= recent.len()`.
+    expired: usize,
+    classified: usize,
+    /// Σ bits over classified reports still in the window.
+    total: u128,
+    /// Σ rate and Σ rate·start over those of them that began by `horizon`.
+    slope: u128,
+    offset: u128,
+    /// The others — `(start, rate)`, earliest start first — waiting for
+    /// the horizon to reach them.
+    pending: BinaryHeap<Reverse<(u64, u128)>>,
+}
+
+impl RateIndex {
+    fn straddle(&mut self, rate: u128, start: u128) {
+        self.slope = self.slope.wrapping_add(rate);
+        self.offset = self.offset.wrapping_add(rate.wrapping_mul(start));
+    }
+
+    /// Move the horizon forward to `h`: reports that have begun by `h`
+    /// start losing bits to it, reports that have ended by `h` leave.
+    fn advance(&mut self, recent: &VecDeque<(u64, u64, u64)>, h: u64) {
+        debug_assert!(h >= self.horizon, "the index cannot move back");
+        self.horizon = h;
+        while let Some(&Reverse((start, rate))) = self.pending.peek() {
+            if start > h {
+                break;
+            }
+            self.pending.pop();
+            self.straddle(rate, u128::from(start));
+        }
+        for &(end, bytes, dur) in recent.range(self.expired..self.classified) {
+            if end > h {
+                break;
+            }
+            self.expired += 1;
+            // `start <= end <= h`: the sweep above has already moved it
+            // out of `pending`, so all three sums hold its terms.
+            if let Some((bits, rate, start)) = terms(end, bytes, dur) {
+                self.total = self.total.wrapping_sub(bits);
+                self.slope = self.slope.wrapping_sub(rate);
+                self.offset = self.offset.wrapping_sub(rate.wrapping_mul(start));
+            }
+        }
+    }
+
+    /// Take in the reports that arrived since the last question. Call
+    /// after [`RateIndex::advance`] to the same horizon.
+    fn classify(&mut self, recent: &VecDeque<(u64, u64, u64)>) {
+        let h = self.horizon;
+        for &(end, bytes, dur) in recent.range(self.classified..) {
+            if end <= h {
+                // Ends are ordered, so everything before it has expired
+                // too: it is skipped rather than added and subtracted.
+                self.expired += 1;
+                continue;
+            }
+            let Some((bits, rate, start)) = terms(end, bytes, dur) else {
+                continue;
+            };
+            self.total = self.total.wrapping_add(bits);
+            match end.checked_sub(dur) {
+                Some(begins) if begins > h => self.pending.push(Reverse((begins, rate))),
+                _ => self.straddle(rate, start),
+            }
+        }
+        self.classified = recent.len();
+    }
+
+    /// Q56 bits delivered after the horizon by the classified reports.
+    fn bits_in_window(&self) -> u128 {
+        let before = u128::from(self.horizon)
+            .wrapping_mul(self.slope)
+            .wrapping_sub(self.offset);
+        self.total.wrapping_sub(before)
+    }
+}
+
 /// Per-path shared state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct PathState {
     /// Connections that looked up but have not reported back.
     active: u32,
-    /// Recent reports: (end_ns, bytes, duration_ns).
+    /// Recent reports: (end_ns, bytes, duration_ns), `end_ns` ascending.
     recent: VecDeque<(u64, u64, u64)>,
+    /// The path's clock: the last `end_ns` in `recent` (0 when empty).
+    /// Reports and rate questions are never timed before it. Kept beside
+    /// the counters because the deque's back is a cache miss away, and
+    /// `report` would wait for it.
+    clock: u64,
     /// EWMA of RTT inflation, ms.
     queue_ms: Option<f64>,
     /// Smallest RTT ever reported, ms.
@@ -90,6 +215,38 @@ struct PathState {
     lookups: u64,
     /// Windowed loss signal: (retransmits, segments-ish) from reports.
     retx_ewma: Option<f64>,
+    /// Sums over `recent`, built when a rate is asked for and dropped by
+    /// `prune` once it is cheaper to rebuild than to keep, so a path that
+    /// is only ever reported to (capacity configured) never carries one.
+    index: Option<Box<RateIndex>>,
+}
+
+impl PartialEq for PathState {
+    /// Equality of the logical state. `clock` follows from `recent`; the
+    /// index follows from `recent` and from which questions were asked,
+    /// so two equal paths may differ in it.
+    fn eq(&self, other: &Self) -> bool {
+        let PathState {
+            active,
+            recent,
+            queue_ms,
+            min_rtt_ms,
+            learned_capacity,
+            reports,
+            lookups,
+            retx_ewma,
+            clock: _,
+            index: _,
+        } = self;
+        *active == other.active
+            && *recent == other.recent
+            && *queue_ms == other.queue_ms
+            && *min_rtt_ms == other.min_rtt_ms
+            && *learned_capacity == other.learned_capacity
+            && *reports == other.reports
+            && *lookups == other.lookups
+            && *retx_ewma == other.retx_ewma
+    }
 }
 
 impl PathState {
@@ -103,42 +260,68 @@ impl PathState {
             reports: 0,
             lookups: 0,
             retx_ewma: None,
+            clock: 0,
+            index: None,
         }
     }
 
     /// Aggregate delivery rate over `[now - window, now]`, bits/s.
-    fn windowed_rate(&self, now_ns: u64, window_ns: u64) -> f64 {
-        let horizon = now_ns.saturating_sub(window_ns);
-        let mut bits = 0.0;
-        for &(end, bytes, dur) in &self.recent {
-            if end <= horizon {
-                continue;
-            }
-            let start = end.saturating_sub(dur);
-            let overlap_start = start.max(horizon);
-            let overlap_end = end.min(now_ns);
-            if overlap_end <= overlap_start {
-                continue;
-            }
-            let frac = if dur == 0 {
-                1.0
-            } else {
-                (overlap_end - overlap_start) as f64 / dur as f64
-            };
-            bits += bytes as f64 * 8.0 * frac;
+    fn windowed_rate(&mut self, now_ns: u64, window_ns: u64) -> f64 {
+        if self.recent.is_empty() {
+            return 0.0;
         }
-        let denom_ns = window_ns.min(now_ns.max(1));
+        let now = now_ns.max(self.clock);
+        let horizon = now.saturating_sub(window_ns);
+        // A question timed before the previous one (both after the latest
+        // report): the sums cannot be unwound, so start them over.
+        if self.index.as_ref().is_some_and(|ix| horizon < ix.horizon) {
+            self.index = None;
+        }
+        let ix = self.index.get_or_insert_with(Box::default);
+        ix.advance(&self.recent, horizon);
+        ix.classify(&self.recent);
+        let bits = ix.bits_in_window() as f64 / (1u64 << FRAC_BITS) as f64;
+        let denom_ns = window_ns.min(now.max(1));
         bits / (denom_ns as f64 / 1e9)
     }
 
-    fn prune(&mut self, now_ns: u64, window_ns: u64) {
-        let horizon = now_ns.saturating_sub(window_ns);
-        while let Some(&(end, _, _)) = self.recent.front() {
-            if end <= horizon {
-                self.recent.pop_front();
-            } else {
-                break;
+    /// Forget the reports that ended at or before `horizon`.
+    fn prune(&mut self, horizon: u64) {
+        // The index must have let go of a report before the deque does.
+        if let Some(ix) = &mut self.index {
+            if horizon > ix.horizon {
+                ix.advance(&self.recent, horizon);
             }
+        }
+        let mut popped = 0;
+        while matches!(self.recent.front(), Some(&(end, _, _)) if end <= horizon) {
+            self.recent.pop_front();
+            popped += 1;
+        }
+        if self.recent.is_empty() {
+            self.clock = 0;
+        }
+        if let Some(ix) = &mut self.index {
+            ix.expired = ix.expired.saturating_sub(popped);
+            ix.classified = ix.classified.saturating_sub(popped);
+            // Keeping the index current costs a report about what
+            // classifying one costs a question. Once as many reports wait
+            // for it as it still holds, the next question would rather
+            // start over — and until then reports stay push + prune.
+            if ix.classified - ix.expired <= self.recent.len() - ix.classified {
+                self.index = None;
+            }
+        }
+    }
+
+    /// The context a sender is told.
+    fn context(&mut self, now_ns: u64, cfg: &StoreConfig) -> ContextSnapshot {
+        let rate = self.windowed_rate(now_ns, cfg.window_ns);
+        let capacity = cfg.capacity_bps.unwrap_or(self.learned_capacity).max(1.0);
+        ContextSnapshot {
+            utilization: (rate / capacity).clamp(0.0, 1.0),
+            queue_ms: self.queue_ms.unwrap_or(0.0),
+            competing: self.active,
         }
     }
 }
@@ -196,37 +379,38 @@ impl ContextStore {
 
     /// Serve a connection-start lookup: returns the current context for
     /// `path` and registers one more active sender on it.
+    ///
+    /// Each path keeps a monotone clock, its latest report's time: a
+    /// `now_ns` before it (a server thread that read the time and then
+    /// waited for the lock) is answered as of that report.
     pub fn lookup(&mut self, path: PathKey, now_ns: u64) -> ContextSnapshot {
-        let snap = self.peek(path, now_ns);
         let st = self.paths.entry(path).or_insert_with(PathState::new);
+        let snap = st.context(now_ns, &self.cfg);
         st.active += 1;
         st.lookups += 1;
         snap
     }
 
     /// Read the current context without registering a sender (monitoring).
-    pub fn peek(&self, path: PathKey, now_ns: u64) -> ContextSnapshot {
-        let Some(st) = self.paths.get(&path) else {
-            return ContextSnapshot {
+    ///
+    /// Takes `&mut self` because answering brings the path's rate index up
+    /// to `now_ns`; nothing a snapshot, a replica or `==` can see changes.
+    pub fn peek(&mut self, path: PathKey, now_ns: u64) -> ContextSnapshot {
+        match self.paths.get_mut(&path) {
+            Some(st) => st.context(now_ns, &self.cfg),
+            None => ContextSnapshot {
                 utilization: 0.0,
                 queue_ms: 0.0,
                 competing: 0,
-            };
-        };
-        let rate = st.windowed_rate(now_ns, self.cfg.window_ns);
-        let capacity = self
-            .cfg
-            .capacity_bps
-            .unwrap_or(st.learned_capacity)
-            .max(1.0);
-        ContextSnapshot {
-            utilization: (rate / capacity).clamp(0.0, 1.0),
-            queue_ms: st.queue_ms.unwrap_or(0.0),
-            competing: st.active,
+            },
         }
     }
 
     /// Fold in a connection-end report and release its active slot.
+    ///
+    /// The report ends at `now_ns`, or at the path's latest report if
+    /// that is later (see [`ContextStore::lookup`]), so a path's reports
+    /// are always stored in the order they end.
     pub fn report(&mut self, path: PathKey, now_ns: u64, summary: &FlowSummary) {
         let window = self.cfg.window_ns;
         let alpha = self.cfg.queue_alpha;
@@ -234,9 +418,11 @@ impl ContextStore {
         let st = self.paths.entry(path).or_insert_with(PathState::new);
         st.active = st.active.saturating_sub(1);
         st.reports += 1;
+        let now_ns = now_ns.max(st.clock);
+        st.clock = now_ns;
         st.recent
             .push_back((now_ns, summary.bytes, summary.duration_ns));
-        st.prune(now_ns, window);
+        st.prune(now_ns.saturating_sub(window));
 
         // Queue estimate: RTT inflation over the path minimum (§2.2.2 —
         // "the difference between the current RTT and the minimum RTT would
@@ -291,11 +477,12 @@ impl ContextStore {
 
     /// A dashboard snapshot: every known path with its current context,
     /// sorted by utilization (busiest first).
-    pub fn snapshot(&self, now_ns: u64) -> Vec<(PathKey, ContextSnapshot)> {
+    pub fn snapshot(&mut self, now_ns: u64) -> Vec<(PathKey, ContextSnapshot)> {
+        let cfg = self.cfg;
         let mut out: Vec<(PathKey, ContextSnapshot)> = self
             .paths
-            .keys()
-            .map(|&k| (k, self.peek(k, now_ns)))
+            .iter_mut()
+            .map(|(&k, st)| (k, st.context(now_ns, &cfg)))
             .collect();
         out.sort_by(|a, b| {
             b.1.utilization
@@ -398,9 +585,14 @@ impl ContextStore {
             if r.remaining() < n_recent.saturating_mul(24) {
                 return Err(SnapshotError::Truncated);
             }
+            // Ends are clamped as `report` clamps them: a blob from a
+            // build that stored them as given must not hide an expired
+            // report behind a live one.
             let mut recent = VecDeque::with_capacity(n_recent);
+            let mut latest = 0;
             for _ in 0..n_recent {
-                recent.push_back((r.u64()?, r.u64()?, r.u64()?));
+                latest = r.u64()?.max(latest);
+                recent.push_back((latest, r.u64()?, r.u64()?));
             }
             if paths
                 .insert(
@@ -414,6 +606,8 @@ impl ContextStore {
                         reports,
                         lookups,
                         retx_ewma,
+                        clock: latest,
+                        index: None,
                     },
                 )
                 .is_some()
@@ -686,17 +880,19 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_losslessly() {
-        let store = populated_store();
+        let mut store = populated_store();
         let blob = store.encode_snapshot(7);
-        let (back, epoch) = ContextStore::decode_snapshot(&blob).expect("decode");
+        let (mut back, epoch) = ContextStore::decode_snapshot(&blob).expect("decode");
         assert_eq!(epoch, 7);
         assert_eq!(back, store);
         // And the restored store serves identical contexts.
         for key in [PathKey(1), PathKey(9), PathKey(u64::MAX)] {
             assert_eq!(back.peek(key, 6 * SEC), store.peek(key, 6 * SEC));
         }
-        // Deterministic encoding: same state, same bytes.
+        // Deterministic encoding: same state, same bytes — peeks built
+        // rate indexes above, and those are not state.
         assert_eq!(store.encode_snapshot(7), blob);
+        assert_eq!(back, store);
     }
 
     #[test]
@@ -740,6 +936,154 @@ mod tests {
             ContextStore::decode_snapshot(&blob),
             Err(SnapshotError::Malformed("trailing bytes"))
         );
+    }
+
+    fn known_capacity() -> ContextStore {
+        ContextStore::new(StoreConfig {
+            window_ns: 10 * SEC,
+            capacity_bps: Some(10_000_000.0),
+            queue_alpha: 0.3,
+        })
+    }
+
+    #[test]
+    fn zero_duration_reports_add_no_utilization() {
+        let mut s = known_capacity();
+        let p = PathKey(1);
+        s.report(p, 10 * SEC, &summary(5_000_000, 0.0, 170.0, 150.0));
+        assert_eq!(s.peek(p, 10 * SEC).utilization, 0.0);
+        // ...but it is a report in every other respect.
+        assert_eq!(s.traffic_counters(p), (0, 1));
+        assert!((s.peek(p, 10 * SEC).queue_ms - 20.0).abs() < 1e-9);
+        // Beside a real report it changes nothing, live or expiring.
+        s.report(p, 12 * SEC, &summary(5_000_000, 4.0, 170.0, 150.0));
+        let mut alone = known_capacity();
+        alone.report(p, 12 * SEC, &summary(5_000_000, 4.0, 170.0, 150.0));
+        for now in [12, 15, 20, 21, 30] {
+            let u = s.peek(p, now * SEC).utilization;
+            assert_eq!(u, alone.peek(p, now * SEC).utilization, "at {now} s");
+        }
+    }
+
+    #[test]
+    fn reports_alone_build_no_index_and_an_idle_one_is_dropped() {
+        let mut s = known_capacity();
+        let p = PathKey(1);
+        for t in 1..=30 {
+            s.report(p, t * SEC, &summary(1_000_000, 1.0, 160.0, 150.0));
+        }
+        assert!(
+            s.paths[&p].index.is_none(),
+            "capacity known: push and prune"
+        );
+        assert_eq!(s.paths[&p].recent.len(), 10);
+        assert!(s.peek(p, 30 * SEC).utilization > 0.0);
+        assert!(s.paths[&p].index.is_some());
+        // Nobody asks again. Each report adds one the index has not seen
+        // and expires one it holds: it goes when the two counts meet.
+        for t in 31..=34 {
+            s.report(p, t * SEC, &summary(1_000_000, 1.0, 160.0, 150.0));
+            assert!(s.paths[&p].index.is_some(), "held {} at {t} s", 40 - t);
+        }
+        s.report(p, 35 * SEC, &summary(1_000_000, 1.0, 160.0, 150.0));
+        assert!(s.paths[&p].index.is_none());
+        // Asked after every report (capacity learned), it stays.
+        let mut learning = ContextStore::new(StoreConfig::default());
+        for t in 1..=30 {
+            learning.report(p, t * SEC, &summary(1_000_000, 1.0, 160.0, 150.0));
+            assert!(learning.paths[&p].index.is_some());
+        }
+    }
+
+    #[test]
+    fn the_answer_does_not_depend_on_what_was_asked_before() {
+        let fill = |s: &mut ContextStore| {
+            for t in 1..=20u64 {
+                let dur = [0.3, 2.5, 11.0, 25.0][t as usize % 4];
+                s.report(
+                    PathKey(1),
+                    t * SEC,
+                    &summary(400_000 * t, dur, 160.0, 150.0),
+                );
+            }
+        };
+        let mut asked = known_capacity();
+        let mut fresh = known_capacity();
+        fill(&mut asked);
+        fill(&mut fresh);
+        // Forward in small steps, far ahead, then back again: every
+        // answer is the one a store asked nothing before gives.
+        for now in [20, 21, 21, 24, 29, 45, 26, 20, 33] {
+            let u = asked.peek(PathKey(1), now * SEC).utilization;
+            let mut first = fresh.clone();
+            assert_eq!(
+                u,
+                first.peek(PathKey(1), now * SEC).utilization,
+                "at {now} s"
+            );
+        }
+    }
+
+    #[test]
+    fn a_paths_clock_never_runs_backwards() {
+        let mut s = known_capacity();
+        let p = PathKey(1);
+        s.report(p, 20 * SEC, &summary(1_000_000, 1.0, 160.0, 150.0));
+        // A late writer with an older timestamp is filed at the clock...
+        s.report(p, 15 * SEC, &summary(2_000_000, 1.0, 160.0, 150.0));
+        let ends: Vec<u64> = s.paths[&p].recent.iter().map(|r| r.0).collect();
+        assert_eq!(ends, vec![20 * SEC, 20 * SEC]);
+        // ...and a question from before it is answered as of the clock.
+        assert_eq!(s.peek(p, 3 * SEC), s.peek(p, 20 * SEC));
+        assert!(s.peek(p, 3 * SEC).utilization > 0.0);
+
+        // A blob written by a build that stored ends as given: expired
+        // report behind a live one. Restoring applies the same clamp.
+        let mut blob = s.encode_snapshot(1);
+        let second_end = blob.len() - 24;
+        blob[second_end..second_end + 8].copy_from_slice(&(5 * SEC).to_be_bytes());
+        let (mut back, _) = ContextStore::decode_snapshot(&blob).expect("decode");
+        assert_eq!(back, s);
+        assert_eq!(back.peek(p, 25 * SEC), s.peek(p, 25 * SEC));
+    }
+
+    #[test]
+    fn absurd_magnitudes_wrap_instead_of_panicking() {
+        for capacity_bps in [None, Some(1e9)] {
+            let mut s = ContextStore::new(StoreConfig {
+                capacity_bps,
+                ..StoreConfig::default()
+            });
+            let p = PathKey(1);
+            let huge = FlowSummary {
+                bytes: u64::MAX,
+                duration_ns: 1,
+                ..summary(0, 0.0, 160.0, 150.0)
+            };
+            for (now, dur) in [
+                (5, 1),
+                (7, u64::MAX),
+                (u64::MAX - 1, 3),
+                (u64::MAX, u64::MAX),
+            ] {
+                for _ in 0..40 {
+                    s.report(
+                        p,
+                        now,
+                        &FlowSummary {
+                            duration_ns: dur,
+                            ..huge
+                        },
+                    );
+                }
+                let c = s.lookup(p, now);
+                assert!(
+                    (0.0..=1.0).contains(&c.utilization),
+                    "u = {}",
+                    c.utilization
+                );
+            }
+        }
     }
 
     #[test]

@@ -834,7 +834,7 @@ mod tests {
     #[test]
     fn phi_senders_populate_the_store() {
         let spec = quick_spec(4, 300_000.0, 1.0, 20);
-        let r = run_experiment(&spec, provision_cubic_phi(PolicyTable::reference()));
+        let mut r = run_experiment(&spec, provision_cubic_phi(PolicyTable::reference()));
         let (lookups, reports) = r.store.traffic_counters(DUMBBELL_PATH);
         assert!(lookups > 0, "no lookups recorded");
         assert!(reports > 0, "no reports recorded");

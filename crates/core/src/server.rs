@@ -737,11 +737,14 @@ fn handle_connection(
                             stats
                                 .lookups
                                 .fetch_add(paths.len() as u64, Ordering::Relaxed);
-                            // Read-only: peeks never register competing
-                            // flows, so nothing is logged or replicated.
+                            // Peeks never register competing flows, so
+                            // nothing is logged or replicated. The write
+                            // lock is for the store's rate index, which a
+                            // peek brings up to date; it is held for an
+                            // O(1) read.
                             let snaps = paths
                                 .iter()
-                                .map(|&p| shard_for(&shards, p).store.read().peek(p, now_ns))
+                                .map(|&p| shard_for(&shards, p).store.write().peek(p, now_ns))
                                 .collect();
                             Message::BatchReply(snaps)
                         }
@@ -755,7 +758,7 @@ fn handle_connection(
                     } else {
                         let mut paths: Vec<(PathKey, ContextSnapshot)> = shards
                             .iter()
-                            .flat_map(|s| s.store.read().snapshot(now_ns))
+                            .flat_map(|s| s.store.write().snapshot(now_ns))
                             .collect();
                         paths.sort_by(|(ka, a), (kb, b)| {
                             b.utilization.total_cmp(&a.utilization).then(ka.cmp(kb))
@@ -2539,11 +2542,16 @@ mod tests {
             repl_client: quick_config(),
             ..HaOptions::default()
         });
+        // A new link opens with a snapshot sync of whatever the primary
+        // holds then. Let that (empty) one land first, so that the report
+        // can only reach the backup as a delta, and wait for the delta.
+        wait_until("the link's initial snapshot sync", || {
+            backup.stats().repl_syncs.load(Ordering::Relaxed) >= 1
+        });
         let mut c = ContextClient::connect(old_addr).expect("connect");
         c.report(PathKey(2), summary(1_000_000)).expect("report");
-        wait_until("backup to sync", || {
+        wait_until("backup to apply the report", || {
             backup.stats().repl_applied.load(Ordering::Relaxed) >= 1
-                || backup.stats().repl_syncs.load(Ordering::Relaxed) >= 1
         });
 
         // Promotion demands a strictly greater epoch — the new epoch IS

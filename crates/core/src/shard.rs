@@ -85,9 +85,11 @@ impl ShardedStore {
         self.shards[i].lookup(path, now_ns)
     }
 
-    /// Read `path`'s context without side effects.
-    pub fn peek(&self, path: PathKey, now_ns: u64) -> ContextSnapshot {
-        self.shards[self.shard_of(path)].peek(path, now_ns)
+    /// Read `path`'s context without registering a sender
+    /// (`&mut` for the same reason as [`ContextStore::peek`]).
+    pub fn peek(&mut self, path: PathKey, now_ns: u64) -> ContextSnapshot {
+        let i = self.shard_of(path);
+        self.shards[i].peek(path, now_ns)
     }
 
     /// Absorb an end-of-connection report into `path`'s shard.
@@ -115,10 +117,10 @@ impl ShardedStore {
     /// ordered like [`ContextStore::snapshot`]: utilization descending,
     /// then key ascending — so operators see the same busiest-first view
     /// regardless of shard count.
-    pub fn snapshot(&self, now_ns: u64) -> Vec<(PathKey, ContextSnapshot)> {
+    pub fn snapshot(&mut self, now_ns: u64) -> Vec<(PathKey, ContextSnapshot)> {
         let mut out: Vec<(PathKey, ContextSnapshot)> = self
             .shards
-            .iter()
+            .iter_mut()
             .flat_map(|s| s.snapshot(now_ns))
             .collect();
         out.sort_by(|(ka, a), (kb, b)| b.utilization.total_cmp(&a.utilization).then(ka.cmp(kb)));

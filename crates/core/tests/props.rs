@@ -16,6 +16,9 @@ use phi_core::shard::ShardedStore;
 use phi_core::wire::{encode, DecodeError, Decoder, Message, ReplOp, Role};
 use phi_tcp::hook::ContextSnapshot;
 
+mod model;
+use model::ScanModel;
+
 /// Frame type codes 1..=15 are assigned (15 is the sharded snapshot sync
 /// added with the sharded store); everything above is unknown and must
 /// decode as the *recoverable* `BadType`.
@@ -174,6 +177,98 @@ fn scripted_handler(mut stream: TcpStream, ops: &[(bool, usize)], late: Duration
             },
             Err(_) => return,
         }
+    }
+}
+
+/// Window of the rate-index properties below.
+const W: u64 = 10_000_000_000;
+
+/// One step of a rate-index trace, before its times are worked out:
+/// `(kind, path, step, bytes, duration class, position in the class)`.
+/// Kinds 0 and 1 report, 2 looks up, 3 peeks. Steps are mostly forward;
+/// some stand still and some go back, as server threads that read the
+/// clock before taking the lock make them. Durations cover nothing at
+/// all, a sliver of the window, about the window, well over it, and
+/// longer than time has run.
+type RateStep = (u8, u64, i64, u64, u8, f64);
+
+fn arb_rate_steps(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<RateStep>> {
+    let step = prop_oneof![
+        Just(0i64),
+        1i64..1_000_000,
+        10_000_000i64..1_000_000_000,
+        (W / 2) as i64..(2 * W) as i64,
+        -1_000_000_000i64..0,
+    ];
+    proptest::collection::vec(
+        (
+            0u8..4,
+            0u64..3,
+            step,
+            1_000u64..50_000_000,
+            0u8..5,
+            0.0f64..1.0,
+        ),
+        len,
+    )
+}
+
+/// A trace with its times worked out: `(kind, path, now, bytes, dur)`,
+/// with `now` starting at `t0` and never below it.
+fn rate_trace(steps: &[RateStep], t0: u64) -> Vec<(u8, u64, u64, u64, u64)> {
+    let (mut now, mut latest) = (t0, t0);
+    steps
+        .iter()
+        .map(|&(kind, path, step, bytes, class, at)| {
+            now = now.saturating_add_signed(step).max(t0);
+            latest = latest.max(now);
+            let spread = |from: u64, width: u64| from + (at * width as f64) as u64;
+            let dur = match class {
+                0 => 0,
+                1 => spread(100_000, W / 100),
+                2 => spread(W / 2, W),
+                3 => spread(2 * W, W),
+                _ => spread(latest + 1, W),
+            };
+            (kind, path, now, bytes, dur)
+        })
+        .collect()
+}
+
+fn sized(bytes: u64, duration_ns: u64) -> FlowSummary {
+    FlowSummary {
+        bytes,
+        duration_ns,
+        mean_rtt_ms: 170.0,
+        min_rtt_ms: 150.0,
+        retransmits: 1,
+        timeouts: 0,
+    }
+}
+
+fn rate_cfg(capacity_bps: Option<f64>) -> StoreConfig {
+    StoreConfig {
+        window_ns: W,
+        capacity_bps,
+        queue_alpha: 0.3,
+    }
+}
+
+/// Apply one trace step to `store` with its clock `shift` ahead of the
+/// trace's; `Some(utilization)` if the step asked a question.
+fn rate_step(
+    store: &mut ContextStore,
+    (kind, path, now, bytes, dur): (u8, u64, u64, u64, u64),
+    shift: u64,
+) -> Option<f64> {
+    let (path, now) = (PathKey(path), now + shift);
+    match kind {
+        0 | 1 => {
+            store.report(path, now, &sized(bytes, dur));
+            None
+        }
+        2 => Some(store.lookup(path, now).utilization),
+        _ => Some(store.peek(path, now).utilization),
     }
 }
 
@@ -419,6 +514,103 @@ proptest! {
         prop_assert_eq!(&restored, &store, "restore lost state");
         // Determinism of the encoding itself: same state, same bytes.
         prop_assert_eq!(restored.encode_snapshot(epoch), blob);
+    }
+
+    /// The rate index against the scan it replaced, on any interleaving
+    /// of reports, lookups and peeks — timestamps equal, decreasing,
+    /// leaping past the window and starting inside the first one;
+    /// durations from nothing to longer than time has run; capacity
+    /// known and learned.
+    #[test]
+    fn rate_index_matches_the_scan(steps in arb_rate_steps(1..250)) {
+        for capacity in [Some(10_000_000.0), None] {
+            let mut store = ContextStore::new(rate_cfg(capacity));
+            let mut scan = ScanModel::new(W, capacity);
+            for op in rate_trace(&steps, 0) {
+                let (_, path, now, bytes, dur) = op;
+                if let Some(u) = rate_step(&mut store, op, 0) {
+                    prop_assert!((0.0..=1.0).contains(&u), "utilization {}", u);
+                    let verdict = scan.check(path, now, u);
+                    prop_assert!(verdict.is_ok(), "{:?} (capacity {:?})", verdict, capacity);
+                } else {
+                    scan.report(path, now, bytes, dur);
+                }
+            }
+        }
+    }
+
+    /// Every answer is a function of what is in the window relative to
+    /// now, not of where on the clock the window sits: the same trace
+    /// run `k` windows later gives bit-identical `f64`s. (Replicas and
+    /// the benchmark's "every unit repeats the first" rest on this.)
+    #[test]
+    fn rate_index_is_shift_invariant(
+        steps in arb_rate_steps(1..250),
+        k in 1u64..1_000_000,
+    ) {
+        for capacity in [Some(10_000_000.0), None] {
+            let mut here = ContextStore::new(rate_cfg(capacity));
+            let mut later = ContextStore::new(rate_cfg(capacity));
+            // From one full window on, so both runs divide by the window.
+            let trace = rate_trace(&steps, W);
+            for &op in &trace {
+                let (a, b) = (rate_step(&mut here, op, 0), rate_step(&mut later, op, k * W));
+                prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "at {:?}", op);
+            }
+            let end = trace.last().expect("non-empty").2;
+            let bits = |v: Vec<(PathKey, ContextSnapshot)>| -> Vec<(PathKey, u64)> {
+                v.into_iter().map(|(p, c)| (p, c.utilization.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(here.snapshot(end)), bits(later.snapshot(end + k * W)));
+        }
+    }
+
+    /// The index is derived state: a store restored from a snapshot —
+    /// which carries none — equals the original, answers every later
+    /// question bit-identically, and still equals it afterwards, however
+    /// many questions the original had been asked before.
+    #[test]
+    fn restored_store_answers_bit_identically(
+        steps in arb_rate_steps(2..250),
+        cut in 0.0f64..1.0,
+    ) {
+        for capacity in [Some(10_000_000.0), None] {
+            let trace = rate_trace(&steps, 0);
+            let (before, after) = trace.split_at((cut * trace.len() as f64) as usize);
+            let mut store = ContextStore::new(rate_cfg(capacity));
+            for &op in before {
+                rate_step(&mut store, op, 0);
+            }
+            let (mut restored, _) = ContextStore::decode_snapshot(&store.encode_snapshot(1))
+                .expect("own snapshot must decode");
+            prop_assert_eq!(&restored, &store);
+            for &op in after {
+                let (a, b) = (rate_step(&mut store, op, 0), rate_step(&mut restored, op, 0));
+                prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "at {:?}", op);
+            }
+            prop_assert_eq!(&restored, &store);
+            prop_assert_eq!(restored.encode_snapshot(1), store.encode_snapshot(1));
+        }
+    }
+
+    /// No input is too large: times, sizes and durations over the whole
+    /// `u64` range (in any order) wrap inside the index instead of
+    /// panicking, and what comes out is still a utilization.
+    #[test]
+    fn store_survives_the_whole_u64_range(
+        ops in proptest::collection::vec(
+            (0u8..3, 0u64..2, any::<u64>(), any::<u64>(), any::<u64>()),
+            1..80,
+        ),
+    ) {
+        for capacity in [Some(10_000_000.0), None] {
+            let mut store = ContextStore::new(rate_cfg(capacity));
+            for &(kind, path, now, bytes, dur) in &ops {
+                if let Some(u) = rate_step(&mut store, (kind + 1, path, now, bytes, dur), 0) {
+                    prop_assert!((0.0..=1.0).contains(&u), "utilization {}", u);
+                }
+            }
+        }
     }
 
     /// A snapshot from a *future* format version is a clean typed error —

@@ -42,7 +42,7 @@ fn main() {
             7_000 + i as u64,
         );
         // Phi senders so the provider's own context store is populated.
-        let result = if i % 2 == 0 {
+        let mut result = if i % 2 == 0 {
             run_experiment(&spec, provision_cubic_phi(PolicyTable::reference()))
         } else {
             run_experiment(&spec, provision_cubic(CubicParams::default()))

@@ -1,0 +1,120 @@
+//! Tier-1's check of the context store's windowed rate: a recorded op
+//! list replayed through the public `ContextStore` API, every answer held
+//! against the scan in `crates/core/tests/model` (ROADMAP 4d — the
+//! property tests beside that model run only under `--workspace`).
+//!
+//! The list is the benchmark's `ctx_hot_lookup` traffic in miniature —
+//! durations of 50 ms to 2 s against a 1 s window, so most of a window's
+//! reports straddle its edge — followed by the cases the rate index
+//! treats specially. Times are plain numbers; nothing here reads a clock.
+
+use phi::core::context::{ContextStore, FlowSummary, PathKey, StoreConfig};
+use phi::workload::SeedRng;
+
+#[path = "../crates/core/tests/model/mod.rs"]
+mod model;
+use model::ScanModel;
+
+const W: u64 = 1_000_000_000;
+const PATHS: u64 = 3;
+
+enum Op {
+    Report(u64, u64, u64, u64),
+    Lookup(u64, u64),
+    Peek(u64, u64),
+}
+
+/// `reports` reports spread evenly over `from..to` and round-robin over
+/// the paths, with a lookup of a random path after every eighth.
+fn traffic(rng: &mut SeedRng, ops: &mut Vec<Op>, from: u64, to: u64, reports: u64) {
+    for n in 0..reports {
+        let (path, now) = (n % PATHS, from + (to - from) * n / reports);
+        ops.push(Op::Report(
+            path,
+            now,
+            rng.range_u64(20_000, 500_000),
+            rng.range_u64(W / 20, 2 * W),
+        ));
+        if n % 8 == 7 {
+            ops.push(Op::Lookup(rng.range_u64(0, PATHS), now));
+        }
+    }
+}
+
+fn recorded_ops() -> Vec<Op> {
+    let mut rng = SeedRng::new(13).fork("ctx_reference");
+    let mut ops = Vec::new();
+    // Fill the first window from empty (answers divide by `now`, not W),
+    // then run steadily for three more: 1 000 reports deep per path.
+    traffic(&mut rng, &mut ops, 1, 4 * W, 12_000);
+    // Monitoring reads between reports, and long after the last one:
+    // reports leave the window with nobody reporting.
+    for tenth in 0..15 {
+        ops.push(Op::Peek(tenth % PATHS, 4 * W + tenth * W / 10));
+    }
+    // Traffic resumes after the idle gap, on stale windows.
+    traffic(&mut rng, &mut ops, 6 * W, 7 * W, 600);
+    // A burst at one instant; a writer and a reader that took their
+    // timestamps before waiting for the lock; a question asked earlier
+    // than the one before it.
+    for _ in 0..50 {
+        ops.push(Op::Report(0, 7 * W, 100_000, W / 3));
+    }
+    ops.push(Op::Report(0, 7 * W - 400_000, 250_000, W / 2));
+    ops.push(Op::Lookup(0, 7 * W - 900_000));
+    ops.push(Op::Peek(0, 7 * W + W / 2));
+    ops.push(Op::Peek(0, 7 * W + W / 4));
+    ops.push(Op::Lookup(0, 7 * W + W / 4));
+    // Zero duration (adds nothing) and durations reaching back before
+    // time began (a start below zero).
+    ops.push(Op::Report(1, 7 * W + W / 4, 400_000, 0));
+    ops.push(Op::Report(1, 7 * W + W / 3, 400_000, 9 * W));
+    ops.push(Op::Report(2, 7 * W + W / 3, 400_000, u64::MAX));
+    for path in 0..PATHS {
+        ops.push(Op::Lookup(path, 7 * W + W / 2));
+        ops.push(Op::Peek(path, 8 * W + W / 4));
+    }
+    ops
+}
+
+#[test]
+fn store_answers_what_a_scan_of_the_window_answers() {
+    let ops = recorded_ops();
+    // The provider knows its capacity (`phi serve`, the benchmark), or
+    // the store learns it as the largest rate seen (every simulated run).
+    for capacity_bps in [Some(4e9), None] {
+        let mut store = ContextStore::new(StoreConfig {
+            window_ns: W,
+            capacity_bps,
+            ..StoreConfig::default()
+        });
+        let mut scan = ScanModel::new(W, capacity_bps);
+        let (mut asked, mut busy) = (0, 0);
+        for op in &ops {
+            let (path, now, got) = match *op {
+                Op::Report(path, now, bytes, duration_ns) => {
+                    let summary = FlowSummary {
+                        bytes,
+                        duration_ns,
+                        mean_rtt_ms: 60.0,
+                        min_rtt_ms: 40.0,
+                        retransmits: 0,
+                        timeouts: 0,
+                    };
+                    store.report(PathKey(path), now, &summary);
+                    scan.report(path, now, bytes, duration_ns);
+                    continue;
+                }
+                Op::Lookup(path, now) => (path, now, store.lookup(PathKey(path), now)),
+                Op::Peek(path, now) => (path, now, store.peek(PathKey(path), now)),
+            };
+            if let Err(why) = scan.check(path, now, got.utilization) {
+                panic!("question {asked} (capacity {capacity_bps:?}): {why}");
+            }
+            asked += 1;
+            busy += usize::from(got.utilization > 0.0 && got.utilization < 1.0);
+        }
+        // The comparison was of real numbers, not of zeros and ones.
+        assert!(asked > 1_500 && busy > asked / 2, "{busy} of {asked}");
+    }
+}

@@ -134,7 +134,7 @@ fn util_feed_steers_behaviour_through_the_tree() {
 fn practical_feed_uses_store_and_freezes_between_flows() {
     let spec = scenario(99);
     let tree = Arc::new(WhiskerTree::initial());
-    let r = run_experiment(&spec, provision_remy(tree, UtilFeed::Practical, None));
+    let mut r = run_experiment(&spec, provision_remy(tree, UtilFeed::Practical, None));
     let (lookups, reports) = r.store.traffic_counters(phi::core::DUMBBELL_PATH);
     assert!(lookups >= reports && reports > 0);
     // The store's learned picture is coherent with the sim.
