@@ -12,6 +12,14 @@
 //! * **Links** do all store-and-forward work: a packet handed to a link is
 //!   queued (or dropped, drop-tail), serialized at the link rate, then
 //!   delivered to the far node after the propagation delay.
+//! * **Packets move by handle.** [`Ctx::send`] puts the packet in the
+//!   engine's packet pool; from there to its terminal state (delivered,
+//!   dropped, blackholed, …) events and link queues carry a 4-byte handle,
+//!   the switch and the tracer read the packet in place, and it is copied
+//!   out once, when [`Agent::on_packet`] takes it by value. An event is 16
+//!   bytes and sits inline in the scheduler's entries. Every terminal
+//!   state releases its handle; [`Simulator::packet_census`] checks (in
+//!   debug builds) that live handles equal queued plus in-flight packets.
 //! * **Agents** (transport endpoints, traffic sources…) live on nodes and
 //!   are addressed by `(node, port)`. The engine calls [`Agent::on_packet`]
 //!   when a packet reaches its destination node and port, and
@@ -31,7 +39,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::faults::{DownPolicy, EgressVerdict, FaultStats, ImpairmentPlan, LinkFault};
 use crate::packet::{AgentId, Flags, FlowId, LinkId, NodeId, Packet, SackBlocks};
-use crate::queue::{LinkQueue, Verdict};
+use crate::queue::{LinkQueue, PacketPool, PktRef, Verdict};
 use crate::sched::TieredScheduler;
 use crate::stats::{LinkStats, RollingUtil};
 use crate::switch::{AdmitOutcome, PfcEdge, SwitchSpec, SwitchState, SwitchStats};
@@ -62,41 +70,38 @@ pub trait Agent: Any + Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// One scheduled event. Packets stay in the [`PacketPool`]; an event
+/// names its packet by handle, and anything derivable from a link (the
+/// node at its far end) or kept in the timer slab (a timer's agent and
+/// token) is left out, which keeps an event — stored inline in the
+/// scheduler's entries — at 16 bytes.
 #[derive(Debug)]
 enum Event {
     /// The packet at the head of the link finished serializing.
-    TxEnd { link: LinkId, pkt: Packet },
-    /// A packet reached a node. `via` is the link it arrived on
-    /// ([`NO_LINK`] for agent injections) — switch ingress attribution.
-    Deliver {
-        node: NodeId,
-        pkt: Packet,
-        via: LinkId,
-    },
+    TxEnd { link: LinkId, pkt: PktRef },
+    /// A packet reached the far end of `via`, the link it travelled
+    /// (which is also its switch ingress attribution).
+    Deliver { pkt: PktRef, via: LinkId },
     /// A PFC PAUSE (`xoff`) or RESUME frame arrives at the transmitting
     /// end of `link`.
     Pfc { link: LinkId, xoff: bool },
-    /// A pause-storm watchdog armed by the switch on `node` for ingress
-    /// `link` expires; `epoch` validates against the switch's pause
-    /// state (a resume in the meantime makes the timer stale).
-    PfcWatchdog {
-        node: NodeId,
-        link: LinkId,
-        epoch: u64,
-    },
-    /// An agent timer fired. `slot`/`gen` validate against the timer slab:
-    /// a mismatch means the timer was cancelled (or superseded) after it
-    /// was scheduled, and the event is skipped without touching the agent.
-    Timer {
-        agent: AgentId,
-        token: u64,
-        slot: u32,
-        gen: u64,
-    },
+    /// A pause-storm watchdog armed by the switch at the far end of
+    /// ingress `link` expires; `epoch` validates against the switch's
+    /// pause state (a resume in the meantime makes the timer stale).
+    PfcWatchdog { link: LinkId, epoch: u64 },
+    /// An agent timer fired. `slot`/`gen` validate against the timer slab
+    /// (which also holds the agent and token): a mismatch means the timer
+    /// was cancelled (or superseded) after it was scheduled, and the
+    /// event is skipped without touching the agent. `gen` stays 64-bit:
+    /// a 32-bit generation would make a stale timer matchable after 2³²
+    /// re-arms of one slot.
+    Timer { slot: u32, gen: u64 },
     /// A precomputed link state transition from the fault plane: the link
     /// goes down (`up == false`) or heals (`up == true`).
     FaultEdge { link: LinkId, up: bool },
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 /// A handle identifying one scheduled timer, returned by
 /// [`Ctx::set_timer_at`] and accepted by [`Ctx::cancel_timer`].
@@ -112,6 +117,15 @@ pub struct TimerHandle {
     gen: u64,
 }
 
+/// One pending timer: the generation validating it, and whom to call
+/// with what when it fires.
+#[derive(Debug)]
+struct TimerSlot {
+    gen: u64,
+    token: u64,
+    agent: AgentId,
+}
+
 /// Generation slots validating pending timers. A slot is live from
 /// `alloc` until the matching event fires or is cancelled; either path
 /// bumps the generation (invalidating any outstanding handle/event with
@@ -119,37 +133,46 @@ pub struct TimerHandle {
 /// order is purely event-driven, so reuse is deterministic.
 #[derive(Debug, Default)]
 struct TimerSlab {
-    gens: Vec<u64>,
+    slots: Vec<TimerSlot>,
     free: Vec<u32>,
 }
 
 impl TimerSlab {
-    fn alloc(&mut self) -> (u32, u64) {
+    fn alloc(&mut self, agent: AgentId, token: u64) -> (u32, u64) {
         match self.free.pop() {
-            Some(slot) => (slot, self.gens[slot as usize]),
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                s.token = token;
+                s.agent = agent;
+                (slot, s.gen)
+            }
             None => {
-                let slot = self.gens.len() as u32;
-                self.gens.push(0);
+                let slot = self.slots.len() as u32;
+                self.slots.push(TimerSlot {
+                    gen: 0,
+                    token,
+                    agent,
+                });
                 (slot, 0)
             }
         }
     }
 
-    /// Retire `(slot, gen)` if it is still live; false means the handle
-    /// (or event) was stale.
-    fn retire(&mut self, slot: u32, gen: u64) -> bool {
-        let g = &mut self.gens[slot as usize];
-        if *g == gen {
-            *g += 1;
+    /// Retire `(slot, gen)` if it is still live, returning the timer's
+    /// agent and token; `None` means the handle (or event) was stale.
+    fn retire(&mut self, slot: u32, gen: u64) -> Option<(AgentId, u64)> {
+        let s = &mut self.slots[slot as usize];
+        if s.gen == gen {
+            s.gen += 1;
             self.free.push(slot);
-            true
+            Some((s.agent, s.token))
         } else {
-            false
+            None
         }
     }
 
     fn clear(&mut self) {
-        self.gens.clear();
+        self.slots.clear();
         self.free.clear();
     }
 }
@@ -178,7 +201,7 @@ struct LinkState {
 const NO_AGENT: AgentId = AgentId(u32::MAX);
 
 /// Sentinel ingress for packets injected by a local agent (no inbound
-/// link to attribute PFC accounting to).
+/// link to attribute PFC accounting to). Never stored in an event.
 const NO_LINK: LinkId = LinkId(u32::MAX);
 
 /// Everything the engine owns except the agents themselves. Splitting this
@@ -188,6 +211,8 @@ struct SimCore {
     now: Time,
     queue: TieredScheduler<Event>,
     timers: TimerSlab,
+    /// Every packet not yet in a terminal state; see [`PacketPool`].
+    pool: PacketPool,
     topology: Topology,
     links: Vec<LinkState>,
     /// Shared-buffer switch state, indexed by node; `None` for hosts and
@@ -260,9 +285,10 @@ impl Drop for SimCore {
 }
 
 impl SimCore {
-    fn trace(&mut self, op: TraceOp, link: Option<LinkId>, node: Option<NodeId>, pkt: &Packet) {
+    /// Show the pooled packet `h` to the tracer, in place.
+    fn trace(&mut self, op: TraceOp, link: Option<LinkId>, node: Option<NodeId>, h: PktRef) {
         if let Some(t) = self.tracer.as_mut() {
-            t.event(&TraceEvent::new(self.now, op, link, node, pkt));
+            t.event(&TraceEvent::new(self.now, op, link, node, &self.pool[h]));
         }
     }
 
@@ -271,19 +297,21 @@ impl SimCore {
         self.queue.push(at, event);
     }
 
-    /// Route `pkt` (which arrived at `at` over `via`) toward its
+    /// Route packet `h` (which arrived at `at` over `via`) toward its
     /// destination; enqueue on the next link.
-    fn forward(&mut self, at: NodeId, pkt: Packet, via: LinkId) {
-        let Some(link_id) = self.topology.next_hop(at, pkt.dst) else {
+    fn forward(&mut self, at: NodeId, h: PktRef, via: LinkId) {
+        let Some(link_id) = self.topology.next_hop(at, self.pool[h].dst) else {
             // Destination is this node but no agent consumed it, or routing
             // is impossible; count and drop.
             self.undeliverable += 1;
+            self.pool.release(h);
             return;
         };
-        self.enqueue_on_link(link_id, pkt, via);
+        self.enqueue_on_link(link_id, h, via);
     }
 
-    fn enqueue_on_link(&mut self, link_id: LinkId, mut pkt: Packet, via: LinkId) {
+    /// Every exit that does not leave `h` queued on the link releases it.
+    fn enqueue_on_link(&mut self, link_id: LinkId, h: PktRef, via: LinkId) {
         let now = self.now;
         let ls = &mut self.links[link_id.0 as usize];
         // A downed link with the Drop policy destroys arrivals outright;
@@ -291,71 +319,67 @@ impl SimCore {
         if let Some(f) = ls.fault.as_deref_mut() {
             if !f.up && f.plan.down_policy == DownPolicy::Drop {
                 f.stats.blackholed += 1;
-                if let Some(t) = self.tracer.as_mut() {
-                    t.event(&TraceEvent::new(
-                        now,
-                        TraceOp::Blackhole,
-                        Some(link_id),
-                        None,
-                        &pkt,
-                    ));
-                }
+                self.trace(TraceOp::Blackhole, Some(link_id), None, h);
+                self.pool.release(h);
                 return;
             }
         }
         // Shared-buffer admission, when the transmitting node is a
         // switch: Dynamic-Threshold rejection drops here (counted on the
-        // egress link), acceptance may CE-mark the packet and cross a
-        // PFC pause threshold.
+        // egress link), acceptance may CE-mark the packet in place and
+        // cross a PFC pause threshold.
         let from = self.topology.link(link_id).from;
         let mut pfc_edge = None;
         if let Some(sw) = self.switches[from.0 as usize].as_deref_mut() {
-            match sw.admit(link_id, via, &mut pkt) {
+            match sw.admit(link_id, via, &mut self.pool[h]) {
                 AdmitOutcome::Rejected => {
                     let ls = &mut self.links[link_id.0 as usize];
                     ls.stats.advance_occupancy(now, ls.queue.len_bytes());
                     ls.stats.dropped += 1;
-                    self.trace(TraceOp::Drop, Some(link_id), None, &pkt);
+                    self.trace(TraceOp::Drop, Some(link_id), None, h);
+                    self.pool.release(h);
                     return;
                 }
-                AdmitOutcome::Admitted(edge) => pfc_edge = edge,
+                AdmitOutcome::Admitted { ingress, edge } => {
+                    self.pool.set_ingress(h, ingress);
+                    pfc_edge = edge;
+                }
             }
         }
-        let has_switch = self.switches[from.0 as usize].is_some();
         let ls = &mut self.links[link_id.0 as usize];
         ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-        // The queue consumes the packet; clone identity bits only when
-        // someone downstream needs them (tracing, or release accounting
-        // on a rejected offer at a switch node).
-        let kept = (self.tracer.is_some() || has_switch).then(|| pkt.clone());
-        match ls.queue.offer(pkt, now) {
+        match ls.queue.offer(h, &self.pool, now) {
             Verdict::Enqueued => {
                 ls.stats.enqueued += 1;
-                if let Some(p) = &kept {
-                    self.trace(TraceOp::Enqueue, Some(link_id), None, p);
-                }
+                self.trace(TraceOp::Enqueue, Some(link_id), None, h);
                 if !self.links[link_id.0 as usize].busy {
                     self.begin_tx(link_id);
                 }
             }
             Verdict::Dropped => {
                 ls.stats.dropped += 1;
-                if let Some(p) = &kept {
-                    // The inner queue refused a packet the shared buffer
-                    // admitted: give the pool its bytes back.
-                    if let Some(sw) = self.switches[from.0 as usize].as_deref_mut() {
-                        if let Some(e) = sw.release(link_id, p) {
-                            debug_assert!(pfc_edge.is_none());
-                            pfc_edge = Some(e);
-                        }
-                    }
-                    self.trace(TraceOp::Drop, Some(link_id), None, p);
+                // The inner queue refused a packet the shared buffer
+                // admitted: give the pool its bytes back.
+                if let Some(e) = self.switch_release(from, link_id, h) {
+                    debug_assert!(pfc_edge.is_none());
+                    pfc_edge = Some(e);
                 }
+                self.trace(TraceOp::Drop, Some(link_id), None, h);
+                self.pool.release(h);
             }
         }
         if let Some(edge) = pfc_edge {
             self.emit_pfc(edge);
         }
+    }
+
+    /// Packet `h` leaves the queue of `link_id`, an egress of `from`: if
+    /// `from` is a switch, return the packet's shared-buffer bytes and
+    /// ingress attribution. Falling to the resume threshold un-pauses the
+    /// ingress (the returned XON edge).
+    fn switch_release(&mut self, from: NodeId, link_id: LinkId, h: PktRef) -> Option<PfcEdge> {
+        let sw = self.switches[from.0 as usize].as_deref_mut()?;
+        sw.release(link_id, self.pool[h].size, self.pool.ingress(h))
     }
 
     /// Start serializing the next queued packet, if any.
@@ -376,7 +400,7 @@ impl SimCore {
             return;
         }
         ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-        let Some((pkt, enqueued_at)) = ls.queue.take() else {
+        let Some((pkt, enqueued_at)) = ls.queue.take(&mut self.pool) else {
             return;
         };
         ls.busy = true;
@@ -384,37 +408,34 @@ impl SimCore {
         ls.stats
             .queue_wait
             .push(now.saturating_since(enqueued_at).as_secs_f64());
-        let tx = Dur::transmission(pkt.size, spec_rate);
-        // A switch releases shared-buffer bytes when serialization
-        // starts; falling to the resume threshold un-pauses the ingress.
-        let edge = self.switches[from.0 as usize]
-            .as_deref_mut()
-            .and_then(|sw| sw.release(link_id, &pkt));
+        let tx = Dur::transmission(self.pool[pkt].size, spec_rate);
+        // A switch releases shared-buffer bytes when serialization starts.
+        let edge = self.switch_release(from, link_id, pkt);
         self.schedule(now + tx, Event::TxEnd { link: link_id, pkt });
         if let Some(e) = edge {
             self.emit_pfc(e);
         }
     }
 
-    fn on_tx_end(&mut self, link_id: LinkId, pkt: Packet) {
+    fn on_tx_end(&mut self, link_id: LinkId, h: PktRef) {
         let now = self.now;
         let spec = self.topology.link(link_id);
+        let (id, size) = (self.pool[h].id, self.pool[h].size);
         let mut delay = spec.delay;
         if !spec.jitter.is_zero() {
             // Deterministic per-packet jitter: splitmix64 of the packet id.
-            let j = splitmix64(pkt.id) % spec.jitter.as_nanos().max(1);
+            let j = splitmix64(id) % spec.jitter.as_nanos().max(1);
             delay += Dur::from_nanos(j);
         }
-        let node = spec.to;
         {
             let ls = &mut self.links[link_id.0 as usize];
             ls.busy = false;
             ls.rolling.end_busy(now);
             ls.stats.transmitted += 1;
-            ls.stats.bytes_transmitted += u64::from(pkt.size);
-            ls.stats.busy += Dur::transmission(pkt.size, self.topology.link(link_id).rate_bps);
+            ls.stats.bytes_transmitted += u64::from(size);
+            ls.stats.busy += Dur::transmission(size, spec.rate_bps);
         }
-        self.trace(TraceOp::Transmit, Some(link_id), None, &pkt);
+        self.trace(TraceOp::Transmit, Some(link_id), None, h);
         // The fault plane decides the packet's fate at link egress. The
         // per-packet draws happen here, in TxEnd order, so the impairment
         // trace follows the engine's deterministic total event order.
@@ -427,16 +448,22 @@ impl SimCore {
         };
         match verdict {
             EgressVerdict::Forward { extra, duplicate } => {
-                let dup = duplicate.then(|| pkt.clone());
                 let (at, via) = (now + delay + extra, link_id);
-                self.schedule(at, Event::Deliver { node, pkt, via });
-                if let Some(pkt) = dup {
-                    self.trace(TraceOp::Duplicate, Some(link_id), None, &pkt);
-                    self.schedule(at, Event::Deliver { node, pkt, via });
+                self.schedule(at, Event::Deliver { pkt: h, via });
+                if duplicate {
+                    let dup = self.pool.insert(self.pool[h].clone());
+                    self.trace(TraceOp::Duplicate, Some(link_id), None, dup);
+                    self.schedule(at, Event::Deliver { pkt: dup, via });
                 }
             }
-            EgressVerdict::Blackhole => self.trace(TraceOp::Blackhole, Some(link_id), None, &pkt),
-            EgressVerdict::Corrupt => self.trace(TraceOp::Corrupt, Some(link_id), None, &pkt),
+            EgressVerdict::Blackhole => {
+                self.trace(TraceOp::Blackhole, Some(link_id), None, h);
+                self.pool.release(h);
+            }
+            EgressVerdict::Corrupt => {
+                self.trace(TraceOp::Corrupt, Some(link_id), None, h);
+                self.pool.release(h);
+            }
         }
         // Immediately pull the next packet, if queued.
         if self.links[link_id.0 as usize].queue.len_packets() > 0 {
@@ -478,16 +505,24 @@ impl SimCore {
         match action {
             Action::Restart => self.begin_tx(link_id),
             Action::Drain => {
+                let from = self.topology.link(link_id).from;
                 let ls = &mut self.links[link_id.0 as usize];
                 ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-                let mut killed = Vec::new();
-                while let Some((p, _)) = ls.queue.take() {
-                    killed.push(p);
+                // On a switch egress the drained packets hold shared-buffer
+                // bytes: release them like any other departure, and send
+                // the RESUME an ingress falling to its threshold is owed.
+                let mut edges = Vec::new();
+                let mut killed = 0;
+                while let Some((h, _)) = self.links[link_id.0 as usize].queue.take(&mut self.pool) {
+                    killed += 1;
+                    edges.extend(self.switch_release(from, link_id, h));
+                    self.trace(TraceOp::Blackhole, Some(link_id), None, h);
+                    self.pool.release(h);
                 }
-                let f = ls.fault.as_deref_mut().expect("fault checked above");
-                f.stats.blackholed += killed.len() as u64;
-                for p in &killed {
-                    self.trace(TraceOp::Blackhole, Some(link_id), None, p);
+                let f = self.links[link_id.0 as usize].fault.as_deref_mut();
+                f.expect("fault checked above").stats.blackholed += killed;
+                for e in edges {
+                    self.emit_pfc(e);
                 }
             }
             Action::Nothing => {}
@@ -505,13 +540,9 @@ impl SimCore {
                 epoch,
                 watchdog,
             } => {
-                let spec = self.topology.link(link);
-                let (delay, node) = (spec.delay, spec.to);
+                let delay = self.topology.link(link).delay;
                 self.schedule(self.now + delay, Event::Pfc { link, xoff: true });
-                self.schedule(
-                    self.now + watchdog,
-                    Event::PfcWatchdog { node, link, epoch },
-                );
+                self.schedule(self.now + watchdog, Event::PfcWatchdog { link, epoch });
             }
             PfcEdge::Xon { link } => {
                 let delay = self.topology.link(link).delay;
@@ -549,13 +580,15 @@ impl SimCore {
     /// drain this switch's egress queues (ascending link id, FIFO order)
     /// until the stuck ingress clears its resume threshold, counting the
     /// victims as `pfc_dropped`, then force-resume.
-    fn on_pfc_watchdog(&mut self, node: NodeId, link: LinkId, epoch: u64) {
+    fn on_pfc_watchdog(&mut self, link: LinkId, epoch: u64) {
         let now = self.now;
+        let node = self.topology.link(link).to;
         // Disjoint field borrows: the drain alternates between switch
-        // accounting and link queues.
+        // accounting, link queues and the packet pool.
         let switches = &mut self.switches;
         let links = &mut self.links;
         let tracer = &mut self.tracer;
+        let pool = &mut self.pool;
         let Some(sw) = switches[node.0 as usize].as_deref_mut() else {
             return;
         };
@@ -572,13 +605,15 @@ impl SimCore {
                 }
                 let ls = &mut links[e.0 as usize];
                 ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-                let Some((p, _)) = ls.queue.take() else {
+                let Some((h, _)) = ls.queue.take(pool) else {
                     break;
                 };
-                sw.drain_release(e, &p);
+                sw.drain_release(e, pool[h].size, pool.ingress(h));
                 if let Some(t) = tracer.as_mut() {
-                    t.event(&TraceEvent::new(now, TraceOp::PfcDrop, Some(e), None, &p));
+                    let ev = TraceEvent::new(now, TraceOp::PfcDrop, Some(e), None, &pool[h]);
+                    t.event(&ev);
                 }
+                pool.release(h);
             }
         }
         let resumes = sw.watchdog_resumes(link);
@@ -618,7 +653,8 @@ impl Ctx<'_> {
         self.core.next_packet_id += 1;
         pkt.sent_at = self.core.now;
         pkt.src = self.node;
-        self.core.forward(self.node, pkt, NO_LINK);
+        let h = self.core.pool.insert(pkt);
+        self.core.forward(self.node, h, NO_LINK);
     }
 
     /// Schedule [`Agent::on_timer`] with `token` at absolute time `at`.
@@ -627,16 +663,8 @@ impl Ctx<'_> {
     /// [`Ctx::cancel_timer`]; agents that never cancel can ignore it.
     pub fn set_timer_at(&mut self, at: Time, token: u64) -> TimerHandle {
         let at = at.max(self.core.now);
-        let (slot, gen) = self.core.timers.alloc();
-        self.core.schedule(
-            at,
-            Event::Timer {
-                agent: self.agent,
-                token,
-                slot,
-                gen,
-            },
-        );
+        let (slot, gen) = self.core.timers.alloc(self.agent, token);
+        self.core.schedule(at, Event::Timer { slot, gen });
         TimerHandle { slot, gen }
     }
 
@@ -650,7 +678,7 @@ impl Ctx<'_> {
     /// never dispatched. Returns false if the timer already fired or was
     /// already cancelled (both are harmless).
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        let live = self.core.timers.retire(handle.slot, handle.gen);
+        let live = self.core.timers.retire(handle.slot, handle.gen).is_some();
         if live {
             self.core.cancelled += 1;
         }
@@ -726,6 +754,7 @@ impl Simulator {
                 now: Time::ZERO,
                 queue,
                 timers,
+                pool: PacketPool::default(),
                 topology,
                 links,
                 switches,
@@ -917,6 +946,14 @@ impl Simulator {
             ecn_marked += sw.stats.ecn_marked;
             pfc_dropped += sw.stats.pfc_dropped;
         }
+        // Pool conservation: a handle is live exactly while its packet is
+        // queued or in flight. A leaked (or doubly released) handle is
+        // otherwise silent — it changes no result, only memory.
+        debug_assert_eq!(
+            self.live_packets(),
+            queued + in_flight,
+            "packet pool out of step with the census"
+        );
         PacketCensus {
             injected: self.core.next_packet_id,
             delivered: self.core.delivered,
@@ -931,6 +968,22 @@ impl Simulator {
             ecn_marked,
             paused_ns,
         }
+    }
+
+    /// Packets the engine currently holds (its packet pool's live slots):
+    /// every packet not yet in a terminal state, so always
+    /// [`PacketCensus::outstanding`] and 0 after a drained run.
+    pub fn live_packets(&self) -> u64 {
+        self.core.pool.live() as u64
+    }
+
+    /// Bytes the switch on `node` holds right now, as `(shared pool
+    /// total, sum of the per-ingress PFC attributions)`; `(0, 0)` when no
+    /// switch is installed. Both are 0 once every queue has drained.
+    pub fn switch_occupancy(&self, node: NodeId) -> (u64, u64) {
+        self.core.switches[node.0 as usize]
+            .as_deref()
+            .map_or((0, 0), SwitchState::occupancy)
     }
 
     /// The topology under simulation.
@@ -997,41 +1050,43 @@ impl Simulator {
                 self.core.events_fired += 1;
                 self.core.on_tx_end(link, pkt);
             }
-            Event::Deliver { node, pkt, via } => {
+            Event::Deliver { pkt: h, via } => {
                 self.core.events_fired += 1;
-                if pkt.dst == node {
-                    self.core.trace(TraceOp::Deliver, None, Some(node), &pkt);
+                let node = self.core.topology.link(via).to;
+                let (dst, dst_port) = (self.core.pool[h].dst, self.core.pool[h].dst_port);
+                if dst == node {
+                    self.core.trace(TraceOp::Deliver, None, Some(node), h);
                     let agent = self
                         .core
                         .ports
                         .get(node.0 as usize)
-                        .and_then(|t| t.get(usize::from(pkt.dst_port)))
+                        .and_then(|t| t.get(usize::from(dst_port)))
                         .copied()
                         .filter(|&a| a != NO_AGENT);
                     match agent {
                         Some(agent) => {
                             self.core.delivered += 1;
+                            // The one copy of the packet's life: the
+                            // agent takes it by value.
+                            let pkt = self.core.pool.take(h);
                             self.with_agent(agent, |a, ctx| a.on_packet(pkt, ctx));
                         }
-                        None => self.core.undeliverable += 1,
+                        None => {
+                            self.core.undeliverable += 1;
+                            self.core.pool.release(h);
+                        }
                     }
                 } else {
-                    self.core.forward(node, pkt, via);
+                    self.core.forward(node, h, via);
                 }
             }
-            Event::Timer {
-                agent,
-                token,
-                slot,
-                gen,
-            } => {
-                if self.core.timers.retire(slot, gen) {
+            Event::Timer { slot, gen } => match self.core.timers.retire(slot, gen) {
+                Some((agent, token)) => {
                     self.core.events_fired += 1;
                     self.with_agent(agent, |a, ctx| a.on_timer(token, ctx));
-                } else {
-                    self.core.skipped_stale += 1;
                 }
-            }
+                None => self.core.skipped_stale += 1,
+            },
             Event::FaultEdge { link, up } => {
                 self.core.events_fired += 1;
                 self.core.on_fault_edge(link, up);
@@ -1040,9 +1095,9 @@ impl Simulator {
                 self.core.events_fired += 1;
                 self.core.on_pfc(link, xoff);
             }
-            Event::PfcWatchdog { node, link, epoch } => {
+            Event::PfcWatchdog { link, epoch } => {
                 self.core.events_fired += 1;
-                self.core.on_pfc_watchdog(node, link, epoch);
+                self.core.on_pfc_watchdog(link, epoch);
             }
         }
     }
@@ -1911,6 +1966,108 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(run(), first);
         }
+    }
+
+    /// Sends `bursts[i].1` back-to-back 1000-byte packets at `bursts[i].0`.
+    struct Bursts {
+        peer: NodeId,
+        bursts: Vec<(Time, u32)>,
+    }
+
+    impl Agent for Bursts {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            for (i, &(at, _)) in self.bursts.iter().enumerate() {
+                ctx.set_timer_at(at, i as u64);
+            }
+        }
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+            for _ in 0..self.bursts[token as usize].1 {
+                ctx.send(packet_to(self.peer, 2, 1, FlowId(1), 1000));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// host → switch (30 KB pool, α = 8) → 10 Mbit/s egress that is down
+    /// (Drop policy) over 5–10 ms: a 20-packet burst at t = 0 is mostly
+    /// still queued at the switch when the down edge drains it, and a
+    /// 25-packet burst at t = 40 ms finds the queue empty.
+    fn drained_switch_egress(pfc: Option<crate::switch::PfcSpec>) -> (Simulator, NodeId) {
+        let mut b = TopologyBuilder::new();
+        let host = b.add_node();
+        let sw = b.add_node();
+        let sink = b.add_node();
+        let fast = Dur::from_micros(10);
+        b.add_duplex(host, sw, 1_000_000_000, fast, Capacity::Packets(1_000));
+        let (egress, _) = b.add_duplex(sw, sink, 10_000_000, fast, Capacity::Bytes(30_000));
+        let mut sim = Simulator::new(b.build());
+        let mut spec = SwitchSpec::shared(30_000).with_alpha(8.0);
+        spec.pfc = pfc;
+        sim.install_switch(sw, spec);
+        let plan = ImpairmentPlan::new()
+            .outage(Time::from_millis(5), Time::from_millis(10))
+            .down_policy(DownPolicy::Drop);
+        sim.install_impairments(egress, plan, &SeedRng::new(1));
+        sim.add_agent(
+            host,
+            1,
+            Box::new(Bursts {
+                peer: sink,
+                bursts: vec![(Time::ZERO, 20), (Time::from_millis(40), 25)],
+            }),
+        );
+        sim.add_agent(sink, 2, Box::<Sink>::default());
+        (sim, sw)
+    }
+
+    #[test]
+    fn fault_drain_returns_shared_buffer_bytes() {
+        let (mut sim, sw) = drained_switch_egress(None);
+        sim.run_until(Time::from_millis(20));
+        let mid = sim.packet_census();
+        assert!(mid.blackholed >= 10, "the down edge must drain: {mid:?}");
+        assert_eq!(mid.outstanding(), 0, "{mid:?}");
+        assert_eq!(
+            sim.switch_occupancy(sw),
+            (0, 0),
+            "drained packets still hold pool bytes"
+        );
+        sim.run_to_completion();
+        let end = sim.packet_census();
+        assert!(end.conserved(), "{end:?}");
+        // The second burst fits an empty pool; leaked bytes would have
+        // made Dynamic-Threshold admission reject part of it.
+        assert_eq!(sim.switch_stats(sw).shared_drops, 0);
+        assert_eq!(end.delivered + end.blackholed, 45, "{end:?}");
+        assert_eq!(sim.switch_occupancy(sw), (0, 0));
+    }
+
+    #[test]
+    fn fault_drain_resumes_a_paused_ingress() {
+        let pfc = crate::switch::PfcSpec {
+            xoff_bytes: 8_000,
+            xon_bytes: 4_000,
+            watchdog: Dur::from_secs(60),
+        };
+        let (mut sim, sw) = drained_switch_egress(Some(pfc));
+        sim.run_to_completion();
+        let end = sim.packet_census();
+        let stats = sim.switch_stats(sw);
+        assert!(end.conserved(), "{end:?}");
+        assert!(stats.pauses > 0, "the first burst must pause the host");
+        // The drain took the ingress below its resume threshold: it is
+        // owed an XON there and then, not a watchdog rescue a minute on.
+        assert_eq!(stats.pauses, stats.resumes, "{stats:?}");
+        assert_eq!(stats.watchdog_fires, 0, "{stats:?}");
+        assert_eq!(end.pfc_dropped, 0, "a fault drain is not a PFC drop");
+        assert_eq!(end.delivered + end.blackholed, 45, "{end:?}");
+        assert_eq!(sim.switch_occupancy(sw), (0, 0));
     }
 
     /// Arms a timer far out, then cancels and re-arms it on each of a

@@ -6,12 +6,18 @@
 //! behind the [`Discipline`] trait so tests can demonstrate that property
 //! and ablations can swap disciplines, but drop-tail FIFO is the default
 //! used by every experiment, matching ns-2's `DropTail`.
+//!
+//! Inside the engine a queued packet is a 4-byte handle into the
+//! `PacketPool` defined here, not the packet: [`LinkQueue`] queues
+//! handles, and hands a by-value copy only to a custom [`Discipline`],
+//! whose trait is unchanged.
 
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
 use crate::packet::Packet;
+use crate::switch::NO_INGRESS;
 use crate::time::Time;
 
 /// How much a queue may hold before dropping.
@@ -116,77 +122,232 @@ impl Discipline for DropTail {
     }
 }
 
+/// Handle of one packet in the engine's [`PacketPool`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PktRef(u32);
+
+/// Where every packet lives from `Ctx::send` to its terminal state.
+///
+/// The engine's events and link queues carry a 4-byte [`PktRef`] instead
+/// of the 128-byte [`Packet`]: the tracer and the switch read the packet
+/// in place, and it is copied out once, when an agent takes it by value.
+/// Freed slots are reused LIFO, so the pool stays as small (and as warm
+/// in cache) as the peak number of packets in the network. Handle values
+/// never reach any output, so slot reuse cannot perturb a run.
+#[derive(Debug, Default)]
+pub(crate) struct PacketPool {
+    slots: Vec<Packet>,
+    /// Per-packet switch state riding on the handle: the PFC ingress a
+    /// shared-buffer switch attributed the packet to when it admitted
+    /// it. Written on every admission and read back on release, so a
+    /// stale value from the slot's previous packet is never observed.
+    ingress: Vec<u32>,
+    free: Vec<u32>,
+}
+
+impl PacketPool {
+    /// Pool `pkt`, returning its handle.
+    #[inline]
+    pub(crate) fn insert(&mut self, pkt: Packet) -> PktRef {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = pkt;
+                PktRef(i)
+            }
+            None => {
+                self.slots.push(pkt);
+                self.ingress.push(NO_INGRESS);
+                PktRef((self.slots.len() - 1) as u32)
+            }
+        }
+    }
+
+    /// The packet reached a terminal state: free its slot.
+    #[inline]
+    pub(crate) fn release(&mut self, h: PktRef) {
+        self.free.push(h.0);
+    }
+
+    /// Copy the packet out for its consumer and free the slot.
+    #[inline]
+    pub(crate) fn take(&mut self, h: PktRef) -> Packet {
+        self.release(h);
+        self.slots[h.0 as usize].clone()
+    }
+
+    /// The switch ingress attribution riding on `h`.
+    #[inline]
+    pub(crate) fn ingress(&self, h: PktRef) -> u32 {
+        self.ingress[h.0 as usize]
+    }
+
+    /// Attach a switch ingress attribution to `h`.
+    #[inline]
+    pub(crate) fn set_ingress(&mut self, h: PktRef, ingress: u32) {
+        self.ingress[h.0 as usize] = ingress;
+    }
+
+    /// Slots currently holding a packet.
+    pub(crate) fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
+
+impl std::ops::Index<PktRef> for PacketPool {
+    type Output = Packet;
+    #[inline]
+    fn index(&self, h: PktRef) -> &Packet {
+        &self.slots[h.0 as usize]
+    }
+}
+
+impl std::ops::IndexMut<PktRef> for PacketPool {
+    #[inline]
+    fn index_mut(&mut self, h: PktRef) -> &mut Packet {
+        &mut self.slots[h.0 as usize]
+    }
+}
+
 /// The queue installed on a link: either the ubiquitous drop-tail FIFO,
-/// stored inline and dispatched statically, or any other [`Discipline`]
-/// behind a trait object.
+/// queueing packet handles inline with static dispatch, or any other
+/// [`Discipline`] behind a trait object.
 ///
 /// Every experiment in the paper runs drop-tail on every link (ns-2's
-/// default), so the engine's per-packet `offer`/`take` calls sit on the
-/// hottest path in the repo. The enum devirtualizes that common case —
-/// no vtable indirection, no separate allocation — while [`LinkQueue::custom`]
-/// keeps RED, scripted-drop fault injection, and any future discipline
-/// pluggable at full fidelity.
+/// default), so the engine's per-packet offer/take calls sit on the
+/// hottest path in the repo. [`LinkQueue::drop_tail`] keeps that case to
+/// a 16-byte `(handle, size, enqueued_at)` ring entry — no vtable, no
+/// packet copy — while [`LinkQueue::custom`] keeps RED, scripted-drop
+/// fault injection, and any future discipline pluggable at full
+/// fidelity: the discipline is handed the packet by value, exactly as
+/// its trait says.
 #[derive(Debug)]
-pub enum LinkQueue {
-    /// Inline drop-tail FIFO (the fast path).
-    DropTail(DropTail),
-    /// Any other discipline, behind dynamic dispatch.
-    Custom(Box<dyn Discipline>),
+pub struct LinkQueue(Inner);
+
+#[derive(Debug)]
+enum Inner {
+    /// Drop-tail FIFO over handles (the fast path); same admission rule
+    /// and service order as [`DropTail`].
+    DropTail {
+        capacity: Capacity,
+        items: VecDeque<(PktRef, u32, Time)>,
+        bytes: u64,
+    },
+    /// Any other discipline. It holds by-value copies; the engine keeps
+    /// each queued packet's pool slot reserved (with the switch state
+    /// riding on it) and lists `(packet id, handle)` here, in offer
+    /// order, until the discipline gives the packet back.
+    Custom {
+        discipline: Box<dyn Discipline>,
+        custody: VecDeque<(u64, PktRef)>,
+    },
 }
 
 impl LinkQueue {
     /// A drop-tail queue of `capacity` (the devirtualized default).
     pub fn drop_tail(capacity: Capacity) -> Self {
-        LinkQueue::DropTail(DropTail::new(capacity))
+        LinkQueue(Inner::DropTail {
+            capacity,
+            items: VecDeque::new(),
+            bytes: 0,
+        })
     }
 
     /// Wrap an arbitrary discipline.
     pub fn custom(discipline: impl Discipline + 'static) -> Self {
-        LinkQueue::Custom(Box::new(discipline))
+        LinkQueue(Inner::Custom {
+            discipline: Box::new(discipline),
+            custody: VecDeque::new(),
+        })
     }
 
-    /// Offer an arriving packet (see [`Discipline::offer`]).
+    /// Offer the pooled packet `h`. Either way the caller still owns the
+    /// handle: on [`Verdict::Dropped`] it is the caller's to release.
     #[inline]
-    pub fn offer(&mut self, pkt: Packet, now: Time) -> Verdict {
-        match self {
-            LinkQueue::DropTail(q) => q.offer(pkt, now),
-            LinkQueue::Custom(q) => q.offer(pkt, now),
+    pub(crate) fn offer(&mut self, h: PktRef, pool: &PacketPool, now: Time) -> Verdict {
+        match &mut self.0 {
+            Inner::DropTail {
+                capacity,
+                items,
+                bytes,
+            } => {
+                let size = pool[h].size;
+                if capacity.admits(items.len(), *bytes, size) {
+                    *bytes += u64::from(size);
+                    items.push_back((h, size, now));
+                    Verdict::Enqueued
+                } else {
+                    Verdict::Dropped
+                }
+            }
+            Inner::Custom {
+                discipline,
+                custody,
+            } => {
+                let pkt = pool[h].clone();
+                let id = pkt.id;
+                let verdict = discipline.offer(pkt, now);
+                if verdict == Verdict::Enqueued {
+                    custody.push_back((id, h));
+                }
+                verdict
+            }
         }
     }
 
-    /// Remove the next packet to transmit (see [`Discipline::take`]).
+    /// Remove the next packet to transmit, with the time it was enqueued.
+    ///
+    /// A custom discipline returns a packet by value: it is matched to
+    /// its reserved slot by packet id (the front of the custody list for
+    /// every FIFO discipline) and written back over the slot, since a
+    /// discipline may have marked it.
     #[inline]
-    pub fn take(&mut self) -> Option<(Packet, Time)> {
-        match self {
-            LinkQueue::DropTail(q) => q.take(),
-            LinkQueue::Custom(q) => q.take(),
+    pub(crate) fn take(&mut self, pool: &mut PacketPool) -> Option<(PktRef, Time)> {
+        match &mut self.0 {
+            Inner::DropTail { items, bytes, .. } => {
+                let (h, size, at) = items.pop_front()?;
+                *bytes -= u64::from(size);
+                Some((h, at))
+            }
+            Inner::Custom {
+                discipline,
+                custody,
+            } => {
+                let (pkt, at) = discipline.take()?;
+                let pos = custody
+                    .iter()
+                    .position(|&(id, _)| id == pkt.id)
+                    .expect("discipline returned a packet it was never offered");
+                let (_, h) = custody.remove(pos).expect("position is in range");
+                pool[h] = pkt;
+                Some((h, at))
+            }
         }
     }
 
     /// Packets currently queued.
     #[inline]
     pub fn len_packets(&self) -> usize {
-        match self {
-            LinkQueue::DropTail(q) => q.len_packets(),
-            LinkQueue::Custom(q) => q.len_packets(),
+        match &self.0 {
+            Inner::DropTail { items, .. } => items.len(),
+            Inner::Custom { discipline, .. } => discipline.len_packets(),
         }
     }
 
     /// Bytes currently queued.
     #[inline]
     pub fn len_bytes(&self) -> u64 {
-        match self {
-            LinkQueue::DropTail(q) => q.len_bytes(),
-            LinkQueue::Custom(q) => q.len_bytes(),
+        match &self.0 {
+            Inner::DropTail { bytes, .. } => *bytes,
+            Inner::Custom { discipline, .. } => discipline.len_bytes(),
         }
     }
 
     /// The configured capacity.
     #[inline]
     pub fn capacity(&self) -> Capacity {
-        match self {
-            LinkQueue::DropTail(q) => q.capacity(),
-            LinkQueue::Custom(q) => q.capacity(),
+        match &self.0 {
+            Inner::DropTail { capacity, .. } => *capacity,
+            Inner::Custom { discipline, .. } => discipline.capacity(),
         }
     }
 }

@@ -30,6 +30,9 @@
 //!   binary heap. When the near tier drains, the wheel re-anchors at the
 //!   overflow's minimum and promotes everything inside the new horizon.
 //!
+//! Both tiers store `(time, seq, payload)` entries whole — there is no
+//! payload side table; an entry owns its payload from push to pop.
+//!
 //! Bucket indices are *absolute* (`time >> BUCKET_BITS`); the invariant
 //! is that every bucketed event lies in `[cursor, limit)` and every
 //! overflow event at or beyond `limit`, so the near tier always holds
@@ -48,34 +51,35 @@ const BUCKET_MASK: u64 = NUM_BUCKETS as u64 - 1;
 /// Bitmap words tracking bucket occupancy.
 const WORDS: usize = NUM_BUCKETS / 64;
 
-/// Ordering key of one scheduled item, plus its index in the item slab.
+/// One scheduled item with its ordering key.
 ///
-/// Buckets and the overflow heap move these small keys around during
-/// sorts, insertions, and sifts; the payload (a `T`, which for the
-/// simulator is a full `Event` with an inline packet) is written into
-/// the slab once at push and read once at pop.
+/// Buckets and the overflow heap hold entries whole: the payload rides
+/// inline beside its key, so a push is one write and a pop one read, with
+/// no side table to index. That is cheap because payloads are small — the
+/// simulator's `Event` is 16 bytes (packets stay in the engine's pool and
+/// events carry a 4-byte handle), making an entry 32 bytes.
 ///
-/// `seq` is the same-timestamp tie-break: the push-order counter, so
-/// simultaneous events pop FIFO.
-#[derive(Debug, Clone, Copy)]
-struct Key {
+/// Ordering looks at `(at, seq)` only. `seq` is the same-timestamp
+/// tie-break: the push-order counter, so simultaneous events pop FIFO.
+#[derive(Debug)]
+struct Entry<T> {
     at: Time,
     seq: u64,
-    idx: u32,
+    item: T,
 }
 
-impl PartialEq for Key {
+impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl Eq for Key {}
-impl PartialOrd for Key {
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Key {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
@@ -96,10 +100,7 @@ pub struct TierCounters {
 /// `seq` being the order of the `push` calls.
 #[derive(Debug)]
 pub struct TieredScheduler<T> {
-    /// Payload slab; `Key::idx` points in here. Freed slots are recycled.
-    items: Vec<Option<T>>,
-    free: Vec<u32>,
-    buckets: Vec<Vec<Key>>,
+    buckets: Vec<Vec<Entry<T>>>,
     bitmap: [u64; WORDS],
     /// Entries currently in the near tier.
     near_len: usize,
@@ -109,7 +110,7 @@ pub struct TieredScheduler<T> {
     limit: u64,
     /// Whether the bucket at `cursor` is sorted (descending).
     cur_sorted: bool,
-    overflow: BinaryHeap<Reverse<Key>>,
+    overflow: BinaryHeap<Reverse<Entry<T>>>,
     len: usize,
     /// Next sequence number.
     seq: u64,
@@ -126,8 +127,6 @@ impl<T> TieredScheduler<T> {
     /// An empty scheduler anchored at t = 0.
     pub fn new() -> Self {
         TieredScheduler {
-            items: Vec::new(),
-            free: Vec::new(),
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             bitmap: [0; WORDS],
             near_len: 0,
@@ -173,17 +172,7 @@ impl<T> TieredScheduler<T> {
         // time would let a later, earlier-timed push land below it and
         // alias a ring slot. Far pushes past a stale horizon simply take
         // the overflow heap and are promoted by `pop_if`'s rebase.
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.items[i as usize] = Some(item);
-                i
-            }
-            None => {
-                self.items.push(Some(item));
-                (self.items.len() - 1) as u32
-            }
-        };
-        let e = Key { at, seq, idx };
+        let e = Entry { at, seq, item };
         if b < self.limit {
             // A deadline-bounded pop advances the cursor to the next
             // occupied bucket before its deadline check, so a failed
@@ -257,9 +246,7 @@ impl<T> TieredScheduler<T> {
         if self.buckets[slot].is_empty() {
             self.bitmap[slot / 64] &= !(1 << (slot % 64));
         }
-        self.free.push(e.idx);
-        let item = self.items[e.idx as usize].take().expect("slab slot full");
-        Some((e.at, item))
+        Some((e.at, e.item))
     }
 
     /// Remove and return the earliest event.
@@ -294,16 +281,13 @@ impl<T> TieredScheduler<T> {
         self.buckets
             .iter()
             .flatten()
-            .map(|e| e.idx)
-            .chain(self.overflow.iter().map(|Reverse(e)| e.idx))
-            .map(|i| self.items[i as usize].as_ref().expect("slab slot full"))
+            .chain(self.overflow.iter().map(|Reverse(e)| e))
+            .map(|e| &e.item)
     }
 
     /// Remove all events and reset clocks, sequence numbers, and counters,
     /// keeping allocated capacity (for reuse across simulator instances).
     pub fn clear(&mut self) {
-        self.items.clear();
-        self.free.clear();
         for b in &mut self.buckets {
             b.clear();
         }
@@ -473,6 +457,34 @@ mod tests {
         s.push(Time::from_nanos(10), 1);
         s.push(Time::from_nanos(10), 2);
         assert_eq!(drain(&mut s), vec![(10, 1), (10, 2)]);
+    }
+
+    #[test]
+    fn entries_own_non_copy_payloads() {
+        // Entries hold their payload inline, so every path that moves or
+        // drops an entry must move or drop a `String` correctly: sorted
+        // insertion into the draining bucket, overflow promotion, a
+        // refused deadline pop, `iter`, and `clear` with items pending.
+        let mut s: TieredScheduler<String> = TieredScheduler::new();
+        s.push(Time::from_micros(300), "c".to_string());
+        s.push(Time::from_micros(100), "a".to_string());
+        s.push(Time::from_secs(10), "far".to_string());
+        assert_eq!(s.pop_if(Time::from_micros(50)), None);
+        assert_eq!(s.pop().unwrap().1, "a");
+        // Lands in the (now sorted) bucket being drained.
+        s.push(Time::from_micros(200), "b".to_string());
+        let mut seen: Vec<&str> = s.iter().map(String::as_str).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, ["b", "c", "far"]);
+        assert_eq!(s.pop().unwrap().1, "b");
+        assert_eq!(s.pop().unwrap().1, "c");
+        assert_eq!(s.pop().unwrap(), (Time::from_secs(10), "far".to_string()));
+        assert!(s.is_empty());
+        s.push(Time::from_secs(10), "dropped".to_string());
+        s.push(Time::from_secs(99), "dropped too".to_string());
+        s.clear();
+        assert_eq!(s.iter().count(), 0);
+        assert_eq!(s.pop(), None);
     }
 
     #[test]

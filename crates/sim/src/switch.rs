@@ -30,7 +30,8 @@
 //!   The probabilistic draw hashes the packet id, so marking is
 //!   deterministic.
 //! * **PFC** — per-ingress occupancy is tracked by attributing each
-//!   admitted packet to the link it arrived on. Crossing
+//!   admitted packet to the link it arrived on (the attribution rides
+//!   on the packet's pool handle until its bytes are released). Crossing
 //!   [`PfcSpec::xoff_bytes`] sends a PAUSE upstream (taking effect one
 //!   propagation delay later); falling to [`PfcSpec::xon_bytes`]
 //!   resumes. A paused link finishes the frame in flight but starts no
@@ -45,8 +46,6 @@
 //! Determinism contract: admission, marking, pause edges, and watchdog
 //! drains are pure functions of the (deterministic) event order and
 //! packet contents.
-
-use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -276,17 +275,16 @@ pub(crate) enum PfcEdge {
 pub(crate) enum AdmitOutcome {
     /// DT/pool rejection: the caller drops the packet.
     Rejected,
-    /// Admitted (and accounted); possibly with a pause edge to emit.
-    Admitted(Option<PfcEdge>),
-}
-
-/// In-pool attribution of one packet id: which ingress it arrived on
-/// and how many identical copies are pooled (fault-plane duplicates
-/// share ids).
-#[derive(Debug, Clone, Copy)]
-struct PoolEntry {
-    ingress: u32,
-    count: u32,
+    /// Admitted (and accounted).
+    Admitted {
+        /// Index of the ingress the packet's bytes were attributed to,
+        /// or [`NO_INGRESS`]. The caller keeps it with the packet (it
+        /// rides on the packet's pool handle) and passes it back to
+        /// [`SwitchState::release`].
+        ingress: u32,
+        /// A pause edge to emit, if admission crossed the threshold.
+        edge: Option<PfcEdge>,
+    },
 }
 
 /// Engine-side runtime state of one installed switch.
@@ -296,12 +294,14 @@ pub(crate) struct SwitchState {
     buffer: SharedBuffer,
     /// Egress links of this node, ascending id (port index order).
     egress: Vec<LinkId>,
-    /// Egress link id → port index.
-    port_of: HashMap<u32, usize>,
+    /// Link id → egress port index, dense over the topology's links
+    /// ([`NO_PORT`] for links that do not leave this node).
+    port_of: Vec<u32>,
     /// Ingress links of this node, ascending id.
     ingress: Vec<LinkId>,
-    /// Ingress link id → ingress index.
-    ing_of: HashMap<u32, usize>,
+    /// Link id → ingress index, dense over the topology's links
+    /// ([`NO_INGRESS`] for links that do not enter this node).
+    ing_of: Vec<u32>,
     /// Pooled bytes attributed to each ingress.
     ing_bytes: Vec<u64>,
     /// Whether an XOFF is outstanding toward each ingress.
@@ -309,12 +309,13 @@ pub(crate) struct SwitchState {
     /// Per-ingress pause-edge counter: bumped on every XOFF and XON
     /// decision. The value at an XOFF is that pause's watchdog epoch.
     pause_seq: Vec<u64>,
-    /// Packet id → ingress attribution for pooled packets.
-    in_pool: HashMap<u64, PoolEntry>,
     pub(crate) stats: SwitchStats,
 }
 
-const NO_INGRESS: u32 = u32::MAX;
+/// "Not attributed to any ingress": the packet was injected by a local
+/// agent, or the switch runs without PFC.
+pub(crate) const NO_INGRESS: u32 = u32::MAX;
+const NO_PORT: u32 = u32::MAX;
 
 impl SwitchState {
     pub(crate) fn new(node: NodeId, spec: SwitchSpec, topology: &Topology) -> Self {
@@ -327,16 +328,18 @@ impl SwitchState {
         }
         let mut egress = Vec::new();
         let mut ingress = Vec::new();
+        let mut port_of = vec![NO_PORT; topology.links().len()];
+        let mut ing_of = vec![NO_INGRESS; topology.links().len()];
         for (idx, l) in topology.links().iter().enumerate() {
             if l.from == node {
+                port_of[idx] = egress.len() as u32;
                 egress.push(LinkId(idx as u32));
             }
             if l.to == node {
+                ing_of[idx] = ingress.len() as u32;
                 ingress.push(LinkId(idx as u32));
             }
         }
-        let port_of = egress.iter().enumerate().map(|(i, l)| (l.0, i)).collect();
-        let ing_of = ingress.iter().enumerate().map(|(i, l)| (l.0, i)).collect();
         let n_ing = ingress.len();
         SwitchState {
             buffer: SharedBuffer::new(spec.pool_bytes, spec.dt_alpha, egress.len()),
@@ -348,7 +351,6 @@ impl SwitchState {
             ing_bytes: vec![0; n_ing],
             ing_paused: vec![false; n_ing],
             pause_seq: vec![0; n_ing],
-            in_pool: HashMap::new(),
             stats: SwitchStats::default(),
         }
     }
@@ -357,7 +359,7 @@ impl SwitchState {
     /// admission. On success the packet is accounted (and possibly
     /// CE-marked in place) and an XOFF edge may be returned.
     pub(crate) fn admit(&mut self, egress: LinkId, via: LinkId, pkt: &mut Packet) -> AdmitOutcome {
-        let port = self.port_of[&egress.0];
+        let port = self.port(egress);
         let queued = self.buffer.port_bytes(port);
         if !self.buffer.try_admit(port, pkt.size) {
             self.stats.shared_drops += 1;
@@ -370,16 +372,11 @@ impl SwitchState {
                 self.stats.ecn_marked += 1;
             }
         }
+        let mut ingress = NO_INGRESS;
         let mut edge = None;
         if let Some(pfc) = &self.spec.pfc {
-            if let Some(&i) = self.ing_of.get(&via.0) {
-                self.in_pool
-                    .entry(pkt.id)
-                    .and_modify(|e| e.count += 1)
-                    .or_insert(PoolEntry {
-                        ingress: i as u32,
-                        count: 1,
-                    });
+            if let Some(i) = self.ingress_index(via) {
+                ingress = i as u32;
                 self.ing_bytes[i] += u64::from(pkt.size);
                 if !self.ing_paused[i] && self.ing_bytes[i] >= pfc.xoff_bytes {
                     self.ing_paused[i] = true;
@@ -393,16 +390,34 @@ impl SwitchState {
                 }
             }
         }
-        AdmitOutcome::Admitted(edge)
+        AdmitOutcome::Admitted { ingress, edge }
     }
 
-    /// Release a pooled packet (it started serializing on `egress`, or
-    /// the egress queue refused it after admission). May return an XON
-    /// edge when the packet's ingress falls to the resume threshold.
-    pub(crate) fn release(&mut self, egress: LinkId, pkt: &Packet) -> Option<PfcEdge> {
-        let port = self.port_of[&egress.0];
-        self.buffer.release(port, pkt.size);
-        let i = self.detach_ingress(pkt)?;
+    /// Port index of `egress`, which must leave this node.
+    #[inline]
+    fn port(&self, egress: LinkId) -> usize {
+        let port = self.port_of[egress.0 as usize];
+        debug_assert!(port != NO_PORT, "{egress} is not an egress of this switch");
+        port as usize
+    }
+
+    /// Ingress index of `link`, if it enters this node (the engine's
+    /// "no inbound link" sentinel is out of range and maps to `None`).
+    #[inline]
+    fn ingress_index(&self, link: LinkId) -> Option<usize> {
+        match self.ing_of.get(link.0 as usize) {
+            Some(&i) if i != NO_INGRESS => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    /// Release `size` pooled bytes admitted on `egress` with attribution
+    /// `ingress` (the packet started serializing, the egress queue
+    /// refused it after admission, or a fault-plane drain destroyed it).
+    /// May return an XON edge when the packet's ingress falls to the
+    /// resume threshold.
+    pub(crate) fn release(&mut self, egress: LinkId, size: u32, ingress: u32) -> Option<PfcEdge> {
+        let i = self.detach(egress, size, ingress)?;
         let pfc = self.spec.pfc.as_ref()?;
         if self.ing_paused[i] && self.ing_bytes[i] <= pfc.xon_bytes {
             self.ing_paused[i] = false;
@@ -415,27 +430,24 @@ impl SwitchState {
         None
     }
 
-    /// Remove one pooled copy of `pkt` from its ingress attribution,
-    /// returning the ingress index (if the packet was attributed).
-    fn detach_ingress(&mut self, pkt: &Packet) -> Option<usize> {
-        let e = self.in_pool.get_mut(&pkt.id)?;
-        let i = e.ingress as usize;
-        e.count -= 1;
-        if e.count == 0 {
-            self.in_pool.remove(&pkt.id);
+    /// Give `size` bytes back to the pool and to their ingress
+    /// attribution, returning the ingress index (if attributed).
+    fn detach(&mut self, egress: LinkId, size: u32, ingress: u32) -> Option<usize> {
+        let port = self.port(egress);
+        self.buffer.release(port, size);
+        if ingress == NO_INGRESS {
+            return None;
         }
-        debug_assert!(i != NO_INGRESS as usize);
-        self.ing_bytes[i] -= u64::from(pkt.size);
+        let i = ingress as usize;
+        self.ing_bytes[i] -= u64::from(size);
         Some(i)
     }
 
     /// Whether the watchdog timer `(link, epoch)` is still valid: the
     /// ingress has been continuously paused since the XOFF that armed it.
     pub(crate) fn watchdog_pending(&self, link: LinkId, epoch: u64) -> bool {
-        match self.ing_of.get(&link.0) {
-            Some(&i) => self.ing_paused[i] && self.pause_seq[i] == epoch,
-            None => false,
-        }
+        self.ingress_index(link)
+            .is_some_and(|i| self.ing_paused[i] && self.pause_seq[i] == epoch)
     }
 
     /// Count one watchdog firing (a pause storm declared).
@@ -444,10 +456,8 @@ impl SwitchState {
     }
 
     /// Release accounting for a packet destroyed by a watchdog drain.
-    pub(crate) fn drain_release(&mut self, egress: LinkId, pkt: &Packet) {
-        let port = self.port_of[&egress.0];
-        self.buffer.release(port, pkt.size);
-        self.detach_ingress(pkt);
+    pub(crate) fn drain_release(&mut self, egress: LinkId, size: u32, ingress: u32) {
+        self.detach(egress, size, ingress);
         self.stats.pfc_dropped += 1;
     }
 
@@ -475,7 +485,13 @@ impl SwitchState {
 
     /// Pooled bytes attributed to ingress `link` (0 if not an ingress).
     pub(crate) fn ingress_bytes(&self, link: LinkId) -> u64 {
-        self.ing_of.get(&link.0).map_or(0, |&i| self.ing_bytes[i])
+        self.ingress_index(link).map_or(0, |i| self.ing_bytes[i])
+    }
+
+    /// Bytes this switch holds right now: `(shared pool total, sum of
+    /// the per-ingress attributions)`.
+    pub(crate) fn occupancy(&self) -> (u64, u64) {
+        (self.buffer.total_bytes(), self.ing_bytes.iter().sum())
     }
 
     /// Egress links of this switch, ascending id.

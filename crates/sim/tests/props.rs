@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use phi_sim::engine::{packet_to, Agent, Ctx, Simulator};
 use phi_sim::faults::{DownPolicy, ImpairmentPlan, LossModel};
 use phi_sim::packet::{Flags, FlowId, LinkId, NodeId, Packet, SackBlocks};
-use phi_sim::queue::{Capacity, Discipline, DropTail, Verdict};
+use phi_sim::queue::{Capacity, Discipline, DisciplineSpec, DropTail, Verdict};
 use phi_sim::sched::TieredScheduler;
 use phi_sim::stats::{OnlineStats, RollingUtil};
 use phi_sim::time::{Dur, Time};
@@ -625,5 +625,85 @@ proptest! {
         if stats.pauses > 0 {
             prop_assert!(census.paused_ns > 0, "paused links must accrue paused_ns");
         }
+    }
+}
+
+/// A chaos plan on a switch egress, with the knobs that decide which of
+/// the engine's packet-release paths run.
+#[derive(Debug, Clone)]
+struct PoolCase {
+    chaos: ChaosCase,
+    pfc: bool,
+    red: bool,
+    pool_bytes: u64,
+}
+
+fn pool_case() -> impl Strategy<Value = PoolCase> {
+    (chaos_case(), any::<bool>(), any::<bool>(), 8_000u64..80_000).prop_map(
+        |(chaos, pfc, red, pool_bytes)| PoolCase {
+            chaos,
+            pfc,
+            red,
+            pool_bytes,
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Packet-pool conservation: a pool slot is live exactly while its
+    /// packet is queued or in flight, whichever way packets leave — agent
+    /// delivery, queue drop (drop-tail or RED refusing after admission),
+    /// switch rejection, every fault-plane fate including a down-edge
+    /// drain of a switch egress, and duplication minting copies. After a
+    /// drained run nothing is live and the switch holds no bytes.
+    #[test]
+    fn packet_pool_tracks_the_census_on_every_release_path(case in pool_case()) {
+        let mut b = TopologyBuilder::new();
+        let a = b.add_node();
+        let s = b.add_node();
+        let z = b.add_node();
+        b.add_duplex(a, s, 100_000_000, Dur::from_micros(50), Capacity::Packets(1_000));
+        let (egress, _) = b.add_duplex(s, z, 2_000_000, Dur::from_millis(1), Capacity::Packets(12));
+        let mut sim = Simulator::with_disciplines(b.build(), |id, spec| {
+            if case.red && id == egress {
+                DisciplineSpec::RedGentle.build(spec.capacity)
+            } else {
+                DisciplineSpec::DropTail.build(spec.capacity)
+            }
+        });
+        let mut spec = SwitchSpec::shared(case.pool_bytes).with_alpha(4.0);
+        if case.pfc {
+            spec = spec.with_pfc(PfcSpec {
+                xoff_bytes: case.pool_bytes / 4,
+                xon_bytes: case.pool_bytes / 8,
+                watchdog: Dur::from_millis(300),
+            });
+        }
+        sim.install_switch(s, spec);
+        sim.install_impairments(egress, build_plan(&case.chaos), &SeedRng::new(case.chaos.seed));
+        sim.add_agent(a, 1, Box::new(Blaster {
+            peer: z,
+            count: case.chaos.count,
+            gap: Dur::from_micros(case.chaos.gap_us),
+            sent: 0,
+        }));
+        sim.add_agent(z, 2, Box::new(Sink::default()));
+
+        for ms in [20u64, 90, 260] {
+            sim.run_until(Time::from_millis(ms));
+            let c = sim.packet_census();
+            prop_assert!(c.conserved(), "mid-run t={ms}ms: {c:?}");
+            prop_assert_eq!(sim.live_packets(), c.outstanding(), "t={}ms: {:?}", ms, c);
+        }
+        sim.run_to_completion();
+        let c = sim.packet_census();
+        prop_assert!(c.conserved(), "completion: {c:?}");
+        prop_assert_eq!(c.outstanding(), 0, "packets stuck: {:?}", c);
+        prop_assert_eq!(sim.live_packets(), 0, "pool slots leaked: {:?}", c);
+        prop_assert_eq!(sim.switch_occupancy(s), (0, 0), "switch bytes leaked");
+        let stats = sim.switch_stats(s);
+        prop_assert_eq!(stats.pauses, stats.resumes, "unbalanced XOFF/XON: {:?}", stats);
     }
 }
