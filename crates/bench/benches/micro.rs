@@ -119,6 +119,32 @@ fn bench_store(c: &mut Criterion) {
         }
         b.iter(|| cycle(true))
     });
+    // `phi-benchmark`'s `ctx_hot_lookup` seen from one of its paths: 40 000
+    // reports in a 1 s window, flows of 50 ms–2 s so that a quarter of
+    // them have yet to begin at the window's edge, capacity configured so
+    // a report asks nothing, and one question per 128 reports. The row is
+    // the whole cycle: 128 reports and the lookup that takes them in.
+    g.bench_function("hot_path_128_reports_1_lookup", |b| {
+        let mut store = ContextStore::new(StoreConfig {
+            window_ns: 1_000_000_000,
+            capacity_bps: Some(4e9),
+            ..StoreConfig::default()
+        });
+        let mut rng = SeedRng::new(11);
+        let mut t = 0u64;
+        let mut cycle = || {
+            for _ in 0..128 {
+                t += 25_000;
+                let dur = rng.range_u64(50_000_000, 2_000_000_000);
+                store.report(PathKey(1), t, &summary(dur));
+            }
+            store.lookup(PathKey(1), t)
+        };
+        for _ in 0..2 * 40_000 / 128 {
+            cycle();
+        }
+        b.iter(&mut cycle)
+    });
     g.finish();
 }
 

@@ -22,7 +22,7 @@
 //! `exp_ablation` bench.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use phi_tcp::hook::ContextSnapshot;
 use serde::{Deserialize, Serialize};
@@ -94,6 +94,136 @@ fn terms(end: u64, bytes: u64, dur: u64) -> Option<(u128, u128, u128)> {
     Some((bits, bits / u128::from(dur), start))
 }
 
+/// How many entries a [`StartQueue`] keeps in its one sorted run before it
+/// spreads them over buckets: below this an insertion moves less memory
+/// than a bucket costs to allocate, and a shallow path's whole queue is
+/// one `Vec`.
+const ONE_RUN: usize = 32;
+
+/// A [`StartQueue`] entry: a report's start, and its rate as low and high
+/// half — 24 bytes, where a `u128`'s alignment would make it 32.
+type Waiting = (u64, [u64; 2]);
+
+fn halves(rate: u128) -> [u64; 2] {
+    [rate as u64, (rate >> 64) as u64]
+}
+
+/// Reports that have not begun by the horizon, as `(start, rate)`.
+///
+/// Starts arrive in no order and leave in order, by a horizon that only
+/// moves forward, into sums that do not care in which order they are
+/// added. So entries wait *unsorted* in buckets of start time, and only
+/// the bucket the horizon is in is ever sorted — once, when the horizon
+/// enters it. A push is an append and a pop is a `Vec::pop`, however many
+/// wait.
+#[derive(Debug, Clone)]
+struct StartQueue {
+    /// A bucket is `2^shift` ns of start time: the window split into 256,
+    /// rounded up to a power of two (2²² ns ≈ 4.2 ms for a 1 s window).
+    /// Waiting starts lie within one window of the horizon, so there are
+    /// never more than 258 buckets, and at 40 000 reports a second the one
+    /// being sorted holds about 80 entries.
+    shift: u32,
+    /// Every entry of bucket `reach` and below, latest start first.
+    front: Vec<Waiting>,
+    reach: u64,
+    /// The buckets after `reach` in arrival order: `later[i]` is bucket
+    /// `reach + 1 + i`, and the last one is never empty.
+    later: VecDeque<Vec<Waiting>>,
+}
+
+impl StartQueue {
+    fn new(window_ns: u64) -> Self {
+        StartQueue {
+            shift: u64::BITS - (window_ns >> 8).leading_zeros(),
+            front: Vec::new(),
+            reach: 0,
+            later: VecDeque::new(),
+        }
+    }
+
+    fn push(&mut self, start: u64, rate: u128) {
+        let bucket = start >> self.shift;
+        if bucket > self.reach {
+            if !self.later.is_empty() || self.front.len() >= ONE_RUN {
+                return self.file(bucket, (start, halves(rate)));
+            }
+            // Nothing is bucketed and the run is short: it reaches further.
+            self.reach = bucket;
+        }
+        let at = self.front.partition_point(|&(s, _)| s > start);
+        self.front.insert(at, (start, halves(rate)));
+        if self.front.len() > ONE_RUN {
+            self.spill();
+        }
+    }
+
+    /// Append to a bucket after `reach`.
+    fn file(&mut self, bucket: u64, entry: Waiting) {
+        let i = (bucket - self.reach - 1) as usize;
+        if i >= self.later.len() {
+            self.later.resize_with(i + 1, Vec::new);
+        }
+        self.later[i].push(entry);
+    }
+
+    /// Hand the run over to buckets: keep the earliest bucket in `front`
+    /// and file the rest under `later`. A run of one bucket stays.
+    #[cold]
+    fn spill(&mut self) {
+        let &(earliest, _) = self.front.last().expect("a run over the limit");
+        let reach = earliest >> self.shift;
+        if self.front[0].0 >> self.shift == reach {
+            return;
+        }
+        // `later[0]` is still to be the bucket after `reach`.
+        if !self.later.is_empty() {
+            for _ in reach..self.reach {
+                self.later.push_front(Vec::new());
+            }
+        }
+        self.reach = reach;
+        let keep_from = self
+            .front
+            .partition_point(|&(start, _)| start >> self.shift > self.reach);
+        let kept = self.front.split_off(keep_from);
+        for entry in std::mem::replace(&mut self.front, kept) {
+            self.file(entry.0 >> self.shift, entry);
+        }
+    }
+
+    /// Remove every entry with `start <= h` and return what they add to
+    /// [`RateIndex`]'s `slope` and `offset`: Σ rate and Σ rate·start.
+    fn take_begun(&mut self, h: u64) -> (u128, u128) {
+        let (mut slope, mut offset) = (0u128, 0u128);
+        loop {
+            while let Some(&(start, rate)) = self.front.last() {
+                if start > h {
+                    return (slope, offset);
+                }
+                self.front.pop();
+                let rate = u128::from(rate[0]) | u128::from(rate[1]) << 64;
+                slope = slope.wrapping_add(rate);
+                offset = offset.wrapping_add(rate.wrapping_mul(u128::from(start)));
+            }
+            // The run is used up: the next bucket becomes the run, if the
+            // horizon has reached it.
+            let horizon_in = h >> self.shift;
+            if self.later.is_empty() || self.reach >= horizon_in {
+                return (slope, offset);
+            }
+            self.reach += 1;
+            self.front = self.later.pop_front().expect("checked above");
+            // A bucket wholly behind the horizon leaves in one go, in any
+            // order; only one the horizon stands in is popped in part.
+            if self.reach == horizon_in {
+                self.front
+                    .sort_unstable_by_key(|&(start, _)| Reverse(start));
+            }
+        }
+    }
+}
+
 /// Running sums that answer "bits delivered after `horizon`" without
 /// walking the window (DESIGN.md, "Windowed-rate index").
 ///
@@ -107,7 +237,7 @@ fn terms(end: u64, bytes: u64, dur: u64) -> Option<(u128, u128, u128)> {
 ///
 /// Derived from [`PathState::recent`] alone and rebuilt from it on demand:
 /// never serialized, never compared.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct RateIndex {
     /// Horizon the sums stand at; it only moves forward.
     horizon: u64,
@@ -121,12 +251,24 @@ struct RateIndex {
     /// Σ rate and Σ rate·start over those of them that began by `horizon`.
     slope: u128,
     offset: u128,
-    /// The others — `(start, rate)`, earliest start first — waiting for
-    /// the horizon to reach them.
-    pending: BinaryHeap<Reverse<(u64, u128)>>,
+    /// The others, waiting for the horizon to reach them.
+    pending: StartQueue,
 }
 
 impl RateIndex {
+    /// The index of an empty window, its horizon at time zero.
+    fn new(window_ns: u64) -> Self {
+        RateIndex {
+            horizon: 0,
+            expired: 0,
+            classified: 0,
+            total: 0,
+            slope: 0,
+            offset: 0,
+            pending: StartQueue::new(window_ns),
+        }
+    }
+
     fn straddle(&mut self, rate: u128, start: u128) {
         self.slope = self.slope.wrapping_add(rate);
         self.offset = self.offset.wrapping_add(rate.wrapping_mul(start));
@@ -137,13 +279,9 @@ impl RateIndex {
     fn advance(&mut self, recent: &VecDeque<(u64, u64, u64)>, h: u64) {
         debug_assert!(h >= self.horizon, "the index cannot move back");
         self.horizon = h;
-        while let Some(&Reverse((start, rate))) = self.pending.peek() {
-            if start > h {
-                break;
-            }
-            self.pending.pop();
-            self.straddle(rate, u128::from(start));
-        }
+        let (slope, offset) = self.pending.take_begun(h);
+        self.slope = self.slope.wrapping_add(slope);
+        self.offset = self.offset.wrapping_add(offset);
         for &(end, bytes, dur) in recent.range(self.expired..self.classified) {
             if end > h {
                 break;
@@ -175,7 +313,7 @@ impl RateIndex {
             };
             self.total = self.total.wrapping_add(bits);
             match end.checked_sub(dur) {
-                Some(begins) if begins > h => self.pending.push(Reverse((begins, rate))),
+                Some(begins) if begins > h => self.pending.push(begins, rate),
                 _ => self.straddle(rate, start),
             }
         }
@@ -277,7 +415,9 @@ impl PathState {
         if self.index.as_ref().is_some_and(|ix| horizon < ix.horizon) {
             self.index = None;
         }
-        let ix = self.index.get_or_insert_with(Box::default);
+        let ix = self
+            .index
+            .get_or_insert_with(|| Box::new(RateIndex::new(window_ns)));
         ix.advance(&self.recent, horizon);
         ix.classify(&self.recent);
         let bits = ix.bits_in_window() as f64 / (1u64 << FRAC_BITS) as f64;
@@ -287,12 +427,18 @@ impl PathState {
 
     /// Forget the reports that ended at or before `horizon`.
     fn prune(&mut self, horizon: u64) {
-        // The index must have let go of a report before the deque does.
-        if let Some(ix) = &mut self.index {
-            if horizon > ix.horizon {
-                ix.advance(&self.recent, horizon);
-            }
+        // Few paths carry an index; what it costs to keep one — and to
+        // drop one — stays out of `report`'s straight line.
+        if self.index.is_some() {
+            self.prune_indexed(horizon);
+        } else {
+            self.forget(horizon);
         }
+    }
+
+    /// Pop the reports that ended at or before `horizon`; how many.
+    #[inline]
+    fn forget(&mut self, horizon: u64) -> usize {
         let mut popped = 0;
         while matches!(self.recent.front(), Some(&(end, _, _)) if end <= horizon) {
             self.recent.pop_front();
@@ -301,16 +447,28 @@ impl PathState {
         if self.recent.is_empty() {
             self.clock = 0;
         }
-        if let Some(ix) = &mut self.index {
-            ix.expired = ix.expired.saturating_sub(popped);
-            ix.classified = ix.classified.saturating_sub(popped);
-            // Keeping the index current costs a report about what
-            // classifying one costs a question. Once as many reports wait
-            // for it as it still holds, the next question would rather
-            // start over — and until then reports stay push + prune.
-            if ix.classified - ix.expired <= self.recent.len() - ix.classified {
-                self.index = None;
-            }
+        popped
+    }
+
+    /// [`PathState::prune`] for a path that carries an index.
+    #[inline(never)]
+    fn prune_indexed(&mut self, horizon: u64) {
+        let Some(mut ix) = self.index.take() else {
+            return;
+        };
+        // The index must have let go of a report before the deque does.
+        if horizon > ix.horizon {
+            ix.advance(&self.recent, horizon);
+        }
+        let popped = self.forget(horizon);
+        ix.expired = ix.expired.saturating_sub(popped);
+        ix.classified = ix.classified.saturating_sub(popped);
+        // Keeping the index current costs a report about what classifying
+        // one costs a question. Once as many reports wait for it as it
+        // still holds, the next question would rather start over — and
+        // until then reports stay push + prune.
+        if ix.classified - ix.expired > self.recent.len() - ix.classified {
+            self.index = Some(ix);
         }
     }
 
@@ -565,6 +723,12 @@ impl ContextStore {
         };
         let queue_alpha = r.f64()?;
         let n_paths = r.u32()? as usize;
+        // The count comes off the wire (`SnapshotSync` carries a blob from
+        // any peer): never allocate for more paths than the remaining
+        // bytes could hold, at 41 bytes for a path with nothing optional.
+        if r.remaining() < n_paths.saturating_mul(41) {
+            return Err(SnapshotError::Truncated);
+        }
         let mut paths = HashMap::with_capacity(n_paths);
         for _ in 0..n_paths {
             let key = PathKey(r.u64()?);
@@ -704,6 +868,7 @@ impl SnapReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phi_workload::SeedRng;
 
     const SEC: u64 = 1_000_000_000;
 
@@ -929,6 +1094,22 @@ mod tests {
     }
 
     #[test]
+    fn a_path_count_the_blob_cannot_hold_is_truncation_not_an_allocation() {
+        // 30 bytes: an empty store's header, its path count overwritten.
+        let mut blob = ContextStore::new(StoreConfig::default()).encode_snapshot(1);
+        let count_at = blob.len() - 4;
+        for claimed in [u32::MAX, 1] {
+            blob[count_at..].copy_from_slice(&claimed.to_be_bytes());
+            assert_eq!(
+                ContextStore::decode_snapshot(&blob),
+                Err(SnapshotError::Truncated),
+                "{claimed} paths in {} bytes",
+                blob.len()
+            );
+        }
+    }
+
+    #[test]
     fn trailing_bytes_rejected() {
         let mut blob = populated_store().encode_snapshot(3);
         blob.push(0);
@@ -992,6 +1173,50 @@ mod tests {
         for t in 1..=30 {
             learning.report(p, t * SEC, &summary(1_000_000, 1.0, 160.0, 150.0));
             assert!(learning.paths[&p].index.is_some());
+        }
+    }
+
+    #[test]
+    fn start_queue_hands_over_exactly_what_has_begun() {
+        // Against a plain list: bursts of pushes up to a window ahead of
+        // the horizon, then a step of the horizon — none, within a bucket,
+        // over many buckets, now and then past everything.
+        let mut rng = SeedRng::new(5);
+        for window in [1_000, SEC, 10 * SEC] {
+            let mut q = StartQueue::new(window);
+            let mut waiting: Vec<(u64, u128)> = Vec::new();
+            let mut h = 0;
+            for round in 0..600 {
+                // Near the horizon, then further out: the run of the
+                // first few is outreached before and after it fills.
+                let ahead = [window / 64 + 1, window / 4 + 1, window][round % 3];
+                for _ in 0..rng.range_u64(0, 24) {
+                    let start = h + 1 + rng.range_u64(0, ahead);
+                    let rate = u128::from(rng.range_u64(1, u64::MAX)) << 50;
+                    q.push(start, rate);
+                    waiting.push((start, rate));
+                }
+                h += match round % 20 {
+                    0..=3 => 0,
+                    4..=11 => rng.range_u64(0, window / 300 + 1),
+                    12..=18 => rng.range_u64(0, window / 10),
+                    _ => rng.range_u64(0, 2 * window),
+                };
+                let (mut slope, mut offset) = (0u128, 0u128);
+                waiting.retain(|&(start, rate)| {
+                    if start <= h {
+                        slope = slope.wrapping_add(rate);
+                        offset = offset.wrapping_add(rate.wrapping_mul(u128::from(start)));
+                    }
+                    start > h
+                });
+                assert_eq!(q.take_begun(h), (slope, offset), "round {round}");
+                let held = q.front.len() + q.later.iter().map(Vec::len).sum::<usize>();
+                assert_eq!(held, waiting.len(), "round {round}");
+                assert!(q.front.is_sorted_by_key(|&(start, _)| Reverse(start)));
+                assert!(q.later.len() <= 258, "{} buckets", q.later.len());
+                assert!(q.later.back().is_none_or(|last| !last.is_empty()));
+            }
         }
     }
 

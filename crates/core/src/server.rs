@@ -2503,6 +2503,39 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_claiming_more_paths_than_it_holds_is_a_bad_request() {
+        // Any peer can send a sync frame with a high epoch. One whose path
+        // count is `u32::MAX` used to end the process in `with_capacity`.
+        let (server, addr) = start_ha_server(HaOptions::default());
+        let mut blob = ContextStore::new(StoreConfig::default()).encode_snapshot(9);
+        let count_at = blob.len() - 4;
+        blob[count_at..].copy_from_slice(&u32::MAX.to_be_bytes());
+        let mut c = ContextClient::connect(addr).expect("connect");
+        let frames = [
+            Message::SnapshotSync {
+                epoch: 9,
+                blob: blob.clone(),
+            },
+            Message::ShardSnapshotSync {
+                shard: 0,
+                epoch: 9,
+                blob,
+            },
+        ];
+        for frame in &frames {
+            match c.request(frame) {
+                Ok(Message::Error { code: c, .. }) => assert_eq!(c, code::BAD_REQUEST),
+                other => panic!("expected 400 for the oversized count, got {other:?}"),
+            }
+        }
+        // Nothing was applied, and the same connection still serves.
+        assert_eq!(server.epoch_of(0), 1);
+        assert_eq!(server.role_of(0), Role::Primary);
+        c.lookup(PathKey(1)).expect("lookup after rejected syncs");
+        server.shutdown();
+    }
+
+    #[test]
     fn whole_store_sync_still_unsupported_on_sharded_server() {
         // The legacy frame keeps its 501 on multi-shard receivers — a
         // whole-store blob cannot be split across shards — but the

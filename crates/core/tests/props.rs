@@ -235,6 +235,62 @@ fn rate_trace(steps: &[RateStep], t0: u64) -> Vec<(u8, u64, u64, u64, u64)> {
         .collect()
 }
 
+/// One step of a deep single-path trace, before its times are worked
+/// out: `(kind, gap, bytes, duration class, position in the class)`.
+/// Kinds 0–5 report, 6 looks up, 7 peeks.
+type DeepStep = (u8, f64, u64, f64, f64);
+
+/// Width of the rate index's buckets of waiting starts under [`W`]: the
+/// window split into 256, rounded up to a power of two.
+const BUCKET: u64 = 1 << 26;
+
+/// A trace that keeps hundreds of reports waiting for the horizon on one
+/// path, so the index's queue of them works in buckets (`arb_rate_steps`
+/// rarely leaves it more than its one sorted run holds). In the form
+/// `rate_step` takes: steps of up to 20 ms, now and then none, a step back, a
+/// landing within a nanosecond of a bucket edge, an idle gap of many
+/// buckets or of whole windows; durations of nothing, a sliver, anywhere
+/// in the window, `W − ε` (a start in the horizon's own bucket), the
+/// previous report's start exactly, and longer than the window or time.
+fn deep_trace(steps: &[DeepStep]) -> Vec<(u8, u64, u64, u64, u64)> {
+    let (mut now, mut latest, mut prev_start) = (0u64, 0u64, 0u64);
+    // `x` of `lo..hi` mapped onto `from..from + width`.
+    let within = |x: f64, lo: f64, hi: f64, from: u64, width: u64| {
+        from + ((x - lo) / (hi - lo) * width as f64) as u64
+    };
+    steps
+        .iter()
+        .map(|&(kind, gap, bytes, class, at)| {
+            now = match gap {
+                g if g < 0.003 => now + within(g, 0.0, 0.003, W, 2 * W),
+                g if g < 0.02 => now + within(g, 0.003, 0.02, 300_000_000, 2_700_000_000),
+                g if g < 0.05 => (now / BUCKET + 1) * BUCKET - 1 + within(g, 0.02, 0.05, 0, 3),
+                g if g < 0.10 => now,
+                g if g < 0.13 => now.saturating_sub(within(g, 0.10, 0.13, 0, 50_000_000)),
+                g => now + within(g, 0.13, 1.0, 1, 20_000_000),
+            };
+            latest = latest.max(now);
+            let dur = match class {
+                c if c < 0.05 => 0,
+                c if c < 0.35 => within(at, 0.0, 1.0, 100_000, 100_000_000),
+                c if c < 0.65 => within(at, 0.0, 1.0, 1, W),
+                c if c < 0.80 => W - within(at, 0.0, 1.0, 0, BUCKET),
+                c if c < 0.88 => latest.saturating_sub(prev_start).max(1),
+                c if c < 0.96 => within(at, 0.0, 1.0, W, 2 * W),
+                _ => within(at, 0.0, 1.0, latest + 1, W),
+            };
+            match kind {
+                0..=5 => {
+                    prev_start = latest.saturating_sub(dur);
+                    (0, 0, now, bytes, dur)
+                }
+                6 => (2, 0, now, bytes, dur),
+                _ => (3, 0, now, bytes, dur),
+            }
+        })
+        .collect()
+}
+
 fn sized(bytes: u64, duration_ns: u64) -> FlowSummary {
     FlowSummary {
         bytes,
@@ -534,6 +590,31 @@ proptest! {
                     prop_assert!(verdict.is_ok(), "{:?} (capacity {:?})", verdict, capacity);
                 } else {
                     scan.report(path, now, bytes, dur);
+                }
+            }
+        }
+    }
+
+    /// The same against a deep window on one path, where the reports
+    /// waiting for the horizon are kept in buckets of start time.
+    #[test]
+    fn rate_index_matches_the_scan_when_deep(
+        steps in proptest::collection::vec(
+            (0u8..8, 0.0f64..1.0, 1_000u64..50_000_000, 0.0f64..1.0, 0.0f64..1.0),
+            400..1_500,
+        ),
+    ) {
+        for capacity in [Some(10_000_000.0), None] {
+            let mut store = ContextStore::new(rate_cfg(capacity));
+            let mut scan = ScanModel::new(W, capacity);
+            for op in deep_trace(&steps) {
+                let (_, _, now, bytes, dur) = op;
+                if let Some(u) = rate_step(&mut store, op, 0) {
+                    prop_assert!((0.0..=1.0).contains(&u), "utilization {}", u);
+                    let verdict = scan.check(0, now, u);
+                    prop_assert!(verdict.is_ok(), "{:?} (capacity {:?})", verdict, capacity);
+                } else {
+                    scan.report(0, now, bytes, dur);
                 }
             }
         }

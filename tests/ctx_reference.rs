@@ -74,7 +74,55 @@ fn recorded_ops() -> Vec<Op> {
         ops.push(Op::Lookup(path, 7 * W + W / 2));
         ops.push(Op::Peek(path, 8 * W + W / 4));
     }
+    bucket_edges(&mut ops, 9 * W);
     ops
+}
+
+/// The edges of the index's buckets of waiting starts — 2²² ns wide under
+/// a 1 s window — on a path of its own, from `t0` on.
+fn bucket_edges(ops: &mut Vec<Op>, t0: u64) {
+    const B: u64 = 1 << 22;
+    let path = PATHS;
+    let edge = |k: u64| (t0 / B + 1 + k) * B;
+    // Reports that end half a window on and start on, one before and one
+    // after bucket edge `k`, each start twice over. The last one's end.
+    let starts_around = |ops: &mut Vec<Op>, edges: std::ops::Range<u64>| {
+        let mut end = 0;
+        for k in edges {
+            let starts = [edge(k) - 1, edge(k), edge(k) + 1, edge(k)];
+            for (n, start) in (4 * k..).zip(starts) {
+                end = t0 + W / 2 + n * 1_000;
+                ops.push(Op::Report(path, end, 300_000, end - start));
+            }
+        }
+        end
+    };
+    // Few enough to wait in one sorted run...
+    let end = starts_around(ops, 0..7);
+    ops.push(Op::Lookup(path, end));
+    // ...then, mid-window, too many: the run is handed over to buckets.
+    let end = starts_around(ops, 7..40);
+    ops.push(Op::Peek(path, end));
+    // The horizon lands one short of an edge, on it and one past it,
+    // inside the run's own bucket and clean over the buckets between.
+    for k in [0, 1, 6, 20] {
+        for now in [edge(k) + W - 1, edge(k) + W, edge(k) + W + 1] {
+            ops.push(Op::Peek(path, now));
+        }
+    }
+    // Reports keep the window deep while it slides, questions or none.
+    for n in 0..400 {
+        let now = edge(21) + W + n * (W / 400);
+        ops.push(Op::Report(path, now, 200_000, W / 20 + (n % 17) * (W / 18)));
+        if n % 50 == 49 {
+            ops.push(Op::Lookup(path, now));
+        }
+    }
+    // Three windows of silence: every bucket drains at one question.
+    let idle = edge(21) + 5 * W;
+    ops.push(Op::Peek(path, idle));
+    ops.push(Op::Report(path, idle + 1, 500_000, W / 2));
+    ops.push(Op::Lookup(path, idle + B));
 }
 
 #[test]
