@@ -47,9 +47,10 @@ fn bench_simulator(c: &mut Criterion) {
 
 fn bench_wire(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
-    let report = Message::Report {
-        path: PathKey(42),
-        summary: FlowSummary {
+    // A report on the wire: a batch of one.
+    let report = Message::BatchReport(vec![(
+        PathKey(42),
+        FlowSummary {
             bytes: 1_000_000,
             duration_ns: 2_000_000_000,
             mean_rtt_ms: 163.0,
@@ -57,7 +58,7 @@ fn bench_wire(c: &mut Criterion) {
             retransmits: 2,
             timeouts: 0,
         },
-    };
+    )]);
     g.throughput(Throughput::Elements(1));
     g.bench_function("encode_report", |b| {
         b.iter(|| criterion::black_box(encode(&report)))

@@ -723,8 +723,8 @@ impl ContextStore {
         };
         let queue_alpha = r.f64()?;
         let n_paths = r.u32()? as usize;
-        // The count comes off the wire (`SnapshotSync` carries a blob from
-        // any peer): never allocate for more paths than the remaining
+        // The count comes off the wire (`ShardSnapshotSync` carries a blob
+        // from any peer): never allocate for more paths than the remaining
         // bytes could hold, at 41 bytes for a path with nothing optional.
         if r.remaining() < n_paths.saturating_mul(41) {
             return Err(SnapshotError::Truncated);

@@ -292,7 +292,7 @@ impl PlaneState {
 
     /// The crashed replica restarts and rejoins as backup: a full
     /// snapshot resync from the live primary (the in-sim counterpart of
-    /// the wire `SnapshotSync`), superseding any pending deltas.
+    /// the wire `ShardSnapshotSync`), superseding any pending deltas.
     fn finish_resync(&mut self, _at: u64) {
         self.stores[self.backup()] = self.stores[self.serving].clone();
         self.pending.clear();

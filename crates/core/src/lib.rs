@@ -44,8 +44,8 @@
 //!   store (paths never interact), each shard with its own lock,
 //!   replication log, and failover epoch in the server.
 //! * [`wire`] / [`server`] — a real context server: length-prefixed binary
-//!   protocol (single and batch frames), threaded TCP service, blocking
-//!   client with a write-behind report buffer.
+//!   protocol, threaded TCP service with replication, blocking client
+//!   with a write-behind report buffer, and a self-healing client over it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -42,7 +42,7 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,7 +51,7 @@ use phi_tcp::hook::ContextSnapshot;
 
 use crate::context::{ContextStore, FlowSummary, PathKey, SnapshotError, StoreConfig};
 use crate::shard::shard_index;
-use crate::wire::{code, encode, DecodeError, Decoder, Message, ReplOp, Role};
+use crate::wire::{code, encode, DecodeError, Decoder, Message, ReplOp, Role, MAX_BATCH_ITEMS};
 
 /// A thread-safe context store handle, shared by server handlers and any
 /// in-process instrumentation.
@@ -129,84 +129,88 @@ impl Default for HaOptions {
     }
 }
 
-const ROLE_PRIMARY_U8: u8 = 1;
-const ROLE_BACKUP_U8: u8 = 2;
+/// Largest epoch the fencing word can hold (the role takes its low bit).
+/// A frame carrying a greater one is refused at the wire boundary.
+const MAX_EPOCH: u64 = u64::MAX >> 1;
 
-/// Epoch + role, shared between the accept loop, every handler, and the
-/// replication thread. The epoch is the *fencing token*: all mutating
-/// traffic (client requests on a primary, replication on a backup)
-/// carries it, and the lower side always loses.
+/// Epoch + role in one atomic word (`epoch << 1 | is_primary`), shared
+/// between the accept loop, every handler, and the replication thread.
+/// The epoch is the *fencing token*: all mutating traffic (client requests
+/// on a primary, replication on a backup) carries it, and the lower side
+/// always loses. Writers never store: they go through the two
+/// compare-and-swap rules below, so whatever interleaving of promotions,
+/// syncs and self-deposals happens, the epoch a reader sees never falls.
 #[derive(Debug)]
-struct HaShared {
-    epoch: AtomicU64,
-    role: AtomicU8,
-}
+struct HaShared(AtomicU64);
 
 impl HaShared {
     fn new(epoch: u64, role: Role) -> Self {
-        HaShared {
-            epoch: AtomicU64::new(epoch),
-            role: AtomicU8::new(role_to_u8(role)),
-        }
+        HaShared(AtomicU64::new(Self::pack(epoch, role)))
+    }
+
+    fn pack(epoch: u64, role: Role) -> u64 {
+        epoch << 1 | u64::from(role == Role::Primary)
+    }
+
+    fn unpack(word: u64) -> (u64, Role) {
+        let role = if word & 1 == 1 {
+            Role::Primary
+        } else {
+            Role::Backup
+        };
+        (word >> 1, role)
+    }
+
+    /// Epoch and role, read together.
+    fn get(&self) -> (u64, Role) {
+        Self::unpack(self.0.load(Ordering::SeqCst))
     }
 
     fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.get().0
     }
 
     fn role(&self) -> Role {
-        role_from_u8(self.role.load(Ordering::Acquire))
+        self.get().1
     }
 
-    fn set(&self, epoch: u64, role: Role) {
-        self.epoch.store(epoch, Ordering::Release);
-        self.role.store(role_to_u8(role), Ordering::Release);
-    }
-}
-
-fn role_to_u8(role: Role) -> u8 {
-    match role {
-        Role::Primary => ROLE_PRIMARY_U8,
-        Role::Backup => ROLE_BACKUP_U8,
-    }
-}
-
-fn role_from_u8(v: u8) -> Role {
-    if v == ROLE_PRIMARY_U8 {
-        Role::Primary
-    } else {
-        Role::Backup
-    }
-}
-
-/// Entries the replication thread has not yet confirmed on every backup.
-/// Appends happen *while the handler holds the store write lock*, so a
-/// snapshot taken under the store read lock together with this lock is
-/// consistent with a log position (`next_seq - 1`).
-#[derive(Debug, Default)]
-struct ReplLog {
-    next_seq: u64,
-    entries: VecDeque<(u64, ReplOp)>,
-}
-
-/// Entries kept before the oldest are dropped; a backup that has fallen
-/// further behind than this is resynced with a full snapshot.
-const MAX_REPL_LOG: usize = 4096;
-
-impl ReplLog {
-    fn append(&mut self, op: ReplOp) {
-        self.next_seq += 1;
-        self.entries.push_back((self.next_seq, op));
-        while self.entries.len() > MAX_REPL_LOG {
-            self.entries.pop_front();
-        }
+    /// Whether `(epoch, role)` may replace the word `cur`. A strictly
+    /// newer epoch always may. An equal one only keeps a backup a backup
+    /// (the next delta of the primary it already follows): promotion at
+    /// the current epoch, and a second primary's state at it, both lose.
+    fn beats(cur: u64, epoch: u64, role: Role) -> bool {
+        let (cur_epoch, cur_role) = Self::unpack(cur);
+        let keeps_backup = role == Role::Backup && cur_role == Role::Backup;
+        epoch <= MAX_EPOCH && (epoch > cur_epoch || (epoch == cur_epoch && keeps_backup))
     }
 
-    /// Drop entries every synced backup has acknowledged.
-    fn prune(&mut self, acked: u64) {
-        while self.entries.front().is_some_and(|&(seq, _)| seq <= acked) {
-            self.entries.pop_front();
-        }
+    /// Whether [`HaShared::advance`] would succeed right now — for a
+    /// caller with work to do (decoding a blob) before it commits.
+    fn admits(&self, epoch: u64, role: Role) -> bool {
+        Self::beats(self.0.load(Ordering::SeqCst), epoch, role)
+    }
+
+    /// Rule 1: move to `(epoch, role)` iff that beats the current word.
+    fn advance(&self, epoch: u64, role: Role) -> bool {
+        self.0
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| {
+                Self::beats(cur, epoch, role).then(|| Self::pack(epoch, role))
+            })
+            .is_ok()
+    }
+
+    /// Rule 2: step down to backup at `epoch` iff still primary at
+    /// `epoch` — a promotion that landed since the caller read `epoch`
+    /// is left alone.
+    fn demote(&self, epoch: u64) -> bool {
+        self.0
+            .compare_exchange(
+                Self::pack(epoch, Role::Primary),
+                Self::pack(epoch, Role::Backup),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            )
+            .is_ok()
     }
 }
 
@@ -214,11 +218,10 @@ impl ReplLog {
 /// its own replication log, and its own fencing epoch/role — so shards
 /// fail over independently and never contend on each other's locks.
 /// A classic single-store server is exactly a one-shard server.
-#[derive(Clone)]
 struct ShardState {
     store: SyncStore,
-    ha: Arc<HaShared>,
-    log: Arc<Mutex<ReplLog>>,
+    ha: HaShared,
+    log: Mutex<ReplLog>,
 }
 
 /// Which shard serves `path`. Every route in the server goes through
@@ -279,13 +282,7 @@ impl ContextServer {
         config: ServerConfig,
         ha: HaOptions,
     ) -> std::io::Result<ContextServer> {
-        let shard = ShardState {
-            store,
-            ha: Arc::new(HaShared::new(ha.epoch, ha.role)),
-            log: Arc::new(Mutex::new(ReplLog::default())),
-        };
-        let repl = (!ha.backups.is_empty()).then_some((ha.backups, ha.repl_client));
-        Self::launch(addr, vec![shard], config, repl)
+        Self::launch(addr, vec![store], config, ha)
     }
 
     /// Start a sharded server: `shards` independent stores (at least one),
@@ -306,11 +303,10 @@ impl ContextServer {
 
     /// Start a sharded replica: `shards` independent stores, each serving
     /// at `ha.epoch` in `ha.role`, with every shard streamed to every
-    /// address in `ha.backups`. Shard state syncs with the shard-scoped
-    /// SHARD_SNAPSHOT_SYNC frame (falling back to the legacy whole-store
-    /// frame when `shards == 1`), so a backup must be started with the
-    /// *same* shard count — the delta stream routes by path and the two
-    /// sides must agree on `shard_index`.
+    /// address in `ha.backups`. Shard state syncs shard by shard
+    /// (SHARD_SNAPSHOT_SYNC), so a backup must be started with the *same*
+    /// shard count — the delta stream routes by path and the two sides
+    /// must agree on `shard_index`.
     pub fn start_sharded_ha(
         addr: impl ToSocketAddrs,
         cfg: StoreConfig,
@@ -318,23 +314,34 @@ impl ContextServer {
         shards: usize,
         ha: HaOptions,
     ) -> std::io::Result<ContextServer> {
-        let shards = (0..shards.max(1))
-            .map(|_| ShardState {
-                store: sync_store(ContextStore::new(cfg)),
-                ha: Arc::new(HaShared::new(ha.epoch, ha.role)),
-                log: Arc::new(Mutex::new(ReplLog::default())),
-            })
+        let stores = (0..shards.max(1))
+            .map(|_| sync_store(ContextStore::new(cfg)))
             .collect();
-        let repl = (!ha.backups.is_empty()).then_some((ha.backups, ha.repl_client));
-        Self::launch(addr, shards, config, repl)
+        Self::launch(addr, stores, config, ha)
     }
 
+    /// One shard per store, every one starting at `ha.epoch` in `ha.role`.
     fn launch(
         addr: impl ToSocketAddrs,
-        shards: Vec<ShardState>,
+        stores: Vec<SyncStore>,
         config: ServerConfig,
-        repl: Option<(Vec<SocketAddr>, ClientConfig)>,
+        ha: HaOptions,
     ) -> std::io::Result<ContextServer> {
+        if ha.epoch > MAX_EPOCH {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "epoch {} exceeds the largest fencing token {MAX_EPOCH}",
+                    ha.epoch
+                ),
+            ));
+        }
+        let shards = stores.into_iter().map(|store| ShardState {
+            store,
+            ha: HaShared::new(ha.epoch, ha.role),
+            log: Mutex::new(ReplLog::default()),
+        });
+        let shards: Arc<Vec<ShardState>> = Arc::new(shards.collect());
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -345,7 +352,6 @@ impl ContextServer {
         let stats = Arc::new(ServerStats::default());
         let active = Arc::new(AtomicUsize::new(0));
         let started = Instant::now();
-        let shards = Arc::new(shards);
 
         let accept_thread = {
             let shutdown = shutdown.clone();
@@ -390,13 +396,15 @@ impl ContextServer {
         };
 
         // Replication: one thread streams every shard to every backup.
-        let repl_thread = repl.map(|(backups, repl_client)| {
+        let repl_thread = (!ha.backups.is_empty()).then(|| {
             let shutdown = shutdown.clone();
             let stats = stats.clone();
             let shards = shards.clone();
             std::thread::Builder::new()
                 .name("phi-ctx-repl".into())
-                .spawn(move || replicate_to_backups(&backups, repl_client, shards, stats, shutdown))
+                .spawn(move || {
+                    replicate_to_backups(&ha.backups, ha.repl_client, shards, stats, shutdown)
+                })
                 .expect("spawn replication thread")
         });
 
@@ -425,17 +433,13 @@ impl ContextServer {
     /// server, the *lowest* epoch across shards (the conservative answer
     /// a health probe should see).
     pub fn epoch(&self) -> u64 {
-        self.shards.iter().map(|s| s.ha.epoch()).min().unwrap_or(1)
+        conservative_view(&self.shards).0
     }
 
     /// The role this server currently plays: primary only if *every*
     /// shard is primary (a single-shard server is just that shard).
     pub fn role(&self) -> Role {
-        if self.shards.iter().all(|s| s.ha.role() == Role::Primary) {
-            Role::Primary
-        } else {
-            Role::Backup
-        }
+        conservative_view(&self.shards).1
     }
 
     /// Number of independent shards this server serves (1 unless started
@@ -457,27 +461,29 @@ impl ContextServer {
     /// Promote this server to primary at `epoch`. Fails (returns `false`)
     /// unless `epoch` is strictly greater than the current one on *every*
     /// shard — the new epoch is what fences the deposed primary, so
-    /// reusing the old value would invite split-brain.
+    /// reusing the old value would invite split-brain. (A shard that a
+    /// peer moves past `epoch` while this runs keeps the peer's epoch:
+    /// the answer is then `false` with the other shards promoted.)
     pub fn promote(&self, epoch: u64) -> bool {
-        if self.shards.iter().any(|s| epoch <= s.ha.epoch()) {
+        if !self
+            .shards
+            .iter()
+            .all(|s| s.ha.admits(epoch, Role::Primary))
+        {
             return false;
         }
+        let mut all = true;
         for s in self.shards.iter() {
-            s.ha.set(epoch, Role::Primary);
+            all &= s.ha.advance(epoch, Role::Primary);
         }
-        true
+        all
     }
 
     /// Promote one shard to primary at `epoch` (strictly greater than the
     /// shard's current epoch). Shards fence independently, so promoting
     /// one never touches the others.
     pub fn promote_shard(&self, shard: usize, epoch: u64) -> bool {
-        let ha = &self.shards[shard].ha;
-        if epoch <= ha.epoch() {
-            return false;
-        }
-        ha.set(epoch, Role::Primary);
-        true
+        self.shards[shard].ha.advance(epoch, Role::Primary)
     }
 
     /// The full store state as a versioned snapshot blob (tagged with the
@@ -495,19 +501,6 @@ impl ContextServer {
     pub fn shard_snapshot_blob(&self, shard: usize) -> Vec<u8> {
         let s = &self.shards[shard];
         s.store.read().encode_snapshot(s.ha.epoch())
-    }
-
-    /// Shard `shard`'s unpruned replication log (sequence + op), for tests
-    /// asserting that batch and single frames produce identical deltas.
-    #[cfg(test)]
-    fn repl_entries(&self, shard: usize) -> Vec<(u64, ReplOp)> {
-        self.shards[shard]
-            .log
-            .lock()
-            .entries
-            .iter()
-            .cloned()
-            .collect()
     }
 
     /// Stop accepting, drain handlers, and join all threads.
@@ -572,32 +565,29 @@ fn shed_connection(stream: TcpStream) {
 /// Apply a full-state snapshot blob to one shard, with the same epoch
 /// fence as every other mutating path: stale epochs bounce with 409, an
 /// equal epoch is refused while the shard itself is primary (two
-/// primaries at one epoch must never both accept state).
+/// primaries at one epoch must never both accept state). The fence is
+/// asked before the blob is decoded, so a stale peer hears `409` whatever
+/// it sent, and again when the state goes in, so a promotion that landed
+/// in between wins.
 fn apply_snapshot_sync(sh: &ShardState, epoch: u64, blob: &[u8], stats: &ServerStats) -> Message {
-    if epoch < sh.ha.epoch() || (epoch == sh.ha.epoch() && sh.ha.role() == Role::Primary) {
+    if !sh.ha.admits(epoch, Role::Backup) {
         return fenced_reply(&sh.ha, stats, "snapshot sync from a stale epoch");
     }
     match ContextStore::decode_snapshot(blob) {
         Ok((restored, _blob_epoch)) => {
-            sh.ha.set(epoch, Role::Backup);
+            if !sh.ha.advance(epoch, Role::Backup) {
+                return fenced_reply(&sh.ha, stats, "snapshot sync from a stale epoch");
+            }
             stats.repl_syncs.fetch_add(1, Ordering::Relaxed);
             *sh.store.write() = restored;
             Message::ReportOk
         }
-        Err(SnapshotError::UnsupportedVersion(v)) => {
-            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            Message::Error {
-                code: code::UNSUPPORTED,
-                message: format!("snapshot version {v} not supported"),
-            }
-        }
-        Err(e) => {
-            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            Message::Error {
-                code: code::BAD_REQUEST,
-                message: format!("bad snapshot blob: {e}"),
-            }
-        }
+        Err(SnapshotError::UnsupportedVersion(v)) => refuse(
+            stats,
+            code::UNSUPPORTED,
+            format!("snapshot version {v} not supported"),
+        ),
+        Err(e) => refuse(stats, code::BAD_REQUEST, format!("bad snapshot blob: {e}")),
     }
 }
 
@@ -605,10 +595,43 @@ fn apply_snapshot_sync(sh: &ShardState, epoch: u64, blob: &[u8], stats: &ServerS
 /// the rejected peer can tell "I'm stale" from "you're a backup".
 fn fenced_reply(ha: &HaShared, stats: &ServerStats, why: &str) -> Message {
     stats.fenced.fetch_add(1, Ordering::Relaxed);
+    let (epoch, role) = ha.get();
     Message::Error {
         code: code::FENCED,
-        message: format!("{why} (serving epoch {} as {:?})", ha.epoch(), ha.role()),
+        message: format!("{why} (serving epoch {epoch} as {role:?})"),
     }
+}
+
+/// Count a protocol error and build the frame that answers it.
+fn refuse(stats: &ServerStats, code: u16, message: String) -> Message {
+    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    Message::Error { code, message }
+}
+
+/// The whole-server view a health probe sees, most conservative first:
+/// the lowest shard epoch, and primary only if every shard is (a probe
+/// must not trust a half-deposed server).
+fn conservative_view(shards: &[ShardState]) -> (u64, Role) {
+    let mut view = (MAX_EPOCH, Role::Primary);
+    for (epoch, role) in shards.iter().map(|s| s.ha.get()) {
+        view.0 = view.0.min(epoch);
+        if role == Role::Backup {
+            view.1 = Role::Backup;
+        }
+    }
+    view
+}
+
+/// Batch fencing is all-or-nothing: the first of `paths` whose shard is
+/// not primary refuses the whole frame *before* anything is applied, so
+/// the client never has to untangle a partially accepted batch.
+fn fenced_shard(
+    shards: &[ShardState],
+    paths: impl Iterator<Item = PathKey>,
+) -> Option<&ShardState> {
+    paths
+        .map(|p| shard_for(shards, p))
+        .find(|sh| sh.ha.role() != Role::Primary)
 }
 
 fn handle_connection(
@@ -659,37 +682,11 @@ fn handle_connection(
                         Message::Context(snap)
                     }
                 }
-                Ok(Message::Report { path, summary }) => {
-                    let sh = shard_for(&shards, path);
-                    if sh.ha.role() != Role::Primary {
-                        fenced_reply(&sh.ha, &stats, "report refused")
-                    } else {
-                        stats.reports.fetch_add(1, Ordering::Relaxed);
-                        {
-                            let mut st = sh.store.write();
-                            st.report(path, now_ns, &summary);
-                            sh.log.lock().append(ReplOp::Report {
-                                path,
-                                now_ns,
-                                summary,
-                            });
-                        }
-                        Message::ReportOk
-                    }
-                }
                 // -- batch data path: N items, one frame, one reply -----
-                // Fencing is all-or-nothing: if any item's shard is not
-                // primary the whole batch is refused *before* anything is
-                // applied, so the client never has to untangle a
-                // partially accepted frame.
                 Ok(Message::BatchReport(items)) => {
                     let n = shards.len();
-                    let fenced = items
-                        .iter()
-                        .map(|&(p, _)| shard_index(p, n))
-                        .find(|&s| shards[s].ha.role() != Role::Primary);
-                    match fenced {
-                        Some(s) => fenced_reply(&shards[s].ha, &stats, "batch report refused"),
+                    match fenced_shard(&shards, items.iter().map(|&(p, _)| p)) {
+                        Some(sh) => fenced_reply(&sh.ha, &stats, "batch report refused"),
                         None => {
                             stats
                                 .reports
@@ -697,9 +694,9 @@ fn handle_connection(
                             // Group by shard, then apply each shard's items
                             // in arrival order under ONE write lock — the
                             // log this produces is exactly what the same
-                            // items sent as single frames would produce,
+                            // items sent in batches of one would produce,
                             // so snapshot-then-delta catch-up can't tell
-                            // batches from singles.
+                            // how reports were batched.
                             let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
                             for (k, &(p, _)) in items.iter().enumerate() {
                                 by_shard[shard_index(p, n)].push(k);
@@ -726,13 +723,8 @@ fn handle_connection(
                     }
                 }
                 Ok(Message::BatchQuery(paths)) => {
-                    let n = shards.len();
-                    let fenced = paths
-                        .iter()
-                        .map(|&p| shard_index(p, n))
-                        .find(|&s| shards[s].ha.role() != Role::Primary);
-                    match fenced {
-                        Some(s) => fenced_reply(&shards[s].ha, &stats, "batch query refused"),
+                    match fenced_shard(&shards, paths.iter().copied()) {
+                        Some(sh) => fenced_reply(&sh.ha, &stats, "batch query refused"),
                         None => {
                             stats
                                 .lookups
@@ -768,111 +760,75 @@ fn handle_connection(
                     }
                 }
                 // -- health/handshake: answered in any role -------------
-                // A sharded server answers with its most conservative
-                // view: the lowest shard epoch, primary only if every
-                // shard is (a probe must not trust a half-deposed server).
-                Ok(Message::EpochQuery) => Message::Epoch {
-                    epoch: shards.iter().map(|s| s.ha.epoch()).min().unwrap_or(1),
-                    role: if shards.iter().all(|s| s.ha.role() == Role::Primary) {
-                        Role::Primary
-                    } else {
-                        Role::Backup
-                    },
-                },
+                Ok(Message::EpochQuery) => {
+                    let (epoch, role) = conservative_view(&shards);
+                    Message::Epoch { epoch, role }
+                }
                 // -- replication stream: epoch-fenced, per shard --------
+                Ok(Message::Replicate { epoch, .. } | Message::ShardSnapshotSync { epoch, .. })
+                    if epoch > MAX_EPOCH =>
+                {
+                    refuse(
+                        &stats,
+                        code::BAD_REQUEST,
+                        format!("epoch {epoch} exceeds the largest fencing token {MAX_EPOCH}"),
+                    )
+                }
                 Ok(Message::Replicate { epoch, seq: _, op }) => {
                     let path = match &op {
                         ReplOp::Lookup { path, .. } | ReplOp::Report { path, .. } => *path,
                     };
                     let sh = shard_for(&shards, path);
-                    match epoch.cmp(&sh.ha.epoch()) {
-                        std::cmp::Ordering::Less => {
-                            fenced_reply(&sh.ha, &stats, "replication from a deposed primary")
-                        }
-                        std::cmp::Ordering::Equal if sh.ha.role() == Role::Primary => {
-                            // Two primaries at one epoch must never both
-                            // accept traffic; the replicator self-deposes
-                            // on this reply.
-                            fenced_reply(&sh.ha, &stats, "already primary at this epoch")
-                        }
-                        _ => {
-                            // A (possibly newer) primary's delta: adopt
-                            // its epoch, stay/become backup, apply. Only
-                            // the op's own shard is touched — a delta for
-                            // one shard can never depose another.
-                            sh.ha.set(epoch, Role::Backup);
-                            stats.repl_applied.fetch_add(1, Ordering::Relaxed);
-                            let mut st = sh.store.write();
-                            match op {
-                                ReplOp::Lookup { path, now_ns } => {
-                                    st.lookup(path, now_ns);
-                                }
-                                ReplOp::Report {
-                                    path,
-                                    now_ns,
-                                    summary,
-                                } => st.report(path, now_ns, &summary),
+                    // A (possibly newer) primary's delta: adopt its epoch,
+                    // stay/become backup, apply. A deposed primary's is
+                    // fenced, and so is one at the epoch this shard is
+                    // itself primary at — two primaries at one epoch must
+                    // never both accept traffic; the replicator
+                    // self-deposes on that reply. Only the op's own shard
+                    // is touched: a delta for one shard can never depose
+                    // another.
+                    if !sh.ha.advance(epoch, Role::Backup) {
+                        fenced_reply(&sh.ha, &stats, "replication from a stale epoch")
+                    } else {
+                        stats.repl_applied.fetch_add(1, Ordering::Relaxed);
+                        let mut st = sh.store.write();
+                        match op {
+                            ReplOp::Lookup { path, now_ns } => {
+                                st.lookup(path, now_ns);
                             }
-                            Message::ReportOk
+                            ReplOp::Report {
+                                path,
+                                now_ns,
+                                summary,
+                            } => st.report(path, now_ns, &summary),
                         }
+                        Message::ReportOk
                     }
-                }
-                Ok(Message::SnapshotSync { epoch, blob }) if shards.len() > 1 => {
-                    // A whole-store snapshot blob cannot be split across
-                    // shards without inventing state. Sharded receivers
-                    // take SHARD_SNAPSHOT_SYNC, one blob per shard.
-                    let _ = (epoch, blob);
-                    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    Message::Error {
-                        code: code::UNSUPPORTED,
-                        message: "whole-store snapshot sync addresses a single-shard \
-                                  replica; sync a sharded server shard by shard with \
-                                  SHARD_SNAPSHOT_SYNC"
-                            .into(),
-                    }
-                }
-                Ok(Message::SnapshotSync { epoch, blob }) => {
-                    apply_snapshot_sync(&shards[0], epoch, &blob, &stats)
                 }
                 Ok(Message::ShardSnapshotSync { shard, epoch, blob }) => {
                     match shards.get(shard as usize) {
-                        None => {
-                            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            Message::Error {
-                                code: code::BAD_REQUEST,
-                                message: format!(
-                                    "shard {shard} out of range ({} shards)",
-                                    shards.len()
-                                ),
-                            }
-                        }
+                        None => refuse(
+                            &stats,
+                            code::BAD_REQUEST,
+                            format!("shard {shard} out of range ({} shards)", shards.len()),
+                        ),
                         Some(sh) => apply_snapshot_sync(sh, epoch, &blob, &stats),
                     }
                 }
-                Ok(other) => {
-                    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    Message::Error {
-                        code: code::BAD_REQUEST,
-                        message: format!("unexpected message: {other:?}"),
-                    }
-                }
+                Ok(other) => refuse(
+                    &stats,
+                    code::BAD_REQUEST,
+                    format!("unexpected message: {other:?}"),
+                ),
                 Err(DecodeError::Incomplete) => break,
-                Err(e) if e.is_recoverable() => {
-                    // Forward compatibility: a well-delimited frame of an
-                    // unknown (future) type. The stream is still aligned,
-                    // so answer 501 and keep serving the connection.
-                    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    Message::Error {
-                        code: code::UNSUPPORTED,
-                        message: e.to_string(),
-                    }
-                }
+                // Forward compatibility: a well-delimited frame of a type
+                // this build does not assign (a future one, or a retired
+                // one). The stream is still aligned, so answer 501 and
+                // keep serving the connection.
+                Err(e) if e.is_recoverable() => refuse(&stats, code::UNSUPPORTED, e.to_string()),
                 Err(e) => {
-                    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.write_all(&encode(&Message::Error {
-                        code: code::MALFORMED,
-                        message: e.to_string(),
-                    }));
+                    let error = refuse(&stats, code::MALFORMED, e.to_string());
+                    let _ = stream.write_all(&encode(&error));
                     return; // framing is broken; drop the connection
                 }
             };
@@ -880,6 +836,47 @@ fn handle_connection(
                 return;
             }
         }
+    }
+}
+
+/// Entries the replication thread has not yet confirmed on every backup.
+/// Appends happen *while the handler holds the store write lock*, so a
+/// snapshot taken under the store read lock together with this lock is
+/// consistent with a log position (`next_seq - 1`).
+#[derive(Debug, Default)]
+pub(super) struct ReplLog {
+    next_seq: u64,
+    entries: VecDeque<(u64, ReplOp)>,
+}
+
+/// Entries kept before the oldest are dropped; a backup that has fallen
+/// further behind than this is resynced with a full snapshot.
+const MAX_REPL_LOG: usize = 4096;
+
+impl ReplLog {
+    pub(super) fn append(&mut self, op: ReplOp) {
+        self.next_seq += 1;
+        self.entries.push_back((self.next_seq, op));
+        while self.entries.len() > MAX_REPL_LOG {
+            self.entries.pop_front();
+        }
+    }
+
+    /// Drop entries every synced backup has acknowledged.
+    fn prune(&mut self, acked: u64) {
+        while self.entries.front().is_some_and(|&(seq, _)| seq <= acked) {
+            self.entries.pop_front();
+        }
+    }
+}
+
+impl ContextServer {
+    /// Shard `shard`'s unpruned replication log (sequence + op), for tests
+    /// asserting that one batch and batches of one produce identical deltas.
+    #[cfg(test)]
+    pub(super) fn repl_entries(&self, shard: usize) -> Vec<(u64, ReplOp)> {
+        let log = self.shards[shard].log.lock();
+        log.entries.iter().cloned().collect()
     }
 }
 
@@ -899,12 +896,10 @@ struct BackupLink {
 /// shard can never again feed clients stale context — while the other
 /// shards keep replicating.
 ///
-/// Single-shard deployments sync with the legacy whole-store
-/// SNAPSHOT_SYNC frame (old backups stay syncable); multi-shard
-/// deployments use SHARD_SNAPSHOT_SYNC per shard, which requires the
-/// backup to be sharded identically (the delta stream routes by path, so
-/// shard counts must agree end to end).
-fn replicate_to_backups(
+/// State syncs shard by shard (SHARD_SNAPSHOT_SYNC; a one-shard server is
+/// shard 0), which requires the backup to be sharded identically — the
+/// delta stream routes by path, so shard counts must agree end to end.
+pub(super) fn replicate_to_backups(
     backups: &[SocketAddr],
     client_cfg: ClientConfig,
     shards: Arc<Vec<ShardState>>,
@@ -942,10 +937,10 @@ fn replicate_to_backups(
 
             let mut sent_any = false;
             for (s, sh) in shards.iter().enumerate() {
-                if sh.ha.role() != Role::Primary || deposed.contains(&s) {
+                let (epoch, role) = sh.ha.get();
+                if role != Role::Primary || deposed.contains(&s) {
                     continue;
                 }
-                let epoch = sh.ha.epoch();
 
                 // A backup with no baseline for this shard — or one that
                 // fell behind the pruned log — gets a full snapshot
@@ -968,14 +963,10 @@ fn replicate_to_backups(
                         let log = sh.log.lock();
                         (st.encode_snapshot(epoch), log.next_seq)
                     };
-                    let msg = if n == 1 {
-                        Message::SnapshotSync { epoch, blob }
-                    } else {
-                        Message::ShardSnapshotSync {
-                            shard: s as u32,
-                            epoch,
-                            blob,
-                        }
+                    let msg = Message::ShardSnapshotSync {
+                        shard: s as u32,
+                        epoch,
+                        blob,
                     };
                     match send_repl(link, &msg) {
                         ReplSend::Acked => {
@@ -984,7 +975,7 @@ fn replicate_to_backups(
                             sent_any = true;
                         }
                         ReplSend::Fenced => {
-                            sh.ha.set(epoch, Role::Backup);
+                            sh.ha.demote(epoch);
                             deposed.push(s);
                             continue;
                         }
@@ -1007,7 +998,7 @@ fn replicate_to_backups(
                             sent_any = true;
                         }
                         ReplSend::Fenced => {
-                            sh.ha.set(epoch, Role::Backup);
+                            sh.ha.demote(epoch);
                             deposed.push(s);
                             break;
                         }
@@ -1025,19 +1016,18 @@ fn replicate_to_backups(
             // any primary shard below it has certainly been superseded.
             if !sent_any {
                 if let Some(conn) = link.conn.as_mut() {
-                    match conn.request(&Message::EpochQuery) {
-                        Ok(Message::Epoch { epoch: theirs, .. }) => {
+                    match conn.epoch() {
+                        Ok((theirs, _)) => {
                             for (s, sh) in shards.iter().enumerate() {
-                                if sh.ha.role() == Role::Primary
-                                    && theirs > sh.ha.epoch()
-                                    && !deposed.contains(&s)
+                                let (epoch, role) = sh.ha.get();
+                                if role == Role::Primary && theirs > epoch && !deposed.contains(&s)
                                 {
-                                    sh.ha.set(sh.ha.epoch(), Role::Backup);
+                                    sh.ha.demote(epoch);
                                     deposed.push(s);
                                 }
                             }
                         }
-                        Ok(_) => {}
+                        Err(ClientError::Server { .. }) => {}
                         Err(_) => link.conn = None,
                     }
                 }
@@ -1202,9 +1192,36 @@ impl Default for WriteBehindConfig {
     }
 }
 
-impl WriteBehindConfig {
-    fn effective_max_items(&self) -> usize {
-        self.max_items.clamp(1, crate::wire::MAX_BATCH_ITEMS)
+/// The write-behind report buffer both clients hold: what is waiting,
+/// since when, and the bounds that say when it must go.
+#[derive(Default)]
+pub(super) struct WriteBehind {
+    pub(super) cfg: WriteBehindConfig,
+    pending: Vec<(PathKey, FlowSummary)>,
+    /// When the oldest entry in `pending` was buffered (the staleness
+    /// clock).
+    oldest: Option<Instant>,
+}
+
+impl WriteBehind {
+    /// Buffer one report; `true` when the count or the age bound is
+    /// reached and the caller must flush.
+    pub(super) fn push(&mut self, path: PathKey, summary: FlowSummary) -> bool {
+        let oldest = *self.oldest.get_or_insert_with(Instant::now);
+        self.pending.push((path, summary));
+        self.pending.len() >= self.cfg.max_items.clamp(1, MAX_BATCH_ITEMS)
+            || oldest.elapsed() >= self.cfg.max_age
+    }
+
+    /// Empty the buffer and stop its clock; the caller ships what it held.
+    pub(super) fn take(&mut self) -> Vec<(PathKey, FlowSummary)> {
+        self.oldest = None;
+        std::mem::take(&mut self.pending)
+    }
+
+    /// Reports currently held.
+    pub(super) fn len(&self) -> usize {
+        self.pending.len()
     }
 }
 
@@ -1217,15 +1234,11 @@ impl WriteBehindConfig {
 /// docs); callers that want automatic reconnection and degradation use
 /// [`ResilientClient`].
 pub struct ContextClient {
-    stream: TcpStream,
+    pub(super) stream: TcpStream,
     decoder: Decoder,
     config: ClientConfig,
     poisoned: bool,
-    write_behind: WriteBehindConfig,
-    pending: Vec<(PathKey, FlowSummary)>,
-    /// When the oldest entry in `pending` was buffered (the staleness
-    /// clock).
-    oldest: Option<Instant>,
+    buffer: WriteBehind,
 }
 
 impl ContextClient {
@@ -1269,9 +1282,7 @@ impl ContextClient {
             decoder: Decoder::new(),
             config,
             poisoned: false,
-            write_behind: WriteBehindConfig::default(),
-            pending: Vec::new(),
-            oldest: None,
+            buffer: WriteBehind::default(),
         })
     }
 
@@ -1279,7 +1290,7 @@ impl ContextClient {
     /// [`ContextClient::buffer_report`] calls; already-buffered reports
     /// keep their staleness clock).
     pub fn set_write_behind(&mut self, cfg: WriteBehindConfig) {
-        self.write_behind = cfg;
+        self.buffer.cfg = cfg;
     }
 
     /// Whether an earlier failure poisoned this connection (all further
@@ -1288,7 +1299,8 @@ impl ContextClient {
         self.poisoned
     }
 
-    fn request(&mut self, msg: &Message) -> Result<Message, ClientError> {
+    /// One frame out, one frame back, whatever its type.
+    pub(super) fn request(&mut self, msg: &Message) -> Result<Message, ClientError> {
         if self.poisoned {
             return Err(ClientError::Poisoned);
         }
@@ -1335,46 +1347,54 @@ impl ContextClient {
         }
     }
 
+    /// One request, and `pick` its payload out of the reply — the one
+    /// place a reply is matched to what was asked. An `Error` frame is a
+    /// clean answer ([`ClientError::Server`]; the connection stays
+    /// usable). A frame `pick` hands back is not the reply to this
+    /// request, so whatever else is on the stream cannot be paired
+    /// either: [`ClientError::Protocol`], and the connection is poisoned.
+    fn ask<T>(
+        &mut self,
+        msg: &Message,
+        pick: impl FnOnce(Message) -> Result<T, Message>,
+    ) -> Result<T, ClientError> {
+        match self.request(msg)? {
+            Message::Error { code, message } => Err(ClientError::Server { code, message }),
+            reply => pick(reply).map_err(|other| {
+                self.poisoned = true;
+                ClientError::Protocol(format!("unexpected reply {other:?}"))
+            }),
+        }
+    }
+
     /// Look up the congestion context for `path` (registers this client
     /// as an active sender on it).
     pub fn lookup(&mut self, path: PathKey) -> Result<ContextSnapshot, ClientError> {
-        match self.request(&Message::Lookup { path })? {
+        self.ask(&Message::Lookup { path }, |m| match m {
             Message::Context(c) => Ok(c),
-            Message::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
     /// The busiest `limit` paths the server knows about (dashboard view).
     pub fn snapshot(&mut self, limit: u16) -> Result<Vec<(PathKey, ContextSnapshot)>, ClientError> {
-        match self.request(&Message::Snapshot { limit })? {
+        self.ask(&Message::Snapshot { limit }, |m| match m {
             Message::Paths(paths) => Ok(paths),
-            Message::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
-    /// Report a finished connection on `path`.
+    /// Report a finished connection on `path` (a batch of one).
     pub fn report(&mut self, path: PathKey, summary: FlowSummary) -> Result<(), ClientError> {
-        match self.request(&Message::Report { path, summary })? {
-            Message::ReportOk => Ok(()),
-            Message::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        self.report_batch(&[(path, summary)])
     }
 
     /// Ship `items` as one [`Message::BatchReport`] frame — N reports,
     /// one syscall, one reply. Items beyond
     /// [`crate::wire::MAX_BATCH_ITEMS`] are sent in follow-up frames.
     pub fn report_batch(&mut self, items: &[(PathKey, FlowSummary)]) -> Result<(), ClientError> {
-        for chunk in items.chunks(crate::wire::MAX_BATCH_ITEMS.max(1)) {
-            match self.request(&Message::BatchReport(chunk.to_vec()))? {
-                Message::ReportOk => {}
-                Message::Error { code, message } => {
-                    return Err(ClientError::Server { code, message })
-                }
-                other => return Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-            }
+        for chunk in items.chunks(MAX_BATCH_ITEMS) {
+            self.ask(&Message::BatchReport(chunk.to_vec()), acked)?;
         }
         Ok(())
     }
@@ -1384,21 +1404,11 @@ impl ContextClient {
     /// register the caller as a competing sender on any path.
     pub fn query_batch(&mut self, paths: &[PathKey]) -> Result<Vec<ContextSnapshot>, ClientError> {
         let mut out = Vec::with_capacity(paths.len());
-        for chunk in paths.chunks(crate::wire::MAX_BATCH_ITEMS.max(1)) {
-            match self.request(&Message::BatchQuery(chunk.to_vec()))? {
-                Message::BatchReply(snaps) if snaps.len() == chunk.len() => out.extend(snaps),
-                Message::BatchReply(snaps) => {
-                    return Err(ClientError::Protocol(format!(
-                        "batch reply has {} items for {} queries",
-                        snaps.len(),
-                        chunk.len()
-                    )))
-                }
-                Message::Error { code, message } => {
-                    return Err(ClientError::Server { code, message })
-                }
-                other => return Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-            }
+        for chunk in paths.chunks(MAX_BATCH_ITEMS) {
+            out.extend(self.ask(&Message::BatchQuery(chunk.to_vec()), |m| match m {
+                Message::BatchReply(snaps) if snaps.len() == chunk.len() => Ok(snaps),
+                other => Err(other),
+            })?);
         }
         Ok(out)
     }
@@ -1413,46 +1423,33 @@ impl ContextClient {
         path: PathKey,
         summary: FlowSummary,
     ) -> Result<bool, ClientError> {
-        if self.pending.is_empty() {
-            self.oldest = Some(Instant::now());
-        }
-        self.pending.push((path, summary));
-        let over_count = self.pending.len() >= self.write_behind.effective_max_items();
-        let over_age = self
-            .oldest
-            .is_some_and(|t| t.elapsed() >= self.write_behind.max_age);
-        if over_count || over_age {
+        let due = self.buffer.push(path, summary);
+        if due {
             self.flush_reports()?;
-            return Ok(true);
         }
-        Ok(false)
+        Ok(due)
     }
 
     /// Flush every buffered report now, as one batch frame. Returns how
     /// many reports were shipped. The buffer is emptied even on failure
     /// (degradation over growth).
     pub fn flush_reports(&mut self) -> Result<usize, ClientError> {
-        if self.pending.is_empty() {
-            return Ok(0);
-        }
-        let items = std::mem::take(&mut self.pending);
-        self.oldest = None;
+        let items = self.buffer.take();
         self.report_batch(&items)?;
         Ok(items.len())
     }
 
     /// Reports currently held by the write-behind buffer.
     pub fn pending_reports(&self) -> usize {
-        self.pending.len()
+        self.buffer.len()
     }
 
     /// The server's current fencing epoch and role (health probe).
     pub fn epoch(&mut self) -> Result<(u64, Role), ClientError> {
-        match self.request(&Message::EpochQuery)? {
+        self.ask(&Message::EpochQuery, |m| match m {
             Message::Epoch { epoch, role } => Ok((epoch, role)),
-            Message::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Install `blob` as shard `shard`'s full state on the receiving
@@ -1466,11 +1463,7 @@ impl ContextClient {
         epoch: u64,
         blob: Vec<u8>,
     ) -> Result<(), ClientError> {
-        match self.request(&Message::ShardSnapshotSync { shard, epoch, blob })? {
-            Message::ReportOk => Ok(()),
-            Message::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        self.ask(&Message::ShardSnapshotSync { shard, epoch, blob }, acked)
     }
 
     /// Flush the write-behind buffer and consume the client; returns how
@@ -1482,6 +1475,14 @@ impl ContextClient {
     }
 }
 
+/// [`ContextClient::ask`]'s `pick` for requests answered by `REPORT_OK`.
+fn acked(reply: Message) -> Result<(), Message> {
+    match reply {
+        Message::ReportOk => Ok(()),
+        other => Err(other),
+    }
+}
+
 impl Drop for ContextClient {
     /// Last-chance flush of the write-behind buffer: an orderly teardown
     /// must not silently discard buffered reports. Best-effort — errors
@@ -1490,7 +1491,7 @@ impl Drop for ContextClient {
     /// so teardown cannot hang on a dead plane. Skipped while panicking:
     /// an unwinding thread shouldn't block on the network.
     fn drop(&mut self) {
-        if !self.pending.is_empty() && !std::thread::panicking() {
+        if !std::thread::panicking() {
             let _ = self.flush_reports();
         }
     }
@@ -1591,9 +1592,7 @@ pub struct ResilientClient {
     open_streak: u32,
     jitter: u64,
     stats: ResilienceStats,
-    write_behind: WriteBehindConfig,
-    pending: Vec<(PathKey, FlowSummary)>,
-    oldest: Option<Instant>,
+    buffer: WriteBehind,
 }
 
 impl ResilientClient {
@@ -1629,15 +1628,13 @@ impl ResilientClient {
             open_streak: 0,
             jitter: config.jitter_seed | 1,
             stats: ResilienceStats::default(),
-            write_behind: WriteBehindConfig::default(),
-            pending: Vec::new(),
-            oldest: None,
+            buffer: WriteBehind::default(),
         }
     }
 
     /// Replace the write-behind tuning (see [`WriteBehindConfig`]).
     pub fn set_write_behind(&mut self, cfg: WriteBehindConfig) {
-        self.write_behind = cfg;
+        self.buffer.cfg = cfg;
     }
 
     /// Failure-handling counters.
@@ -1675,27 +1672,18 @@ impl ResilientClient {
     /// Look up the context for `path`; `None` means "no context" — the
     /// plane is unavailable and the caller should use defaults.
     pub fn lookup(&mut self, path: PathKey) -> Option<ContextSnapshot> {
-        match self.call(&Message::Lookup { path }) {
-            Some(Message::Context(c)) => Some(c),
-            _ => None,
-        }
+        self.call(|c| c.lookup(path))
     }
 
     /// Report a finished connection; `false` means the report was lost to
     /// a context-plane failure (acceptable: estimates degrade gracefully).
     pub fn report(&mut self, path: PathKey, summary: FlowSummary) -> bool {
-        matches!(
-            self.call(&Message::Report { path, summary }),
-            Some(Message::ReportOk)
-        )
+        self.report_batch(&[(path, summary)])
     }
 
     /// The busiest `limit` paths, or `None` when the plane is down.
     pub fn snapshot(&mut self, limit: u16) -> Option<Vec<(PathKey, ContextSnapshot)>> {
-        match self.call(&Message::Snapshot { limit }) {
-            Some(Message::Paths(paths)) => Some(paths),
-            _ => None,
-        }
+        self.call(|c| c.snapshot(limit))
     }
 
     /// Ship `items` as batch-report frames; `false` means at least one
@@ -1703,11 +1691,8 @@ impl ResilientClient {
     /// degrade gracefully, the data path never stalls).
     pub fn report_batch(&mut self, items: &[(PathKey, FlowSummary)]) -> bool {
         let mut ok = true;
-        for chunk in items.chunks(crate::wire::MAX_BATCH_ITEMS.max(1)) {
-            ok &= matches!(
-                self.call(&Message::BatchReport(chunk.to_vec())),
-                Some(Message::ReportOk)
-            );
+        for chunk in items.chunks(MAX_BATCH_ITEMS) {
+            ok &= self.call(|c| c.report_batch(chunk)).is_some();
         }
         ok
     }
@@ -1717,11 +1702,8 @@ impl ResilientClient {
     /// as a failed [`ResilientClient::lookup`].
     pub fn query_batch(&mut self, paths: &[PathKey]) -> Option<Vec<ContextSnapshot>> {
         let mut out = Vec::with_capacity(paths.len());
-        for chunk in paths.chunks(crate::wire::MAX_BATCH_ITEMS.max(1)) {
-            match self.call(&Message::BatchQuery(chunk.to_vec())) {
-                Some(Message::BatchReply(snaps)) if snaps.len() == chunk.len() => out.extend(snaps),
-                _ => return None,
-            }
+        for chunk in paths.chunks(MAX_BATCH_ITEMS) {
+            out.extend(self.call(|c| c.query_batch(chunk))?);
         }
         Some(out)
     }
@@ -1733,34 +1715,19 @@ impl ResilientClient {
     /// never memory or data-path stalls: the breaker short-circuits the
     /// flush without touching the network).
     pub fn buffer_report(&mut self, path: PathKey, summary: FlowSummary) -> bool {
-        if self.pending.is_empty() {
-            self.oldest = Some(Instant::now());
-        }
-        self.pending.push((path, summary));
-        let over_count = self.pending.len() >= self.write_behind.effective_max_items();
-        let over_age = self
-            .oldest
-            .is_some_and(|t| t.elapsed() >= self.write_behind.max_age);
-        if over_count || over_age {
-            return self.flush_reports();
-        }
-        true
+        !self.buffer.push(path, summary) || self.flush_reports()
     }
 
     /// Flush every buffered report now; `true` when nothing was lost
     /// (including the empty-buffer case). The buffer empties either way.
     pub fn flush_reports(&mut self) -> bool {
-        if self.pending.is_empty() {
-            return true;
-        }
-        let items = std::mem::take(&mut self.pending);
-        self.oldest = None;
+        let items = self.buffer.take();
         self.report_batch(&items)
     }
 
     /// Reports currently held by the write-behind buffer.
     pub fn pending_reports(&self) -> usize {
-        self.pending.len()
+        self.buffer.len()
     }
 
     /// Flush the write-behind buffer and consume the client; `false`
@@ -1770,7 +1737,13 @@ impl ResilientClient {
         self.flush_reports()
     }
 
-    fn call(&mut self, msg: &Message) -> Option<Message> {
+    /// Run one typed request against the current endpoint with all of
+    /// this client's own machinery around it: breaker, bounded retries
+    /// with backoff, reconnect, fail-over. `None` is "no context".
+    fn call<T>(
+        &mut self,
+        request: impl Fn(&mut ContextClient) -> Result<T, ClientError>,
+    ) -> Option<T> {
         self.stats.requests += 1;
         if let Some(until) = self.open_until {
             if Instant::now() < until {
@@ -1785,40 +1758,44 @@ impl ResilientClient {
             if attempt > 0 {
                 std::thread::sleep(self.backoff(attempt));
             }
-            let conn = match self.ensure_conn() {
-                Some(c) => c,
-                None => continue,
+            let Some(conn) = self.ensure_conn() else {
+                continue;
             };
-            match conn.request(msg) {
-                Ok(Message::Error { code: c, .. }) if c == code::OVERLOADED => {
+            let answer = match request(conn) {
+                Ok(reply) => Some(reply),
+                Err(ClientError::Server { code: c, .. }) if c == code::OVERLOADED => {
                     // The server shed us; it will close the connection.
                     self.conn = None;
+                    continue;
                 }
-                Ok(Message::Error { code: c, .. }) if c == code::FENCED => {
+                Err(ClientError::Server { code: c, .. }) if c == code::FENCED => {
                     // This endpoint was deposed under us (or demoted to
                     // backup). Never retry it with this request — fail
                     // over to the next endpoint in the list.
                     self.stats.fenced += 1;
                     self.fail_over();
+                    continue;
                 }
-                Ok(reply) => {
-                    self.consecutive_failures = 0;
-                    self.open_until = None;
-                    self.open_streak = 0;
-                    return Some(reply);
-                }
+                // Any other refusal is an answer: the plane is up, it
+                // just has nothing for this request.
+                Err(ClientError::Server { .. }) => None,
                 Err(ClientError::Unsupported(_)) => {
                     // The reply is unusable but the connection is fine;
                     // treat as a failed attempt without reconnecting.
+                    continue;
                 }
                 Err(_) => {
                     // Poisoned, timed out, or transport-dead: drop the
                     // connection and let the next attempt try the next
                     // endpoint in the list.
-                    self.conn = None;
                     self.fail_over();
+                    continue;
                 }
-            }
+            };
+            self.consecutive_failures = 0;
+            self.open_until = None;
+            self.open_streak = 0;
+            return answer;
         }
         self.on_exhausted();
         None
@@ -1842,37 +1819,21 @@ impl ResilientClient {
         }
         for _ in 0..self.endpoints.len() {
             let addr = self.endpoints[self.current];
-            match ContextClient::connect_with(addr, self.config.client) {
-                Ok(mut c) => {
-                    match c.request(&Message::EpochQuery) {
-                        Ok(Message::Epoch { epoch, role }) => {
-                            if epoch < self.max_epoch || role != Role::Primary {
-                                // Fenced client-side: a backup, or a
-                                // primary older than one we've already
-                                // talked to.
-                                self.stats.fenced += 1;
-                                self.fail_over();
-                                continue;
-                            }
-                            self.max_epoch = epoch;
-                        }
-                        // A pre-HA server answers BAD_REQUEST (or an
-                        // unknown-type error): no epochs to enforce, but
-                        // the endpoint is alive and serving.
-                        Ok(Message::Error { .. }) | Err(ClientError::Unsupported(_)) => {}
-                        Ok(_) | Err(_) => {
-                            self.fail_over();
-                            continue;
-                        }
-                    }
+            let mut conn = ContextClient::connect_with(addr, self.config.client).ok();
+            match conn.as_mut().map(|c| c.epoch()) {
+                Some(Ok((epoch, Role::Primary))) if epoch >= self.max_epoch => {
+                    self.max_epoch = epoch;
                     self.stats.connects += 1;
-                    self.conn = Some(c);
+                    self.conn = conn;
                     return self.conn.as_mut();
                 }
-                Err(_) => {
-                    self.fail_over();
-                }
+                // Fenced client-side: a backup, or a primary older than
+                // one we've already talked to.
+                Some(Ok(_)) => self.stats.fenced += 1,
+                // Unreachable, or no answer to the probe.
+                Some(Err(_)) | None => {}
             }
+            self.fail_over();
         }
         None
     }
@@ -1917,7 +1878,7 @@ impl Drop for ResilientClient {
     /// normal retry/breaker machinery, so an open breaker short-circuits
     /// it without touching the network. Skipped while panicking.
     fn drop(&mut self) {
-        if !self.pending.is_empty() && !std::thread::panicking() {
+        if !std::thread::panicking() {
             let _ = self.flush_reports();
         }
     }
@@ -2140,6 +2101,78 @@ mod tests {
             "poisoned call must fail fast, took {:?}",
             started.elapsed()
         );
+        server.join().expect("server thread");
+    }
+
+    /// Regression: the typed methods used to build the wrong-type error
+    /// outside `request()`, so it never poisoned — the caller was told
+    /// `Protocol` and the next call paired with whatever arrived next. An
+    /// `Error` frame and an unknown frame type are clean answers and must
+    /// leave the connection usable.
+    #[test]
+    fn mispaired_reply_poisons_but_error_and_unknown_frames_do_not() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let replies = [
+                encode(&Message::Error {
+                    code: code::BAD_REQUEST,
+                    message: "no".into(),
+                })
+                .to_vec(),
+                vec![0, 0, 0, 2, crate::wire::VERSION, 200], // a type from the future
+                encode(&Message::ReportOk).to_vec(),         // not what a lookup gets
+            ];
+            let mut d = Decoder::new();
+            let mut buf = [0u8; 1024];
+            for reply in &replies {
+                loop {
+                    match d.next() {
+                        Ok(Message::Lookup { .. }) => break,
+                        Ok(other) => panic!("unexpected request {other:?}"),
+                        Err(DecodeError::Incomplete) => {
+                            let n = stream.read(&mut buf).expect("read");
+                            assert!(n > 0, "client hung up early");
+                            d.extend(&buf[..n]);
+                        }
+                        Err(e) => panic!("decode {e}"),
+                    }
+                }
+                stream.write_all(reply).expect("reply");
+            }
+            // A poisoned client sends nothing more: the next read is EOF.
+            assert_eq!(
+                stream.read(&mut buf).expect("read"),
+                0,
+                "request after poison"
+            );
+        });
+
+        let mut client = ContextClient::connect_with(addr, quick_config()).expect("connect");
+        match client.lookup(PathKey(1)) {
+            Err(ClientError::Server { code: c, .. }) => assert_eq!(c, code::BAD_REQUEST),
+            other => panic!("expected the server's 400, got {other:?}"),
+        }
+        assert!(!client.is_poisoned(), "an error frame is a clean reply");
+        match client.lookup(PathKey(2)) {
+            Err(ClientError::Unsupported(200)) => {}
+            other => panic!("expected unsupported reply type, got {other:?}"),
+        }
+        assert!(
+            !client.is_poisoned(),
+            "a skipped frame leaves the stream aligned"
+        );
+        match client.lookup(PathKey(3)) {
+            Err(ClientError::Protocol(_)) => {}
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(client.is_poisoned(), "a mispaired reply must poison");
+        match client.lookup(PathKey(4)) {
+            Err(ClientError::Poisoned) => {}
+            other => panic!("expected poisoned, got {other:?}"),
+        }
+        drop(client);
         server.join().expect("server thread");
     }
 
@@ -2511,56 +2544,183 @@ mod tests {
         let count_at = blob.len() - 4;
         blob[count_at..].copy_from_slice(&u32::MAX.to_be_bytes());
         let mut c = ContextClient::connect(addr).expect("connect");
-        let frames = [
-            Message::SnapshotSync {
-                epoch: 9,
-                blob: blob.clone(),
-            },
-            Message::ShardSnapshotSync {
-                shard: 0,
-                epoch: 9,
-                blob,
-            },
-        ];
-        for frame in &frames {
-            match c.request(frame) {
-                Ok(Message::Error { code: c, .. }) => assert_eq!(c, code::BAD_REQUEST),
-                other => panic!("expected 400 for the oversized count, got {other:?}"),
-            }
+        match c.sync_shard_snapshot(0, 9, blob) {
+            Err(ClientError::Server { code: c, .. }) => assert_eq!(c, code::BAD_REQUEST),
+            other => panic!("expected 400 for the oversized count, got {other:?}"),
         }
         // Nothing was applied, and the same connection still serves.
         assert_eq!(server.epoch_of(0), 1);
         assert_eq!(server.role_of(0), Role::Primary);
-        c.lookup(PathKey(1)).expect("lookup after rejected syncs");
+        c.lookup(PathKey(1))
+            .expect("lookup after the rejected sync");
         server.shutdown();
     }
 
+    /// Type codes 3 (the single-report frame) and 11 (the whole-store
+    /// snapshot sync) are retired: to this build they are unassigned
+    /// codes like any other, answered `501` with the stream still aligned.
     #[test]
-    fn whole_store_sync_still_unsupported_on_sharded_server() {
-        // The legacy frame keeps its 501 on multi-shard receivers — a
-        // whole-store blob cannot be split across shards — but the
-        // shard-scoped frame works on the same connection.
-        let server = ContextServer::start_sharded(
-            "127.0.0.1:0",
-            StoreConfig::default(),
-            ServerConfig::default(),
-            2,
-        )
-        .expect("bind");
-        let blob = server.shard_snapshot_blob(0);
-        let mut c = ContextClient::connect(server.addr()).expect("connect");
-        match c.request(&Message::SnapshotSync {
-            epoch: 2,
-            blob: blob.clone(),
-        }) {
-            Ok(Message::Error { code: c, .. }) => assert_eq!(c, code::UNSUPPORTED),
-            other => panic!("expected 501 for whole-store sync, got {other:?}"),
+    fn retired_frame_types_get_501_and_the_connection_keeps_serving() {
+        let (server, addr) = start_server();
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut d = Decoder::new();
+        let mut reply_to = |frame: &[u8]| {
+            raw.write_all(frame).expect("send");
+            let mut buf = [0u8; 1024];
+            loop {
+                match d.next() {
+                    Ok(m) => return m,
+                    Err(DecodeError::Incomplete) => {
+                        let n = raw.read(&mut buf).expect("read");
+                        assert!(n > 0, "server hung up");
+                        d.extend(&buf[..n]);
+                    }
+                    Err(e) => panic!("decode {e}"),
+                }
+            }
+        };
+        // The frames as the last build that spoke them laid them out.
+        let mut report = vec![0, 0, 0, 50, crate::wire::VERSION, 3];
+        report.extend_from_slice(&[0u8; 48]); // path + summary
+        let mut sync = vec![0, 0, 0, 14, crate::wire::VERSION, 11];
+        sync.extend_from_slice(&[0u8; 12]); // epoch + empty blob
+        for (frame, ty) in [(report, 3), (sync, 11)] {
+            match reply_to(&frame) {
+                Message::Error { code: c, message } => {
+                    assert_eq!(c, code::UNSUPPORTED);
+                    assert!(
+                        message.contains(&ty.to_string()),
+                        "names the type: {message}"
+                    );
+                }
+                other => panic!("expected 501 for retired type {ty}, got {other:?}"),
+            }
         }
-        c.sync_shard_snapshot(0, 2, blob)
-            .expect("shard-scoped sync");
-        assert_eq!(server.epoch_of(0), 2);
-        assert_eq!(server.role_of(0), Role::Backup);
-        assert_eq!(server.epoch_of(1), 1, "other shard untouched");
+        match reply_to(&encode(&Message::Lookup { path: PathKey(1) })) {
+            Message::Context(c) => assert_eq!(c.competing, 0),
+            other => panic!("expected a context reply, got {other:?}"),
+        }
+        assert_eq!(server.stats().protocol_errors.load(Ordering::Relaxed), 2);
+        assert_eq!(server.stats().reports.load(Ordering::Relaxed), 0);
+        server.shutdown();
+    }
+
+    /// The fencing word's two rules, in the orderings that used to go
+    /// wrong when every writer was check-then-store.
+    #[test]
+    fn fencing_word_only_moves_forward() {
+        let ha = HaShared::new(1, Role::Primary);
+        // A sync at 3 lands; a promotion decided at epoch 1 arrives late.
+        assert!(ha.advance(3, Role::Backup));
+        assert!(
+            !ha.advance(2, Role::Primary),
+            "promote(2) after a sync at 3"
+        );
+        assert!(
+            !ha.advance(3, Role::Primary),
+            "promotion needs a newer epoch"
+        );
+        assert!(
+            ha.advance(3, Role::Backup),
+            "the followed primary's next delta"
+        );
+        assert_eq!(ha.get(), (3, Role::Backup));
+
+        // The replication thread read epoch 1, the operator promoted to 6,
+        // then the thread's fenced reply arrives: nothing to step down from.
+        let ha = HaShared::new(1, Role::Primary);
+        assert!(ha.advance(6, Role::Primary));
+        assert!(!ha.demote(1), "demote-at-1 after promote(6)");
+        assert_eq!(ha.get(), (6, Role::Primary));
+        assert!(ha.demote(6));
+        assert!(!ha.demote(6), "already a backup");
+        assert_eq!(ha.get(), (6, Role::Backup));
+
+        // Two primaries at one epoch: the second one's state is fenced.
+        let ha = HaShared::new(4, Role::Primary);
+        assert!(!ha.admits(4, Role::Backup) && !ha.advance(4, Role::Backup));
+        assert!(!ha.advance(3, Role::Backup), "a deposed primary's delta");
+        assert_eq!(ha.get(), (4, Role::Primary));
+
+        // The role's bit bounds the epoch.
+        assert!(!ha.advance(MAX_EPOCH + 1, Role::Primary));
+        assert!(ha.advance(MAX_EPOCH, Role::Backup));
+        assert_eq!(ha.get(), (MAX_EPOCH, Role::Backup));
+    }
+
+    /// Promotions, peers' deltas and self-deposals (current and stale)
+    /// race on one word while a reader watches: no interleaving may lower
+    /// the epoch.
+    #[test]
+    fn fencing_word_never_goes_back_under_racing_writers() {
+        const ROUNDS: usize = 20_000;
+        let ha = HaShared::new(1, Role::Primary);
+        let done = AtomicBool::new(false);
+        let writers: [&(dyn Fn() -> bool + Sync); 4] = [
+            &|| ha.advance(ha.epoch() + 2, Role::Primary),
+            &|| ha.advance(ha.epoch() + 1, Role::Backup),
+            &|| ha.demote(ha.epoch()),
+            &|| ha.demote(ha.epoch().saturating_sub(1)),
+        ];
+        std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                let mut last = 0;
+                while !done.load(Ordering::Acquire) {
+                    let epoch = ha.epoch();
+                    assert!(epoch >= last, "epoch fell from {last} to {epoch}");
+                    last = epoch;
+                }
+            });
+            let won: usize = writers
+                .map(|write| scope.spawn(move || (0..ROUNDS).filter(|_| write()).count()))
+                .into_iter()
+                .map(|w| w.join().expect("writer"))
+                .sum();
+            done.store(true, Ordering::Release);
+            watcher.join().expect("watcher");
+            assert!(won > 0 && ha.epoch() > 1, "no writer ever won");
+        });
+    }
+
+    /// The same race through the server's own writers: an operator
+    /// promoting while a peer's deltas arrive at nearby epochs. Each side
+    /// used to compare and then store, so a delta checked against the old
+    /// epoch could overwrite a promotion that landed in between.
+    #[test]
+    fn server_epoch_never_falls_when_promotions_race_deltas() {
+        let (server, addr) = start_server();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let peer = scope.spawn(|| {
+                let mut c = ContextClient::connect(addr).expect("connect");
+                while !done.load(Ordering::Acquire) {
+                    let op = ReplOp::Lookup {
+                        path: PathKey(1),
+                        now_ns: 0,
+                    };
+                    let epoch = server.epoch() + 1;
+                    c.request(&Message::Replicate { epoch, seq: 1, op })
+                        .expect("a reply, accepted or fenced");
+                }
+            });
+            // The peer runs until told to stop, so note a fall and stop it
+            // before failing rather than panic with it still running.
+            let (mut promoted, mut fell) = (0, None);
+            let until = Instant::now() + Duration::from_millis(300);
+            while fell.is_none() && Instant::now() < until {
+                let seen = server.epoch();
+                if seen < promoted {
+                    fell = Some((promoted, seen));
+                } else if server.promote(seen + 2) {
+                    promoted = seen + 2;
+                }
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Release);
+            peer.join().expect("peer");
+            assert_eq!(fell, None, "epoch fell (from, to)");
+        });
         server.shutdown();
     }
 

@@ -11,8 +11,8 @@
 //!             payload
 //! LOOKUP   (1): u64 path
 //! CONTEXT  (2): f64 utilization, f64 queue_ms, u32 competing
-//! REPORT   (3): u64 path, u64 bytes, u64 duration_ns,
-//!               f64 mean_rtt_ms, f64 min_rtt_ms, u32 retransmits, u32 timeouts
+//! (3)          : retired — the single-report frame; a report is a
+//!               BATCH_REPORT of one
 //! REPORT_OK(4): empty
 //! ERROR    (5): u16 code, u16 len, utf-8 message
 //! SNAPSHOT (6): u16 limit — dashboard query: the busiest paths
@@ -22,20 +22,27 @@
 //! EPOCH    (9): u64 epoch, u8 role (1 = primary, 2 = backup)
 //! REPLICATE(10): u64 epoch, u64 seq, u8 op tag, op payload
 //!               (1 = LOOKUP: u64 path, u64 now_ns;
-//!                2 = REPORT: u64 path, u64 now_ns, REPORT summary body)
-//! SNAPSHOT_SYNC (11): u64 epoch, u32 len, len snapshot-blob bytes
-//!               (blob format is versioned separately — see
-//!               [`crate::context::ContextStore::encode_snapshot`])
-//! BATCH_REPORT (12): u16 count, count x (u64 path, REPORT summary body)
-//!               — many reports, one frame; answered by one REPORT_OK
+//!                2 = REPORT: u64 path, u64 now_ns, summary)
+//! (11)         : retired — the whole-store snapshot sync; a one-shard
+//!               server is shard 0 of SHARD_SNAPSHOT_SYNC
+//! BATCH_REPORT (12): u16 count, count x (u64 path, summary) — many
+//!               reports, one frame; answered by one REPORT_OK
 //! BATCH_QUERY  (13): u16 count, count x u64 path — bulk read-only peek
 //! BATCH_REPLY  (14): u16 count, count x (f64 utilization, f64 queue_ms,
 //!               u32 competing), one per queried path in order
 //! SHARD_SNAPSHOT_SYNC (15): u32 shard, u64 epoch, u32 len, len
-//!               snapshot-blob bytes — SNAPSHOT_SYNC scoped to one shard
-//!               of a sharded server, so a restarted backup can resync a
-//!               multi-shard primary shard by shard
+//!               snapshot-blob bytes — one shard's full state (blob
+//!               format is versioned separately — see
+//!               [`crate::context::ContextStore::encode_snapshot`]), so a
+//!               restarted backup resyncs a primary shard by shard
+//! summary      := u64 bytes, u64 duration_ns, f64 mean_rtt_ms,
+//!               f64 min_rtt_ms, u32 retransmits, u32 timeouts
 //! ```
+//!
+//! Codes 3 and 11 are *retired, never reassigned*: like any code this
+//! build does not assign they decode as the recoverable
+//! [`DecodeError::BadType`], so a server answers them `501` and keeps the
+//! connection.
 //!
 //! The batch frames are *additive*: codes 12–14 were unassigned before
 //! they existed, and unknown type codes decode as the recoverable
@@ -61,7 +68,6 @@ pub const MAX_FRAME: usize = 64 * 1024;
 
 const TYPE_LOOKUP: u8 = 1;
 const TYPE_CONTEXT: u8 = 2;
-const TYPE_REPORT: u8 = 3;
 const TYPE_REPORT_OK: u8 = 4;
 const TYPE_ERROR: u8 = 5;
 const TYPE_SNAPSHOT: u8 = 6;
@@ -69,7 +75,6 @@ const TYPE_PATHS: u8 = 7;
 const TYPE_EPOCH_QUERY: u8 = 8;
 const TYPE_EPOCH: u8 = 9;
 const TYPE_REPLICATE: u8 = 10;
-const TYPE_SNAPSHOT_SYNC: u8 = 11;
 const TYPE_BATCH_REPORT: u8 = 12;
 const TYPE_BATCH_QUERY: u8 = 13;
 const TYPE_BATCH_REPLY: u8 = 14;
@@ -84,12 +89,9 @@ const ROLE_BACKUP: u8 = 2;
 /// Most paths a PATHS reply may carry (bounded by `MAX_FRAME`).
 pub const MAX_SNAPSHOT_PATHS: usize = 1024;
 
-/// Largest snapshot blob a SNAPSHOT_SYNC frame may carry; the rest of
-/// the frame (length, version, type, epoch, blob length) needs 18 bytes.
-pub const MAX_SNAPSHOT_BLOB: usize = MAX_FRAME - 18;
-
-/// Largest snapshot blob a SHARD_SNAPSHOT_SYNC frame may carry; its
-/// framing adds a u32 shard index on top of SNAPSHOT_SYNC's 18 bytes.
+/// Largest snapshot blob a SHARD_SNAPSHOT_SYNC frame may carry; the rest
+/// of the frame (length, version, type, shard, epoch, blob length) needs
+/// 22 bytes.
 pub const MAX_SHARD_SNAPSHOT_BLOB: usize = MAX_FRAME - 22;
 
 /// Most items any batch frame (BATCH_REPORT / BATCH_QUERY / BATCH_REPLY)
@@ -238,13 +240,6 @@ pub enum Message {
     },
     /// Server → client: the context snapshot.
     Context(ContextSnapshot),
-    /// Client → server: a finished connection's experience.
-    Report {
-        /// The path the connection used.
-        path: PathKey,
-        /// Its summary.
-        summary: FlowSummary,
-    },
     /// Server → client: report accepted.
     ReportOk,
     /// Either direction: something went wrong.
@@ -279,14 +274,6 @@ pub enum Message {
         /// The mutation itself.
         op: ReplOp,
     },
-    /// Primary → backup (or operator → restarted server): full state.
-    SnapshotSync {
-        /// The sender's epoch; stale epochs are rejected with 409.
-        epoch: u64,
-        /// Versioned snapshot blob — see
-        /// [`crate::context::ContextStore::encode_snapshot`].
-        blob: Vec<u8>,
-    },
     /// Client → server: many finished connections in one frame. The
     /// server applies every item (in order) and answers with a single
     /// [`Message::ReportOk`], so a write-behind client pays one
@@ -300,19 +287,15 @@ pub enum Message {
     /// Server → client: one snapshot per queried path, in query order.
     BatchReply(Vec<ContextSnapshot>),
     /// Primary → backup (or operator → restarted server): full state of
-    /// *one shard* of a sharded server. Additive (type 15, unassigned
-    /// before it existed): an old decoder skips it with the recoverable
-    /// [`DecodeError::BadType`] instead of desynchronizing — and a
-    /// single-shard deployment keeps speaking plain
-    /// [`Message::SnapshotSync`] so old backups stay syncable.
+    /// *one shard* of a server (a one-shard server is shard 0).
     ShardSnapshotSync {
         /// Which shard the blob belongs to; the receiver routes it by
         /// index and rejects out-of-range shards with 400.
         shard: u32,
         /// The sender's epoch; stale epochs are rejected with 409.
         epoch: u64,
-        /// Versioned snapshot blob for that shard's store — same format
-        /// as [`Message::SnapshotSync`].
+        /// Versioned snapshot blob for that shard's store — see
+        /// [`crate::context::ContextStore::encode_snapshot`].
         blob: Vec<u8>,
     },
 }
@@ -359,139 +342,138 @@ impl std::error::Error for DecodeError {}
 
 /// Encode a message into a self-contained frame.
 pub fn encode(msg: &Message) -> Bytes {
-    let mut payload = BytesMut::with_capacity(64);
-    payload.put_u8(VERSION);
+    let mut frame = BytesMut::with_capacity(64);
+    frame.put_u32(0); // the length, patched in once the rest is written
+    frame.put_u8(VERSION);
     match msg {
         Message::Lookup { path } => {
-            payload.put_u8(TYPE_LOOKUP);
-            payload.put_u64(path.0);
+            frame.put_u8(TYPE_LOOKUP);
+            frame.put_u64(path.0);
         }
         Message::Context(c) => {
-            payload.put_u8(TYPE_CONTEXT);
-            payload.put_f64(c.utilization);
-            payload.put_f64(c.queue_ms);
-            payload.put_u32(c.competing);
-        }
-        Message::Report { path, summary } => {
-            payload.put_u8(TYPE_REPORT);
-            payload.put_u64(path.0);
-            put_summary(&mut payload, summary);
+            frame.put_u8(TYPE_CONTEXT);
+            put_ctx(&mut frame, c);
         }
         Message::ReportOk => {
-            payload.put_u8(TYPE_REPORT_OK);
+            frame.put_u8(TYPE_REPORT_OK);
         }
         Message::Snapshot { limit } => {
-            payload.put_u8(TYPE_SNAPSHOT);
-            payload.put_u16(*limit);
+            frame.put_u8(TYPE_SNAPSHOT);
+            frame.put_u16(*limit);
         }
         Message::Paths(paths) => {
-            payload.put_u8(TYPE_PATHS);
+            frame.put_u8(TYPE_PATHS);
             let n = paths.len().min(MAX_SNAPSHOT_PATHS);
-            payload.put_u16(n as u16);
+            frame.put_u16(n as u16);
             for (key, ctx) in &paths[..n] {
-                payload.put_u64(key.0);
-                payload.put_f64(ctx.utilization);
-                payload.put_f64(ctx.queue_ms);
-                payload.put_u32(ctx.competing);
+                frame.put_u64(key.0);
+                put_ctx(&mut frame, ctx);
             }
         }
         Message::Error { code, message } => {
-            payload.put_u8(TYPE_ERROR);
-            payload.put_u16(*code);
+            frame.put_u8(TYPE_ERROR);
+            frame.put_u16(*code);
             // Keep error frames small; 512 bytes of detail is plenty.
             let len = truncated_utf8_len(message, 512);
-            payload.put_u16(len as u16);
-            payload.put_slice(&message.as_bytes()[..len]);
+            frame.put_u16(len as u16);
+            frame.put_slice(&message.as_bytes()[..len]);
         }
         Message::EpochQuery => {
-            payload.put_u8(TYPE_EPOCH_QUERY);
+            frame.put_u8(TYPE_EPOCH_QUERY);
         }
         Message::Epoch { epoch, role } => {
-            payload.put_u8(TYPE_EPOCH);
-            payload.put_u64(*epoch);
-            payload.put_u8(match role {
+            frame.put_u8(TYPE_EPOCH);
+            frame.put_u64(*epoch);
+            frame.put_u8(match role {
                 Role::Primary => ROLE_PRIMARY,
                 Role::Backup => ROLE_BACKUP,
             });
         }
         Message::Replicate { epoch, seq, op } => {
-            payload.put_u8(TYPE_REPLICATE);
-            payload.put_u64(*epoch);
-            payload.put_u64(*seq);
+            frame.put_u8(TYPE_REPLICATE);
+            frame.put_u64(*epoch);
+            frame.put_u64(*seq);
             match op {
                 ReplOp::Lookup { path, now_ns } => {
-                    payload.put_u8(OP_LOOKUP);
-                    payload.put_u64(path.0);
-                    payload.put_u64(*now_ns);
+                    frame.put_u8(OP_LOOKUP);
+                    frame.put_u64(path.0);
+                    frame.put_u64(*now_ns);
                 }
                 ReplOp::Report {
                     path,
                     now_ns,
                     summary,
                 } => {
-                    payload.put_u8(OP_REPORT);
-                    payload.put_u64(path.0);
-                    payload.put_u64(*now_ns);
-                    put_summary(&mut payload, summary);
+                    frame.put_u8(OP_REPORT);
+                    frame.put_u64(path.0);
+                    frame.put_u64(*now_ns);
+                    put_summary(&mut frame, summary);
                 }
             }
         }
-        Message::SnapshotSync { epoch, blob } => {
-            payload.put_u8(TYPE_SNAPSHOT_SYNC);
-            payload.put_u64(*epoch);
-            let len = blob.len().min(MAX_SNAPSHOT_BLOB);
-            payload.put_u32(len as u32);
-            payload.put_slice(&blob[..len]);
-        }
         Message::BatchReport(items) => {
-            payload.put_u8(TYPE_BATCH_REPORT);
+            frame.put_u8(TYPE_BATCH_REPORT);
             let n = items.len().min(MAX_BATCH_ITEMS);
-            payload.put_u16(n as u16);
+            frame.put_u16(n as u16);
             for (path, summary) in &items[..n] {
-                payload.put_u64(path.0);
-                put_summary(&mut payload, summary);
+                frame.put_u64(path.0);
+                put_summary(&mut frame, summary);
             }
         }
         Message::BatchQuery(paths) => {
-            payload.put_u8(TYPE_BATCH_QUERY);
+            frame.put_u8(TYPE_BATCH_QUERY);
             let n = paths.len().min(MAX_BATCH_ITEMS);
-            payload.put_u16(n as u16);
+            frame.put_u16(n as u16);
             for path in &paths[..n] {
-                payload.put_u64(path.0);
+                frame.put_u64(path.0);
             }
         }
         Message::BatchReply(snaps) => {
-            payload.put_u8(TYPE_BATCH_REPLY);
+            frame.put_u8(TYPE_BATCH_REPLY);
             let n = snaps.len().min(MAX_BATCH_ITEMS);
-            payload.put_u16(n as u16);
+            frame.put_u16(n as u16);
             for ctx in &snaps[..n] {
-                payload.put_f64(ctx.utilization);
-                payload.put_f64(ctx.queue_ms);
-                payload.put_u32(ctx.competing);
+                put_ctx(&mut frame, ctx);
             }
         }
         Message::ShardSnapshotSync { shard, epoch, blob } => {
-            payload.put_u8(TYPE_SHARD_SNAPSHOT_SYNC);
-            payload.put_u32(*shard);
-            payload.put_u64(*epoch);
+            frame.put_u8(TYPE_SHARD_SNAPSHOT_SYNC);
+            frame.put_u32(*shard);
+            frame.put_u64(*epoch);
             let len = blob.len().min(MAX_SHARD_SNAPSHOT_BLOB);
-            payload.put_u32(len as u32);
-            payload.put_slice(&blob[..len]);
+            frame.put_u32(len as u32);
+            frame.put_slice(&blob[..len]);
         }
     }
-    let mut frame = BytesMut::with_capacity(4 + payload.len());
-    frame.put_u32(payload.len() as u32);
-    frame.extend_from_slice(&payload);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
     frame.freeze()
 }
 
-fn put_summary(payload: &mut BytesMut, s: &FlowSummary) {
-    payload.put_u64(s.bytes);
-    payload.put_u64(s.duration_ns);
-    payload.put_f64(s.mean_rtt_ms);
-    payload.put_f64(s.min_rtt_ms);
-    payload.put_u32(s.retransmits);
-    payload.put_u32(s.timeouts);
+fn put_ctx(frame: &mut BytesMut, c: &ContextSnapshot) {
+    frame.put_f64(c.utilization);
+    frame.put_f64(c.queue_ms);
+    frame.put_u32(c.competing);
+}
+
+/// Byte size of an encoded [`ContextSnapshot`].
+const CTX_LEN: usize = 20;
+
+fn get_ctx(p: &mut BytesMut) -> ContextSnapshot {
+    ContextSnapshot {
+        utilization: p.get_f64(),
+        queue_ms: p.get_f64(),
+        competing: p.get_u32(),
+    }
+}
+
+fn put_summary(frame: &mut BytesMut, s: &FlowSummary) {
+    frame.put_u64(s.bytes);
+    frame.put_u64(s.duration_ns);
+    frame.put_f64(s.mean_rtt_ms);
+    frame.put_f64(s.min_rtt_ms);
+    frame.put_u32(s.retransmits);
+    frame.put_u32(s.timeouts);
 }
 
 /// Byte size of an encoded [`FlowSummary`].
@@ -583,19 +565,8 @@ fn decode_payload(p: &mut BytesMut) -> Result<Message, DecodeError> {
             })
         }
         TYPE_CONTEXT => {
-            need!(20);
-            Ok(Message::Context(ContextSnapshot {
-                utilization: p.get_f64(),
-                queue_ms: p.get_f64(),
-                competing: p.get_u32(),
-            }))
-        }
-        TYPE_REPORT => {
-            need!(8 + SUMMARY_LEN);
-            Ok(Message::Report {
-                path: PathKey(p.get_u64()),
-                summary: get_summary(p),
-            })
+            need!(CTX_LEN);
+            Ok(Message::Context(get_ctx(p)))
         }
         TYPE_REPORT_OK => Ok(Message::ReportOk),
         TYPE_SNAPSHOT => {
@@ -608,17 +579,10 @@ fn decode_payload(p: &mut BytesMut) -> Result<Message, DecodeError> {
             if n > MAX_SNAPSHOT_PATHS {
                 return Err(DecodeError::Malformed("too many paths"));
             }
-            need!(n * 28);
+            need!(n * (8 + CTX_LEN));
             let mut out = Vec::with_capacity(n);
             for _ in 0..n {
-                out.push((
-                    PathKey(p.get_u64()),
-                    ContextSnapshot {
-                        utilization: p.get_f64(),
-                        queue_ms: p.get_f64(),
-                        competing: p.get_u32(),
-                    },
-                ));
+                out.push((PathKey(p.get_u64()), get_ctx(p)));
             }
             Ok(Message::Paths(out))
         }
@@ -667,17 +631,6 @@ fn decode_payload(p: &mut BytesMut) -> Result<Message, DecodeError> {
             };
             Ok(Message::Replicate { epoch, seq, op })
         }
-        TYPE_SNAPSHOT_SYNC => {
-            need!(12);
-            let epoch = p.get_u64();
-            let len = p.get_u32() as usize;
-            if len > MAX_SNAPSHOT_BLOB {
-                return Err(DecodeError::Malformed("snapshot blob too large"));
-            }
-            need!(len);
-            let blob = p.split_to(len).to_vec();
-            Ok(Message::SnapshotSync { epoch, blob })
-        }
         TYPE_BATCH_REPORT => {
             need!(2);
             let n = p.get_u16() as usize;
@@ -710,14 +663,10 @@ fn decode_payload(p: &mut BytesMut) -> Result<Message, DecodeError> {
             if n > MAX_BATCH_ITEMS {
                 return Err(DecodeError::Malformed("batch too large"));
             }
-            need!(n * 20);
+            need!(n * CTX_LEN);
             let mut snaps = Vec::with_capacity(n);
             for _ in 0..n {
-                snaps.push(ContextSnapshot {
-                    utilization: p.get_f64(),
-                    queue_ms: p.get_f64(),
-                    competing: p.get_u32(),
-                });
+                snaps.push(get_ctx(p));
             }
             Ok(Message::BatchReply(snaps))
         }
@@ -758,17 +707,6 @@ mod tests {
             queue_ms: 12.25,
             competing: 17,
         }));
-        roundtrip(Message::Report {
-            path: PathKey(u64::MAX),
-            summary: FlowSummary {
-                bytes: 123_456_789,
-                duration_ns: 2_500_000_000,
-                mean_rtt_ms: 163.5,
-                min_rtt_ms: 150.0,
-                retransmits: 7,
-                timeouts: 1,
-            },
-        });
         roundtrip(Message::ReportOk);
         roundtrip(Message::Snapshot { limit: 10 });
         roundtrip(Message::Paths(vec![
@@ -826,14 +764,6 @@ mod tests {
                     timeouts: 0,
                 },
             },
-        });
-        roundtrip(Message::SnapshotSync {
-            epoch: 12,
-            blob: vec![0xAB; 1024],
-        });
-        roundtrip(Message::SnapshotSync {
-            epoch: 13,
-            blob: Vec::new(),
         });
         roundtrip(Message::ShardSnapshotSync {
             shard: 3,
@@ -1058,27 +988,9 @@ mod tests {
     }
 
     #[test]
-    fn oversized_snapshot_blob_rejected() {
-        // Hand-build a SNAPSHOT_SYNC whose blob-length field exceeds the
-        // bound; must be a clean typed error.
-        let mut frame = BytesMut::new();
-        frame.put_u32(2 + 12);
-        frame.put_u8(VERSION);
-        frame.put_u8(11); // TYPE_SNAPSHOT_SYNC
-        frame.put_u64(1); // epoch
-        frame.put_u32(MAX_FRAME as u32); // blob length: too large
-        let mut d = Decoder::new();
-        d.extend(&frame);
-        assert_eq!(
-            d.next(),
-            Err(DecodeError::Malformed("snapshot blob too large"))
-        );
-    }
-
-    #[test]
     fn oversized_shard_snapshot_blob_rejected() {
-        // Same bound check as SNAPSHOT_SYNC, with the shard index's 4
-        // extra bytes of framing accounted for.
+        // Hand-build a SHARD_SNAPSHOT_SYNC whose blob-length field
+        // exceeds the bound; must be a clean typed error.
         let mut frame = BytesMut::new();
         frame.put_u32(2 + 16);
         frame.put_u8(VERSION);

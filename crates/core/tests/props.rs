@@ -19,10 +19,15 @@ use phi_tcp::hook::ContextSnapshot;
 mod model;
 use model::ScanModel;
 
-/// Frame type codes 1..=15 are assigned (15 is the sharded snapshot sync
-/// added with the sharded store); everything above is unknown and must
-/// decode as the *recoverable* `BadType`.
+/// Frame type codes 1..=15 have been assigned (15 is the shard snapshot
+/// sync); everything above is unknown and must decode as the
+/// *recoverable* `BadType`.
 const FIRST_UNKNOWN_TYPE: u8 = 16;
+
+/// Codes retired since — never reassigned, so they decode like unknown
+/// ones: the single-report frame and the whole-store snapshot sync.
+const RETIRED_REPORT: u8 = 3;
+const RETIRED_SNAPSHOT_SYNC: u8 = 11;
 
 /// Type codes of the batch frames added after the original 1..=11 set —
 /// the frames a pre-batch decoder must skip recoverably.
@@ -81,10 +86,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         any::<u64>().prop_map(|p| Message::Lookup { path: PathKey(p) }),
         arb_snapshot().prop_map(Message::Context),
-        (any::<u64>(), arb_summary()).prop_map(|(p, summary)| Message::Report {
-            path: PathKey(p),
-            summary,
-        }),
         Just(Message::ReportOk),
         (any::<u16>(), "[ -~]{0,300}").prop_map(|(code, message)| Message::Error { code, message }),
         any::<u16>().prop_map(|limit| Message::Snapshot { limit }),
@@ -95,8 +96,16 @@ fn arb_message() -> impl Strategy<Value = Message> {
         (any::<u64>(), arb_role()).prop_map(|(epoch, role)| Message::Epoch { epoch, role }),
         (any::<u64>(), any::<u64>(), arb_replop())
             .prop_map(|(epoch, seq, op)| Message::Replicate { epoch, seq, op }),
-        (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..300))
-            .prop_map(|(epoch, blob)| Message::SnapshotSync { epoch, blob }),
+        (
+            any::<u32>(),
+            any::<u64>(),
+            proptest::collection::vec(any::<u8>(), 0..300)
+        )
+            .prop_map(|(shard, epoch, blob)| Message::ShardSnapshotSync {
+                shard,
+                epoch,
+                blob
+            }),
         arb_batch_message(),
     ]
 }
@@ -467,7 +476,11 @@ proptest! {
     fn unknown_type_rejected_and_recoverable(
         msg in arb_message(),
         follower in arb_message(),
-        bad in FIRST_UNKNOWN_TYPE..=255,
+        bad in prop_oneof![
+            Just(RETIRED_REPORT),
+            Just(RETIRED_SNAPSHOT_SYNC),
+            FIRST_UNKNOWN_TYPE..=255,
+        ],
     ) {
         let mut frame = encode(&msg).to_vec();
         frame[5] = bad;
