@@ -926,14 +926,14 @@ pub(super) fn replicate_to_backups(
         // Shards deposed during this pass; their baselines are cleared on
         // *every* link so a re-promotion starts with full resyncs.
         let mut deposed: Vec<usize> = Vec::new();
-        for link in &mut links {
+        'links: for link in &mut links {
             if link.conn.is_none() {
                 link.conn = ContextClient::connect_with(link.addr, client_cfg).ok();
                 link.acked = vec![None; n]; // new connection: new baseline
-                if link.conn.is_none() {
-                    continue;
-                }
             }
+            let Some(conn) = link.conn.as_mut() else {
+                continue;
+            };
 
             let mut sent_any = false;
             for (s, sh) in shards.iter().enumerate() {
@@ -941,72 +941,25 @@ pub(super) fn replicate_to_backups(
                 if role != Role::Primary || deposed.contains(&s) {
                     continue;
                 }
-
-                // A backup with no baseline for this shard — or one that
-                // fell behind the pruned log — gets a full snapshot
-                // consistent with a log position: both locks held while
-                // reading (store read lock blocks mutators, which append
-                // under the write lock).
-                let needs_sync = {
-                    let log = sh.log.lock();
-                    match link.acked[s] {
-                        None => true,
-                        Some(acked) => log
-                            .entries
-                            .front()
-                            .is_some_and(|&(front, _)| front > acked + 1),
-                    }
-                };
-                if needs_sync {
-                    let (blob, sync_seq) = {
-                        let st = sh.store.read();
-                        let log = sh.log.lock();
-                        (st.encode_snapshot(epoch), log.next_seq)
-                    };
-                    let msg = Message::ShardSnapshotSync {
-                        shard: s as u32,
-                        epoch,
-                        blob,
-                    };
-                    match send_repl(link, &msg) {
-                        ReplSend::Acked => {
-                            stats.repl_sent.fetch_add(1, Ordering::Relaxed);
-                            link.acked[s] = Some(sync_seq);
-                            sent_any = true;
-                        }
-                        ReplSend::Fenced => {
-                            sh.ha.demote(epoch);
-                            deposed.push(s);
-                            continue;
-                        }
-                        ReplSend::Failed => break,
-                    }
-                }
-
-                // Stream the delta tail.
-                loop {
-                    let next = {
-                        let log = sh.log.lock();
-                        let acked = link.acked[s].unwrap_or(0);
-                        log.entries.iter().find(|&&(seq, _)| seq > acked).cloned()
-                    };
-                    let Some((seq, op)) = next else { break };
-                    match send_repl(link, &Message::Replicate { epoch, seq, op }) {
-                        ReplSend::Acked => {
+                while let Some((msg, seq)) = next_frame(sh, s as u32, epoch, link.acked[s]) {
+                    match conn.ask(&msg, acked) {
+                        Ok(()) => {
                             stats.repl_sent.fetch_add(1, Ordering::Relaxed);
                             link.acked[s] = Some(seq);
                             sent_any = true;
                         }
-                        ReplSend::Fenced => {
+                        Err(ClientError::Server { code: c, .. }) if c == code::FENCED => {
                             sh.ha.demote(epoch);
                             deposed.push(s);
                             break;
                         }
-                        ReplSend::Failed => break,
+                        // Anything else: the link is no good; the next
+                        // pass reconnects and resyncs.
+                        Err(_) => {
+                            link.conn = None;
+                            continue 'links;
+                        }
                     }
-                }
-                if link.conn.is_none() {
-                    break; // transport died; retry this link next pass
                 }
             }
 
@@ -1015,21 +968,18 @@ pub(super) fn replicate_to_backups(
             // carries the backup's most conservative (lowest) epoch, so
             // any primary shard below it has certainly been superseded.
             if !sent_any {
-                if let Some(conn) = link.conn.as_mut() {
-                    match conn.epoch() {
-                        Ok((theirs, _)) => {
-                            for (s, sh) in shards.iter().enumerate() {
-                                let (epoch, role) = sh.ha.get();
-                                if role == Role::Primary && theirs > epoch && !deposed.contains(&s)
-                                {
-                                    sh.ha.demote(epoch);
-                                    deposed.push(s);
-                                }
+                match conn.epoch() {
+                    Ok((theirs, _)) => {
+                        for (s, sh) in shards.iter().enumerate() {
+                            let (epoch, role) = sh.ha.get();
+                            if role == Role::Primary && theirs > epoch && !deposed.contains(&s) {
+                                sh.ha.demote(epoch);
+                                deposed.push(s);
                             }
                         }
-                        Err(ClientError::Server { .. }) => {}
-                        Err(_) => link.conn = None,
                     }
+                    Err(ClientError::Server { .. }) => {}
+                    Err(_) => link.conn = None,
                 }
             }
         }
@@ -1052,24 +1002,31 @@ pub(super) fn replicate_to_backups(
     }
 }
 
-enum ReplSend {
-    Acked,
-    Fenced,
-    Failed,
-}
-
-fn send_repl(link: &mut BackupLink, msg: &Message) -> ReplSend {
-    let Some(conn) = link.conn.as_mut() else {
-        return ReplSend::Failed;
+/// The next frame a backup that has acknowledged shard `shard` up to
+/// `acked` needs, and the log position its acknowledgement will stand
+/// for. A backup with no baseline — or one that fell behind the pruned
+/// log — gets a full snapshot consistent with a log position: both locks
+/// held while reading (the store read lock blocks mutators, which append
+/// under the write lock). Otherwise the next delta, if there is one.
+fn next_frame(
+    sh: &ShardState,
+    shard: u32,
+    epoch: u64,
+    acked: Option<u64>,
+) -> Option<(Message, u64)> {
+    let oldest = sh.log.lock().entries.front().map(|&(seq, _)| seq);
+    let Some(acked) = acked.filter(|acked| oldest.is_none_or(|oldest| oldest <= acked + 1)) else {
+        let st = sh.store.read();
+        let log = sh.log.lock();
+        let blob = st.encode_snapshot(epoch);
+        return Some((
+            Message::ShardSnapshotSync { shard, epoch, blob },
+            log.next_seq,
+        ));
     };
-    match conn.request(msg) {
-        Ok(Message::ReportOk) => ReplSend::Acked,
-        Ok(Message::Error { code: c, .. }) if c == code::FENCED => ReplSend::Fenced,
-        Ok(_) | Err(_) => {
-            link.conn = None;
-            ReplSend::Failed
-        }
-    }
+    let log = sh.log.lock();
+    let (seq, op) = log.entries.iter().find(|&&(seq, _)| seq > acked)?.clone();
+    Some((Message::Replicate { epoch, seq, op }, seq))
 }
 
 /// Client-side errors.
@@ -1252,25 +1209,17 @@ impl ContextClient {
         addr: impl ToSocketAddrs,
         config: ClientConfig,
     ) -> std::io::Result<ContextClient> {
-        let mut last_err = None;
-        let mut stream = None;
+        let mut stream = Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "no addresses resolved",
+        ));
         for addr in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&addr, config.connect_timeout) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(e) => last_err = Some(e),
+            stream = TcpStream::connect_timeout(&addr, config.connect_timeout);
+            if stream.is_ok() {
+                break;
             }
         }
-        let stream = match stream {
-            Some(s) => s,
-            None => {
-                return Err(last_err.unwrap_or_else(|| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "no addresses resolved")
-                }))
-            }
-        };
+        let stream = stream?;
         stream.set_nodelay(true)?;
         // Both directions are bounded: a stalled server with a full
         // socket buffer must not block the sender on write any more than
@@ -1299,24 +1248,8 @@ impl ContextClient {
         self.poisoned
     }
 
-    /// One frame out, one frame back, whatever its type.
-    pub(super) fn request(&mut self, msg: &Message) -> Result<Message, ClientError> {
-        if self.poisoned {
-            return Err(ClientError::Poisoned);
-        }
-        let result = self.request_inner(msg);
-        if let Err(e) = &result {
-            if e.poisons() {
-                // The request may already be on the wire and its reply in
-                // flight; reusing the stream would pair that stale reply
-                // with the next request.
-                self.poisoned = true;
-            }
-        }
-        result
-    }
-
-    fn request_inner(&mut self, msg: &Message) -> Result<Message, ClientError> {
+    /// One frame out, one frame back, within the request deadline.
+    fn exchange(&mut self, msg: &Message) -> Result<Message, ClientError> {
         let deadline = Instant::now() + self.config.request_deadline;
         self.stream
             .set_write_timeout(Some(self.config.request_deadline))?;
@@ -1351,20 +1284,35 @@ impl ContextClient {
     /// place a reply is matched to what was asked. An `Error` frame is a
     /// clean answer ([`ClientError::Server`]; the connection stays
     /// usable). A frame `pick` hands back is not the reply to this
-    /// request, so whatever else is on the stream cannot be paired
-    /// either: [`ClientError::Protocol`], and the connection is poisoned.
-    fn ask<T>(
+    /// request, so nothing else on the stream can be paired either:
+    /// [`ClientError::Protocol`].
+    pub(super) fn ask<T>(
         &mut self,
         msg: &Message,
         pick: impl FnOnce(Message) -> Result<T, Message>,
     ) -> Result<T, ClientError> {
-        match self.request(msg)? {
-            Message::Error { code, message } => Err(ClientError::Server { code, message }),
-            reply => pick(reply).map_err(|other| {
-                self.poisoned = true;
-                ClientError::Protocol(format!("unexpected reply {other:?}"))
-            }),
+        if self.poisoned {
+            return Err(ClientError::Poisoned);
         }
+        let result = self.exchange(msg).and_then(|reply| match reply {
+            Message::Error { code, message } => Err(ClientError::Server { code, message }),
+            reply => pick(reply)
+                .map_err(|other| ClientError::Protocol(format!("unexpected reply {other:?}"))),
+        });
+        // After a failure that leaves the stream in an unknown state — the
+        // request may be on the wire with its reply in flight, or the
+        // reply that came was not this request's — reusing the stream
+        // would pair a stale reply with the next request.
+        self.poisoned = result.as_ref().is_err_and(ClientError::poisons);
+        result
+    }
+
+    /// Any frame out and the reply frame back (an error frame as
+    /// [`ClientError::Server`]), for tests that speak the replication
+    /// stream by hand.
+    #[cfg(test)]
+    pub(super) fn request(&mut self, msg: &Message) -> Result<Message, ClientError> {
+        self.ask(msg, Ok)
     }
 
     /// Look up the congestion context for `path` (registers this client
@@ -1476,7 +1424,7 @@ impl ContextClient {
 }
 
 /// [`ContextClient::ask`]'s `pick` for requests answered by `REPORT_OK`.
-fn acked(reply: Message) -> Result<(), Message> {
+pub(super) fn acked(reply: Message) -> Result<(), Message> {
     match reply {
         Message::ReportOk => Ok(()),
         other => Err(other),
@@ -1761,44 +1709,41 @@ impl ResilientClient {
             let Some(conn) = self.ensure_conn() else {
                 continue;
             };
-            let answer = match request(conn) {
-                Ok(reply) => Some(reply),
+            match request(conn) {
+                Ok(reply) => return self.answered(Some(reply)),
+                // The server shed us; it will close the connection.
                 Err(ClientError::Server { code: c, .. }) if c == code::OVERLOADED => {
-                    // The server shed us; it will close the connection.
                     self.conn = None;
-                    continue;
                 }
+                // This endpoint was deposed under us (or demoted to
+                // backup). Never retry it with this request — fail over
+                // to the next endpoint in the list.
                 Err(ClientError::Server { code: c, .. }) if c == code::FENCED => {
-                    // This endpoint was deposed under us (or demoted to
-                    // backup). Never retry it with this request — fail
-                    // over to the next endpoint in the list.
                     self.stats.fenced += 1;
                     self.fail_over();
-                    continue;
                 }
                 // Any other refusal is an answer: the plane is up, it
                 // just has nothing for this request.
-                Err(ClientError::Server { .. }) => None,
-                Err(ClientError::Unsupported(_)) => {
-                    // The reply is unusable but the connection is fine;
-                    // treat as a failed attempt without reconnecting.
-                    continue;
-                }
-                Err(_) => {
-                    // Poisoned, timed out, or transport-dead: drop the
-                    // connection and let the next attempt try the next
-                    // endpoint in the list.
-                    self.fail_over();
-                    continue;
-                }
-            };
-            self.consecutive_failures = 0;
-            self.open_until = None;
-            self.open_streak = 0;
-            return answer;
+                Err(ClientError::Server { .. }) => return self.answered(None),
+                // The reply is unusable but the connection is fine; treat
+                // as a failed attempt without reconnecting.
+                Err(ClientError::Unsupported(_)) => {}
+                // Poisoned, timed out, or transport-dead: drop the
+                // connection and let the next attempt try the next
+                // endpoint in the list.
+                Err(_) => self.fail_over(),
+            }
         }
         self.on_exhausted();
         None
+    }
+
+    /// The plane answered: close the breaker and forget the failures.
+    fn answered<T>(&mut self, answer: Option<T>) -> Option<T> {
+        self.consecutive_failures = 0;
+        self.open_until = None;
+        self.open_streak = 0;
+        answer
     }
 
     /// Advance to the next endpoint in the ordered list.
@@ -1844,15 +1789,13 @@ impl ResilientClient {
         if self.open_until.is_some() {
             // A half-open probe failed: re-open for twice as long.
             self.stats.probe_failures += 1;
-            let wait = self.current_cooldown();
-            self.open_until = Some(Instant::now() + wait);
-            self.open_streak = self.open_streak.saturating_add(1);
         } else if self.consecutive_failures >= self.config.breaker_threshold {
             self.stats.breaker_trips += 1;
-            let wait = self.current_cooldown();
-            self.open_until = Some(Instant::now() + wait);
-            self.open_streak = self.open_streak.saturating_add(1);
+        } else {
+            return;
         }
+        self.open_until = Some(Instant::now() + self.current_cooldown());
+        self.open_streak = self.open_streak.saturating_add(1);
     }
 
     /// Exponential backoff with deterministic jitter in `[0.5, 1.0]` of
@@ -2700,8 +2643,10 @@ mod tests {
                         now_ns: 0,
                     };
                     let epoch = server.epoch() + 1;
-                    c.request(&Message::Replicate { epoch, seq: 1, op })
-                        .expect("a reply, accepted or fenced");
+                    match c.request(&Message::Replicate { epoch, seq: 1, op }) {
+                        Ok(_) | Err(ClientError::Server { .. }) => {} // accepted, or fenced
+                        Err(e) => panic!("peer lost its connection: {e}"),
+                    }
                 }
             });
             // The peer runs until told to stop, so note a fall and stop it
