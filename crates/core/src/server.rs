@@ -846,7 +846,7 @@ fn handle_connection(
 #[derive(Debug, Default)]
 pub(super) struct ReplLog {
     next_seq: u64,
-    entries: VecDeque<(u64, ReplOp)>,
+    pub(super) entries: VecDeque<(u64, ReplOp)>,
 }
 
 /// Entries kept before the oldest are dropped; a backup that has fallen
@@ -867,16 +867,6 @@ impl ReplLog {
         while self.entries.front().is_some_and(|&(seq, _)| seq <= acked) {
             self.entries.pop_front();
         }
-    }
-}
-
-impl ContextServer {
-    /// Shard `shard`'s unpruned replication log (sequence + op), for tests
-    /// asserting that one batch and batches of one produce identical deltas.
-    #[cfg(test)]
-    pub(super) fn repl_entries(&self, shard: usize) -> Vec<(u64, ReplOp)> {
-        let log = self.shards[shard].log.lock();
-        log.entries.iter().cloned().collect()
     }
 }
 
@@ -1305,14 +1295,6 @@ impl ContextClient {
         // would pair a stale reply with the next request.
         self.poisoned = result.as_ref().is_err_and(ClientError::poisons);
         result
-    }
-
-    /// Any frame out and the reply frame back (an error frame as
-    /// [`ClientError::Server`]), for tests that speak the replication
-    /// stream by hand.
-    #[cfg(test)]
-    pub(super) fn request(&mut self, msg: &Message) -> Result<Message, ClientError> {
-        self.ask(msg, Ok)
     }
 
     /// Look up the congestion context for `path` (registers this client
@@ -1851,6 +1833,23 @@ mod tests {
             min_rtt_ms: 150.0,
             retransmits: 2,
             timeouts: 0,
+        }
+    }
+
+    impl ContextServer {
+        /// Shard `shard`'s unpruned replication log (sequence + op).
+        fn repl_entries(&self, shard: usize) -> Vec<(u64, ReplOp)> {
+            let log = self.shards[shard].log.lock();
+            log.entries.iter().cloned().collect()
+        }
+    }
+
+    impl ContextClient {
+        /// Any frame out and the reply frame back (an error frame as
+        /// [`ClientError::Server`]), to speak the replication stream by
+        /// hand.
+        fn request(&mut self, msg: &Message) -> Result<Message, ClientError> {
+            self.ask(msg, Ok)
         }
     }
 
