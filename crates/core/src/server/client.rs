@@ -171,7 +171,7 @@ impl WriteBehind {
 /// Every call returns within [`ClientConfig::request_deadline`]. After
 /// any mid-request failure the connection is poisoned (see the module
 /// docs); callers that want automatic reconnection and degradation use
-/// [`ResilientClient`].
+/// [`super::ResilientClient`].
 pub struct ContextClient {
     pub(super) stream: TcpStream,
     decoder: Decoder,

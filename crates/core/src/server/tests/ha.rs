@@ -259,6 +259,35 @@ fn fencing_word_only_moves_forward() {
     assert_eq!(ha.get(), (MAX_EPOCH, Role::Backup));
 }
 
+/// An epoch the word cannot hold is turned away where it enters: from an
+/// operator at start-up and at promotion, from a peer as a `400` that
+/// leaves the shard and the connection as they were.
+#[test]
+fn an_epoch_beyond_the_fencing_word_is_refused_at_the_boundary() {
+    let store = sync_store(ContextStore::new(StoreConfig::default()));
+    let ha = HaOptions {
+        epoch: MAX_EPOCH + 1,
+        ..HaOptions::default()
+    };
+    let refused = ContextServer::start_ha("127.0.0.1:0", store, ServerConfig::default(), ha);
+    assert_eq!(
+        refused.err().map(|e| e.kind()),
+        Some(std::io::ErrorKind::InvalidInput)
+    );
+
+    let (server, addr) = start_server();
+    assert!(!server.promote(MAX_EPOCH + 1));
+    let mut c = ContextClient::connect(addr).expect("connect");
+    let blob = server.snapshot_blob();
+    match c.sync_shard_snapshot(0, u64::MAX, blob) {
+        Err(ClientError::Server { code: c, .. }) => assert_eq!(c, code::BAD_REQUEST),
+        other => panic!("expected 400 for the oversized epoch, got {other:?}"),
+    }
+    assert_eq!((server.epoch(), server.role()), (1, Role::Primary));
+    c.lookup(PathKey(1)).expect("lookup after the refused sync");
+    server.shutdown();
+}
+
 /// Promotions, peers' deltas and self-deposals (current and stale)
 /// race on one word while a reader watches: no interleaving may lower
 /// the epoch.
