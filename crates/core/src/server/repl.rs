@@ -177,17 +177,17 @@ fn next_frame(
     epoch: u64,
     acked: Option<u64>,
 ) -> Option<(Message, u64)> {
-    let oldest = sh.log.lock().entries.front().map(|&(seq, _)| seq);
-    let Some(acked) = acked.filter(|acked| oldest.is_none_or(|oldest| oldest <= acked + 1)) else {
-        let st = sh.store.read();
+    {
         let log = sh.log.lock();
-        let blob = st.encode_snapshot(epoch);
-        return Some((
-            Message::ShardSnapshotSync { shard, epoch, blob },
-            log.next_seq,
-        ));
-    };
+        let oldest = log.entries.front().map(|&(seq, _)| seq);
+        if let Some(acked) = acked.filter(|acked| oldest.is_none_or(|oldest| oldest <= acked + 1)) {
+            let (seq, op) = log.entries.iter().find(|&&(seq, _)| seq > acked)?.clone();
+            return Some((Message::Replicate { epoch, seq, op }, seq));
+        }
+    }
+    let st = sh.store.read();
     let log = sh.log.lock();
-    let (seq, op) = log.entries.iter().find(|&&(seq, _)| seq > acked)?.clone();
-    Some((Message::Replicate { epoch, seq, op }, seq))
+    let blob = st.encode_snapshot(epoch);
+    let sync = Message::ShardSnapshotSync { shard, epoch, blob };
+    Some((sync, log.next_seq))
 }
