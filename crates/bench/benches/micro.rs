@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use phi_core::context::{ContextStore, FlowSummary, PathKey, StoreConfig};
 use phi_core::harness::{provision_cubic, run_experiment, ExperimentSpec};
-use phi_core::wire::{encode, Decoder, Message};
+use phi_core::wire::{encode, Decoder, Message, MAX_BATCH_ITEMS};
 use phi_predict::LogHistogram;
 use phi_remy::{Action, WhiskerTree};
 use phi_sim::time::Dur;
@@ -47,18 +47,16 @@ fn bench_simulator(c: &mut Criterion) {
 
 fn bench_wire(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
+    let summary = FlowSummary {
+        bytes: 1_000_000,
+        duration_ns: 2_000_000_000,
+        mean_rtt_ms: 163.0,
+        min_rtt_ms: 150.0,
+        retransmits: 2,
+        timeouts: 0,
+    };
     // A report on the wire: a batch of one.
-    let report = Message::BatchReport(vec![(
-        PathKey(42),
-        FlowSummary {
-            bytes: 1_000_000,
-            duration_ns: 2_000_000_000,
-            mean_rtt_ms: 163.0,
-            min_rtt_ms: 150.0,
-            retransmits: 2,
-            timeouts: 0,
-        },
-    )]);
+    let report = Message::BatchReport(vec![(PathKey(42), summary)]);
     g.throughput(Throughput::Elements(1));
     g.bench_function("encode_report", |b| {
         b.iter(|| criterion::black_box(encode(&report)))
@@ -73,6 +71,25 @@ fn bench_wire(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         )
+    });
+    // The frame both ctx workloads of phi-benchmark send: a full batch,
+    // through one long-lived decoder as on a connection.
+    let batch = Message::BatchReport(
+        (0..MAX_BATCH_ITEMS as u64)
+            .map(|i| (PathKey(i), summary))
+            .collect(),
+    );
+    g.throughput(Throughput::Elements(MAX_BATCH_ITEMS as u64));
+    g.bench_function("encode_batch_1024", |b| {
+        b.iter(|| criterion::black_box(encode(&batch)))
+    });
+    let frame = encode(&batch);
+    let mut d = Decoder::new();
+    g.bench_function("decode_batch_1024", |b| {
+        b.iter(|| {
+            d.extend(&frame);
+            criterion::black_box(d.next().expect("decode"))
+        })
     });
     g.finish();
 }

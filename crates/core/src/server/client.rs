@@ -175,6 +175,8 @@ impl WriteBehind {
 pub struct ContextClient {
     pub(super) stream: TcpStream,
     decoder: Decoder,
+    /// What `read` fills before the decoder takes it.
+    read_buf: Vec<u8>,
     config: ClientConfig,
     poisoned: bool,
     buffer: WriteBehind,
@@ -211,6 +213,7 @@ impl ContextClient {
         Ok(ContextClient {
             stream,
             decoder: Decoder::new(),
+            read_buf: vec![0; super::READ_BUF_LEN],
             config,
             poisoned: false,
             buffer: WriteBehind::default(),
@@ -236,7 +239,6 @@ impl ContextClient {
         self.stream
             .set_write_timeout(Some(self.config.request_deadline))?;
         self.stream.write_all(&encode(msg))?;
-        let mut buf = [0u8; 4096];
         loop {
             match self.decoder.next() {
                 Ok(m) => return Ok(m),
@@ -254,11 +256,11 @@ impl ContextClient {
                 return Err(ClientError::Deadline);
             }
             self.stream.set_read_timeout(Some(remaining))?;
-            let n = self.stream.read(&mut buf)?;
+            let n = self.stream.read(&mut self.read_buf)?;
             if n == 0 {
                 return Err(ClientError::Protocol("server closed connection".into()));
             }
-            self.decoder.extend(&buf[..n]);
+            self.decoder.extend(&self.read_buf[..n]);
         }
     }
 

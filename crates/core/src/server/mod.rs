@@ -58,7 +58,7 @@ use phi_tcp::hook::ContextSnapshot;
 
 use crate::context::{ContextStore, PathKey, SnapshotError, StoreConfig};
 use crate::shard::shard_index;
-use crate::wire::{code, encode, DecodeError, Decoder, Message, ReplOp, Role};
+use crate::wire::{code, encode, DecodeError, Decoder, Message, ReplOp, Role, MAX_FRAME};
 
 mod client;
 mod repl;
@@ -261,6 +261,11 @@ pub struct ContextServer {
 
 /// How long handler reads block before re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Size of a connection's read buffer, on either end: the largest frame
+/// with its length prefix, so that one `read` can take a whole frame (a
+/// full batch is 49 KB) instead of a page at a time.
+const READ_BUF_LEN: usize = 4 + MAX_FRAME;
 
 /// Decrements the active-connection gauge when a handler exits, however
 /// it exits.
@@ -664,7 +669,7 @@ fn handle_connection(
     }
     let _ = stream.set_nodelay(true);
     let mut decoder = Decoder::new();
-    let mut buf = [0u8; 4096];
+    let mut buf = vec![0u8; READ_BUF_LEN];
 
     while !shutdown.load(Ordering::Acquire) {
         match stream.read(&mut buf) {

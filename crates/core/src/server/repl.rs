@@ -171,7 +171,7 @@ pub(super) fn replicate_to_backups(
 /// log — gets a full snapshot consistent with a log position: both locks
 /// held while reading (the store read lock blocks mutators, which append
 /// under the write lock). Otherwise the next delta, if there is one.
-fn next_frame(
+pub(super) fn next_frame(
     sh: &ShardState,
     shard: u32,
     epoch: u64,
@@ -181,7 +181,11 @@ fn next_frame(
         let log = sh.log.lock();
         let oldest = log.entries.front().map(|&(seq, _)| seq);
         if let Some(acked) = acked.filter(|acked| oldest.is_none_or(|oldest| oldest <= acked + 1)) {
-            let (seq, op) = log.entries.iter().find(|&&(seq, _)| seq > acked)?.clone();
+            // Sequence numbers are consecutive, so the delta after `acked`
+            // is found by position: this lock is the one every report
+            // takes, and a search under it is up to `MAX_REPL_LOG` long.
+            let at = acked + 1 - oldest?;
+            let (seq, op) = log.entries.get(at as usize)?.clone();
             return Some((Message::Replicate { epoch, seq, op }, seq));
         }
     }

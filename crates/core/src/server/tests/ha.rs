@@ -74,6 +74,52 @@ fn replication_streams_deltas_to_backup() {
 }
 
 #[test]
+fn a_backup_far_behind_is_handed_each_delta_in_turn() {
+    let shard = ShardState {
+        store: sync_store(ContextStore::new(StoreConfig::default())),
+        ha: HaShared::new(3, Role::Primary),
+        log: Mutex::new(ReplLog::default()),
+    };
+    let append = |n: u64| {
+        let mut log = shard.log.lock();
+        for path in 0..n {
+            let (path, now_ns) = (PathKey(path), path);
+            log.append(ReplOp::Lookup { path, now_ns });
+        }
+    };
+    // What the backup is handed after acknowledging `acked`: the frame's
+    // kind, and the position its next acknowledgement stands for.
+    let handed = |acked| match repl::next_frame(&shard, 0, 3, acked) {
+        Some((Message::Replicate { epoch: 3, seq, .. }, pos)) if seq == pos => Some(("delta", pos)),
+        Some((Message::ShardSnapshotSync { epoch: 3, .. }, pos)) => Some(("snapshot", pos)),
+        Some(other) => panic!("unexpected frame {other:?}"),
+        None => None,
+    };
+
+    // 4 000 behind, nothing pruned: one delta per step, in order.
+    append(4_000);
+    for acked in 0..4_000 {
+        assert_eq!(handed(Some(acked)), Some(("delta", acked + 1)));
+    }
+    assert_eq!(handed(Some(4_000)), None, "caught up: nothing to send");
+    assert_eq!(handed(None), Some(("snapshot", 4_000)), "no baseline yet");
+
+    // The log holds its newest 4 096 entries, so 1 000 more drop 1..=904
+    // and the deltas no longer sit at their sequence numbers.
+    append(1_000);
+    assert_eq!(shard.log.lock().entries.front().map(|e| e.0), Some(905));
+    for acked in [904, 905, 3_999, 4_998, 4_999] {
+        assert_eq!(handed(Some(acked)), Some(("delta", acked + 1)));
+    }
+    assert_eq!(handed(Some(5_000)), None);
+    assert_eq!(
+        handed(Some(903)),
+        Some(("snapshot", 5_000)),
+        "behind the log"
+    );
+}
+
+#[test]
 fn backup_catches_up_via_snapshot_sync() {
     // Reserve a port for the backup, but don't start it yet.
     let placeholder = TcpListener::bind("127.0.0.1:0").expect("bind");

@@ -341,8 +341,12 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Encode a message into a self-contained frame.
+///
+/// Every frame byte is written once: the buffer is allocated at the
+/// frame's size, a fixed-size record is staged as one array and appended
+/// whole, and `freeze` hands the buffer over by move.
 pub fn encode(msg: &Message) -> Bytes {
-    let mut frame = BytesMut::with_capacity(64);
+    let mut frame = BytesMut::with_capacity(frame_capacity(msg));
     frame.put_u32(0); // the length, patched in once the rest is written
     frame.put_u8(VERSION);
     match msg {
@@ -352,7 +356,7 @@ pub fn encode(msg: &Message) -> Bytes {
         }
         Message::Context(c) => {
             frame.put_u8(TYPE_CONTEXT);
-            put_ctx(&mut frame, c);
+            frame.put_slice(&ctx_bytes(c));
         }
         Message::ReportOk => {
             frame.put_u8(TYPE_REPORT_OK);
@@ -367,7 +371,7 @@ pub fn encode(msg: &Message) -> Bytes {
             frame.put_u16(n as u16);
             for (key, ctx) in &paths[..n] {
                 frame.put_u64(key.0);
-                put_ctx(&mut frame, ctx);
+                frame.put_slice(&ctx_bytes(ctx));
             }
         }
         Message::Error { code, message } => {
@@ -407,7 +411,7 @@ pub fn encode(msg: &Message) -> Bytes {
                     frame.put_u8(OP_REPORT);
                     frame.put_u64(path.0);
                     frame.put_u64(*now_ns);
-                    put_summary(&mut frame, summary);
+                    frame.put_slice(&summary_bytes(summary));
                 }
             }
         }
@@ -416,8 +420,10 @@ pub fn encode(msg: &Message) -> Bytes {
             let n = items.len().min(MAX_BATCH_ITEMS);
             frame.put_u16(n as u16);
             for (path, summary) in &items[..n] {
-                frame.put_u64(path.0);
-                put_summary(&mut frame, summary);
+                let mut record = [0; REPORT_LEN];
+                record[..8].copy_from_slice(&path.0.to_be_bytes());
+                record[8..].copy_from_slice(&summary_bytes(summary));
+                frame.put_slice(&record);
             }
         }
         Message::BatchQuery(paths) => {
@@ -433,7 +439,7 @@ pub fn encode(msg: &Message) -> Bytes {
             let n = snaps.len().min(MAX_BATCH_ITEMS);
             frame.put_u16(n as u16);
             for ctx in &snaps[..n] {
-                put_ctx(&mut frame, ctx);
+                frame.put_slice(&ctx_bytes(ctx));
             }
         }
         Message::ShardSnapshotSync { shard, epoch, blob } => {
@@ -450,16 +456,36 @@ pub fn encode(msg: &Message) -> Bytes {
     frame.freeze()
 }
 
-fn put_ctx(frame: &mut BytesMut, c: &ContextSnapshot) {
-    frame.put_f64(c.utilization);
-    frame.put_f64(c.queue_ms);
-    frame.put_u32(c.competing);
+/// What `encode` allocates for `msg`, once: the exact frame size where a
+/// count or a blob decides it (the header, then a `u16` count or a shard,
+/// an epoch and a blob length). Every other frame fits 64 bytes, bar an
+/// ERROR with a long message, which grows.
+fn frame_capacity(msg: &Message) -> usize {
+    match msg {
+        Message::Paths(paths) => 8 + paths.len().min(MAX_SNAPSHOT_PATHS) * (8 + CTX_LEN),
+        Message::BatchReport(items) => 8 + items.len().min(MAX_BATCH_ITEMS) * REPORT_LEN,
+        Message::BatchQuery(paths) => 8 + paths.len().min(MAX_BATCH_ITEMS) * 8,
+        Message::BatchReply(snaps) => 8 + snaps.len().min(MAX_BATCH_ITEMS) * CTX_LEN,
+        Message::ShardSnapshotSync { blob, .. } => 22 + blob.len().min(MAX_SHARD_SNAPSHOT_BLOB),
+        _ => 64,
+    }
 }
 
 /// Byte size of an encoded [`ContextSnapshot`].
 const CTX_LEN: usize = 20;
 
-fn get_ctx(p: &mut BytesMut) -> ContextSnapshot {
+fn ctx_bytes(c: &ContextSnapshot) -> [u8; CTX_LEN] {
+    let mut raw = [0; CTX_LEN];
+    raw[..8].copy_from_slice(&c.utilization.to_be_bytes());
+    raw[8..16].copy_from_slice(&c.queue_ms.to_be_bytes());
+    raw[16..].copy_from_slice(&c.competing.to_be_bytes());
+    raw
+}
+
+// Inlined (as the slice `Buf` under it is) so that a loop over fixed-size
+// records checks the record's length once, not once per field.
+#[inline]
+fn get_ctx(p: &mut &[u8]) -> ContextSnapshot {
     ContextSnapshot {
         utilization: p.get_f64(),
         queue_ms: p.get_f64(),
@@ -467,19 +493,25 @@ fn get_ctx(p: &mut BytesMut) -> ContextSnapshot {
     }
 }
 
-fn put_summary(frame: &mut BytesMut, s: &FlowSummary) {
-    frame.put_u64(s.bytes);
-    frame.put_u64(s.duration_ns);
-    frame.put_f64(s.mean_rtt_ms);
-    frame.put_f64(s.min_rtt_ms);
-    frame.put_u32(s.retransmits);
-    frame.put_u32(s.timeouts);
-}
-
 /// Byte size of an encoded [`FlowSummary`].
 const SUMMARY_LEN: usize = 40;
 
-fn get_summary(p: &mut BytesMut) -> FlowSummary {
+/// Byte size of a BATCH_REPORT item: the path, then the summary.
+const REPORT_LEN: usize = 8 + SUMMARY_LEN;
+
+fn summary_bytes(s: &FlowSummary) -> [u8; SUMMARY_LEN] {
+    let mut raw = [0; SUMMARY_LEN];
+    raw[..8].copy_from_slice(&s.bytes.to_be_bytes());
+    raw[8..16].copy_from_slice(&s.duration_ns.to_be_bytes());
+    raw[16..24].copy_from_slice(&s.mean_rtt_ms.to_be_bytes());
+    raw[24..32].copy_from_slice(&s.min_rtt_ms.to_be_bytes());
+    raw[32..36].copy_from_slice(&s.retransmits.to_be_bytes());
+    raw[36..].copy_from_slice(&s.timeouts.to_be_bytes());
+    raw
+}
+
+#[inline]
+fn get_summary(p: &mut &[u8]) -> FlowSummary {
     FlowSummary {
         bytes: p.get_u64(),
         duration_ns: p.get_u64(),
@@ -538,13 +570,15 @@ impl Decoder {
         if self.buf.len() < 4 + len {
             return Err(DecodeError::Incomplete);
         }
-        self.buf.advance(4);
-        let mut payload = self.buf.split_to(len);
-        decode_payload(&mut payload)
+        // Read in place, then consume the frame whole, whatever it held:
+        // a payload error leaves the stream at the next frame.
+        let decoded = decode_payload(&mut &self.buf[4..4 + len]);
+        self.buf.advance(4 + len);
+        decoded
     }
 }
 
-fn decode_payload(p: &mut BytesMut) -> Result<Message, DecodeError> {
+fn decode_payload(p: &mut &[u8]) -> Result<Message, DecodeError> {
     let version = p.get_u8();
     if version != VERSION {
         return Err(DecodeError::BadVersion(version));
@@ -556,6 +590,19 @@ fn decode_payload(p: &mut BytesMut) -> Result<Message, DecodeError> {
                 return Err(DecodeError::Malformed("payload too short"));
             }
         };
+    }
+    // The `u16` count that opens a PATHS or batch payload, bounded by
+    // `$cap`, then that many `$len`-byte records, read where they lie.
+    macro_rules! records {
+        ($cap:expr, $over:literal, $len:expr) => {{
+            need!(2);
+            let n = p.get_u16() as usize;
+            if n > $cap {
+                return Err(DecodeError::Malformed($over));
+            }
+            need!(n * $len);
+            p[..n * $len].chunks_exact($len)
+        }};
     }
     match ty {
         TYPE_LOOKUP => {
@@ -573,26 +620,17 @@ fn decode_payload(p: &mut BytesMut) -> Result<Message, DecodeError> {
             need!(2);
             Ok(Message::Snapshot { limit: p.get_u16() })
         }
-        TYPE_PATHS => {
-            need!(2);
-            let n = p.get_u16() as usize;
-            if n > MAX_SNAPSHOT_PATHS {
-                return Err(DecodeError::Malformed("too many paths"));
-            }
-            need!(n * (8 + CTX_LEN));
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push((PathKey(p.get_u64()), get_ctx(p)));
-            }
-            Ok(Message::Paths(out))
-        }
+        TYPE_PATHS => Ok(Message::Paths(
+            records!(MAX_SNAPSHOT_PATHS, "too many paths", 8 + CTX_LEN)
+                .map(|mut r| (PathKey(r.get_u64()), get_ctx(&mut r)))
+                .collect(),
+        )),
         TYPE_ERROR => {
             need!(4);
             let code = p.get_u16();
             let len = p.get_u16() as usize;
             need!(len);
-            let raw = p.split_to(len);
-            let message = String::from_utf8(raw.to_vec())
+            let message = String::from_utf8(p[..len].to_vec())
                 .map_err(|_| DecodeError::Malformed("error message not utf-8"))?;
             Ok(Message::Error { code, message })
         }
@@ -631,45 +669,21 @@ fn decode_payload(p: &mut BytesMut) -> Result<Message, DecodeError> {
             };
             Ok(Message::Replicate { epoch, seq, op })
         }
-        TYPE_BATCH_REPORT => {
-            need!(2);
-            let n = p.get_u16() as usize;
-            if n > MAX_BATCH_ITEMS {
-                return Err(DecodeError::Malformed("batch too large"));
-            }
-            need!(n * (8 + SUMMARY_LEN));
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push((PathKey(p.get_u64()), get_summary(p)));
-            }
-            Ok(Message::BatchReport(items))
-        }
-        TYPE_BATCH_QUERY => {
-            need!(2);
-            let n = p.get_u16() as usize;
-            if n > MAX_BATCH_ITEMS {
-                return Err(DecodeError::Malformed("batch too large"));
-            }
-            need!(n * 8);
-            let mut paths = Vec::with_capacity(n);
-            for _ in 0..n {
-                paths.push(PathKey(p.get_u64()));
-            }
-            Ok(Message::BatchQuery(paths))
-        }
-        TYPE_BATCH_REPLY => {
-            need!(2);
-            let n = p.get_u16() as usize;
-            if n > MAX_BATCH_ITEMS {
-                return Err(DecodeError::Malformed("batch too large"));
-            }
-            need!(n * CTX_LEN);
-            let mut snaps = Vec::with_capacity(n);
-            for _ in 0..n {
-                snaps.push(get_ctx(p));
-            }
-            Ok(Message::BatchReply(snaps))
-        }
+        TYPE_BATCH_REPORT => Ok(Message::BatchReport(
+            records!(MAX_BATCH_ITEMS, "batch too large", REPORT_LEN)
+                .map(|mut r| (PathKey(r.get_u64()), get_summary(&mut r)))
+                .collect(),
+        )),
+        TYPE_BATCH_QUERY => Ok(Message::BatchQuery(
+            records!(MAX_BATCH_ITEMS, "batch too large", 8)
+                .map(|mut r| PathKey(r.get_u64()))
+                .collect(),
+        )),
+        TYPE_BATCH_REPLY => Ok(Message::BatchReply(
+            records!(MAX_BATCH_ITEMS, "batch too large", CTX_LEN)
+                .map(|mut r| get_ctx(&mut r))
+                .collect(),
+        )),
         TYPE_SHARD_SNAPSHOT_SYNC => {
             need!(16);
             let shard = p.get_u32();
@@ -679,7 +693,7 @@ fn decode_payload(p: &mut BytesMut) -> Result<Message, DecodeError> {
                 return Err(DecodeError::Malformed("snapshot blob too large"));
             }
             need!(len);
-            let blob = p.split_to(len).to_vec();
+            let blob = p[..len].to_vec();
             Ok(Message::ShardSnapshotSync { shard, epoch, blob })
         }
         other => Err(DecodeError::BadType(other)),

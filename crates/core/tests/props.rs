@@ -13,11 +13,15 @@ use phi_core::context::{
 };
 use phi_core::server::{ClientConfig, ClientError, ContextClient};
 use phi_core::shard::ShardedStore;
-use phi_core::wire::{encode, DecodeError, Decoder, Message, ReplOp, Role};
+use phi_core::wire::{encode, DecodeError, Decoder, Message};
 use phi_tcp::hook::ContextSnapshot;
 
 mod model;
 use model::ScanModel;
+
+#[path = "model/wire.rs"]
+mod wire_model;
+use wire_model::{arb_batch_message, arb_message, arb_summary, damage, DAMAGES};
 
 /// Frame type codes 1..=15 have been assigned (15 is the shard snapshot
 /// sync); everything above is unknown and must decode as the
@@ -32,96 +36,6 @@ const RETIRED_SNAPSHOT_SYNC: u8 = 11;
 /// Type codes of the batch frames added after the original 1..=11 set —
 /// the frames a pre-batch decoder must skip recoverably.
 const BATCH_TYPES: std::ops::RangeInclusive<u8> = 12..=14;
-
-fn arb_summary() -> impl Strategy<Value = FlowSummary> {
-    (
-        0u64..u64::MAX / 2,
-        0u64..u64::MAX / 2,
-        0.0f64..10_000.0,
-        0.0f64..10_000.0,
-        any::<u32>(),
-        any::<u32>(),
-    )
-        .prop_map(
-            |(bytes, duration_ns, mean_rtt_ms, min_rtt_ms, retransmits, timeouts)| FlowSummary {
-                bytes,
-                duration_ns,
-                mean_rtt_ms,
-                min_rtt_ms,
-                retransmits,
-                timeouts,
-            },
-        )
-}
-
-fn arb_snapshot() -> impl Strategy<Value = ContextSnapshot> {
-    (0.0f64..1.0, 0.0f64..10_000.0, any::<u32>()).prop_map(|(u, q, n)| ContextSnapshot {
-        utilization: u,
-        queue_ms: q,
-        competing: n,
-    })
-}
-
-fn arb_role() -> impl Strategy<Value = Role> {
-    prop_oneof![Just(Role::Primary), Just(Role::Backup)]
-}
-
-fn arb_replop() -> impl Strategy<Value = ReplOp> {
-    prop_oneof![
-        (any::<u64>(), any::<u64>()).prop_map(|(p, now_ns)| ReplOp::Lookup {
-            path: PathKey(p),
-            now_ns,
-        }),
-        (any::<u64>(), any::<u64>(), arb_summary()).prop_map(|(p, now_ns, summary)| {
-            ReplOp::Report {
-                path: PathKey(p),
-                now_ns,
-                summary,
-            }
-        }),
-    ]
-}
-
-fn arb_message() -> impl Strategy<Value = Message> {
-    prop_oneof![
-        any::<u64>().prop_map(|p| Message::Lookup { path: PathKey(p) }),
-        arb_snapshot().prop_map(Message::Context),
-        Just(Message::ReportOk),
-        (any::<u16>(), "[ -~]{0,300}").prop_map(|(code, message)| Message::Error { code, message }),
-        any::<u16>().prop_map(|limit| Message::Snapshot { limit }),
-        proptest::collection::vec((any::<u64>(), arb_snapshot()), 0..40).prop_map(|entries| {
-            Message::Paths(entries.into_iter().map(|(k, s)| (PathKey(k), s)).collect())
-        }),
-        Just(Message::EpochQuery),
-        (any::<u64>(), arb_role()).prop_map(|(epoch, role)| Message::Epoch { epoch, role }),
-        (any::<u64>(), any::<u64>(), arb_replop())
-            .prop_map(|(epoch, seq, op)| Message::Replicate { epoch, seq, op }),
-        (
-            any::<u32>(),
-            any::<u64>(),
-            proptest::collection::vec(any::<u8>(), 0..300)
-        )
-            .prop_map(|(shard, epoch, blob)| Message::ShardSnapshotSync {
-                shard,
-                epoch,
-                blob
-            }),
-        arb_batch_message(),
-    ]
-}
-
-/// The three batch frames (including the zero-item case — a legal,
-/// if pointless, frame).
-fn arb_batch_message() -> impl Strategy<Value = Message> {
-    prop_oneof![
-        proptest::collection::vec((any::<u64>(), arb_summary()), 0..40).prop_map(|items| {
-            Message::BatchReport(items.into_iter().map(|(p, s)| (PathKey(p), s)).collect())
-        }),
-        proptest::collection::vec(any::<u64>(), 0..60)
-            .prop_map(|paths| Message::BatchQuery(paths.into_iter().map(PathKey).collect())),
-        proptest::collection::vec(arb_snapshot(), 0..60).prop_map(Message::BatchReply),
-    ]
-}
 
 /// Scripted context server for the client-pairing property. Replies to
 /// `Lookup { path: p }` with a snapshot whose `queue_ms` encodes `p`, so
@@ -416,6 +330,43 @@ proptest! {
             }
         }
         prop_assert_eq!(decoded, msgs);
+    }
+
+    /// The optimised encoder writes, byte for byte, the frame the
+    /// field-by-field model writes.
+    #[test]
+    fn wire_encode_is_the_models(msg in arb_message()) {
+        let agrees = wire_model::encode_agrees(&msg);
+        prop_assert!(agrees.is_ok(), "{}", agrees.unwrap_err());
+    }
+
+    /// A valid frame that was flipped, truncated, spliced, or had its
+    /// length or count field inflated gets the same answer from the
+    /// optimised decoder as from the model — the same message or the same
+    /// error — and leaves the same bytes buffered, so the frame behind it
+    /// is read from the same place. Neither panics.
+    #[test]
+    fn wire_decode_is_the_models_on_damaged_frames(
+        msg in arb_message(),
+        follower in arb_message(),
+        kind in 0..DAMAGES,
+        (a, b) in (any::<u64>(), any::<u64>()),
+        piece in 1usize..200,
+    ) {
+        let mut stream = damage(&encode(&msg), kind, a, b);
+        stream.extend_from_slice(&encode(&follower));
+        let agrees = wire_model::decode_agrees(&stream, piece);
+        prop_assert!(agrees.is_ok(), "damage {kind} ({a}, {b}) to {msg:?}: {}", agrees.unwrap_err());
+    }
+
+    /// The same for bytes that never were a frame.
+    #[test]
+    fn wire_decode_is_the_models_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        piece in 1usize..200,
+    ) {
+        let agrees = wire_model::decode_agrees(&bytes, piece);
+        prop_assert!(agrees.is_ok(), "{}", agrees.unwrap_err());
     }
 
     /// Arbitrary garbage never panics the decoder: it yields either a
