@@ -15,17 +15,17 @@
 //! - switch counters (pool rejections, ECN marks) and sender timeouts.
 //!
 //! Full mode sweeps fan-in ∈ {8, 16, 32} for both controllers and
-//! writes `BENCH_dctcp.json` at the repo root for cross-PR comparison
-//! (same convention as `BENCH_fluid.json`); `--test` runs one reduced
-//! cell per controller for CI smoke. The sweep reproduces both halves
-//! of the incast literature: DCTCP holds ≥2× Cubic's goodput while its
-//! own synchronized slow-start burst fits the pool (fan-in 8, 16), and
-//! once the cohort's first window alone overflows the buffer (fan-in
-//! 32) DCTCP degrades too — it delays collapse rather than abolishing
-//! it.
+//! writes `target/phi-results/dctcp.json` like every other `exp_*`;
+//! `--test` runs one reduced cell per controller for CI smoke. The
+//! sweep reproduces both halves of the incast literature: DCTCP holds
+//! ≥2× Cubic's goodput while its own synchronized slow-start burst fits
+//! the pool (fan-in 8, 16), and once the cohort's first window alone
+//! overflows the buffer (fan-in 32) DCTCP degrades too — it delays
+//! collapse rather than abolishing it.
 
 use std::time::Instant;
 
+use phi_bench::write_json;
 use phi_core::harness::{
     provision_cubic, provision_dctcp, run_experiment, ExperimentSpec, ProvisionCtx, Provisioned,
 };
@@ -167,11 +167,6 @@ fn main() {
     }
 
     if !quick {
-        let json = serde_json::to_string_pretty(&rows).expect("serialize") + "\n";
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dctcp.json");
-        match std::fs::write(path, json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_json("dctcp", &rows);
     }
 }

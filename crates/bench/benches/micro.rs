@@ -1,49 +1,29 @@
 //! MB — Criterion micro-benchmarks of the hot paths.
 //!
 //! These measure the implementation itself (not the paper's results):
-//! the simulator's event throughput, the context-server codec, the
-//! quantile sketch, and the whisker-tree lookup — the operations that
-//! bound how large an experiment or how busy a context server can get.
+//! the context-server codec and store, the quantile sketch, and the
+//! whisker-tree lookup — the operations that bound how busy a context
+//! server can get.
 //!
-//! The `engine` module is the perf trajectory for the event engine: it
-//! runs a fixed multihop blast scenario plus an end-to-end Cubic
-//! experiment, prints events/sec and ns/event, and (in full mode) writes
-//! `BENCH_engine.json` at the repo root so successive PRs can compare
-//! against each other. `--test` runs a reduced-scale smoke pass for CI.
+//! Sustained engine throughput is `phi-benchmark`'s job (`--workload
+//! forward_multihop|dumbbell_cubic_phi`); the one engine pair kept here
+//! is the budgeted against the un-budgeted pop loop, which has no twin
+//! there. `--test` checks that pair runs the same events and stops.
 
 use criterion::{criterion_group, BatchSize, Criterion, Throughput};
+use std::any::Any;
 use std::rc::Rc;
 
 use phi_core::context::{ContextStore, FlowSummary, PathKey, StoreConfig};
-use phi_core::harness::{provision_cubic, run_experiment, ExperimentSpec};
 use phi_core::wire::{encode, Decoder, Message, MAX_BATCH_ITEMS};
 use phi_predict::LogHistogram;
 use phi_remy::{Action, WhiskerTree};
+use phi_sim::engine::{packet_to, Agent, Ctx, RunBudget, Simulator};
+use phi_sim::packet::{FlowId, NodeId, Packet};
+use phi_sim::queue::Capacity;
 use phi_sim::time::Dur;
-use phi_tcp::CubicParams;
-use phi_workload::{OnOffConfig, SeedRng};
-
-fn bench_simulator(c: &mut Criterion) {
-    let mut g = c.benchmark_group("simulator");
-    g.sample_size(10);
-    g.bench_function("dumbbell_4x5s_cubic", |b| {
-        b.iter(|| {
-            let spec = ExperimentSpec::new(
-                4,
-                OnOffConfig {
-                    mean_on_bytes: 200_000.0,
-                    mean_off_secs: 0.5,
-                    deterministic: false,
-                },
-                Dur::from_secs(5),
-                42,
-            );
-            let r = run_experiment(&spec, provision_cubic(CubicParams::default()));
-            criterion::black_box(r.events)
-        })
-    });
-    g.finish();
-}
+use phi_sim::topology::{parking_lot, ParkingLotSpec};
+use phi_workload::SeedRng;
 
 fn bench_wire(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
@@ -204,292 +184,99 @@ fn bench_whiskers(c: &mut Criterion) {
     g.finish();
 }
 
-/// Engine perf trajectory: fixed scenarios timed wall-clock, with the
-/// results persisted to `BENCH_engine.json` for cross-PR comparison.
-mod engine {
-    use std::any::Any;
-    use std::time::Instant;
+/// Fires a timer every `gap`, sending one packet per firing — the
+/// TxEnd/Deliver/Timer mix the engine sees from any paced source.
+struct Pump {
+    peer: NodeId,
+    remaining: u32,
+    gap: Dur,
+    flow: FlowId,
+}
 
-    use phi_core::harness::{provision_cubic, run_experiment, ExperimentSpec};
-    use phi_sim::engine::{packet_to, Agent, Ctx, SchedStats, Simulator};
-    use phi_sim::packet::{FlowId, NodeId, Packet};
-    use phi_sim::queue::Capacity;
-    use phi_sim::time::Dur;
-    use phi_sim::topology::{parking_lot, ParkingLotSpec};
-    use phi_tcp::CubicParams;
-    use phi_workload::OnOffConfig;
-
-    /// Fires a timer every `gap`, sending one packet per firing — the
-    /// TxEnd/Deliver/Timer mix the engine sees from any paced source.
-    struct Pump {
-        peer: NodeId,
-        peer_port: u16,
-        port: u16,
-        remaining: u32,
-        size: u32,
-        gap: Dur,
-        flow: FlowId,
+impl Agent for Pump {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer_after(Dur::ZERO, 0);
     }
-
-    impl Agent for Pump {
-        fn start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.set_timer_after(Dur::ZERO, 0);
-        }
-        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
-        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
-            if self.remaining > 0 {
-                self.remaining -= 1;
-                let mut p = packet_to(self.peer, self.peer_port, self.port, self.flow, self.size);
-                p.seq = u64::from(self.remaining);
-                ctx.send(p);
-                ctx.set_timer_after(self.gap, 0);
-            }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
+    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+    fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
+        if self.remaining > 0 {
+            self.remaining -= 1;
+            let mut p = packet_to(self.peer, 80, 10, self.flow, 1000);
+            p.seq = u64::from(self.remaining);
+            ctx.send(p);
+            ctx.set_timer_after(self.gap, 0);
         }
     }
-
-    /// Counts deliveries.
-    #[derive(Default)]
-    struct Drain {
-        received: u64,
+    fn as_any(&self) -> &dyn Any {
+        self
     }
-
-    impl Agent for Drain {
-        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {
-            self.received += 1;
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
+}
 
-    fn blast_spec() -> ParkingLotSpec {
-        ParkingLotSpec {
-            hops: 4,
-            backbone_bps: 50_000_000,
-            hop_delay: Dur::from_millis(1),
-            capacity: Capacity::Packets(100),
-            access_bps: 1_000_000_000,
-        }
+/// Swallows deliveries.
+struct Drain;
+
+impl Agent for Drain {
+    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+    fn as_any(&self) -> &dyn Any {
+        self
     }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
 
-    fn blast_pump(i: usize, dst: NodeId, packets_per_source: u32) -> Box<Pump> {
-        Box::new(Pump {
+/// Multihop blast: a 4-hop parking lot with the long-path pair plus
+/// every cross pair pumping packets through the backbone; returns the
+/// events processed. With `budgeted`, a run budget is installed but set
+/// far out of reach: every event goes through the budgeted pop loop's
+/// checks without any cap ever firing, so (budgeted row ÷ un-budgeted
+/// row) is exactly the supervision overhead a budget-capped sweep pays.
+fn blast(packets_per_source: u32, budgeted: bool) -> u64 {
+    let lot = parking_lot(&ParkingLotSpec {
+        hops: 4,
+        backbone_bps: 50_000_000,
+        hop_delay: Dur::from_millis(1),
+        capacity: Capacity::Packets(100),
+        access_bps: 1_000_000_000,
+    });
+    let mut sim = Simulator::new(lot.topology.clone());
+    let pairs = std::iter::once(lot.long_path).chain(lot.cross.iter().copied());
+    for (i, (src, dst)) in pairs.enumerate() {
+        let pump = Pump {
             peer: dst,
-            peer_port: 80,
-            port: 10,
             remaining: packets_per_source,
-            size: 1000,
             gap: Dur::from_micros(20),
             flow: FlowId(i as u64),
-        })
+        };
+        sim.add_agent(src, 10, Box::new(pump));
+        sim.add_agent(dst, 80, Box::new(Drain));
     }
-
-    /// Multihop blast: a 4-hop parking lot with the long-path pair plus
-    /// every cross pair pumping packets through the backbone. Exercises
-    /// scheduling, multihop forwarding, port dispatch, drop-tail
-    /// queueing, and timers — engine cost, not transport cost.
-    fn blast(packets_per_source: u32) -> (u64, f64, SchedStats) {
-        let lot = parking_lot(&blast_spec());
-        let mut sim = Simulator::new(lot.topology.clone());
-        let mut pairs = vec![lot.long_path];
-        pairs.extend(lot.cross.iter().copied());
-        for (i, (src, dst)) in pairs.iter().enumerate() {
-            sim.add_agent(*src, 10, blast_pump(i, *dst, packets_per_source));
-            sim.add_agent(*dst, 80, Box::<Drain>::default());
-        }
-        let t0 = Instant::now();
-        sim.run_to_completion();
-        let wall = t0.elapsed().as_secs_f64();
-        (sim.events_processed(), wall, sim.sched_stats())
-    }
-
-    /// The blast with a run budget installed but set far out of
-    /// reach: every event goes through the budgeted pop loop's checks
-    /// without any cap ever firing, so (this row ÷ the un-budgeted row)
-    /// is exactly the supervision overhead a budget-capped sweep pays.
-    fn budgeted_blast(packets_per_source: u32) -> (u64, f64) {
-        use phi_sim::engine::RunBudget;
-        let lot = parking_lot(&blast_spec());
-        let mut sim = Simulator::new(lot.topology.clone());
-        let mut pairs = vec![lot.long_path];
-        pairs.extend(lot.cross.iter().copied());
-        for (i, (src, dst)) in pairs.iter().enumerate() {
-            sim.add_agent(*src, 10, blast_pump(i, *dst, packets_per_source));
-            sim.add_agent(*dst, 80, Box::<Drain>::default());
-        }
+    if budgeted {
         let mut budget = RunBudget::events(u64::MAX);
         budget.max_wall_ms = Some(u64::MAX);
         sim.set_budget(budget);
-        let t0 = Instant::now();
-        sim.run_to_completion();
-        let wall = t0.elapsed().as_secs_f64();
-        assert!(sim.termination().is_none(), "out-of-reach budget fired");
-        (sim.events_processed(), wall)
     }
+    sim.run_to_completion();
+    assert!(sim.termination().is_none(), "out-of-reach budget fired");
+    sim.events_processed()
+}
 
-    /// End-to-end run: the full Cubic dumbbell experiment (workload, TCP
-    /// with SACK recovery, context hooks) — where timer-flood reduction
-    /// and dispatch cost show up at application level.
-    fn e2e_cubic(duration: Dur) -> (u64, f64, SchedStats) {
-        let spec = ExperimentSpec::new(
-            4,
-            OnOffConfig {
-                mean_on_bytes: 200_000.0,
-                mean_off_secs: 0.5,
-                deterministic: false,
-            },
-            duration,
-            42,
-        );
-        let t0 = Instant::now();
-        let r = run_experiment(&spec, provision_cubic(CubicParams::default()));
-        let wall = t0.elapsed().as_secs_f64();
-        (r.events, wall, r.sched)
-    }
-
-    /// The same scenarios measured on `main` immediately before the
-    /// tiered-scheduler engine landed (this container, release build,
-    /// best of 5). The speedup columns compare against these.
-    const BASELINE_BLAST_EPS: f64 = 7.751e6;
-    const BASELINE_E2E_EPS: f64 = 6.106e6;
-
-    pub fn run(quick: bool) {
-        let (blast_packets, e2e_secs, iters) = if quick {
-            (2_000, Dur::from_secs(1), 1)
-        } else {
-            (25_000, Dur::from_secs(5), 5)
-        };
-
-        let mut best_blast: Option<(u64, f64, SchedStats)> = None;
-        for _ in 0..iters {
-            let (events, wall, stats) = blast(blast_packets);
-            if best_blast.is_none() || wall < best_blast.as_ref().unwrap().1 {
-                best_blast = Some((events, wall, stats));
-            }
-        }
-        let (blast_events, blast_wall, sched) = best_blast.unwrap();
-        let eps = blast_events as f64 / blast_wall;
-        let stale_ratio = sched.skipped_stale as f64 / sched.scheduled.max(1) as f64;
-        println!(
-            "engine/blast_multihop                    events: {blast_events}  wall: {:.1} ms  \
-             thrpt: {:.3e} events/s  ({:.1} ns/event)  speedup vs main: {:.2}x",
-            blast_wall * 1e3,
-            eps,
-            1e9 / eps,
-            eps / BASELINE_BLAST_EPS,
-        );
-        println!(
-            "engine/blast_multihop sched              peak pending: {}  overflowed: {}  \
-             stale skipped: {} ({:.2}% of scheduled)",
-            sched.peak_pending,
-            sched.overflowed,
-            sched.skipped_stale,
-            stale_ratio * 100.0,
-        );
-
-        // Supervision overhead: identical workload, budgeted pop loop.
-        let mut best_budgeted: Option<(u64, f64)> = None;
-        for _ in 0..iters {
-            let (events, wall) = budgeted_blast(blast_packets);
-            if best_budgeted.is_none() || wall < best_budgeted.as_ref().unwrap().1 {
-                best_budgeted = Some((events, wall));
-            }
-        }
-        let (budgeted_events, budgeted_wall) = best_budgeted.unwrap();
-        let budgeted_eps = budgeted_events as f64 / budgeted_wall;
-        println!(
-            "engine/blast_multihop budgeted           events: {budgeted_events}  wall: {:.1} ms  \
-             thrpt: {:.3e} events/s  overhead vs un-budgeted: {:.1}%",
-            budgeted_wall * 1e3,
-            budgeted_eps,
-            (eps / budgeted_eps - 1.0) * 100.0,
-        );
-        assert_eq!(
-            budgeted_events, blast_events,
-            "an out-of-reach budget must not change what runs"
-        );
-
-        let mut best_e2e: Option<(u64, f64, SchedStats)> = None;
-        for _ in 0..iters {
-            let (events, wall, stats) = e2e_cubic(e2e_secs);
-            if best_e2e.is_none() || wall < best_e2e.as_ref().unwrap().1 {
-                best_e2e = Some((events, wall, stats));
-            }
-        }
-        let (e2e_events, e2e_wall, e2e_sched) = best_e2e.unwrap();
-        let e2e_eps = e2e_events as f64 / e2e_wall;
-        let e2e_stale_ratio = e2e_sched.skipped_stale as f64 / e2e_sched.scheduled.max(1) as f64;
-        println!(
-            "engine/e2e_dumbbell_cubic                events: {e2e_events}  wall: {:.1} ms  \
-             thrpt: {:.3e} events/s  ({:.1} ns/event)  speedup vs main: {:.2}x",
-            e2e_wall * 1e3,
-            e2e_eps,
-            1e9 / e2e_eps,
-            e2e_eps / BASELINE_E2E_EPS,
-        );
-        println!(
-            "engine/e2e_dumbbell_cubic sched          peak pending: {}  overflowed: {}  \
-             stale skipped: {} ({:.2}% of scheduled)",
-            e2e_sched.peak_pending,
-            e2e_sched.overflowed,
-            e2e_sched.skipped_stale,
-            e2e_stale_ratio * 100.0,
-        );
-
-        if !quick {
-            // Ratios print in scientific notation (`{:e}` — valid JSON):
-            // fixed 5-decimal formatting used to round small nonzero
-            // ratios down to a misleading literal `0.00000`.
-            let json = format!(
-                "{{\n  \"blast_multihop\": {{\n    \"events\": {blast_events},\n    \
-                 \"wall_ms\": {:.3},\n    \"events_per_sec\": {eps:.1},\n    \
-                 \"ns_per_event\": {:.2},\n    \"speedup_vs_main\": {:.3},\n    \
-                 \"peak_pending\": {},\n    \"overflowed\": {},\n    \
-                 \"stale_skip_ratio\": {stale_ratio:e}\n  }},\n  \
-                 \"budgeted_blast_multihop\": {{\n    \"events\": {budgeted_events},\n    \
-                 \"wall_ms\": {:.3},\n    \"events_per_sec\": {budgeted_eps:.1},\n    \
-                 \"overhead_vs_unbudgeted\": {:e}\n  }},\n  \
-                 \"e2e_dumbbell_cubic\": {{\n    \"events\": {e2e_events},\n    \
-                 \"wall_ms\": {:.3},\n    \"events_per_sec\": {e2e_eps:.1},\n    \
-                 \"ns_per_event\": {:.2},\n    \"speedup_vs_main\": {:.3},\n    \
-                 \"peak_pending\": {},\n    \"overflowed\": {},\n    \
-                 \"stale_skip_ratio\": {e2e_stale_ratio:e}\n  }},\n  \
-                 \"baseline_main\": {{\n    \"blast_events_per_sec\": {BASELINE_BLAST_EPS:.1},\n    \
-                 \"e2e_events_per_sec\": {BASELINE_E2E_EPS:.1}\n  }}\n}}\n",
-                blast_wall * 1e3,
-                1e9 / eps,
-                eps / BASELINE_BLAST_EPS,
-                sched.peak_pending,
-                sched.overflowed,
-                budgeted_wall * 1e3,
-                eps / budgeted_eps - 1.0,
-                e2e_wall * 1e3,
-                1e9 / e2e_eps,
-                e2e_eps / BASELINE_E2E_EPS,
-                e2e_sched.peak_pending,
-                e2e_sched.overflowed,
-            );
-            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-            match std::fs::write(path, json) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-    }
+fn bench_budget(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engine");
+    g.sample_size(10);
+    g.bench_function("blast_multihop", |b| b.iter(|| blast(25_000, false)));
+    g.bench_function("blast_multihop_budgeted", |b| {
+        b.iter(|| blast(25_000, true))
+    });
+    g.finish();
 }
 
 criterion_group!(
     benches,
-    bench_simulator,
+    bench_budget,
     bench_wire,
     bench_store,
     bench_sketch,
@@ -497,11 +284,14 @@ criterion_group!(
 );
 
 fn main() {
-    // Cargo passes `--bench`; CI's smoke step passes `--test` for a
-    // reduced-scale pass that still executes every engine scenario.
-    let quick = std::env::args().any(|a| a == "--test");
-    engine::run(quick);
-    if !quick {
+    // Cargo passes `--bench`; CI's smoke step passes `--test`, which
+    // stops after the check.
+    assert_eq!(
+        blast(2_000, true),
+        blast(2_000, false),
+        "an out-of-reach budget must not change what runs"
+    );
+    if !std::env::args().any(|a| a == "--test") {
         benches();
     }
 }

@@ -305,23 +305,7 @@ impl PlaneState {
         self.counters.crashes += 1;
         // Deltas whose lag elapsed before the crash made it to the
         // backup; the younger ones die with the primary.
-        if self.resync_at.is_none() {
-            let backup = self.backup();
-            while let Some(&(t, _)) = self.pending.front() {
-                if t.saturating_add(self.lag_ns) > s {
-                    break;
-                }
-                let (t, op) = self.pending.pop_front().expect("front checked");
-                match op {
-                    PendingOp::Lookup(path) => {
-                        self.stores[backup].lookup(path, t);
-                    }
-                    PendingOp::Report(path, summary) => {
-                        self.stores[backup].report(path, t, &summary);
-                    }
-                }
-            }
-        }
+        self.drain_replication(s);
         self.counters.ops_lost += self.pending.len() as u64;
         self.pending.clear();
         // The backup takes over at epoch+1 once the failover window

@@ -9,13 +9,11 @@
 //! Phi-tuned Cubic, mixed deployments, Remy variants.
 
 use phi_sim::engine::{BudgetExceeded, RunBudget, SchedStats, Simulator};
-use phi_sim::fluid::{FluidFlowPlan, FluidSim};
-use phi_sim::packet::{wire, FlowId};
 use phi_sim::queue::{Capacity, DisciplineSpec};
 use phi_sim::switch::{SwitchSpec, SwitchStats};
 use phi_sim::time::{Dur, Time};
 use phi_sim::topology::{dumbbell, Dumbbell, DumbbellSpec};
-use phi_tcp::cubic::{steady_state_rate_bps, Cubic, CubicParams};
+use phi_tcp::cubic::{Cubic, CubicParams};
 use phi_tcp::dctcp::{Dctcp, DctcpParams};
 use phi_tcp::hook::{DegradingHook, NoHook, SessionHook};
 use phi_tcp::receiver::TcpReceiver;
@@ -26,7 +24,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::context::{ContextStore, PathKey, StoreConfig};
 use crate::crash::{HaHook, HaPlane, HaPlaneSet, HaReport, HaSpec, ServerCrashPlan};
-use crate::hooks::{fault_counters, shared, FaultPlan, FaultyHook, PracticalHook, SharedStore};
+use crate::hooks::{
+    shared, FaultPlan, FaultyHook, PracticalHook, SharedFaultCounters, SharedStore,
+};
 use crate::policy::PolicyTable;
 use crate::runpool::{derive_seed, RunPool};
 
@@ -69,15 +69,6 @@ pub struct ExperimentSpec {
     /// so established run digests are untouched.
     #[serde(default)]
     pub ha: Option<HaSpec>,
-    /// Flow-level (fluid) fast path. `None` (the default, and what every
-    /// pre-existing spec deserializes to) runs the packet-level engine
-    /// untouched — the golden trace digests only ever see the packet
-    /// path. `Some` routes the run through `phi_sim::fluid` for
-    /// 100×–1000× the flow count at the cost of packet realism; see
-    /// DESIGN.md §"Hybrid flow-level simulation" for when that trade is
-    /// valid.
-    #[serde(default)]
-    pub fluid: Option<FluidSpec>,
     /// Run budget: hard caps on events, simulated time, and wall-clock
     /// time, for supervised sweeps whose cells must not run away. `None`
     /// (the default, and what every pre-existing spec deserializes to)
@@ -107,51 +98,6 @@ pub struct ExperimentSpec {
     pub incast: Option<IncastConfig>,
 }
 
-/// Configuration of the fluid fast path (see [`ExperimentSpec::fluid`]).
-///
-/// The solver has no packets, so congestion control appears only as a
-/// per-flow rate cap: the long-run Cubic rate at the topology RTT under
-/// `ref_loss` ([`steady_state_rate_bps`]), clipped by the access links.
-/// Fluid mode always models homogeneous Cubic with these parameters —
-/// the provisioner passed to [`run_experiment`] is *not* consulted
-/// (per-sender hooks and factories are packet-path concepts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FluidSpec {
-    /// Cubic parameters for the steady-state rate cap.
-    pub params: CubicParams,
-    /// Reference per-segment loss probability for the rate cap, in
-    /// (0, 1). The default 1e-4 makes the cap bind only for flows whose
-    /// fair share exceeds what Cubic could sustain on a lightly lossy
-    /// path — on a congested bottleneck the max-min share binds first.
-    pub ref_loss: f64,
-    /// Add the closed-form slow-start ramp to completion times (and to
-    /// the pacing of each sender's next flow). Without it every flow
-    /// finishes as if it started at full rate, which overstates goodput
-    /// for short flows.
-    pub slow_start_model: bool,
-    /// Fraction of the bottleneck's payload capacity the transport
-    /// actually converts into goodput when the link congests, in
-    /// (0, 1]. Ideal max-min sharing would be 1.0; real Cubic on a
-    /// drop-tail queue loses throughput to the sawtooth (the average
-    /// window is (4 − β)/4 of the peak), to retransmissions, and to
-    /// synchronized multi-flow backoff. The default is calibrated
-    /// against this repository's packet engine on the validation
-    /// dumbbells (see `tests/e2e_fluid.rs`); it only matters when the
-    /// bottleneck is the binding constraint.
-    pub efficiency: f64,
-}
-
-impl Default for FluidSpec {
-    fn default() -> Self {
-        FluidSpec {
-            params: CubicParams::default(),
-            ref_loss: 1e-4,
-            slow_start_model: true,
-            efficiency: 0.75,
-        }
-    }
-}
-
 impl ExperimentSpec {
     /// A spec over the paper dumbbell with `pairs` senders.
     pub fn new(pairs: usize, workload: OnOffConfig, duration: Dur, seed: u64) -> Self {
@@ -170,18 +116,10 @@ impl ExperimentSpec {
             store,
             queue: BottleneckQueue::DropTail,
             ha: None,
-            fluid: None,
             budget: None,
             switch: None,
             incast: None,
         }
-    }
-
-    /// The same spec routed through the fluid fast path with default
-    /// [`FluidSpec`] settings.
-    pub fn with_fluid(mut self) -> Self {
-        self.fluid = Some(FluidSpec::default());
-        self
     }
 
     /// The same spec with a run budget installed (see
@@ -312,18 +250,10 @@ impl RunResult {
 }
 
 /// Run one experiment; `provision` is called once per sender.
-///
-/// When the spec selects the fluid fast path ([`ExperimentSpec::fluid`])
-/// the run goes through the flow-level solver instead of the packet
-/// engine and `provision` is not consulted — fluid mode models
-/// homogeneous Cubic via [`FluidSpec::params`].
 pub fn run_experiment(
     spec: &ExperimentSpec,
     mut provision: impl FnMut(ProvisionCtx<'_>) -> Provisioned,
 ) -> RunResult {
-    if let Some(fluid) = &spec.fluid {
-        return run_fluid(spec, fluid);
-    }
     let net = dumbbell(&spec.dumbbell);
     let bottleneck_ids = [net.bottleneck, net.reverse];
     let routers = [net.left_router, net.right_router];
@@ -480,155 +410,6 @@ pub fn run_experiment(
     }
 }
 
-/// Closed-form slow-start ramp: how much longer than `bytes / rate` a
-/// window-doubling transport takes to move `bytes` when its steady rate
-/// is `rate_bps`. Models rounds of `iw·2^j` segments until the window
-/// covers the share's bandwidth-delay product, then service at `rate`;
-/// a flow that fits inside the ramp completes at the end of the round
-/// that acks its last byte (so a one-segment flow costs one RTT, as in
-/// the packet engine where `end` is the final ACK's arrival).
-fn slow_start_penalty(bytes: u64, rate_bps: f64, rtt_secs: f64, iw_bytes: f64) -> Dur {
-    if rate_bps <= 0.0 || !rate_bps.is_finite() || rtt_secs <= 0.0 || iw_bytes <= 0.0 {
-        return Dur::ZERO;
-    }
-    let rate_bytes = rate_bps / 8.0;
-    let fluid_fct = bytes as f64 / rate_bytes;
-    let share_bdp = rate_bytes * rtt_secs;
-    let mut window = iw_bytes;
-    let mut sent = 0.0;
-    let mut ramp_secs = 0.0;
-    while window < share_bdp {
-        if sent + window >= bytes as f64 {
-            // Completes inside this round; the closing ACK lands at the
-            // round's end.
-            return Dur::from_secs_f64((ramp_secs + rtt_secs - fluid_fct).max(0.0));
-        }
-        sent += window;
-        ramp_secs += rtt_secs;
-        window *= 2.0;
-    }
-    // Ramp done (possibly instantly, for iw >= the share's BDP); the
-    // remainder moves at the steady rate.
-    let model_fct = ramp_secs + (bytes as f64 - sent).max(0.0) / rate_bytes;
-    Dur::from_secs_f64((model_fct - fluid_fct).max(0.0))
-}
-
-/// The fluid fast path behind [`run_experiment`]: same spec, same seeded
-/// workload streams (each sender's flow sizes and gaps are drawn from
-/// the identical `fork_indexed("sender", i)` stream the packet path
-/// uses, so both engines run the *same flows*), but service is fluid
-/// max-min sharing of the bottleneck instead of packets. Loss and
-/// queueing delay are structurally zero in the result; utilization is
-/// the bottleneck's service integral scaled back to wire bytes.
-fn run_fluid(spec: &ExperimentSpec, fluid: &FluidSpec) -> RunResult {
-    // The fluid links carry application payload; fold per-segment header
-    // overhead into the capacity so goodput comparisons line up.
-    let payload_frac = f64::from(wire::MSS) / f64::from(wire::FULL_SEGMENT);
-    let rtt_secs = spec.dumbbell.rtt.as_secs_f64();
-
-    let efficiency = fluid.efficiency.clamp(f64::MIN_POSITIVE, 1.0);
-    let mut fsim = FluidSim::new();
-    let bottleneck = fsim.add_link(spec.dumbbell.bottleneck_bps as f64 * payload_frac * efficiency);
-    let cubic_cap = steady_state_rate_bps(
-        &fluid.params,
-        rtt_secs,
-        fluid.ref_loss,
-        f64::from(wire::MSS),
-    );
-    let cap = (spec.dumbbell.access_bps as f64 * payload_frac).min(cubic_cap);
-    let class = fsim.add_class(vec![bottleneck], cap);
-
-    let root = SeedRng::new(spec.seed);
-    for i in 0..spec.dumbbell.pairs {
-        let mut source = OnOffSource::new(spec.workload, root.fork_indexed("sender", i as u64));
-        fsim.add_sender(
-            class,
-            Box::new(move || {
-                let plan = source.next_flow();
-                FluidFlowPlan {
-                    bytes: (plan.bytes).max(1),
-                    off_ns: plan.off_ns,
-                }
-            }),
-        );
-    }
-    if fluid.slow_start_model {
-        let iw_bytes = fluid.params.init_window * f64::from(wire::MSS);
-        fsim.set_start_penalty(Box::new(move |bytes, rate_bps| {
-            slow_start_penalty(bytes, rate_bps, rtt_secs, iw_bytes)
-        }));
-    }
-
-    let deadline = Time::ZERO + spec.duration;
-    fsim.run_until(deadline);
-
-    let census = fsim.census();
-    debug_assert!(
-        census.conserved(1e-6),
-        "fluid byte-conservation violated: {census:?}"
-    );
-
-    // Reports in the packet path's shape: flow ids mirror the sender
-    // config's `(i << 32) + flow_index`, RTT is the (queue-free) base
-    // RTT, and the loss/retransmit counters are structurally zero.
-    let pairs = spec.dumbbell.pairs;
-    let mut per_sender: Vec<Vec<FlowReport>> = vec![Vec::new(); pairs];
-    let to_report = |sender: usize, index: u64, bytes: u64, start: Time, end: Time| FlowReport {
-        flow: FlowId(((sender as u64) << 32) + index),
-        bytes,
-        segments: bytes.div_ceil(u64::from(wire::MSS)),
-        start,
-        end,
-        min_rtt: Some(spec.dumbbell.rtt),
-        mean_rtt_ms: spec.dumbbell.rtt.as_millis_f64(),
-        rtt_samples: bytes.div_ceil(u64::from(wire::MSS)),
-        retransmits: 0,
-        timeouts: 0,
-        recoveries: 0,
-        aborted: false,
-        idle_restarts: 0,
-    };
-    for rec in fsim.records() {
-        per_sender[rec.sender].push(to_report(
-            rec.sender, rec.index, rec.bytes, rec.start, rec.end,
-        ));
-    }
-    let partials: Vec<Option<FlowReport>> = (0..pairs)
-        .map(|s| {
-            fsim.partial(s)
-                .map(|p| to_report(p.sender, p.index, p.bytes, p.start, p.end))
-        })
-        .collect();
-
-    let mut all: Vec<FlowReport> = per_sender.iter().flatten().cloned().collect();
-    all.extend(partials.iter().filter_map(|p| p.clone()));
-    let wire_bits = fsim.link_served_bytes(bottleneck) / payload_frac * 8.0;
-    let utilization = (wire_bits
-        / (spec.dumbbell.bottleneck_bps as f64 * spec.duration.as_secs_f64().max(1e-12)))
-    .min(1.0);
-    let metrics = RunMetrics::from_reports(&all, 0.0, 0.0, utilization);
-
-    RunResult {
-        metrics,
-        per_sender,
-        partials,
-        base_rtt_ms: spec.base_rtt_ms(),
-        store: ContextStore::new(spec.store),
-        events: fsim.events(),
-        // The fluid solver has no event scheduler; all-zero still
-        // satisfies the conservation identity.
-        sched: SchedStats::default(),
-        ha: None,
-        ha_shards: None,
-        // The fluid solver integrates to the deadline in near-constant
-        // work per flow; budgets are a packet-path concern and are not
-        // applied here.
-        terminated: None,
-        // Switches are a packet-path concept; fluid runs install none.
-        switch_stats: None,
-    }
-}
-
 /// Provision every sender as unmodified Cubic with fixed `params`
 /// (the §2.2.1 "simplified setting": one parameter set for the whole run).
 pub fn provision_cubic(params: CubicParams) -> impl Fn(ProvisionCtx<'_>) -> Provisioned + Sync {
@@ -650,22 +431,25 @@ pub fn provision_dctcp(params: DctcpParams) -> impl Fn(ProvisionCtx<'_>) -> Prov
     }
 }
 
+/// The Phi controller factory: Cubic with the parameters `policy`
+/// recommends for the lookup snapshot, defaults when there is none.
+fn policy_factory(policy: PolicyTable) -> CcFactory {
+    Box::new(move |snap| {
+        let params = match snap {
+            Some(s) => policy.params_for(s),
+            None => CubicParams::default(),
+        };
+        Box::new(Cubic::new(params))
+    })
+}
+
 /// Provision every sender as a Phi sender: practical hook (lookup/report
 /// against the run's shared store) and parameters drawn from `policy` at
 /// each connection start (§2.2.2's realization).
 pub fn provision_cubic_phi(policy: PolicyTable) -> impl Fn(ProvisionCtx<'_>) -> Provisioned + Sync {
-    move |ctx| {
-        let policy = policy.clone();
-        Provisioned {
-            factory: Box::new(move |snap| {
-                let params = match snap {
-                    Some(s) => policy.params_for(s),
-                    None => CubicParams::default(),
-                };
-                Box::new(Cubic::new(params))
-            }),
-            hook: Box::new(PracticalHook::new(ctx.store.clone(), ctx.path)),
-        }
+    move |ctx| Provisioned {
+        factory: policy_factory(policy.clone()),
+        hook: Box::new(PracticalHook::new(ctx.store.clone(), ctx.path)),
     }
 }
 
@@ -674,29 +458,22 @@ pub fn provision_cubic_phi(policy: PolicyTable) -> impl Fn(ProvisionCtx<'_>) -> 
 /// `plan` (from a per-sender fork of the run seed, so fault draws never
 /// shift the workload streams) and a
 /// [`phi_tcp::hook::DegradingHook`] enforcing fallback to vanilla
-/// behaviour whenever a lookup is lost. The §2.2.2 degradation arm.
+/// behaviour whenever a lookup is lost. Every sender's hook counts into
+/// `counters`, so the caller can read what was injected after the run.
+/// The §2.2.2 degradation arm.
 pub fn provision_cubic_phi_faulty(
     policy: PolicyTable,
     plan: FaultPlan,
+    counters: SharedFaultCounters,
 ) -> impl Fn(ProvisionCtx<'_>) -> Provisioned + Sync {
-    move |ctx| {
-        let policy = policy.clone();
-        let counters = fault_counters();
-        Provisioned {
-            factory: Box::new(move |snap| {
-                let params = match snap {
-                    Some(s) => policy.params_for(s),
-                    None => CubicParams::default(),
-                };
-                Box::new(Cubic::new(params))
-            }),
-            hook: Box::new(DegradingHook::new(FaultyHook::new(
-                PracticalHook::new(ctx.store.clone(), ctx.path),
-                plan,
-                ctx.rng.fork("faults"),
-                counters,
-            ))),
-        }
+    move |ctx| Provisioned {
+        factory: policy_factory(policy.clone()),
+        hook: Box::new(DegradingHook::new(FaultyHook::new(
+            PracticalHook::new(ctx.store.clone(), ctx.path),
+            plan,
+            ctx.rng.fork("faults"),
+            counters.clone(),
+        ))),
     }
 }
 
@@ -714,7 +491,6 @@ pub fn provision_cubic_phi_ha(
     policy: PolicyTable,
 ) -> impl Fn(ProvisionCtx<'_>) -> Provisioned + Sync {
     move |ctx| {
-        let policy = policy.clone();
         let plane = ctx
             .ha
             .as_ref()
@@ -722,13 +498,7 @@ pub fn provision_cubic_phi_ha(
             .plane_for(ctx.path)
             .clone();
         Provisioned {
-            factory: Box::new(move |snap| {
-                let params = match snap {
-                    Some(s) => policy.params_for(s),
-                    None => CubicParams::default(),
-                };
-                Box::new(Cubic::new(params))
-            }),
+            factory: policy_factory(policy.clone()),
             hook: Box::new(DegradingHook::new(HaHook::new(plane, ctx.path))),
         }
     }
@@ -933,97 +703,6 @@ mod tests {
         );
         // Both still move real traffic.
         assert!(red.metrics.throughput_mbps > 0.3);
-    }
-
-    #[test]
-    fn fluid_mode_runs_the_same_flows_as_the_packet_path() {
-        let spec = quick_spec(4, 300_000.0, 1.0, 20);
-        let packet = run_experiment(&spec, provision_cubic(CubicParams::default()));
-        let fluid = run_experiment(
-            &spec.clone().with_fluid(),
-            provision_cubic(CubicParams::default()),
-        );
-        // Same seeded workload streams → the first flows carry identical
-        // byte counts in both engines.
-        for (pa, fa) in packet.per_sender.iter().zip(&fluid.per_sender) {
-            if let (Some(p), Some(f)) = (pa.first(), fa.first()) {
-                assert_eq!(p.bytes, f.bytes, "fluid drew a different workload");
-                assert_eq!(p.flow, f.flow, "flow-id convention diverged");
-            }
-        }
-        // Structural properties of the fluid result.
-        assert_eq!(fluid.metrics.loss_rate, 0.0);
-        assert_eq!(fluid.metrics.queueing_delay_ms, 0.0);
-        assert!(fluid.metrics.flows_completed > 0);
-        assert!(fluid.metrics.utilization > 0.0 && fluid.metrics.utilization <= 1.0);
-        // Far fewer events than the packet engine for the same traffic.
-        assert!(
-            fluid.events * 10 < packet.events,
-            "fluid {} vs packet {} events",
-            fluid.events,
-            packet.events
-        );
-    }
-
-    #[test]
-    fn fluid_mode_is_deterministic_and_seed_sensitive() {
-        let spec = quick_spec(3, 200_000.0, 1.0, 15).with_fluid();
-        let a = run_experiment(&spec, provision_cubic(CubicParams::default()));
-        let b = run_experiment(&spec, provision_cubic(CubicParams::default()));
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.metrics.bytes, b.metrics.bytes);
-        assert_eq!(
-            a.metrics.throughput_mbps.to_bits(),
-            b.metrics.throughput_mbps.to_bits()
-        );
-        let mut spec2 = spec.clone();
-        spec2.seed = 43;
-        let c = run_experiment(&spec2, provision_cubic(CubicParams::default()));
-        assert_ne!(a.metrics.bytes, c.metrics.bytes);
-    }
-
-    #[test]
-    fn fluid_runs_are_worker_count_invariant() {
-        let spec = quick_spec(2, 150_000.0, 1.0, 10).with_fluid();
-        let serial = run_repeated_on(
-            &RunPool::serial(),
-            &spec,
-            4,
-            provision_cubic(CubicParams::default()),
-        );
-        let parallel = run_repeated_on(
-            &RunPool::new(4),
-            &spec,
-            4,
-            provision_cubic(CubicParams::default()),
-        );
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.events, b.events);
-            assert_eq!(a.metrics.bytes, b.metrics.bytes);
-            assert_eq!(
-                a.metrics.throughput_mbps.to_bits(),
-                b.metrics.throughput_mbps.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn slow_start_penalty_costs_an_rtt_for_a_tiny_flow() {
-        // One segment at any rate: the model charges one RTT (send, then
-        // the closing ACK), minus the negligible fluid service time.
-        let d = slow_start_penalty(1_000, 1e6, 0.06, 2.0 * 1448.0);
-        let fluid_fct = 1_000.0 / (1e6 / 8.0);
-        assert!((d.as_secs_f64() - (0.06 - fluid_fct)).abs() < 1e-9);
-        // A long flow at a modest rate spends a few RTTs ramping.
-        let d = slow_start_penalty(10_000_000, 5e6, 0.06, 2.0 * 1448.0);
-        assert!(d.as_secs_f64() > 0.0);
-        assert!(d.as_secs_f64() < 1.0, "penalty unreasonably large: {d}");
-        // Degenerate inputs cost nothing.
-        assert_eq!(slow_start_penalty(1_000, 0.0, 0.06, 2896.0), Dur::ZERO);
-        assert_eq!(
-            slow_start_penalty(1_000, f64::INFINITY, 0.06, 2896.0),
-            Dur::ZERO
-        );
     }
 
     #[test]

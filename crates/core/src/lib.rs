@@ -74,7 +74,7 @@ pub use crash::{
 pub use harness::{
     is_modified, provision_cubic, provision_cubic_phi, provision_cubic_phi_faulty,
     provision_cubic_phi_ha, provision_mixed, run_experiment, run_repeated, run_repeated_on,
-    ExperimentSpec, FluidSpec, ProvisionCtx, Provisioned, RunResult, DUMBBELL_PATH,
+    ExperimentSpec, ProvisionCtx, Provisioned, RunResult, DUMBBELL_PATH,
 };
 pub use hooks::{
     fault_counters, shared, summarize, FaultCounters, FaultPlan, FaultyHook, Flap, IdealOracleHook,

@@ -42,7 +42,6 @@
 
 pub mod engine;
 pub mod faults;
-pub mod fluid;
 pub mod packet;
 pub mod queue;
 pub mod sched;
@@ -61,7 +60,6 @@ pub mod prelude {
     pub use crate::faults::{
         DownPolicy, FaultStats, Flapping, ImpairmentPlan, LossModel, OutageWindow, Reordering,
     };
-    pub use crate::fluid::{FluidCensus, FluidFlowPlan, FluidFlowRecord, FluidSim};
     pub use crate::packet::{wire, AgentId, Flags, FlowId, LinkId, NodeId, Packet};
     pub use crate::queue::{Capacity, DisciplineSpec, LinkQueue};
     pub use crate::stats::{Ewma, LinkStats, OnlineStats};

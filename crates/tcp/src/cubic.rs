@@ -93,56 +93,6 @@ impl CubicParams {
     }
 }
 
-/// Long-run average Cubic throughput under a steady loss rate, in
-/// bits/second — the CC-aware per-flow rate cap for the fluid solver
-/// (`phi_sim::fluid`).
-///
-/// Derivation, in this crate's β convention (the window shrinks to
-/// `(1 − β)·W` on loss, so the sawtooth runs from `(1 − β)·W_max` back
-/// to `W_max`):
-///
-/// - One congestion epoch lasts `K = ((β·W_max)/C)^(1/3)` seconds and
-///   carries `∫ W(t) dt = W_max·K − C·K⁴/4 = W_max·K·(4 − β)/4`
-///   segments·s, i.e. an average window `W_avg = W_max·(4 − β)/4`.
-/// - The epoch delivers `W_avg·K/τ` segments at RTT `τ` and ends in one
-///   loss event, so the per-segment loss probability is
-///   `p = τ / (W_avg·K)`. Substituting and solving for `W_max`:
-///   `W_max = (4·τ·C^(1/3) / ((4 − β)·β^(1/3)·p))^(3/4)`.
-/// - With `tcp_friendly`, the AIMD-tracking region puts a floor of
-///   `sqrt(3/(2p))` segments under the average window (the classic
-///   `1/sqrt(p)` law; the β-dependence cancels exactly for RFC 8312's
-///   equivalent-AIMD gain `3β/(2 − β)`).
-///
-/// This is a *model*, not a measurement: it ignores slow start,
-/// timeouts, and delayed ACKs, which is exactly the regime the fluid
-/// solver targets (long-running or steady-state shares). `loss` is the
-/// reference loss probability per segment in `(0, 1)`; `rtt_secs` the
-/// round-trip time; `mss_bytes` the segment payload.
-pub fn steady_state_rate_bps(
-    params: &CubicParams,
-    rtt_secs: f64,
-    loss: f64,
-    mss_bytes: f64,
-) -> f64 {
-    params.validate();
-    assert!(
-        rtt_secs > 0.0 && rtt_secs.is_finite(),
-        "rtt must be positive and finite, got {rtt_secs}"
-    );
-    assert!(
-        loss > 0.0 && loss < 1.0,
-        "loss probability must be in (0, 1), got {loss}"
-    );
-    assert!(mss_bytes > 0.0, "mss must be positive, got {mss_bytes}");
-    let beta = params.beta;
-    let w_max = (4.0 * rtt_secs * params.c.cbrt() / ((4.0 - beta) * beta.cbrt() * loss)).powf(0.75);
-    let mut w_avg = w_max * (4.0 - beta) / 4.0;
-    if params.tcp_friendly {
-        w_avg = w_avg.max((1.5 / loss).sqrt());
-    }
-    w_avg * mss_bytes * 8.0 / rtt_secs
-}
-
 /// TCP Cubic congestion control.
 #[derive(Debug, Clone)]
 pub struct Cubic {
@@ -501,54 +451,5 @@ mod tests {
     #[should_panic(expected = "beta")]
     fn params_validated() {
         Cubic::new(CubicParams::tuned(2.0, 64.0, 1.5));
-    }
-
-    #[test]
-    fn steady_state_rate_decreases_with_loss_and_rtt() {
-        let p = CubicParams::default();
-        let r = |rtt: f64, loss: f64| steady_state_rate_bps(&p, rtt, loss, 1448.0);
-        assert!(r(0.06, 1e-4) > r(0.06, 1e-3));
-        assert!(r(0.06, 1e-3) > r(0.06, 1e-2));
-        // Cubic's rate scales as tau^(-1/4): shorter RTT, faster flow.
-        assert!(r(0.03, 1e-4) > r(0.06, 1e-4));
-        assert!(r(0.06, 1e-4).is_finite() && r(0.06, 1e-4) > 0.0);
-    }
-
-    #[test]
-    fn steady_state_rate_matches_the_closed_form() {
-        // Spot-check the W_max algebra at beta = 0.2, C = 0.4, without
-        // the friendly floor: p small enough that cubic dominates.
-        let p = CubicParams {
-            tcp_friendly: false,
-            ..CubicParams::default()
-        };
-        let (tau, loss, mss) = (0.06, 1e-4, 1448.0);
-        let w_max = (4.0 * tau * 0.4f64.cbrt() / (3.8 * 0.2f64.cbrt() * loss)).powf(0.75);
-        let expect = w_max * 3.8 / 4.0 * mss * 8.0 / tau;
-        let got = steady_state_rate_bps(&p, tau, loss, mss);
-        assert!((got - expect).abs() < 1e-6 * expect, "{got} vs {expect}");
-    }
-
-    #[test]
-    fn friendly_region_floors_the_rate_at_high_loss() {
-        // At heavy loss the AIMD floor sqrt(3/(2p)) beats the cubic
-        // window, so the friendly variant must report a higher rate.
-        let base = CubicParams::default();
-        let unfriendly = CubicParams {
-            tcp_friendly: false,
-            ..base
-        };
-        let (tau, loss, mss) = (0.1, 0.05, 1448.0);
-        let with = steady_state_rate_bps(&base, tau, loss, mss);
-        let without = steady_state_rate_bps(&unfriendly, tau, loss, mss);
-        assert!(with >= without);
-        let floor = (1.5f64 / loss).sqrt() * mss * 8.0 / tau;
-        assert!((with - floor).abs() < 1e-6 * floor);
-    }
-
-    #[test]
-    #[should_panic(expected = "loss probability")]
-    fn steady_state_rate_rejects_zero_loss() {
-        steady_state_rate_bps(&CubicParams::default(), 0.06, 0.0, 1448.0);
     }
 }

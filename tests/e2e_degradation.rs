@@ -7,13 +7,11 @@
 
 use phi::core::harness::{
     provision_cubic, provision_cubic_phi_faulty, run_experiment, run_repeated_on, ExperimentSpec,
-    Provisioned,
 };
 use phi::core::runpool::RunPool;
-use phi::core::{fault_counters, FaultPlan, FaultyHook, PolicyTable, PracticalHook, RunResult};
+use phi::core::{fault_counters, FaultPlan, PolicyTable, RunResult};
 use phi::sim::time::Dur;
-use phi::tcp::cubic::{Cubic, CubicParams};
-use phi::tcp::hook::DegradingHook;
+use phi::tcp::cubic::CubicParams;
 use phi::workload::OnOffConfig;
 
 fn spec() -> ExperimentSpec {
@@ -60,9 +58,14 @@ fn delivered(r: &RunResult) -> u64 {
 fn total_blackout_is_bit_identical_to_the_no_sharing_baseline() {
     let spec = spec();
     let baseline = run_experiment(&spec, provision_cubic(CubicParams::default()));
+    let counters = fault_counters();
     let blackout = run_experiment(
         &spec,
-        provision_cubic_phi_faulty(PolicyTable::reference(), FaultPlan::blackout()),
+        provision_cubic_phi_faulty(
+            PolicyTable::reference(),
+            FaultPlan::blackout(),
+            counters.clone(),
+        ),
     );
 
     assert!(
@@ -79,6 +82,11 @@ fn total_blackout_is_bit_identical_to_the_no_sharing_baseline() {
     assert!(delivered(&blackout) as f64 >= 0.9 * delivered(&baseline) as f64);
     // The plane being *gone* also means the store never learned anything.
     assert_eq!(blackout.store.path_count(), 0, "store must stay empty");
+    // ...because every lookup was attempted and lost, not because none
+    // was made.
+    let c = *counters.lock().unwrap();
+    assert!(c.lookups_dropped > 0, "no lookup was dropped: {c:?}");
+    assert_eq!(c.lookups_dropped, c.lookups, "a lookup got through: {c:?}");
 }
 
 /// A flapping plane (1 s up / 1 s down): some flows get context and tuned
@@ -89,26 +97,15 @@ fn flapping_plane_degrades_gracefully() {
     let spec = spec();
     let baseline = run_experiment(&spec, provision_cubic(CubicParams::default()));
 
-    let policy = PolicyTable::reference();
     let counters = fault_counters();
-    let flapping = run_experiment(&spec, |ctx| {
-        let policy = policy.clone();
-        Provisioned {
-            factory: Box::new(move |snap| {
-                let params = match snap {
-                    Some(s) => policy.params_for(s),
-                    None => CubicParams::default(),
-                };
-                Box::new(Cubic::new(params))
-            }),
-            hook: Box::new(DegradingHook::new(FaultyHook::new(
-                PracticalHook::new(ctx.store.clone(), ctx.path),
-                FaultPlan::flapping(Dur::from_secs(1), Dur::from_secs(1)),
-                ctx.rng.fork("faults"),
-                counters.clone(),
-            ))),
-        }
-    });
+    let flapping = run_experiment(
+        &spec,
+        provision_cubic_phi_faulty(
+            PolicyTable::reference(),
+            FaultPlan::flapping(Dur::from_secs(1), Dur::from_secs(1)),
+            counters.clone(),
+        ),
+    );
 
     // The square wave really cut both ways: lookups were attempted, some
     // died in a down-phase, some got through in an up-phase.
@@ -152,7 +149,7 @@ fn degradation_arms_bit_identical_for_any_worker_count() {
             &RunPool::serial(),
             &spec,
             3,
-            provision_cubic_phi_faulty(PolicyTable::reference(), plan),
+            provision_cubic_phi_faulty(PolicyTable::reference(), plan, fault_counters()),
         )
         .iter()
         .map(fingerprint)
@@ -162,7 +159,7 @@ fn degradation_arms_bit_identical_for_any_worker_count() {
                 &RunPool::new(workers),
                 &spec,
                 3,
-                provision_cubic_phi_faulty(PolicyTable::reference(), plan),
+                provision_cubic_phi_faulty(PolicyTable::reference(), plan, fault_counters()),
             )
             .iter()
             .map(fingerprint)

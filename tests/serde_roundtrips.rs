@@ -5,8 +5,7 @@
 
 use phi::core::harness::BottleneckQueue;
 use phi::core::{
-    ExperimentSpec, FlowSummary, FluidSpec, HaSpec, PolicyTable, ServerCrashPlan, ShardedHa,
-    StoreConfig,
+    ExperimentSpec, FlowSummary, HaSpec, PolicyTable, ServerCrashPlan, ShardedHa, StoreConfig,
 };
 use phi::remy::{Action, WhiskerTree};
 use phi::sim::time::Dur;
@@ -58,53 +57,16 @@ fn pre_ha_spec_json_deserializes_to_no_ha_plane() {
     assert_eq!(back.seed, 7);
 }
 
-#[test]
-fn fluid_spec_roundtrips() {
-    let mut spec = ExperimentSpec::new(6, OnOffConfig::fig2(), Dur::from_secs(45), 3).with_fluid();
-    let fluid = spec.fluid.as_mut().expect("with_fluid sets the field");
-    fluid.ref_loss = 2e-4;
-    fluid.slow_start_model = false;
-    fluid.efficiency = 0.8;
-    let back = roundtrip(&spec);
-    let f: FluidSpec = back.fluid.expect("fluid section survives");
-    assert_eq!(f.ref_loss, 2e-4);
-    assert!(!f.slow_start_model);
-    assert_eq!(f.efficiency, 0.8);
-    assert_eq!(back.seed, 3);
-}
-
-/// Like `ha`, the `fluid` section is additive: a spec serialized before
-/// the field existed (no `"fluid"` key) must still deserialize — to
-/// `None`, the packet-level path — so stored experiment configs and
-/// EXPERIMENTS provenance stay readable (and bit-reproducible) forever.
-#[test]
-fn pre_fluid_spec_json_deserializes_to_packet_path() {
-    let spec = ExperimentSpec::new(4, OnOffConfig::fig2(), Dur::from_secs(30), 7);
-    let mut json = serde_json::to_string(&spec).expect("serialize");
-    assert!(
-        json.contains("\"fluid\""),
-        "field should serialize when present"
-    );
-    json = json.replace(",\"fluid\":null", "");
-    assert!(
-        !json.contains("\"fluid\""),
-        "test must actually remove the key"
-    );
-    let back: ExperimentSpec = serde_json::from_str(&json).expect("old JSON must deserialize");
-    assert_eq!(back.fluid, None);
-    assert_eq!(back.seed, 7);
-}
-
-/// Specs stored while the harness still had a `domains` option carry a
-/// `"domains"` key. The option is gone; such a spec must still load, the
-/// key ignored, as the same spec without it.
-#[test]
-fn retired_domains_key_is_ignored_on_deserialize() {
+/// A stored spec carrying `retired` — a `"key":value` pair for a field
+/// `ExperimentSpec` no longer has — must still load, the key ignored, as
+/// the same spec without it.
+fn assert_retired_key_is_ignored(retired: &str) {
     let spec = ExperimentSpec::new(4, OnOffConfig::fig2(), Dur::from_secs(30), 7);
     let json = serde_json::to_string(&spec).expect("serialize");
-    assert!(!json.contains("\"domains\""), "the field is gone");
-    let old = json.replacen(",\"budget\":", ",\"domains\":4,\"budget\":", 1);
-    assert!(old.contains("\"domains\":4"), "test must insert the key");
+    let key = retired.split(':').next().expect("a key");
+    assert!(!json.contains(key), "the field is gone");
+    let old = json.replacen(",\"budget\":", &format!(",{retired},\"budget\":"), 1);
+    assert!(old.contains(retired), "test must insert the key");
     let back: ExperimentSpec = serde_json::from_str(&old).expect("old JSON must deserialize");
     assert_eq!(
         serde_json::to_string(&back).expect("serialize"),
@@ -113,7 +75,27 @@ fn retired_domains_key_is_ignored_on_deserialize() {
     );
 }
 
-/// The `budget` section is additive exactly like `ha` and `fluid`: it
+/// Specs stored while the harness still had a `domains` option carry a
+/// `"domains"` key.
+#[test]
+fn retired_domains_key_is_ignored_on_deserialize() {
+    assert_retired_key_is_ignored("\"domains\":4");
+}
+
+/// Specs stored while the harness still had a flow-level engine carry a
+/// `"fluid"` key: `null` from every run that used the packet engine, a
+/// populated section from one that selected the solver.
+#[test]
+fn retired_fluid_key_is_ignored_on_deserialize() {
+    assert_retired_key_is_ignored("\"fluid\":null");
+    assert_retired_key_is_ignored(
+        "\"fluid\":{\"params\":{\"init_window\":2.0,\"init_ssthresh\":65536.0,\"beta\":0.2,\
+         \"c\":0.4,\"fast_convergence\":true,\"tcp_friendly\":true,\"pace\":false},\
+         \"ref_loss\":0.0001,\"slow_start_model\":true,\"efficiency\":0.75}",
+    );
+}
+
+/// The `budget` section is additive exactly like `ha`: it
 /// round-trips when present (every cap, individually and combined), and a spec serialized before the field existed (no
 /// `"budget"` key) still deserializes — to `None`, the un-budgeted pop
 /// loop with its historical digests.
@@ -319,7 +301,7 @@ fn store_config_and_flow_summary_roundtrip() {
 }
 
 /// The datacenter backpressure sections ride the same additive contract
-/// as `ha`/`fluid`/`budget`: `SwitchSpec` (with its nested
+/// as `ha`/`budget`: `SwitchSpec` (with its nested
 /// `EcnSpec`/`PfcSpec`) and `IncastConfig` round-trip when present, and
 /// a spec serialized before the fields existed (no `"switch"` or
 /// `"incast"` key) still deserializes — to `None`, the classic per-link
