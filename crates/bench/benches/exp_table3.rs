@@ -19,11 +19,12 @@
 use phi_bench::{banner, scale, write_json};
 use phi_core::harness::{provision_cubic, run_repeated, ExperimentSpec};
 use phi_core::power::log_power;
-use phi_remy::{provision_remy_owned, Trainer, TrainerConfig, UtilFeed, WhiskerTree};
+use phi_remy::{provision_remy, Trainer, TrainerConfig, UtilFeed, WhiskerTree};
 use phi_sim::time::Dur;
 use phi_tcp::CubicParams;
 use phi_workload::OnOffConfig;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Row {
@@ -141,6 +142,7 @@ fn main() {
         t1.history.len()
     );
     println!("\nlearned Remy-Phi rules:\n{}", tree_util.describe());
+    let (tree_plain, tree_util) = (Arc::new(tree_plain), Arc::new(tree_util));
 
     banner("Table 3: single-bottleneck dumbbell, 15 Mbit/s, 150 ms RTT, 8 senders");
 
@@ -149,19 +151,19 @@ fn main() {
             &spec,
             sc.runs,
             "Remy-Phi-practical",
-            provision_remy_owned(tree_util.clone(), UtilFeed::Practical),
+            provision_remy(tree_util.clone(), UtilFeed::Practical, None),
         ),
         evaluate(
             &spec,
             sc.runs,
             "Remy-Phi-ideal",
-            provision_remy_owned(tree_util.clone(), UtilFeed::Ideal),
+            provision_remy(tree_util.clone(), UtilFeed::Ideal, None),
         ),
         evaluate(
             &spec,
             sc.runs,
             "Remy",
-            provision_remy_owned(tree_plain.clone(), UtilFeed::None),
+            provision_remy(tree_plain.clone(), UtilFeed::None, None),
         ),
         evaluate(
             &spec,

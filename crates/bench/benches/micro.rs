@@ -7,8 +7,9 @@
 //!
 //! Sustained engine throughput is `phi-benchmark`'s job (`--workload
 //! forward_multihop|dumbbell_cubic_phi`); the one engine pair kept here
-//! is the budgeted against the un-budgeted pop loop, which has no twin
-//! there. `--test` checks that pair runs the same events and stops.
+//! is the pop loop with its budget checks armed against unarmed, which
+//! has no twin there. `--test` checks that pair runs the same events and
+//! stops.
 
 use criterion::{criterion_group, BatchSize, Criterion, Throughput};
 use std::any::Any;
@@ -231,9 +232,10 @@ impl Agent for Drain {
 /// Multihop blast: a 4-hop parking lot with the long-path pair plus
 /// every cross pair pumping packets through the backbone; returns the
 /// events processed. With `budgeted`, a run budget is installed but set
-/// far out of reach: every event goes through the budgeted pop loop's
-/// checks without any cap ever firing, so (budgeted row ÷ un-budgeted
-/// row) is exactly the supervision overhead a budget-capped sweep pays.
+/// far out of reach: every event pays the pop loop's armed event-count
+/// and wall-clock checks without any cap ever firing, so (budgeted row ÷
+/// un-budgeted row) is exactly the supervision overhead a budget-capped
+/// sweep pays.
 fn blast(packets_per_source: u32, budgeted: bool) -> u64 {
     let lot = parking_lot(&ParkingLotSpec {
         hops: 4,

@@ -32,7 +32,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::context::{ContextStore, FlowSummary, PathKey, StoreConfig};
 use crate::hooks::summarize;
-use crate::shard::shard_index;
 
 /// A repeating crash/restart cycle (the server-side analogue of
 /// [`crate::hooks::Flap`]).
@@ -146,20 +145,6 @@ impl ServerCrashPlan {
     }
 }
 
-/// Shard the in-sim HA plane: `count` independent primary/backup pairs
-/// (one per [`crate::shard::ShardedStore`] shard), each with its *own*
-/// epoch, and the crash plan applied to exactly one of them. Paths route
-/// to shards by [`shard_index`], so a crash's blast radius is the one
-/// shard's keyspace — every other shard keeps serving at epoch 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardedHa {
-    /// Number of independent shard planes (at least 1).
-    pub count: u32,
-    /// Which shard's primary the crash plan hits; the others run the
-    /// same lag/failover parameters but never crash.
-    pub crash_shard: u32,
-}
-
 /// How the in-sim replicated plane behaves around crashes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HaSpec {
@@ -171,12 +156,6 @@ pub struct HaSpec {
     /// Detection + promotion time: after a crash, no replica answers for
     /// this long (senders degrade to no context).
     pub failover_delay: Dur,
-    /// Optional sharding of the plane. `None` (the default, and what
-    /// every pre-shard spec deserializes to) runs the classic single
-    /// plane with the original `server-crash` RNG fork, so established
-    /// run digests are untouched.
-    #[serde(default)]
-    pub shards: Option<ShardedHa>,
 }
 
 impl HaSpec {
@@ -186,7 +165,6 @@ impl HaSpec {
             plan: ServerCrashPlan::none(),
             repl_lag: Dur::from_millis(50),
             failover_delay: Dur::from_millis(200),
-            shards: None,
         }
     }
 }
@@ -397,13 +375,7 @@ impl HaPlane {
     /// deterministic fingerprint of the surviving state.
     pub fn state_digest(&self) -> u64 {
         let st = self.state.lock().expect("plane state");
-        let blob = st.stores[st.serving].encode_snapshot(st.epoch);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in blob {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h
+        crate::journal::fnv1a(&st.stores[st.serving].encode_snapshot(st.epoch))
     }
 
     /// Summary for a run's [`HaReport`].
@@ -413,54 +385,6 @@ impl HaPlane {
             counters: self.counters(),
             state_digest: self.state_digest(),
         }
-    }
-}
-
-/// The run's HA planes, one per shard — the in-sim counterpart of N
-/// independent primary/backup server pairs. A one-plane set is exactly
-/// the classic unsharded plane; with more, each path's traffic rides the
-/// plane [`shard_index`] assigns it, and a crash on one plane cannot
-/// touch another's epoch or state (there is no cross-plane operation to
-/// carry a stale epoch over — that is why per-shard epochs cannot
-/// split-brain).
-#[derive(Debug, Clone)]
-pub struct HaPlaneSet {
-    planes: Vec<HaPlane>,
-}
-
-impl HaPlaneSet {
-    /// The classic unsharded plane as a one-element set.
-    pub fn single(plane: HaPlane) -> Self {
-        HaPlaneSet {
-            planes: vec![plane],
-        }
-    }
-
-    /// A set of per-shard planes. Panics on an empty vector (a plane set
-    /// without planes cannot route anything).
-    pub fn new(planes: Vec<HaPlane>) -> Self {
-        assert!(!planes.is_empty(), "HaPlaneSet needs at least one plane");
-        HaPlaneSet { planes }
-    }
-
-    /// Number of shard planes.
-    pub fn shard_count(&self) -> usize {
-        self.planes.len()
-    }
-
-    /// The plane serving `path` (by the stable shard hash).
-    pub fn plane_for(&self, path: PathKey) -> &HaPlane {
-        &self.planes[shard_index(path, self.planes.len())]
-    }
-
-    /// Borrow shard plane `i`.
-    pub fn plane(&self, i: usize) -> &HaPlane {
-        &self.planes[i]
-    }
-
-    /// Per-shard reports, in shard order (folded into run fingerprints).
-    pub fn reports(&self) -> Vec<HaReport> {
-        self.planes.iter().map(|p| p.report_summary()).collect()
     }
 }
 
@@ -543,7 +467,6 @@ mod tests {
             plan,
             repl_lag: Dur::from_millis(100),
             failover_delay: Dur::from_millis(200),
-            shards: None,
         }
     }
 
@@ -634,7 +557,6 @@ mod tests {
                 plan: plan.clone(),
                 repl_lag: Dur::from_millis(100),
                 failover_delay: Dur::from_secs(1),
-                shards: None,
             };
             let plane = HaPlane::new(
                 StoreConfig::default(),
@@ -681,63 +603,6 @@ mod tests {
         };
         let w = plan.materialize(&mut rng(), Dur::from_secs(60));
         assert_eq!(w, vec![(5 * SEC, 11 * SEC)]);
-    }
-
-    #[test]
-    fn sharded_plane_set_isolates_a_crash_to_one_shard() {
-        let shards = 4usize;
-        let crash_shard = 2usize;
-        let root = SeedRng::new(42);
-        let planes: Vec<HaPlane> = (0..shards)
-            .map(|s| {
-                let plan = if s == crash_shard {
-                    ServerCrashPlan::crash_restart(Dur::from_secs(5), Dur::from_secs(2))
-                } else {
-                    ServerCrashPlan::none()
-                };
-                HaPlane::new(
-                    StoreConfig::default(),
-                    &spec(plan),
-                    root.fork_indexed("server-crash-shard", s as u64),
-                    Dur::from_secs(60),
-                )
-            })
-            .collect();
-        let set = HaPlaneSet::new(planes);
-        assert_eq!(set.shard_count(), shards);
-
-        // One path per shard: probe before, inside, and after the window.
-        let mut paths_by_shard = vec![None; shards];
-        let mut p = 0u64;
-        while paths_by_shard.iter().any(Option::is_none) {
-            let s = shard_index(PathKey(p), shards);
-            paths_by_shard[s].get_or_insert(PathKey(p));
-            p += 1;
-        }
-        for (s, path) in paths_by_shard.iter().enumerate() {
-            let path = path.expect("one path per shard");
-            assert_eq!(set.plane_for(path) as *const _, set.plane(s) as *const _);
-            assert!(set.plane_for(path).lookup(path, SEC).is_some());
-            let in_window = set.plane_for(path).lookup(path, 5 * SEC + 50_000_000);
-            let after = set.plane_for(path).lookup(path, 10 * SEC);
-            assert!(after.is_some(), "shard {s} dead after the window");
-            if s == crash_shard {
-                assert!(in_window.is_none(), "crash shard served in its window");
-                assert_eq!(set.plane(s).epoch(), 2, "crash shard must fail over");
-            } else {
-                assert!(in_window.is_some(), "blast radius leaked to shard {s}");
-                assert_eq!(set.plane(s).epoch(), 1, "healthy shard changed epoch");
-                assert_eq!(set.plane(s).counters().lookups_dropped, 0);
-            }
-        }
-        let reports = set.reports();
-        assert_eq!(reports.len(), shards);
-        assert_eq!(reports[crash_shard].counters.crashes, 1);
-        assert!(reports
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| *s != crash_shard)
-            .all(|(_, r)| r.counters.crashes == 0));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use phi_workload::{FlowSource, IncastConfig, IncastSource, OnOffConfig, OnOffSou
 use serde::{Deserialize, Serialize};
 
 use crate::context::{ContextStore, PathKey, StoreConfig};
-use crate::crash::{HaHook, HaPlane, HaPlaneSet, HaReport, HaSpec, ServerCrashPlan};
+use crate::crash::{HaHook, HaPlane, HaReport, HaSpec};
 use crate::hooks::{
     shared, FaultPlan, FaultyHook, PracticalHook, SharedFaultCounters, SharedStore,
 };
@@ -72,10 +72,10 @@ pub struct ExperimentSpec {
     /// Run budget: hard caps on events, simulated time, and wall-clock
     /// time, for supervised sweeps whose cells must not run away. `None`
     /// (the default, and what every pre-existing spec deserializes to)
-    /// runs un-budgeted through the historical pop loop, so established
-    /// run digests are untouched. A budget-terminated run returns
-    /// partial results with [`RunResult::terminated`] set; supervised
-    /// aggregation excludes such cells (see `supervise`).
+    /// arms no cap: the run processes the same events in the same order,
+    /// so established run digests are untouched. A budget-terminated run
+    /// returns partial results with [`RunResult::terminated`] set;
+    /// supervised aggregation excludes such cells (see `supervise`).
     #[serde(default)]
     pub budget: Option<RunBudget>,
     /// Shared-buffer switch model installed on *both* aggregation
@@ -169,11 +169,9 @@ pub struct ProvisionCtx<'a> {
     /// the workload streams) for stochastic provisioning such as fault
     /// injection. Fork it further by label before drawing.
     pub rng: SeedRng,
-    /// The run's replicated crash-injected context planes (one per
-    /// shard; a single-element set unless the spec shards the plane),
-    /// when the spec carries an [`ExperimentSpec::ha`] section (clones
-    /// share state).
-    pub ha: Option<HaPlaneSet>,
+    /// The run's replicated crash-injected context plane, when the spec
+    /// carries an [`ExperimentSpec::ha`] section (clones share state).
+    pub ha: Option<HaPlane>,
 }
 
 /// What a provisioner returns for one sender.
@@ -203,12 +201,8 @@ pub struct RunResult {
     /// Scheduler-level accounting for the run; the conservation identity
     /// [`SchedStats::conserved`] holds.
     pub sched: SchedStats,
-    /// What the crash-injected HA plane did, when the spec carried an
-    /// unsharded one ([`HaSpec::shards`] absent or `count <= 1`).
+    /// What the crash-injected HA plane did, when the spec carried one.
     pub ha: Option<HaReport>,
-    /// Per-shard HA reports, in shard order, when the spec sharded the
-    /// plane ([`HaSpec::shards`] with `count > 1`); `None` otherwise.
-    pub ha_shards: Option<Vec<HaReport>>,
     /// Which budget cap (if any) cut the run short. `Some` means the
     /// metrics cover only the portion simulated before the cap hit —
     /// partial data, tagged so aggregation can exclude it.
@@ -288,33 +282,11 @@ pub fn run_experiment(
     let store = shared(ContextStore::new(spec.store));
     let root = SeedRng::new(spec.seed);
     // Fork the crash stream only when a plan exists: specs without an HA
-    // section must replay bit-for-bit against their pre-HA digests. An
-    // unsharded plane keeps the original `server-crash` fork for the
-    // same reason; only a sharded spec consumes the per-shard streams.
-    let ha_planes = spec.ha.as_ref().map(|ha| match ha.shards {
-        Some(sh) if sh.count > 1 => HaPlaneSet::new(
-            (0..sh.count)
-                .map(|s| {
-                    let mut shard_spec = ha.clone();
-                    if s != sh.crash_shard {
-                        shard_spec.plan = ServerCrashPlan::none();
-                    }
-                    HaPlane::new(
-                        spec.store,
-                        &shard_spec,
-                        root.fork_indexed("server-crash-shard", u64::from(s)),
-                        spec.duration,
-                    )
-                })
-                .collect(),
-        ),
-        _ => HaPlaneSet::single(HaPlane::new(
-            spec.store,
-            ha,
-            root.fork("server-crash"),
-            spec.duration,
-        )),
-    });
+    // section must replay bit-for-bit against their pre-HA digests.
+    let ha_plane = spec
+        .ha
+        .as_ref()
+        .map(|ha| HaPlane::new(spec.store, ha, root.fork("server-crash"), spec.duration));
 
     let mut sender_ids = Vec::with_capacity(spec.dumbbell.pairs);
     for i in 0..spec.dumbbell.pairs {
@@ -324,7 +296,7 @@ pub fn run_experiment(
             store: &store,
             path: DUMBBELL_PATH,
             rng: root.fork_indexed("provision", i as u64),
-            ha: ha_planes.clone(),
+            ha: ha_plane.clone(),
         });
         let mut cfg = SenderConfig::new(net.receivers[i], 80, 10);
         cfg.dupack_threshold = spec.dupack_threshold;
@@ -384,11 +356,6 @@ pub fn run_experiment(
     );
 
     let store = store.lock().expect("context store").clone();
-    let (ha, ha_shards) = match ha_planes {
-        Some(set) if set.shard_count() > 1 => (None, Some(set.reports())),
-        Some(set) => (Some(set.plane(0).report_summary()), None),
-        None => (None, None),
-    };
     let switch_stats = spec.switch.map(|_| {
         [
             sim.switch_stats(net.left_router),
@@ -403,8 +370,7 @@ pub fn run_experiment(
         store,
         events: sim.events_processed(),
         sched: sim.sched_stats(),
-        ha,
-        ha_shards,
+        ha: ha_plane.map(|p| p.report_summary()),
         terminated,
         switch_stats,
     }
@@ -493,10 +459,8 @@ pub fn provision_cubic_phi_ha(
     move |ctx| {
         let plane = ctx
             .ha
-            .as_ref()
-            .expect("provision_cubic_phi_ha requires ExperimentSpec::ha")
-            .plane_for(ctx.path)
-            .clone();
+            .clone()
+            .expect("provision_cubic_phi_ha requires ExperimentSpec::ha");
         Provisioned {
             factory: policy_factory(policy.clone()),
             hook: Box::new(DegradingHook::new(HaHook::new(plane, ctx.path))),

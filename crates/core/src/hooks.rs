@@ -12,10 +12,10 @@
 //!   simulator (Remy-Phi-ideal / "up-to-the-minute link utilization").
 //!
 //! For testing the §2.2.2 failure contract there is also [`FaultyHook`],
-//! a wrapper that injects context-plane faults (lost or delayed lookups,
-//! stale snapshots, availability flapping) from a forked [`SeedRng`]
-//! stream, composing with [`phi_tcp::hook::DegradingHook`] so faulted
-//! senders fall back to vanilla behaviour.
+//! a wrapper that injects context-plane faults (lost lookups and reports,
+//! availability flapping) from a forked [`SeedRng`] stream, composing
+//! with [`phi_tcp::hook::DegradingHook`] so faulted senders fall back to
+//! vanilla behaviour.
 
 use std::sync::{Arc, Mutex};
 
@@ -161,15 +161,6 @@ pub struct FaultPlan {
     pub lookup_loss: f64,
     /// Probability a report is dropped (the store never hears it).
     pub report_loss: f64,
-    /// Probability a lookup is answered from this sender's *previous*
-    /// snapshot instead of fresh state (a lagging replica).
-    pub stale_prob: f64,
-    /// Optional lookup delay: `(probability, latency)`. A delayed lookup
-    /// whose latency reaches [`FaultPlan::deadline`] is dropped — exactly
-    /// what a deadline-bounded [`crate::server::ContextClient`] would do.
-    pub delay: Option<(f64, Dur)>,
-    /// The client-side request deadline delayed lookups race against.
-    pub deadline: Dur,
     /// Optional availability flapping; while down, every lookup and
     /// report is lost regardless of the probabilities above.
     pub flap: Option<Flap>,
@@ -181,9 +172,6 @@ impl FaultPlan {
         FaultPlan {
             lookup_loss: 0.0,
             report_loss: 0.0,
-            stale_prob: 0.0,
-            delay: None,
-            deadline: Dur::from_secs(5),
             flap: None,
         }
     }
@@ -221,12 +209,8 @@ impl FaultPlan {
 pub struct FaultCounters {
     /// Lookups attempted.
     pub lookups: u64,
-    /// Lookups lost (outage, random loss, or delayed past the deadline).
+    /// Lookups lost (outage or random loss).
     pub lookups_dropped: u64,
-    /// Lookups that were delayed but still beat the deadline.
-    pub lookups_delayed: u64,
-    /// Lookups answered from a stale snapshot.
-    pub stale_served: u64,
     /// Reports attempted.
     pub reports: u64,
     /// Reports lost.
@@ -244,20 +228,17 @@ pub fn fault_counters() -> SharedFaultCounters {
 /// Injects context-plane faults between a sender and its real hook.
 ///
 /// Wraps any [`SessionHook`] and makes its lookups and reports unreliable
-/// per a [`FaultPlan`]: dropped, delayed past the client deadline, served
-/// stale, or blacked out by availability flapping. Dropped operations
-/// never touch the inner hook (the store never hears them), matching a
-/// client whose request timed out. Compose with
-/// [`phi_tcp::hook::DegradingHook`] so the sender also stops consuming
-/// the frozen live-utilization feed while the plane is faulty.
+/// per a [`FaultPlan`]: dropped at random, or blacked out by availability
+/// flapping. Dropped operations never touch the inner hook (the store
+/// never hears them), matching a client whose request timed out. Compose
+/// with [`phi_tcp::hook::DegradingHook`] so the sender also stops
+/// consuming the frozen live-utilization feed while the plane is faulty.
 pub struct FaultyHook<H> {
     inner: H,
     plan: FaultPlan,
     rng: SeedRng,
     /// Phase offset of this hook's flap wave, ns.
     phase_ns: u64,
-    /// The last snapshot served, for the stale-replica fault.
-    last_snap: Option<ContextSnapshot>,
     counters: SharedFaultCounters,
 }
 
@@ -279,7 +260,6 @@ impl<H: SessionHook> FaultyHook<H> {
             plan,
             rng,
             phase_ns,
-            last_snap: None,
             counters,
         }
     }
@@ -307,25 +287,7 @@ impl<H: SessionHook> SessionHook for FaultyHook<H> {
             self.counters.lock().expect("context store").lookups_dropped += 1;
             return None;
         }
-        if let Some((p, latency)) = self.plan.delay {
-            if self.rng.chance(p) {
-                if latency >= self.plan.deadline {
-                    // The client gives up before the reply lands.
-                    self.counters.lock().expect("context store").lookups_dropped += 1;
-                    return None;
-                }
-                self.counters.lock().expect("context store").lookups_delayed += 1;
-            }
-        }
-        if self.last_snap.is_some() && self.rng.chance(self.plan.stale_prob) {
-            self.counters.lock().expect("context store").stale_served += 1;
-            return self.last_snap;
-        }
-        let snap = self.inner.lookup(now, ctx);
-        if snap.is_some() {
-            self.last_snap = snap;
-        }
-        snap
+        self.inner.lookup(now, ctx)
     }
 
     fn report(&mut self, report: &FlowReport, ctx: &mut Ctx<'_>) {
@@ -346,8 +308,11 @@ impl<H: SessionHook> SessionHook for FaultyHook<H> {
 mod tests {
     use super::*;
     use crate::context::StoreConfig;
-    use phi_sim::packet::FlowId;
+    use phi_sim::engine::{Agent, Simulator};
+    use phi_sim::packet::{FlowId, Packet};
     use phi_sim::time::Dur;
+    use phi_sim::topology::TopologyBuilder;
+    use std::any::Any;
 
     #[test]
     fn summarize_converts_units() {
@@ -375,9 +340,9 @@ mod tests {
         assert_eq!(s.timeouts, 1);
     }
 
-    #[test]
-    fn summarize_handles_missing_min_rtt() {
-        let r = FlowReport {
+    /// A one-segment flow that never sampled an RTT.
+    fn tiny_report() -> FlowReport {
+        FlowReport {
             flow: FlowId(1),
             bytes: 10,
             segments: 1,
@@ -391,8 +356,119 @@ mod tests {
             recoveries: 0,
             aborted: false,
             idle_restarts: 0,
-        };
-        assert_eq!(summarize(&r).min_rtt_ms, 0.0);
+        }
+    }
+
+    #[test]
+    fn summarize_handles_missing_min_rtt() {
+        assert_eq!(summarize(&tiny_report()).min_rtt_ms, 0.0);
+    }
+
+    /// Counts what reaches it; answers every lookup with `UTIL`.
+    #[derive(Default)]
+    struct CountingHook {
+        lookups: u64,
+        reports: u64,
+    }
+
+    const UTIL: f64 = 0.25;
+
+    impl SessionHook for CountingHook {
+        fn lookup(&mut self, _now: Time, _ctx: &mut Ctx<'_>) -> Option<ContextSnapshot> {
+            self.lookups += 1;
+            Some(ContextSnapshot {
+                utilization: UTIL,
+                queue_ms: 0.0,
+                competing: 0,
+            })
+        }
+
+        fn report(&mut self, _report: &FlowReport, _ctx: &mut Ctx<'_>) {
+            self.reports += 1;
+        }
+
+        fn live_util(&self, _ctx: &Ctx<'_>) -> Option<f64> {
+            Some(UTIL)
+        }
+    }
+
+    /// Drives `OPS` lookups and `OPS` reports through a faulty hook (a
+    /// `Ctx` only exists inside a running simulator).
+    struct Driver {
+        hook: FaultyHook<CountingHook>,
+        answered: u64,
+        live_util_intact: bool,
+    }
+
+    const OPS: u64 = 2_000;
+
+    impl Agent for Driver {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            let report = tiny_report();
+            for _ in 0..OPS {
+                self.answered += u64::from(self.hook.lookup(ctx.now(), ctx).is_some());
+                self.hook.report(&report, ctx);
+                self.live_util_intact &= self.hook.live_util(ctx) == Some(UTIL);
+            }
+        }
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// What `plan` did to `OPS` lookups and reports: the shared counters,
+    /// then what the inner hook saw.
+    fn drive(plan: FaultPlan) -> (FaultCounters, u64, u64) {
+        let mut topo = TopologyBuilder::new();
+        let node = topo.add_node();
+        let mut sim = Simulator::new(topo.build());
+        let counters = fault_counters();
+        let id = sim.add_agent(
+            node,
+            1,
+            Box::new(Driver {
+                hook: FaultyHook::new(
+                    CountingHook::default(),
+                    plan,
+                    SeedRng::new(7).fork("faults"),
+                    counters.clone(),
+                ),
+                answered: 0,
+                live_util_intact: true,
+            }),
+        );
+        sim.run_until(Time::from_millis(1));
+        let driver = sim.agent_as::<Driver>(id).expect("driver agent");
+        let inner = &driver.hook.inner;
+        assert_eq!(
+            driver.answered, inner.lookups,
+            "an answer the inner hook did not give"
+        );
+        assert!(driver.live_util_intact, "fault draws disturbed live_util");
+        let c = *counters.lock().expect("fault counters");
+        (c, inner.lookups, inner.reports)
+    }
+
+    #[test]
+    fn lossy_drops_about_p_and_dropped_operations_never_reach_the_inner_hook() {
+        let (c, inner_lookups, inner_reports) = drive(FaultPlan::lossy(0.5));
+        assert_eq!((c.lookups, c.reports), (OPS, OPS));
+        for dropped in [c.lookups_dropped, c.reports_dropped] {
+            assert!(
+                (OPS * 2 / 5..=OPS * 3 / 5).contains(&dropped),
+                "lossy(0.5) dropped {dropped} of {OPS}: {c:?}"
+            );
+        }
+        assert_eq!(inner_lookups, OPS - c.lookups_dropped);
+        assert_eq!(inner_reports, OPS - c.reports_dropped);
+
+        let (c, inner_lookups, inner_reports) = drive(FaultPlan::none());
+        assert_eq!((c.lookups_dropped, c.reports_dropped), (0, 0));
+        assert_eq!((inner_lookups, inner_reports), (OPS, OPS));
     }
 
     #[test]

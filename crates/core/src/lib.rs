@@ -13,8 +13,9 @@
 //! * [`hooks`] — in-simulation session hooks: the practical
 //!   lookup-at-start/report-at-end design, and the idealized live oracle.
 //! * [`crash`] — deterministic server-crash injection: a seeded
-//!   [`crash::ServerCrashPlan`] drives an in-sim primary/backup context
-//!   plane ([`crash::HaPlane`]) through epoch-fenced failovers.
+//!   [`crash::ServerCrashPlan`] drives the run's one in-sim
+//!   primary/backup context plane ([`crash::HaPlane`]) through
+//!   epoch-fenced failovers.
 //! * [`policy`] — the shared-knowledge table mapping context →
 //!   recommended Cubic parameters (§2.2.1).
 //! * [`optimizer`] — Table 2 parameter sweeps, the `P_l` objective argmax,
@@ -68,9 +69,7 @@ pub mod supervise;
 pub mod wire;
 
 pub use context::{ContextStore, FlowSummary, PathKey, SnapshotError, StoreConfig};
-pub use crash::{
-    CrashCounters, HaHook, HaPlane, HaPlaneSet, HaReport, HaSpec, ServerCrashPlan, ShardedHa,
-};
+pub use crash::{CrashCounters, HaHook, HaPlane, HaReport, HaSpec, ServerCrashPlan};
 pub use harness::{
     is_modified, provision_cubic, provision_cubic_phi, provision_cubic_phi_faulty,
     provision_cubic_phi_ha, provision_mixed, run_experiment, run_repeated, run_repeated_on,

@@ -26,16 +26,11 @@ use crate::context::{ContextStore, FlowSummary, PathKey, StoreConfig};
 /// Stable shard assignment: FNV-1a of the path id's big-endian bytes,
 /// reduced mod `shards`. `shards == 0` is treated as one shard.
 ///
-/// Every component that routes by path — the sharded store, the server's
-/// per-shard replication logs, the in-sim per-shard crash planes — uses
-/// this one function, so they always agree on where a path lives.
+/// Every component that routes by path — the sharded store and the
+/// server's per-shard replication logs — uses this one function, so they
+/// always agree on where a path lives.
 pub fn shard_index(path: PathKey, shards: usize) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in path.0.to_be_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    (h % shards.max(1) as u64) as usize
+    (crate::journal::fnv1a(&path.0.to_be_bytes()) % shards.max(1) as u64) as usize
 }
 
 /// N independent [`ContextStore`] shards behind one façade.

@@ -351,7 +351,6 @@ mod tests {
             events: 1_000 + i as u64,
             sched: SchedStats::default(),
             ha: None,
-            ha_shards: None,
             terminated,
             switch_stats: None,
         }

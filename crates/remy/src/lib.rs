@@ -22,6 +22,6 @@ pub mod whisker;
 
 pub use controller::{RemyCc, UsageTally};
 pub use memory::{Memory, MemoryBounds, MemoryTracker, DIMS};
-pub use provision::{provision_remy, provision_remy_owned, UtilFeed};
+pub use provision::{provision_remy, UtilFeed};
 pub use trainer::{run_objective, Trainer, TrainerConfig};
 pub use whisker::{Action, Cube, Whisker, WhiskerTree};

@@ -33,12 +33,14 @@ pub enum UtilFeed {
 
 /// Provision every sender as a Remy sender over `tree` with the given
 /// feed. If `tally` is supplied, whisker usage is accumulated there (the
-/// trainer's signal for what to optimize next).
+/// trainer's signal for what to optimize next). `Sync`, so it also serves
+/// [`phi_core::harness::run_repeated`], which fans runs across worker
+/// threads.
 pub fn provision_remy(
     tree: Arc<WhiskerTree>,
     feed: UtilFeed,
     tally: Option<Arc<UsageTally>>,
-) -> impl FnMut(ProvisionCtx<'_>) -> Provisioned {
+) -> impl Fn(ProvisionCtx<'_>) -> Provisioned + Sync {
     move |ctx| {
         let tree = tree.clone();
         let tally = tally.clone();
@@ -58,25 +60,6 @@ pub fn provision_remy(
             factory: Box::new(move |_| Box::new(RemyCc::new(tree.clone(), tally.clone()))),
             hook,
         }
-    }
-}
-
-/// Thread-safe variant of [`provision_remy`] for parallel repeated runs
-/// ([`phi_core::harness::run_repeated`] fans runs across worker threads,
-/// so its provisioner must be `Sync` — an `Rc`-holding closure would not be).
-///
-/// Owns the tree and materializes a per-sender `Arc` inside the worker
-/// thread; whisker trees are at most a few dozen rules, so the clone per
-/// sender is noise next to the simulation itself. Usage tallies are
-/// inherently per-run state and are not supported here — the trainer,
-/// which needs them, shares one tree per evaluation via [`provision_remy`].
-pub fn provision_remy_owned(
-    tree: WhiskerTree,
-    feed: UtilFeed,
-) -> impl Fn(ProvisionCtx<'_>) -> Provisioned + Sync {
-    move |ctx| {
-        let mut provision = provision_remy(Arc::new(tree.clone()), feed, None);
-        provision(ctx)
     }
 }
 

@@ -38,7 +38,7 @@ use phi_workload::SeedRng;
 use serde::{Deserialize, Serialize};
 
 use crate::faults::{DownPolicy, EgressVerdict, FaultStats, ImpairmentPlan, LinkFault};
-use crate::packet::{AgentId, Flags, FlowId, LinkId, NodeId, Packet, SackBlocks};
+use crate::packet::{splitmix64, AgentId, Flags, FlowId, LinkId, NodeId, Packet, SackBlocks};
 use crate::queue::{LinkQueue, PacketPool, PktRef, Verdict};
 use crate::sched::TieredScheduler;
 use crate::stats::{LinkStats, RollingUtil};
@@ -239,10 +239,10 @@ struct SimCore {
     /// Successful [`Ctx::cancel_timer`] calls.
     cancelled: u64,
     tracer: Option<Box<dyn Tracer>>,
-    /// Resource budget, if any. `None` takes the historical un-budgeted
-    /// pop loop, so budget-free runs replay bit-for-bit.
-    budget: Option<RunBudget>,
-    /// Host time of the first budgeted pump (wall-clock watchdog base).
+    /// Resource budget; [`RunBudget::UNLIMITED`] until one is installed.
+    budget: RunBudget,
+    /// Host time of the first pump under a wall-clock limit (watchdog
+    /// base).
     wall_start: Option<Instant>,
     /// Set once a budget limit fires; the run stops dispatching and
     /// reports the reason through [`Simulator::termination`].
@@ -767,7 +767,7 @@ impl Simulator {
                 skipped_stale: 0,
                 cancelled: 0,
                 tracer: None,
-                budget: None,
+                budget: RunBudget::UNLIMITED,
                 wall_start: None,
                 terminated: None,
             },
@@ -1040,9 +1040,7 @@ impl Simulator {
         self.agents[id.0 as usize] = Some(agent);
     }
 
-    /// Dispatch one popped event. Shared verbatim by the un-budgeted and
-    /// budgeted pop loops so the execution (and every digest derived from
-    /// it) cannot depend on whether a budget is installed.
+    /// Dispatch one popped event.
     #[inline(always)]
     fn dispatch(&mut self, event: Event) {
         match event {
@@ -1102,49 +1100,6 @@ impl Simulator {
         }
     }
 
-    /// The budgeted pop loop: identical dispatch, plus limit checks after
-    /// every event. Split from the loop in [`Simulator::run_until`] so
-    /// un-budgeted runs pay nothing — not even a per-pop branch beyond the
-    /// one at entry.
-    fn pump_budgeted(&mut self, upto: Time) {
-        /// Wall-clock reads are amortized: one `Instant::now` per this
-        /// many dispatched events.
-        const WALL_CHECK_INTERVAL: u64 = 1024;
-        if self.core.terminated.is_some() {
-            return;
-        }
-        let budget = self.core.budget.unwrap_or_default();
-        let upto = match budget.sim_cap() {
-            Some(cap) => upto.min(cap),
-            None => upto,
-        };
-        if budget.max_wall_ms.is_some() && self.core.wall_start.is_none() {
-            self.core.wall_start = Some(Instant::now());
-        }
-        let mut since_check = 0u64;
-        while let Some((at, event)) = self.core.queue.pop_if(upto) {
-            self.core.now = at;
-            self.dispatch(event);
-            if let Some(max) = budget.max_events {
-                if self.core.events_fired >= max {
-                    self.core.terminated = Some(BudgetExceeded::Events);
-                    return;
-                }
-            }
-            if let Some(ms) = budget.max_wall_ms {
-                since_check += 1;
-                if since_check >= WALL_CHECK_INTERVAL {
-                    since_check = 0;
-                    let start = self.core.wall_start.expect("wall base set above");
-                    if start.elapsed().as_millis() as u64 >= ms {
-                        self.core.terminated = Some(BudgetExceeded::WallClock);
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
     /// Advance the clock to the deadline so utilization denominators and
     /// occupancy integrals cover the full requested span.
     fn advance_clock(&mut self, deadline: Time) {
@@ -1162,60 +1117,69 @@ impl Simulator {
     ///
     /// With a [`RunBudget`] installed the run may also stop early; the
     /// reason is readable from [`Simulator::termination`] and the clock is
-    /// only squared up over the span actually covered.
+    /// only squared up over the span actually covered. The limit checks
+    /// follow every dispatch and never reorder one, so the events run (and
+    /// every digest derived from them) cannot depend on whether a budget
+    /// is installed.
     pub fn run_until(&mut self, deadline: Time) -> Time {
+        /// Wall-clock reads are amortized: one `Instant::now` per this
+        /// many dispatched events.
+        const WALL_CHECK_INTERVAL: u64 = 1024;
         if !self.started {
             self.started = true;
             for i in 0..self.agents.len() {
                 self.with_agent(AgentId(i as u32), |agent, ctx| agent.start(ctx));
             }
         }
-        if self.core.budget.is_some() {
-            self.pump_budgeted(deadline);
-            return self.finish_budgeted(deadline);
+        if self.core.terminated.is_some() {
+            return self.core.now;
         }
-        while let Some((at, event)) = self.core.queue.pop_if(deadline) {
+        let budget = self.core.budget;
+        let cap = budget.sim_cap().filter(|&cap| cap < deadline);
+        let upto = cap.unwrap_or(deadline);
+        if budget.max_wall_ms.is_some() && self.core.wall_start.is_none() {
+            self.core.wall_start = Some(Instant::now());
+        }
+        let mut since_check = 0u64;
+        while let Some((at, event)) = self.core.queue.pop_if(upto) {
             self.core.now = at;
             self.dispatch(event);
-        }
-        self.advance_clock(deadline);
-        self.core.now
-    }
-
-    /// Post-pump bookkeeping for budgeted runs: classify why the pump
-    /// stopped and advance the clock only over the span it covered.
-    fn finish_budgeted(&mut self, deadline: Time) -> Time {
-        if self.core.terminated.is_some() {
             // Events / wall-clock: the run stops mid-flight; advancing the
             // clock further would count unsimulated span into occupancy
             // and utilization integrals.
-            return self.core.now;
-        }
-        if let Some(cap) = self.core.budget.as_ref().and_then(|b| b.sim_cap()) {
-            if cap < deadline {
-                if self.core.queue.next_time().is_some_and(|t| t <= deadline) {
-                    // Events the caller asked for remain beyond the cap:
-                    // the sim-time budget bound.
-                    self.core.terminated = Some(BudgetExceeded::SimTime);
+            if let Some(max) = budget.max_events {
+                if self.core.events_fired >= max {
+                    self.core.terminated = Some(BudgetExceeded::Events);
+                    return self.core.now;
                 }
-                self.advance_clock(cap);
-                return self.core.now;
+            }
+            if let Some(ms) = budget.max_wall_ms {
+                since_check += 1;
+                if since_check >= WALL_CHECK_INTERVAL {
+                    since_check = 0;
+                    let start = self.core.wall_start.expect("wall base set above");
+                    if start.elapsed().as_millis() as u64 >= ms {
+                        self.core.terminated = Some(BudgetExceeded::WallClock);
+                        return self.core.now;
+                    }
+                }
             }
         }
-        self.advance_clock(deadline);
+        if cap.is_some() && self.core.queue.next_time().is_some_and(|t| t <= deadline) {
+            // Events the caller asked for remain beyond the cap: the
+            // sim-time budget bound.
+            self.core.terminated = Some(BudgetExceeded::SimTime);
+        }
+        self.advance_clock(upto);
         self.core.now
     }
 
     /// Install a resource [`RunBudget`] enforced from the next pump on.
     /// Installing the unlimited budget is equivalent to never calling
     /// this. Replaces any previously installed budget; the wall-clock
-    /// watchdog base is the first budgeted pump after installation.
+    /// watchdog base is the first pump under a wall-clock limit.
     pub fn set_budget(&mut self, budget: RunBudget) {
-        self.core.budget = if budget.is_unlimited() {
-            None
-        } else {
-            Some(budget)
-        };
+        self.core.budget = budget;
     }
 
     /// Why the run terminated early, if a [`RunBudget`] limit fired.
@@ -1333,8 +1297,8 @@ pub struct SchedStats {
 
 /// Resource budget for one run, enforced in the engine's pop loop. Every
 /// limit is optional; the default budget is unlimited and an unlimited
-/// budget leaves the hot loop untouched, so runs without a budget replay
-/// bit-for-bit against their historical digests.
+/// budget arms no check, so runs without a budget replay bit-for-bit
+/// against their historical digests.
 ///
 /// A run that hits a limit stops *gracefully*: agents keep their state,
 /// statistics and censuses stay conserved, and the caller reads the
@@ -1353,7 +1317,7 @@ pub struct RunBudget {
     #[serde(default)]
     pub max_sim_time: Option<Dur>,
     /// Wall-clock watchdog, in milliseconds of host time since the first
-    /// budgeted pump. Inherently nondeterministic (it measures the host,
+    /// pump under it. Inherently nondeterministic (it measures the host,
     /// not the simulation); use it as a last-resort backstop against
     /// runaway scenarios, not as a reproducible limit.
     #[serde(default)]
@@ -1392,11 +1356,6 @@ impl RunBudget {
         }
     }
 
-    /// Whether no limit is set (such a budget is never enforced).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_events.is_none() && self.max_sim_time.is_none() && self.max_wall_ms.is_none()
-    }
-
     /// The absolute sim-time ceiling, if a sim-time limit is set.
     pub(crate) fn sim_cap(&self) -> Option<Time> {
         self.max_sim_time.map(|d| Time::ZERO + d)
@@ -1431,16 +1390,6 @@ impl SchedStats {
     pub fn conserved(&self) -> bool {
         self.scheduled == self.fired + self.skipped_stale + self.pending
     }
-}
-
-/// SplitMix64: a tiny, high-quality bit mixer used for deterministic
-/// per-packet jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Convenience constructor for packets sent by agents (the engine fills in

@@ -134,6 +134,20 @@ impl SackBlocks {
     }
 }
 
+/// SplitMix64: the bit mixer behind every deterministic per-packet
+/// decision (delivery jitter, RED drops, ECN marks), keyed by packet id.
+pub(crate) fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// [`splitmix64`] of `x`, folded to a unit float in `[0, 1)`.
+pub(crate) fn unit_hash(x: u64) -> f64 {
+    (splitmix64(x) >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// Conventional sizes, shared by the transport crates.
 pub mod wire {
     /// Maximum segment size: TCP payload bytes per full-sized segment.

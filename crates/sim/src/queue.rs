@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use crate::packet::Packet;
+use crate::packet::{unit_hash, Packet};
 use crate::switch::NO_INGRESS;
 use crate::time::Time;
 
@@ -456,15 +456,6 @@ impl Red {
     pub fn avg_queue(&self) -> f64 {
         self.avg
     }
-
-    fn unit_hash(pkt_id: u64) -> f64 {
-        // splitmix64 → [0, 1)
-        let mut z = pkt_id.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 impl Discipline for Red {
@@ -488,7 +479,7 @@ impl Discipline for Red {
             // Spacing correction: p_a = p_b / (1 - count * p_b).
             let denom = (1.0 - self.since_drop as f64 * p_b).max(1e-9);
             let p_a = (p_b / denom).min(1.0);
-            if Self::unit_hash(pkt.id) < p_a {
+            if unit_hash(pkt.id) < p_a {
                 self.since_drop = 0;
                 return Verdict::Dropped;
             }

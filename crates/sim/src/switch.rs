@@ -49,7 +49,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::packet::{LinkId, NodeId, Packet};
+use crate::packet::{unit_hash, LinkId, NodeId, Packet};
 use crate::time::Dur;
 use crate::topology::Topology;
 
@@ -169,15 +169,6 @@ pub struct SwitchStats {
 }
 
 const ECN_SALT: u64 = 0xEC4E_11AB_5EED_0001;
-
-/// SplitMix64 of `x`, folded to a unit float in `[0, 1)`.
-fn unit_hash(x: u64) -> f64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// The Dynamic-Threshold shared-buffer admission core: one pool, one
 /// occupancy counter per egress port. Exposed publicly so property

@@ -300,6 +300,76 @@ impl Conn {
                 .min(max_rto),
         }
     }
+
+    /// This connection's report as of `end`, covering what the cumulative
+    /// ack covers: the planned bytes and segments once the flow is fully
+    /// acknowledged, whole segments delivered so far before that.
+    fn report(&self, end: Time, aborted: bool) -> FlowReport {
+        let acked_bytes = if self.highest_acked >= self.total {
+            self.bytes
+        } else {
+            (self.highest_acked * u64::from(wire::MSS)).min(self.bytes)
+        };
+        FlowReport {
+            flow: self.flow,
+            bytes: acked_bytes,
+            segments: self.highest_acked.min(self.total),
+            start: self.start,
+            end,
+            min_rtt: self.min_rtt,
+            mean_rtt_ms: if self.rtt_samples > 0 {
+                self.rtt_sum_ms / self.rtt_samples as f64
+            } else {
+                0.0
+            },
+            rtt_samples: self.rtt_samples,
+            retransmits: self.retransmits,
+            timeouts: self.timeouts,
+            recoveries: self.recoveries,
+            aborted,
+            idle_restarts: self.idle_restarts,
+        }
+    }
+
+    fn segment(&self, cfg: &SenderConfig, seq: u64, retx: bool) -> Packet {
+        let payload = if seq + 1 == self.total {
+            self.last_payload
+        } else {
+            wire::MSS
+        };
+        let mut pkt = packet_to(
+            cfg.dst,
+            cfg.dst_port,
+            cfg.src_port,
+            self.flow,
+            payload + wire::HEADER_BYTES,
+        );
+        pkt.seq = seq;
+        let mut flags = Flags::empty();
+        if seq + 1 == self.total {
+            flags = flags.union(Flags::FIN);
+        }
+        if retx {
+            flags = flags.union(Flags::RETX);
+        }
+        // ECN negotiation is a sender-side property here: an ECN-capable
+        // controller (DCTCP) marks its data ECT, so switches mark instead
+        // of dropping where configured.
+        if self.cc.ecn_capable() {
+            flags = flags.union(Flags::ECT);
+        }
+        pkt.flags = flags;
+        pkt
+    }
+
+    /// Retransmit a known-lost hole: marks the scoreboard and sends
+    /// immediately (bypasses pacing; counted in the pipe).
+    fn retransmit_hole(&mut self, cfg: &SenderConfig, seq: u64, ctx: &mut Ctx<'_>) {
+        self.retransmits += 1;
+        self.retx_sent.insert(seq, self.ever_sent);
+        self.retx_unacked.insert(seq);
+        ctx.send(self.segment(cfg, seq, true));
+    }
 }
 
 /// A TCP-like sender agent driving an on/off connection sequence.
@@ -378,30 +448,7 @@ impl TcpSender {
         if conn.highest_acked == 0 {
             return None; // nothing delivered yet
         }
-        let acked_bytes = if conn.highest_acked >= conn.total {
-            conn.bytes
-        } else {
-            conn.highest_acked * u64::from(wire::MSS)
-        };
-        Some(FlowReport {
-            flow: conn.flow,
-            bytes: acked_bytes.min(conn.bytes),
-            segments: conn.highest_acked,
-            start: conn.start,
-            end: now.max(conn.start),
-            min_rtt: conn.min_rtt,
-            mean_rtt_ms: if conn.rtt_samples > 0 {
-                conn.rtt_sum_ms / conn.rtt_samples as f64
-            } else {
-                0.0
-            },
-            rtt_samples: conn.rtt_samples,
-            retransmits: conn.retransmits,
-            timeouts: conn.timeouts,
-            recoveries: conn.recoveries,
-            aborted: false,
-            idle_restarts: conn.idle_restarts,
-        })
+        Some(conn.report(now.max(conn.start), false))
     }
 
     /// The in-progress connection's current RTO, if a flow is active.
@@ -477,7 +524,12 @@ impl TcpSender {
         self.restart_rto(ctx);
     }
 
-    fn finish_flow(&mut self, ctx: &mut Ctx<'_>) {
+    /// End the in-progress flow, report it through the hook and move on
+    /// to the next scheduled one. `aborted`: the consecutive-RTO cap was
+    /// hit, so the path is treated as unreachable and the flow dies loudly
+    /// — its report carries the bytes delivered before the failure, and
+    /// the next flow doubles as the retry path once the network heals.
+    fn finish_flow(&mut self, aborted: bool, ctx: &mut Ctx<'_>) {
         let conn = self.conn.take().expect("finish_flow with no connection");
         if let Some((h, _)) = self.rto_armed.take() {
             ctx.cancel_timer(h);
@@ -485,126 +537,20 @@ impl TcpSender {
         if let Some(h) = conn.pace_handle {
             ctx.cancel_timer(h);
         }
-        let report = FlowReport {
-            flow: conn.flow,
-            bytes: conn.bytes,
-            segments: conn.total,
-            start: conn.start,
-            end: ctx.now(),
-            min_rtt: conn.min_rtt,
-            mean_rtt_ms: if conn.rtt_samples > 0 {
-                conn.rtt_sum_ms / conn.rtt_samples as f64
-            } else {
-                0.0
-            },
-            rtt_samples: conn.rtt_samples,
-            retransmits: conn.retransmits,
-            timeouts: conn.timeouts,
-            recoveries: conn.recoveries,
-            aborted: false,
-            idle_restarts: conn.idle_restarts,
-        };
+        let report = conn.report(ctx.now(), aborted);
         self.hook.report(&report, ctx);
         self.reports.push(report);
         self.schedule_next_flow(ctx);
-    }
-
-    /// Give up on the in-progress flow: the consecutive-RTO cap was hit,
-    /// so the path is treated as unreachable. The flow dies loudly — an
-    /// `aborted` report carrying the bytes delivered before the failure —
-    /// and the sender moves on to its next scheduled flow, which doubles
-    /// as the retry path once the network heals.
-    fn abort_flow(&mut self, ctx: &mut Ctx<'_>) {
-        let conn = self.conn.take().expect("abort_flow with no connection");
-        if let Some((h, _)) = self.rto_armed.take() {
-            ctx.cancel_timer(h);
-        }
-        if let Some(h) = conn.pace_handle {
-            ctx.cancel_timer(h);
-        }
-        let acked_bytes = if conn.highest_acked >= conn.total {
-            conn.bytes
-        } else {
-            (conn.highest_acked * u64::from(wire::MSS)).min(conn.bytes)
-        };
-        let report = FlowReport {
-            flow: conn.flow,
-            bytes: acked_bytes,
-            segments: conn.highest_acked,
-            start: conn.start,
-            end: ctx.now(),
-            min_rtt: conn.min_rtt,
-            mean_rtt_ms: if conn.rtt_samples > 0 {
-                conn.rtt_sum_ms / conn.rtt_samples as f64
-            } else {
-                0.0
-            },
-            rtt_samples: conn.rtt_samples,
-            retransmits: conn.retransmits,
-            timeouts: conn.timeouts,
-            recoveries: conn.recoveries,
-            aborted: true,
-            idle_restarts: conn.idle_restarts,
-        };
-        self.hook.report(&report, ctx);
-        self.reports.push(report);
-        self.schedule_next_flow(ctx);
-    }
-
-    fn segment(&self, conn: &Conn, seq: u64, retx: bool) -> Packet {
-        let payload = if seq + 1 == conn.total {
-            conn.last_payload
-        } else {
-            wire::MSS
-        };
-        let mut pkt = packet_to(
-            self.cfg.dst,
-            self.cfg.dst_port,
-            self.cfg.src_port,
-            conn.flow,
-            payload + wire::HEADER_BYTES,
-        );
-        pkt.seq = seq;
-        let mut flags = Flags::empty();
-        if seq + 1 == conn.total {
-            flags = flags.union(Flags::FIN);
-        }
-        if retx {
-            flags = flags.union(Flags::RETX);
-        }
-        // ECN negotiation is a sender-side property here: an ECN-capable
-        // controller (DCTCP) marks its data ECT, so switches mark instead
-        // of dropping where configured.
-        if conn.cc.ecn_capable() {
-            flags = flags.union(Flags::ECT);
-        }
-        pkt.flags = flags;
-        pkt
-    }
-
-    /// Retransmit a known-lost hole: marks the scoreboard and sends
-    /// immediately (bypasses pacing; counted in the pipe).
-    fn retransmit_hole(&mut self, seq: u64, ctx: &mut Ctx<'_>) {
-        let pkt = {
-            let conn = self.conn.as_mut().expect("retransmit without connection");
-            conn.retransmits += 1;
-            let frontier = conn.ever_sent;
-            conn.retx_sent.insert(seq, frontier);
-            conn.retx_unacked.insert(seq);
-            let conn = self.conn.as_ref().expect("just updated");
-            self.segment(conn, seq, true)
-        };
-        ctx.send(pkt);
     }
 
     /// Send retransmissions and new data as the window, the SACK
     /// scoreboard, and pacing allow.
     fn try_send(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
+        let Some(conn) = self.conn.as_mut() else {
+            return;
+        };
         loop {
-            let Some(conn) = self.conn.as_ref() else {
-                return;
-            };
             let window = conn.cc.window().floor().max(1.0) as u64;
             // Limited transmit (RFC 3042): on the first two duplicate ACKs
             // send one new segment each beyond cwnd. The extra segments
@@ -620,35 +566,25 @@ impl TcpSender {
                 return;
             }
             // Priority 1: fill known-lost holes during recovery.
-            let hole = {
-                let conn = self.conn.as_mut().expect("checked above");
-                conn.next_hole()
-            };
-            if let Some(seq) = hole {
-                self.retransmit_hole(seq, ctx);
+            if let Some(seq) = conn.next_hole() {
+                conn.retransmit_hole(&self.cfg, seq, ctx);
                 continue;
             }
             // Priority 2: new data.
-            let conn = self.conn.as_ref().expect("checked above");
             if conn.next_seq >= conn.total {
                 return;
             }
             // Pacing gate applies to new data.
             if let Some(gap) = conn.cc.intersend() {
                 if conn.pace_next > now {
-                    let at = conn.pace_next;
-                    let pending = conn.pace_pending;
-                    let conn = self.conn.as_mut().expect("checked above");
-                    if !pending {
+                    if !conn.pace_pending {
                         conn.pace_pending = true;
-                        conn.pace_handle = Some(ctx.set_timer_at(at, TIMER_PACE));
+                        conn.pace_handle = Some(ctx.set_timer_at(conn.pace_next, TIMER_PACE));
                     }
                     return;
                 }
-                let conn = self.conn.as_mut().expect("checked above");
                 conn.pace_next = now + gap;
             }
-            let conn = self.conn.as_mut().expect("checked above");
             // Skip segments the receiver already holds (SACKed survivors
             // of a go-back-N restart).
             while conn.next_seq < conn.total && conn.sacked.contains(&conn.next_seq) {
@@ -666,11 +602,7 @@ impl TcpSender {
             if retx {
                 conn.retransmits += 1;
             }
-            let pkt = {
-                let conn = self.conn.as_ref().expect("checked above");
-                self.segment(conn, seq, retx)
-            };
-            ctx.send(pkt);
+            ctx.send(conn.segment(&self.cfg, seq, retx));
         }
     }
 
@@ -760,7 +692,7 @@ impl TcpSender {
             conn.cc.on_ack(&ev);
 
             if conn.highest_acked >= conn.total {
-                self.finish_flow(ctx);
+                self.finish_flow(false, ctx);
                 return;
             }
             self.restart_rto(ctx);
@@ -791,9 +723,8 @@ impl TcpSender {
                 conn.cc.on_loss(&LossEvent { now });
                 // Fast retransmit of the first hole, unconditionally.
                 let hole = conn.highest_acked;
-                let already = conn.retx_sent.contains_key(&hole);
-                if !already {
-                    self.retransmit_hole(hole, ctx);
+                if !conn.retx_sent.contains_key(&hole) {
+                    conn.retransmit_hole(&self.cfg, hole, ctx);
                 }
                 self.restart_rto(ctx);
             }
@@ -828,7 +759,7 @@ impl TcpSender {
             .max_consecutive_rtos
             .is_some_and(|cap| conn.consecutive_rtos >= cap)
         {
-            self.abort_flow(ctx);
+            self.finish_flow(true, ctx);
             return;
         }
         conn.cc.on_rto(now);

@@ -133,6 +133,38 @@ fn flapping_plane_degrades_gracefully() {
     }
 }
 
+/// Independent 50 % loss through the public provisioner: some lookups
+/// and some reports are lost, some of each get through, and every sender
+/// keeps completing flows. No goodput bound is asserted — none has been
+/// measured for this arm.
+#[test]
+fn lossy_plane_loses_some_of_each_and_every_sender_still_completes() {
+    let counters = fault_counters();
+    let lossy = run_experiment(
+        &spec(),
+        provision_cubic_phi_faulty(
+            PolicyTable::reference(),
+            FaultPlan::lossy(0.5),
+            counters.clone(),
+        ),
+    );
+
+    let c = *counters.lock().unwrap();
+    assert!(c.lookups_dropped > 0, "no lookup was lost: {c:?}");
+    assert!(
+        c.lookups_dropped < c.lookups,
+        "no lookup got through: {c:?}"
+    );
+    assert!(c.reports_dropped > 0, "no report was lost: {c:?}");
+    assert!(
+        c.reports_dropped < c.reports,
+        "no report got through: {c:?}"
+    );
+    for (i, reports) in lossy.per_sender.iter().enumerate() {
+        assert!(!reports.is_empty(), "sender {i} completed no flows");
+    }
+}
+
 /// Fault injection is part of the deterministic surface: both degradation
 /// arms must replay bit-for-bit under any worker count, exactly like every
 /// other experiment (`RunPool::serial()` is `PHI_JOBS=1`; `RunPool::new(4)`

@@ -14,18 +14,12 @@
 //!    bit-for-bit for any `RunPool` worker count (`PHI_JOBS=1` vs
 //!    `PHI_JOBS=4`), down to the FNV digest of the full result.
 
-use phi::core::context::PathKey;
-use phi::core::harness::{
-    run_experiment, run_repeated_on, ExperimentSpec, ProvisionCtx, Provisioned,
-};
+use phi::core::harness::{run_experiment, run_repeated_on, ExperimentSpec};
 use phi::core::runpool::RunPool;
 use phi::core::{
-    provision_cubic_phi, provision_cubic_phi_ha, shard_index, HaHook, HaSpec, PolicyTable,
-    RunResult, ServerCrashPlan, ShardedHa,
+    provision_cubic_phi, provision_cubic_phi_ha, HaSpec, PolicyTable, RunResult, ServerCrashPlan,
 };
 use phi::sim::time::Dur;
-use phi::tcp::cubic::Cubic;
-use phi::tcp::CubicParams;
 use phi::workload::OnOffConfig;
 
 fn spec() -> ExperimentSpec {
@@ -53,7 +47,6 @@ fn crash_spec() -> ExperimentSpec {
         plan: ServerCrashPlan::crash_restart(Dur::from_secs(5), Dur::from_secs(2)),
         repl_lag: Dur::from_millis(50),
         failover_delay: Dur::from_secs(1),
-        shards: None,
     });
     spec
 }
@@ -63,15 +56,8 @@ fn crash_spec() -> ExperimentSpec {
 /// nondeterminism bug in the crash plane itself cannot hide behind
 /// identical traffic.
 fn fingerprint(r: &RunResult) -> String {
-    serde_json::to_string(&(
-        &r.metrics,
-        &r.per_sender,
-        &r.partials,
-        r.events,
-        &r.ha,
-        &r.ha_shards,
-    ))
-    .expect("run result serializes")
+    serde_json::to_string(&(&r.metrics, &r.per_sender, &r.partials, r.events, &r.ha))
+        .expect("run result serializes")
 }
 
 /// Total bytes delivered (completed flows + partials at the deadline).
@@ -194,7 +180,6 @@ fn failover_runs_bit_identical_for_any_worker_count() {
         ),
         repl_lag: Dur::from_millis(50),
         failover_delay: Dur::from_secs(1),
-        shards: None,
     });
 
     for spec in [crash_spec(), flap_spec] {
@@ -237,158 +222,4 @@ fn failover_runs_bit_identical_for_any_worker_count() {
             );
         }
     }
-}
-
-/// Number of shards the sharded-failover tests run.
-const SHARDS: u32 = 4;
-
-/// Each sender rides its own path so the senders spread across shards
-/// (the shared-dumbbell [`phi::core::DUMBBELL_PATH`] would pin them all
-/// to one shard and make sharding invisible).
-fn sender_path(index: usize) -> PathKey {
-    PathKey(index as u64)
-}
-
-/// Provision plain Cubic senders whose hooks talk to the *sharded* HA
-/// plane set, one path per sender. The factory ignores the lookup
-/// snapshot, so the plane can crash and fail over without feeding back
-/// into the traffic — which is exactly what lets the test demand
-/// bit-identical behaviour from the shards a crash never touched.
-fn provision_cubic_sharded_ha() -> impl Fn(ProvisionCtx<'_>) -> Provisioned + Sync {
-    |ctx| {
-        let path = sender_path(ctx.index);
-        let plane = ctx
-            .ha
-            .as_ref()
-            .expect("sharded spec carries an HA plane set")
-            .plane_for(path)
-            .clone();
-        Provisioned {
-            factory: Box::new(|_| Box::new(Cubic::new(CubicParams::default()))),
-            hook: Box::new(HaHook::new(plane, path)),
-        }
-    }
-}
-
-fn sharded_spec(pairs: usize, crash_shard: u32) -> ExperimentSpec {
-    let mut spec = spec();
-    spec.dumbbell = phi::sim::topology::DumbbellSpec::paper(pairs);
-    spec.dumbbell.bottleneck_bps = 8_000_000;
-    spec.dumbbell.rtt = Dur::from_millis(60);
-    spec.ha = Some(HaSpec {
-        // A long outage: crash at 5s, failover takes 2s, so every sender
-        // on the crashed shard has connections starting inside [5s, 7s).
-        plan: ServerCrashPlan::crash_restart(Dur::from_secs(5), Dur::from_secs(2)),
-        repl_lag: Dur::from_millis(50),
-        failover_delay: Dur::from_secs(2),
-        shards: Some(ShardedHa {
-            count: SHARDS,
-            crash_shard,
-        }),
-    });
-    spec
-}
-
-/// The per-shard failover contract, end to end: crash the primary behind
-/// ONE shard mid-run and (a) only that shard's senders see a degradation
-/// window, (b) every other shard's state — hence every reply it served —
-/// is bit-identical to a run where nothing crashed, and (c) the whole
-/// sharded-crash machinery replays bit-for-bit for any worker count.
-#[test]
-fn shard_crash_degrades_only_that_shards_senders() {
-    let pairs = 8;
-    let crash_shard = shard_index(sender_path(0), SHARDS as usize) as u32;
-    // Sanity: the 8 sender paths must put traffic on the crashed shard
-    // AND at least one other shard, or the test shows nothing.
-    let shards_used: std::collections::HashSet<usize> = (0..pairs)
-        .map(|i| shard_index(sender_path(i), SHARDS as usize))
-        .collect();
-    assert!(shards_used.len() > 1, "all senders landed on one shard");
-
-    let crashed = run_experiment(
-        &sharded_spec(pairs, crash_shard),
-        provision_cubic_sharded_ha(),
-    );
-    let mut healthy_spec = sharded_spec(pairs, crash_shard);
-    healthy_spec.ha.as_mut().unwrap().plan = ServerCrashPlan::none();
-    let healthy = run_experiment(&healthy_spec, provision_cubic_sharded_ha());
-
-    // The planes are invisible to plain-Cubic traffic, so the two runs'
-    // traffic must be identical — the crash only shows in the HA reports.
-    let traffic = |r: &RunResult| {
-        serde_json::to_string(&(&r.metrics, &r.per_sender, &r.partials, r.events)).unwrap()
-    };
-    assert_eq!(
-        traffic(&crashed),
-        traffic(&healthy),
-        "a context-plane crash must never alter uncooperating traffic"
-    );
-
-    let crashed_shards = crashed.ha_shards.as_ref().expect("sharded HA report");
-    let healthy_shards = healthy.ha_shards.as_ref().expect("sharded HA report");
-    assert_eq!(crashed_shards.len(), SHARDS as usize);
-    assert!(crashed.ha.is_none(), "sharded runs report per shard only");
-
-    for (s, (c, h)) in crashed_shards.iter().zip(healthy_shards).enumerate() {
-        if s == crash_shard as usize {
-            // (a) The crashed shard: one scripted crash, a promotion to
-            // epoch 2, and a visible degradation window for its senders.
-            assert_eq!(c.counters.crashes, 1, "shard {s}: {:?}", c.counters);
-            assert_eq!(c.counters.failovers, 1, "shard {s}: {:?}", c.counters);
-            assert_eq!(c.epoch, 2, "promotion bumps only the crashed shard");
-            assert!(
-                c.counters.lookups_dropped + c.counters.reports_dropped > 0,
-                "a 2s outage must be visible on the crashed shard: {:?}",
-                c.counters
-            );
-        } else {
-            // (a) Every other shard: no crash, no failover, not one op
-            // dropped — its senders never saw a degradation window.
-            assert_eq!(c.counters.crashes, 0, "shard {s} crashed: {:?}", c.counters);
-            assert_eq!(c.counters.failovers, 0);
-            assert_eq!(c.counters.lookups_dropped, 0, "shard {s}: {:?}", c.counters);
-            assert_eq!(c.counters.reports_dropped, 0);
-            assert_eq!(c.counters.ops_lost, 0);
-            assert_eq!(c.epoch, 1, "shard {s} must not be promoted");
-            // (b) Bit-identical replies: same ops in, same store state
-            // out — pinned by the serving replica's snapshot digest
-            // matching the run where nothing crashed anywhere.
-            assert_eq!(
-                c.state_digest, h.state_digest,
-                "shard {s}'s state diverged though the crash was elsewhere"
-            );
-            assert_eq!(c.counters, h.counters, "shard {s} op counts diverged");
-        }
-        assert!(
-            c.counters.lookups > 0,
-            "shard {s} served no senders — paths don't cover it"
-        );
-    }
-}
-
-/// Sharded crash injection is inside the deterministic surface: the full
-/// per-shard fingerprint (traffic + every shard's HA report) is
-/// bit-identical for `PHI_JOBS` ∈ {1, 4}.
-#[test]
-fn sharded_failover_runs_bit_identical_for_any_worker_count() {
-    let spec = sharded_spec(8, shard_index(sender_path(0), SHARDS as usize) as u32);
-    let reference: Vec<String> =
-        run_repeated_on(&RunPool::serial(), &spec, 2, provision_cubic_sharded_ha())
-            .iter()
-            .map(fingerprint)
-            .collect();
-    assert!(
-        reference[0].contains("\"epoch\":2"),
-        "fingerprints must carry the per-shard failover: {}",
-        &reference[0][..reference[0].len().min(400)]
-    );
-    let got: Vec<String> =
-        run_repeated_on(&RunPool::new(4), &spec, 2, provision_cubic_sharded_ha())
-            .iter()
-            .map(fingerprint)
-            .collect();
-    assert_eq!(
-        got, reference,
-        "4 workers diverged from serial under sharded crash injection"
-    );
 }

@@ -4,9 +4,7 @@
 //! from the trainer to the fleet.
 
 use phi::core::harness::BottleneckQueue;
-use phi::core::{
-    ExperimentSpec, FlowSummary, HaSpec, PolicyTable, ServerCrashPlan, ShardedHa, StoreConfig,
-};
+use phi::core::{ExperimentSpec, FlowSummary, HaSpec, PolicyTable, ServerCrashPlan, StoreConfig};
 use phi::remy::{Action, WhiskerTree};
 use phi::sim::time::Dur;
 use phi::tcp::report::{FlowReport, RunMetrics};
@@ -97,8 +95,8 @@ fn retired_fluid_key_is_ignored_on_deserialize() {
 
 /// The `budget` section is additive exactly like `ha`: it
 /// round-trips when present (every cap, individually and combined), and a spec serialized before the field existed (no
-/// `"budget"` key) still deserializes — to `None`, the un-budgeted pop
-/// loop with its historical digests.
+/// `"budget"` key) still deserializes — to `None`, no cap armed and the
+/// historical digests.
 #[test]
 fn budget_roundtrips_and_pre_budget_json_deserializes_to_unlimited() {
     use phi::sim::engine::RunBudget;
@@ -162,7 +160,6 @@ fn ha_spec_and_crash_plans_roundtrip() {
             plan,
             repl_lag: Dur::from_millis(75),
             failover_delay: Dur::from_millis(300),
-            shards: None,
         };
         assert_eq!(roundtrip(&ha), ha);
 
@@ -174,32 +171,27 @@ fn ha_spec_and_crash_plans_roundtrip() {
     }
 }
 
-/// The sharded-plane section of [`HaSpec`] rides the same additive
-/// contract the `ha` field itself does: it round-trips when present, and
-/// JSON written before the field existed (no `"shards"` key) still
-/// deserializes — to `None`, the classic single plane.
+/// Specs stored while a run could shard its in-sim plane carry a
+/// `"shards"` key inside the `ha` section: `null` from every run on the
+/// one plane, a populated section from one that asked for several. Both
+/// load as the same [`HaSpec`] — the one plane every run has now.
 #[test]
-fn sharded_ha_roundtrips_and_pre_shards_json_still_deserializes() {
-    let mut ha = HaSpec {
+fn retired_ha_shards_key_is_ignored_on_deserialize() {
+    let ha = HaSpec {
         plan: ServerCrashPlan::crash_restart(Dur::from_secs(5), Dur::from_secs(2)),
         repl_lag: Dur::from_millis(50),
         failover_delay: Dur::from_secs(1),
-        shards: Some(ShardedHa {
-            count: 4,
-            crash_shard: 2,
-        }),
     };
-    assert_eq!(roundtrip(&ha), ha);
-
-    // A pre-shards writer simply never had the key.
-    ha.shards = None;
-    let mut json = serde_json::to_string(&ha).expect("serialize");
-    assert!(json.contains("\"shards\""), "field serializes when present");
-    json = json.replace(",\"shards\":null", "");
-    assert!(!json.contains("\"shards\""), "key must actually be removed");
-    let back: HaSpec = serde_json::from_str(&json).expect("old JSON must deserialize");
-    assert_eq!(back.shards, None);
-    assert_eq!(back, ha);
+    let json = serde_json::to_string(&ha).expect("serialize");
+    assert!(!json.contains("\"shards\""), "the key is retired");
+    for retired in [
+        "\"shards\":null",
+        "\"shards\":{\"count\":4,\"crash_shard\":2}",
+    ] {
+        let old = format!("{},{retired}}}", json.strip_suffix('}').expect("object"));
+        let back: HaSpec = serde_json::from_str(&old).expect("old JSON must deserialize");
+        assert_eq!(back, ha);
+    }
 }
 
 #[test]
