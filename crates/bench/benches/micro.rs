@@ -186,7 +186,7 @@ fn bench_whiskers(c: &mut Criterion) {
 }
 
 /// Fires a timer every `gap`, sending one packet per firing — the
-/// TxEnd/Deliver/Timer mix the engine sees from any paced source.
+/// Deliver/Wake/Timer mix the engine sees from any paced source.
 struct Pump {
     peer: NodeId,
     remaining: u32,

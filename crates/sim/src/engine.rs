@@ -6,12 +6,18 @@
 //!   number makes simultaneous events fire in scheduling order, so runs
 //!   are fully deterministic. The queue is a [`TieredScheduler`]: a
 //!   bucketed calendar for the dense near-future band of
-//!   TxEnd/Deliver/timer events with a binary-heap overflow for
+//!   Deliver/Wake/timer events with a binary-heap overflow for
 //!   far-future events, popping in exactly the same total order a plain
 //!   heap would (see `sched.rs`).
 //! * **Links** do all store-and-forward work: a packet handed to a link is
 //!   queued (or dropped, drop-tail), serialized at the link rate, then
 //!   delivered to the far node after the propagation delay.
+//! * **The link clock is lazy.** A packet's crossing is settled when it
+//!   starts serializing (fault verdict as of `tx_end`, `Deliver` at
+//!   `tx_end` + propagation); the end of serialization gets an event, a
+//!   packet-less `Wake`, only when a packet waits behind it. A finished
+//!   frame is counted into the link's stats on the next `begin_tx`, on
+//!   every `run_until` return and on every [`Ctx::link_stats`] read.
 //! * **Packets move by handle.** [`Ctx::send`] puts the packet in the
 //!   engine's packet pool; from there to its terminal state (delivered,
 //!   dropped, blackholed, …) events and link queues carry a 4-byte handle,
@@ -77,11 +83,12 @@ pub trait Agent: Any + Send {
 /// scheduler's entries — at 16 bytes.
 #[derive(Debug)]
 enum Event {
-    /// The packet at the head of the link finished serializing.
-    TxEnd { link: LinkId, pkt: PktRef },
     /// A packet reached the far end of `via`, the link it travelled
     /// (which is also its switch ingress attribution).
     Deliver { pkt: PktRef, via: LinkId },
+    /// The serialization on `link` ended with a packet queued behind it:
+    /// start the next one. Scheduled only while the link has a backlog.
+    Wake { link: LinkId },
     /// A PFC PAUSE (`xoff`) or RESUME frame arrives at the transmitting
     /// end of `link`.
     Pfc { link: LinkId, xoff: bool },
@@ -180,7 +187,12 @@ impl TimerSlab {
 /// Runtime state of one link.
 struct LinkState {
     queue: LinkQueue,
-    busy: bool,
+    /// End of the serialization begun last; free from then on unless
+    /// `wake` (an [`Event::Wake`] at `tx_end`) is pending.
+    tx_end: Time,
+    /// That serialization's `(bytes, duration)` until it is settled.
+    unsettled: Option<(u32, Dur)>,
+    wake: bool,
     stats: LinkStats,
     rolling: RollingUtil,
     /// PFC: true while the downstream switch has this link paused. A
@@ -195,6 +207,26 @@ struct LinkState {
     /// the overwhelmingly common case is no faults, and the untouched
     /// pointer keeps `LinkState` small for the hot path.
     fault: Option<Box<LinkFault>>,
+}
+
+impl LinkState {
+    /// Nothing serializing and no wake pending: an arrival may start
+    /// transmitting at once.
+    fn is_free(&self, now: Time) -> bool {
+        !self.wake && self.tx_end <= now
+    }
+
+    /// Count the last serialization into `stats` and `rolling` if it
+    /// ended by `now`: the same values as counting it at its end.
+    fn settle(&mut self, now: Time) {
+        let ended = self.tx_end <= now;
+        if let Some((bytes, tx)) = self.unsettled.take_if(|_| ended) {
+            self.stats.transmitted += 1;
+            self.stats.bytes_transmitted += u64::from(bytes);
+            self.stats.busy += tx;
+            self.rolling.end_busy(self.tx_end);
+        }
+    }
 }
 
 /// Sentinel for "no agent bound" in the dense per-node port tables.
@@ -352,8 +384,14 @@ impl SimCore {
             Verdict::Enqueued => {
                 ls.stats.enqueued += 1;
                 self.trace(TraceOp::Enqueue, Some(link_id), None, h);
-                if !self.links[link_id.0 as usize].busy {
+                let ls = &mut self.links[link_id.0 as usize];
+                if ls.is_free(now) {
                     self.begin_tx(link_id);
+                } else if !ls.wake {
+                    // The first packet waiting behind this frame.
+                    ls.wake = true;
+                    let at = ls.tx_end;
+                    self.schedule(at, Event::Wake { link: link_id });
                 }
             }
             Verdict::Dropped => {
@@ -382,13 +420,14 @@ impl SimCore {
         sw.release(link_id, self.pool[h].size, self.pool.ingress(h))
     }
 
-    /// Start serializing the next queued packet, if any.
+    /// Start serializing the next queued packet, if the link may, and
+    /// settle its whole crossing now (see the module docs).
     fn begin_tx(&mut self, link_id: LinkId) {
         let now = self.now;
         let spec = self.topology.link(link_id);
-        let (spec_rate, from) = (spec.rate_bps, spec.from);
+        let (rate, from, mut delay, jitter) = (spec.rate_bps, spec.from, spec.delay, spec.jitter);
         let ls = &mut self.links[link_id.0 as usize];
-        debug_assert!(!ls.busy);
+        debug_assert!(ls.is_free(now));
         // A downed link does not serialize: parked packets stay queued
         // until the healing edge calls `begin_tx` again.
         if ls.fault.as_deref().is_some_and(|f| !f.up) {
@@ -403,70 +442,64 @@ impl SimCore {
         let Some((pkt, enqueued_at)) = ls.queue.take(&mut self.pool) else {
             return;
         };
-        ls.busy = true;
-        ls.rolling.begin_busy(now);
+        ls.settle(now);
+        let (id, size) = (self.pool[pkt].id, self.pool[pkt].size);
+        let tx = Dur::transmission(size, rate);
+        let tx_end = now + tx;
+        ls.tx_end = tx_end;
+        ls.unsettled = Some((size, tx));
+        ls.wake = ls.queue.len_packets() > 0;
+        ls.rolling.begin_busy(now, tx_end);
         ls.stats
             .queue_wait
             .push(now.saturating_since(enqueued_at).as_secs_f64());
-        let tx = Dur::transmission(self.pool[pkt].size, spec_rate);
-        // A switch releases shared-buffer bytes when serialization starts.
-        let edge = self.switch_release(from, link_id, pkt);
-        self.schedule(now + tx, Event::TxEnd { link: link_id, pkt });
-        if let Some(e) = edge {
-            self.emit_pfc(e);
-        }
-    }
-
-    fn on_tx_end(&mut self, link_id: LinkId, h: PktRef) {
-        let now = self.now;
-        let spec = self.topology.link(link_id);
-        let (id, size) = (self.pool[h].id, self.pool[h].size);
-        let mut delay = spec.delay;
-        if !spec.jitter.is_zero() {
-            // Deterministic per-packet jitter: splitmix64 of the packet id.
-            let j = splitmix64(id) % spec.jitter.as_nanos().max(1);
-            delay += Dur::from_nanos(j);
-        }
-        {
-            let ls = &mut self.links[link_id.0 as usize];
-            ls.busy = false;
-            ls.rolling.end_busy(now);
-            ls.stats.transmitted += 1;
-            ls.stats.bytes_transmitted += u64::from(size);
-            ls.stats.busy += Dur::transmission(size, spec.rate_bps);
-        }
-        self.trace(TraceOp::Transmit, Some(link_id), None, h);
-        // The fault plane decides the packet's fate at link egress. The
-        // per-packet draws happen here, in TxEnd order, so the impairment
-        // trace follows the engine's deterministic total event order.
-        let verdict = match self.links[link_id.0 as usize].fault.as_deref_mut() {
-            Some(f) => f.egress(),
+        // Fault draws happen in dequeue order on the link's own stream.
+        let verdict = match ls.fault.as_deref_mut() {
+            Some(f) => f.egress(tx_end),
             None => EgressVerdict::Forward {
                 extra: Dur::ZERO,
                 duplicate: false,
             },
         };
+        if ls.wake {
+            self.schedule(tx_end, Event::Wake { link: link_id });
+        }
+        // A switch releases shared-buffer bytes when serialization starts.
+        let edge = self.switch_release(from, link_id, pkt);
+        self.trace(TraceOp::Transmit, Some(link_id), None, pkt);
+        if !jitter.is_zero() {
+            // Deterministic per-packet jitter: splitmix64 of the packet id.
+            delay += Dur::from_nanos(splitmix64(id) % jitter.as_nanos().max(1));
+        }
         match verdict {
             EgressVerdict::Forward { extra, duplicate } => {
-                let (at, via) = (now + delay + extra, link_id);
-                self.schedule(at, Event::Deliver { pkt: h, via });
+                let (at, via) = (tx_end + delay + extra, link_id);
+                self.schedule(at, Event::Deliver { pkt, via });
                 if duplicate {
-                    let dup = self.pool.insert(self.pool[h].clone());
+                    let dup = self.pool.insert(self.pool[pkt].clone());
                     self.trace(TraceOp::Duplicate, Some(link_id), None, dup);
                     self.schedule(at, Event::Deliver { pkt: dup, via });
                 }
             }
             EgressVerdict::Blackhole => {
-                self.trace(TraceOp::Blackhole, Some(link_id), None, h);
-                self.pool.release(h);
+                self.trace(TraceOp::Blackhole, Some(link_id), None, pkt);
+                self.pool.release(pkt);
             }
             EgressVerdict::Corrupt => {
-                self.trace(TraceOp::Corrupt, Some(link_id), None, h);
-                self.pool.release(h);
+                self.trace(TraceOp::Corrupt, Some(link_id), None, pkt);
+                self.pool.release(pkt);
             }
         }
-        // Immediately pull the next packet, if queued.
-        if self.links[link_id.0 as usize].queue.len_packets() > 0 {
+        if let Some(e) = edge {
+            self.emit_pfc(e);
+        }
+    }
+
+    /// Start the next serialization if the link is free and has a
+    /// backlog (a drain may have emptied it since a wake was scheduled).
+    fn kick(&mut self, link_id: LinkId) {
+        let ls = &self.links[link_id.0 as usize];
+        if ls.is_free(self.now) && ls.queue.len_packets() > 0 {
             self.begin_tx(link_id);
         }
     }
@@ -475,57 +508,38 @@ impl SimCore {
     /// transmission of parked packets; a down edge under the Drop policy
     /// drains the queue into the blackhole counter.
     fn on_fault_edge(&mut self, link_id: LinkId, up: bool) {
-        enum Action {
-            Nothing,
-            Restart,
-            Drain,
-        }
         let now = self.now;
-        let action = {
-            let ls = &mut self.links[link_id.0 as usize];
-            let Some(f) = ls.fault.as_deref_mut() else {
-                return;
-            };
-            if !f.apply_edge(up) {
-                // Redundant edge (e.g. a flap regime ending while up).
-                return;
-            }
-            if up {
-                if !ls.busy && ls.queue.len_packets() > 0 {
-                    Action::Restart
-                } else {
-                    Action::Nothing
-                }
-            } else if f.plan.down_policy == DownPolicy::Drop {
-                Action::Drain
-            } else {
-                Action::Nothing
-            }
+        let ls = &mut self.links[link_id.0 as usize];
+        let Some(f) = ls.fault.as_deref_mut() else {
+            return;
         };
-        match action {
-            Action::Restart => self.begin_tx(link_id),
-            Action::Drain => {
-                let from = self.topology.link(link_id).from;
-                let ls = &mut self.links[link_id.0 as usize];
-                ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-                // On a switch egress the drained packets hold shared-buffer
-                // bytes: release them like any other departure, and send
-                // the RESUME an ingress falling to its threshold is owed.
-                let mut edges = Vec::new();
-                let mut killed = 0;
-                while let Some((h, _)) = self.links[link_id.0 as usize].queue.take(&mut self.pool) {
-                    killed += 1;
-                    edges.extend(self.switch_release(from, link_id, h));
-                    self.trace(TraceOp::Blackhole, Some(link_id), None, h);
-                    self.pool.release(h);
-                }
-                let f = self.links[link_id.0 as usize].fault.as_deref_mut();
-                f.expect("fault checked above").stats.blackholed += killed;
-                for e in edges {
-                    self.emit_pfc(e);
-                }
-            }
-            Action::Nothing => {}
+        if !f.apply_edge(up) {
+            // Redundant edge (e.g. a flap regime ending while up).
+            return;
+        }
+        if up {
+            return self.kick(link_id);
+        }
+        if f.plan.down_policy != DownPolicy::Drop {
+            return;
+        }
+        let from = self.topology.link(link_id).from;
+        ls.stats.advance_occupancy(now, ls.queue.len_bytes());
+        // On a switch egress the drained packets hold shared-buffer
+        // bytes: release them like any other departure, and send the
+        // RESUME an ingress falling to its threshold is owed.
+        let mut edges = Vec::new();
+        let mut killed = 0;
+        while let Some((h, _)) = self.links[link_id.0 as usize].queue.take(&mut self.pool) {
+            killed += 1;
+            edges.extend(self.switch_release(from, link_id, h));
+            self.trace(TraceOp::Blackhole, Some(link_id), None, h);
+            self.pool.release(h);
+        }
+        let f = self.links[link_id.0 as usize].fault.as_deref_mut();
+        f.expect("fault checked above").stats.blackholed += killed;
+        for e in edges {
+            self.emit_pfc(e);
         }
     }
 
@@ -568,9 +582,7 @@ impl SimCore {
         }
         ls.paused = false;
         ls.paused_ns += now.saturating_since(ls.paused_since).as_nanos();
-        if !ls.busy && ls.queue.len_packets() > 0 {
-            self.begin_tx(link_id);
-        }
+        self.kick(link_id);
     }
 
     /// A pause-storm watchdog expires. If the ingress has been
@@ -685,9 +697,11 @@ impl Ctx<'_> {
         live
     }
 
-    /// Cumulative statistics of a link (ideal-oracle read access).
-    pub fn link_stats(&self, link: LinkId) -> &LinkStats {
-        &self.core.links[link.0 as usize].stats
+    /// Cumulative statistics of a link, as of now (ideal-oracle read access).
+    pub fn link_stats(&mut self, link: LinkId) -> &LinkStats {
+        let ls = &mut self.core.links[link.0 as usize];
+        ls.settle(self.core.now);
+        &ls.stats
     }
 
     /// Busy-fraction of a link over its rolling window (ideal oracle).
@@ -737,7 +751,9 @@ impl Simulator {
             .enumerate()
             .map(|(idx, spec)| LinkState {
                 queue: factory(LinkId(idx as u32), spec),
-                busy: false,
+                tx_end: Time::ZERO,
+                unsettled: None,
+                wake: false,
                 stats: LinkStats::new(),
                 rolling: RollingUtil::new(UTIL_WINDOW),
                 paused: false,
@@ -915,7 +931,7 @@ impl Simulator {
     pub fn packet_census(&self) -> PacketCensus {
         let mut in_flight = 0u64;
         for event in self.core.queue.iter() {
-            if matches!(event, Event::TxEnd { .. } | Event::Deliver { .. }) {
+            if matches!(event, Event::Deliver { .. }) {
                 in_flight += 1;
             }
         }
@@ -991,7 +1007,7 @@ impl Simulator {
         &self.core.topology
     }
 
-    /// Statistics of one link.
+    /// Statistics of one link, as of [`Simulator::now`].
     pub fn link_stats(&self, link: LinkId) -> &LinkStats {
         &self.core.links[link.0 as usize].stats
     }
@@ -1044,10 +1060,6 @@ impl Simulator {
     #[inline(always)]
     fn dispatch(&mut self, event: Event) {
         match event {
-            Event::TxEnd { link, pkt } => {
-                self.core.events_fired += 1;
-                self.core.on_tx_end(link, pkt);
-            }
             Event::Deliver { pkt: h, via } => {
                 self.core.events_fired += 1;
                 let node = self.core.topology.link(via).to;
@@ -1078,6 +1090,11 @@ impl Simulator {
                     self.core.forward(node, h, via);
                 }
             }
+            Event::Wake { link } => {
+                self.core.events_fired += 1;
+                self.core.links[link.0 as usize].wake = false;
+                self.core.kick(link);
+            }
             Event::Timer { slot, gen } => match self.core.timers.retire(slot, gen) {
                 Some((agent, token)) => {
                     self.core.events_fired += 1;
@@ -1100,15 +1117,23 @@ impl Simulator {
         }
     }
 
-    /// Advance the clock to the deadline so utilization denominators and
-    /// occupancy integrals cover the full requested span.
-    fn advance_clock(&mut self, deadline: Time) {
-        if self.core.now < deadline && deadline != Time::MAX {
-            self.core.now = deadline;
-            for ls in &mut self.core.links {
-                let bytes = ls.queue.len_bytes();
-                ls.stats.advance_occupancy(deadline, bytes);
+    /// Square the links up on the way out of `run_until`: advance the
+    /// clock to `upto` (so utilization denominators and occupancy
+    /// integrals cover the span the run reached) and count every
+    /// serialization that ended by then.
+    fn square_up(&mut self, upto: Time) {
+        let advance = self.core.now < upto && upto != Time::MAX;
+        if advance {
+            self.core.now = upto;
+        }
+        let now = self.core.now;
+        for ls in &mut self.core.links {
+            if advance {
+                ls.stats.advance_occupancy(now, ls.queue.len_bytes());
             }
+            ls.settle(now);
+            let held = ls.wake || ls.paused || ls.fault.as_deref().is_some_and(|f| !f.up);
+            debug_assert!(held || ls.queue.len_packets() == 0, "stalled backlog");
         }
     }
 
@@ -1150,7 +1175,7 @@ impl Simulator {
             if let Some(max) = budget.max_events {
                 if self.core.events_fired >= max {
                     self.core.terminated = Some(BudgetExceeded::Events);
-                    return self.core.now;
+                    break;
                 }
             }
             if let Some(ms) = budget.max_wall_ms {
@@ -1160,17 +1185,18 @@ impl Simulator {
                     let start = self.core.wall_start.expect("wall base set above");
                     if start.elapsed().as_millis() as u64 >= ms {
                         self.core.terminated = Some(BudgetExceeded::WallClock);
-                        return self.core.now;
+                        break;
                     }
                 }
             }
         }
-        if cap.is_some() && self.core.queue.next_time().is_some_and(|t| t <= deadline) {
+        let reached = self.core.terminated.is_none();
+        if reached && cap.is_some() && self.core.queue.next_time().is_some_and(|t| t <= deadline) {
             // Events the caller asked for remain beyond the cap: the
             // sim-time budget bound.
             self.core.terminated = Some(BudgetExceeded::SimTime);
         }
-        self.advance_clock(upto);
+        self.square_up(if reached { upto } else { self.core.now });
         self.core.now
     }
 
@@ -1227,7 +1253,7 @@ pub struct PacketCensus {
     /// Packets sitting in link queues right now.
     pub queued: u64,
     /// Packets serializing on a link or propagating toward a node
-    /// (scheduled `TxEnd`/`Deliver` events).
+    /// (scheduled `Deliver` events).
     pub in_flight: u64,
     /// Informational (not a packet state): packets CE-marked by switch
     /// ECN on admission. A marked packet continues toward delivery.
@@ -2017,6 +2043,206 @@ mod tests {
         assert_eq!(end.pfc_dropped, 0, "a fault drain is not a PFC drop");
         assert_eq!(end.delivered + end.blackholed, 45, "{end:?}");
         assert_eq!(sim.switch_occupancy(sw), (0, 0));
+    }
+
+    /// A 1 Mbit/s link (8 ms per 1000-byte frame, 2 ms propagation)
+    /// carrying `bursts`, with `plan` installed on it.
+    fn impaired_link(plan: ImpairmentPlan, bursts: Vec<(Time, u32)>) -> Simulator {
+        let (t, a, z) = two_nodes(1_000_000, Dur::from_millis(2), Capacity::Packets(100));
+        let mut sim = Simulator::new(t);
+        sim.install_impairments(LinkId(0), plan, &SeedRng::new(3));
+        sim.add_agent(a, 1, Box::new(Bursts { peer: z, bursts }));
+        sim.add_agent(z, 2, Box::<Sink>::default());
+        sim
+    }
+
+    fn outage(down_ms: u64, up_ms: u64) -> ImpairmentPlan {
+        ImpairmentPlan::new().outage(Time::from_millis(down_ms), Time::from_millis(up_ms))
+    }
+
+    #[test]
+    fn a_frame_whose_serialization_outlives_the_link_is_blackholed() {
+        // Dequeued at 0 while the link is up; it fails at 5 ms, mid-frame.
+        for policy in [DownPolicy::Drop, DownPolicy::Park] {
+            let mut sim = impaired_link(outage(5, 50).down_policy(policy), vec![(Time::ZERO, 1)]);
+            sim.run_to_completion();
+            let c = sim.packet_census();
+            assert!(c.conserved(), "{c:?}");
+            assert_eq!((c.delivered, c.blackholed), (0, 1), "{policy:?}: {c:?}");
+        }
+        // A frame that ends before the edge gets through.
+        let mut sim = impaired_link(outage(9, 50), vec![(Time::ZERO, 1)]);
+        sim.run_to_completion();
+        assert_eq!(sim.packet_census().delivered, 1);
+    }
+
+    #[test]
+    fn an_edge_at_exactly_tx_end_decides_the_frame() {
+        // The frame is on the wire over 0..8 ms. Edges are scheduled at
+        // install, so one at exactly 8 ms is in force when it ends.
+        let mut fails = impaired_link(outage(8, 20), vec![(Time::ZERO, 1)]);
+        fails.run_to_completion();
+        let c = fails.packet_census();
+        assert_eq!((c.delivered, c.blackholed), (0, 1), "{c:?}");
+        let mut heals = impaired_link(outage(3, 8), vec![(Time::ZERO, 1)]);
+        heals.run_to_completion();
+        let c = heals.packet_census();
+        assert_eq!((c.delivered, c.blackholed), (1, 0), "{c:?}");
+    }
+
+    #[test]
+    fn a_drop_drain_with_a_wake_pending_conserves_the_census() {
+        // Three frames at 0: one on the wire until 8 ms, two queued behind
+        // it with a wake pending at 8 ms. The link fails at 4 ms: the drain
+        // takes the two, the frame on the wire was lost when it started,
+        // and the wake finds an empty queue.
+        let mut sim = impaired_link(outage(4, 50), vec![(Time::ZERO, 3)]);
+        sim.run_until(Time::from_millis(6));
+        let mid = sim.packet_census();
+        assert!(mid.conserved(), "{mid:?}");
+        assert_eq!((mid.queued, mid.in_flight, mid.blackholed), (0, 0, 3));
+        sim.run_to_completion();
+        let end = sim.packet_census();
+        assert!(end.conserved(), "{end:?}");
+        assert_eq!((end.delivered, end.blackholed), (0, 3), "{end:?}");
+        assert_eq!(sim.link_stats(LinkId(0)).transmitted, 1);
+        let s = sim.sched_stats();
+        assert!(s.conserved() && s.pending == 0, "{s:?}");
+    }
+
+    /// Sends frame `i` (seq `i`, 1000 bytes) after `gaps[i]`.
+    struct Paced {
+        peer: NodeId,
+        gaps: Vec<Dur>,
+        sent: usize,
+    }
+
+    impl Agent for Paced {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer_after(self.gaps[0], 0);
+        }
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
+            let mut p = packet_to(self.peer, 2, 1, FlowId(1), 1000);
+            p.seq = self.sent as u64;
+            ctx.send(p);
+            self.sent += 1;
+            if let Some(&gap) = self.gaps.get(self.sent) {
+                ctx.set_timer_after(gap, 0);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn egress_draws_follow_serialization_order_on_the_link_stream() {
+        // Bursts of 20 frames 2 ms apart (a backlog on an 8 ms/frame
+        // link) alternate with 20 frames 12 ms apart (idle between
+        // frames). The fault plane never touches the queue, so every frame
+        // leaves when it would unimpaired, and replaying the link's stream
+        // once per frame in FIFO order must predict every arrival.
+        let gaps: Vec<Dur> = (0..300)
+            .map(|i| Dur::from_millis(if (i / 20) % 2 == 0 { 2 } else { 12 }))
+            .collect();
+        let plan = ImpairmentPlan::new()
+            .loss(crate::faults::LossModel::Bernoulli { p: 0.2 })
+            .duplicate(0.1)
+            .reorder(0.3, Dur::from_millis(5));
+        let run = |plan: Option<&ImpairmentPlan>| {
+            let (t, a, z) = two_nodes(1_000_000, Dur::from_millis(2), Capacity::Packets(100));
+            let mut sim = Simulator::new(t);
+            if let Some(plan) = plan {
+                sim.install_impairments(LinkId(0), plan.clone(), &SeedRng::new(11));
+            }
+            let gaps = gaps.clone();
+            sim.add_agent(
+                a,
+                1,
+                Box::new(Paced {
+                    peer: z,
+                    gaps,
+                    sent: 0,
+                }),
+            );
+            let sink = sim.add_agent(z, 2, Box::<Sink>::default());
+            sim.run_to_completion();
+            let mut got = sim.agent_as::<Sink>(sink).unwrap().received.clone();
+            got.sort_unstable();
+            got
+        };
+        let clean = run(None);
+        assert_eq!(clean.len(), 300);
+        let rng = SeedRng::new(11).fork_indexed("faults/link", 0);
+        let (mut fault, _) = LinkFault::new(plan.clone(), rng);
+        let mut want = Vec::new();
+        for &(seq, at) in &clean {
+            if let EgressVerdict::Forward { extra, duplicate } = fault.egress(Time::ZERO) {
+                want.push((seq, at + extra));
+                if duplicate {
+                    want.push((seq, at + extra));
+                }
+            }
+        }
+        want.sort_unstable();
+        assert_eq!(run(Some(&plan)), want);
+        assert!(fault.stats.blackholed > 30 && fault.stats.duplicated > 10);
+        assert!(fault.stats.reordered > 30);
+    }
+
+    #[test]
+    fn link_stats_between_pumps_count_what_ended_by_now() {
+        // Frames at 0, 20 and 40 ms, each 8 ms on the wire with nothing
+        // queued behind it: no event ever marks a frame's end.
+        let (t, a, z) = two_nodes(1_000_000, Dur::from_millis(2), Capacity::Packets(10));
+        let mut sim = Simulator::new(t);
+        sim.add_agent(
+            a,
+            1,
+            Box::new(Blaster {
+                peer: z,
+                peer_port: 2,
+                port: 1,
+                count: 3,
+                size: 1000,
+                gap: Dur::from_millis(20),
+                sent: 0,
+            }),
+        );
+        sim.add_agent(z, 2, Box::<Sink>::default());
+        let frame = Dur::from_millis(8);
+        for (ms, ended) in [(5, 0), (8, 1), (15, 1), (25, 1), (28, 2), (60, 3)] {
+            sim.run_until(Time::from_millis(ms));
+            let s = sim.link_stats(LinkId(0));
+            assert_eq!(s.transmitted, ended, "t = {ms} ms");
+            assert_eq!(s.bytes_transmitted, ended * 1000, "t = {ms} ms");
+            assert_eq!(s.busy, frame * ended, "t = {ms} ms");
+        }
+    }
+
+    #[test]
+    fn an_event_budget_stop_counts_the_serializations_ended_by_now() {
+        use crate::trace::SharedTraceCollector;
+        let mut sim = blast_sim(200);
+        let (tracer, events) = SharedTraceCollector::new();
+        sim.set_tracer(tracer);
+        sim.set_budget(RunBudget::events(77));
+        let now = sim.run_to_completion();
+        assert_eq!(sim.termination(), Some(BudgetExceeded::Events));
+        let frame = Dur::transmission(700, 5_000_000);
+        let events = events.lock().unwrap();
+        let started = events
+            .iter()
+            .filter(|e| e.op == TraceOp::Transmit && e.link == Some(LinkId(0)));
+        let ended = started.filter(|e| e.at + frame <= now).count() as u64;
+        assert!(ended > 10, "{ended}");
+        let s = sim.link_stats(LinkId(0));
+        assert_eq!(s.transmitted, ended);
+        assert_eq!(s.busy, frame * ended);
     }
 
     /// Arms a timer far out, then cancels and re-arms it on each of a

@@ -23,16 +23,17 @@
 //! count (`PHI_JOBS`). Flap edges are drawn *at install time* and
 //! scheduled as engine events, so their randomness does not interleave
 //! with per-packet draws. Per-packet draws happen in a fixed order
-//! (loss → corruption → duplication → reordering) in link-egress event
-//! order, which the engine's total `(time, seq)` event order makes
-//! deterministic.
+//! (loss → corruption → duplication → reordering) when a packet starts
+//! serializing, in link-dequeue order, which the engine's total `(time,
+//! seq)` event order makes deterministic; the verdict holds for the link
+//! state at the serialization's end.
 //!
 //! The backpressure plane composes with this contract rather than
 //! perturbing it: switch ECN marking (see [`crate::switch::EcnSpec`])
 //! draws **nothing** from any `SeedRng` stream — its probabilistic band
 //! hashes the packet id — and it happens at *admission* (enqueue),
-//! while every per-packet fault draw happens at *egress* (end of
-//! serialization), in the fixed order above. So installing an
+//! while every per-packet fault draw happens at *egress* (dequeue), in
+//! the fixed order above. So installing an
 //! [`ImpairmentPlan`] on a link whose upstream switch also marks ECN
 //! neither consumes from nor reorders the link's fault stream: the draw
 //! order is pinned, and the combined fault + marking trace is
@@ -45,6 +46,8 @@
 //! [`FaultStats`] and roll up into the engine's
 //! [`crate::engine::PacketCensus`] so the extended conservation law still
 //! closes — see [`crate::engine::PacketCensus::conserved`].
+
+use std::collections::VecDeque;
 
 use phi_workload::SeedRng;
 
@@ -278,6 +281,8 @@ pub(crate) struct LinkFault {
     rng: SeedRng,
     /// Current link state.
     pub(crate) up: bool,
+    /// Scheduled state edges not yet applied, in firing order.
+    pending: VecDeque<(Time, bool)>,
     /// Gilbert–Elliott channel state.
     ge_bad: bool,
     pub(crate) stats: FaultStats,
@@ -313,6 +318,7 @@ impl LinkFault {
                 plan,
                 rng,
                 up: true,
+                pending: edges.iter().copied().collect(),
                 ge_bad: false,
                 stats: FaultStats::default(),
             },
@@ -320,8 +326,9 @@ impl LinkFault {
         )
     }
 
-    /// Apply a scheduled state edge. Returns false if it was redundant.
+    /// Apply the next scheduled state edge. Returns false if redundant.
     pub(crate) fn apply_edge(&mut self, up: bool) -> bool {
+        self.pending.pop_front();
         if self.up == up {
             return false;
         }
@@ -330,11 +337,15 @@ impl LinkFault {
         true
     }
 
-    /// Decide the fate of one packet leaving the link. Draw order is
-    /// fixed (loss → corrupt → duplicate → reorder) so streams are
-    /// reproducible; draws are only consumed for enabled features.
-    pub(crate) fn egress(&mut self) -> EgressVerdict {
-        if !self.up {
+    /// Decide the fate of one packet that finishes serializing at `at`,
+    /// against the link state then: pending edges due by `at` count, one
+    /// at exactly `at` included (edges are scheduled at install, so they
+    /// fire first at their instant). Draw order is fixed (loss → corrupt
+    /// → duplicate → reorder) so streams are reproducible; draws are only
+    /// consumed for enabled features.
+    pub(crate) fn egress(&mut self, at: Time) -> EgressVerdict {
+        let due = self.pending.iter().take_while(|&&(t, _)| t <= at);
+        if !due.last().map_or(self.up, |&(_, up)| up) {
             self.stats.blackholed += 1;
             return EgressVerdict::Blackhole;
         }
@@ -454,7 +465,7 @@ mod tests {
         let n: u32 = 20_000;
         let mut lost: u32 = 0;
         for _ in 0..n {
-            if f.egress() == EgressVerdict::Blackhole {
+            if f.egress(Time::ZERO) == EgressVerdict::Blackhole {
                 lost += 1;
             }
         }
@@ -473,7 +484,7 @@ mod tests {
         });
         let (mut f, _) = LinkFault::new(plan, rng());
         let outcomes: Vec<bool> = (0..50_000)
-            .map(|_| f.egress() == EgressVerdict::Blackhole)
+            .map(|_| f.egress(Time::ZERO) == EgressVerdict::Blackhole)
             .collect();
         let losses = outcomes.iter().filter(|&&l| l).count();
         assert!(losses > 500, "GE model never entered the bad state");
@@ -495,10 +506,13 @@ mod tests {
         assert!(f.apply_edge(false));
         assert!(!f.apply_edge(false), "redundant edge must be a no-op");
         for _ in 0..10 {
-            assert_eq!(f.egress(), EgressVerdict::Blackhole);
+            assert_eq!(f.egress(Time::ZERO), EgressVerdict::Blackhole);
         }
         assert!(f.apply_edge(true));
-        assert!(matches!(f.egress(), EgressVerdict::Forward { .. }));
+        assert!(matches!(
+            f.egress(Time::ZERO),
+            EgressVerdict::Forward { .. }
+        ));
         assert_eq!(f.stats.blackholed, 10);
         assert_eq!(f.stats.edges, 2);
     }
@@ -514,7 +528,7 @@ mod tests {
         let mut duplicated = 0u64;
         let mut reordered = 0u64;
         for _ in 0..10_000 {
-            match f.egress() {
+            match f.egress(Time::ZERO) {
                 EgressVerdict::Corrupt => corrupted += 1,
                 EgressVerdict::Forward { extra, duplicate } => {
                     if duplicate {

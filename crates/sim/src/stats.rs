@@ -149,8 +149,9 @@ pub struct RollingUtil {
     /// the whole deque: it subtracts the few intervals that aged out
     /// since the last update and clips at most one straddler.
     busy_ns: u64,
-    /// Start of an in-progress busy period, if the link is transmitting.
-    open: Option<Time>,
+    /// The busy period begun last, `(start, known end)`, until `end_busy`;
+    /// it reads exactly even when closed late.
+    open: Option<(Time, Time)>,
 }
 
 impl RollingUtil {
@@ -165,15 +166,15 @@ impl RollingUtil {
         }
     }
 
-    /// The link started transmitting at `t`.
-    pub fn begin_busy(&mut self, t: Time) {
+    /// The link started transmitting at `start`, busy until `end`.
+    pub fn begin_busy(&mut self, start: Time, end: Time) {
         debug_assert!(self.open.is_none(), "begin_busy while already busy");
-        self.open = Some(t);
+        self.open = Some((start, end));
     }
 
     /// The link finished transmitting at `t`.
     pub fn end_busy(&mut self, t: Time) {
-        if let Some(start) = self.open.take() {
+        if let Some((start, _)) = self.open.take() {
             self.intervals.push_back((start, t));
             self.busy_ns += (t - start).as_nanos();
         }
@@ -211,10 +212,11 @@ impl RollingUtil {
                 break;
             }
         }
-        if let Some(start) = self.open {
+        if let Some((start, end)) = self.open {
             let s = if start > horizon { start } else { horizon };
-            if now > s {
-                busy_ns += (now - s).as_nanos();
+            let e = if end < now { end } else { now };
+            if e > s {
+                busy_ns += (e - s).as_nanos();
             }
         }
         // Before a full window has elapsed, normalize by elapsed time so
@@ -374,7 +376,7 @@ mod tests {
     #[test]
     fn rolling_util_full_busy() {
         let mut u = RollingUtil::new(Dur::from_millis(10));
-        u.begin_busy(Time::ZERO);
+        u.begin_busy(Time::ZERO, Time::from_millis(10));
         u.end_busy(Time::from_millis(10));
         assert!((u.utilization(Time::from_millis(10)) - 1.0).abs() < 1e-9);
     }
@@ -383,7 +385,7 @@ mod tests {
     fn rolling_util_half_busy() {
         let mut u = RollingUtil::new(Dur::from_millis(10));
         // Busy 0-5ms, idle 5-10ms.
-        u.begin_busy(Time::ZERO);
+        u.begin_busy(Time::ZERO, Time::from_millis(5));
         u.end_busy(Time::from_millis(5));
         let got = u.utilization(Time::from_millis(10));
         assert!((got - 0.5).abs() < 1e-9, "got {got}");
@@ -392,7 +394,7 @@ mod tests {
     #[test]
     fn rolling_util_expires_old_intervals() {
         let mut u = RollingUtil::new(Dur::from_millis(10));
-        u.begin_busy(Time::ZERO);
+        u.begin_busy(Time::ZERO, Time::from_millis(10));
         u.end_busy(Time::from_millis(10));
         // 20ms later the busy period has aged out entirely.
         assert_eq!(u.utilization(Time::from_millis(30)), 0.0);
@@ -401,15 +403,34 @@ mod tests {
     #[test]
     fn rolling_util_counts_open_interval() {
         let mut u = RollingUtil::new(Dur::from_millis(10));
-        u.begin_busy(Time::from_millis(95));
+        u.begin_busy(Time::from_millis(95), Time::from_millis(105));
         let got = u.utilization(Time::from_millis(100));
         assert!((got - 0.5).abs() < 1e-9, "got {got}");
     }
 
     #[test]
+    fn rolling_util_open_past_its_end_reads_as_closed() {
+        let mut open = RollingUtil::new(Dur::from_millis(10));
+        open.begin_busy(Time::from_millis(1), Time::from_millis(3));
+        open.end_busy(Time::from_millis(3));
+        open.begin_busy(Time::from_millis(8), Time::from_millis(14));
+        let mut closed = open.clone();
+        closed.end_busy(Time::from_millis(14));
+        // Up to, at and past the end; past the horizon of either interval.
+        for ms in [14, 15, 17, 19, 20, 23, 24, 30] {
+            let now = Time::from_millis(ms);
+            let (o, c) = (open.utilization(now), closed.utilization(now));
+            assert_eq!(o.to_bits(), c.to_bits(), "t = {ms} ms: {o} vs {c}");
+        }
+        // Before its end the open interval counts up to now.
+        let got = open.utilization(Time::from_millis(10));
+        assert!((got - 0.4).abs() < 1e-9, "got {got}");
+    }
+
+    #[test]
     fn rolling_util_early_normalization() {
         let mut u = RollingUtil::new(Dur::from_secs(1));
-        u.begin_busy(Time::ZERO);
+        u.begin_busy(Time::ZERO, Time::from_millis(5));
         u.end_busy(Time::from_millis(5));
         // Only 10ms have elapsed; 5ms busy of 10ms elapsed = 0.5, not 0.005.
         let got = u.utilization(Time::from_millis(10));

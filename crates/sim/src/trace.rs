@@ -18,7 +18,8 @@ pub enum TraceOp {
     Enqueue,
     /// Packet dropped at a link queue.
     Drop,
-    /// Packet finished serializing onto the link (dequeued).
+    /// Packet dequeued to serialize (ns-2's `-`); any fault verdict on
+    /// it (`Blackhole`, `Corrupt`, `Duplicate`) is recorded with it.
     Transmit,
     /// Packet delivered to its destination node.
     Deliver,

@@ -322,7 +322,7 @@ proptest! {
         let mut u = RollingUtil::new(Dur::from_millis(10));
         let mut now = Time::ZERO;
         for (busy, idle) in busy_gaps {
-            u.begin_busy(now);
+            u.begin_busy(now, now + Dur::from_nanos(busy));
             now += Dur::from_nanos(busy);
             u.end_busy(now);
             let frac = u.utilization(now);

@@ -354,7 +354,7 @@ fn impaired_run_digest() -> (u64, u64, u64) {
 fn impaired_trace_digest_matches_pinned_golden() {
     let (digest, delivered, blackholed) = impaired_run_digest();
     println!("GOLDEN digest={digest:#018x} delivered={delivered} blackholed={blackholed}");
-    const GOLDEN_DIGEST: u64 = 0x07f2_2dc0_34e8_6c47;
+    const GOLDEN_DIGEST: u64 = 0x93b3_9bc2_d67e_4435;
     const GOLDEN_DELIVERED: u64 = 122;
     const GOLDEN_BLACKHOLED: u64 = 17;
     assert_eq!(digest, GOLDEN_DIGEST, "impairment trace diverged");
