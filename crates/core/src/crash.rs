@@ -2,10 +2,10 @@
 //!
 //! [`crate::hooks::FaultyHook`] makes the *network between* a sender and
 //! the context server unreliable; this module crashes the **server
-//! itself**. [`HaPlane`] models the replicated context plane of
-//! [`crate::server`] — a primary and a backup [`ContextStore`], deltas
-//! flowing with a replication lag, an epoch bumped on every failover —
-//! and a seeded [`ServerCrashPlan`] decides *when* the primary dies.
+//! itself**. [`HaPlane`] runs the replica state machine of
+//! [`crate::server`] on simulated time — a primary, and a backup that
+//! applies each delta `repl_lag` after it — and a seeded
+//! [`ServerCrashPlan`] decides *when* the primary dies.
 //!
 //! All randomness comes from a forked [`SeedRng`] stream that no
 //! simulation event consumes, and every crash window is materialized up
@@ -18,9 +18,10 @@
 //! exactly as the §2.2.2 contract requires. Deltas the backup had not
 //! yet received when the primary died are **lost** — that is the real
 //! cost of asynchronous replication, and [`CrashCounters::ops_lost`]
-//! makes it observable.
+//! makes it observable. A restarted replica, or a backup more than the
+//! log's 4 096 entries behind, is resynced by snapshot — and, as on the
+//! wire, not while that snapshot would exceed one frame.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use phi_sim::engine::Ctx;
@@ -32,6 +33,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::context::{ContextStore, FlowSummary, PathKey, StoreConfig};
 use crate::hooks::summarize;
+use crate::replica::Replica;
+use crate::wire::{Message, ReplOp, Role};
 
 /// A repeating crash/restart cycle (the server-side analogue of
 /// [`crate::hooks::Flap`]).
@@ -191,64 +194,55 @@ pub struct CrashCounters {
     pub ops_lost: u64,
 }
 
-/// A mutation in flight from primary to backup.
-#[derive(Debug, Clone)]
-enum PendingOp {
-    Lookup(PathKey),
-    Report(PathKey, FlowSummary),
-}
-
 #[derive(Debug)]
 struct PlaneState {
-    /// Two replicas; `serving` indexes the current primary.
-    stores: [ContextStore; 2],
-    serving: usize,
-    /// Fencing token: starts at 1, +1 per failover.
-    epoch: u64,
+    /// The one shard's primary, then its backup.
+    replicas: [Replica; 2],
+    /// The primary's log position the backup has applied; `None` while
+    /// it has no baseline (restarted, awaiting its snapshot).
+    acked: Option<u64>,
     /// Materialized `(crash_ns, restart_ns)` windows, sorted.
     windows: Vec<(u64, u64)>,
     next_window: usize,
     /// No replica answers before this time (failover in progress).
     down_until: u64,
-    /// The crashed replica rejoins (full snapshot resync) at this time.
+    /// The crashed replica rejoins as backup at this time.
     resync_at: Option<u64>,
     lag_ns: u64,
     failover_ns: u64,
-    /// Mutations applied on the primary, not yet replicated.
-    pending: VecDeque<(u64, PendingOp)>,
     counters: CrashCounters,
 }
 
 impl PlaneState {
-    fn backup(&self) -> usize {
-        1 - self.serving
-    }
-
-    /// Apply every pending op whose lag has elapsed by `now` to the
-    /// backup (no-op while the backup is down awaiting resync).
-    fn drain_replication(&mut self, now: u64) {
+    /// Deliver what the backup is due by `now`: each delta once
+    /// `repl_lag` has passed since the primary applied it, and a
+    /// snapshot whenever the backup has no baseline or fell behind the
+    /// log (nothing while it is down).
+    fn replicate(&mut self, now: u64) {
         if self.resync_at.is_some() {
             return;
         }
-        let backup = self.backup();
-        while let Some(&(t, _)) = self.pending.front() {
-            if t.saturating_add(self.lag_ns) > now {
-                break;
-            }
-            let (t, op) = self.pending.pop_front().expect("front checked");
-            match op {
-                PendingOp::Lookup(path) => {
-                    self.stores[backup].lookup(path, t);
-                }
-                PendingOp::Report(path, summary) => {
-                    self.stores[backup].report(path, t, &summary);
+        let [primary, backup] = &mut self.replicas;
+        while let Ok(Some((msg, seq))) = primary.next_frame(0, self.acked) {
+            if let Message::Replicate {
+                op: ReplOp::Lookup { now_ns, .. } | ReplOp::Report { now_ns, .. },
+                ..
+            } = msg
+            {
+                if now_ns.saturating_add(self.lag_ns) > now {
+                    break;
                 }
             }
+            backup.serve(now, &msg);
+            self.acked = Some(seq);
+        }
+        if let Some(acked) = self.acked {
+            primary.prune(acked);
         }
     }
 
-    /// Advance the plane's clock: finish due resyncs, execute due
-    /// crashes, and ship due replication deltas.
+    /// Advance the plane's clock: finish due restarts, execute due
+    /// crashes, and ship due replication.
     fn roll(&mut self, now: u64) {
         loop {
             // The earliest due event wins; loop until nothing is due.
@@ -259,22 +253,12 @@ impl PlaneState {
                 .filter(|&&(s, _)| s <= now)
                 .copied();
             match (resync_due, crash_due) {
-                (Some(r), Some((s, _))) if r <= s => self.finish_resync(r),
-                (Some(r), None) => self.finish_resync(r),
-                (None, Some((s, e))) | (Some(_), Some((s, e))) => self.crash(s, e),
-                (None, None) => break,
+                (Some(r), crash) if crash.is_none_or(|(s, _)| r <= s) => self.resync_at = None,
+                (_, Some((s, e))) => self.crash(s, e),
+                _ => break, // nothing is due
             }
         }
-        self.drain_replication(now);
-    }
-
-    /// The crashed replica restarts and rejoins as backup: a full
-    /// snapshot resync from the live primary (the in-sim counterpart of
-    /// the wire `ShardSnapshotSync`), superseding any pending deltas.
-    fn finish_resync(&mut self, _at: u64) {
-        self.stores[self.backup()] = self.stores[self.serving].clone();
-        self.pending.clear();
-        self.resync_at = None;
+        self.replicate(now);
     }
 
     /// The primary dies at `s` and will restart at `e`.
@@ -283,13 +267,17 @@ impl PlaneState {
         self.counters.crashes += 1;
         // Deltas whose lag elapsed before the crash made it to the
         // backup; the younger ones die with the primary.
-        self.drain_replication(s);
-        self.counters.ops_lost += self.pending.len() as u64;
-        self.pending.clear();
-        // The backup takes over at epoch+1 once the failover window
-        // passes; the dead replica resyncs when it restarts.
-        self.serving = self.backup();
-        self.epoch += 1;
+        self.replicate(s);
+        let [primary, backup] = &mut self.replicas;
+        self.counters.ops_lost += primary.unacked(self.acked);
+        // The dead replica comes back as a backup, resynced from a
+        // snapshot when it restarts; the backup takes over at epoch+1
+        // once the failover window passes.
+        let epoch = primary.epoch();
+        primary.demote(epoch);
+        backup.promote(epoch + 1);
+        self.replicas.swap(0, 1);
+        self.acked = None;
         self.counters.failovers += 1;
         self.down_until = self.down_until.max(s.saturating_add(self.failover_ns));
         self.resync_at = Some(e);
@@ -315,16 +303,17 @@ impl HaPlane {
         let windows = spec.plan.materialize(&mut rng, horizon);
         HaPlane {
             state: Arc::new(Mutex::new(PlaneState {
-                stores: [ContextStore::new(cfg), ContextStore::new(cfg)],
-                serving: 0,
-                epoch: 1,
+                replicas: [
+                    Replica::new(ContextStore::new(cfg), 1, Role::Primary),
+                    Replica::new(ContextStore::new(cfg), 1, Role::Backup),
+                ],
+                acked: Some(0),
                 windows,
                 next_window: 0,
                 down_until: 0,
                 resync_at: None,
                 lag_ns: spec.repl_lag.as_nanos(),
                 failover_ns: spec.failover_delay.as_nanos(),
-                pending: VecDeque::new(),
                 counters: CrashCounters::default(),
             })),
         }
@@ -339,10 +328,10 @@ impl HaPlane {
             st.counters.lookups_dropped += 1;
             return None;
         }
-        let serving = st.serving;
-        let snap = st.stores[serving].lookup(path, now_ns);
-        st.pending.push_back((now_ns, PendingOp::Lookup(path)));
-        Some(snap)
+        match st.replicas[0].serve(now_ns, &Message::Lookup { path }) {
+            Message::Context(snap) => Some(snap),
+            _ => None,
+        }
     }
 
     /// File a report; `false` means it was lost to a failover window.
@@ -354,16 +343,15 @@ impl HaPlane {
             st.counters.reports_dropped += 1;
             return false;
         }
-        let serving = st.serving;
-        st.stores[serving].report(path, now_ns, summary);
-        st.pending
-            .push_back((now_ns, PendingOp::Report(path, *summary)));
-        true
+        matches!(
+            st.replicas[0].serve(now_ns, &Message::BatchReport(vec![(path, *summary)])),
+            Message::ReportOk
+        )
     }
 
     /// The current fencing epoch (1 + failovers so far).
     pub fn epoch(&self) -> u64 {
-        self.state.lock().expect("plane state").epoch
+        self.state.lock().expect("plane state").replicas[0].epoch()
     }
 
     /// Injection/degradation counters.
@@ -375,7 +363,8 @@ impl HaPlane {
     /// deterministic fingerprint of the surviving state.
     pub fn state_digest(&self) -> u64 {
         let st = self.state.lock().expect("plane state");
-        crate::journal::fnv1a(&st.stores[st.serving].encode_snapshot(st.epoch))
+        let r = &st.replicas[0];
+        crate::journal::fnv1a(&r.store().encode_snapshot(r.epoch()))
     }
 
     /// Summary for a run's [`HaReport`].

@@ -62,6 +62,7 @@ pub mod policy;
 pub mod power;
 pub mod priority;
 pub mod privacy;
+mod replica;
 pub mod runpool;
 pub mod server;
 pub mod shard;
@@ -88,9 +89,8 @@ pub use policy::{PolicyEntry, PolicyTable};
 pub use power::{log_power, power, power_loss, score, Objective};
 pub use runpool::{derive_seed, panic_message, RunFailure, RunOutcome, RunPool};
 pub use server::{
-    sync_store, ClientConfig, ClientError, ContextClient, ContextServer, HaOptions,
-    ResilienceConfig, ResilienceStats, ResilientClient, ServerConfig, ServerStats, SyncStore,
-    WriteBehindConfig,
+    ClientConfig, ClientError, ContextClient, ContextServer, HaOptions, ResilienceConfig,
+    ResilienceStats, ResilientClient, ServerConfig, ServerStats, WriteBehindConfig,
 };
 pub use shard::{shard_index, ShardedStore};
 pub use supervise::{

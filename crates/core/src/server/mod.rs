@@ -3,11 +3,12 @@
 //! The in-simulation hooks talk to a [`crate::context::ContextStore`]
 //! directly; a production Phi deployment runs one (or a few) context
 //! servers per domain. [`ContextServer`] is that service: a threaded TCP
-//! server speaking the [`crate::wire`] protocol over a store shared with
-//! `parking_lot::RwLock`. It is deliberately runtime-agnostic (std::net +
-//! threads): the request rate is one lookup + one report per *connection*
-//! of the data plane, so a handful of OS threads is ample, and the library
-//! stays free of any async-runtime dependency.
+//! server speaking the [`crate::wire`] protocol: the socket driver of one
+//! replica state machine (`crate::replica`) per shard, each behind one
+//! lock. It is deliberately runtime-agnostic (std::net + threads): the
+//! request rate is one lookup + one report per *connection* of the data
+//! plane, so a handful of OS threads is ample, and the library stays free
+//! of any async-runtime dependency.
 //!
 //! Lifecycle: [`ContextServer::start`] binds and serves;
 //! [`ContextServer::shutdown`] stops accepting, unblocks handlers via read
@@ -41,11 +42,11 @@
 //!
 //! ## Layout
 //!
-//! This file is the server: shards, the fencing word, the accept loop and
-//! the connection handler. `repl` is the primary's replication thread and
-//! its log, `client` the blocking [`ContextClient`] with its errors,
-//! configs and write-behind buffer, `resilient` the self-healing
-//! [`ResilientClient`] over it.
+//! This file is the server: the shards, the accept loop and the connection
+//! handler, which decodes, routes, locks, serves and encodes. `repl` is
+//! the primary's replication thread, `client` the blocking
+//! [`ContextClient`] with its errors, configs and write-behind buffer,
+//! `resilient` the self-healing [`ResilientClient`] over it.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -53,10 +54,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use phi_tcp::hook::ContextSnapshot;
 
-use crate::context::{ContextStore, PathKey, SnapshotError, StoreConfig};
+use crate::context::{ContextStore, PathKey, StoreConfig};
+use crate::replica::{error, Replica, MAX_EPOCH};
 use crate::shard::shard_index;
 use crate::wire::{code, encode, DecodeError, Decoder, Message, ReplOp, Role, MAX_FRAME};
 
@@ -67,17 +69,8 @@ mod resilient;
 mod tests;
 
 pub use client::{ClientConfig, ClientError, ContextClient, WriteBehindConfig};
-use repl::{replicate_to_backups, ReplLog};
+use repl::replicate_to_backups;
 pub use resilient::{ResilienceConfig, ResilienceStats, ResilientClient};
-
-/// A thread-safe context store handle, shared by server handlers and any
-/// in-process instrumentation.
-pub type SyncStore = Arc<RwLock<ContextStore>>;
-
-/// Wrap a store for cross-thread sharing.
-pub fn sync_store(store: ContextStore) -> SyncStore {
-    Arc::new(RwLock::new(store))
-}
 
 /// Server-side counters, readable while running.
 #[derive(Debug, Default)]
@@ -100,6 +93,9 @@ pub struct ServerStats {
     pub repl_syncs: AtomicU64,
     /// Deltas + snapshots this server shipped to backups (as a primary).
     pub repl_sent: AtomicU64,
+    /// Times a shard was skipped on a link because its snapshot would
+    /// not fit one frame (as a primary): that backup stays behind on it.
+    pub repl_oversized: AtomicU64,
 }
 
 /// Server tuning knobs.
@@ -146,107 +142,10 @@ impl Default for HaOptions {
     }
 }
 
-/// Largest epoch the fencing word can hold (the role takes its low bit).
-/// A frame carrying a greater one is refused at the wire boundary.
-const MAX_EPOCH: u64 = u64::MAX >> 1;
-
-/// Epoch + role in one atomic word (`epoch << 1 | is_primary`), shared
-/// between the accept loop, every handler, and the replication thread.
-/// The epoch is the *fencing token*: all mutating traffic (client requests
-/// on a primary, replication on a backup) carries it, and the lower side
-/// always loses. Writers never store: they go through the two
-/// compare-and-swap rules below, so whatever interleaving of promotions,
-/// syncs and self-deposals happens, the epoch a reader sees never falls.
-#[derive(Debug)]
-struct HaShared(AtomicU64);
-
-impl HaShared {
-    fn new(epoch: u64, role: Role) -> Self {
-        HaShared(AtomicU64::new(Self::pack(epoch, role)))
-    }
-
-    fn pack(epoch: u64, role: Role) -> u64 {
-        epoch << 1 | u64::from(role == Role::Primary)
-    }
-
-    fn unpack(word: u64) -> (u64, Role) {
-        let role = if word & 1 == 1 {
-            Role::Primary
-        } else {
-            Role::Backup
-        };
-        (word >> 1, role)
-    }
-
-    /// Epoch and role, read together.
-    fn get(&self) -> (u64, Role) {
-        Self::unpack(self.0.load(Ordering::SeqCst))
-    }
-
-    fn epoch(&self) -> u64 {
-        self.get().0
-    }
-
-    fn role(&self) -> Role {
-        self.get().1
-    }
-
-    /// Whether `(epoch, role)` may replace the word `cur`. A strictly
-    /// newer epoch always may. An equal one only keeps a backup a backup
-    /// (the next delta of the primary it already follows): promotion at
-    /// the current epoch, and a second primary's state at it, both lose.
-    fn beats(cur: u64, epoch: u64, role: Role) -> bool {
-        let (cur_epoch, cur_role) = Self::unpack(cur);
-        let keeps_backup = role == Role::Backup && cur_role == Role::Backup;
-        epoch <= MAX_EPOCH && (epoch > cur_epoch || (epoch == cur_epoch && keeps_backup))
-    }
-
-    /// Whether [`HaShared::advance`] would succeed right now — for a
-    /// caller with work to do (decoding a blob) before it commits.
-    fn admits(&self, epoch: u64, role: Role) -> bool {
-        Self::beats(self.0.load(Ordering::SeqCst), epoch, role)
-    }
-
-    /// Rule 1: move to `(epoch, role)` iff that beats the current word.
-    fn advance(&self, epoch: u64, role: Role) -> bool {
-        self.0
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| {
-                Self::beats(cur, epoch, role).then(|| Self::pack(epoch, role))
-            })
-            .is_ok()
-    }
-
-    /// Rule 2: step down to backup at `epoch` iff still primary at
-    /// `epoch` — a promotion that landed since the caller read `epoch`
-    /// is left alone.
-    fn demote(&self, epoch: u64) -> bool {
-        self.0
-            .compare_exchange(
-                Self::pack(epoch, Role::Primary),
-                Self::pack(epoch, Role::Backup),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
-    }
-}
-
-/// One shard of the serving state: its own store (behind its own lock),
-/// its own replication log, and its own fencing epoch/role — so shards
-/// fail over independently and never contend on each other's locks.
-/// A classic single-store server is exactly a one-shard server.
-struct ShardState {
-    store: SyncStore,
-    ha: HaShared,
-    log: Mutex<ReplLog>,
-}
-
-/// Which shard serves `path`. Every route in the server goes through
-/// this, so a path's store, log entries, and fencing epoch always live
-/// together on one shard.
-fn shard_for(shards: &[ShardState], path: PathKey) -> &ShardState {
-    &shards[shard_index(path, shards.len())]
-}
+/// One shard of the serving state: a replica behind its own lock, so
+/// shards fail over independently and never contend on each other's
+/// locks. A classic single-store server is exactly a one-shard server.
+type Shard = Mutex<Replica>;
 
 /// A running context server.
 pub struct ContextServer {
@@ -256,7 +155,7 @@ pub struct ContextServer {
     repl_thread: Option<std::thread::JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
     stats: Arc<ServerStats>,
-    shards: Arc<Vec<ShardState>>,
+    shards: Arc<Vec<Shard>>,
 }
 
 /// How long handler reads block before re-checking the shutdown flag.
@@ -281,14 +180,14 @@ impl ContextServer {
     /// Bind `addr` (use port 0 for an ephemeral port) and start serving
     /// requests against `store` with default [`ServerConfig`]. Timestamps
     /// handed to the store are nanoseconds since server start.
-    pub fn start(addr: impl ToSocketAddrs, store: SyncStore) -> std::io::Result<ContextServer> {
+    pub fn start(addr: impl ToSocketAddrs, store: ContextStore) -> std::io::Result<ContextServer> {
         Self::start_with(addr, store, ServerConfig::default())
     }
 
     /// [`ContextServer::start`] with explicit tuning.
     pub fn start_with(
         addr: impl ToSocketAddrs,
-        store: SyncStore,
+        store: ContextStore,
         config: ServerConfig,
     ) -> std::io::Result<ContextServer> {
         Self::start_ha(addr, store, config, HaOptions::default())
@@ -300,7 +199,7 @@ impl ContextServer {
     /// [`HaOptions`] — a lone primary at epoch 1.
     pub fn start_ha(
         addr: impl ToSocketAddrs,
-        store: SyncStore,
+        store: ContextStore,
         config: ServerConfig,
         ha: HaOptions,
     ) -> std::io::Result<ContextServer> {
@@ -308,11 +207,9 @@ impl ContextServer {
     }
 
     /// Start a sharded server: `shards` independent stores (at least one),
-    /// each configured with `cfg` and carrying its own lock, replication
-    /// log, and fencing epoch. Requests route by
-    /// [`shard_index`]`(path, shards)`, so batch traffic for disjoint
-    /// paths never serializes on one lock. Every shard starts as a lone
-    /// primary at epoch 1; for a sharded deployment with backups, use
+    /// each configured with `cfg`, behind its own lock, at its own epoch.
+    /// Requests route by [`shard_index`]`(path, shards)`. Every shard
+    /// starts as a lone primary at epoch 1; for backups, use
     /// [`ContextServer::start_sharded_ha`].
     pub fn start_sharded(
         addr: impl ToSocketAddrs,
@@ -336,34 +233,25 @@ impl ContextServer {
         shards: usize,
         ha: HaOptions,
     ) -> std::io::Result<ContextServer> {
-        let stores = (0..shards.max(1))
-            .map(|_| sync_store(ContextStore::new(cfg)))
-            .collect();
+        let stores = (0..shards.max(1)).map(|_| ContextStore::new(cfg)).collect();
         Self::launch(addr, stores, config, ha)
     }
 
     /// One shard per store, every one starting at `ha.epoch` in `ha.role`.
     fn launch(
         addr: impl ToSocketAddrs,
-        stores: Vec<SyncStore>,
+        stores: Vec<ContextStore>,
         config: ServerConfig,
         ha: HaOptions,
     ) -> std::io::Result<ContextServer> {
         if ha.epoch > MAX_EPOCH {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "epoch {} exceeds the largest fencing token {MAX_EPOCH}",
-                    ha.epoch
-                ),
-            ));
+            let why = format!("epoch {} exceeds the largest fencing token", ha.epoch);
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
         }
-        let shards = stores.into_iter().map(|store| ShardState {
-            store,
-            ha: HaShared::new(ha.epoch, ha.role),
-            log: Mutex::new(ReplLog::default()),
-        });
-        let shards: Arc<Vec<ShardState>> = Arc::new(shards.collect());
+        let shards = stores
+            .into_iter()
+            .map(|store| Mutex::new(Replica::new(store, ha.epoch, ha.role)));
+        let shards: Arc<Vec<Shard>> = Arc::new(shards.collect());
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -472,40 +360,30 @@ impl ContextServer {
 
     /// Shard `shard`'s fencing epoch.
     pub fn epoch_of(&self, shard: usize) -> u64 {
-        self.shards[shard].ha.epoch()
+        self.shards[shard].lock().epoch()
     }
 
     /// Shard `shard`'s role.
     pub fn role_of(&self, shard: usize) -> Role {
-        self.shards[shard].ha.role()
+        self.shards[shard].lock().role()
     }
 
     /// Promote this server to primary at `epoch`. Fails (returns `false`)
     /// unless `epoch` is strictly greater than the current one on *every*
     /// shard — the new epoch is what fences the deposed primary, so
-    /// reusing the old value would invite split-brain. (A shard that a
-    /// peer moves past `epoch` while this runs keeps the peer's epoch:
-    /// the answer is then `false` with the other shards promoted.)
+    /// reusing the old value would invite split-brain. Every shard is
+    /// locked (in index order) for the decision, so it is all or nothing.
     pub fn promote(&self, epoch: u64) -> bool {
-        if !self
-            .shards
-            .iter()
-            .all(|s| s.ha.admits(epoch, Role::Primary))
-        {
-            return false;
-        }
-        let mut all = true;
-        for s in self.shards.iter() {
-            all &= s.ha.advance(epoch, Role::Primary);
-        }
-        all
+        let mut locked: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        locked.iter().all(|r| r.beats(epoch, Role::Primary))
+            && locked.iter_mut().all(|r| r.promote(epoch))
     }
 
     /// Promote one shard to primary at `epoch` (strictly greater than the
     /// shard's current epoch). Shards fence independently, so promoting
     /// one never touches the others.
     pub fn promote_shard(&self, shard: usize, epoch: u64) -> bool {
-        self.shards[shard].ha.advance(epoch, Role::Primary)
+        self.shards[shard].lock().promote(epoch)
     }
 
     /// The full store state as a versioned snapshot blob (tagged with the
@@ -521,8 +399,8 @@ impl ContextServer {
     /// epoch (shards fail over independently, so each blob carries its own
     /// fencing token).
     pub fn shard_snapshot_blob(&self, shard: usize) -> Vec<u8> {
-        let s = &self.shards[shard];
-        s.store.read().encode_snapshot(s.ha.epoch())
+        let r = self.shards[shard].lock();
+        r.store().encode_snapshot(r.epoch())
     }
 
     /// Stop accepting, drain handlers, and join all threads.
@@ -554,19 +432,10 @@ impl Drop for ContextServer {
 /// Join handler threads that already returned, so long-lived servers with
 /// connection churn don't accumulate an unbounded handle list.
 fn reap_finished(handlers: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
-    let finished: Vec<_> = {
-        let mut live = handlers.lock();
-        let mut finished = Vec::new();
-        let mut i = 0;
-        while i < live.len() {
-            if live[i].is_finished() {
-                finished.push(live.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        finished
-    };
+    let finished: Vec<_> = handlers
+        .lock()
+        .extract_if(.., |h| h.is_finished())
+        .collect();
     for h in finished {
         let _ = h.join();
     }
@@ -578,87 +447,149 @@ fn reap_finished(handlers: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
 fn shed_connection(stream: TcpStream) {
     let mut stream = stream;
     let _ = stream.set_write_timeout(Some(POLL_INTERVAL));
-    let _ = stream.write_all(&encode(&Message::Error {
-        code: code::OVERLOADED,
-        message: "server overloaded: connection cap reached".into(),
-    }));
-}
-
-/// Apply a full-state snapshot blob to one shard, with the same epoch
-/// fence as every other mutating path: stale epochs bounce with 409, an
-/// equal epoch is refused while the shard itself is primary (two
-/// primaries at one epoch must never both accept state). The fence is
-/// asked before the blob is decoded, so a stale peer hears `409` whatever
-/// it sent, and again when the state goes in, so a promotion that landed
-/// in between wins.
-fn apply_snapshot_sync(sh: &ShardState, epoch: u64, blob: &[u8], stats: &ServerStats) -> Message {
-    if !sh.ha.admits(epoch, Role::Backup) {
-        return fenced_reply(&sh.ha, stats, "snapshot sync from a stale epoch");
-    }
-    match ContextStore::decode_snapshot(blob) {
-        Ok((restored, _blob_epoch)) => {
-            if !sh.ha.advance(epoch, Role::Backup) {
-                return fenced_reply(&sh.ha, stats, "snapshot sync from a stale epoch");
-            }
-            stats.repl_syncs.fetch_add(1, Ordering::Relaxed);
-            *sh.store.write() = restored;
-            Message::ReportOk
-        }
-        Err(SnapshotError::UnsupportedVersion(v)) => refuse(
-            stats,
-            code::UNSUPPORTED,
-            format!("snapshot version {v} not supported"),
-        ),
-        Err(e) => refuse(stats, code::BAD_REQUEST, format!("bad snapshot blob: {e}")),
-    }
-}
-
-/// One `409 FENCED` reply, naming the epoch the server is actually at so
-/// the rejected peer can tell "I'm stale" from "you're a backup".
-fn fenced_reply(ha: &HaShared, stats: &ServerStats, why: &str) -> Message {
-    stats.fenced.fetch_add(1, Ordering::Relaxed);
-    let (epoch, role) = ha.get();
-    Message::Error {
-        code: code::FENCED,
-        message: format!("{why} (serving epoch {epoch} as {role:?})"),
-    }
+    let why = "server overloaded: connection cap reached";
+    let _ = stream.write_all(&encode(&error(code::OVERLOADED, why.into())));
 }
 
 /// Count a protocol error and build the frame that answers it.
 fn refuse(stats: &ServerStats, code: u16, message: String) -> Message {
     stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    Message::Error { code, message }
+    error(code, message)
+}
+
+/// Count what answering `msg` with `reply` did.
+fn count(stats: &ServerStats, msg: &Message, reply: &Message) {
+    let (counter, n) = match (reply, msg) {
+        (Message::Error { code: c, .. }, _) if *c == code::FENCED => (&stats.fenced, 1),
+        (Message::Error { .. }, _) => (&stats.protocol_errors, 1),
+        (_, Message::Lookup { .. }) => (&stats.lookups, 1),
+        (_, Message::BatchQuery(paths)) => (&stats.lookups, paths.len()),
+        (_, Message::BatchReport(items)) => (&stats.reports, items.len()),
+        (_, Message::Replicate { .. }) => (&stats.repl_applied, 1),
+        (_, Message::ShardSnapshotSync { .. }) => (&stats.repl_syncs, 1),
+        _ => return,
+    };
+    counter.fetch_add(n as u64, Ordering::Relaxed);
 }
 
 /// The whole-server view a health probe sees, most conservative first:
 /// the lowest shard epoch, and primary only if every shard is (a probe
 /// must not trust a half-deposed server).
-fn conservative_view(shards: &[ShardState]) -> (u64, Role) {
+fn conservative_view(shards: &[Shard]) -> (u64, Role) {
     let mut view = (MAX_EPOCH, Role::Primary);
-    for (epoch, role) in shards.iter().map(|s| s.ha.get()) {
-        view.0 = view.0.min(epoch);
-        if role == Role::Backup {
+    for r in shards.iter().map(|s| s.lock()) {
+        view.0 = view.0.min(r.epoch());
+        if r.role() == Role::Backup {
             view.1 = Role::Backup;
         }
     }
     view
 }
 
-/// Batch fencing is all-or-nothing: the first of `paths` whose shard is
-/// not primary refuses the whole frame *before* anything is applied, so
-/// the client never has to untangle a partially accepted batch.
-fn fenced_shard(
-    shards: &[ShardState],
-    paths: impl Iterator<Item = PathKey>,
-) -> Option<&ShardState> {
-    paths
-        .map(|p| shard_for(shards, p))
-        .find(|sh| sh.ha.role() != Role::Primary)
+/// Answer one request: hand it to the replica of the shard it routes to,
+/// or split it among several and merge their answers. Every route goes
+/// by [`shard_index`], so a path's store, log entries and fencing epoch
+/// always live together on one shard.
+fn route(shards: &[Shard], now_ns: u64, msg: &Message) -> Message {
+    let n = shards.len();
+    match msg {
+        &Message::Lookup { path }
+        | &Message::Replicate {
+            op: ReplOp::Lookup { path, .. } | ReplOp::Report { path, .. },
+            ..
+        } => shards[shard_index(path, n)].lock().serve(now_ns, msg),
+        &Message::ShardSnapshotSync { shard, .. } => match shards.get(shard as usize) {
+            Some(s) => s.lock().serve(now_ns, msg),
+            None => error(
+                code::BAD_REQUEST,
+                format!("shard {shard} out of range ({n} shards)"),
+            ),
+        },
+        Message::BatchReport(_) | Message::BatchQuery(_) if n == 1 => {
+            shards[0].lock().serve(now_ns, msg)
+        }
+        Message::BatchReport(items) => {
+            match serve_batch(shards, now_ns, items, |&(p, _)| p, Message::BatchReport) {
+                Ok(_) => Message::ReportOk,
+                Err(fenced) => fenced,
+            }
+        }
+        Message::BatchQuery(paths) => {
+            match serve_batch(shards, now_ns, paths, |&p| p, Message::BatchQuery) {
+                Ok(mut snaps) => {
+                    snaps.sort_unstable_by_key(|&(k, _)| k);
+                    Message::BatchReply(snaps.into_iter().map(|(_, s)| s).collect())
+                }
+                Err(fenced) => fenced,
+            }
+        }
+        // The dashboard view spans every shard, so it is only served when
+        // all of them are primary.
+        &Message::Snapshot { limit } => {
+            let mut paths = Vec::new();
+            for s in shards {
+                match s.lock().serve(now_ns, msg) {
+                    Message::Paths(part) => paths.extend(part),
+                    refused => return refused,
+                }
+            }
+            paths.sort_by(|(ka, a), (kb, b)| {
+                b.utilization.total_cmp(&a.utilization).then(ka.cmp(kb))
+            });
+            paths.truncate(usize::from(limit).min(crate::wire::MAX_SNAPSHOT_PATHS));
+            Message::Paths(paths)
+        }
+        Message::EpochQuery => {
+            let (epoch, role) = conservative_view(shards);
+            Message::Epoch { epoch, role }
+        }
+        other => error(code::BAD_REQUEST, format!("unexpected message: {other:?}")),
+    }
+}
+
+/// Serve a batch frame whose items span shards. Every shard it touches is
+/// locked — in index order, so two batches never deadlock — and the first
+/// that is not primary refuses the whole frame before anything is
+/// applied, so the client never has to untangle a partially accepted
+/// batch. Then each shard serves its share (`frame` of its items, in
+/// arrival order): the log this leaves is exactly what the same items
+/// sent in batches of one would leave. Returns the snapshots the shares
+/// answered, each with its item's index in the frame.
+fn serve_batch<T: Copy>(
+    shards: &[Shard],
+    now_ns: u64,
+    items: &[T],
+    path: impl Fn(&T) -> PathKey,
+    frame: impl Fn(Vec<T>) -> Message,
+) -> Result<Vec<(usize, ContextSnapshot)>, Message> {
+    let n = shards.len();
+    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (k, item) in items.iter().enumerate() {
+        by_shard[shard_index(path(item), n)].push(k);
+    }
+    let mut locked: Vec<_> = by_shard
+        .into_iter()
+        .zip(shards)
+        .filter(|(ks, _)| !ks.is_empty())
+        .map(|(ks, s)| (ks, s.lock()))
+        .collect();
+    if let Some((_, r)) = locked.iter_mut().find(|(_, r)| r.role() != Role::Primary) {
+        // An empty share: the replica's own refusal, and nothing applied.
+        return Err(r.serve(now_ns, &frame(Vec::new())));
+    }
+    let mut snaps = Vec::new();
+    for (ks, mut r) in locked {
+        let share = frame(ks.iter().map(|&k| items[k]).collect());
+        if let Message::BatchReply(part) = r.serve(now_ns, &share) {
+            snaps.extend(ks.into_iter().zip(part));
+        }
+    }
+    Ok(snaps)
 }
 
 fn handle_connection(
     stream: TcpStream,
-    shards: Arc<Vec<ShardState>>,
+    shards: Arc<Vec<Shard>>,
     stats: Arc<ServerStats>,
     shutdown: Arc<AtomicBool>,
     started: Instant,
@@ -686,162 +617,11 @@ fn handle_connection(
         loop {
             let now_ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
             let reply = match decoder.next() {
-                // -- client data path: primary only ---------------------
-                Ok(Message::Lookup { path }) => {
-                    let sh = shard_for(&shards, path);
-                    if sh.ha.role() != Role::Primary {
-                        fenced_reply(&sh.ha, &stats, "lookup refused")
-                    } else {
-                        stats.lookups.fetch_add(1, Ordering::Relaxed);
-                        let snap = {
-                            let mut st = sh.store.write();
-                            let snap = st.lookup(path, now_ns);
-                            // Append under the store write lock so the log
-                            // order matches the store's mutation order.
-                            sh.log.lock().append(ReplOp::Lookup { path, now_ns });
-                            snap
-                        };
-                        Message::Context(snap)
-                    }
+                Ok(msg) => {
+                    let reply = route(&shards, now_ns, &msg);
+                    count(&stats, &msg, &reply);
+                    reply
                 }
-                // -- batch data path: N items, one frame, one reply -----
-                Ok(Message::BatchReport(items)) => {
-                    let n = shards.len();
-                    match fenced_shard(&shards, items.iter().map(|&(p, _)| p)) {
-                        Some(sh) => fenced_reply(&sh.ha, &stats, "batch report refused"),
-                        None => {
-                            stats
-                                .reports
-                                .fetch_add(items.len() as u64, Ordering::Relaxed);
-                            // Group by shard, then apply each shard's items
-                            // in arrival order under ONE write lock — the
-                            // log this produces is exactly what the same
-                            // items sent in batches of one would produce,
-                            // so snapshot-then-delta catch-up can't tell
-                            // how reports were batched.
-                            let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-                            for (k, &(p, _)) in items.iter().enumerate() {
-                                by_shard[shard_index(p, n)].push(k);
-                            }
-                            for (s, idxs) in by_shard.iter().enumerate() {
-                                if idxs.is_empty() {
-                                    continue;
-                                }
-                                let sh = &shards[s];
-                                let mut st = sh.store.write();
-                                let mut log = sh.log.lock();
-                                for &k in idxs {
-                                    let (path, summary) = items[k];
-                                    st.report(path, now_ns, &summary);
-                                    log.append(ReplOp::Report {
-                                        path,
-                                        now_ns,
-                                        summary,
-                                    });
-                                }
-                            }
-                            Message::ReportOk
-                        }
-                    }
-                }
-                Ok(Message::BatchQuery(paths)) => {
-                    match fenced_shard(&shards, paths.iter().copied()) {
-                        Some(sh) => fenced_reply(&sh.ha, &stats, "batch query refused"),
-                        None => {
-                            stats
-                                .lookups
-                                .fetch_add(paths.len() as u64, Ordering::Relaxed);
-                            // Peeks never register competing flows, so
-                            // nothing is logged or replicated. The write
-                            // lock is for the store's rate index, which a
-                            // peek brings up to date; it is held for an
-                            // O(1) read.
-                            let snaps = paths
-                                .iter()
-                                .map(|&p| shard_for(&shards, p).store.write().peek(p, now_ns))
-                                .collect();
-                            Message::BatchReply(snaps)
-                        }
-                    }
-                }
-                Ok(Message::Snapshot { limit }) => {
-                    if shards.iter().any(|s| s.ha.role() != Role::Primary) {
-                        // The dashboard view spans every shard, so it is
-                        // only served when all of them are primary.
-                        fenced_reply(&shards[0].ha, &stats, "snapshot refused")
-                    } else {
-                        let mut paths: Vec<(PathKey, ContextSnapshot)> = shards
-                            .iter()
-                            .flat_map(|s| s.store.write().snapshot(now_ns))
-                            .collect();
-                        paths.sort_by(|(ka, a), (kb, b)| {
-                            b.utilization.total_cmp(&a.utilization).then(ka.cmp(kb))
-                        });
-                        paths.truncate(usize::from(limit).min(crate::wire::MAX_SNAPSHOT_PATHS));
-                        Message::Paths(paths)
-                    }
-                }
-                // -- health/handshake: answered in any role -------------
-                Ok(Message::EpochQuery) => {
-                    let (epoch, role) = conservative_view(&shards);
-                    Message::Epoch { epoch, role }
-                }
-                // -- replication stream: epoch-fenced, per shard --------
-                Ok(Message::Replicate { epoch, .. } | Message::ShardSnapshotSync { epoch, .. })
-                    if epoch > MAX_EPOCH =>
-                {
-                    refuse(
-                        &stats,
-                        code::BAD_REQUEST,
-                        format!("epoch {epoch} exceeds the largest fencing token {MAX_EPOCH}"),
-                    )
-                }
-                Ok(Message::Replicate { epoch, seq: _, op }) => {
-                    let path = match &op {
-                        ReplOp::Lookup { path, .. } | ReplOp::Report { path, .. } => *path,
-                    };
-                    let sh = shard_for(&shards, path);
-                    // A (possibly newer) primary's delta: adopt its epoch,
-                    // stay/become backup, apply. A deposed primary's is
-                    // fenced, and so is one at the epoch this shard is
-                    // itself primary at — two primaries at one epoch must
-                    // never both accept traffic; the replicator
-                    // self-deposes on that reply. Only the op's own shard
-                    // is touched: a delta for one shard can never depose
-                    // another.
-                    if !sh.ha.advance(epoch, Role::Backup) {
-                        fenced_reply(&sh.ha, &stats, "replication from a stale epoch")
-                    } else {
-                        stats.repl_applied.fetch_add(1, Ordering::Relaxed);
-                        let mut st = sh.store.write();
-                        match op {
-                            ReplOp::Lookup { path, now_ns } => {
-                                st.lookup(path, now_ns);
-                            }
-                            ReplOp::Report {
-                                path,
-                                now_ns,
-                                summary,
-                            } => st.report(path, now_ns, &summary),
-                        }
-                        Message::ReportOk
-                    }
-                }
-                Ok(Message::ShardSnapshotSync { shard, epoch, blob }) => {
-                    match shards.get(shard as usize) {
-                        None => refuse(
-                            &stats,
-                            code::BAD_REQUEST,
-                            format!("shard {shard} out of range ({} shards)", shards.len()),
-                        ),
-                        Some(sh) => apply_snapshot_sync(sh, epoch, &blob, &stats),
-                    }
-                }
-                Ok(other) => refuse(
-                    &stats,
-                    code::BAD_REQUEST,
-                    format!("unexpected message: {other:?}"),
-                ),
                 Err(DecodeError::Incomplete) => break,
                 // Forward compatibility: a well-delimited frame of a type
                 // this build does not assign (a future one, or a retired

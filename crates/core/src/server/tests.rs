@@ -12,11 +12,11 @@ mod clients;
 mod ha;
 
 fn start_server() -> (ContextServer, SocketAddr) {
-    let store = sync_store(ContextStore::new(StoreConfig {
+    let store = ContextStore::new(StoreConfig {
         window_ns: 10_000_000_000,
         capacity_bps: Some(10_000_000.0),
         queue_alpha: 0.3,
-    }));
+    });
     let server = ContextServer::start("127.0.0.1:0", store).expect("bind");
     let addr = server.addr();
     (server, addr)
@@ -34,10 +34,17 @@ fn summary(bytes: u64) -> FlowSummary {
 }
 
 impl ContextServer {
-    /// Shard `shard`'s unpruned replication log (sequence + op).
+    /// Shard `shard`'s unpruned replication log (sequence + op), as a
+    /// backup that started level would be handed it.
     fn repl_entries(&self, shard: usize) -> Vec<(u64, ReplOp)> {
-        let log = self.shards[shard].log.lock();
-        log.entries.iter().cloned().collect()
+        let r = self.shards[shard].lock();
+        let mut entries = Vec::new();
+        while let Ok(Some((Message::Replicate { seq, op, .. }, _))) =
+            r.next_frame(shard as u32, Some(entries.len() as u64))
+        {
+            entries.push((seq, op));
+        }
+        entries
     }
 }
 
@@ -58,7 +65,7 @@ fn quick_config() -> ClientConfig {
 }
 
 fn start_ha_server(ha: HaOptions) -> (ContextServer, SocketAddr) {
-    let store = sync_store(ContextStore::new(StoreConfig::default()));
+    let store = ContextStore::new(StoreConfig::default());
     let server =
         ContextServer::start_ha("127.0.0.1:0", store, ServerConfig::default(), ha).expect("bind");
     let addr = server.addr();
@@ -196,7 +203,7 @@ fn paths_are_isolated_across_clients() {
 
 #[test]
 fn connection_cap_sheds_with_overload_frame() {
-    let store = sync_store(ContextStore::new(StoreConfig::default()));
+    let store = ContextStore::new(StoreConfig::default());
     let server =
         ContextServer::start_with("127.0.0.1:0", store, ServerConfig { max_connections: 1 })
             .expect("bind");

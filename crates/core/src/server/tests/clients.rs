@@ -1,3 +1,5 @@
+use phi_tcp::hook::ContextSnapshot;
+
 use super::*;
 
 /// Regression: a read timeout used to leave the reply to request N on
@@ -218,7 +220,7 @@ fn resilient_client_degrades_then_recovers() {
 
     // A server comes up on the same port; after the cooldown the next
     // request probes, succeeds, and closes the breaker.
-    let store = sync_store(ContextStore::new(StoreConfig::default()));
+    let store = ContextStore::new(StoreConfig::default());
     let server = ContextServer::start(addr, store).expect("rebind");
     std::thread::sleep(cfg.breaker_cooldown + Duration::from_millis(50));
     let snap = rc.lookup(PathKey(1)).expect("probe should succeed");
@@ -249,7 +251,7 @@ fn resilient_client_reconnects_across_server_restart() {
     assert_eq!(rc.lookup(PathKey(5)), None);
 
     // Server back on the same port: the wrapper reconnects by itself.
-    let store = sync_store(ContextStore::new(StoreConfig::default()));
+    let store = ContextStore::new(StoreConfig::default());
     let revived = ContextServer::start(addr, store).expect("rebind");
     assert!(rc.lookup(PathKey(5)).is_some(), "should reconnect");
     assert!(rc.stats().connects >= 2, "stats: {:?}", rc.stats());
@@ -356,7 +358,7 @@ fn half_open_probe_success_closes_and_resets_cooldown() {
 
     // A server appears; the half-open probe succeeds, the breaker
     // closes, and the doubling streak resets to the base cooldown.
-    let store = sync_store(ContextStore::new(StoreConfig::default()));
+    let store = ContextStore::new(StoreConfig::default());
     let server = ContextServer::start(addr, store).expect("rebind");
     std::thread::sleep(cooldown + Duration::from_millis(50));
     assert!(rc.lookup(PathKey(1)).is_some(), "probe should succeed");

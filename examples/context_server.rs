@@ -26,11 +26,11 @@ use phi::core::{
 fn main() {
     // One path (think: one busy destination /24), capacity 100 Mbit/s.
     let path = PathKey(0xC0FFEE);
-    let store = phi::core::sync_store(ContextStore::new(StoreConfig {
+    let store = ContextStore::new(StoreConfig {
         window_ns: 2_000_000_000, // 2 s sliding window (demo timescale)
         capacity_bps: Some(100_000_000.0),
         queue_alpha: 0.3,
-    }));
+    });
     let server = ContextServer::start("127.0.0.1:0", store).expect("bind context server");
     let addr = server.addr();
     println!("context server listening on {addr}\n");
@@ -103,7 +103,7 @@ fn main() {
 /// error frame instead of hanging or silently closing.
 fn overload_demo() {
     println!("-- overload: shedding past the connection cap --");
-    let store = phi::core::sync_store(ContextStore::new(StoreConfig::default()));
+    let store = ContextStore::new(StoreConfig::default());
     let server =
         ContextServer::start_with("127.0.0.1:0", store, ServerConfig { max_connections: 2 })
             .expect("bind capped server");
@@ -139,7 +139,7 @@ fn overload_demo() {
 /// failures, and short-circuited requests don't even touch the network.
 fn degradation_demo() {
     println!("-- degradation: the plane dies, the sender must not --");
-    let store = phi::core::sync_store(ContextStore::new(StoreConfig::default()));
+    let store = ContextStore::new(StoreConfig::default());
     let server = ContextServer::start("127.0.0.1:0", store).expect("bind");
     let addr = server.addr();
 
@@ -202,7 +202,7 @@ fn ha_demo() {
     // A backup at epoch 1 (fences all client traffic until promoted)...
     let backup = ContextServer::start_ha(
         "127.0.0.1:0",
-        phi::core::sync_store(ContextStore::new(store_cfg)),
+        ContextStore::new(store_cfg),
         ServerConfig::default(),
         HaOptions {
             role: Role::Backup,
@@ -214,7 +214,7 @@ fn ha_demo() {
     // ...and a primary streaming every mutation to it.
     let primary = ContextServer::start_ha(
         "127.0.0.1:0",
-        phi::core::sync_store(ContextStore::new(store_cfg)),
+        ContextStore::new(store_cfg),
         ServerConfig::default(),
         HaOptions {
             backups: vec![backup.addr()],

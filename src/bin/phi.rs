@@ -29,9 +29,8 @@ use std::process::ExitCode;
 
 use phi::core::harness::BottleneckQueue;
 use phi::core::{
-    provision_cubic, provision_cubic_phi, run_experiment, score, sync_store, ContextClient,
-    ContextServer, ContextStore, ExperimentSpec, FlowSummary, Objective, PathKey, PolicyTable,
-    StoreConfig,
+    provision_cubic, provision_cubic_phi, run_experiment, score, ContextClient, ContextServer,
+    ContextStore, ExperimentSpec, FlowSummary, Objective, PathKey, PolicyTable, StoreConfig,
 };
 use phi::sim::time::Dur;
 use phi::tcp::CubicParams;
@@ -112,11 +111,11 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let capacity_mbps: f64 = get_parse(opts, "capacity-mbps", 1000.0)?;
     let window_secs: u64 = get_parse(opts, "window-secs", 10)?;
 
-    let store = sync_store(ContextStore::new(StoreConfig {
+    let store = ContextStore::new(StoreConfig {
         window_ns: window_secs * 1_000_000_000,
         capacity_bps: Some(capacity_mbps * 1e6),
         queue_alpha: 0.3,
-    }));
+    });
     let server = ContextServer::start(addr.as_str(), store).map_err(|e| e.to_string())?;
     println!(
         "phi context server on {} (capacity {capacity_mbps} Mbit/s, window {window_secs} s)",

@@ -10,9 +10,9 @@ use std::time::Duration;
 
 use phi::core::wire;
 use phi::core::{
-    provision_cubic, run_experiment, summarize, sync_store, ClientError, ContextClient,
-    ContextServer, ContextStore, ExperimentSpec, FlowSummary, PathKey, ResilienceConfig,
-    ResilientClient, ServerConfig, StoreConfig, WriteBehindConfig,
+    provision_cubic, run_experiment, summarize, ClientError, ContextClient, ContextServer,
+    ContextStore, ExperimentSpec, FlowSummary, PathKey, ResilienceConfig, ResilientClient,
+    ServerConfig, StoreConfig, WriteBehindConfig,
 };
 use phi::sim::time::Dur;
 use phi::tcp::CubicParams;
@@ -38,11 +38,11 @@ fn simulation_reports_through_real_server_build_context() {
     assert!(reports.len() >= 8, "need a meaningful report stream");
 
     // 2. Serve a store that knows the real capacity.
-    let store = sync_store(ContextStore::new(StoreConfig {
+    let store = ContextStore::new(StoreConfig {
         window_ns: u64::MAX, // everything in-window: we replay history at once
         capacity_bps: Some(spec.dumbbell.bottleneck_bps as f64),
         queue_alpha: 0.3,
-    }));
+    });
     let server = ContextServer::start("127.0.0.1:0", store).expect("bind");
     let addr = server.addr();
     let path = PathKey(42);
@@ -97,7 +97,7 @@ fn simulation_reports_through_real_server_build_context() {
 
 #[test]
 fn server_survives_client_churn() {
-    let store = sync_store(ContextStore::new(StoreConfig::default()));
+    let store = ContextStore::new(StoreConfig::default());
     let server = ContextServer::start("127.0.0.1:0", store).expect("bind");
     let addr = server.addr();
 
@@ -129,7 +129,7 @@ fn server_survives_client_churn() {
 
 #[test]
 fn overloaded_server_sheds_with_error_frame_and_counts_rejections() {
-    let store = sync_store(ContextStore::new(StoreConfig::default()));
+    let store = ContextStore::new(StoreConfig::default());
     let server =
         ContextServer::start_with("127.0.0.1:0", store, ServerConfig { max_connections: 2 })
             .expect("bind");
@@ -284,7 +284,7 @@ fn write_behind_reports_land_within_the_staleness_bound() {
 /// opens every call short-circuits without touching the network.
 #[test]
 fn dead_plane_write_behind_degrades_without_stalling() {
-    let store = sync_store(ContextStore::new(StoreConfig::default()));
+    let store = ContextStore::new(StoreConfig::default());
     let server = ContextServer::start("127.0.0.1:0", store).expect("bind");
     let addr = server.addr();
 
