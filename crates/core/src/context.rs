@@ -22,8 +22,9 @@
 //! `exp_ablation` bench.
 
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use phi_sim::packet::{IdHash, IdMap};
 use phi_tcp::hook::ContextSnapshot;
 use serde::{Deserialize, Serialize};
 
@@ -518,7 +519,7 @@ impl PathState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContextStore {
     cfg: StoreConfig,
-    paths: HashMap<PathKey, PathState>,
+    paths: IdMap<PathKey, PathState>,
 }
 
 impl ContextStore {
@@ -526,7 +527,7 @@ impl ContextStore {
     pub fn new(cfg: StoreConfig) -> Self {
         ContextStore {
             cfg,
-            paths: HashMap::new(),
+            paths: IdMap::default(),
         }
     }
 
@@ -729,7 +730,7 @@ impl ContextStore {
         if r.remaining() < n_paths.saturating_mul(41) {
             return Err(SnapshotError::Truncated);
         }
-        let mut paths = HashMap::with_capacity(n_paths);
+        let mut paths = IdMap::with_capacity_and_hasher(n_paths, IdHash::default());
         for _ in 0..n_paths {
             let key = PathKey(r.u64()?);
             let active = r.u32()?;

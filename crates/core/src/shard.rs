@@ -9,8 +9,8 @@
 //! never need to coordinate: each path maps to exactly one shard, so a
 //! sharded store is observably equivalent to the classic store for any
 //! interleaving of operations. That equivalence-by-construction is what
-//! lets each shard carry its own lock, its own replication log, and its
-//! own failover epoch in the server (see `crates/core/src/server.rs`)
+//! lets the server keep each shard as one `Mutex<Replica>` — its store,
+//! log and fencing epoch behind one lock (`crates/core/src/server/`) —
 //! without a cross-shard consistency protocol.
 //!
 //! The shard key is FNV-1a over the path id's big-endian bytes — the

@@ -344,7 +344,9 @@ impl std::error::Error for DecodeError {}
 ///
 /// Every frame byte is written once: the buffer is allocated at the
 /// frame's size, a fixed-size record is staged as one array and appended
-/// whole, and `freeze` hands the buffer over by move.
+/// whole, and `freeze` hands the buffer over by move. Panics on a snapshot
+/// blob over [`MAX_SHARD_SNAPSHOT_BLOB`] rather than cut it: its producer,
+/// `Replica::next_frame`, refuses to make one.
 pub fn encode(msg: &Message) -> Bytes {
     let mut frame = BytesMut::with_capacity(frame_capacity(msg));
     frame.put_u32(0); // the length, patched in once the rest is written
@@ -446,9 +448,10 @@ pub fn encode(msg: &Message) -> Bytes {
             frame.put_u8(TYPE_SHARD_SNAPSHOT_SYNC);
             frame.put_u32(*shard);
             frame.put_u64(*epoch);
-            let len = blob.len().min(MAX_SHARD_SNAPSHOT_BLOB);
-            frame.put_u32(len as u32);
-            frame.put_slice(&blob[..len]);
+            // Cutting would corrupt the snapshot; `next_frame` refuses it.
+            assert!(blob.len() <= MAX_SHARD_SNAPSHOT_BLOB, "blob too large");
+            frame.put_u32(blob.len() as u32);
+            frame.put_slice(blob);
         }
     }
     let len = (frame.len() - 4) as u32;
@@ -466,7 +469,7 @@ fn frame_capacity(msg: &Message) -> usize {
         Message::BatchReport(items) => 8 + items.len().min(MAX_BATCH_ITEMS) * REPORT_LEN,
         Message::BatchQuery(paths) => 8 + paths.len().min(MAX_BATCH_ITEMS) * 8,
         Message::BatchReply(snaps) => 8 + snaps.len().min(MAX_BATCH_ITEMS) * CTX_LEN,
-        Message::ShardSnapshotSync { blob, .. } => 22 + blob.len().min(MAX_SHARD_SNAPSHOT_BLOB),
+        Message::ShardSnapshotSync { blob, .. } => 22 + blob.len(),
         _ => 64,
     }
 }
@@ -1018,6 +1021,22 @@ mod tests {
             d.next(),
             Err(DecodeError::Malformed("snapshot blob too large"))
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "blob too large")]
+    fn encode_refuses_to_cut_an_oversized_snapshot_blob() {
+        // The largest blob fills a frame, and goes through whole.
+        roundtrip(Message::ShardSnapshotSync {
+            shard: 0,
+            epoch: 1,
+            blob: vec![0xAB; MAX_SHARD_SNAPSHOT_BLOB],
+        });
+        encode(&Message::ShardSnapshotSync {
+            shard: 0,
+            epoch: 1,
+            blob: vec![0; MAX_SHARD_SNAPSHOT_BLOB + 1],
+        });
     }
 
     #[test]

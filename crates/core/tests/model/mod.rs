@@ -6,6 +6,12 @@
 //! lies inside — together with the per-path monotone clock. It keeps no
 //! derived state at all, so it cannot share a bug with the index.
 //!
+//! It does the store's arithmetic, not real-number arithmetic: a report's
+//! bits in Q56 fixed point, its rate floored to Q56 bits per ns, a report
+//! straddling the horizon counted as `bits − rate·(horizon − start)`, the
+//! sum taken exactly (mod 2¹²⁸, as the index's), and one conversion to
+//! `f64` at the end. So the store must answer it bit for bit.
+//!
 //! Used by `props.rs` beside it and, through `#[path]`, by the root
 //! package's `tests/ctx_reference.rs`, which tier-1 runs.
 
@@ -14,6 +20,9 @@ use std::collections::HashMap;
 /// One path: its reports as `(end, bytes, dur)` in clamped end order, and
 /// the capacity learned from them.
 type Path = (Vec<(u64, u64, u64)>, f64);
+
+/// Fractional bits of the store's fixed-point bit counts and rates.
+const FRAC_BITS: u32 = 56;
 
 pub struct ScanModel {
     window: u64,
@@ -34,27 +43,20 @@ impl ScanModel {
         let (recent, learned) = self.paths.entry(path).or_default();
         let end = clock(recent, now);
         recent.push((end, bytes, dur));
-        let (bits, secs) = scan(recent, end, self.window);
-        *learned = learned.max(bits / secs);
+        *learned = learned.max(rate(recent, end, self.window));
     }
 
-    /// `Err` unless `got` is the utilization of `path` at `now`: within
-    /// 1e-9 of the scan's, or — when only a sliver of a report is in the
-    /// window and the answer is next to nothing — within a thousandth of a
-    /// bit in the window. (The index floors each rate to 2⁻⁵⁶ bit/ns; the
-    /// scan rounds every term to 53 bits.)
+    /// `Err` unless `got` is, bit for bit, the utilization of `path` at
+    /// `now`.
     pub fn check(&self, path: u64, now: u64, got: f64) -> Result<(), String> {
-        let Some((recent, learned)) = self.paths.get(&path) else {
-            return if got == 0.0 {
-                Ok(())
-            } else {
-                Err(format!("unknown path {path}: store says {got:e}"))
-            };
+        let want = match self.paths.get(&path) {
+            None => 0.0,
+            Some((recent, learned)) => {
+                let capacity = self.capacity.unwrap_or(*learned).max(1.0);
+                (rate(recent, now, self.window) / capacity).clamp(0.0, 1.0)
+            }
         };
-        let capacity = self.capacity.unwrap_or(*learned).max(1.0);
-        let (bits, secs) = scan(recent, now, self.window);
-        let want = (bits / secs / capacity).clamp(0.0, 1.0);
-        if (got - want).abs() <= 1e-9 * want + 1e-3 / (secs * capacity) {
+        if got.to_bits() == want.to_bits() {
             Ok(())
         } else {
             Err(format!(
@@ -69,18 +71,28 @@ fn clock(recent: &[(u64, u64, u64)], now: u64) -> u64 {
     recent.last().map_or(now, |&(latest, _, _)| now.max(latest))
 }
 
-/// Bits delivered in `[now - window, now]`, and that interval's length in
-/// seconds (shorter than the window while `now` is).
-fn scan(recent: &[(u64, u64, u64)], now: u64, window: u64) -> (f64, f64) {
+/// Bits per second delivered in `[now - window, now]`, over that
+/// interval's length (shorter than the window while `now` is).
+fn rate(recent: &[(u64, u64, u64)], now: u64, window: u64) -> f64 {
     let now = clock(recent, now);
     let horizon = now.saturating_sub(window);
-    let mut bits = 0.0;
+    let mut q56 = 0u128;
     for &(end, bytes, dur) in recent {
-        let begin = end.saturating_sub(dur).max(horizon);
-        // Skips what ended by the horizon, and zero-duration reports.
-        if end > begin {
-            bits += bytes as f64 * 8.0 * ((end - begin) as f64 / dur as f64);
+        // What ended by the horizon is out; a zero duration adds nothing.
+        if end <= horizon || dur == 0 {
+            continue;
         }
+        let bits = (u128::from(bytes) * 8) << FRAC_BITS;
+        let in_window = match end.checked_sub(dur) {
+            Some(start) if start > horizon => bits,
+            // `horizon − start` is under `dur`, so this never goes below 0.
+            _ => {
+                let before = u128::from(horizon) + u128::from(dur) - u128::from(end);
+                bits - bits / u128::from(dur) * before
+            }
+        };
+        q56 = q56.wrapping_add(in_window);
     }
-    (bits, window.min(now.max(1)) as f64 / 1e9)
+    let bits = q56 as f64 / (1u64 << FRAC_BITS) as f64;
+    bits / (window.min(now.max(1)) as f64 / 1e9)
 }

@@ -133,9 +133,9 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             f.push(15);
             f.extend_from_slice(&shard.to_be_bytes());
             f.extend_from_slice(&epoch.to_be_bytes());
-            let len = blob.len().min(MAX_SHARD_SNAPSHOT_BLOB);
-            f.extend_from_slice(&(len as u32).to_be_bytes());
-            f.extend_from_slice(&blob[..len]);
+            assert!(blob.len() <= MAX_SHARD_SNAPSHOT_BLOB, "no frame holds it");
+            f.extend_from_slice(&(blob.len() as u32).to_be_bytes());
+            f.extend_from_slice(blob);
         }
     }
     let len = (f.len() - 4) as u32;

@@ -536,10 +536,39 @@ proptest! {
         prop_assert_eq!(restored.encode_snapshot(epoch), blob);
     }
 
-    /// The rate index against the scan it replaced, on any interleaving
-    /// of reports, lookups and peeks — timestamps equal, decreasing,
-    /// leaping past the window and starting inside the first one;
-    /// durations from nothing to longer than time has run; capacity
+    /// Every store draws its own path-hash keys, so two stores keep the
+    /// same paths in different orders. Fed the same ops they still give
+    /// the same answers, stay `==`, list the same dashboard, and encode
+    /// byte-identical snapshots.
+    #[test]
+    fn stores_keyed_apart_stay_identical(
+        ops in proptest::collection::vec(
+            (0u8..3, prop_oneof![0u64..64, any::<u64>()], 0u64..100_000_000_000, arb_summary()),
+            0..200,
+        ),
+    ) {
+        let cfg = rate_cfg(None);
+        let (mut one, mut other) = (ContextStore::new(cfg), ContextStore::new(cfg));
+        for (kind, path, now, summary) in ops {
+            let path = PathKey(path);
+            match kind {
+                0 => {
+                    one.report(path, now, &summary);
+                    other.report(path, now, &summary);
+                }
+                1 => prop_assert_eq!(one.lookup(path, now), other.lookup(path, now)),
+                _ => prop_assert_eq!(one.peek(path, now), other.peek(path, now)),
+            }
+        }
+        prop_assert_eq!(&one, &other);
+        prop_assert_eq!(one.encode_snapshot(1), other.encode_snapshot(1));
+        prop_assert_eq!(one.snapshot(W), other.snapshot(W));
+    }
+
+    /// The rate index against the scan it replaced, bit for bit, on any
+    /// interleaving of reports, lookups and peeks — timestamps equal,
+    /// decreasing, leaping past the window and starting inside the first
+    /// one; durations from nothing to longer than time has run; capacity
     /// known and learned.
     #[test]
     fn rate_index_matches_the_scan(steps in arb_rate_steps(1..250)) {

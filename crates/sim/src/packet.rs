@@ -7,6 +7,9 @@
 //! receivers echo exact send times for RTT measurement).
 
 use core::fmt;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -148,6 +151,69 @@ pub(crate) fn unit_hash(x: u64) -> f64 {
     (splitmix64(x) >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// A hash table keyed by a `u64`-newtype id, hashed by [`IdHash`].
+pub type IdMap<K, V> = HashMap<K, V, IdHash>;
+
+/// The keyed hash of the per-report and per-segment tables: two
+/// 64×64→128 multiply-folds per `u64`, where std's default runs SipHash.
+///
+/// Every table draws its own two keys from std's OS-seeded `RandomState`,
+/// so ids a client chooses (a `PathKey` comes off the wire) cannot be
+/// picked in advance to collide. One type is builder and hasher both:
+/// building copies the keys and clears the state.
+#[derive(Clone, Copy)]
+pub struct IdHash {
+    keys: [u64; 2],
+    hash: u64,
+}
+
+impl Default for IdHash {
+    fn default() -> Self {
+        // The multiplying key is odd, so no draw can zero every hash.
+        let seed = RandomState::new();
+        let keys = [seed.hash_one(0u64), seed.hash_one(1u64) | 1];
+        IdHash { keys, hash: 0 }
+    }
+}
+
+impl fmt::Debug for IdHash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("IdHash(..)") // the keys would hand out the collisions
+    }
+}
+
+impl BuildHasher for IdHash {
+    type Hasher = IdHash;
+
+    fn build_hasher(&self) -> IdHash {
+        IdHash { hash: 0, ..*self }
+    }
+}
+
+impl Hasher for IdHash {
+    /// aHash's fallback fold (the 128-bit `a·b`, high half xored onto low)
+    /// twice: of the id xored with the first key by a fixed odd constant
+    /// (π's fraction), then of that by the second key.
+    fn write_u64(&mut self, x: u64) {
+        let fold = |a: u64, b: u64| {
+            let p = u128::from(a) * u128::from(b);
+            (p as u64) ^ (p >> 64) as u64
+        };
+        let [k0, k1] = self.keys;
+        self.hash = fold(fold(self.hash ^ x ^ k0, 0x243F_6A88_85A3_08D3), k1);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 /// Conventional sizes, shared by the transport crates.
 pub mod wire {
     /// Maximum segment size: TCP payload bytes per full-sized segment.
@@ -265,6 +331,45 @@ mod tests {
         assert!(p.is_ack());
         assert!(p.is_retx());
         assert!(!p.is_fin());
+    }
+
+    #[test]
+    fn id_hash_is_keyed_per_builder() {
+        let (one, other) = (IdHash::default(), IdHash::default());
+        let id = FlowId(42);
+        assert_eq!(one.hash_one(id), one.hash_one(id), "repeatable");
+        assert_ne!(
+            one.hash_one(id),
+            other.hash_one(id),
+            "keys drawn per builder"
+        );
+        assert_eq!(format!("{one:?}"), "IdHash(..)");
+    }
+
+    /// A table indexes buckets by the hash's low bits and files a 7-bit
+    /// tag from its top bits: on 65 536 ids of each shape, the low 16 bits
+    /// must fill buckets about as a random function would (1 − 1/e ≈ 63 %)
+    /// and every tag must occur. `PathKey` and `FlowId` hash alike, as
+    /// their one `u64`: `low | i << shift` for `i` below 2¹⁶.
+    #[test]
+    fn id_hash_spreads_structured_ids() {
+        for (shape, low, shift) in [
+            ("sequential", 0, 0),
+            ("differing above bit 32", 0x5EED_0000, 33),
+            ("multiples of 2^16", 0, 16),
+        ] {
+            let build = IdHash::default();
+            let mut buckets = vec![false; 1 << 16];
+            let mut tags = [false; 128];
+            for i in 0..1u64 << 16 {
+                let h = build.hash_one(FlowId(low | i << shift));
+                buckets[(h & 0xFFFF) as usize] = true;
+                tags[(h >> 57) as usize] = true;
+            }
+            let filled = buckets.iter().filter(|&&b| b).count();
+            assert!(filled * 10 >= 6 << 16, "{shape}: {filled} buckets");
+            assert!(tags.iter().all(|&t| t), "{shape}: a tag never drawn");
+        }
     }
 
     #[test]

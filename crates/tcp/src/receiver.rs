@@ -3,10 +3,10 @@
 //! (possibly many, sequential) flows of one sender.
 
 use std::any::Any;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use phi_sim::engine::{Agent, Ctx};
-use phi_sim::packet::{wire, Flags, FlowId, Packet, SackBlocks};
+use phi_sim::packet::{wire, Flags, FlowId, IdMap, Packet, SackBlocks};
 use phi_sim::time::Time;
 
 /// Per-flow receive state.
@@ -16,32 +16,19 @@ struct RecvFlow {
     expect: u64,
     /// Out-of-order segments held for reassembly.
     ooo: BTreeSet<u64>,
-    /// Segments received in total (including duplicates).
-    received: u64,
     /// Duplicate data segments seen (spurious retransmissions).
     dup_data: u64,
     /// Sequence number of the FIN-marked final segment, once seen (the
-    /// flag must survive out-of-order arrival and reassembly).
+    /// flag must survive out-of-order arrival and reassembly). The flow is
+    /// finished once the cumulative ack passes it.
     fin_seq: Option<u64>,
-    /// True once the FIN-marked final segment has been consumed in order.
-    finished: bool,
-}
-
-impl RecvFlow {
-    fn refresh_finished(&mut self) {
-        if let Some(f) = self.fin_seq {
-            if self.expect > f {
-                self.finished = true;
-            }
-        }
-    }
 }
 
 /// A TCP-like receiver: acknowledges every arriving data segment with the
 /// current cumulative ack, echoing the segment's send timestamp (and its
 /// retransmission bit, so the sender can apply Karn's rule).
 pub struct TcpReceiver {
-    flows: HashMap<FlowId, RecvFlow>,
+    flows: IdMap<FlowId, RecvFlow>,
     acks_sent: u64,
     ce_received: u64,
 }
@@ -50,7 +37,7 @@ impl TcpReceiver {
     /// A fresh receiver.
     pub fn new() -> Self {
         TcpReceiver {
-            flows: HashMap::new(),
+            flows: IdMap::default(),
             acks_sent: 0,
             ce_received: 0,
         }
@@ -74,7 +61,8 @@ impl TcpReceiver {
 
     /// True once `flow`'s FIN has been consumed in order.
     pub fn finished(&self, flow: FlowId) -> bool {
-        self.flows.get(&flow).map(|f| f.finished).unwrap_or(false)
+        let state = self.flows.get(&flow);
+        state.is_some_and(|f| f.fin_seq.is_some_and(|fin| f.expect > fin))
     }
 
     /// Duplicate (already-delivered) data segments observed on `flow`.
@@ -96,7 +84,6 @@ impl Agent for TcpReceiver {
             return;
         }
         let state = self.flows.entry(pkt.flow).or_default();
-        state.received += 1;
         if pkt.is_fin() {
             state.fin_seq = Some(pkt.seq);
         }
@@ -107,7 +94,6 @@ impl Agent for TcpReceiver {
             while state.ooo.remove(&state.expect) {
                 state.expect += 1;
             }
-            state.refresh_finished();
         } else if pkt.seq > state.expect {
             state.ooo.insert(pkt.seq);
         } else {
@@ -132,30 +118,23 @@ impl Agent for TcpReceiver {
         // cumulative ack, lowest first (the holes the sender should fill
         // first come ahead of them).
         let mut sack = SackBlocks::EMPTY;
-        let mut run_start: Option<u64> = None;
-        let mut prev = 0u64;
-        for &seq in state.ooo.iter() {
-            match run_start {
-                None => {
-                    run_start = Some(seq);
-                    prev = seq;
-                }
-                Some(start) => {
-                    if seq == prev + 1 {
-                        prev = seq;
-                    } else {
-                        if !sack.push(start, prev + 1) {
-                            run_start = None;
-                            break;
-                        }
-                        run_start = Some(seq);
-                        prev = seq;
-                    }
-                }
+        let mut held = state.ooo.iter().copied().peekable();
+        while let Some(start) = held.next() {
+            let mut end = start + 1;
+            while held.next_if_eq(&end).is_some() {
+                end += 1;
+            }
+            if !sack.push(start, end) {
+                break;
             }
         }
-        if let Some(start) = run_start {
-            sack.push(start, prev + 1);
+        // At most three blocks (by their type), each starting above the
+        // cumulative ack and above the end of the block before it:
+        // ascending, disjoint and never adjacent.
+        let mut floor = state.expect;
+        for (start, end) in sack.iter() {
+            debug_assert!(floor < start && start < end, "{sack:?} over {floor}");
+            floor = end;
         }
         let ack = Packet {
             id: 0,
@@ -197,7 +176,7 @@ mod tests {
     struct Script {
         peer: NodeId,
         sends: Vec<(u64, bool, bool)>, // (seq, fin, retx)
-        acks: Vec<(u64, bool)>,        // (cumulative ack, echo-retx)
+        acks: Vec<Packet>,
         next: usize,
     }
 
@@ -224,7 +203,7 @@ mod tests {
             }
         }
         fn on_packet(&mut self, pkt: Packet, _ctx: &mut Ctx<'_>) {
-            self.acks.push((pkt.ack, pkt.is_retx()));
+            self.acks.push(pkt);
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -234,7 +213,9 @@ mod tests {
         }
     }
 
-    fn run_script(sends: Vec<(u64, bool, bool)>) -> (Vec<(u64, bool)>, TcpReceiver) {
+    /// The acks `sends` draw, and flow 1's `(progress, finished,
+    /// dup_data)` as the receiver reports them.
+    fn run_script(sends: Vec<(u64, bool, bool)>) -> (Vec<Packet>, (u64, bool, u64)) {
         let mut b = TopologyBuilder::new();
         let a = b.add_node();
         let z = b.add_node();
@@ -259,38 +240,21 @@ mod tests {
         let recv = sim.add_agent(z, 80, Box::new(TcpReceiver::new()));
         sim.run_to_completion();
         let acks = sim.agent_as::<Script>(script).unwrap().acks.clone();
-        // Extract the receiver by value-ish: clone its observable state.
         let r = sim.agent_as::<TcpReceiver>(recv).unwrap();
-        let copy = TcpReceiver {
-            flows: HashMap::new(),
-            acks_sent: r.acks_sent,
-            ce_received: r.ce_received,
-        };
-        let fin = r.finished(FlowId(1));
-        let progress = r.progress(FlowId(1));
-        let dups = r.dup_data(FlowId(1));
-        // Re-materialize the bits we assert on.
-        let mut rr = copy;
-        rr.flows.insert(
-            FlowId(1),
-            RecvFlow {
-                expect: progress,
-                ooo: BTreeSet::new(),
-                received: 0,
-                dup_data: dups,
-                fin_seq: None,
-                finished: fin,
-            },
-        );
-        (acks, rr)
+        let flow = FlowId(1);
+        (acks, (r.progress(flow), r.finished(flow), r.dup_data(flow)))
     }
 
     #[test]
     fn in_order_delivery_acks_cumulatively() {
-        let (acks, r) = run_script(vec![(0, false, false), (1, false, false), (2, true, false)]);
-        assert_eq!(acks.iter().map(|a| a.0).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert!(r.finished(FlowId(1)));
-        assert_eq!(r.progress(FlowId(1)), 3);
+        let (acks, (progress, finished, _)) =
+            run_script(vec![(0, false, false), (1, false, false), (2, true, false)]);
+        assert_eq!(
+            acks.iter().map(|a| a.ack).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+        assert!(finished);
+        assert_eq!(progress, 3);
     }
 
     #[test]
@@ -304,23 +268,44 @@ mod tests {
         ]);
         // Acks: 1, then dup 1, dup 1, then jump to 4.
         assert_eq!(
-            acks.iter().map(|a| a.0).collect::<Vec<_>>(),
+            acks.iter().map(|a| a.ack).collect::<Vec<_>>(),
             vec![1, 1, 1, 4]
         );
         // The ack for the retransmitted segment echoes the RETX bit.
-        assert!(acks[3].1);
-        assert!(!acks[0].1);
+        assert!(acks[3].is_retx());
+        assert!(!acks[0].is_retx());
     }
 
     #[test]
     fn spurious_retransmission_counted() {
-        let (acks, r) = run_script(vec![
+        let (acks, (_, _, dup_data)) = run_script(vec![
             (0, false, false),
             (0, false, true), // duplicate of an already-delivered segment
             (1, true, false),
         ]);
-        assert_eq!(acks.iter().map(|a| a.0).collect::<Vec<_>>(), vec![1, 1, 2]);
-        assert_eq!(r.dup_data(FlowId(1)), 1);
+        assert_eq!(
+            acks.iter().map(|a| a.ack).collect::<Vec<_>>(),
+            vec![1, 1, 2]
+        );
+        assert_eq!(dup_data, 1);
+    }
+
+    #[test]
+    fn sack_reports_the_three_lowest_runs_above_the_ack() {
+        // Segment 1 and the holes at 4, 6 and 10 are missing: four runs
+        // wait above the cumulative ack, and only the lowest three fit.
+        let mut sends: Vec<_> = [0, 2, 3, 5, 7, 8, 9, 11]
+            .map(|seq| (seq, false, false))
+            .to_vec();
+        sends.push((1, false, true));
+        let (acks, _) = run_script(sends);
+        let blocks = |i: usize| acks[i].sack.iter().collect::<Vec<_>>();
+        assert_eq!(blocks(0), vec![]);
+        assert_eq!(blocks(6), vec![(2, 4), (5, 6), (7, 10)]);
+        assert_eq!(blocks(7), vec![(2, 4), (5, 6), (7, 10)]);
+        // The retransmitted 1 moves the ack to 4, and the fourth run in.
+        assert_eq!(acks[8].ack, 4);
+        assert_eq!(blocks(8), vec![(5, 6), (7, 10), (11, 12)]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Tier-1's check of the context store's windowed rate: a recorded op
 //! list replayed through the public `ContextStore` API, every answer held
-//! against the scan in `crates/core/tests/model` (ROADMAP 4d — the
+//! bit for bit against the scan in `crates/core/tests/model` (ROADMAP 4d — the
 //! property tests beside that model run only under `--workspace`).
 //!
 //! The list is the benchmark's `ctx_hot_lookup` traffic in miniature —
