@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 
 use phi_sim::engine::Simulator;
+use phi_sim::faults::{ImpairmentPlan, LossModel};
 use phi_sim::queue::Capacity;
 use phi_sim::time::{Dur, Time};
 use phi_sim::topology::TopologyBuilder;
@@ -16,11 +17,27 @@ use phi_tcp::receiver::TcpReceiver;
 use phi_tcp::sender::{SenderConfig, TcpSender};
 use phi_workload::{OnOffConfig, OnOffSource, SeedRng};
 
+/// Half the cases a clean path; the other half random loss (at most 5 %),
+/// duplication and bounded reordering, installed on both directions so
+/// that ACKs, too, go missing, arrive twice and arrive out of order.
+fn impairments() -> impl Strategy<Value = ImpairmentPlan> {
+    prop_oneof![
+        Just(ImpairmentPlan::new()),
+        (0.0..0.05f64, 0.0..0.05f64, 0.0..0.2f64, 1u64..20).prop_map(
+            |(loss, duplicate, reorder, reorder_ms)| ImpairmentPlan::new()
+                .loss(LossModel::Bernoulli { p: loss })
+                .duplicate(duplicate)
+                .reorder(reorder, Dur::from_millis(reorder_ms))
+        ),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any transfer over any sane single link completes with the right
-    /// byte count, regardless of how lossy the queue is.
+    /// byte count, regardless of how lossy the queue is or how the path
+    /// loses, repeats and reorders data and ACKs.
     #[test]
     fn transfers_always_complete_exactly(
         bytes in 1_000u64..400_000,
@@ -28,11 +45,12 @@ proptest! {
         delay_ms in 1u64..60,
         queue_pkts in 4usize..64,
         seed in 0u64..1000,
+        plan in impairments(),
     ) {
         let mut b = TopologyBuilder::new();
         let a = b.add_node();
         let z = b.add_node();
-        b.add_duplex(
+        let (fwd, rev) = b.add_duplex(
             a,
             z,
             rate_mbps * 1_000_000,
@@ -40,6 +58,9 @@ proptest! {
             Capacity::Packets(queue_pkts),
         );
         let mut sim = Simulator::new(b.build());
+        for link in [fwd, rev] {
+            sim.install_impairments(link, plan.clone(), &SeedRng::new(seed));
+        }
         let mut cfg = SenderConfig::new(z, 80, 10);
         cfg.max_flows = Some(1);
         let source = OnOffSource::new(
