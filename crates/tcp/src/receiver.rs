@@ -3,7 +3,7 @@
 //! (possibly many, sequential) flows of one sender.
 
 use std::any::Any;
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 use phi_sim::engine::{Agent, Ctx};
 use phi_sim::packet::{wire, Flags, FlowId, IdMap, Packet, SackBlocks};
@@ -14,8 +14,9 @@ use phi_sim::time::Time;
 struct RecvFlow {
     /// Next expected segment (cumulative ack value).
     expect: u64,
-    /// Out-of-order segments held for reassembly.
-    ooo: BTreeSet<u64>,
+    /// Out-of-order segments held for reassembly: segment `expect + i`
+    /// is held when `held[i]` is (never `held[0]`, the one expected).
+    held: VecDeque<bool>,
     /// Duplicate data segments seen (spurious retransmissions).
     dup_data: u64,
     /// Sequence number of the FIN-marked final segment, once seen (the
@@ -29,8 +30,6 @@ struct RecvFlow {
 /// retransmission bit, so the sender can apply Karn's rule).
 pub struct TcpReceiver {
     flows: IdMap<FlowId, RecvFlow>,
-    acks_sent: u64,
-    ce_received: u64,
 }
 
 impl TcpReceiver {
@@ -38,20 +37,7 @@ impl TcpReceiver {
     pub fn new() -> Self {
         TcpReceiver {
             flows: IdMap::default(),
-            acks_sent: 0,
-            ce_received: 0,
         }
-    }
-
-    /// Acks sent so far (diagnostics).
-    pub fn acks_sent(&self) -> u64 {
-        self.acks_sent
-    }
-
-    /// Data segments that arrived carrying a Congestion Experienced mark
-    /// (each one was echoed back as an ECE-flagged ACK).
-    pub fn ce_received(&self) -> u64 {
-        self.ce_received
     }
 
     /// Segments received in order for `flow` (the cumulative ack point).
@@ -88,14 +74,17 @@ impl Agent for TcpReceiver {
             state.fin_seq = Some(pkt.seq);
         }
 
-        if pkt.seq == state.expect {
-            state.expect += 1;
-            // Drain any contiguous out-of-order segments.
-            while state.ooo.remove(&state.expect) {
+        if pkt.seq >= state.expect {
+            let i = (pkt.seq - state.expect) as usize;
+            if i >= state.held.len() {
+                state.held.resize(i + 1, false);
+            }
+            state.held[i] = true;
+            // Deliver the contiguous run this segment may have completed.
+            while state.held.front() == Some(&true) {
+                state.held.pop_front();
                 state.expect += 1;
             }
-        } else if pkt.seq > state.expect {
-            state.ooo.insert(pkt.seq);
         } else {
             state.dup_data += 1;
         }
@@ -111,14 +100,16 @@ impl Agent for TcpReceiver {
         // sender (per-packet, DCTCP-style — no latched ECE state, so the
         // sender sees the exact marked fraction).
         if pkt.is_ce() {
-            self.ce_received += 1;
             flags = flags.union(Flags::ECE);
         }
         // SACK: report up to three contiguous out-of-order ranges above the
         // cumulative ack, lowest first (the holes the sender should fill
         // first come ahead of them).
         let mut sack = SackBlocks::EMPTY;
-        let mut held = state.ooo.iter().copied().peekable();
+        let mut held = (state.expect..)
+            .zip(&state.held)
+            .filter_map(|(seq, &h)| h.then_some(seq))
+            .peekable();
         while let Some(start) = held.next() {
             let mut end = start + 1;
             while held.next_if_eq(&end).is_some() {
@@ -151,7 +142,6 @@ impl Agent for TcpReceiver {
             echo: pkt.sent_at,
             sack,
         };
-        self.acks_sent += 1;
         ctx.send(ack);
     }
 
