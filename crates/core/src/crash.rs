@@ -22,7 +22,8 @@
 //! log's 4 096 entries behind, is resynced by snapshot — and, as on the
 //! wire, not while that snapshot would exceed one frame.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use phi_sim::engine::Ctx;
 use phi_sim::time::{Dur, Time};
@@ -287,11 +288,11 @@ impl PlaneState {
 /// The in-sim replicated context plane: the oracle-hook counterpart of
 /// the real primary/backup [`crate::server::ContextServer`] pair.
 ///
-/// Cheap to clone (shared interior), single-threaded by design — create
-/// one per run and hand clones to each sender's [`HaHook`].
+/// Cheap to clone (shared interior), single-threaded — create one per
+/// run and hand clones to each sender's [`HaHook`].
 #[derive(Debug, Clone)]
 pub struct HaPlane {
-    state: Arc<Mutex<PlaneState>>,
+    state: Rc<RefCell<PlaneState>>,
 }
 
 impl HaPlane {
@@ -302,7 +303,7 @@ impl HaPlane {
     pub fn new(cfg: StoreConfig, spec: &HaSpec, mut rng: SeedRng, horizon: Dur) -> Self {
         let windows = spec.plan.materialize(&mut rng, horizon);
         HaPlane {
-            state: Arc::new(Mutex::new(PlaneState {
+            state: Rc::new(RefCell::new(PlaneState {
                 replicas: [
                     Replica::new(ContextStore::new(cfg), 1, Role::Primary),
                     Replica::new(ContextStore::new(cfg), 1, Role::Backup),
@@ -321,7 +322,7 @@ impl HaPlane {
 
     /// Serve a lookup, or `None` while a failover is in progress.
     pub fn lookup(&self, path: PathKey, now_ns: u64) -> Option<ContextSnapshot> {
-        let mut st = self.state.lock().expect("plane state");
+        let mut st = self.state.borrow_mut();
         st.roll(now_ns);
         st.counters.lookups += 1;
         if now_ns < st.down_until {
@@ -336,7 +337,7 @@ impl HaPlane {
 
     /// File a report; `false` means it was lost to a failover window.
     pub fn report(&self, path: PathKey, now_ns: u64, summary: &FlowSummary) -> bool {
-        let mut st = self.state.lock().expect("plane state");
+        let mut st = self.state.borrow_mut();
         st.roll(now_ns);
         st.counters.reports += 1;
         if now_ns < st.down_until {
@@ -351,18 +352,18 @@ impl HaPlane {
 
     /// The current fencing epoch (1 + failovers so far).
     pub fn epoch(&self) -> u64 {
-        self.state.lock().expect("plane state").replicas[0].epoch()
+        self.state.borrow().replicas[0].epoch()
     }
 
     /// Injection/degradation counters.
     pub fn counters(&self) -> CrashCounters {
-        self.state.lock().expect("plane state").counters
+        self.state.borrow().counters
     }
 
     /// FNV-1a digest of the serving replica's snapshot blob — a compact,
     /// deterministic fingerprint of the surviving state.
     pub fn state_digest(&self) -> u64 {
-        let st = self.state.lock().expect("plane state");
+        let st = self.state.borrow();
         let r = &st.replicas[0];
         crate::journal::fnv1a(&r.store().encode_snapshot(r.epoch()))
     }

@@ -54,12 +54,7 @@ use crate::topology::Topology;
 use crate::trace::{TraceEvent, TraceOp, Tracer};
 
 /// A simulation participant attached to a node.
-///
-/// `Send` so that a [`Simulator`] and everything attached to it can be
-/// built on one thread and run on another (a `RunPool` worker, a
-/// supervised cell). Agents are called from exactly one event loop at a
-/// time, never concurrently.
-pub trait Agent: Any + Send {
+pub trait Agent: Any {
     /// Called once when the simulation starts.
     fn start(&mut self, _ctx: &mut Ctx<'_>) {}
 
@@ -1823,7 +1818,7 @@ mod tests {
         let (tracer, events) = SharedTraceCollector::new();
         sim.set_tracer(tracer);
         sim.run_to_completion();
-        let events = events.lock().unwrap();
+        let events = events.borrow();
         let count = |op: TraceOp| events.iter().filter(|e| e.op == op).count() as u64;
         let stats = sim.link_stats(crate::packet::LinkId(0));
         assert_eq!(count(TraceOp::Enqueue), stats.enqueued);
@@ -2234,7 +2229,7 @@ mod tests {
         let now = sim.run_to_completion();
         assert_eq!(sim.termination(), Some(BudgetExceeded::Events));
         let frame = Dur::transmission(700, 5_000_000);
-        let events = events.lock().unwrap();
+        let events = events.borrow();
         let started = events
             .iter()
             .filter(|e| e.op == TraceOp::Transmit && e.link == Some(LinkId(0)));

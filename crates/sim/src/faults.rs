@@ -658,12 +658,7 @@ mod tests {
             );
             sim.add_agent(z, 80, Box::new(Null));
             sim.run_until(Time::from_secs(2));
-            let trace: Vec<String> = events
-                .lock()
-                .expect("trace buffer")
-                .iter()
-                .map(|ev| format!("{ev:?}"))
-                .collect();
+            let trace: Vec<String> = events.borrow().iter().map(|ev| format!("{ev:?}")).collect();
             (
                 trace,
                 sim.packet_census(),

@@ -50,7 +50,7 @@ pub enum Verdict {
 }
 
 /// A queueing discipline: decides admission and service order.
-pub trait Discipline: Send + core::fmt::Debug {
+pub trait Discipline: core::fmt::Debug {
     /// Offer an arriving packet. Implementations either store it and return
     /// [`Verdict::Enqueued`] or refuse it and return [`Verdict::Dropped`].
     fn offer(&mut self, pkt: Packet, now: Time) -> Verdict;

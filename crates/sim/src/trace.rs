@@ -6,7 +6,9 @@
 //! traces can be eyeballed or diffed; [`TraceCollector`] buffers events
 //! for programmatic assertions in tests.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 use crate::packet::{LinkId, NodeId, Packet};
 use crate::time::Time;
@@ -79,12 +81,7 @@ impl TraceEvent {
 }
 
 /// Observes simulator packet events.
-///
-/// `Send` so that a `Simulator` holding a tracer can be built on one
-/// thread and run on another (a `RunPool` worker, a supervised cell);
-/// tracers are called synchronously from exactly one event loop at a
-/// time.
-pub trait Tracer: Send {
+pub trait Tracer {
     /// One event; called synchronously from the event loop.
     fn event(&mut self, ev: &TraceEvent);
 }
@@ -104,35 +101,26 @@ impl Tracer for TraceCollector {
 
 /// A collector whose buffer is shared with the caller, so events can be
 /// inspected while (or after) the simulator owns the tracer half.
-///
-/// The buffer is an `Arc<Mutex<_>>` (rather than `Rc<RefCell<_>>`) because
-/// [`Tracer`] is `Send`; the lock is never contended (one event loop
-/// writes, the caller reads between or after runs).
 #[derive(Debug, Default)]
 pub struct SharedTraceCollector {
-    events: std::sync::Arc<std::sync::Mutex<Vec<TraceEvent>>>,
+    events: Rc<RefCell<Vec<TraceEvent>>>,
 }
 
 impl SharedTraceCollector {
     /// Returns the tracer to install and the shared buffer to read.
-    #[allow(clippy::type_complexity, clippy::new_ret_no_self)]
-    pub fn new() -> (
-        Box<dyn Tracer>,
-        std::sync::Arc<std::sync::Mutex<Vec<TraceEvent>>>,
-    ) {
-        let events = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        (
-            Box::new(SharedTraceCollector {
-                events: events.clone(),
-            }),
-            events,
-        )
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new() -> (Box<dyn Tracer>, Rc<RefCell<Vec<TraceEvent>>>) {
+        let events = Rc::new(RefCell::new(Vec::new()));
+        let tracer = SharedTraceCollector {
+            events: events.clone(),
+        };
+        (Box::new(tracer), events)
     }
 }
 
 impl Tracer for SharedTraceCollector {
     fn event(&mut self, ev: &TraceEvent) {
-        self.events.lock().expect("trace buffer").push(ev.clone());
+        self.events.borrow_mut().push(ev.clone());
     }
 }
 

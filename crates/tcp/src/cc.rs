@@ -45,9 +45,7 @@ pub struct LossEvent {
 }
 
 /// The sending policy of one connection.
-/// `Send` because senders (and the congestion controllers they own) are
-/// [`phi_sim::engine::Agent`]s, which are `Send`.
-pub trait CongestionControl: Send {
+pub trait CongestionControl {
     /// A fresh connection is starting at `now`. Controllers reset all
     /// transient state here (each on-period is a fresh connection, §2.2.1).
     fn on_flow_start(&mut self, now: Time);

@@ -29,9 +29,7 @@ pub struct ContextSnapshot {
 }
 
 /// Transport-to-Phi interaction points for one sender.
-/// `Send` because hook-carrying senders are [`phi_sim::engine::Agent`]s,
-/// which are `Send`.
-pub trait SessionHook: Send {
+pub trait SessionHook {
     /// A new connection is starting: look up the shared context, if any.
     /// The returned snapshot is handed to the congestion-control factory.
     fn lookup(&mut self, _now: Time, _ctx: &mut Ctx<'_>) -> Option<ContextSnapshot> {

@@ -68,7 +68,7 @@ fn main() {
     }));
     sim.run_until(Time::from_secs(2));
 
-    let events = events.lock().unwrap();
+    let events = events.borrow();
     let head: Vec<String> = {
         // Re-render the head from the shared buffer (the writer half lives
         // inside the simulator; this avoids pulling it back out).

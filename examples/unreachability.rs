@@ -139,7 +139,7 @@ fn main() {
     let mut exporter = LossyExporter::new(4096, 0.05, SeedRng::new(8));
     let mut collector = Collector::bounded(PAIRS * minutes + 16, 4096);
     let mut submits = 0u64;
-    for ev in events.lock().unwrap().iter() {
+    for ev in events.borrow().iter() {
         if ev.op != TraceOp::Deliver || ev.is_ack {
             continue;
         }

@@ -85,7 +85,7 @@ fn run_and_close(mut sim: Simulator, net: &Dumbbell, until: Time) -> Ledger {
     let census = sim.packet_census();
     assert!(census.conserved(), "census leaks packets: {census:?}");
     assert!(census.delivered > 0, "nothing simulated: {census:?}");
-    let events = events.lock().expect("trace buffer");
+    let events = events.borrow();
     let trace_digest = events
         .iter()
         .fold(0, |h, ev| fnv1a(h, format!("{ev:?}").as_bytes()));

@@ -202,7 +202,7 @@ fn outage_detected_localized_and_others_bit_identical() {
     let mut exporter = LossyExporter::new(4096, 0.05, SeedRng::new(8));
     let mut collector = Collector::bounded(PAIRS * minutes + 16, 4096);
     let mut submits = 0u64;
-    for ev in events.lock().unwrap().iter() {
+    for ev in events.borrow().iter() {
         if ev.op != TraceOp::Deliver || ev.is_ack {
             continue;
         }
@@ -340,8 +340,7 @@ fn impaired_run_digest() -> (u64, u64, u64) {
     assert!(census.conserved(), "census leaks packets: {census:?}");
     let digest = fnv1a(
         events
-            .lock()
-            .unwrap()
+            .borrow()
             .iter()
             .flat_map(|ev| format!("{ev:?}\n").into_bytes()),
     );

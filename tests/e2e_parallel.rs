@@ -158,8 +158,7 @@ fn traced_run_digest(base_seed: u64, run_index: u64) -> u64 {
 
     let digest = fnv1a(
         events
-            .lock()
-            .unwrap()
+            .borrow()
             .iter()
             .flat_map(|ev| format!("{ev:?}\n").into_bytes()),
     );
@@ -271,7 +270,7 @@ fn multihop_trace_digest_matches_pinned_golden() {
     let census = sim.packet_census();
     assert!(census.conserved(), "census leaks packets: {census:?}");
 
-    let events = events.lock().unwrap();
+    let events = events.borrow();
     // Every op is recorded when it happens, `Transmit` at dequeue (ns-2's
     // `-`): the trace is time-ordered.
     assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
