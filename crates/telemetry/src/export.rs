@@ -81,17 +81,22 @@ impl CollectorServer {
                     while !shutdown.load(Ordering::Acquire) {
                         match listener.accept() {
                             Ok((stream, _)) => {
-                                stats.connections.fetch_add(1, Ordering::Relaxed);
-                                let collector = collector.clone();
-                                let stats = stats.clone();
-                                let shutdown = shutdown.clone();
-                                let h = std::thread::Builder::new()
-                                    .name("phi-ipfix-conn".into())
-                                    .spawn(move || {
-                                        handle_exporter(stream, collector, stats, shutdown)
-                                    })
-                                    .expect("spawn exporter handler");
+                                let h = {
+                                    let collector = collector.clone();
+                                    let stats = stats.clone();
+                                    let shutdown = shutdown.clone();
+                                    std::thread::Builder::new()
+                                        .name("phi-ipfix-conn".into())
+                                        .spawn(move || {
+                                            handle_exporter(stream, collector, stats, shutdown)
+                                        })
+                                        .expect("spawn exporter handler")
+                                };
+                                reap_finished(&handlers);
                                 handlers.lock().expect("handlers lock").push(h);
+                                // Release: whoever acquires the new count
+                                // also finds the handle in the list.
+                                stats.connections.fetch_add(1, Ordering::Release);
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                                 std::thread::sleep(POLL);
@@ -142,6 +147,19 @@ impl CollectorServer {
 impl Drop for CollectorServer {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// Join the handler threads whose exporters have gone, so that connection
+/// churn neither grows the handle list nor leaves exited threads unjoined.
+fn reap_finished(handlers: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
+    let finished: Vec<_> = handlers
+        .lock()
+        .expect("handlers lock")
+        .extract_if(.., |h| h.is_finished())
+        .collect();
+    for h in finished {
+        let _ = h.join();
     }
 }
 
@@ -523,6 +541,42 @@ mod tests {
         e.flush_into(&mut c);
         assert_eq!(e.shipped(), 4);
         assert_eq!(c.record_count(), 4);
+    }
+
+    /// Polls `done` every 10 ms for up to 5 s.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        for _ in 0..500 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("timed out waiting for {what}");
+    }
+
+    #[test]
+    fn finished_exporter_threads_are_reaped_on_accept() {
+        let server = CollectorServer::start("127.0.0.1:0", shared_collector(Collector::new()))
+            .expect("bind");
+        let accepted = |n| server.stats().connections.load(Ordering::Acquire) == n;
+        let handles = || server.handlers.lock().expect("handlers lock");
+        for _ in 0..50 {
+            drop(TcpStream::connect(server.addr()).expect("connect"));
+        }
+        wait_until("fifty accepts", || accepted(50));
+        // Every handler sees its exporter close and returns.
+        wait_until("the handlers to exit", || {
+            handles().iter().all(|h| h.is_finished())
+        });
+        // The next accept joins all fifty: only the live handler is left.
+        let live = TcpStream::connect(server.addr()).expect("connect");
+        wait_until("the accept", || accepted(51));
+        // Read under the lock, assert after it: a failed assertion must
+        // not poison the list that shutdown joins.
+        let left: Vec<bool> = handles().iter().map(|h| h.is_finished()).collect();
+        assert_eq!(left, [false], "finished flags of the handles kept");
+        drop(live);
+        server.shutdown();
     }
 
     #[test]
