@@ -3,19 +3,20 @@
 //! Three levels of sharing, matching the paper's evaluation arms:
 //!
 //! * [`phi_tcp::hook::NoHook`] — unmodified senders; no sharing at all.
-//! * [`PracticalHook`] — the §2.2.2 design: one context-store lookup at
-//!   connection start, one report at connection end. The utilization the
-//!   controller sees between those points is *frozen* at lookup time
-//!   (Remy-Phi-practical).
+//! * [`PracticalHook`] — the §2.2.2 design: one lookup at connection
+//!   start, one report at connection end, against either the run's shared
+//!   store or its crash-injected [`HaPlane`]. The utilization the
+//!   controller sees between those points is *frozen* at that lookup's
+//!   answer (Remy-Phi-practical), and is absent when the lookup got none.
 //! * [`IdealOracleHook`] — the idealized arm: every ACK carries the
 //!   bottleneck's up-to-the-minute rolling utilization straight from the
 //!   simulator (Remy-Phi-ideal / "up-to-the-minute link utilization").
 //!
 //! For testing the §2.2.2 failure contract there is also [`FaultyHook`],
 //! a wrapper that injects context-plane faults (lost lookups and reports,
-//! availability flapping) from a forked [`SeedRng`] stream, composing
-//! with [`phi_tcp::hook::DegradingHook`] so faulted senders fall back to
-//! vanilla behaviour.
+//! availability flapping) from a forked [`SeedRng`] stream. A sender whose
+//! lookup was lost sees no context and no live utilization, so it runs as
+//! vanilla TCP for that connection.
 
 use std::sync::{Arc, Mutex};
 
@@ -27,6 +28,7 @@ use phi_tcp::report::FlowReport;
 use phi_workload::SeedRng;
 
 use crate::context::{ContextStore, FlowSummary, PathKey};
+use crate::crash::HaPlane;
 
 /// A context store shared by the senders of one simulation (single thread).
 pub type SharedStore = Arc<Mutex<ContextStore>>;
@@ -49,9 +51,20 @@ pub fn summarize(report: &FlowReport) -> FlowSummary {
     }
 }
 
-/// The practical Phi hook: lookup at start, report at end (§2.2.2).
+/// Where a [`PracticalHook`] looks up and reports.
+enum Plane {
+    /// The run's always-up shared store.
+    Store(SharedStore),
+    /// The replicated plane, which answers nothing while failing over.
+    Ha(HaPlane),
+}
+
+/// The practical Phi hook (§2.2.2): one lookup when a connection starts,
+/// the utilization frozen at that lookup's answer until the connection
+/// ends, one report at the end. A lookup the plane does not answer leaves
+/// nothing frozen, so the sender runs that connection as vanilla TCP.
 pub struct PracticalHook {
-    store: SharedStore,
+    plane: Plane,
     path: PathKey,
     frozen_util: Option<f64>,
 }
@@ -60,7 +73,16 @@ impl PracticalHook {
     /// A hook for one sender on `path`, backed by `store`.
     pub fn new(store: SharedStore, path: PathKey) -> Self {
         PracticalHook {
-            store,
+            plane: Plane::Store(store),
+            path,
+            frozen_util: None,
+        }
+    }
+
+    /// A hook for one sender on `path`, backed by the replicated `plane`.
+    pub fn on_ha(plane: HaPlane, path: PathKey) -> Self {
+        PracticalHook {
+            plane: Plane::Ha(plane),
             path,
             frozen_util: None,
         }
@@ -69,21 +91,33 @@ impl PracticalHook {
 
 impl SessionHook for PracticalHook {
     fn lookup(&mut self, now: Time, _ctx: &mut Ctx<'_>) -> Option<ContextSnapshot> {
-        let snap = self
-            .store
-            .lock()
-            .expect("context store")
-            .lookup(self.path, now.as_nanos());
-        self.frozen_util = Some(snap.utilization);
-        Some(snap)
+        let now_ns = now.as_nanos();
+        let answer = match &self.plane {
+            Plane::Store(store) => Some(
+                store
+                    .lock()
+                    .expect("context store")
+                    .lookup(self.path, now_ns),
+            ),
+            Plane::Ha(plane) => plane.lookup(self.path, now_ns),
+        };
+        self.frozen_util = answer.map(|s| s.utilization);
+        answer
     }
 
     fn report(&mut self, report: &FlowReport, ctx: &mut Ctx<'_>) {
-        self.store.lock().expect("context store").report(
-            self.path,
-            ctx.now().as_nanos(),
-            &summarize(report),
-        );
+        let (now_ns, summary) = (ctx.now().as_nanos(), summarize(report));
+        match &self.plane {
+            Plane::Store(store) => {
+                store
+                    .lock()
+                    .expect("context store")
+                    .report(self.path, now_ns, &summary);
+            }
+            Plane::Ha(plane) => {
+                plane.report(self.path, now_ns, &summary);
+            }
+        }
         self.frozen_util = None;
     }
 
@@ -230,9 +264,9 @@ pub fn fault_counters() -> SharedFaultCounters {
 /// Wraps any [`SessionHook`] and makes its lookups and reports unreliable
 /// per a [`FaultPlan`]: dropped at random, or blacked out by availability
 /// flapping. Dropped operations never touch the inner hook (the store
-/// never hears them), matching a client whose request timed out. Compose
-/// with [`phi_tcp::hook::DegradingHook`] so the sender also stops
-/// consuming the frozen live-utilization feed while the plane is faulty.
+/// never hears them), matching a client whose request timed out. After a
+/// dropped lookup the live-utilization feed is empty, whatever the inner
+/// hook still holds from an earlier connection.
 pub struct FaultyHook<H> {
     inner: H,
     plan: FaultPlan,
@@ -240,6 +274,8 @@ pub struct FaultyHook<H> {
     /// Phase offset of this hook's flap wave, ns.
     phase_ns: u64,
     counters: SharedFaultCounters,
+    /// The current connection's lookup was dropped.
+    lookup_dropped: bool,
 }
 
 impl<H: SessionHook> FaultyHook<H> {
@@ -261,6 +297,7 @@ impl<H: SessionHook> FaultyHook<H> {
             rng,
             phase_ns,
             counters,
+            lookup_dropped: false,
         }
     }
 
@@ -282,25 +319,36 @@ impl<H: SessionHook> FaultyHook<H> {
 
 impl<H: SessionHook> SessionHook for FaultyHook<H> {
     fn lookup(&mut self, now: Time, ctx: &mut Ctx<'_>) -> Option<ContextSnapshot> {
-        self.counters.lock().expect("context store").lookups += 1;
-        if self.plane_down(now) || self.rng.chance(self.plan.lookup_loss) {
-            self.counters.lock().expect("context store").lookups_dropped += 1;
+        self.counters.lock().expect("fault counters").lookups += 1;
+        self.lookup_dropped = self.plane_down(now) || self.rng.chance(self.plan.lookup_loss);
+        if self.lookup_dropped {
+            self.counters
+                .lock()
+                .expect("fault counters")
+                .lookups_dropped += 1;
             return None;
         }
         self.inner.lookup(now, ctx)
     }
 
     fn report(&mut self, report: &FlowReport, ctx: &mut Ctx<'_>) {
-        self.counters.lock().expect("context store").reports += 1;
+        self.counters.lock().expect("fault counters").reports += 1;
         if self.plane_down(ctx.now()) || self.rng.chance(self.plan.report_loss) {
-            self.counters.lock().expect("context store").reports_dropped += 1;
+            self.counters
+                .lock()
+                .expect("fault counters")
+                .reports_dropped += 1;
             return;
         }
         self.inner.report(report, ctx);
     }
 
     fn live_util(&self, ctx: &Ctx<'_>) -> Option<f64> {
-        self.inner.live_util(ctx)
+        if self.lookup_dropped {
+            None
+        } else {
+            self.inner.live_util(ctx)
+        }
     }
 }
 
@@ -364,7 +412,8 @@ mod tests {
         assert_eq!(summarize(&tiny_report()).min_rtt_ms, 0.0);
     }
 
-    /// Counts what reaches it; answers every lookup with `UTIL`.
+    /// Counts what reaches it; answers every lookup with `UTIL`, and its
+    /// live feed always reads `UTIL`, as a frozen value never cleared would.
     #[derive(Default)]
     struct CountingHook {
         lookups: u64,
@@ -397,7 +446,7 @@ mod tests {
     struct Driver {
         hook: FaultyHook<CountingHook>,
         answered: u64,
-        live_util_intact: bool,
+        live_util_follows: bool,
     }
 
     const OPS: u64 = 2_000;
@@ -406,9 +455,10 @@ mod tests {
         fn start(&mut self, ctx: &mut Ctx<'_>) {
             let report = tiny_report();
             for _ in 0..OPS {
-                self.answered += u64::from(self.hook.lookup(ctx.now(), ctx).is_some());
+                let answer = self.hook.lookup(ctx.now(), ctx);
+                self.answered += u64::from(answer.is_some());
                 self.hook.report(&report, ctx);
-                self.live_util_intact &= self.hook.live_util(ctx) == Some(UTIL);
+                self.live_util_follows &= self.hook.live_util(ctx) == answer.map(|s| s.utilization);
             }
         }
         fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
@@ -438,7 +488,7 @@ mod tests {
                     counters.clone(),
                 ),
                 answered: 0,
-                live_util_intact: true,
+                live_util_follows: true,
             }),
         );
         sim.run_until(Time::from_millis(1));
@@ -448,7 +498,10 @@ mod tests {
             driver.answered, inner.lookups,
             "an answer the inner hook did not give"
         );
-        assert!(driver.live_util_intact, "fault draws disturbed live_util");
+        assert!(
+            driver.live_util_follows,
+            "live_util is not the current lookup's answer"
+        );
         let c = *counters.lock().expect("fault counters");
         (c, inner.lookups, inner.reports)
     }

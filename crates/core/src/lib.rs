@@ -70,11 +70,11 @@ pub mod supervise;
 pub mod wire;
 
 pub use context::{ContextStore, FlowSummary, PathKey, SnapshotError, StoreConfig};
-pub use crash::{CrashCounters, HaHook, HaPlane, HaReport, HaSpec, ServerCrashPlan};
+pub use crash::{CrashCounters, HaPlane, HaReport, HaSpec, ServerCrashPlan};
 pub use harness::{
-    is_modified, provision_cubic, provision_cubic_phi, provision_cubic_phi_faulty,
-    provision_cubic_phi_ha, provision_mixed, run_experiment, run_repeated, run_repeated_on,
-    ExperimentSpec, ProvisionCtx, Provisioned, RunResult, DUMBBELL_PATH,
+    is_modified, provision_cubic, provision_cubic_phi, provision_cubic_phi_faulty, provision_mixed,
+    run_experiment, run_repeated, run_repeated_on, ExperimentSpec, ProvisionCtx, Provisioned,
+    RunResult, DUMBBELL_PATH,
 };
 pub use hooks::{
     fault_counters, shared, summarize, FaultCounters, FaultPlan, FaultyHook, Flap, IdealOracleHook,

@@ -16,9 +16,7 @@
 
 use phi::core::harness::{run_experiment, run_repeated_on, ExperimentSpec};
 use phi::core::runpool::RunPool;
-use phi::core::{
-    provision_cubic_phi, provision_cubic_phi_ha, HaSpec, PolicyTable, RunResult, ServerCrashPlan,
-};
+use phi::core::{provision_cubic_phi, HaSpec, PolicyTable, RunResult, ServerCrashPlan};
 use phi::sim::time::Dur;
 use phi::workload::OnOffConfig;
 
@@ -88,7 +86,7 @@ fn healthy_replicated_plane_is_bit_identical_to_the_shared_store() {
 
     let mut ha_spec = spec();
     ha_spec.ha = Some(HaSpec::none());
-    let replicated = run_experiment(&ha_spec, provision_cubic_phi_ha(PolicyTable::reference()));
+    let replicated = run_experiment(&ha_spec, provision_cubic_phi(PolicyTable::reference()));
 
     assert!(
         classic.metrics.flows_completed > 0,
@@ -123,10 +121,7 @@ fn healthy_replicated_plane_is_bit_identical_to_the_shared_store() {
 #[test]
 fn crash_mid_run_fails_over_with_bounded_goodput_cost() {
     let baseline = run_experiment(&spec(), provision_cubic_phi(PolicyTable::reference()));
-    let crashed = run_experiment(
-        &crash_spec(),
-        provision_cubic_phi_ha(PolicyTable::reference()),
-    );
+    let crashed = run_experiment(&crash_spec(), provision_cubic_phi(PolicyTable::reference()));
 
     let ha = crashed.ha.expect("HA spec produces an HA report");
     assert_eq!(ha.counters.crashes, 1, "plan scripts exactly one crash");
@@ -187,7 +182,7 @@ fn failover_runs_bit_identical_for_any_worker_count() {
             &RunPool::serial(),
             &spec,
             3,
-            provision_cubic_phi_ha(PolicyTable::reference()),
+            provision_cubic_phi(PolicyTable::reference()),
         )
         .iter()
         .map(fingerprint)
@@ -206,7 +201,7 @@ fn failover_runs_bit_identical_for_any_worker_count() {
                 &RunPool::new(workers),
                 &spec,
                 3,
-                provision_cubic_phi_ha(PolicyTable::reference()),
+                provision_cubic_phi(PolicyTable::reference()),
             )
             .iter()
             .map(fingerprint)
