@@ -643,11 +643,6 @@ impl Ctx<'_> {
         self.core.now
     }
 
-    /// The id of the agent being called.
-    pub fn agent_id(&self) -> AgentId {
-        self.agent
-    }
-
     /// The node this agent is attached to.
     pub fn node(&self) -> NodeId {
         self.node
@@ -706,7 +701,7 @@ impl Ctx<'_> {
             .utilization(self.core.now)
     }
 
-    /// Packets currently queued at a link.
+    /// Bytes currently queued at a link.
     pub fn link_queue_bytes(&self, link: LinkId) -> u64 {
         self.core.links[link.0 as usize].queue.len_bytes()
     }
@@ -1013,12 +1008,6 @@ impl Simulator {
         self.core.tracer = Some(tracer);
     }
 
-    /// Remove and return the installed tracer (to read a collector after
-    /// the run).
-    pub fn take_tracer(&mut self) -> Option<Box<dyn Tracer>> {
-        self.core.tracer.take()
-    }
-
     /// Borrow an agent for post-run inspection.
     ///
     /// ```ignore
@@ -1028,13 +1017,6 @@ impl Simulator {
         self.agents[id.0 as usize]
             .as_deref()
             .and_then(|a| a.as_any().downcast_ref::<T>())
-    }
-
-    /// Mutably borrow an agent.
-    pub fn agent_as_mut<T: Agent>(&mut self, id: AgentId) -> Option<&mut T> {
-        self.agents[id.0 as usize]
-            .as_deref_mut()
-            .and_then(|a| a.as_any_mut().downcast_mut::<T>())
     }
 
     fn with_agent(&mut self, id: AgentId, f: impl FnOnce(&mut dyn Agent, &mut Ctx<'_>)) {

@@ -69,5 +69,5 @@ pub mod prelude {
         dumbbell, parking_lot, Dumbbell, DumbbellSpec, LinkSpec, ParkingLot, ParkingLotSpec,
         Topology, TopologyBuilder,
     };
-    pub use crate::trace::{TraceCollector, TraceEvent, TraceOp, TraceWriter, Tracer};
+    pub use crate::trace::{TraceEvent, TraceOp, TraceWriter, Tracer};
 }

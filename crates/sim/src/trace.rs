@@ -3,8 +3,8 @@
 //! A [`Tracer`] installed on the simulator observes every queue
 //! admission, drop, transmission, and delivery. [`TraceWriter`] renders
 //! the classic ns-2 trace line format (`+`/`d`/`-`/`r` operations) so
-//! traces can be eyeballed or diffed; [`TraceCollector`] buffers events
-//! for programmatic assertions in tests.
+//! traces can be eyeballed or diffed; [`SharedTraceCollector`] buffers
+//! events where the caller can read them, for programmatic assertions.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -86,19 +86,6 @@ pub trait Tracer {
     fn event(&mut self, ev: &TraceEvent);
 }
 
-/// Buffers every event (tests, small runs — this grows unboundedly).
-#[derive(Debug, Default)]
-pub struct TraceCollector {
-    /// The recorded events, in simulation order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl Tracer for TraceCollector {
-    fn event(&mut self, ev: &TraceEvent) {
-        self.events.push(ev.clone());
-    }
-}
-
 /// A collector whose buffer is shared with the caller, so events can be
 /// inspected while (or after) the simulator owns the tracer half.
 #[derive(Debug, Default)]
@@ -146,11 +133,6 @@ impl TraceWriter {
     /// The rendered trace so far.
     pub fn as_str(&self) -> &str {
         &self.out
-    }
-
-    /// Take the rendered trace.
-    pub fn into_string(self) -> String {
-        self.out
     }
 }
 
@@ -227,21 +209,5 @@ mod tests {
         let lines: Vec<&str> = w.as_str().lines().collect();
         assert_eq!(lines[0], "+ 1.234000 l0 f3 seq 41 1500 tcp");
         assert_eq!(lines[1], "r 1.234000 n5 f3 seq 41 1500 ack");
-    }
-
-    #[test]
-    fn collector_buffers_in_order() {
-        let mut c = TraceCollector::default();
-        for i in 0..5 {
-            c.event(&TraceEvent::new(
-                Time::from_millis(i),
-                TraceOp::Transmit,
-                Some(LinkId(1)),
-                None,
-                &pkt(i, false),
-            ));
-        }
-        assert_eq!(c.events.len(), 5);
-        assert!(c.events.windows(2).all(|w| w[0].at <= w[1].at));
     }
 }
