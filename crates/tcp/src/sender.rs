@@ -48,8 +48,6 @@ pub struct SenderConfig {
     /// Duplicate ACKs that trigger fast retransmit (classically 3;
     /// §3.2's informed adaptation tunes this when reordering is common).
     pub dupack_threshold: u32,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: Dur,
     /// Upper bound on the retransmission timeout.
     pub max_rto: Dur,
     /// Abort the flow after this many *consecutive* RTO expirations with
@@ -72,7 +70,6 @@ impl SenderConfig {
             dst_port,
             src_port,
             dupack_threshold: 3,
-            min_rto: Dur::from_millis(200),
             max_rto: Dur::from_secs(60),
             max_consecutive_rtos: None,
             max_flows: None,
@@ -80,6 +77,9 @@ impl SenderConfig {
         }
     }
 }
+
+/// Lower bound on the retransmission timeout (Linux's `TCP_RTO_MIN`).
+const MIN_RTO: Dur = Dur::from_millis(200);
 
 // Timer tokens. Staleness is handled by the engine: timers are cancelled
 // (or superseded) through their [`TimerHandle`] and skipped at pop time,
@@ -322,11 +322,11 @@ impl Conn {
         self.rtt_samples += 1;
     }
 
-    fn computed_rto(&self, min_rto: Dur, max_rto: Dur) -> Dur {
+    fn computed_rto(&self, max_rto: Dur) -> Dur {
         match self.srtt {
             None => Dur::from_secs(1),
             Some(srtt) => (srtt + (self.rttvar * 4).max(Dur::from_millis(1)))
-                .max(min_rto)
+                .max(MIN_RTO)
                 .min(max_rto),
         }
     }
@@ -626,7 +626,7 @@ impl TcpSender {
         if !conn.outstanding() {
             return;
         }
-        conn.rto = conn.computed_rto(self.cfg.min_rto, self.cfg.max_rto);
+        conn.rto = conn.computed_rto(self.cfg.max_rto);
         let deadline = ctx.now() + conn.rto;
         self.rto_deadline = deadline;
         match self.rto_armed {
