@@ -119,6 +119,23 @@ mod tests {
     }
 
     #[test]
+    fn the_layout_is_big_endian_in_field_order() {
+        let bytes = encode_batch(&[record(1)]).unwrap();
+        let want: [u8; 2 + RECORD_SIZE] = [
+            0, 1, // count
+            10, 0, 0, 1, // src_ip
+            93, 184, 1, 34, // dst_ip
+            0x01, 0xBB, // src_port 443
+            0xC3, 0x51, // dst_port 50 001
+            6,    // proto
+            0, 0, 0, 0, 0, 0x12, 0xD6, 0x88, // ts_ms 1 234 568
+            0, 0, 0x05, 0xDC, // bytes 1 500
+        ];
+        assert_eq!(bytes[..], want[..]);
+        assert_eq!(decode_batch(&want).unwrap(), [record(1)]);
+    }
+
+    #[test]
     fn empty_batch_roundtrips() {
         let bytes = encode_batch(&[]).unwrap();
         assert_eq!(decode_batch(&bytes).unwrap(), Vec::new());
