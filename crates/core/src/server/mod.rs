@@ -51,10 +51,9 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use phi_tcp::hook::ContextSnapshot;
 
 use crate::context::{ContextStore, PathKey, StoreConfig};
@@ -145,7 +144,15 @@ impl Default for HaOptions {
 /// One shard of the serving state: a replica behind its own lock, so
 /// shards fail over independently and never contend on each other's
 /// locks. A classic single-store server is exactly a one-shard server.
-type Shard = Mutex<Replica>;
+struct Shard(Mutex<Replica>);
+
+impl Shard {
+    /// The replica. A thread that panicked while holding it may have left
+    /// it half-updated, so every later user of the shard panics too.
+    fn lock(&self) -> MutexGuard<'_, Replica> {
+        self.0.lock().expect("a thread panicked holding this shard")
+    }
+}
 
 /// A running context server.
 pub struct ContextServer {
@@ -250,7 +257,7 @@ impl ContextServer {
         }
         let shards = stores
             .into_iter()
-            .map(|store| Mutex::new(Replica::new(store, ha.epoch, ha.role)));
+            .map(|store| Shard(Mutex::new(Replica::new(store, ha.epoch, ha.role))));
         let shards: Arc<Vec<Shard>> = Arc::new(shards.collect());
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -293,7 +300,10 @@ impl ContextServer {
                                         handle_connection(stream, shards, stats, shutdown, started)
                                     })
                                     .expect("spawn handler thread");
-                                handlers.lock().push(handle);
+                                handlers
+                                    .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .push(handle);
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                                 std::thread::sleep(POLL_INTERVAL);
@@ -416,7 +426,10 @@ impl ContextServer {
         if let Some(t) = self.repl_thread.take() {
             let _ = t.join();
         }
-        let handlers = std::mem::take(&mut *self.handlers.lock());
+        // Pushing and draining leave the handler list whole at every step,
+        // and `Drop` calls this, so a poisoned lock is taken as it is.
+        let mut handlers = self.handlers.lock().unwrap_or_else(PoisonError::into_inner);
+        let handlers = std::mem::take(&mut *handlers);
         for h in handlers {
             let _ = h.join();
         }
@@ -434,6 +447,7 @@ impl Drop for ContextServer {
 fn reap_finished(handlers: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
     let finished: Vec<_> = handlers
         .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .extract_if(.., |h| h.is_finished())
         .collect();
     for h in finished {

@@ -82,10 +82,9 @@ fn mispaired_reply_poisons_but_error_and_unknown_frames_do_not() {
             encode(&Message::Error {
                 code: code::BAD_REQUEST,
                 message: "no".into(),
-            })
-            .to_vec(),
+            }),
             vec![0, 0, 0, 2, crate::wire::VERSION, 200], // a type from the future
-            encode(&Message::ReportOk).to_vec(),         // not what a lookup gets
+            encode(&Message::ReportOk),                  // not what a lookup gets
         ];
         let mut d = Decoder::new();
         let mut buf = [0u8; 1024];

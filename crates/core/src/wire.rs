@@ -55,7 +55,6 @@
 //! bytes and yields complete messages, tolerating any fragmentation the
 //! transport introduces.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use phi_tcp::hook::ContextSnapshot;
 
 use crate::context::{FlowSummary, PathKey};
@@ -344,119 +343,119 @@ impl std::error::Error for DecodeError {}
 ///
 /// Every frame byte is written once: the buffer is allocated at the
 /// frame's size, a fixed-size record is staged as one array and appended
-/// whole, and `freeze` hands the buffer over by move. Panics on a snapshot
-/// blob over [`MAX_SHARD_SNAPSHOT_BLOB`] rather than cut it: its producer,
+/// whole, and the buffer itself is returned. Panics on a snapshot blob over
+/// [`MAX_SHARD_SNAPSHOT_BLOB`] rather than cut it: its producer,
 /// `Replica::next_frame`, refuses to make one.
-pub fn encode(msg: &Message) -> Bytes {
-    let mut frame = BytesMut::with_capacity(frame_capacity(msg));
-    frame.put_u32(0); // the length, patched in once the rest is written
-    frame.put_u8(VERSION);
+pub fn encode(msg: &Message) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(frame_capacity(msg));
+    // The length is patched in once the rest is written.
+    frame.extend_from_slice(&[0, 0, 0, 0, VERSION]);
     match msg {
         Message::Lookup { path } => {
-            frame.put_u8(TYPE_LOOKUP);
-            frame.put_u64(path.0);
+            frame.push(TYPE_LOOKUP);
+            frame.extend_from_slice(&path.0.to_be_bytes());
         }
         Message::Context(c) => {
-            frame.put_u8(TYPE_CONTEXT);
-            frame.put_slice(&ctx_bytes(c));
+            frame.push(TYPE_CONTEXT);
+            frame.extend_from_slice(&ctx_bytes(c));
         }
         Message::ReportOk => {
-            frame.put_u8(TYPE_REPORT_OK);
+            frame.push(TYPE_REPORT_OK);
         }
         Message::Snapshot { limit } => {
-            frame.put_u8(TYPE_SNAPSHOT);
-            frame.put_u16(*limit);
+            frame.push(TYPE_SNAPSHOT);
+            frame.extend_from_slice(&limit.to_be_bytes());
         }
         Message::Paths(paths) => {
-            frame.put_u8(TYPE_PATHS);
+            frame.push(TYPE_PATHS);
             let n = paths.len().min(MAX_SNAPSHOT_PATHS);
-            frame.put_u16(n as u16);
+            frame.extend_from_slice(&(n as u16).to_be_bytes());
             for (key, ctx) in &paths[..n] {
-                frame.put_u64(key.0);
-                frame.put_slice(&ctx_bytes(ctx));
+                frame.extend_from_slice(&key.0.to_be_bytes());
+                frame.extend_from_slice(&ctx_bytes(ctx));
             }
         }
         Message::Error { code, message } => {
-            frame.put_u8(TYPE_ERROR);
-            frame.put_u16(*code);
+            frame.push(TYPE_ERROR);
+            frame.extend_from_slice(&code.to_be_bytes());
             // Keep error frames small; 512 bytes of detail is plenty.
             let len = truncated_utf8_len(message, 512);
-            frame.put_u16(len as u16);
-            frame.put_slice(&message.as_bytes()[..len]);
+            frame.extend_from_slice(&(len as u16).to_be_bytes());
+            frame.extend_from_slice(&message.as_bytes()[..len]);
         }
         Message::EpochQuery => {
-            frame.put_u8(TYPE_EPOCH_QUERY);
+            frame.push(TYPE_EPOCH_QUERY);
         }
         Message::Epoch { epoch, role } => {
-            frame.put_u8(TYPE_EPOCH);
-            frame.put_u64(*epoch);
-            frame.put_u8(match role {
+            frame.push(TYPE_EPOCH);
+            frame.extend_from_slice(&epoch.to_be_bytes());
+            frame.push(match role {
                 Role::Primary => ROLE_PRIMARY,
                 Role::Backup => ROLE_BACKUP,
             });
         }
         Message::Replicate { epoch, seq, op } => {
-            frame.put_u8(TYPE_REPLICATE);
-            frame.put_u64(*epoch);
-            frame.put_u64(*seq);
+            frame.push(TYPE_REPLICATE);
+            frame.extend_from_slice(&epoch.to_be_bytes());
+            frame.extend_from_slice(&seq.to_be_bytes());
             match op {
                 ReplOp::Lookup { path, now_ns } => {
-                    frame.put_u8(OP_LOOKUP);
-                    frame.put_u64(path.0);
-                    frame.put_u64(*now_ns);
+                    frame.push(OP_LOOKUP);
+                    frame.extend_from_slice(&path.0.to_be_bytes());
+                    frame.extend_from_slice(&now_ns.to_be_bytes());
                 }
                 ReplOp::Report {
                     path,
                     now_ns,
                     summary,
                 } => {
-                    frame.put_u8(OP_REPORT);
-                    frame.put_u64(path.0);
-                    frame.put_u64(*now_ns);
-                    frame.put_slice(&summary_bytes(summary));
+                    frame.push(OP_REPORT);
+                    frame.extend_from_slice(&path.0.to_be_bytes());
+                    frame.extend_from_slice(&now_ns.to_be_bytes());
+                    frame.extend_from_slice(&summary_bytes(summary));
                 }
             }
         }
         Message::BatchReport(items) => {
-            frame.put_u8(TYPE_BATCH_REPORT);
+            frame.push(TYPE_BATCH_REPORT);
             let n = items.len().min(MAX_BATCH_ITEMS);
-            frame.put_u16(n as u16);
+            frame.extend_from_slice(&(n as u16).to_be_bytes());
             for (path, summary) in &items[..n] {
                 let mut record = [0; REPORT_LEN];
                 record[..8].copy_from_slice(&path.0.to_be_bytes());
                 record[8..].copy_from_slice(&summary_bytes(summary));
-                frame.put_slice(&record);
+                frame.extend_from_slice(&record);
             }
         }
         Message::BatchQuery(paths) => {
-            frame.put_u8(TYPE_BATCH_QUERY);
+            frame.push(TYPE_BATCH_QUERY);
             let n = paths.len().min(MAX_BATCH_ITEMS);
-            frame.put_u16(n as u16);
+            frame.extend_from_slice(&(n as u16).to_be_bytes());
             for path in &paths[..n] {
-                frame.put_u64(path.0);
+                frame.extend_from_slice(&path.0.to_be_bytes());
             }
         }
         Message::BatchReply(snaps) => {
-            frame.put_u8(TYPE_BATCH_REPLY);
+            frame.push(TYPE_BATCH_REPLY);
             let n = snaps.len().min(MAX_BATCH_ITEMS);
-            frame.put_u16(n as u16);
+            frame.extend_from_slice(&(n as u16).to_be_bytes());
             for ctx in &snaps[..n] {
-                frame.put_slice(&ctx_bytes(ctx));
+                frame.extend_from_slice(&ctx_bytes(ctx));
             }
         }
         Message::ShardSnapshotSync { shard, epoch, blob } => {
-            frame.put_u8(TYPE_SHARD_SNAPSHOT_SYNC);
-            frame.put_u32(*shard);
-            frame.put_u64(*epoch);
+            frame.push(TYPE_SHARD_SNAPSHOT_SYNC);
+            frame.extend_from_slice(&shard.to_be_bytes());
+            frame.extend_from_slice(&epoch.to_be_bytes());
             // Cutting would corrupt the snapshot; `next_frame` refuses it.
             assert!(blob.len() <= MAX_SHARD_SNAPSHOT_BLOB, "blob too large");
-            frame.put_u32(blob.len() as u32);
-            frame.put_slice(blob);
+            frame.extend_from_slice(&(blob.len() as u32).to_be_bytes());
+            frame.extend_from_slice(blob);
         }
     }
     let len = (frame.len() - 4) as u32;
     frame[..4].copy_from_slice(&len.to_be_bytes());
-    frame.freeze()
+    frame
 }
 
 /// What `encode` allocates for `msg`, once: the exact frame size where a
@@ -485,14 +484,27 @@ fn ctx_bytes(c: &ContextSnapshot) -> [u8; CTX_LEN] {
     raw
 }
 
-// Inlined (as the slice `Buf` under it is) so that a loop over fixed-size
+/// The next `N` bytes of `p`, which the caller has checked it holds.
+// Inlined, as the readers over it are, so that a loop over fixed-size
 // records checks the record's length once, not once per field.
+#[inline]
+fn take<const N: usize>(p: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = p.split_first_chunk().expect("length checked");
+    *p = rest;
+    *head
+}
+
+#[inline]
+fn get_path(p: &mut &[u8]) -> PathKey {
+    PathKey(u64::from_be_bytes(take(p)))
+}
+
 #[inline]
 fn get_ctx(p: &mut &[u8]) -> ContextSnapshot {
     ContextSnapshot {
-        utilization: p.get_f64(),
-        queue_ms: p.get_f64(),
-        competing: p.get_u32(),
+        utilization: f64::from_be_bytes(take(p)),
+        queue_ms: f64::from_be_bytes(take(p)),
+        competing: u32::from_be_bytes(take(p)),
     }
 }
 
@@ -516,12 +528,12 @@ fn summary_bytes(s: &FlowSummary) -> [u8; SUMMARY_LEN] {
 #[inline]
 fn get_summary(p: &mut &[u8]) -> FlowSummary {
     FlowSummary {
-        bytes: p.get_u64(),
-        duration_ns: p.get_u64(),
-        mean_rtt_ms: p.get_f64(),
-        min_rtt_ms: p.get_f64(),
-        retransmits: p.get_u32(),
-        timeouts: p.get_u32(),
+        bytes: u64::from_be_bytes(take(p)),
+        duration_ns: u64::from_be_bytes(take(p)),
+        mean_rtt_ms: f64::from_be_bytes(take(p)),
+        min_rtt_ms: f64::from_be_bytes(take(p)),
+        retransmits: u32::from_be_bytes(take(p)),
+        timeouts: u32::from_be_bytes(take(p)),
     }
 }
 
@@ -541,7 +553,9 @@ fn truncated_utf8_len(s: &str, max: usize) -> usize {
 /// with [`Decoder::next`].
 #[derive(Debug, Default)]
 pub struct Decoder {
-    buf: BytesMut,
+    /// Bytes from the transport; the first `start` are consumed.
+    buf: Vec<u8>,
+    start: usize,
 }
 
 impl Decoder {
@@ -552,44 +566,51 @@ impl Decoder {
 
     /// Append raw bytes from the transport.
     pub fn extend(&mut self, bytes: &[u8]) {
+        // Drop the consumed front before growing once it is half the
+        // buffer, so a long-lived connection decodes in bounded memory and
+        // moves each byte down at most once.
+        if self.start > 0 && self.start >= self.buf.len() / 2 {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes currently buffered.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// Try to decode the next complete message.
     #[allow(clippy::should_implement_trait)] // fallible, not an Iterator
     pub fn next(&mut self) -> Result<Message, DecodeError> {
-        if self.buf.len() < 4 {
+        let unread = &self.buf[self.start..];
+        let Some((&len, frame)) = unread.split_first_chunk::<4>() else {
             return Err(DecodeError::Incomplete);
-        }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        };
+        let len = u32::from_be_bytes(len) as usize;
         if !(2..=MAX_FRAME).contains(&len) {
             return Err(DecodeError::Malformed("length out of bounds"));
         }
-        if self.buf.len() < 4 + len {
+        if frame.len() < len {
             return Err(DecodeError::Incomplete);
         }
         // Read in place, then consume the frame whole, whatever it held:
         // a payload error leaves the stream at the next frame.
-        let decoded = decode_payload(&mut &self.buf[4..4 + len]);
-        self.buf.advance(4 + len);
+        let decoded = decode_payload(&mut &frame[..len]);
+        self.start += 4 + len;
         decoded
     }
 }
 
 fn decode_payload(p: &mut &[u8]) -> Result<Message, DecodeError> {
-    let version = p.get_u8();
+    let [version, ty] = take(p);
     if version != VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let ty = p.get_u8();
     macro_rules! need {
         ($n:expr) => {
-            if p.remaining() < $n {
+            if p.len() < $n {
                 return Err(DecodeError::Malformed("payload too short"));
             }
         };
@@ -599,7 +620,7 @@ fn decode_payload(p: &mut &[u8]) -> Result<Message, DecodeError> {
     macro_rules! records {
         ($cap:expr, $over:literal, $len:expr) => {{
             need!(2);
-            let n = p.get_u16() as usize;
+            let n = u16::from_be_bytes(take(p)) as usize;
             if n > $cap {
                 return Err(DecodeError::Malformed($over));
             }
@@ -610,9 +631,7 @@ fn decode_payload(p: &mut &[u8]) -> Result<Message, DecodeError> {
     match ty {
         TYPE_LOOKUP => {
             need!(8);
-            Ok(Message::Lookup {
-                path: PathKey(p.get_u64()),
-            })
+            Ok(Message::Lookup { path: get_path(p) })
         }
         TYPE_CONTEXT => {
             need!(CTX_LEN);
@@ -621,17 +640,19 @@ fn decode_payload(p: &mut &[u8]) -> Result<Message, DecodeError> {
         TYPE_REPORT_OK => Ok(Message::ReportOk),
         TYPE_SNAPSHOT => {
             need!(2);
-            Ok(Message::Snapshot { limit: p.get_u16() })
+            Ok(Message::Snapshot {
+                limit: u16::from_be_bytes(take(p)),
+            })
         }
         TYPE_PATHS => Ok(Message::Paths(
             records!(MAX_SNAPSHOT_PATHS, "too many paths", 8 + CTX_LEN)
-                .map(|mut r| (PathKey(r.get_u64()), get_ctx(&mut r)))
+                .map(|mut r| (get_path(&mut r), get_ctx(&mut r)))
                 .collect(),
         )),
         TYPE_ERROR => {
             need!(4);
-            let code = p.get_u16();
-            let len = p.get_u16() as usize;
+            let code = u16::from_be_bytes(take(p));
+            let len = u16::from_be_bytes(take(p)) as usize;
             need!(len);
             let message = String::from_utf8(p[..len].to_vec())
                 .map_err(|_| DecodeError::Malformed("error message not utf-8"))?;
@@ -640,31 +661,31 @@ fn decode_payload(p: &mut &[u8]) -> Result<Message, DecodeError> {
         TYPE_EPOCH_QUERY => Ok(Message::EpochQuery),
         TYPE_EPOCH => {
             need!(9);
-            let epoch = p.get_u64();
-            let role = match p.get_u8() {
-                ROLE_PRIMARY => Role::Primary,
-                ROLE_BACKUP => Role::Backup,
+            let epoch = u64::from_be_bytes(take(p));
+            let role = match take(p) {
+                [ROLE_PRIMARY] => Role::Primary,
+                [ROLE_BACKUP] => Role::Backup,
                 _ => return Err(DecodeError::Malformed("unknown role")),
             };
             Ok(Message::Epoch { epoch, role })
         }
         TYPE_REPLICATE => {
             need!(17);
-            let epoch = p.get_u64();
-            let seq = p.get_u64();
-            let op = match p.get_u8() {
-                OP_LOOKUP => {
+            let epoch = u64::from_be_bytes(take(p));
+            let seq = u64::from_be_bytes(take(p));
+            let op = match take(p) {
+                [OP_LOOKUP] => {
                     need!(16);
                     ReplOp::Lookup {
-                        path: PathKey(p.get_u64()),
-                        now_ns: p.get_u64(),
+                        path: get_path(p),
+                        now_ns: u64::from_be_bytes(take(p)),
                     }
                 }
-                OP_REPORT => {
+                [OP_REPORT] => {
                     need!(16 + SUMMARY_LEN);
                     ReplOp::Report {
-                        path: PathKey(p.get_u64()),
-                        now_ns: p.get_u64(),
+                        path: get_path(p),
+                        now_ns: u64::from_be_bytes(take(p)),
                         summary: get_summary(p),
                     }
                 }
@@ -674,12 +695,12 @@ fn decode_payload(p: &mut &[u8]) -> Result<Message, DecodeError> {
         }
         TYPE_BATCH_REPORT => Ok(Message::BatchReport(
             records!(MAX_BATCH_ITEMS, "batch too large", REPORT_LEN)
-                .map(|mut r| (PathKey(r.get_u64()), get_summary(&mut r)))
+                .map(|mut r| (get_path(&mut r), get_summary(&mut r)))
                 .collect(),
         )),
         TYPE_BATCH_QUERY => Ok(Message::BatchQuery(
             records!(MAX_BATCH_ITEMS, "batch too large", 8)
-                .map(|mut r| PathKey(r.get_u64()))
+                .map(|mut r| get_path(&mut r))
                 .collect(),
         )),
         TYPE_BATCH_REPLY => Ok(Message::BatchReply(
@@ -689,9 +710,9 @@ fn decode_payload(p: &mut &[u8]) -> Result<Message, DecodeError> {
         )),
         TYPE_SHARD_SNAPSHOT_SYNC => {
             need!(16);
-            let shard = p.get_u32();
-            let epoch = p.get_u64();
-            let len = p.get_u32() as usize;
+            let shard = u32::from_be_bytes(take(p));
+            let epoch = u64::from_be_bytes(take(p));
+            let len = u32::from_be_bytes(take(p)) as usize;
             if len > MAX_SHARD_SNAPSHOT_BLOB {
                 return Err(DecodeError::Malformed("snapshot blob too large"));
             }
@@ -881,11 +902,8 @@ mod tests {
         // A hand-built frame claiming more items than the cap is rejected
         // before any allocation proportional to the claim.
         for ty in [TYPE_BATCH_REPORT, TYPE_BATCH_QUERY, TYPE_BATCH_REPLY] {
-            let mut frame = BytesMut::new();
-            frame.put_u32(2 + 2);
-            frame.put_u8(VERSION);
-            frame.put_u8(ty);
-            frame.put_u16(MAX_BATCH_ITEMS as u16 + 1);
+            let over = (MAX_BATCH_ITEMS as u16 + 1).to_be_bytes();
+            let frame = [0, 0, 0, 2 + 2, VERSION, ty, over[0], over[1]];
             let mut d = Decoder::new();
             d.extend(&frame);
             assert_eq!(d.next(), Err(DecodeError::Malformed("batch too large")));
@@ -896,12 +914,8 @@ mod tests {
     fn truncated_batch_payload_rejected() {
         // Claim 3 report items but supply only 2: the honest length
         // header makes this a complete frame whose payload ends early.
-        let mut frame = BytesMut::new();
-        frame.put_u32(2 + 2 + 2 * 48);
-        frame.put_u8(VERSION);
-        frame.put_u8(TYPE_BATCH_REPORT);
-        frame.put_u16(3);
-        frame.put_slice(&[0u8; 2 * 48]);
+        let mut frame = vec![0, 0, 0, 2 + 2 + 2 * 48, VERSION, TYPE_BATCH_REPORT, 0, 3];
+        frame.extend_from_slice(&[0u8; 2 * 48]);
         let mut d = Decoder::new();
         d.extend(&frame);
         assert_eq!(d.next(), Err(DecodeError::Malformed("payload too short")));
@@ -935,7 +949,7 @@ mod tests {
                 competing: 2,
             }]),
         ] {
-            let mut frame = BytesMut::from(&encode(&original)[..]);
+            let mut frame = encode(&original);
             frame[5] = 16; // first type code not assigned in this build
             let mut d = Decoder::new();
             d.extend(&frame);
@@ -980,13 +994,9 @@ mod tests {
         // A well-delimited frame of an unknown (future) type must not
         // desync the stream: the decoder reports BadType, consumes the
         // frame whole, and yields the next pipelined message intact.
-        let mut stream = Vec::new();
-        let mut unknown = BytesMut::new();
-        unknown.put_u32(2 + 11); // version + type + 11 payload bytes
-        unknown.put_u8(VERSION);
-        unknown.put_u8(200); // type from the future
-        unknown.put_slice(&[0xEE; 11]);
-        stream.extend_from_slice(&unknown);
+        // Version + type from the future + 11 payload bytes.
+        let mut stream = vec![0, 0, 0, 2 + 11, VERSION, 200];
+        stream.extend_from_slice(&[0xEE; 11]);
         stream.extend_from_slice(&encode(&Message::ReportOk));
         let mut d = Decoder::new();
         d.extend(&stream);
@@ -1008,13 +1018,10 @@ mod tests {
     fn oversized_shard_snapshot_blob_rejected() {
         // Hand-build a SHARD_SNAPSHOT_SYNC whose blob-length field
         // exceeds the bound; must be a clean typed error.
-        let mut frame = BytesMut::new();
-        frame.put_u32(2 + 16);
-        frame.put_u8(VERSION);
-        frame.put_u8(TYPE_SHARD_SNAPSHOT_SYNC);
-        frame.put_u32(0); // shard
-        frame.put_u64(1); // epoch
-        frame.put_u32(MAX_FRAME as u32); // blob length: too large
+        let mut frame = vec![0, 0, 0, 2 + 16, VERSION, TYPE_SHARD_SNAPSHOT_SYNC];
+        frame.extend_from_slice(&0u32.to_be_bytes()); // shard
+        frame.extend_from_slice(&1u64.to_be_bytes()); // epoch
+        frame.extend_from_slice(&(MAX_FRAME as u32).to_be_bytes()); // blob length: too large
         let mut d = Decoder::new();
         d.extend(&frame);
         assert_eq!(
@@ -1093,8 +1100,29 @@ mod tests {
     }
 
     #[test]
+    fn a_long_lived_decoder_decodes_in_the_room_of_one_frame_and_a_half() {
+        let msg = |k| Message::Lookup { path: PathKey(k) };
+        let frame = |k| encode(&msg(k));
+        let (one, half) = (frame(0).len(), frame(0).len() / 2);
+        let mut d = Decoder::new();
+        d.extend(&frame(0));
+        d.extend(&frame(1)[..half]);
+        let (at, cap) = (d.buf.as_ptr(), d.buf.capacity());
+        // Each frame completes the half before it and brings half of the
+        // next: the consumed front is dropped first, and the tail keeps its
+        // order.
+        for k in 1..100 {
+            assert_eq!(d.next().unwrap(), msg(k - 1));
+            d.extend(&frame(k)[half..]);
+            d.extend(&frame(k + 1)[..half]);
+            assert!(d.buf.len() <= one + half, "{} bytes held", d.buf.len());
+        }
+        assert_eq!((d.buf.as_ptr(), d.buf.capacity()), (at, cap));
+    }
+
+    #[test]
     fn bad_version_rejected() {
-        let mut frame = BytesMut::from(&encode(&Message::ReportOk)[..]);
+        let mut frame = encode(&Message::ReportOk);
         frame[4] = 9; // version byte
         let mut d = Decoder::new();
         d.extend(&frame);
@@ -1103,7 +1131,7 @@ mod tests {
 
     #[test]
     fn bad_type_rejected() {
-        let mut frame = BytesMut::from(&encode(&Message::ReportOk)[..]);
+        let mut frame = encode(&Message::ReportOk);
         frame[5] = 99; // type byte
         let mut d = Decoder::new();
         d.extend(&frame);
@@ -1124,11 +1152,7 @@ mod tests {
     #[test]
     fn truncated_payload_rejected() {
         // Claim a LOOKUP but supply only 4 of its 8 path bytes.
-        let mut frame = BytesMut::new();
-        frame.put_u32(2 + 4);
-        frame.put_u8(VERSION);
-        frame.put_u8(TYPE_LOOKUP);
-        frame.put_u32(1);
+        let frame = [0, 0, 0, 2 + 4, VERSION, TYPE_LOOKUP, 0, 0, 0, 1];
         let mut d = Decoder::new();
         d.extend(&frame);
         assert_eq!(d.next(), Err(DecodeError::Malformed("payload too short")));

@@ -5,7 +5,7 @@
 //! byte once — one `extend_from_slice` per field going out, a copy of the
 //! payload and one bounds-checked read per field coming in — over a bare
 //! `Vec<u8>`, so it shares neither the staged records, nor the in-place
-//! reads, nor the `bytes` stand-in with the code under test. Every bound,
+//! reads, nor the decoder's buffer with the code under test. Every bound,
 //! cap and error is the wire format's own and is kept.
 //!
 //! Below the model: the two comparisons ([`encode_agrees`],

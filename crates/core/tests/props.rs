@@ -411,7 +411,7 @@ proptest! {
     #[test]
     fn wrong_version_rejected(msg in arb_message(), bad in any::<u8>()) {
         prop_assume!(bad != 1); // VERSION
-        let mut frame = encode(&msg).to_vec();
+        let mut frame = encode(&msg);
         frame[4] = bad; // [u32 len][u8 version][u8 type][payload]
         let mut d = Decoder::new();
         d.extend(&frame);
@@ -433,7 +433,7 @@ proptest! {
             FIRST_UNKNOWN_TYPE..=255,
         ],
     ) {
-        let mut frame = encode(&msg).to_vec();
+        let mut frame = encode(&msg);
         frame[5] = bad;
         let mut d = Decoder::new();
         d.extend(&frame);
@@ -457,7 +457,7 @@ proptest! {
     /// bytes to lose.
     #[test]
     fn short_payload_with_honest_length_is_malformed(msg in arb_message(), drop in 1usize..9) {
-        let full = encode(&msg).to_vec();
+        let full = encode(&msg);
         let payload_len = full.len() - 6; // after len+version+type
         prop_assume!(payload_len >= 1);
         let drop = drop.min(payload_len);
@@ -801,7 +801,7 @@ proptest! {
         batch in arb_batch_message(),
         follower in arb_message(),
     ) {
-        let mut frame = encode(&batch).to_vec();
+        let mut frame = encode(&batch);
         let batch_type = frame[5];
         prop_assert!(BATCH_TYPES.contains(&batch_type), "not a batch frame: {}", batch_type);
         let unknown = FIRST_UNKNOWN_TYPE + (batch_type - BATCH_TYPES.start());

@@ -14,8 +14,6 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::record::{FlowKey, IpfixRecord};
 
 /// Encoded size of one record.
@@ -45,22 +43,22 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Encode a batch of records.
-pub fn encode_batch(records: &[IpfixRecord]) -> Result<Bytes, CodecError> {
+pub fn encode_batch(records: &[IpfixRecord]) -> Result<Vec<u8>, CodecError> {
     if records.len() > MAX_BATCH {
         return Err(CodecError::BatchTooLarge(records.len()));
     }
-    let mut out = BytesMut::with_capacity(2 + records.len() * RECORD_SIZE);
-    out.put_u16(records.len() as u16);
+    let mut out = Vec::with_capacity(2 + records.len() * RECORD_SIZE);
+    out.extend_from_slice(&(records.len() as u16).to_be_bytes());
     for r in records {
-        out.put_u32(r.key.src_ip.into());
-        out.put_u32(r.key.dst_ip.into());
-        out.put_u16(r.key.src_port);
-        out.put_u16(r.key.dst_port);
-        out.put_u8(r.key.proto);
-        out.put_u64(r.ts_ms);
-        out.put_u32(r.bytes);
+        out.extend_from_slice(&r.key.src_ip.octets());
+        out.extend_from_slice(&r.key.dst_ip.octets());
+        out.extend_from_slice(&r.key.src_port.to_be_bytes());
+        out.extend_from_slice(&r.key.dst_port.to_be_bytes());
+        out.push(r.key.proto);
+        out.extend_from_slice(&r.ts_ms.to_be_bytes());
+        out.extend_from_slice(&r.bytes.to_be_bytes());
     }
-    Ok(out.freeze())
+    Ok(out)
 }
 
 /// Decode one batch.
@@ -68,7 +66,7 @@ pub fn decode_batch(mut buf: &[u8]) -> Result<Vec<IpfixRecord>, CodecError> {
     if buf.len() < 2 {
         return Err(CodecError::Truncated);
     }
-    let count = buf.get_u16() as usize;
+    let count = u16::from_be_bytes(take(&mut buf)) as usize;
     if buf.len() < count * RECORD_SIZE {
         return Err(CodecError::Truncated);
     }
@@ -76,18 +74,25 @@ pub fn decode_batch(mut buf: &[u8]) -> Result<Vec<IpfixRecord>, CodecError> {
     for _ in 0..count {
         out.push(IpfixRecord {
             key: FlowKey {
-                src_ip: Ipv4Addr::from(buf.get_u32()),
-                dst_ip: Ipv4Addr::from(buf.get_u32()),
-                src_port: buf.get_u16(),
-                dst_port: buf.get_u16(),
-                proto: buf.get_u8(),
+                src_ip: Ipv4Addr::from(take::<4>(&mut buf)),
+                dst_ip: Ipv4Addr::from(take::<4>(&mut buf)),
+                src_port: u16::from_be_bytes(take(&mut buf)),
+                dst_port: u16::from_be_bytes(take(&mut buf)),
+                proto: u8::from_be_bytes(take(&mut buf)),
             },
-            ts_ms: buf.get_u64(),
-            bytes: buf.get_u32(),
+            ts_ms: u64::from_be_bytes(take(&mut buf)),
+            bytes: u32::from_be_bytes(take(&mut buf)),
             packets: 1,
         });
     }
     Ok(out)
+}
+
+/// The next `N` bytes of `buf`, which the caller has checked it holds.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf.split_first_chunk().expect("length checked");
+    *buf = rest;
+    *head
 }
 
 #[cfg(test)]

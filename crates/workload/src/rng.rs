@@ -7,24 +7,49 @@
 //! stay comparable across code changes, which is what makes the paper's
 //! leave-one-out analysis (Figure 3) meaningful here.
 //!
-//! ChaCha8 is used rather than `rand`'s `StdRng` because its output is
-//! specified and stable across `rand` versions and platforms.
+//! The generator is ChaCha with 8 rounds, written out below: its output is
+//! fixed by the cipher (RFC 8439's state layout, with a 64-bit block
+//! counter), so a stream depends on its seed alone, on every platform and
+//! toolchain. The seed becomes the key through SplitMix64.
 
-use rand::{Rng, RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+/// Words in a ChaCha block.
+const WORDS: usize = 16;
 
 /// A deterministic random stream.
 #[derive(Debug, Clone)]
 pub struct SeedRng {
-    inner: ChaCha8Rng,
+    /// Input block: constants, key, 64-bit block counter, nonce.
+    state: [u32; WORDS],
+    /// The current keystream block.
+    block: [u32; WORDS],
+    /// Next unread word of `block`.
+    next: usize,
     seed: u64,
 }
 
 impl SeedRng {
     /// The root stream for an experiment.
     pub fn new(seed: u64) -> Self {
+        let mut key = [0u32; 8];
+        let mut s = seed;
+        for pair in key.chunks_exact_mut(2) {
+            let k = splitmix64(&mut s);
+            pair[0] = k as u32;
+            pair[1] = (k >> 32) as u32;
+        }
+        SeedRng::keyed(key, seed)
+    }
+
+    /// A stream over the ChaCha key `key`, block counter and nonce zero.
+    fn keyed(key: [u32; 8], seed: u64) -> Self {
+        let mut state = [0u32; WORDS];
+        // "expand 32-byte k"
+        state[..4].copy_from_slice(&[0x6170_7865, 0x3320_646E, 0x7962_2D32, 0x6B20_6574]);
+        state[4..12].copy_from_slice(&key);
         SeedRng {
-            inner: ChaCha8Rng::seed_from_u64(seed),
+            state,
+            block: [0; WORDS],
+            next: WORDS, // the first draw computes block 0
             seed,
         }
     }
@@ -40,25 +65,58 @@ impl SeedRng {
     /// depends only on the parent seed and the label (FNV-1a hash), not on
     /// how much the parent stream has been consumed.
     pub fn fork(&self, label: &str) -> SeedRng {
-        let child = fnv1a(self.seed, label.as_bytes());
-        SeedRng {
-            inner: ChaCha8Rng::seed_from_u64(child),
-            seed: child,
-        }
+        SeedRng::new(fnv1a(self.seed, label.as_bytes()))
     }
 
     /// Derive an independent stream for an indexed entity, e.g. sender `i`.
     pub fn fork_indexed(&self, label: &str, index: u64) -> SeedRng {
-        let child = fnv1a(self.seed, label.as_bytes()) ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SeedRng {
-            inner: ChaCha8Rng::seed_from_u64(child),
-            seed: child,
-        }
+        SeedRng::new(fnv1a(self.seed, label.as_bytes()) ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
-    /// A uniform draw in `[0, 1)`.
+    /// The next 32 bits of the keystream.
+    fn next_u32(&mut self) -> u32 {
+        if self.next == WORDS {
+            self.refill();
+        }
+        let w = self.block[self.next];
+        self.next += 1;
+        w
+    }
+
+    /// The next 64 bits of the keystream: two words, the first low.
+    pub fn next_u64(&mut self) -> u64 {
+        let lo = u64::from(self.next_u32());
+        let hi = u64::from(self.next_u32());
+        hi << 32 | lo
+    }
+
+    /// Compute the block at the current counter, then step the counter.
+    fn refill(&mut self) {
+        let mut w = self.state;
+        for _ in 0..4 {
+            // A column round, then a diagonal round.
+            quarter_round(&mut w, 0, 4, 8, 12);
+            quarter_round(&mut w, 1, 5, 9, 13);
+            quarter_round(&mut w, 2, 6, 10, 14);
+            quarter_round(&mut w, 3, 7, 11, 15);
+            quarter_round(&mut w, 0, 5, 10, 15);
+            quarter_round(&mut w, 1, 6, 11, 12);
+            quarter_round(&mut w, 2, 7, 8, 13);
+            quarter_round(&mut w, 3, 4, 9, 14);
+        }
+        for (out, inp) in w.iter_mut().zip(self.state.iter()) {
+            *out = out.wrapping_add(*inp);
+        }
+        self.block = w;
+        self.next = 0;
+        let counter = (u64::from(self.state[13]) << 32 | u64::from(self.state[12])).wrapping_add(1);
+        self.state[12] = counter as u32;
+        self.state[13] = (counter >> 32) as u32;
+    }
+
+    /// A uniform draw in `[0, 1)`: the top 53 bits of one `u64`.
     pub fn unit(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform draw in `[lo, hi)`.
@@ -67,14 +125,23 @@ impl SeedRng {
         lo + self.unit() * (hi - lo)
     }
 
-    /// A uniform integer draw in `[lo, hi)`.
+    /// A uniform integer draw in `[lo, hi)`, unbiased: a draw from the
+    /// incomplete last multiple of `hi - lo` is rejected and drawn again.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        self.inner.gen_range(lo..hi)
+        assert!(lo < hi, "range_u64: empty range");
+        let span = hi - lo;
+        let rem = (u64::MAX % span).wrapping_add(1) % span;
+        loop {
+            let v = self.next_u64();
+            if rem == 0 || v <= u64::MAX - rem {
+                return lo + v % span;
+            }
+        }
     }
 
     /// A uniform usize draw in `[0, n)`.
     pub fn index(&mut self, n: usize) -> usize {
-        self.inner.gen_range(0..n)
+        self.range_u64(0, n as u64) as usize
     }
 
     /// A Bernoulli draw.
@@ -83,19 +150,25 @@ impl SeedRng {
     }
 }
 
-impl RngCore for SeedRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
-    }
+#[inline(always)]
+fn quarter_round(s: &mut [u32; WORDS], a: usize, b: usize, c: usize, d: usize) {
+    s[a] = s[a].wrapping_add(s[b]);
+    s[d] = (s[d] ^ s[a]).rotate_left(16);
+    s[c] = s[c].wrapping_add(s[d]);
+    s[b] = (s[b] ^ s[c]).rotate_left(12);
+    s[a] = s[a].wrapping_add(s[b]);
+    s[d] = (s[d] ^ s[a]).rotate_left(8);
+    s[c] = s[c].wrapping_add(s[d]);
+    s[b] = (s[b] ^ s[c]).rotate_left(7);
+}
+
+/// One SplitMix64 step.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Seeded FNV-1a over `bytes` — the repository's standard cheap keyed
@@ -117,8 +190,10 @@ mod tests {
     #[test]
     fn the_keystream_is_chacha8() {
         // The published ChaCha8 block for the all-zero key and nonce.
-        let mut r = rand_chacha::ChaCha8Rng::from_seed([0; 32]);
-        let block: Vec<u8> = (0..16).flat_map(|_| r.next_u32().to_le_bytes()).collect();
+        let mut r = SeedRng::keyed([0; 8], 0);
+        let block: Vec<u8> = (0..WORDS)
+            .flat_map(|_| r.next_u32().to_le_bytes())
+            .collect();
         let want = "3e00ef2f895f40d67f5bb8e81f09a5a12c840ec3ce9a7f3b181be188ef711a1e\
                     984ce172b9216f419f445367456d5619314a42a3da86b001387bfdb80e0cfe42";
         let got: String = block.iter().map(|b| format!("{b:02x}")).collect();

@@ -69,7 +69,6 @@ proptest! {
         let root = SeedRng::new(seed);
         let mut a = root.fork(&label);
         let mut b = root.fork(&label);
-        use rand::RngCore;
         for _ in 0..20 {
             prop_assert_eq!(a.next_u64(), b.next_u64());
         }

@@ -2,11 +2,11 @@
 //! numbers behind `core.wire.{encode,decode}_ns_per_report` that the box
 //! cannot move.
 //!
-//! `wire::encode` allocates its frame once, at the frame's size, and hands
-//! it over by move; `wire::Decoder` reads a frame where it lies in its
-//! buffer, so a decoded message costs only the `Vec` it carries. A copy
-//! creeping back in — a buffer grown in steps, a `freeze` or a split that
-//! clones — shows up here as a count, whatever the machine is doing.
+//! `wire::encode` allocates its frame once, at the frame's size, and
+//! returns it; `wire::Decoder` reads a frame where it lies in its buffer,
+//! so a decoded message costs only the `Vec` it carries. A copy creeping
+//! back in — a buffer grown in steps, a frame copied out of the stream —
+//! shows up here as a count, whatever the machine is doing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
