@@ -2394,14 +2394,32 @@ mod tests {
 
     #[test]
     fn unlimited_budget_is_inert() {
-        let mut plain = blast_sim(50);
+        let mut plain = blast_sim(2_000);
         plain.run_to_completion();
-        let mut budgeted = blast_sim(50);
-        budgeted.set_budget(RunBudget::UNLIMITED);
-        budgeted.run_to_completion();
-        assert_eq!(budgeted.termination(), None);
-        assert_eq!(budgeted.events_processed(), plain.events_processed());
-        assert_eq!(budgeted.now(), plain.now());
+        // Long enough to pass the pop loop's amortized wall-clock check
+        // (one per 1 024 events) more than once.
+        assert!(plain.events_processed() > 2 * 1_024);
+        // Unarmed, and armed with limits no run reaches: the second pays
+        // every event-count and wall-clock check, and none may fire.
+        let mut out_of_reach = RunBudget::events(u64::MAX);
+        out_of_reach.max_wall_ms = Some(u64::MAX);
+        for budget in [RunBudget::UNLIMITED, out_of_reach] {
+            let mut budgeted = blast_sim(2_000);
+            budgeted.set_budget(budget);
+            budgeted.run_to_completion();
+            assert_eq!(budgeted.termination(), None, "{budget:?}");
+            assert_eq!(
+                budgeted.events_processed(),
+                plain.events_processed(),
+                "{budget:?}"
+            );
+            assert_eq!(budgeted.now(), plain.now(), "{budget:?}");
+            assert_eq!(
+                budgeted.packet_census(),
+                plain.packet_census(),
+                "{budget:?}"
+            );
+        }
     }
 
     #[test]
