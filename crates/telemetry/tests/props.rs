@@ -4,6 +4,7 @@ use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 
+use phi_telemetry::codec::RECORD_SIZE;
 use phi_telemetry::{decode_batch, encode_batch, Collector, FlowKey, IpfixRecord, SharingCdf};
 
 fn arb_record() -> impl Strategy<Value = IpfixRecord> {
@@ -38,8 +39,21 @@ proptest! {
     }
 
     #[test]
-    fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_batch(&bytes); // must return Ok or Err, never panic
+    fn decode_never_panics_on_garbage(
+        mut bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        small_count in any::<bool>(),
+    ) {
+        // Half the inputs claim at most ten records, so some of them decode.
+        if small_count && bytes.len() >= 2 {
+            bytes[0] = 0;
+            bytes[1] %= 11;
+        }
+        // Ok or Err, never a panic; what is accepted re-encodes to the
+        // bytes it was read from.
+        if let Ok(read) = decode_batch(&bytes) {
+            let used = 2 + read.len() * RECORD_SIZE;
+            prop_assert_eq!(encode_batch(&read).unwrap(), &bytes[..used]);
+        }
     }
 
     #[test]
