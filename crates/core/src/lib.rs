@@ -93,7 +93,5 @@ pub use server::{
     ResilienceStats, ResilientClient, ServerConfig, ServerStats, WriteBehindConfig,
 };
 pub use shard::{shard_index, ShardedStore};
-pub use supervise::{
-    run_repeated_supervised, CompletedCell, SupervisorConfig, SweepReport, TerminatedCell,
-};
-pub use wire::{ErrorCode, ReplOp, Role};
+pub use supervise::{CompletedCell, SupervisorConfig, SweepReport, TerminatedCell};
+pub use wire::{ReplOp, Role};

@@ -110,92 +110,25 @@ pub const MAX_BATCH_ITEMS: usize = 1024;
 /// circuit breaker); all other codes poison nothing — the reply was a
 /// well-formed frame and the connection stays usable.
 pub mod code {
-    use super::ErrorCode;
-
     /// The request was well-framed but semantically wrong (e.g. a reply
     /// type sent in the client → server direction).
-    pub const BAD_REQUEST: u16 = ErrorCode::BadRequest.as_u16();
+    pub const BAD_REQUEST: u16 = 400;
     /// The frame could not be decoded; the connection is dropped after
     /// this error is sent (framing state is unrecoverable).
-    pub const MALFORMED: u16 = ErrorCode::Malformed.as_u16();
+    pub const MALFORMED: u16 = 422;
     /// The request reached a deposed primary (or a backup): its epoch is
     /// stale and its context must not be trusted. Clients drop the
     /// connection and fail over to the next endpoint.
-    pub const FENCED: u16 = ErrorCode::Fenced.as_u16();
+    pub const FENCED: u16 = 409;
     /// The frame was well-formed but this server does not implement the
     /// requested operation (e.g. an unknown-but-well-framed message type,
     /// or a snapshot blob from a future format version). The connection
     /// stays usable.
-    pub const UNSUPPORTED: u16 = ErrorCode::Unsupported.as_u16();
+    pub const UNSUPPORTED: u16 = 501;
     /// The server is at its connection cap and sheds this connection
     /// before serving any request. Retry later, against another replica,
     /// or degrade to no context.
-    pub const OVERLOADED: u16 = ErrorCode::Overloaded.as_u16();
-}
-
-/// The closed set of error codes a server may emit. The `u16` constants
-/// in [`code`] are derived from this enum, and every accessor below is
-/// an exhaustive `match` — adding a variant without extending each
-/// mapping fails to compile, which is exactly the audit we want.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ErrorCode {
-    /// 400 — well-framed but semantically wrong request.
-    BadRequest,
-    /// 409 — epoch fencing: the replica is deposed (or never primary).
-    Fenced,
-    /// 422 — undecodable frame; connection dropped after the error.
-    Malformed,
-    /// 501 — recognized framing, unimplemented operation or version.
-    Unsupported,
-    /// 503 — connection cap reached; shed before serving.
-    Overloaded,
-}
-
-impl ErrorCode {
-    /// Every defined code, for exhaustiveness tests and doc tables.
-    pub const ALL: [ErrorCode; 5] = [
-        ErrorCode::BadRequest,
-        ErrorCode::Fenced,
-        ErrorCode::Malformed,
-        ErrorCode::Unsupported,
-        ErrorCode::Overloaded,
-    ];
-
-    /// The stable on-wire value.
-    pub const fn as_u16(self) -> u16 {
-        match self {
-            ErrorCode::BadRequest => 400,
-            ErrorCode::Fenced => 409,
-            ErrorCode::Malformed => 422,
-            ErrorCode::Unsupported => 501,
-            ErrorCode::Overloaded => 503,
-        }
-    }
-
-    /// Parse an on-wire value; `None` for codes this build doesn't know
-    /// (a *newer* peer may legitimately send one — treat as a generic,
-    /// non-poisoning server error).
-    pub const fn from_u16(code: u16) -> Option<ErrorCode> {
-        match code {
-            400 => Some(ErrorCode::BadRequest),
-            409 => Some(ErrorCode::Fenced),
-            422 => Some(ErrorCode::Malformed),
-            501 => Some(ErrorCode::Unsupported),
-            503 => Some(ErrorCode::Overloaded),
-            _ => None,
-        }
-    }
-
-    /// One-line human description, for traces and error messages.
-    pub const fn description(self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad request",
-            ErrorCode::Fenced => "fenced: stale epoch",
-            ErrorCode::Malformed => "malformed frame",
-            ErrorCode::Unsupported => "unsupported operation",
-            ErrorCode::Overloaded => "overloaded",
-        }
-    }
+    pub const OVERLOADED: u16 = 503;
 }
 
 /// Which side of the replication pair a server is currently playing.
@@ -963,30 +896,12 @@ mod tests {
     }
 
     #[test]
-    fn error_code_mappings_are_exhaustive_and_stable() {
-        // Exhaustive match: adding an `ErrorCode` variant without
-        // extending this test (and the `ALL` table) fails to compile.
-        for c in ErrorCode::ALL {
-            let expected = match c {
-                ErrorCode::BadRequest => 400,
-                ErrorCode::Fenced => 409,
-                ErrorCode::Malformed => 422,
-                ErrorCode::Unsupported => 501,
-                ErrorCode::Overloaded => 503,
-            };
-            assert_eq!(c.as_u16(), expected);
-            assert_eq!(ErrorCode::from_u16(c.as_u16()), Some(c));
-            assert!(!c.description().is_empty());
-        }
-        // The wire constants are derived from the enum.
+    fn error_code_values_are_stable() {
         assert_eq!(code::BAD_REQUEST, 400);
         assert_eq!(code::FENCED, 409);
         assert_eq!(code::MALFORMED, 422);
         assert_eq!(code::UNSUPPORTED, 501);
         assert_eq!(code::OVERLOADED, 503);
-        // Unknown codes parse to None, never panic.
-        assert_eq!(ErrorCode::from_u16(0), None);
-        assert_eq!(ErrorCode::from_u16(599), None);
     }
 
     #[test]

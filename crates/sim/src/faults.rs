@@ -229,16 +229,6 @@ impl ImpairmentPlan {
         self.down_policy = policy;
         self
     }
-
-    /// True if the plan can ever destroy, duplicate, or delay a packet.
-    pub fn is_noop(&self) -> bool {
-        self.outages.is_empty()
-            && self.flapping.is_none()
-            && matches!(self.loss, LossModel::None)
-            && self.corrupt == 0.0
-            && self.duplicate == 0.0
-            && self.reorder.is_none()
-    }
 }
 
 /// Per-link chaos-plane counters.
@@ -546,12 +536,6 @@ mod tests {
         assert_eq!(f.stats.duplicated, duplicated);
         assert!(corrupted > 500 && duplicated > 500 && reordered > 2000);
         assert!(f.stats.reordered >= reordered);
-    }
-
-    #[test]
-    fn noop_plan_detected() {
-        assert!(ImpairmentPlan::new().is_noop());
-        assert!(!ImpairmentPlan::new().corrupt(0.1).is_noop());
     }
 
     /// The backpressure/fault composition pin from the module docs: an

@@ -62,7 +62,7 @@ pub mod prelude {
     };
     pub use crate::packet::{wire, AgentId, Flags, FlowId, LinkId, NodeId, Packet};
     pub use crate::queue::{Capacity, DisciplineSpec, LinkQueue};
-    pub use crate::stats::{Ewma, LinkStats, OnlineStats};
+    pub use crate::stats::{LinkStats, OnlineStats};
     pub use crate::switch::{EcnSpec, PfcSpec, SharedBuffer, SwitchSpec, SwitchStats};
     pub use crate::time::{Dur, Time};
     pub use crate::topology::{

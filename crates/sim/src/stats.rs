@@ -6,44 +6,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::time::{Dur, Time};
 
-/// Exponentially-weighted moving average.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// An EWMA with smoothing factor `alpha` in (0, 1]; larger tracks faster.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in a new sample.
-    pub fn update(&mut self, sample: f64) {
-        self.value = Some(match self.value {
-            None => sample,
-            Some(v) => v + self.alpha * (sample - v),
-        });
-    }
-
-    /// Current average, if any sample has been seen.
-    pub fn get(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Current average, or `default` before the first sample.
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
-    /// Forget all samples.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
 /// Incremental mean / min / max / variance over f64 samples (Welford).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct OnlineStats {
@@ -99,11 +61,6 @@ impl OnlineStats {
         }
     }
 
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample, if any.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -112,24 +69,6 @@ impl OnlineStats {
     /// Largest sample, if any.
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n;
-        self.m2 += other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -326,24 +265,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ewma_first_sample_wins() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.get(), None);
-        e.update(10.0);
-        assert_eq!(e.get(), Some(10.0));
-        e.update(20.0);
-        assert_eq!(e.get(), Some(15.0));
-        e.reset();
-        assert_eq!(e.get_or(3.0), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_bad_alpha() {
-        Ewma::new(0.0);
-    }
-
-    #[test]
     fn online_stats_matches_direct_computation() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         let mut s = OnlineStats::new();
@@ -353,30 +274,8 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..57).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..20] {
-            a.push(x);
-        }
-        for &x in &xs[20..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
     }
 
     #[test]

@@ -100,55 +100,6 @@ impl Sample for Constant {
     }
 }
 
-/// Empirical distribution: resamples from observed values (with linear
-/// interpolation between order statistics), for replaying measured flow
-/// sizes or RTTs through the same generator interface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Empirical {
-    sorted: Vec<f64>,
-}
-
-impl Empirical {
-    /// Build from observed samples (at least one, all finite).
-    pub fn from_samples(mut samples: Vec<f64>) -> Self {
-        assert!(!samples.is_empty(), "need at least one sample");
-        assert!(
-            samples.iter().all(|x| x.is_finite()),
-            "samples must be finite"
-        );
-        samples.sort_by(f64::total_cmp);
-        Empirical { sorted: samples }
-    }
-
-    /// Number of underlying samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if there are no samples (never: the constructor requires one).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-}
-
-impl Sample for Empirical {
-    fn sample(&self, rng: &mut SeedRng) -> f64 {
-        if self.sorted.len() == 1 {
-            return self.sorted[0];
-        }
-        // Inverse of the empirical CDF with linear interpolation.
-        let u = rng.unit() * (self.sorted.len() - 1) as f64;
-        let lo = u.floor() as usize;
-        let frac = u - lo as f64;
-        let hi = (lo + 1).min(self.sorted.len() - 1);
-        self.sorted[lo] + frac * (self.sorted[hi] - self.sorted[lo])
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.sorted.iter().sum::<f64>() / self.sorted.len() as f64)
-    }
-}
-
 /// Zipf distribution over ranks `0..n` with exponent `s`.
 ///
 /// Sampling is by binary search over the precomputed CDF: O(log n) per
@@ -270,38 +221,6 @@ mod tests {
         let mut rng = SeedRng::new(5);
         assert_eq!(d.sample(&mut rng), 7.0);
         assert_eq!(d.mean(), Some(7.0));
-    }
-
-    #[test]
-    fn empirical_resamples_within_observed_range() {
-        let d = Empirical::from_samples(vec![5.0, 1.0, 3.0, 9.0]);
-        assert_eq!(d.len(), 4);
-        let mut rng = SeedRng::new(8);
-        for _ in 0..5_000 {
-            let x = d.sample(&mut rng);
-            assert!((1.0..=9.0).contains(&x), "x = {x}");
-        }
-        // The resampled mean approaches the *interpolated* mean: with
-        // linear interpolation between order statistics the expectation is
-        // the trapezoid average ((1+3)/2 + (3+5)/2 + (5+9)/2)/3 = 13/3,
-        // slightly below the arithmetic mean 4.5.
-        let m = sample_mean(&d, 9, 50_000);
-        assert!((m - 13.0 / 3.0).abs() < 0.1, "mean {m}");
-    }
-
-    #[test]
-    fn empirical_single_sample_is_constant() {
-        let d = Empirical::from_samples(vec![7.5]);
-        let mut rng = SeedRng::new(1);
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 7.5);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn empirical_rejects_empty() {
-        Empirical::from_samples(vec![]);
     }
 
     #[test]

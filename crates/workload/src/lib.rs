@@ -22,7 +22,7 @@ pub mod incast;
 pub mod onoff;
 pub mod rng;
 
-pub use dist::{BoundedPareto, Constant, Empirical, Exponential, Sample, Zipf};
+pub use dist::{BoundedPareto, Constant, Exponential, Sample, Zipf};
 pub use incast::{FlowSource, IncastConfig, IncastSource};
 pub use onoff::{FlowPlan, OnOffConfig, OnOffSource};
 pub use rng::{fnv1a, SeedRng};
