@@ -29,7 +29,7 @@ use std::rc::Rc;
 
 use phi_sim::time::Dur;
 use phi_tcp::hook::ContextSnapshot;
-use phi_workload::SeedRng;
+use phi_workload::{fnv1a, SeedRng};
 use serde::{Deserialize, Serialize};
 
 use crate::context::{ContextStore, FlowSummary, PathKey, StoreConfig};
@@ -365,7 +365,7 @@ impl HaPlane {
     pub fn state_digest(&self) -> u64 {
         let st = self.state.borrow();
         let r = &st.replicas[0];
-        crate::journal::fnv1a(&r.store().encode_snapshot(r.epoch()))
+        fnv1a(0, &r.store().encode_snapshot(r.epoch()))
     }
 
     /// Summary for a run's [`HaReport`].

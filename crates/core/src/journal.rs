@@ -36,6 +36,7 @@ use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use phi_tcp::report::RunMetrics;
+use phi_workload::fnv1a;
 
 /// File magic: identifies a sweep journal and its framing revision.
 pub const MAGIC: [u8; 8] = *b"PHIJRNL1";
@@ -63,17 +64,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         }
     }
     !crc
-}
-
-/// FNV-1a over `bytes` — the same digest discipline the e2e suites use
-/// for trace fingerprints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
 }
 
 /// One completed run, as journaled.
@@ -160,7 +150,7 @@ impl RunRecord {
     /// FNV-1a fingerprint of the encoded record — what the sweep report
     /// aggregates into its bit-identity digest.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(&self.encode())
+        fnv1a(0, &self.encode())
     }
 }
 

@@ -8,8 +8,9 @@
 
 use proptest::prelude::*;
 
-use phi_core::journal::{crc32, encode_frame, fnv1a, recover, RunRecord};
+use phi_core::journal::{crc32, encode_frame, recover, RunRecord};
 use phi_tcp::report::RunMetrics;
+use phi_workload::fnv1a;
 
 fn arb_metrics() -> impl Strategy<Value = RunMetrics> {
     (
@@ -68,7 +69,7 @@ proptest! {
         prop_assert_eq!(rec.torn_bytes, 0);
         // Fingerprints are a pure function of content.
         for r in &records {
-            prop_assert_eq!(r.fingerprint(), fnv1a(&r.encode()));
+            prop_assert_eq!(r.fingerprint(), fnv1a(0, &r.encode()));
         }
     }
 

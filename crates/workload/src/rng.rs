@@ -174,6 +174,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Seeded FNV-1a over `bytes` — the repository's standard cheap keyed
 /// hash. Used for seed derivation here and for order-free fingerprints
 /// (per-flow sampler phases, run digests) elsewhere.
+#[inline]
 pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.rotate_left(17);
     for &b in bytes {
