@@ -14,8 +14,9 @@
 //!   drops take back much of what the defector grabs from the queue.
 
 use phi_bench::{banner, pct, scale, write_json};
-use phi_core::harness::{run_repeated, BottleneckQueue, ExperimentSpec, Provisioned};
+use phi_core::harness::{run_repeated, ExperimentSpec, Provisioned};
 use phi_core::{score, Objective};
+use phi_sim::queue::DisciplineSpec;
 use phi_sim::time::Dur;
 use phi_tcp::cubic::{Cubic, CubicParams};
 use phi_tcp::hook::NoHook;
@@ -44,7 +45,7 @@ struct Outcome {
     loss: f64,
 }
 
-fn run_arm(queue: BottleneckQueue, with_defector: bool, runs: usize, secs: u64) -> Outcome {
+fn run_arm(queue: DisciplineSpec, with_defector: bool, runs: usize, secs: u64) -> Outcome {
     let mut spec = ExperimentSpec::new(10, OnOffConfig::fig2(), Dur::from_secs(secs), 3131);
     spec.queue = queue;
     let results = run_repeated(&spec, runs, move |ctx| {
@@ -97,7 +98,7 @@ fn main() {
         "{:<10} {:<10} {:>14} {:>16} {:>12} {:>11} {:>8}",
         "queue", "defector", "defector tput", "cooperator tput", "total P_l", "queue(ms)", "loss"
     );
-    for queue in [BottleneckQueue::DropTail, BottleneckQueue::Red] {
+    for queue in [DisciplineSpec::DropTail, DisciplineSpec::Red] {
         for with_defector in [false, true] {
             let o = run_arm(queue, with_defector, sc.runs, sc.sim_secs);
             println!(

@@ -34,16 +34,6 @@ use crate::runpool::{derive_seed, RunPool};
 /// single bottleneck, per the §2.1 shared-path assumption).
 pub const DUMBBELL_PATH: PathKey = PathKey(1);
 
-/// Queueing discipline installed on the bottleneck pair (access links
-/// always run drop-tail; hosts never congest them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BottleneckQueue {
-    /// Classic drop-tail FIFO — the paper's (and the Internet's) default.
-    DropTail,
-    /// RED active queue management, for the §3.1 incentives ablation.
-    Red,
-}
-
 /// Everything that defines one experiment run except sender provisioning.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentSpec {
@@ -60,8 +50,11 @@ pub struct ExperimentSpec {
     pub dupack_threshold: u32,
     /// Context-store configuration for Phi-provisioned senders.
     pub store: StoreConfig,
-    /// Bottleneck queueing discipline.
-    pub queue: BottleneckQueue,
+    /// Queueing discipline installed on the bottleneck pair: drop-tail
+    /// FIFO (the paper's default) or RED for the §3.1 incentives
+    /// ablation. Access links always run drop-tail; hosts never congest
+    /// them.
+    pub queue: DisciplineSpec,
     /// Replicated context plane with deterministic server-crash
     /// injection, for HA-provisioned senders. `None` (the default, and
     /// what every pre-existing spec deserializes to) runs the classic
@@ -114,7 +107,7 @@ impl ExperimentSpec {
             seed,
             dupack_threshold: 3,
             store,
-            queue: BottleneckQueue::DropTail,
+            queue: DisciplineSpec::DropTail,
             ha: None,
             budget: None,
             switch: None,
@@ -251,7 +244,7 @@ pub fn run_experiment(
     let net = dumbbell(&spec.dumbbell);
     let bottleneck_ids = [net.bottleneck, net.reverse];
     let routers = [net.left_router, net.right_router];
-    let queue_kind = spec.queue;
+    let bottleneck_queue = spec.queue;
     let switch_pool = spec.switch.as_ref().map(|s| s.pool_bytes);
     let disciplines = move |id, link: &phi_sim::topology::LinkSpec| {
         if let Some(pool) = switch_pool {
@@ -262,10 +255,10 @@ pub fn run_experiment(
                 return DisciplineSpec::DropTail.build(Capacity::Bytes(pool));
             }
         }
-        let is_bottleneck = bottleneck_ids.contains(&id);
-        match (queue_kind, is_bottleneck) {
-            (BottleneckQueue::Red, true) => DisciplineSpec::RedGentle.build(link.capacity),
-            _ => DisciplineSpec::DropTail.build(link.capacity),
+        if bottleneck_ids.contains(&id) {
+            bottleneck_queue.build(link.capacity)
+        } else {
+            DisciplineSpec::DropTail.build(link.capacity)
         }
     };
     let mut sim = Simulator::with_disciplines(net.topology.clone(), disciplines);
@@ -644,7 +637,7 @@ mod tests {
         // little early loss for substantially less standing queue.
         let mut spec = quick_spec(10, 400_000.0, 0.5, 20);
         let droptail = run_experiment(&spec, provision_cubic(CubicParams::default()));
-        spec.queue = BottleneckQueue::Red;
+        spec.queue = DisciplineSpec::Red;
         let red = run_experiment(&spec, provision_cubic(CubicParams::default()));
         assert!(
             red.metrics.queueing_delay_ms < droptail.metrics.queueing_delay_ms,

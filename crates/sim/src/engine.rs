@@ -1742,20 +1742,15 @@ mod tests {
 
     #[test]
     fn custom_disciplines_installed_per_link() {
-        use crate::queue::DisciplineSpec;
+        use crate::queue::Red;
         let (t, a, z) = two_nodes(1_000_000, Dur::from_millis(1), Capacity::Packets(10));
         // RED with thresholds far below the load: early drops must occur
         // where plain drop-tail (capacity 10_000) would accept everything.
         let mut sim = Simulator::with_disciplines(t, |id, spec| {
             if id.0 == 0 {
-                DisciplineSpec::Red {
-                    min_th: 2.0,
-                    max_th: 6.0,
-                    max_p: 1.0,
-                }
-                .build(Capacity::Packets(10_000))
+                LinkQueue::custom(Red::new(Capacity::Packets(10_000), 2.0, 6.0, 1.0))
             } else {
-                DisciplineSpec::DropTail.build(spec.capacity)
+                LinkQueue::drop_tail(spec.capacity)
             }
         });
         sim.add_agent(

@@ -357,23 +357,13 @@ impl LinkQueue {
 /// [`LinkQueue`] holds trait objects and cannot travel inside an
 /// experiment spec; this enum can, and a per-link factory closure turns
 /// it into the queue with [`DisciplineSpec::build`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DisciplineSpec {
     /// Classic FIFO drop-tail (the engine default).
     DropTail,
-    /// RED with explicit thresholds (average queue lengths in packets)
-    /// and the drop probability reached at `max_th`.
-    Red {
-        /// Average-queue threshold where early drops begin, packets.
-        min_th: f64,
-        /// Average-queue threshold of maximum drop pressure, packets.
-        max_th: f64,
-        /// Early-drop probability at `max_th`, in (0, 1].
-        max_p: f64,
-    },
     /// Gentle RED auto-tuned to the link's physical buffer (thresholds
     /// at 20% / 60% of the packet capacity, `max_p` 0.1).
-    RedGentle,
+    Red,
 }
 
 impl DisciplineSpec {
@@ -387,12 +377,7 @@ impl DisciplineSpec {
         };
         match *self {
             DisciplineSpec::DropTail => LinkQueue::drop_tail(capacity),
-            DisciplineSpec::Red {
-                min_th,
-                max_th,
-                max_p,
-            } => LinkQueue::custom(Red::new(capacity, min_th, max_th, max_p)),
-            DisciplineSpec::RedGentle => LinkQueue::custom(Red::gentle(pkts)),
+            DisciplineSpec::Red => LinkQueue::custom(Red::gentle(pkts)),
         }
     }
 }

@@ -711,7 +711,7 @@ proptest! {
         let (egress, _) = b.add_duplex(s, z, 2_000_000, Dur::from_millis(1), Capacity::Packets(12));
         let mut sim = Simulator::with_disciplines(b.build(), |id, spec| {
             if case.red && id == egress {
-                DisciplineSpec::RedGentle.build(spec.capacity)
+                DisciplineSpec::Red.build(spec.capacity)
             } else {
                 DisciplineSpec::DropTail.build(spec.capacity)
             }

@@ -27,11 +27,11 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use phi::core::harness::BottleneckQueue;
 use phi::core::{
     provision_cubic, provision_cubic_phi, run_experiment, score, ContextClient, ContextServer,
     ContextStore, ExperimentSpec, FlowSummary, Objective, PathKey, PolicyTable, StoreConfig,
 };
+use phi::sim::queue::DisciplineSpec;
 use phi::sim::time::Dur;
 use phi::tcp::CubicParams;
 use phi::workload::OnOffConfig;
@@ -202,8 +202,8 @@ fn cmd_demo(opts: &Opts) -> Result<(), String> {
         .unwrap_or("phi")
         .to_string();
     let queue = match opts.get("queue").map(String::as_str).unwrap_or("droptail") {
-        "droptail" => BottleneckQueue::DropTail,
-        "red" => BottleneckQueue::Red,
+        "droptail" => DisciplineSpec::DropTail,
+        "red" => DisciplineSpec::Red,
         other => return Err(format!("--queue: unknown discipline `{other}`")),
     };
 

@@ -3,9 +3,9 @@
 //! EXPERIMENTS provenance), and a learned Remy tree must be shippable
 //! from the trainer to the fleet.
 
-use phi::core::harness::BottleneckQueue;
 use phi::core::{ExperimentSpec, FlowSummary, HaSpec, PolicyTable, ServerCrashPlan, StoreConfig};
 use phi::remy::{Action, WhiskerTree};
+use phi::sim::queue::DisciplineSpec;
 use phi::sim::time::Dur;
 use phi::tcp::report::{FlowReport, RunMetrics};
 use phi::tcp::CubicParams;
@@ -22,12 +22,12 @@ where
 #[test]
 fn experiment_spec_roundtrips() {
     let mut spec = ExperimentSpec::new(8, OnOffConfig::fig2(), Dur::from_secs(60), 42);
-    spec.queue = BottleneckQueue::Red;
+    spec.queue = DisciplineSpec::Red;
     spec.dupack_threshold = 5;
     let back = roundtrip(&spec);
     assert_eq!(back.dumbbell.pairs, 8);
     assert_eq!(back.duration, Dur::from_secs(60));
-    assert_eq!(back.queue, BottleneckQueue::Red);
+    assert_eq!(back.queue, DisciplineSpec::Red);
     assert_eq!(back.dupack_threshold, 5);
     assert_eq!(back.workload, OnOffConfig::fig2());
 }
