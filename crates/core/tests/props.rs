@@ -19,6 +19,10 @@ use phi_tcp::hook::ContextSnapshot;
 mod model;
 use model::ScanModel;
 
+#[path = "model/twins.rs"]
+mod twins;
+use twins::Twins;
+
 #[path = "model/wire.rs"]
 mod wire_model;
 use wire_model::{arb_batch_message, arb_message, arb_summary, damage, DAMAGES};
@@ -249,6 +253,33 @@ fn rate_step(
         2 => Some(store.lookup(path, now).utilization),
         _ => Some(store.peek(path, now).utilization),
     }
+}
+
+/// Feed `trace` to a pair of [`Twins`] under a `window`, asking one of
+/// them more (drawn from `seed`), and tell them apart after every step
+/// if anything can.
+fn twins_agree(
+    trace: &[(u8, u64, u64, u64, u64)],
+    window: u64,
+    capacity: Option<f64>,
+    seed: u64,
+) -> Result<(), String> {
+    let cfg = StoreConfig {
+        window_ns: window,
+        ..rate_cfg(capacity)
+    };
+    let mut twins = Twins::new(cfg, seed, W);
+    for &(kind, path, now, bytes, dur) in trace {
+        let path = PathKey(path);
+        match kind {
+            0 | 1 => twins.report(path, now, &sized(bytes, dur)),
+            2 => twins.lookup(path, now)?,
+            _ => twins.peek(path, now)?,
+        }
+        twins.maybe_ask_more(now);
+        twins.check(now)?;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -636,6 +667,33 @@ proptest! {
                 v.into_iter().map(|(p, c)| (p, c.utilization.to_bits())).collect()
             };
             prop_assert_eq!(bits(here.snapshot(end)), bits(later.snapshot(end + k * W)));
+        }
+    }
+
+    /// Questions leave no trace: two stores fed the same reports and
+    /// lookups, one of them given extra peeks at random points and
+    /// times, stay indistinguishable after every step — on a few paths
+    /// and on one deep one, capacity known and learned, under a window
+    /// of nothing, of one nanosecond and of `W`.
+    #[test]
+    fn questions_leave_no_trace(
+        steps in arb_rate_steps(1..250),
+        deep in proptest::collection::vec(
+            (0u8..8, 0.0f64..1.0, 1_000u64..50_000_000, 0.0f64..1.0, 0.0f64..1.0),
+            300..900,
+        ),
+        seed in any::<u64>(),
+    ) {
+        for trace in [rate_trace(&steps, 0), deep_trace(&deep)] {
+            for window in [0, 1, W] {
+                for capacity in [Some(10_000_000.0), None] {
+                    let verdict = twins_agree(&trace, window, capacity, seed);
+                    prop_assert!(
+                        verdict.is_ok(),
+                        "{:?} (window {}, capacity {:?})", verdict, window, capacity
+                    );
+                }
+            }
         }
     }
 

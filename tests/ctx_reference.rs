@@ -15,6 +15,10 @@ use phi::workload::SeedRng;
 mod model;
 use model::ScanModel;
 
+#[path = "../crates/core/tests/model/twins.rs"]
+mod twins;
+use twins::Twins;
+
 const W: u64 = 1_000_000_000;
 const PATHS: u64 = 3;
 
@@ -164,5 +168,55 @@ fn store_answers_what_a_scan_of_the_window_answers() {
         }
         // The comparison was of real numbers, not of zeros and ones.
         assert!(asked > 1_500 && busy > asked / 2, "{busy} of {asked}");
+    }
+}
+
+/// The referee of `props.rs`'s `questions_leave_no_trace`, replayed from
+/// a named seed: the traffic above, shorter — three windows of it, an
+/// idle gap with monitoring reads, more of it, and the bucket edges —
+/// fed to two stores, one of them asked more. After every step nothing
+/// the store shows may tell the two apart.
+#[test]
+fn questions_leave_no_trace() {
+    const SEED: u64 = 13;
+    let mut rng = SeedRng::new(13).fork("questions_leave_no_trace");
+    let mut ops = Vec::new();
+    traffic(&mut rng, &mut ops, 1, 3 * W, 1_200);
+    for tenth in 0..15 {
+        ops.push(Op::Peek(tenth % PATHS, 3 * W + tenth * W / 10));
+    }
+    traffic(&mut rng, &mut ops, 5 * W, 6 * W, 300);
+    bucket_edges(&mut ops, 7 * W);
+    for window_ns in [0, 1, W] {
+        for capacity_bps in [Some(4e9), None] {
+            let cfg = StoreConfig {
+                window_ns,
+                capacity_bps,
+                ..StoreConfig::default()
+            };
+            let mut twins = Twins::new(cfg, SEED, W);
+            for (step, op) in ops.iter().enumerate() {
+                let (verdict, now) = match *op {
+                    Op::Report(path, now, bytes, duration_ns) => {
+                        let summary = FlowSummary {
+                            bytes,
+                            duration_ns,
+                            mean_rtt_ms: 60.0,
+                            min_rtt_ms: 40.0,
+                            retransmits: 1,
+                            timeouts: 0,
+                        };
+                        twins.report(PathKey(path), now, &summary);
+                        (Ok(()), now)
+                    }
+                    Op::Lookup(path, now) => (twins.lookup(PathKey(path), now), now),
+                    Op::Peek(path, now) => (twins.peek(PathKey(path), now), now),
+                };
+                twins.maybe_ask_more(now);
+                if let Err(why) = verdict.and_then(|()| twins.check(now)) {
+                    panic!("step {step} (window {window_ns}, capacity {capacity_bps:?}): {why}");
+                }
+            }
+        }
     }
 }
