@@ -1,11 +1,16 @@
 //! Property-based invariants of the telemetry codec and aggregation.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 
 use phi_telemetry::codec::RECORD_SIZE;
-use phi_telemetry::{decode_batch, encode_batch, Collector, FlowKey, IpfixRecord, SharingCdf};
+use phi_telemetry::{
+    decode_batch, encode_batch, BucketId, Collector, FlowKey, IpfixRecord, LossyExporter,
+    SharingCdf,
+};
+use phi_workload::SeedRng;
 
 fn arb_record() -> impl Strategy<Value = IpfixRecord> {
     (
@@ -31,7 +36,69 @@ fn arb_record() -> impl Strategy<Value = IpfixRecord> {
         })
 }
 
+/// Everything a collector holds, in a form that compares: its counters
+/// and, per bucket, the flow set and the packet and byte totals.
+#[derive(Debug, PartialEq)]
+struct CollectorView {
+    records: u64,
+    buckets: usize,
+    dropped: u64,
+    contents: BTreeMap<BucketId, (BTreeSet<FlowKey>, u64, u64)>,
+}
+
+fn view(c: &Collector) -> CollectorView {
+    CollectorView {
+        records: c.record_count(),
+        buckets: c.bucket_count(),
+        dropped: c.dropped_records(),
+        contents: c
+            .buckets()
+            .map(|(id, b)| (*id, (b.flows().copied().collect(), b.packets, b.bytes)))
+            .collect(),
+    }
+}
+
+/// A fresh collector, unbounded or with small caps so that some records
+/// are dropped.
+fn collector(bounds: Option<(usize, usize)>) -> Collector {
+    match bounds {
+        Some((buckets, flows)) => Collector::bounded(buckets, flows),
+        None => Collector::new(),
+    }
+}
+
 proptest! {
+    /// A zero-loss exporter that is flushed before its staging buffer
+    /// fills hands the collector exactly what direct ingestion would.
+    #[test]
+    fn zero_loss_exporter_is_the_identity(
+        records in proptest::collection::vec(arb_record(), 0..300),
+        capacity in 1usize..64,
+        bounded in any::<bool>(),
+        caps in (1usize..32, 1usize..8),
+        seed in any::<u64>(),
+    ) {
+        let bounds = bounded.then_some(caps);
+        let mut direct = collector(bounds);
+        for r in &records {
+            direct.ingest(r);
+        }
+
+        let mut shipped = collector(bounds);
+        let mut exporter = LossyExporter::new(capacity, 0.0, SeedRng::new(seed));
+        for (i, r) in records.iter().enumerate() {
+            exporter.submit(*r);
+            if (i + 1) % capacity == 0 {
+                exporter.flush_into(&mut shipped);
+            }
+        }
+        exporter.flush_into(&mut shipped);
+
+        prop_assert_eq!(exporter.lost() + exporter.dropped(), 0);
+        prop_assert_eq!(exporter.shipped(), records.len() as u64);
+        prop_assert_eq!(view(&shipped), view(&direct));
+    }
+
     #[test]
     fn codec_roundtrip_any_batch(records in proptest::collection::vec(arb_record(), 0..200)) {
         let bytes = encode_batch(&records).unwrap();
