@@ -426,9 +426,11 @@ pub fn provision_cubic_phi(policy: PolicyTable) -> impl Fn(ProvisionCtx<'_>) -> 
 /// practical hook is wrapped in a [`FaultyHook`] injecting faults per
 /// `plan` (from a per-sender fork of the run seed, so fault draws never
 /// shift the workload streams). A sender whose lookup is lost runs that
-/// connection as vanilla TCP. Every sender's hook counts into
-/// `counters`, so the caller can read what was injected after the run.
-/// The §2.2.2 degradation arm.
+/// connection as vanilla TCP. Every sender's hook of every run this
+/// provisioner builds counts into `counters`, so the caller can read what
+/// was injected. A sweep on a multi-worker [`RunPool`] builds runs on
+/// several threads at once (hence `Sync`), and they all count into the
+/// one set. The §2.2.2 degradation arm.
 pub fn provision_cubic_phi_faulty(
     policy: PolicyTable,
     plan: FaultPlan,

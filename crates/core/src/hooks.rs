@@ -237,8 +237,8 @@ impl FaultPlan {
     }
 }
 
-/// Counters of injected faults, shared across the hooks of one run via
-/// [`fault_counters`] so a test can assert the faults actually fired.
+/// Counters of injected faults, summed over every hook that holds the same
+/// [`SharedFaultCounters`], so a test can assert the faults actually fired.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Lookups attempted.
@@ -251,7 +251,11 @@ pub struct FaultCounters {
     pub reports_dropped: u64,
 }
 
-/// Fault counters shared by the hooks of one (single-threaded) run.
+/// Fault counters shared by every hook that holds a clone: all senders of
+/// a run, and every run of a sweep whose provisioner holds them (see
+/// [`crate::provision_cubic_phi_faulty`]). On a multi-worker
+/// [`crate::RunPool`] those runs count from several threads at once, so
+/// the counters sit behind a lock.
 pub type SharedFaultCounters = Arc<Mutex<FaultCounters>>;
 
 /// Fresh counters for one run's [`FaultyHook`]s.

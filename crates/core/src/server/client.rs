@@ -100,78 +100,15 @@ impl Default for ClientConfig {
     }
 }
 
-/// Tuning for the client-side write-behind report buffer.
-///
-/// Reports are end-of-connection telemetry, not queries: nothing blocks
-/// on their reply. Buffering them and shipping one
-/// [`Message::BatchReport`] amortizes codec and syscall cost the same
-/// way the replication delta stream does. The cost is staleness, and
-/// that cost is *bounded*: a buffered report is flushed no later than
-/// the first `buffer_report`/`flush_reports` call after the oldest entry
-/// turns `max_age` old, and no more than `max_items` reports are ever
-/// held. On a flush failure the buffer is dropped, not retried — a dead
-/// context plane degrades to lost telemetry, never to memory growth or
-/// a stalled sender.
-#[derive(Debug, Clone, Copy)]
-pub struct WriteBehindConfig {
-    /// Buffered reports that force a flush (also the largest batch ever
-    /// sent; capped by [`crate::wire::MAX_BATCH_ITEMS`]).
-    pub max_items: usize,
-    /// Staleness bound: how old the oldest buffered report may be before
-    /// the next buffering call flushes.
-    pub max_age: Duration,
-}
-
-impl Default for WriteBehindConfig {
-    fn default() -> Self {
-        WriteBehindConfig {
-            max_items: 64,
-            max_age: Duration::from_millis(100),
-        }
-    }
-}
-
-/// The write-behind report buffer both clients hold: what is waiting,
-/// since when, and the bounds that say when it must go.
-#[derive(Default)]
-pub(super) struct WriteBehind {
-    pub(super) cfg: WriteBehindConfig,
-    pending: Vec<(PathKey, FlowSummary)>,
-    /// When the oldest entry in `pending` was buffered (the staleness
-    /// clock).
-    oldest: Option<Instant>,
-}
-
-impl WriteBehind {
-    /// Buffer one report; `true` when the count or the age bound is
-    /// reached and the caller must flush.
-    pub(super) fn push(&mut self, path: PathKey, summary: FlowSummary) -> bool {
-        let oldest = *self.oldest.get_or_insert_with(Instant::now);
-        self.pending.push((path, summary));
-        self.pending.len() >= self.cfg.max_items.clamp(1, MAX_BATCH_ITEMS)
-            || oldest.elapsed() >= self.cfg.max_age
-    }
-
-    /// Empty the buffer and stop its clock; the caller ships what it held.
-    pub(super) fn take(&mut self) -> Vec<(PathKey, FlowSummary)> {
-        self.oldest = None;
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Reports currently held.
-    pub(super) fn len(&self) -> usize {
-        self.pending.len()
-    }
-}
-
 /// A blocking context-server client: one TCP connection, synchronous
 /// request/response — matching the one-lookup-one-report cadence of the
 /// practical design.
 ///
 /// Every call returns within [`ClientConfig::request_deadline`]. After
 /// any mid-request failure the connection is poisoned (see the module
-/// docs); callers that want automatic reconnection and degradation use
-/// [`super::ResilientClient`].
+/// docs). It holds no policy: callers that want reconnection,
+/// degradation or buffered reports use [`super::ResilientClient`], and
+/// dropping it only closes the socket.
 pub struct ContextClient {
     pub(super) stream: TcpStream,
     decoder: Decoder,
@@ -179,7 +116,6 @@ pub struct ContextClient {
     read_buf: Vec<u8>,
     config: ClientConfig,
     poisoned: bool,
-    buffer: WriteBehind,
 }
 
 impl ContextClient {
@@ -216,15 +152,7 @@ impl ContextClient {
             read_buf: vec![0; super::READ_BUF_LEN],
             config,
             poisoned: false,
-            buffer: WriteBehind::default(),
         })
-    }
-
-    /// Replace the write-behind tuning (applies to subsequent
-    /// [`ContextClient::buffer_report`] calls; already-buffered reports
-    /// keep their staleness clock).
-    pub fn set_write_behind(&mut self, cfg: WriteBehindConfig) {
-        self.buffer.cfg = cfg;
     }
 
     /// Whether an earlier failure poisoned this connection (all further
@@ -337,37 +265,6 @@ impl ContextClient {
         Ok(out)
     }
 
-    /// Buffer a report for a later batched flush (see
-    /// [`WriteBehindConfig`] for the staleness bound). Returns `true` if
-    /// this call flushed. On a flush failure the buffered reports are
-    /// dropped before the error is returned — the buffer never grows past
-    /// `max_items` and a report is never retried into the future.
-    pub fn buffer_report(
-        &mut self,
-        path: PathKey,
-        summary: FlowSummary,
-    ) -> Result<bool, ClientError> {
-        let due = self.buffer.push(path, summary);
-        if due {
-            self.flush_reports()?;
-        }
-        Ok(due)
-    }
-
-    /// Flush every buffered report now, as one batch frame. Returns how
-    /// many reports were shipped. The buffer is emptied even on failure
-    /// (degradation over growth).
-    pub fn flush_reports(&mut self) -> Result<usize, ClientError> {
-        let items = self.buffer.take();
-        self.report_batch(&items)?;
-        Ok(items.len())
-    }
-
-    /// Reports currently held by the write-behind buffer.
-    pub fn pending_reports(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// The server's current fencing epoch and role (health probe).
     pub fn epoch(&mut self) -> Result<(u64, Role), ClientError> {
         self.ask(&Message::EpochQuery, |m| match m {
@@ -389,14 +286,6 @@ impl ContextClient {
     ) -> Result<(), ClientError> {
         self.ask(&Message::ShardSnapshotSync { shard, epoch, blob }, acked)
     }
-
-    /// Flush the write-behind buffer and consume the client; returns how
-    /// many buffered reports shipped. Dropping the client flushes too —
-    /// the difference is that `close` surfaces the final flush's error
-    /// where `Drop` must swallow it.
-    pub fn close(mut self) -> Result<usize, ClientError> {
-        self.flush_reports()
-    }
 }
 
 /// [`ContextClient::ask`]'s `pick` for requests answered by `REPORT_OK`.
@@ -404,19 +293,5 @@ pub(super) fn acked(reply: Message) -> Result<(), Message> {
     match reply {
         Message::ReportOk => Ok(()),
         other => Err(other),
-    }
-}
-
-impl Drop for ContextClient {
-    /// Last-chance flush of the write-behind buffer: an orderly teardown
-    /// must not silently discard buffered reports. Best-effort — errors
-    /// are swallowed (use [`ContextClient::close`] to observe them) and
-    /// the single batch request is bounded by the per-request deadline,
-    /// so teardown cannot hang on a dead plane. Skipped while panicking:
-    /// an unwinding thread shouldn't block on the network.
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            let _ = self.flush_reports();
-        }
     }
 }

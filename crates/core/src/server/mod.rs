@@ -44,9 +44,11 @@
 //!
 //! This file is the server: the shards, the accept loop and the connection
 //! handler, which decodes, routes, locks, serves and encodes. `repl` is
-//! the primary's replication thread, `client` the blocking
-//! [`ContextClient`] with its errors, configs and write-behind buffer,
-//! `resilient` the self-healing [`ResilientClient`] over it.
+//! the primary's replication thread. `client` is the connection: the
+//! blocking [`ContextClient`] with its deadlines, poisoning, typed
+//! requests and errors. `resilient` is the client policy over it, in one
+//! place: [`ResilientClient`]'s retries, backoff, circuit breaker,
+//! fail-over and write-behind report buffer.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -67,9 +69,9 @@ mod resilient;
 #[cfg(test)]
 mod tests;
 
-pub use client::{ClientConfig, ClientError, ContextClient, WriteBehindConfig};
+pub use client::{ClientConfig, ClientError, ContextClient};
 use repl::replicate_to_backups;
-pub use resilient::{ResilienceConfig, ResilienceStats, ResilientClient};
+pub use resilient::{ResilienceConfig, ResilienceStats, ResilientClient, WriteBehindConfig};
 
 /// Server-side counters, readable while running.
 #[derive(Debug, Default)]

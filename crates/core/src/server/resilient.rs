@@ -6,8 +6,7 @@ use std::time::{Duration, Instant};
 
 use phi_tcp::hook::ContextSnapshot;
 
-use super::client::WriteBehind;
-use super::{ClientConfig, ClientError, ContextClient, WriteBehindConfig};
+use super::{ClientConfig, ClientError, ContextClient};
 use crate::context::{FlowSummary, PathKey};
 use crate::wire::{code, Role, MAX_BATCH_ITEMS};
 
@@ -72,11 +71,72 @@ pub struct ResilienceStats {
     pub fenced: u64,
 }
 
+/// Tuning for the write-behind report buffer of a [`ResilientClient`].
+///
+/// Reports are end-of-connection telemetry, not queries: nothing blocks
+/// on their reply. Buffering them and shipping one
+/// [`crate::wire::Message::BatchReport`] amortizes codec and syscall cost
+/// the same way the replication delta stream does. The cost is
+/// staleness, and that cost is *bounded*: a buffered report is flushed no
+/// later than the first `buffer_report`/`flush_reports` call after the
+/// oldest entry turns `max_age` old, and no more than `max_items` reports
+/// are ever held. On a flush failure the buffer is dropped, not retried —
+/// a dead context plane degrades to lost telemetry, never to memory
+/// growth or a stalled sender.
+#[derive(Debug, Clone, Copy)]
+pub struct WriteBehindConfig {
+    /// Buffered reports that force a flush (also the largest batch ever
+    /// sent; capped by [`crate::wire::MAX_BATCH_ITEMS`]).
+    pub max_items: usize,
+    /// Staleness bound: how old the oldest buffered report may be before
+    /// the next buffering call flushes.
+    pub max_age: Duration,
+}
+
+impl Default for WriteBehindConfig {
+    fn default() -> Self {
+        WriteBehindConfig {
+            max_items: 64,
+            max_age: Duration::from_millis(100),
+        }
+    }
+}
+
+/// The write-behind report buffer: what is waiting, since when, and the
+/// bounds that say when it must go. It reads no clock; the caller passes
+/// the time.
+#[derive(Default)]
+struct WriteBehind {
+    cfg: WriteBehindConfig,
+    pending: Vec<(PathKey, FlowSummary)>,
+    /// When the oldest entry in `pending` was buffered (the staleness
+    /// clock).
+    oldest: Option<Instant>,
+}
+
+impl WriteBehind {
+    /// Buffer one report at `now`; `true` when the count or the age
+    /// bound is reached and the caller must flush.
+    fn push(&mut self, now: Instant, path: PathKey, summary: FlowSummary) -> bool {
+        let oldest = *self.oldest.get_or_insert(now);
+        self.pending.push((path, summary));
+        self.pending.len() >= self.cfg.max_items.clamp(1, MAX_BATCH_ITEMS)
+            || now.saturating_duration_since(oldest) >= self.cfg.max_age
+    }
+
+    /// Empty the buffer and stop its clock; the caller ships what it held.
+    fn take(&mut self) -> Vec<(PathKey, FlowSummary)> {
+        self.oldest = None;
+        std::mem::take(&mut self.pending)
+    }
+}
+
 /// A self-healing context-plane client embodying the §2.2.2 contract:
 /// **the context plane may fail; the sender must not.**
 ///
 /// Wraps [`ContextClient`] with bounded reconnects, exponential backoff
-/// with deterministic jitter, and a circuit breaker. All methods are
+/// with deterministic jitter, a circuit breaker and a write-behind report
+/// buffer ([`WriteBehindConfig`]). All methods are
 /// infallible: any exhausted failure degrades to "no context" (`None` /
 /// `false`), which callers map to vanilla-TCP behaviour — never an error
 /// the data path has to handle, never an unbounded block.
@@ -229,7 +289,7 @@ impl ResilientClient {
     /// never memory or data-path stalls: the breaker short-circuits the
     /// flush without touching the network).
     pub fn buffer_report(&mut self, path: PathKey, summary: FlowSummary) -> bool {
-        !self.buffer.push(path, summary) || self.flush_reports()
+        !self.buffer.push(Instant::now(), path, summary) || self.flush_reports()
     }
 
     /// Flush every buffered report now; `true` when nothing was lost
@@ -241,7 +301,7 @@ impl ResilientClient {
 
     /// Reports currently held by the write-behind buffer.
     pub fn pending_reports(&self) -> usize {
-        self.buffer.len()
+        self.buffer.pending.len()
     }
 
     /// Flush the write-behind buffer and consume the client; `false`
@@ -390,5 +450,72 @@ impl Drop for ResilientClient {
         if !std::thread::panicking() {
             let _ = self.flush_reports();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(i: u64) -> (PathKey, FlowSummary) {
+        (
+            PathKey(i),
+            FlowSummary {
+                bytes: 1_000 * i,
+                duration_ns: 1_000_000_000,
+                mean_rtt_ms: 170.0,
+                min_rtt_ms: 150.0,
+                retransmits: 0,
+                timeouts: 0,
+            },
+        )
+    }
+
+    fn buffer(max_items: usize, max_age: Duration) -> WriteBehind {
+        WriteBehind {
+            cfg: WriteBehindConfig { max_items, max_age },
+            ..WriteBehind::default()
+        }
+    }
+
+    #[test]
+    fn write_behind_is_due_at_the_count_bound() {
+        let t0 = Instant::now();
+        let mut wb = buffer(3, Duration::from_secs(60));
+        let (p, s) = report(1);
+        assert!(!wb.push(t0, p, s));
+        assert!(!wb.push(t0, p, s));
+        assert!(wb.push(t0, p, s), "the third report reaches max_items");
+        assert_eq!(wb.take().len(), 3);
+        assert!(wb.pending.is_empty());
+    }
+
+    #[test]
+    fn write_behind_is_due_when_the_oldest_report_reaches_max_age() {
+        let max_age = Duration::from_millis(80);
+        let t0 = Instant::now();
+        let mut wb = buffer(100, max_age);
+        let (p, s) = report(2);
+        assert!(!wb.push(t0, p, s));
+        // The bound is on the oldest report, not the newest.
+        assert!(!wb.push(t0 + max_age / 2, p, s));
+        assert!(!wb.push(t0 + max_age - Duration::from_nanos(1), p, s));
+        assert!(wb.push(t0 + max_age, p, s), "the oldest is max_age old");
+        assert_eq!(wb.take().len(), 4);
+    }
+
+    #[test]
+    fn write_behind_take_empties_and_restarts_the_clock() {
+        let max_age = Duration::from_millis(80);
+        let t0 = Instant::now();
+        let mut wb = buffer(100, max_age);
+        let (p, s) = report(3);
+        assert!(!wb.push(t0, p, s));
+        assert_eq!(wb.take(), vec![(p, s)]);
+        assert!(wb.take().is_empty(), "a second take ships nothing");
+        // The next report starts a new clock: ten bounds later it is the
+        // oldest, and it is not yet due.
+        assert!(!wb.push(t0 + max_age * 10, p, s));
+        assert!(wb.push(t0 + max_age * 11, p, s));
     }
 }

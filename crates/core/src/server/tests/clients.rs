@@ -367,60 +367,88 @@ fn half_open_probe_success_closes_and_resets_cooldown() {
     server.shutdown();
 }
 
+/// A client on a healthy plane, with quick timeouts and short backoff.
+fn resilient(addr: SocketAddr) -> ResilientClient {
+    ResilientClient::with_config(
+        addr,
+        ResilienceConfig {
+            client: quick_config(),
+            backoff_base: Duration::from_millis(1),
+            backoff_max: Duration::from_millis(4),
+            ..ResilienceConfig::default()
+        },
+    )
+    .expect("resolve")
+}
+
+/// Each trigger ships the buffer to a live server. The age bound at its
+/// exact instant is `resilient::tests`' job; here a zero `max_age` makes
+/// every report due as it is buffered, with no sleep.
 #[test]
 fn write_behind_flushes_on_count_and_age_and_demand() {
     let (server, addr) = start_server();
-    let mut c = ContextClient::connect(addr).expect("connect");
-    c.set_write_behind(WriteBehindConfig {
+    let reports = || server.stats().reports.load(Ordering::Relaxed);
+    let mut rc = resilient(addr);
+    rc.set_write_behind(WriteBehindConfig {
         max_items: 3,
-        max_age: Duration::from_millis(80),
+        max_age: Duration::from_secs(60),
     });
 
     // Count trigger: nothing is on the server until the 3rd report.
-    assert!(!c.buffer_report(PathKey(1), summary(1_000)).expect("buffer"));
-    assert!(!c.buffer_report(PathKey(1), summary(2_000)).expect("buffer"));
-    assert_eq!(server.stats().reports.load(Ordering::Relaxed), 0);
-    assert_eq!(c.pending_reports(), 2);
-    assert!(c.buffer_report(PathKey(1), summary(3_000)).expect("flush"));
-    assert_eq!(c.pending_reports(), 0);
-    assert_eq!(server.stats().reports.load(Ordering::Relaxed), 3);
+    assert!(rc.buffer_report(PathKey(1), summary(1_000)));
+    assert!(rc.buffer_report(PathKey(1), summary(2_000)));
+    assert_eq!(reports(), 0);
+    assert_eq!(rc.pending_reports(), 2);
+    assert!(rc.buffer_report(PathKey(1), summary(3_000)));
+    assert_eq!(rc.pending_reports(), 0);
+    assert_eq!(reports(), 3);
 
-    // Age trigger: one stale report rides out on the next buffering
-    // call after the bound elapses.
-    assert!(!c.buffer_report(PathKey(2), summary(4_000)).expect("buffer"));
-    std::thread::sleep(Duration::from_millis(100));
-    assert!(c.buffer_report(PathKey(2), summary(5_000)).expect("flush"));
-    assert_eq!(server.stats().reports.load(Ordering::Relaxed), 5);
+    // Age trigger: with a zero bound, the report is due at once.
+    rc.set_write_behind(WriteBehindConfig {
+        max_items: 3,
+        max_age: Duration::ZERO,
+    });
+    assert!(rc.buffer_report(PathKey(2), summary(4_000)));
+    assert_eq!(rc.pending_reports(), 0);
+    assert_eq!(reports(), 4);
 
     // Explicit flush.
-    assert!(!c.buffer_report(PathKey(3), summary(6_000)).expect("buffer"));
-    assert_eq!(c.flush_reports().expect("flush"), 1);
-    assert_eq!(c.flush_reports().expect("empty flush"), 0);
-    assert_eq!(server.stats().reports.load(Ordering::Relaxed), 6);
+    rc.set_write_behind(WriteBehindConfig {
+        max_items: 3,
+        max_age: Duration::from_secs(60),
+    });
+    assert!(rc.buffer_report(PathKey(3), summary(6_000)));
+    assert_eq!(rc.pending_reports(), 1);
+    assert!(rc.flush_reports());
+    assert!(rc.flush_reports(), "an empty flush loses nothing");
+    assert_eq!(rc.pending_reports(), 0);
+    assert_eq!(reports(), 5);
     server.shutdown();
 }
 
 #[test]
 fn write_behind_drops_cleanly_when_the_plane_dies() {
     let (server, addr) = start_server();
-    let mut c = ContextClient::connect_with(addr, quick_config()).expect("connect");
-    c.set_write_behind(WriteBehindConfig {
+    let mut rc = resilient(addr);
+    rc.set_write_behind(WriteBehindConfig {
         max_items: 2,
         max_age: Duration::from_secs(60),
     });
-    assert!(!c.buffer_report(PathKey(1), summary(1_000)).expect("buffer"));
+    // Connected and buffering when the plane goes.
+    assert!(rc.lookup(PathKey(1)).is_some());
+    assert!(rc.buffer_report(PathKey(1), summary(1_000)));
     server.shutdown();
 
     // The triggered flush fails against the dead plane; the buffer is
     // dropped (degrade), never ballooned, and the call stays bounded.
     let started = Instant::now();
-    assert!(c.buffer_report(PathKey(1), summary(2_000)).is_err());
+    assert!(!rc.buffer_report(PathKey(1), summary(2_000)), "flush lost");
     assert!(
         started.elapsed() < quick_config().request_deadline * 3,
         "flush must stay deadline-bounded, took {:?}",
         started.elapsed()
     );
-    assert_eq!(c.pending_reports(), 0, "failed flush must drop, not hold");
+    assert_eq!(rc.pending_reports(), 0, "failed flush must drop, not hold");
 }
 
 #[test]
@@ -472,58 +500,46 @@ fn write_behind_buffer_survives_orderly_shutdown() {
     // silently lost when the client was dropped or closed before a
     // flush trigger fired.
     let (server, addr) = start_server();
+    let reports = || server.stats().reports.load(Ordering::Relaxed);
     let wb = WriteBehindConfig {
         max_items: 100,
         max_age: Duration::from_secs(60),
     };
 
     // Drop path: the destructor ships the buffer.
-    let mut c = ContextClient::connect_with(addr, quick_config()).expect("connect");
-    c.set_write_behind(wb);
-    assert!(!c.buffer_report(PathKey(1), summary(1_000)).expect("buffer"));
-    assert!(!c.buffer_report(PathKey(1), summary(2_000)).expect("buffer"));
-    drop(c);
-    assert_eq!(server.stats().reports.load(Ordering::Relaxed), 2);
+    let mut rc = resilient(addr);
+    rc.set_write_behind(wb);
+    assert!(rc.buffer_report(PathKey(1), summary(1_000)));
+    assert!(rc.buffer_report(PathKey(1), summary(2_000)));
+    drop(rc);
+    assert_eq!(reports(), 2);
 
     // Close path: same flush, but losses are observable.
-    let mut c = ContextClient::connect_with(addr, quick_config()).expect("connect");
-    c.set_write_behind(wb);
-    assert!(!c.buffer_report(PathKey(2), summary(3_000)).expect("buffer"));
-    assert_eq!(c.close().expect("close"), 1);
-    assert_eq!(server.stats().reports.load(Ordering::Relaxed), 3);
-
-    // Resilient wrapper, drop path.
-    let mut rc = ResilientClient::with_config(
-        addr,
-        ResilienceConfig {
-            client: quick_config(),
-            ..ResilienceConfig::default()
-        },
-    )
-    .expect("resolve");
+    let mut rc = resilient(addr);
     rc.set_write_behind(wb);
-    assert!(rc.buffer_report(PathKey(3), summary(4_000)));
-    drop(rc);
-    assert_eq!(server.stats().reports.load(Ordering::Relaxed), 4);
+    assert!(rc.buffer_report(PathKey(2), summary(3_000)));
+    assert!(rc.close(), "close lost reports");
+    assert_eq!(reports(), 3);
     server.shutdown();
 }
 
 #[test]
 fn drop_flush_stays_bounded_against_a_dead_plane() {
     let (server, addr) = start_server();
-    let mut c = ContextClient::connect_with(addr, quick_config()).expect("connect");
-    c.set_write_behind(WriteBehindConfig {
+    let mut rc = resilient(addr);
+    rc.set_write_behind(WriteBehindConfig {
         max_items: 100,
         max_age: Duration::from_secs(60),
     });
-    assert!(!c.buffer_report(PathKey(1), summary(1_000)).expect("buffer"));
+    assert!(rc.lookup(PathKey(1)).is_some());
+    assert!(rc.buffer_report(PathKey(1), summary(1_000)));
     server.shutdown();
 
     // The destructor's flush fails against the dead plane; it must
-    // swallow the error and return within the request deadline, not
-    // hang teardown.
+    // swallow the loss and return within the retry budget, not hang
+    // teardown.
     let started = Instant::now();
-    drop(c);
+    drop(rc);
     assert!(
         started.elapsed() < quick_config().request_deadline * 3,
         "drop flush must stay deadline-bounded, took {:?}",

@@ -8,8 +8,9 @@
 //! ([`analysis::SharingCdf`]) answers the paper's question: how many
 //! flows share a WAN path with how many others?
 //!
-//! The exporter → collector network hop is real too: [`export`] ships
-//! batches over TCP with length-prefixed framing.
+//! The exporter → collector hop is [`export::LossyExporter`]: records
+//! cross it in codec batches, with seeded transit loss and a bounded
+//! staging buffer.
 //!
 //! Production traces are substituted by [`synth`], a deterministic
 //! Zipf-popularity egress generator — see DESIGN.md for why the
@@ -29,9 +30,7 @@ pub mod synth;
 pub use analysis::SharingCdf;
 pub use codec::{decode_batch, encode_batch, CodecError};
 pub use collector::{Bucket, BucketId, Collector};
-pub use export::{
-    shared_collector, CollectorServer, ExporterClient, LossyExporter, SharedCollector,
-};
+pub use export::LossyExporter;
 pub use record::{FlowKey, IpfixRecord, Subnet24};
 pub use sampler::{Mode, Sampler, PAPER_RATE};
 pub use synth::{generate_flows, EgressConfig, SynthFlow};

@@ -8,11 +8,11 @@
 //!
 //! Run with: `cargo run --release --example cdn_egress`
 
-use phi::telemetry::{
-    generate_flows, shared_collector, Collector, CollectorServer, EgressConfig, ExporterClient,
-    Sampler, SharingCdf,
-};
+use phi::telemetry::{generate_flows, Collector, EgressConfig, LossyExporter, Sampler, SharingCdf};
 use phi::workload::SeedRng;
+
+/// Records the exporter stages before it ships them as one codec batch.
+const BATCH: usize = 1000;
 
 fn main() {
     let cfg = EgressConfig::default();
@@ -25,46 +25,40 @@ fn main() {
         cfg.minutes
     );
 
-    // A real collector service on loopback; the "router" samples
-    // 1-in-4096 packets and ships batches over TCP like an IPFIX exporter.
-    let collector = shared_collector(Collector::new());
-    let server = CollectorServer::start("127.0.0.1:0", collector.clone()).expect("bind collector");
-    let mut exporter = ExporterClient::connect(server.addr(), 1000).expect("connect exporter");
-
+    // The "router" samples 1-in-4096 packets and ships batches of
+    // `BATCH` records like an IPFIX exporter. The path loses nothing and
+    // is flushed whenever the staging buffer fills, so every sampled
+    // record reaches the collector.
+    let mut collector = Collector::new();
+    let mut exporter = LossyExporter::new(BATCH, 0.0, rng.fork("exporter"));
+    let mut staged = 0;
     let mut sampler = Sampler::paper(rng.fork("sampler"));
     for flow in &flows {
         for ts in flow.packet_times() {
             if let Some(rec) = sampler.observe(flow.key, ts, 1500) {
-                exporter.submit(rec).expect("export");
+                exporter.submit(rec);
+                staged += 1;
+                if staged == BATCH {
+                    exporter.flush_into(&mut collector);
+                    staged = 0;
+                }
             }
         }
     }
-    exporter.flush().expect("flush");
+    exporter.flush_into(&mut collector);
 
     let (observed, sampled) = sampler.counters();
     println!(
         "sampler: {observed} packets observed, {sampled} exported (1 in {})",
         observed / sampled.max(1)
     );
-    // Wait for the service to drain the stream, then read the collector.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while server
-        .stats()
-        .records
-        .load(std::sync::atomic::Ordering::Relaxed)
-        < exporter.shipped()
-        && std::time::Instant::now() < deadline
-    {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    let collector_guard = collector.lock().expect("collector");
     println!(
-        "collector service: {} records into {} (/24, minute) buckets over TCP",
-        collector_guard.record_count(),
-        collector_guard.bucket_count(),
+        "collector: {} records into {} (/24, minute) buckets through the IPFIX codec",
+        collector.record_count(),
+        collector.bucket_count(),
     );
 
-    let cdf = SharingCdf::from_collector(&collector_guard);
+    let cdf = SharingCdf::from_collector(&collector);
     let (p5, p100) = cdf.paper_rows();
     println!("\nsharing-opportunity CDF over sampled flows:");
     for (k, frac) in cdf.ccdf_series(&[1, 2, 5, 10, 20, 50, 100, 200]) {
@@ -81,6 +75,4 @@ fn main() {
         "median sampled flow shares its path-minute with {} other flows",
         cdf.quantile(0.5).unwrap_or(0)
     );
-    drop(collector_guard);
-    server.shutdown();
 }

@@ -203,6 +203,10 @@ fn server_reports(server: &ContextServer) -> u64 {
 /// sender — until the count bound, the age bound, or an explicit flush
 /// ships them, and after any of those they are visible server-side. A
 /// report is never held longer than the bound allows.
+///
+/// `buffer_report` answers "nothing lost", not "flushed", so what was
+/// shipped is read from the client's pending count and the server's
+/// report counter.
 #[test]
 fn write_behind_reports_land_within_the_staleness_bound() {
     let server = ContextServer::start_sharded(
@@ -212,11 +216,11 @@ fn write_behind_reports_land_within_the_staleness_bound() {
         4,
     )
     .expect("bind");
-    let addr = server.addr();
-    let mut client = ContextClient::connect(addr).expect("connect");
+    let mut client = ResilientClient::new(server.addr()).expect("resolve");
+    // Count bound first, with an age bound no run reaches.
     client.set_write_behind(WriteBehindConfig {
         max_items: 8,
-        max_age: Duration::from_millis(150),
+        max_age: Duration::from_secs(3600),
     });
     // Paths spread across shards: the flushed batch exercises the
     // group-by-shard path on the server, not just one shard's lock.
@@ -225,16 +229,11 @@ fn write_behind_reports_land_within_the_staleness_bound() {
     // Count bound: seven reports sit in the buffer, invisible to the
     // server; the eighth crosses `max_items` and the whole batch lands.
     for i in 0..7u64 {
-        let flushed = client
-            .buffer_report(path(i), summary(100_000))
-            .expect("buffer");
-        assert!(!flushed, "report {i} flushed before the count bound");
+        assert!(client.buffer_report(path(i), summary(100_000)));
+        assert_eq!(client.pending_reports(), i as usize + 1);
     }
-    assert_eq!(client.pending_reports(), 7);
     assert_eq!(server_reports(&server), 0, "buffered reports leaked early");
-    assert!(client
-        .buffer_report(path(7), summary(100_000))
-        .expect("flush"));
+    assert!(client.buffer_report(path(7), summary(100_000)));
     assert_eq!(client.pending_reports(), 0);
     assert_eq!(
         server_reports(&server),
@@ -245,25 +244,28 @@ fn write_behind_reports_land_within_the_staleness_bound() {
     // Age bound: a lone report older than `max_age` is shipped by the
     // next buffer call — the bound is on the *oldest* buffered report,
     // so nothing can be held past it while traffic keeps arriving.
-    assert!(!client
-        .buffer_report(path(1), summary(50_000))
-        .expect("buffer"));
+    client.set_write_behind(WriteBehindConfig {
+        max_items: 8,
+        max_age: Duration::from_millis(150),
+    });
+    assert!(client.buffer_report(path(1), summary(50_000)));
+    assert_eq!(client.pending_reports(), 1);
     std::thread::sleep(Duration::from_millis(200));
-    assert!(
-        client
-            .buffer_report(path(2), summary(50_000))
-            .expect("age flush"),
+    assert!(client.buffer_report(path(2), summary(50_000)));
+    assert_eq!(
+        client.pending_reports(),
+        0,
         "a report older than max_age must force the flush"
     );
     assert_eq!(server_reports(&server), 10);
 
     // Explicit flush: the staleness bound is an upper bound, not a delay —
     // a caller can always cut it to zero.
-    assert!(!client
-        .buffer_report(path(3), summary(25_000))
-        .expect("buffer"));
-    assert_eq!(client.flush_reports().expect("flush"), 1);
-    assert_eq!(client.flush_reports().expect("empty flush"), 0);
+    assert!(client.buffer_report(path(3), summary(25_000)));
+    assert_eq!(client.pending_reports(), 1);
+    assert!(client.flush_reports());
+    assert!(client.flush_reports(), "an empty flush loses nothing");
+    assert_eq!(client.pending_reports(), 0);
     assert_eq!(server_reports(&server), 11);
 
     // And the landed reports are really in the stores: every reported
