@@ -26,16 +26,16 @@ use std::collections::{vec_deque, VecDeque};
 
 use phi_sim::packet::{IdHash, IdMap};
 use phi_tcp::hook::ContextSnapshot;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifies one network path class (e.g. a destination /24) whose flows
 /// are assumed to share a bottleneck (§2.1's spatio-temporal granularity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct PathKey(pub u64);
 
 /// What a sender reports when a connection ends — the wire-level subset of
 /// a `FlowReport`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FlowSummary {
     /// Bytes the connection delivered.
     pub bytes: u64,
@@ -56,7 +56,7 @@ pub struct FlowSummary {
 }
 
 /// Store configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct StoreConfig {
     /// Sliding window over which delivery rates are aggregated, nanoseconds.
     pub window_ns: u64,

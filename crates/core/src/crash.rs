@@ -30,7 +30,7 @@ use std::rc::Rc;
 use phi_sim::time::Dur;
 use phi_tcp::hook::ContextSnapshot;
 use phi_workload::{fnv1a, SeedRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::context::{ContextStore, FlowSummary, PathKey, StoreConfig};
 use crate::replica::Replica;
@@ -38,7 +38,7 @@ use crate::wire::{Message, ReplOp, Role};
 
 /// A repeating crash/restart cycle (the server-side analogue of
 /// [`crate::hooks::Flap`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CrashFlap {
     /// When the first crash hits.
     pub first: Dur,
@@ -56,7 +56,7 @@ pub struct CrashFlap {
 /// When the primary context server crashes (and restarts), scripted
 /// and/or seeded — mirroring [`crate::hooks::FaultPlan`] /
 /// `ImpairmentPlan`: declarative, serializable, deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServerCrashPlan {
     /// Scripted outages: `(crash_at, down_for)`. The crashed replica
     /// restarts (as the new backup) `down_for` after the crash.
@@ -149,7 +149,7 @@ impl ServerCrashPlan {
 }
 
 /// How the in-sim replicated plane behaves around crashes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HaSpec {
     /// When the primary dies.
     pub plan: ServerCrashPlan,
@@ -174,7 +174,7 @@ impl HaSpec {
 
 /// What happened to the crashed-and-failed-over plane, for assertions
 /// and run fingerprints.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CrashCounters {
     /// Primary crashes executed.
     pub crashes: u64,
@@ -381,7 +381,7 @@ impl HaPlane {
 /// The HA plane's contribution to a run's results (folded into run
 /// fingerprints, so parallelism regressions in the crash machinery are
 /// caught by the same bit-identity tests as everything else).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HaReport {
     /// Final epoch (1 = no failover happened).
     pub epoch: u64,

@@ -20,7 +20,7 @@ use phi_tcp::receiver::TcpReceiver;
 use phi_tcp::report::{FlowReport, RunMetrics};
 use phi_tcp::sender::{CcFactory, SenderConfig, TcpSender};
 use phi_workload::{FlowSource, IncastConfig, IncastSource, OnOffConfig, OnOffSource, SeedRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::context::{ContextStore, PathKey, StoreConfig};
 use crate::crash::{HaPlane, HaReport, HaSpec};
@@ -35,7 +35,7 @@ use crate::runpool::{derive_seed, RunPool};
 pub const DUMBBELL_PATH: PathKey = PathKey(1);
 
 /// Everything that defines one experiment run except sender provisioning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ExperimentSpec {
     /// The network.
     pub dumbbell: DumbbellSpec,
@@ -56,38 +56,32 @@ pub struct ExperimentSpec {
     /// them.
     pub queue: DisciplineSpec,
     /// Replicated context plane with deterministic server-crash
-    /// injection, for HA-provisioned senders. `None` (the default, and
-    /// what every pre-existing spec deserializes to) runs the classic
-    /// single shared store and draws nothing from the crash RNG stream,
-    /// so established run digests are untouched.
-    #[serde(default)]
+    /// injection, for HA-provisioned senders. `None` (the default) runs
+    /// the classic single shared store and draws nothing from the crash
+    /// RNG stream, so established run digests are untouched.
     pub ha: Option<HaSpec>,
     /// Run budget: hard caps on events, simulated time, and wall-clock
     /// time, for supervised sweeps whose cells must not run away. `None`
-    /// (the default, and what every pre-existing spec deserializes to)
-    /// arms no cap: the run processes the same events in the same order,
-    /// so established run digests are untouched. A budget-terminated run
-    /// returns partial results with [`RunResult::terminated`] set;
-    /// supervised aggregation excludes such cells (see `supervise`).
-    #[serde(default)]
+    /// (the default) arms no cap: the run processes the same events in
+    /// the same order, so established run digests are untouched. A
+    /// budget-terminated run returns partial results with
+    /// [`RunResult::terminated`] set; supervised aggregation excludes
+    /// such cells (see `supervise`).
     pub budget: Option<RunBudget>,
     /// Shared-buffer switch model installed on *both* aggregation
     /// routers: per-port virtual queues drawing from one pool under
     /// Dynamic-Threshold admission, with optional ECN marking and PFC
-    /// (see `phi_sim::switch`). `None` (the default, and what every
-    /// pre-existing spec deserializes to) keeps the classic per-link
-    /// drop-tail islands and touches no established digest. When set,
-    /// each router egress queue is given a byte capacity equal to the
-    /// pool, so shared-pool admission — not the inner FIFO — is the
-    /// binding drop decision.
-    #[serde(default)]
+    /// (see `phi_sim::switch`). `None` (the default) keeps the classic
+    /// per-link drop-tail islands and touches no established digest.
+    /// When set, each router egress queue is given a byte capacity equal
+    /// to the pool, so shared-pool admission — not the inner FIFO — is
+    /// the binding drop decision.
     pub switch: Option<SwitchSpec>,
     /// Incast workload override: each sender becomes one fan-in worker
     /// sending fixed blocks in synchronized rounds toward its receiver
     /// (`workers` must equal the dumbbell's `pairs`; `rounds` bounds
     /// each sender's `max_flows`). `None` (the default) keeps the
     /// on/off workload in [`ExperimentSpec::workload`].
-    #[serde(default)]
     pub incast: Option<IncastConfig>,
 }
 

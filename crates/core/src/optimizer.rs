@@ -9,7 +9,7 @@
 
 use phi_tcp::cubic::CubicParams;
 use phi_tcp::report::RunMetrics;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::harness::{provision_cubic, run_experiment, ExperimentSpec};
 use crate::policy::{PolicyEntry, PolicyTable};
@@ -17,7 +17,7 @@ use crate::power::{score, Objective};
 use crate::runpool::{derive_seed, RunPool};
 
 /// The parameter grid to sweep (Table 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepSpec {
     /// `windowInit_` values, segments.
     pub init_window: Vec<f64>,
@@ -94,7 +94,7 @@ impl SweepSpec {
 }
 
 /// Metrics of one parameter setting across the sweep's runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SweepOutcome {
     /// The setting.
     pub params: CubicParams,
@@ -107,7 +107,7 @@ pub struct SweepOutcome {
 }
 
 /// Everything a sweep produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SweepResult {
     /// Outcomes for each grid point, in grid order.
     pub outcomes: Vec<SweepOutcome>,
@@ -206,7 +206,7 @@ pub fn sweep_cubic_on(
 }
 
 /// One row of the Figure 3 analysis (for held-out run `run`).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct LeaveOneOutRow {
     /// The run whose optimum was transferred.
     pub run: usize,

@@ -10,10 +10,10 @@
 
 use phi_tcp::cubic::CubicParams;
 use phi_tcp::hook::ContextSnapshot;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One row: applies when utilization ≤ `max_util`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PolicyEntry {
     /// Upper edge of this utilization bucket (inclusive).
     pub max_util: f64,
@@ -22,7 +22,7 @@ pub struct PolicyEntry {
 }
 
 /// The utilization-bucketed parameter policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PolicyTable {
     entries: Vec<PolicyEntry>,
     /// Used when utilization exceeds every bucket edge.

@@ -6,10 +6,10 @@
 //! Remy (matching the Remy paper's objective).
 
 use phi_tcp::report::RunMetrics;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which objective an experiment optimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Objective {
     /// `P = r / d` — classic network power.
     Power,

@@ -31,7 +31,7 @@
 //!    every later call fails fast with [`ClientError::Poisoned`] instead
 //!    of pairing a stale reply with a fresh request. Reconnect to recover.
 //! 3. **Degradation** — [`ResilientClient`] wraps reconnection with
-//!    bounded retries, exponential backoff with deterministic jitter, and
+//!    bounded retries, exponential backoff with per-client jitter, and
 //!    a circuit breaker; on any exhausted failure it returns "no context"
 //!    (`None`) so the caller falls back to default behaviour.
 //!
@@ -398,18 +398,11 @@ impl ContextServer {
         self.shards[shard].lock().promote(epoch)
     }
 
-    /// The full store state as a versioned snapshot blob (tagged with the
-    /// current epoch) — what an operator persists before a planned
-    /// restart, and what [`crate::context::ContextStore::decode_snapshot`]
-    /// restores. On a sharded server this is shard 0; persist every shard
-    /// with [`ContextServer::shard_snapshot_blob`].
-    pub fn snapshot_blob(&self) -> Vec<u8> {
-        self.shard_snapshot_blob(0)
-    }
-
-    /// Shard `shard`'s state as a snapshot blob tagged with *that shard's*
-    /// epoch (shards fail over independently, so each blob carries its own
-    /// fencing token).
+    /// Shard `shard`'s state as a versioned snapshot blob tagged with
+    /// *that shard's* epoch (shards fail over independently, so each blob
+    /// carries its own fencing token) — what an operator persists for
+    /// every shard before a planned restart, and what
+    /// [`crate::context::ContextStore::decode_snapshot`] restores.
     pub fn shard_snapshot_blob(&self, shard: usize) -> Vec<u8> {
         let r = self.shards[shard].lock();
         r.store().encode_snapshot(r.epoch())

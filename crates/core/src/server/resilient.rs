@@ -2,12 +2,14 @@
 //! that is slow, flapping or gone costs it context and nothing else.
 
 use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use phi_tcp::hook::ContextSnapshot;
 
 use super::{ClientConfig, ClientError, ContextClient};
 use crate::context::{FlowSummary, PathKey};
+use crate::runpool::derive_seed;
 use crate::wire::{code, Role, MAX_BATCH_ITEMS};
 
 /// [`ResilientClient`] tuning knobs.
@@ -31,8 +33,6 @@ pub struct ResilienceConfig {
     pub breaker_cooldown: Duration,
     /// Ceiling on the doubled half-open cooldown.
     pub breaker_cooldown_max: Duration,
-    /// Seed for the deterministic jitter stream.
-    pub jitter_seed: u64,
 }
 
 impl Default for ResilienceConfig {
@@ -45,7 +45,6 @@ impl Default for ResilienceConfig {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(1),
             breaker_cooldown_max: Duration::from_secs(30),
-            jitter_seed: 0x5EED_CAFE,
         }
     }
 }
@@ -135,7 +134,7 @@ impl WriteBehind {
 /// **the context plane may fail; the sender must not.**
 ///
 /// Wraps [`ContextClient`] with bounded reconnects, exponential backoff
-/// with deterministic jitter, a circuit breaker and a write-behind report
+/// with per-client jitter, a circuit breaker and a write-behind report
 /// buffer ([`WriteBehindConfig`]). All methods are
 /// infallible: any exhausted failure degrades to "no context" (`None` /
 /// `false`), which callers map to vanilla-TCP behaviour — never an error
@@ -200,7 +199,7 @@ impl ResilientClient {
             consecutive_failures: 0,
             open_until: None,
             open_streak: 0,
-            jitter: config.jitter_seed | 1,
+            jitter: jitter_seed(),
             stats: ResilienceStats::default(),
             buffer: WriteBehind::default(),
         }
@@ -255,11 +254,6 @@ impl ResilientClient {
         self.report_batch(&[(path, summary)])
     }
 
-    /// The busiest `limit` paths, or `None` when the plane is down.
-    pub fn snapshot(&mut self, limit: u16) -> Option<Vec<(PathKey, ContextSnapshot)>> {
-        self.call(|c| c.snapshot(limit))
-    }
-
     /// Ship `items` as batch-report frames; `false` means at least one
     /// batch was lost to a context-plane failure (acceptable: estimates
     /// degrade gracefully, the data path never stalls).
@@ -269,17 +263,6 @@ impl ResilientClient {
             ok &= self.call(|c| c.report_batch(chunk)).is_some();
         }
         ok
-    }
-
-    /// Read many paths' context in one frame (side-effect free); `None`
-    /// when the plane is down — the caller falls back to defaults, same
-    /// as a failed [`ResilientClient::lookup`].
-    pub fn query_batch(&mut self, paths: &[PathKey]) -> Option<Vec<ContextSnapshot>> {
-        let mut out = Vec::with_capacity(paths.len());
-        for chunk in paths.chunks(MAX_BATCH_ITEMS) {
-            out.extend(self.call(|c| c.query_batch(chunk))?);
-        }
-        Some(out)
     }
 
     /// Buffer a report for a later batched flush, bounded by the
@@ -424,9 +407,9 @@ impl ResilientClient {
         self.open_streak = self.open_streak.saturating_add(1);
     }
 
-    /// Exponential backoff with deterministic jitter in `[0.5, 1.0]` of
-    /// the capped exponential term (xorshift64 stream seeded by config,
-    /// so tests are reproducible and a fleet of clients decorrelates).
+    /// Exponential backoff with jitter in `[0.5, 1.0]` of the capped
+    /// exponential term (this client's xorshift64 stream, see
+    /// [`jitter_seed`], so a fleet of clients decorrelates).
     fn backoff(&mut self, attempt: u32) -> Duration {
         let exp = self
             .config
@@ -439,6 +422,16 @@ impl ResilientClient {
         let frac = 0.5 + 0.5 * (self.jitter >> 11) as f64 / (1u64 << 53) as f64;
         capped.mul_f64(frac)
     }
+}
+
+/// A fresh xorshift64 seed for each client built in this process: the
+/// process id and a per-process client count, mixed. Clients in one
+/// process, and the same client number in two processes, back off on
+/// different schedules.
+fn jitter_seed() -> u64 {
+    static CLIENTS: AtomicU64 = AtomicU64::new(0);
+    let n = CLIENTS.fetch_add(1, Ordering::Relaxed);
+    derive_seed(u64::from(std::process::id()), n) | 1
 }
 
 impl Drop for ResilientClient {
@@ -502,6 +495,16 @@ mod tests {
         assert!(!wb.push(t0 + max_age - Duration::from_nanos(1), p, s));
         assert!(wb.push(t0 + max_age, p, s), "the oldest is max_age old");
         assert_eq!(wb.take().len(), 4);
+    }
+
+    #[test]
+    fn clients_in_one_process_start_different_jitter_streams() {
+        let addr: SocketAddr = "127.0.0.1:9".parse().expect("addr");
+        let mut a = ResilientClient::multi(vec![addr], ResilienceConfig::default());
+        let mut b = ResilientClient::multi(vec![addr], ResilienceConfig::default());
+        assert_ne!(a.jitter, b.jitter);
+        let first = |c: &mut ResilientClient| (1..=4).map(|k| c.backoff(k)).collect::<Vec<_>>();
+        assert_ne!(first(&mut a), first(&mut b), "same backoff schedule");
     }
 
     #[test]

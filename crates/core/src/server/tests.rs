@@ -318,8 +318,10 @@ fn batched_report_logs_the_same_deltas_as_singles() {
     assert_eq!(batch_srv.stats().reports.load(Ordering::Relaxed), 3);
 
     // And the stores agree on everything clock-independent.
-    let (bst, _) = ContextStore::decode_snapshot(&batch_srv.snapshot_blob()).expect("decode");
-    let (sst, _) = ContextStore::decode_snapshot(&single_srv.snapshot_blob()).expect("decode");
+    let (bst, _) =
+        ContextStore::decode_snapshot(&batch_srv.shard_snapshot_blob(0)).expect("decode");
+    let (sst, _) =
+        ContextStore::decode_snapshot(&single_srv.shard_snapshot_blob(0)).expect("decode");
     for p in [PathKey(1), PathKey(2)] {
         assert_eq!(bst.traffic_counters(p), sst.traffic_counters(p));
         assert_eq!(bst.loss_signal(p), sst.loss_signal(p));

@@ -301,7 +301,6 @@ fn half_open_probe_failure_doubles_cooldown() {
             breaker_threshold: 1,
             breaker_cooldown: cooldown,
             breaker_cooldown_max: Duration::from_secs(30),
-            ..ResilienceConfig::default()
         },
     )
     .expect("resolve");
@@ -346,7 +345,6 @@ fn half_open_probe_success_closes_and_resets_cooldown() {
             breaker_threshold: 1,
             breaker_cooldown: cooldown,
             breaker_cooldown_max: Duration::from_secs(30),
-            ..ResilienceConfig::default()
         },
     )
     .expect("resolve");

@@ -60,11 +60,12 @@ fn replication_streams_deltas_to_backup() {
 
     // The delta stream carries both mutations to the backup.
     wait_until("backup to apply the deltas", || {
-        let (store, _) = ContextStore::decode_snapshot(&backup.snapshot_blob())
+        let (store, _) = ContextStore::decode_snapshot(&backup.shard_snapshot_blob(0))
             .expect("backup snapshot decodes");
         store.traffic_counters(PathKey(4)) == (1, 1)
     });
-    let (bstore, bepoch) = ContextStore::decode_snapshot(&backup.snapshot_blob()).expect("decode");
+    let (bstore, bepoch) =
+        ContextStore::decode_snapshot(&backup.shard_snapshot_blob(0)).expect("decode");
     assert_eq!(bepoch, 1);
     assert!(bstore.loss_signal(PathKey(4)).is_some());
     assert!(primary.stats().repl_sent.load(Ordering::Relaxed) >= 2);
@@ -104,7 +105,7 @@ fn backup_catches_up_via_snapshot_sync() {
     .expect("bind backup");
 
     wait_until("snapshot sync to land", || {
-        let (store, _) = ContextStore::decode_snapshot(&backup.snapshot_blob())
+        let (store, _) = ContextStore::decode_snapshot(&backup.shard_snapshot_blob(0))
             .expect("backup snapshot decodes");
         store.traffic_counters(PathKey(9)) == (1, 1)
     });
@@ -235,7 +236,7 @@ fn an_epoch_beyond_the_fencing_word_is_refused_at_the_boundary() {
     let (server, addr) = start_server();
     assert!(!server.promote(MAX_EPOCH + 1));
     let mut c = ContextClient::connect(addr).expect("connect");
-    let blob = server.snapshot_blob();
+    let blob = server.shard_snapshot_blob(0);
     match c.sync_shard_snapshot(0, u64::MAX, blob) {
         Err(ClientError::Server { code: c, .. }) => assert_eq!(c, code::BAD_REQUEST),
         other => panic!("expected 400 for the oversized epoch, got {other:?}"),
@@ -400,7 +401,7 @@ fn snapshot_blob_restarts_at_a_greater_epoch() {
     let mut c = ContextClient::connect(addr).expect("connect");
     c.lookup(PathKey(11)).expect("lookup");
     c.report(PathKey(11), summary(4_000_000)).expect("report");
-    let blob = server.snapshot_blob();
+    let blob = server.shard_snapshot_blob(0);
     drop(c);
     server.shutdown();
 

@@ -6,13 +6,13 @@
 //! threshold. The detector scans a z-score sequence and emits maximal
 //! qualifying runs, requiring a minimum length to suppress flapping.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::model::SeasonalModel;
 use crate::series::TimeSeries;
 
 /// Detector configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct DetectorConfig {
     /// Z-score below which a bin is anomalous (negative).
     pub z_threshold: f64,
@@ -34,7 +34,7 @@ impl Default for DetectorConfig {
 }
 
 /// A detected unreachability event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AnomalyEvent {
     /// First anomalous bin (inclusive).
     pub start_bin: usize,

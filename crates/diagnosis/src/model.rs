@@ -8,12 +8,12 @@
 //! is the **MAD** (median absolute deviation, scaled to estimate σ).
 //! Medians make the model immune to outages in the training window.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::series::TimeSeries;
 
 /// A fitted seasonal baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SeasonalModel {
     /// Bins per seasonal period (e.g. one day).
     pub period: usize,

@@ -8,10 +8,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One slice of the request stream: (service, client AS, metro).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct SliceKey {
     /// Service identifier (e.g. VoIP vs file hosting — §1's example).
     pub service: u32,
@@ -22,7 +22,7 @@ pub struct SliceKey {
 }
 
 /// A dimension of the slice space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Dimension {
     /// The service dimension.
     Service,
@@ -44,7 +44,7 @@ impl SliceKey {
 }
 
 /// A fixed-interval count series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimeSeries {
     /// Bin width in seconds.
     pub bin_secs: u64,
@@ -98,7 +98,7 @@ impl TimeSeries {
 }
 
 /// Per-slice series over a common time grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SlicedSeries {
     bin_secs: u64,
     n_bins: usize,

@@ -8,12 +8,12 @@
 //! localizer are scored against.
 
 use phi_workload::SeedRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::series::{SliceKey, SlicedSeries};
 
 /// Generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TelemetryConfig {
     /// Services to simulate.
     pub services: u32,
@@ -49,7 +49,7 @@ impl Default for TelemetryConfig {
 }
 
 /// An injected ground-truth outage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Outage {
     /// Affected AS (client ISP).
     pub asn: u32,

@@ -13,17 +13,17 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::sketch::LogHistogram;
 
 /// A path identifier (e.g. destination /24), matching
 /// `phi_core::PathKey`'s representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct PathId(pub u64);
 
 /// One connection's contribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PerfObservation {
     /// Achieved throughput, Mbit/s.
     pub throughput_mbps: f64,
@@ -36,7 +36,7 @@ pub struct PerfObservation {
 }
 
 /// Per-path, per-epoch sketch bundle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct PathEpoch {
     throughput: LogHistogram,
     rtt: LogHistogram,
@@ -81,7 +81,7 @@ pub struct PathView {
 }
 
 /// The performance database.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PerfDb {
     epoch_ns: u64,
     current_epoch: u64,

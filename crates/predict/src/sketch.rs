@@ -7,7 +7,7 @@
 //! queries have bounded relative error (`growth − 1`, e.g. 5 %) across
 //! many orders of magnitude, with a few hundred buckets.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Log-bucketed histogram over positive values.
 ///
@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((12.0..=15.0).contains(&p50));
 /// assert_eq!(h.count(), 5);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LogHistogram {
     min_value: f64,
     growth: f64,

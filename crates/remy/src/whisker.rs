@@ -10,12 +10,12 @@
 //! helping, letting the policy specialize where the sender actually
 //! spends time — the structure-learning half of Remy's offline search.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::memory::DIMS;
 
 /// A control action, applied on each ACK.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Action {
     /// Window multiple `m`: `cwnd ← m · cwnd + b`.
     pub window_multiple: f64,
@@ -81,7 +81,7 @@ impl Action {
 }
 
 /// An axis-aligned box in normalized memory space: `[lo, hi)` per dim.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Cube {
     /// Lower corner (inclusive).
     pub lo: [f64; DIMS],
@@ -130,7 +130,7 @@ impl Cube {
 }
 
 /// One rule: a box and the action to take inside it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Whisker {
     /// Domain of this rule.
     pub cube: Cube,
@@ -158,7 +158,7 @@ pub struct Whisker {
 /// assert!(tree.action_for(&quiet).window_increment > 0.0);
 /// assert_eq!(tree.action_for(&busy).window_multiple, 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WhiskerTree {
     whiskers: Vec<Whisker>,
 }

@@ -41,7 +41,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use phi_workload::SeedRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::faults::{DownPolicy, EgressVerdict, FaultStats, ImpairmentPlan, LinkFault};
 use crate::packet::{splitmix64, AgentId, Flags, FlowId, LinkId, NodeId, Packet, SackBlocks};
@@ -1307,23 +1307,20 @@ pub struct SchedStats {
 /// statistics and censuses stay conserved, and the caller reads the
 /// reason from [`Simulator::termination`]. The first limit observed
 /// wins.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct RunBudget {
     /// Stop after this many dispatched events (stale-timer skips do not
     /// count). Deterministic for a fixed engine configuration: the same
     /// run always terminates on the same event.
-    #[serde(default)]
     pub max_events: Option<u64>,
     /// Cap the simulated span: the run never advances past
     /// `Time::ZERO + max_sim_time`, even if the caller's deadline is
     /// later. Deterministic.
-    #[serde(default)]
     pub max_sim_time: Option<Dur>,
     /// Wall-clock watchdog, in milliseconds of host time since the first
     /// pump under it. Inherently nondeterministic (it measures the host,
     /// not the simulation); use it as a last-resort backstop against
     /// runaway scenarios, not as a reproducible limit.
-    #[serde(default)]
     pub max_wall_ms: Option<u64>,
 }
 
@@ -1366,7 +1363,7 @@ impl RunBudget {
 }
 
 /// Why a budgeted run terminated early (see [`RunBudget`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BudgetExceeded {
     /// [`RunBudget::max_events`] was reached.
     Events,

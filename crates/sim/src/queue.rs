@@ -14,14 +14,14 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::packet::{unit_hash, Packet};
 use crate::switch::NO_INGRESS;
 use crate::time::Time;
 
 /// How much a queue may hold before dropping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Capacity {
     /// At most this many packets (ns-2 counts packets by default).
     Packets(usize),
@@ -357,7 +357,7 @@ impl LinkQueue {
 /// [`LinkQueue`] holds trait objects and cannot travel inside an
 /// experiment spec; this enum can, and a per-link factory closure turns
 /// it into the queue with [`DisciplineSpec::build`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DisciplineSpec {
     /// Classic FIFO drop-tail (the engine default).
     DropTail,

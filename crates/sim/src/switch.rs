@@ -47,14 +47,14 @@
 //! drains are pure functions of the (deterministic) event order and
 //! packet contents.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::packet::{unit_hash, LinkId, NodeId, Packet};
 use crate::time::Dur;
 use crate::topology::Topology;
 
 /// ECN marking policy for one switch, in bytes of egress-queue depth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EcnSpec {
     /// Queue depth below which arrivals are never marked.
     pub min_bytes: u64,
@@ -89,7 +89,7 @@ impl EcnSpec {
 
 /// PFC configuration for one switch (single priority class: each link
 /// is one port/priority lane).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PfcSpec {
     /// Per-ingress occupancy at which a PAUSE is sent upstream.
     pub xoff_bytes: u64,
@@ -101,7 +101,7 @@ pub struct PfcSpec {
 }
 
 /// A shared-buffer switch installed on one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SwitchSpec {
     /// Total shared buffer pool, bytes, across all egress ports.
     pub pool_bytes: u64,
@@ -109,10 +109,8 @@ pub struct SwitchSpec {
     /// `α · (pool − total occupancy)` bytes.
     pub dt_alpha: f64,
     /// ECN marking policy, if any.
-    #[serde(default)]
     pub ecn: Option<EcnSpec>,
     /// PFC pause/resume policy, if any.
-    #[serde(default)]
     pub pfc: Option<PfcSpec>,
 }
 
@@ -149,7 +147,7 @@ impl SwitchSpec {
 
 /// Per-switch counters, `fault_stats()`-style: all-zero when nothing
 /// noteworthy happened, readable mid-run or after completion.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct SwitchStats {
     /// Packets admitted to the shared buffer.
     pub admitted: u64,

@@ -11,14 +11,14 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::packet::{LinkId, NodeId};
 use crate::queue::Capacity;
 use crate::time::Dur;
 
 /// Static description of one unidirectional link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LinkSpec {
     /// Node the link transmits from.
     pub from: NodeId,
@@ -195,7 +195,7 @@ impl Topology {
 }
 
 /// Parameters for the Figure 1 dumbbell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DumbbellSpec {
     /// Number of sender/receiver host pairs.
     pub pairs: usize,
@@ -303,7 +303,7 @@ pub fn dumbbell(spec: &DumbbellSpec) -> Dumbbell {
 
 /// Parameters for a "parking lot" chain: R0 — R1 — … — Rn with hosts on
 /// each router, the classic multi-bottleneck benchmark topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ParkingLotSpec {
     /// Number of backbone links (routers = hops + 1).
     pub hops: usize,

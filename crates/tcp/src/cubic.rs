@@ -14,12 +14,12 @@
 //! fast convergence.
 
 use phi_sim::time::{Dur, Time};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::cc::{AckEvent, CongestionControl, LossEvent};
 
 /// Tunable Cubic parameters (the subject of the paper's §2.2 experiments).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CubicParams {
     /// Initial congestion window, segments (`windowInit_`).
     pub init_window: f64,

@@ -23,12 +23,12 @@
 //! marks are the common signal, loss the last resort.
 
 use phi_sim::time::{Dur, Time};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::cc::{AckEvent, CongestionControl, LossEvent};
 
 /// DCTCP parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DctcpParams {
     /// Initial congestion window, segments.
     pub init_window: f64,

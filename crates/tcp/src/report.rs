@@ -8,12 +8,12 @@
 use phi_sim::packet::FlowId;
 use phi_sim::stats::OnlineStats;
 use phi_sim::time::{Dur, Time};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What one completed connection experienced, as reported by its sender.
 /// This is also exactly the record a Phi sender reports to the context
 /// server when the connection ends (§2.2.2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FlowReport {
     /// The flow.
     pub flow: FlowId,
@@ -70,7 +70,7 @@ impl FlowReport {
 }
 
 /// Aggregate metrics for one experiment run, in the units the paper plots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunMetrics {
     /// Mean per-connection throughput over on-times, Mbit/s.
     pub throughput_mbps: f64,

@@ -9,12 +9,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::record::{FlowKey, IpfixRecord, Subnet24};
 
 /// A spatio-temporal bucket id: (destination /24, minute index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct BucketId {
     /// Destination subnet.
     pub subnet: Subnet24,

@@ -17,13 +17,13 @@
 //! depends on how other streams were consumed — reruns and
 //! cross-scheme comparisons see identical arrivals.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::onoff::{FlowPlan, OnOffSource};
 use crate::rng::SeedRng;
 
 /// Configuration of a synchronized incast fan-in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct IncastConfig {
     /// Number of workers fanning in to the aggregator.
     pub workers: u32,

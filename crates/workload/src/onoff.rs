@@ -6,13 +6,13 @@
 //! by the number of senders, the mean connection length, and the mean off
 //! time (e.g. Figure 2a/2b use mean 500 KB on / 2 s off).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::dist::{Constant, Exponential, Sample};
 use crate::rng::SeedRng;
 
 /// The plan for one on-period connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FlowPlan {
     /// Bytes to transfer in this connection (at least one segment's worth).
     pub bytes: u64,
@@ -21,7 +21,7 @@ pub struct FlowPlan {
 }
 
 /// Configuration of one sender's on/off process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OnOffConfig {
     /// Mean bytes per on-period connection.
     pub mean_on_bytes: f64,

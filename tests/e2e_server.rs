@@ -269,12 +269,9 @@ fn write_behind_reports_land_within_the_staleness_bound() {
     assert_eq!(server_reports(&server), 11);
 
     // And the landed reports are really in the stores: every reported
-    // path answers with accumulated context through the batch-query path.
-    let snaps = client
-        .query_batch(&(0..8).map(path).collect::<Vec<_>>())
-        .expect("batch query");
-    assert_eq!(snaps.len(), 8);
-    for (i, s) in snaps.iter().enumerate() {
+    // path answers with accumulated context.
+    for i in 0..8u64 {
+        let s = client.lookup(path(i)).expect("lookup");
         assert!(s.utilization > 0.0, "path {i} shows no context: {s:?}");
     }
     server.shutdown();
@@ -344,9 +341,5 @@ fn dead_plane_write_behind_degrades_without_stalling() {
         "flushes should short-circuit, not touch the network"
     );
     assert_eq!(client.pending_reports() % 4, client.pending_reports());
-    assert!(
-        client.query_batch(&[PathKey(1)]).is_none(),
-        "degrade to no context"
-    );
-    assert!(client.lookup(PathKey(1)).is_none());
+    assert!(client.lookup(PathKey(1)).is_none(), "degrade to no context");
 }
