@@ -13,14 +13,12 @@
 //!   when the shared experience says reordering is common (spurious fast
 //!   retransmits), and keep it low when it isn't.
 
-use serde::Serialize;
-
 /// A bounded reservoir of delay-variation samples with quantile queries.
 ///
 /// Keeps the most recent `capacity` samples (ring buffer); quantiles are
 /// computed exactly over the retained window — the right behaviour for a
 /// "network weather" signal where old samples should age out.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct JitterBufferAdvisor {
     samples: Vec<f64>,
     capacity: usize,
@@ -87,7 +85,7 @@ impl JitterBufferAdvisor {
 }
 
 /// Observations about packet reordering, aggregated across connections.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReorderingStats {
     /// Fast-retransmit episodes observed.
     pub recoveries: u64,
@@ -97,7 +95,7 @@ pub struct ReorderingStats {
 }
 
 /// Tunes the duplicate-ACK threshold from shared reordering experience.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ReorderingAdvisor {
     /// Spurious fraction above which the threshold is raised one step.
     pub step_threshold: f64,

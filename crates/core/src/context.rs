@@ -30,12 +30,12 @@ use serde::Serialize;
 
 /// Identifies one network path class (e.g. a destination /24) whose flows
 /// are assumed to share a bottleneck (§2.1's spatio-temporal granularity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathKey(pub u64);
 
 /// What a sender reports when a connection ends — the wire-level subset of
 /// a `FlowReport`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSummary {
     /// Bytes the connection delivered.
     pub bytes: u64,
@@ -678,11 +678,7 @@ impl ContextStore {
             .iter_mut()
             .map(|(&k, st)| (k, st.context(now_ns, &cfg)))
             .collect();
-        out.sort_by(|a, b| {
-            b.1.utilization
-                .total_cmp(&a.1.utilization)
-                .then(a.0.cmp(&b.0))
-        });
+        sort_busiest_first(&mut out);
         out
     }
 
@@ -900,6 +896,14 @@ impl SnapReader<'_> {
     fn f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(u64::from_be_bytes(self.take::<8>()?)))
     }
+}
+
+/// Put `paths` in dashboard order: utilization descending, then key
+/// ascending. Every busiest-first view — one store, a sharded store, a
+/// server merging its shards' replies — sorts through here, so operators
+/// see the same order whatever the shard count.
+pub(crate) fn sort_busiest_first(paths: &mut [(PathKey, ContextSnapshot)]) {
+    paths.sort_by(|(ka, a), (kb, b)| b.utilization.total_cmp(&a.utilization).then(ka.cmp(kb)));
 }
 
 #[cfg(test)]

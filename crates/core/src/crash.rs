@@ -75,14 +75,6 @@ impl ServerCrashPlan {
         }
     }
 
-    /// Crash at `at` and never restart the crashed replica.
-    pub fn crash_at(at: Dur) -> Self {
-        ServerCrashPlan {
-            outages: vec![(at, Dur::from_secs(u64::MAX / 2_000_000_000))],
-            flap: None,
-        }
-    }
-
     /// Crash at `at`; the crashed replica restarts `down_for` later and
     /// rejoins as the backup (resynced from the new primary).
     pub fn crash_restart(at: Dur, down_for: Dur) -> Self {

@@ -109,13 +109,6 @@ impl ExperimentSpec {
         }
     }
 
-    /// The same spec with a run budget installed (see
-    /// [`ExperimentSpec::budget`]).
-    pub fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
     /// The same spec with a shared-buffer switch installed on both
     /// aggregation routers (see [`ExperimentSpec::switch`]).
     pub fn with_switch(mut self, switch: SwitchSpec) -> Self {

@@ -17,7 +17,7 @@ use crate::power::{score, Objective};
 use crate::runpool::{derive_seed, RunPool};
 
 /// The parameter grid to sweep (Table 2).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// `windowInit_` values, segments.
     pub init_window: Vec<f64>,
@@ -107,7 +107,7 @@ pub struct SweepOutcome {
 }
 
 /// Everything a sweep produced.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepResult {
     /// Outcomes for each grid point, in grid order.
     pub outcomes: Vec<SweepOutcome>,
@@ -206,7 +206,7 @@ pub fn sweep_cubic_on(
 }
 
 /// One row of the Figure 3 analysis (for held-out run `run`).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LeaveOneOutRow {
     /// The run whose optimum was transferred.
     pub run: usize,

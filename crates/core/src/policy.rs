@@ -10,10 +10,9 @@
 
 use phi_tcp::cubic::CubicParams;
 use phi_tcp::hook::ContextSnapshot;
-use serde::Serialize;
 
 /// One row: applies when utilization ≤ `max_util`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyEntry {
     /// Upper edge of this utilization bucket (inclusive).
     pub max_util: f64,
@@ -22,7 +21,7 @@ pub struct PolicyEntry {
 }
 
 /// The utilization-bucketed parameter policy.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyTable {
     entries: Vec<PolicyEntry>,
     /// Used when utilization exceeds every bucket edge.

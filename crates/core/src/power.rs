@@ -6,10 +6,9 @@
 //! Remy (matching the Remy paper's objective).
 
 use phi_tcp::report::RunMetrics;
-use serde::Serialize;
 
 /// Which objective an experiment optimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// `P = r / d` — classic network power.
     Power,

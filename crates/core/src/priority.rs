@@ -10,7 +10,6 @@
 //! to the ensemble's flow count, preserving the aggregate footprint.
 
 use phi_tcp::newreno::NewRenoParams;
-use serde::Serialize;
 
 /// MulTCP parameters for a flow that should behave like `weight` standard
 /// TCP flows (weight ≥ 0.1 to keep the decrease factor sane).
@@ -31,7 +30,7 @@ pub fn multcp_params(weight: f64) -> NewRenoParams {
 }
 
 /// Importance classes with conventional weights, for the examples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Importance {
     /// Background bulk transfer.
     Bulk,

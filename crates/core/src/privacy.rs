@@ -16,7 +16,6 @@
 //! the common barometer — and nothing else.
 
 use phi_workload::SeedRng;
-use serde::Serialize;
 
 /// The field modulus: the largest 61-bit prime (2^61 − 1, a Mersenne
 /// prime), leaving ample headroom to add many 48-bit fixed-point inputs
@@ -36,7 +35,7 @@ fn sub_mod(a: u64, b: u64) -> u64 {
 }
 
 /// One provider's share vector: element `i` goes to aggregator `i`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Shares(pub Vec<u64>);
 
 /// Encode a non-negative fractional measurement as a field element.
@@ -76,7 +75,7 @@ pub fn share(secret: u64, n: usize, rng: &mut SeedRng) -> Shares {
 }
 
 /// One aggregator's running total of the shares it has received.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Aggregator {
     total: u64,
     contributions: u64,

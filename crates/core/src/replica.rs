@@ -127,10 +127,7 @@ impl Replica {
     /// is served only past the fence.
     pub(crate) fn serve(&mut self, now_ns: u64, msg: &Message) -> Message {
         match msg {
-            Message::Lookup { .. }
-            | Message::BatchReport(_)
-            | Message::BatchQuery(_)
-            | Message::Snapshot { .. }
+            Message::Lookup { .. } | Message::BatchReport(_) | Message::Snapshot { .. }
                 if self.role != Role::Primary =>
             {
                 self.fenced("client request refused")
@@ -150,10 +147,6 @@ impl Replica {
                     });
                 }
                 Message::ReportOk
-            }
-            // Peeks never register competing flows, so nothing is logged.
-            Message::BatchQuery(paths) => {
-                Message::BatchReply(paths.iter().map(|&p| self.store.peek(p, now_ns)).collect())
             }
             &Message::Snapshot { limit } => {
                 let mut paths = self.store.snapshot(now_ns);

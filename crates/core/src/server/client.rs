@@ -251,20 +251,6 @@ impl ContextClient {
         Ok(())
     }
 
-    /// Read the context of many paths in one frame, in query order.
-    /// Side-effect free: unlike [`ContextClient::lookup`] this does *not*
-    /// register the caller as a competing sender on any path.
-    pub fn query_batch(&mut self, paths: &[PathKey]) -> Result<Vec<ContextSnapshot>, ClientError> {
-        let mut out = Vec::with_capacity(paths.len());
-        for chunk in paths.chunks(MAX_BATCH_ITEMS) {
-            out.extend(self.ask(&Message::BatchQuery(chunk.to_vec()), |m| match m {
-                Message::BatchReply(snaps) if snaps.len() == chunk.len() => Ok(snaps),
-                other => Err(other),
-            })?);
-        }
-        Ok(out)
-    }
-
     /// The server's current fencing epoch and role (health probe).
     pub fn epoch(&mut self) -> Result<(u64, Role), ClientError> {
         self.ask(&Message::EpochQuery, |m| match m {

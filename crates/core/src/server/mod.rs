@@ -56,9 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use phi_tcp::hook::ContextSnapshot;
-
-use crate::context::{ContextStore, PathKey, StoreConfig};
+use crate::context::{sort_busiest_first, ContextStore, FlowSummary, PathKey, StoreConfig};
 use crate::replica::{error, Replica, MAX_EPOCH};
 use crate::shard::shard_index;
 use crate::wire::{code, encode, DecodeError, Decoder, Message, ReplOp, Role, MAX_FRAME};
@@ -80,7 +78,7 @@ pub struct ServerStats {
     pub connections: AtomicU64,
     /// Connections shed with an overload error frame (cap reached).
     pub rejected: AtomicU64,
-    /// Lookup requests served (a batch query adds one per path).
+    /// Lookup requests served.
     pub lookups: AtomicU64,
     /// Reports accepted (a batch report adds one per item).
     pub reports: AtomicU64,
@@ -472,7 +470,6 @@ fn count(stats: &ServerStats, msg: &Message, reply: &Message) {
         (Message::Error { code: c, .. }, _) if *c == code::FENCED => (&stats.fenced, 1),
         (Message::Error { .. }, _) => (&stats.protocol_errors, 1),
         (_, Message::Lookup { .. }) => (&stats.lookups, 1),
-        (_, Message::BatchQuery(paths)) => (&stats.lookups, paths.len()),
         (_, Message::BatchReport(items)) => (&stats.reports, items.len()),
         (_, Message::Replicate { .. }) => (&stats.repl_applied, 1),
         (_, Message::ShardSnapshotSync { .. }) => (&stats.repl_syncs, 1),
@@ -514,24 +511,8 @@ fn route(shards: &[Shard], now_ns: u64, msg: &Message) -> Message {
                 format!("shard {shard} out of range ({n} shards)"),
             ),
         },
-        Message::BatchReport(_) | Message::BatchQuery(_) if n == 1 => {
-            shards[0].lock().serve(now_ns, msg)
-        }
-        Message::BatchReport(items) => {
-            match serve_batch(shards, now_ns, items, |&(p, _)| p, Message::BatchReport) {
-                Ok(_) => Message::ReportOk,
-                Err(fenced) => fenced,
-            }
-        }
-        Message::BatchQuery(paths) => {
-            match serve_batch(shards, now_ns, paths, |&p| p, Message::BatchQuery) {
-                Ok(mut snaps) => {
-                    snaps.sort_unstable_by_key(|&(k, _)| k);
-                    Message::BatchReply(snaps.into_iter().map(|(_, s)| s).collect())
-                }
-                Err(fenced) => fenced,
-            }
-        }
+        Message::BatchReport(_) if n == 1 => shards[0].lock().serve(now_ns, msg),
+        Message::BatchReport(items) => serve_reports(shards, now_ns, items),
         // The dashboard view spans every shard, so it is only served when
         // all of them are primary.
         &Message::Snapshot { limit } => {
@@ -542,9 +523,7 @@ fn route(shards: &[Shard], now_ns: u64, msg: &Message) -> Message {
                     refused => return refused,
                 }
             }
-            paths.sort_by(|(ka, a), (kb, b)| {
-                b.utilization.total_cmp(&a.utilization).then(ka.cmp(kb))
-            });
+            sort_busiest_first(&mut paths);
             paths.truncate(usize::from(limit).min(crate::wire::MAX_SNAPSHOT_PATHS));
             Message::Paths(paths)
         }
@@ -556,44 +535,33 @@ fn route(shards: &[Shard], now_ns: u64, msg: &Message) -> Message {
     }
 }
 
-/// Serve a batch frame whose items span shards. Every shard it touches is
-/// locked — in index order, so two batches never deadlock — and the first
-/// that is not primary refuses the whole frame before anything is
+/// Serve a BATCH_REPORT whose items span shards. Every shard it touches
+/// is locked — in index order, so two batches never deadlock — and the
+/// first that is not primary refuses the whole frame before anything is
 /// applied, so the client never has to untangle a partially accepted
-/// batch. Then each shard serves its share (`frame` of its items, in
-/// arrival order): the log this leaves is exactly what the same items
-/// sent in batches of one would leave. Returns the snapshots the shares
-/// answered, each with its item's index in the frame.
-fn serve_batch<T: Copy>(
-    shards: &[Shard],
-    now_ns: u64,
-    items: &[T],
-    path: impl Fn(&T) -> PathKey,
-    frame: impl Fn(Vec<T>) -> Message,
-) -> Result<Vec<(usize, ContextSnapshot)>, Message> {
+/// batch. Then each shard serves its share of the items, in arrival
+/// order: the log this leaves is exactly what the same items sent in
+/// batches of one would leave.
+fn serve_reports(shards: &[Shard], now_ns: u64, items: &[(PathKey, FlowSummary)]) -> Message {
     let n = shards.len();
-    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (k, item) in items.iter().enumerate() {
-        by_shard[shard_index(path(item), n)].push(k);
+    let mut by_shard = vec![Vec::new(); n];
+    for &item in items {
+        by_shard[shard_index(item.0, n)].push(item);
     }
     let mut locked: Vec<_> = by_shard
         .into_iter()
         .zip(shards)
-        .filter(|(ks, _)| !ks.is_empty())
-        .map(|(ks, s)| (ks, s.lock()))
+        .filter(|(share, _)| !share.is_empty())
+        .map(|(share, s)| (share, s.lock()))
         .collect();
     if let Some((_, r)) = locked.iter_mut().find(|(_, r)| r.role() != Role::Primary) {
         // An empty share: the replica's own refusal, and nothing applied.
-        return Err(r.serve(now_ns, &frame(Vec::new())));
+        return r.serve(now_ns, &Message::BatchReport(Vec::new()));
     }
-    let mut snaps = Vec::new();
-    for (ks, mut r) in locked {
-        let share = frame(ks.iter().map(|&k| items[k]).collect());
-        if let Message::BatchReply(part) = r.serve(now_ns, &share) {
-            snaps.extend(ks.into_iter().zip(part));
-        }
+    for (share, mut r) in locked {
+        r.serve(now_ns, &Message::BatchReport(share));
     }
-    Ok(snaps)
+    Message::ReportOk
 }
 
 fn handle_connection(

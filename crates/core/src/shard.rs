@@ -21,7 +21,7 @@
 
 use phi_tcp::hook::ContextSnapshot;
 
-use crate::context::{ContextStore, FlowSummary, PathKey, StoreConfig};
+use crate::context::{sort_busiest_first, ContextStore, FlowSummary, PathKey, StoreConfig};
 
 /// Stable shard assignment: FNV-1a of the path id's big-endian bytes,
 /// reduced mod `shards`. `shards == 0` is treated as one shard.
@@ -103,7 +103,7 @@ impl ShardedStore {
             .iter_mut()
             .flat_map(|s| s.snapshot(now_ns))
             .collect();
-        out.sort_by(|(ka, a), (kb, b)| b.utilization.total_cmp(&a.utilization).then(ka.cmp(kb)));
+        sort_busiest_first(&mut out);
         out
     }
 }

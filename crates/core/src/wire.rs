@@ -27,9 +27,8 @@
 //!               server is shard 0 of SHARD_SNAPSHOT_SYNC
 //! BATCH_REPORT (12): u16 count, count x (u64 path, summary) — many
 //!               reports, one frame; answered by one REPORT_OK
-//! BATCH_QUERY  (13): u16 count, count x u64 path — bulk read-only peek
-//! BATCH_REPLY  (14): u16 count, count x (f64 utilization, f64 queue_ms,
-//!               u32 competing), one per queried path in order
+//! (13), (14)   : retired — the read-only batch query and its reply; no
+//!               sender used them, a sender reads a path with LOOKUP
 //! SHARD_SNAPSHOT_SYNC (15): u32 shard, u64 epoch, u32 len, len
 //!               snapshot-blob bytes — one shard's full state (blob
 //!               format is versioned separately — see
@@ -39,15 +38,15 @@
 //!               f64 min_rtt_ms, u32 retransmits, u32 timeouts
 //! ```
 //!
-//! Codes 3 and 11 are *retired, never reassigned*: like any code this
-//! build does not assign they decode as the recoverable
+//! Codes 3, 11, 13 and 14 are *retired, never reassigned*: like any code
+//! this build does not assign they decode as the recoverable
 //! [`DecodeError::BadType`], so a server answers them `501` and keeps the
 //! connection.
 //!
-//! The batch frames are *additive*: codes 12–14 were unassigned before
-//! they existed, and unknown type codes decode as the recoverable
-//! [`DecodeError::BadType`], so a pre-batch peer skips them without
-//! desynchronizing the stream. They amortize per-frame codec and syscall
+//! BATCH_REPORT is *additive*: code 12 was unassigned before it existed,
+//! and unknown type codes decode as the recoverable
+//! [`DecodeError::BadType`], so a pre-batch peer skips it without
+//! desynchronizing the stream. It amortizes per-frame codec and syscall
 //! cost the same way the REPLICATE delta stream does — the per-item cost
 //! of a 256-item batch is the item body plus 1/256th of a frame header.
 //!
@@ -75,8 +74,6 @@ const TYPE_EPOCH_QUERY: u8 = 8;
 const TYPE_EPOCH: u8 = 9;
 const TYPE_REPLICATE: u8 = 10;
 const TYPE_BATCH_REPORT: u8 = 12;
-const TYPE_BATCH_QUERY: u8 = 13;
-const TYPE_BATCH_REPLY: u8 = 14;
 const TYPE_SHARD_SNAPSHOT_SYNC: u8 = 15;
 
 const OP_LOOKUP: u8 = 1;
@@ -93,11 +90,10 @@ pub const MAX_SNAPSHOT_PATHS: usize = 1024;
 /// 22 bytes.
 pub const MAX_SHARD_SNAPSHOT_BLOB: usize = MAX_FRAME - 22;
 
-/// Most items any batch frame (BATCH_REPORT / BATCH_QUERY / BATCH_REPLY)
-/// may carry. Sized by the fattest item: a BATCH_REPORT item is 48 bytes
-/// (path + summary), so 1024 items is ~49 KB — comfortably inside
-/// [`MAX_FRAME`]. Encoders truncate to this bound; decoders reject
-/// counts beyond it as malformed.
+/// Most items a BATCH_REPORT frame may carry. An item is 48 bytes (path +
+/// summary), so 1024 items is ~49 KB — comfortably inside [`MAX_FRAME`].
+/// Encoders truncate to this bound; decoders reject counts beyond it as
+/// malformed.
 pub const MAX_BATCH_ITEMS: usize = 1024;
 
 /// Machine-readable codes carried by [`Message::Error`] frames.
@@ -211,13 +207,6 @@ pub enum Message {
     /// [`Message::ReportOk`], so a write-behind client pays one
     /// round-trip per flush instead of one per report.
     BatchReport(Vec<(PathKey, FlowSummary)>),
-    /// Client → server: bulk read-only context query. Unlike
-    /// [`Message::Lookup`], a batch query does *not* register competing
-    /// flows — it is a monitoring/prefetch read, answered by one
-    /// [`Message::BatchReply`] with snapshots in query order.
-    BatchQuery(Vec<PathKey>),
-    /// Server → client: one snapshot per queried path, in query order.
-    BatchReply(Vec<ContextSnapshot>),
     /// Primary → backup (or operator → restarted server): full state of
     /// *one shard* of a server (a one-shard server is shard 0).
     ShardSnapshotSync {
@@ -360,22 +349,6 @@ pub fn encode(msg: &Message) -> Vec<u8> {
                 frame.extend_from_slice(&record);
             }
         }
-        Message::BatchQuery(paths) => {
-            frame.push(TYPE_BATCH_QUERY);
-            let n = paths.len().min(MAX_BATCH_ITEMS);
-            frame.extend_from_slice(&(n as u16).to_be_bytes());
-            for path in &paths[..n] {
-                frame.extend_from_slice(&path.0.to_be_bytes());
-            }
-        }
-        Message::BatchReply(snaps) => {
-            frame.push(TYPE_BATCH_REPLY);
-            let n = snaps.len().min(MAX_BATCH_ITEMS);
-            frame.extend_from_slice(&(n as u16).to_be_bytes());
-            for ctx in &snaps[..n] {
-                frame.extend_from_slice(&ctx_bytes(ctx));
-            }
-        }
         Message::ShardSnapshotSync { shard, epoch, blob } => {
             frame.push(TYPE_SHARD_SNAPSHOT_SYNC);
             frame.extend_from_slice(&shard.to_be_bytes());
@@ -399,8 +372,6 @@ fn frame_capacity(msg: &Message) -> usize {
     match msg {
         Message::Paths(paths) => 8 + paths.len().min(MAX_SNAPSHOT_PATHS) * (8 + CTX_LEN),
         Message::BatchReport(items) => 8 + items.len().min(MAX_BATCH_ITEMS) * REPORT_LEN,
-        Message::BatchQuery(paths) => 8 + paths.len().min(MAX_BATCH_ITEMS) * 8,
-        Message::BatchReply(snaps) => 8 + snaps.len().min(MAX_BATCH_ITEMS) * CTX_LEN,
         Message::ShardSnapshotSync { blob, .. } => 22 + blob.len(),
         _ => 64,
     }
@@ -631,16 +602,6 @@ fn decode_payload(p: &mut &[u8]) -> Result<Message, DecodeError> {
                 .map(|mut r| (get_path(&mut r), get_summary(&mut r)))
                 .collect(),
         )),
-        TYPE_BATCH_QUERY => Ok(Message::BatchQuery(
-            records!(MAX_BATCH_ITEMS, "batch too large", 8)
-                .map(|mut r| get_path(&mut r))
-                .collect(),
-        )),
-        TYPE_BATCH_REPLY => Ok(Message::BatchReply(
-            records!(MAX_BATCH_ITEMS, "batch too large", CTX_LEN)
-                .map(|mut r| get_ctx(&mut r))
-                .collect(),
-        )),
         TYPE_SHARD_SNAPSHOT_SYNC => {
             need!(16);
             let shard = u32::from_be_bytes(take(p));
@@ -771,21 +732,6 @@ mod tests {
             ),
         ]));
         roundtrip(Message::BatchReport(Vec::new()));
-        roundtrip(Message::BatchQuery(vec![PathKey(1), PathKey(u64::MAX)]));
-        roundtrip(Message::BatchQuery(Vec::new()));
-        roundtrip(Message::BatchReply(vec![
-            ContextSnapshot {
-                utilization: 0.25,
-                queue_ms: 3.0,
-                competing: 4,
-            },
-            ContextSnapshot {
-                utilization: 0.0,
-                queue_ms: 0.0,
-                competing: 0,
-            },
-        ]));
-        roundtrip(Message::BatchReply(Vec::new()));
     }
 
     #[test]
@@ -808,39 +754,37 @@ mod tests {
             "batch overflows a frame"
         );
         roundtrip(report);
-        roundtrip(Message::BatchQuery(
-            (0..MAX_BATCH_ITEMS as u64).map(PathKey).collect(),
-        ));
-        roundtrip(Message::BatchReply(
-            (0..MAX_BATCH_ITEMS)
-                .map(|i| ContextSnapshot {
-                    utilization: (i % 100) as f64 / 100.0,
-                    queue_ms: i as f64,
-                    competing: i as u32,
-                })
-                .collect(),
-        ));
     }
 
     #[test]
     fn over_cap_batches_truncate_on_encode_and_reject_on_decode() {
         // Encoding clamps to the cap, like PATHS does.
-        let query = Message::BatchQuery((0..2 * MAX_BATCH_ITEMS as u64).map(PathKey).collect());
+        let summary = FlowSummary {
+            bytes: 1,
+            duration_ns: 2,
+            mean_rtt_ms: 3.0,
+            min_rtt_ms: 4.0,
+            retransmits: 5,
+            timeouts: 6,
+        };
+        let report = Message::BatchReport(
+            (0..2 * MAX_BATCH_ITEMS as u64)
+                .map(|i| (PathKey(i), summary))
+                .collect(),
+        );
         let mut d = Decoder::new();
-        d.extend(&encode(&query));
+        d.extend(&encode(&report));
         match d.next().unwrap() {
-            Message::BatchQuery(paths) => assert_eq!(paths.len(), MAX_BATCH_ITEMS),
+            Message::BatchReport(items) => assert_eq!(items.len(), MAX_BATCH_ITEMS),
             other => panic!("unexpected {other:?}"),
         }
         // A hand-built frame claiming more items than the cap is rejected
         // before any allocation proportional to the claim.
-        for ty in [TYPE_BATCH_REPORT, TYPE_BATCH_QUERY, TYPE_BATCH_REPLY] {
-            let over = (MAX_BATCH_ITEMS as u16 + 1).to_be_bytes();
-            let frame = [0, 0, 0, 2 + 2, VERSION, ty, over[0], over[1]];
-            let mut d = Decoder::new();
-            d.extend(&frame);
-            assert_eq!(d.next(), Err(DecodeError::Malformed("batch too large")));
-        }
+        let over = (MAX_BATCH_ITEMS as u16 + 1).to_be_bytes();
+        let frame = [0, 0, 0, 2 + 2, VERSION, TYPE_BATCH_REPORT, over[0], over[1]];
+        let mut d = Decoder::new();
+        d.extend(&frame);
+        assert_eq!(d.next(), Err(DecodeError::Malformed("batch too large")));
     }
 
     #[test]
@@ -856,7 +800,7 @@ mod tests {
 
     #[test]
     fn batch_frames_skip_cleanly_on_a_pre_batch_decoder() {
-        // A pre-batch decoder is this decoder with types 12–14 unassigned.
+        // A pre-batch decoder is this decoder with type 12 unassigned.
         // Its skip path never inspects the payload — it consumes `len`
         // bytes and reports the recoverable BadType — so rewriting a real
         // batch frame's type byte to a still-unassigned code reproduces
@@ -873,26 +817,16 @@ mod tests {
                 timeouts: 0,
             },
         )]);
-        for original in [
-            batch,
-            Message::BatchQuery(vec![PathKey(1), PathKey(2)]),
-            Message::BatchReply(vec![ContextSnapshot {
-                utilization: 0.5,
-                queue_ms: 1.0,
-                competing: 2,
-            }]),
-        ] {
-            let mut frame = encode(&original);
-            frame[5] = 16; // first type code not assigned in this build
-            let mut d = Decoder::new();
-            d.extend(&frame);
-            d.extend(&encode(&Message::ReportOk));
-            let err = d.next().unwrap_err();
-            assert_eq!(err, DecodeError::BadType(16));
-            assert!(err.is_recoverable(), "old peers must survive batch frames");
-            assert_eq!(d.next().unwrap(), Message::ReportOk, "stream desynced");
-            assert_eq!(d.next(), Err(DecodeError::Incomplete));
-        }
+        let mut frame = encode(&batch);
+        frame[5] = 16; // first type code not assigned in this build
+        let mut d = Decoder::new();
+        d.extend(&frame);
+        d.extend(&encode(&Message::ReportOk));
+        let err = d.next().unwrap_err();
+        assert_eq!(err, DecodeError::BadType(16));
+        assert!(err.is_recoverable(), "old peers must survive batch frames");
+        assert_eq!(d.next().unwrap(), Message::ReportOk, "stream desynced");
+        assert_eq!(d.next(), Err(DecodeError::Incomplete));
     }
 
     #[test]

@@ -117,18 +117,6 @@ pub fn encode(msg: &Message) -> Vec<u8> {
                 put_summary(&mut f, summary);
             }
         }
-        Message::BatchQuery(paths) => {
-            let n = count(&mut f, 13, paths.len(), MAX_BATCH_ITEMS);
-            for path in &paths[..n] {
-                f.extend_from_slice(&path.0.to_be_bytes());
-            }
-        }
-        Message::BatchReply(snaps) => {
-            let n = count(&mut f, 14, snaps.len(), MAX_BATCH_ITEMS);
-            for ctx in &snaps[..n] {
-                put_ctx(&mut f, ctx);
-            }
-        }
         Message::ShardSnapshotSync { shard, epoch, blob } => {
             f.push(15);
             f.extend_from_slice(&shard.to_be_bytes());
@@ -322,16 +310,6 @@ fn decode_payload(mut p: Cursor) -> Result<Message, DecodeError> {
                 (0..n).map(|_| (PathKey(p.u64()), p.summary())).collect(),
             ))
         }
-        13 => {
-            let n = p.count(MAX_BATCH_ITEMS, "batch too large", 8)?;
-            Ok(Message::BatchQuery(
-                (0..n).map(|_| PathKey(p.u64())).collect(),
-            ))
-        }
-        14 => {
-            let n = p.count(MAX_BATCH_ITEMS, "batch too large", 20)?;
-            Ok(Message::BatchReply((0..n).map(|_| p.ctx()).collect()))
-        }
         15 => {
             p.need(16)?;
             let (shard, epoch) = (p.u32(), p.u64());
@@ -343,7 +321,7 @@ fn decode_payload(mut p: Cursor) -> Result<Message, DecodeError> {
             let blob = p.take(len);
             Ok(Message::ShardSnapshotSync { shard, epoch, blob })
         }
-        // 3 and 11 are retired and decode like any unassigned code.
+        // 3, 11, 13 and 14 are retired and decode like any unassigned code.
         other => Err(DecodeError::BadType(other)),
     }
 }
@@ -577,15 +555,10 @@ pub fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
-/// The three batch frames (including the zero-item case — a legal,
-/// if pointless, frame).
+/// The batch frame (including the zero-item case — a legal, if
+/// pointless, frame).
 pub fn arb_batch_message() -> impl Strategy<Value = Message> {
-    prop_oneof![
-        proptest::collection::vec((any::<u64>(), arb_summary()), 0..40).prop_map(|items| {
-            Message::BatchReport(items.into_iter().map(|(p, s)| (PathKey(p), s)).collect())
-        }),
-        proptest::collection::vec(any::<u64>(), 0..60)
-            .prop_map(|paths| Message::BatchQuery(paths.into_iter().map(PathKey).collect())),
-        proptest::collection::vec(arb_snapshot(), 0..60).prop_map(Message::BatchReply),
-    ]
+    proptest::collection::vec((any::<u64>(), arb_summary()), 0..40).prop_map(|items| {
+        Message::BatchReport(items.into_iter().map(|(p, s)| (PathKey(p), s)).collect())
+    })
 }

@@ -33,13 +33,16 @@ use wire_model::{arb_batch_message, arb_message, arb_summary, damage, DAMAGES};
 const FIRST_UNKNOWN_TYPE: u8 = 16;
 
 /// Codes retired since — never reassigned, so they decode like unknown
-/// ones: the single-report frame and the whole-store snapshot sync.
+/// ones: the single-report frame, the whole-store snapshot sync, and the
+/// read-only batch query and its reply.
 const RETIRED_REPORT: u8 = 3;
 const RETIRED_SNAPSHOT_SYNC: u8 = 11;
+const RETIRED_BATCH_QUERY: u8 = 13;
+const RETIRED_BATCH_REPLY: u8 = 14;
 
-/// Type codes of the batch frames added after the original 1..=11 set —
-/// the frames a pre-batch decoder must skip recoverably.
-const BATCH_TYPES: std::ops::RangeInclusive<u8> = 12..=14;
+/// Type code of the batch frame added after the original 1..=11 set —
+/// the frame a pre-batch decoder must skip recoverably.
+const BATCH_TYPE: u8 = 12;
 
 /// Scripted context server for the client-pairing property. Replies to
 /// `Lookup { path: p }` with a snapshot whose `queue_ms` encodes `p`, so
@@ -461,6 +464,8 @@ proptest! {
         bad in prop_oneof![
             Just(RETIRED_REPORT),
             Just(RETIRED_SNAPSHOT_SYNC),
+            Just(RETIRED_BATCH_QUERY),
+            Just(RETIRED_BATCH_REPLY),
             FIRST_UNKNOWN_TYPE..=255,
         ],
     ) {
@@ -847,7 +852,7 @@ proptest! {
     }
 
     /// Forward compatibility of the batch extension: to a pre-batch
-    /// decoder, type codes 12..=14 are exactly "unknown types" — the
+    /// decoder, type code 12 is exactly an "unknown type" — the
     /// decoder never inspects an unknown frame's payload, so remapping a
     /// real batch frame's type code into today's unknown range *is* a
     /// pre-batch decoder seeing a batch frame. It must surface the
@@ -860,9 +865,8 @@ proptest! {
         follower in arb_message(),
     ) {
         let mut frame = encode(&batch);
-        let batch_type = frame[5];
-        prop_assert!(BATCH_TYPES.contains(&batch_type), "not a batch frame: {}", batch_type);
-        let unknown = FIRST_UNKNOWN_TYPE + (batch_type - BATCH_TYPES.start());
+        prop_assert_eq!(frame[5], BATCH_TYPE, "not a batch frame");
+        let unknown = FIRST_UNKNOWN_TYPE;
         frame[5] = unknown;
         let mut d = Decoder::new();
         d.extend(&frame);

@@ -6,13 +6,11 @@
 //! threshold. The detector scans a z-score sequence and emits maximal
 //! qualifying runs, requiring a minimum length to suppress flapping.
 
-use serde::Serialize;
-
 use crate::model::SeasonalModel;
 use crate::series::TimeSeries;
 
 /// Detector configuration.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DetectorConfig {
     /// Z-score below which a bin is anomalous (negative).
     pub z_threshold: f64,
@@ -34,7 +32,7 @@ impl Default for DetectorConfig {
 }
 
 /// A detected unreachability event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnomalyEvent {
     /// First anomalous bin (inclusive).
     pub start_bin: usize,

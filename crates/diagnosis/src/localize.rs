@@ -9,14 +9,12 @@
 //! deficit *and* its own traffic dropped substantially — the second
 //! condition rejects "big but healthy" slices that dominate volume.
 
-use serde::Serialize;
-
 use crate::detect::AnomalyEvent;
 use crate::model::SeasonalModel;
 use crate::series::{Dimension, SliceKey, SlicedSeries};
 
 /// A dimensional description of the affected population.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Localization {
     /// The constrained dimensions, e.g. `[(Asn, 7922), (Metro, 3)]`.
     pub constraints: Vec<(Dimension, u32)>,
@@ -34,7 +32,7 @@ impl Localization {
 }
 
 /// Localizer configuration.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LocalizerConfig {
     /// Minimum share of the total deficit a description must capture.
     pub min_deficit_share: f64,

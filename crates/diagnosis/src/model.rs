@@ -8,12 +8,10 @@
 //! is the **MAD** (median absolute deviation, scaled to estimate σ).
 //! Medians make the model immune to outages in the training window.
 
-use serde::Serialize;
-
 use crate::series::TimeSeries;
 
 /// A fitted seasonal baseline.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SeasonalModel {
     /// Bins per seasonal period (e.g. one day).
     pub period: usize,

@@ -8,10 +8,8 @@
 
 use std::collections::HashMap;
 
-use serde::Serialize;
-
 /// One slice of the request stream: (service, client AS, metro).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SliceKey {
     /// Service identifier (e.g. VoIP vs file hosting — §1's example).
     pub service: u32,
@@ -22,7 +20,7 @@ pub struct SliceKey {
 }
 
 /// A dimension of the slice space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dimension {
     /// The service dimension.
     Service,
@@ -44,7 +42,7 @@ impl SliceKey {
 }
 
 /// A fixed-interval count series.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     /// Bin width in seconds.
     pub bin_secs: u64,
@@ -98,7 +96,7 @@ impl TimeSeries {
 }
 
 /// Per-slice series over a common time grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SlicedSeries {
     bin_secs: u64,
     n_bins: usize,

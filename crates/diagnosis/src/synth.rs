@@ -8,12 +8,11 @@
 //! localizer are scored against.
 
 use phi_workload::SeedRng;
-use serde::Serialize;
 
 use crate::series::{SliceKey, SlicedSeries};
 
 /// Generator configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Services to simulate.
     pub services: u32,
@@ -49,7 +48,7 @@ impl Default for TelemetryConfig {
 }
 
 /// An injected ground-truth outage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Outage {
     /// Affected AS (client ISP).
     pub asn: u32,

@@ -13,17 +13,15 @@
 
 use std::collections::HashMap;
 
-use serde::Serialize;
-
 use crate::sketch::LogHistogram;
 
 /// A path identifier (e.g. destination /24), matching
 /// `phi_core::PathKey`'s representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathId(pub u64);
 
 /// One connection's contribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfObservation {
     /// Achieved throughput, Mbit/s.
     pub throughput_mbps: f64,
@@ -36,7 +34,7 @@ pub struct PerfObservation {
 }
 
 /// Per-path, per-epoch sketch bundle.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 struct PathEpoch {
     throughput: LogHistogram,
     rtt: LogHistogram,
@@ -81,7 +79,7 @@ pub struct PathView {
 }
 
 /// The performance database.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PerfDb {
     epoch_ns: u64,
     current_epoch: u64,

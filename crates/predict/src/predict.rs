@@ -12,12 +12,10 @@
 //!   paper imagines surfacing ("if the VoIP quality is expected to be
 //!   poor, the user might hold off").
 
-use serde::Serialize;
-
 use crate::db::PathView;
 
 /// Download-time prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DownloadPrediction {
     /// Median expected completion time, seconds.
     pub p50_secs: f64,
@@ -51,7 +49,7 @@ pub fn predict_download(view: &PathView, bytes: u64) -> Option<DownloadPredictio
 }
 
 /// VoIP quality prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoipPrediction {
     /// Estimated mean opinion score, 1.0–4.5.
     pub mos: f64,

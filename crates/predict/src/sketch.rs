@@ -7,8 +7,6 @@
 //! queries have bounded relative error (`growth − 1`, e.g. 5 %) across
 //! many orders of magnitude, with a few hundred buckets.
 
-use serde::Serialize;
-
 /// Log-bucketed histogram over positive values.
 ///
 /// ```
@@ -22,7 +20,7 @@ use serde::Serialize;
 /// assert!((12.0..=15.0).contains(&p50));
 /// assert_eq!(h.count(), 5);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LogHistogram {
     min_value: f64,
     growth: f64,

@@ -17,13 +17,12 @@
 
 use phi_sim::time::Time;
 use phi_tcp::cc::AckEvent;
-use serde::Serialize;
 
 /// Number of memory dimensions (ack EWMA, send EWMA, RTT ratio, shared u).
 pub const DIMS: usize = 4;
 
 /// Normalization bounds for each dimension (raw value mapped to [0, 1]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryBounds {
     /// Max ACK interarrival considered, ms.
     pub ack_ewma_ms: f64,
@@ -44,7 +43,7 @@ impl Default for MemoryBounds {
 }
 
 /// The feature vector, in raw units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Memory {
     /// EWMA of ACK interarrival, ms.
     pub ack_ewma_ms: f64,

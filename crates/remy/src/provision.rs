@@ -15,13 +15,12 @@ use std::sync::Arc;
 use phi_core::harness::{ProvisionCtx, Provisioned};
 use phi_core::hooks::{IdealOracleHook, PracticalHook};
 use phi_tcp::hook::NoHook;
-use serde::Serialize;
 
 use crate::controller::{RemyCc, UsageTally};
 use crate::whisker::WhiskerTree;
 
 /// How senders obtain the shared utilization signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UtilFeed {
     /// No sharing (plain Remy).
     None,

@@ -21,14 +21,13 @@ use std::sync::Arc;
 use phi_core::harness::{run_experiment, ExperimentSpec, RunResult};
 use phi_core::power::log_power;
 use phi_core::runpool::RunPool;
-use serde::Serialize;
 
 use crate::controller::UsageTally;
 use crate::provision::{provision_remy, UtilFeed};
 use crate::whisker::WhiskerTree;
 
 /// Trainer configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TrainerConfig {
     /// Scenarios to average the objective over.
     pub scenarios: Vec<ExperimentSpec>,

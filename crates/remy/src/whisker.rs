@@ -10,12 +10,10 @@
 //! helping, letting the policy specialize where the sender actually
 //! spends time — the structure-learning half of Remy's offline search.
 
-use serde::Serialize;
-
 use crate::memory::DIMS;
 
 /// A control action, applied on each ACK.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Action {
     /// Window multiple `m`: `cwnd ← m · cwnd + b`.
     pub window_multiple: f64,
@@ -81,7 +79,7 @@ impl Action {
 }
 
 /// An axis-aligned box in normalized memory space: `[lo, hi)` per dim.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cube {
     /// Lower corner (inclusive).
     pub lo: [f64; DIMS],
@@ -130,7 +128,7 @@ impl Cube {
 }
 
 /// One rule: a box and the action to take inside it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Whisker {
     /// Domain of this rule.
     pub cube: Cube,
@@ -158,7 +156,7 @@ pub struct Whisker {
 /// assert!(tree.action_for(&quiet).window_increment > 0.0);
 /// assert_eq!(tree.action_for(&busy).window_multiple, 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WhiskerTree {
     whiskers: Vec<Whisker>,
 }
@@ -220,7 +218,7 @@ impl WhiskerTree {
     }
 
     /// A human-readable rendering of the learned rules, one per line —
-    /// what the trainer ships to operators alongside the serialized tree.
+    /// what the trainer ships to operators alongside the tree.
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;
         const DIM_NAMES: [&str; DIMS] = ["ack_ewma", "send_ewma", "rtt_ratio", "util"];

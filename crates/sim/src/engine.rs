@@ -1363,7 +1363,7 @@ impl RunBudget {
 }
 
 /// Why a budgeted run terminated early (see [`RunBudget`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetExceeded {
     /// [`RunBudget::max_events`] was reached.
     Events,

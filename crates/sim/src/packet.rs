@@ -16,15 +16,15 @@ use serde::Serialize;
 use crate::time::Time;
 
 /// Identifies a node (host or router) within a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Identifies a unidirectional link within a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 /// Identifies an agent registered with the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AgentId(pub u32);
 
 /// Identifies one transport-level flow (one on-period connection).
@@ -56,7 +56,7 @@ impl fmt::Display for FlowId {
 }
 
 /// Header flag bits, modelled on the TCP flag byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flags(pub u8);
 
 impl Flags {
@@ -97,7 +97,7 @@ impl Flags {
 /// Up to three SACK ranges riding on an acknowledgment, as segment-number
 /// half-open intervals `[start, end)`. Three blocks matches what fits in a
 /// standard TCP SACK option alongside timestamps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SackBlocks {
     len: u8,
     blocks: [(u64, u64); 3],
@@ -232,7 +232,7 @@ pub mod wire {
 /// bytes: every data segment is `wire::MSS` payload bytes except possibly
 /// the last of a flow, and numbering segments keeps the arithmetic in the
 /// transport layer simple without changing any congestion behaviour.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Globally unique packet id, assigned by the simulator at send time.
     pub id: u64,

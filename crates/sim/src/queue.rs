@@ -21,7 +21,7 @@ use crate::switch::NO_INGRESS;
 use crate::time::Time;
 
 /// How much a queue may hold before dropping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Capacity {
     /// At most this many packets (ns-2 counts packets by default).
     Packets(usize),

@@ -2,12 +2,10 @@
 
 use std::collections::VecDeque;
 
-use serde::Serialize;
-
 use crate::time::{Dur, Time};
 
 /// Incremental mean / min / max / variance over f64 samples (Welford).
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -177,7 +175,7 @@ impl RollingUtil {
 
 /// Cumulative per-link counters, reported at the end of an experiment and
 /// readable by agents mid-run (the ideal-oracle path).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LinkStats {
     /// Packets accepted into the queue.
     pub enqueued: u64,

@@ -18,7 +18,7 @@ use crate::queue::Capacity;
 use crate::time::Dur;
 
 /// Static description of one unidirectional link.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LinkSpec {
     /// Node the link transmits from.
     pub from: NodeId,
@@ -303,7 +303,7 @@ pub fn dumbbell(spec: &DumbbellSpec) -> Dumbbell {
 
 /// Parameters for a "parking lot" chain: R0 — R1 — … — Rn with hosts on
 /// each router, the classic multi-bottleneck benchmark topology.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ParkingLotSpec {
     /// Number of backbone links (routers = hops + 1).
     pub hops: usize,

@@ -23,12 +23,11 @@
 //! marks are the common signal, loss the last resort.
 
 use phi_sim::time::{Dur, Time};
-use serde::Serialize;
 
 use crate::cc::{AckEvent, CongestionControl, LossEvent};
 
 /// DCTCP parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DctcpParams {
     /// Initial congestion window, segments.
     pub init_window: f64,

@@ -15,13 +15,12 @@
 
 use phi_sim::engine::Ctx;
 use phi_sim::time::Time;
-use serde::Serialize;
 
 use crate::report::FlowReport;
 
 /// A snapshot of the shared congestion context for one path, as returned
 /// by a context-server lookup. This is the paper's (u, q, n) triple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContextSnapshot {
     /// Estimated bottleneck utilization, [0, 1].
     pub utilization: f64,

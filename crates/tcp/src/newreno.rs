@@ -3,12 +3,11 @@
 //! reference point for the TCP-friendliness tests in `phi-core`.
 
 use phi_sim::time::Time;
-use serde::Serialize;
 
 use crate::cc::{AckEvent, CongestionControl, LossEvent};
 
 /// NewReno parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NewRenoParams {
     /// Initial congestion window, segments.
     pub init_window: f64,

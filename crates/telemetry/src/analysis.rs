@@ -6,13 +6,11 @@
 //! the WAN path with at least 5 other flows while 12% share it with at
 //! least 100 other flows."* [`SharingCdf`] reproduces those statistics.
 
-use serde::Serialize;
-
 use crate::collector::Collector;
 
 /// Distribution of per-flow sharing degree (number of *other* flows in
 /// the same bucket).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SharingCdf {
     /// Sorted sharing degrees, one entry per observed flow.
     degrees: Vec<u64>,

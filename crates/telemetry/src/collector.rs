@@ -9,12 +9,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::Serialize;
-
 use crate::record::{FlowKey, IpfixRecord, Subnet24};
 
 /// A spatio-temporal bucket id: (destination /24, minute index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BucketId {
     /// Destination subnet.
     pub subnet: Subnet24,

@@ -2,12 +2,10 @@
 
 use std::net::Ipv4Addr;
 
-use serde::Serialize;
-
 /// The classic transport 4-tuple plus protocol — the paper's flow
 /// identity ("characterized by the number of unique 4-tuples
 /// <Src Ip, Src Port, Dst Ip, Dst Port>").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowKey {
     /// Source address.
     pub src_ip: Ipv4Addr,
@@ -30,7 +28,7 @@ impl FlowKey {
 }
 
 /// A /24 IPv4 subnet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Subnet24(pub u32);
 
 impl Subnet24 {
@@ -53,7 +51,7 @@ impl std::fmt::Display for Subnet24 {
 
 /// One exported record: a sampled packet's flow key plus counters, as an
 /// IPFIX exporter would emit after sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IpfixRecord {
     /// Flow identity.
     pub key: FlowKey,

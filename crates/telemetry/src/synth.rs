@@ -11,12 +11,11 @@
 use std::net::Ipv4Addr;
 
 use phi_workload::{BoundedPareto, Sample, SeedRng, Zipf};
-use serde::Serialize;
 
 use crate::record::FlowKey;
 
 /// Generator configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EgressConfig {
     /// Number of destination /24 subnets the provider sends to.
     pub subnets: usize,

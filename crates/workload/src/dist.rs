@@ -6,8 +6,6 @@
 //! All samplers are implemented from first principles (inverse transform /
 //! alias-free CDF search) over a [`SeedRng`] so results are reproducible.
 
-use serde::Serialize;
-
 use crate::rng::SeedRng;
 
 /// A real-valued distribution that can be sampled.
@@ -20,7 +18,7 @@ pub trait Sample {
 }
 
 /// Exponential distribution with the given mean (rate = 1/mean).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     mean: f64,
 }
@@ -46,7 +44,7 @@ impl Sample for Exponential {
 }
 
 /// Bounded Pareto distribution (heavy-tailed flow sizes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundedPareto {
     /// Shape parameter alpha (> 0).
     pub alpha: f64,
@@ -88,7 +86,7 @@ impl Sample for BoundedPareto {
 
 /// A degenerate distribution: always the same value (useful in tests and
 /// for "long-running connection" workloads).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constant(pub f64);
 
 impl Sample for Constant {

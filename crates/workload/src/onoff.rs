@@ -12,7 +12,7 @@ use crate::dist::{Constant, Exponential, Sample};
 use crate::rng::SeedRng;
 
 /// The plan for one on-period connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowPlan {
     /// Bytes to transfer in this connection (at least one segment's worth).
     pub bytes: u64,

@@ -110,9 +110,12 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         .unwrap_or_else(|| "127.0.0.1:7777".into());
     let capacity_mbps: f64 = get_parse(opts, "capacity-mbps", 1000.0)?;
     let window_secs: u64 = get_parse(opts, "window-secs", 10)?;
+    let window_ns = window_secs
+        .checked_mul(1_000_000_000)
+        .ok_or_else(|| format!("--window-secs: {window_secs} s overflows u64 nanoseconds"))?;
 
     let store = ContextStore::new(StoreConfig {
-        window_ns: window_secs * 1_000_000_000,
+        window_ns,
         capacity_bps: Some(capacity_mbps * 1e6),
         queue_alpha: 0.3,
     });
@@ -172,6 +175,9 @@ fn cmd_report(opts: &Opts) -> Result<(), String> {
     if duration_ms == 0 {
         return Err("--duration-ms is required".into());
     }
+    let duration_ns = duration_ms
+        .checked_mul(1_000_000)
+        .ok_or_else(|| format!("--duration-ms: {duration_ms} ms overflows u64 nanoseconds"))?;
     let mean_rtt_ms: f64 = get_parse(opts, "mean-rtt-ms", 0.0)?;
     let min_rtt_ms: f64 = get_parse(opts, "min-rtt-ms", 0.0)?;
     let mut client = ContextClient::connect(addr.as_str()).map_err(|e| e.to_string())?;
@@ -180,7 +186,7 @@ fn cmd_report(opts: &Opts) -> Result<(), String> {
             PathKey(path),
             FlowSummary {
                 bytes,
-                duration_ns: duration_ms * 1_000_000,
+                duration_ns,
                 mean_rtt_ms,
                 min_rtt_ms,
                 retransmits: get_parse(opts, "retransmits", 0u32)?,
