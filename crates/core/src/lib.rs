@@ -45,8 +45,8 @@
 //!   store (paths never interact), each shard with its own lock,
 //!   replication log, and failover epoch in the server.
 //! * [`wire`] / [`server`] — a real context server: length-prefixed binary
-//!   protocol, threaded TCP service with replication, blocking client
-//!   with a write-behind report buffer, and a self-healing client over it.
+//!   protocol, threaded TCP service with replication, a blocking client,
+//!   and a self-healing client over it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,7 +90,7 @@ pub use power::{log_power, power, power_loss, score, Objective};
 pub use runpool::{derive_seed, panic_message, RunFailure, RunOutcome, RunPool};
 pub use server::{
     ClientConfig, ClientError, ContextClient, ContextServer, HaOptions, ResilienceConfig,
-    ResilienceStats, ResilientClient, ServerConfig, ServerStats, WriteBehindConfig,
+    ResilienceStats, ResilientClient, ServerConfig, ServerStats,
 };
 pub use shard::{shard_index, ShardedStore};
 pub use supervise::{CompletedCell, SupervisorConfig, SweepReport, TerminatedCell};

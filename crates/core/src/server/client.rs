@@ -258,20 +258,6 @@ impl ContextClient {
             other => Err(other),
         })
     }
-
-    /// Install `blob` as shard `shard`'s full state on the receiving
-    /// server, fenced at `epoch`. The shard index is the *receiver's*
-    /// (`shard_index` of the same path space — primary and backup must be
-    /// sharded identically). Out-of-range shards and stale epochs come
-    /// back as server errors.
-    pub fn sync_shard_snapshot(
-        &mut self,
-        shard: u32,
-        epoch: u64,
-        blob: Vec<u8>,
-    ) -> Result<(), ClientError> {
-        self.ask(&Message::ShardSnapshotSync { shard, epoch, blob }, acked)
-    }
 }
 
 /// [`ContextClient::ask`]'s `pick` for requests answered by `REPORT_OK`.

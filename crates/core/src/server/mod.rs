@@ -47,8 +47,9 @@
 //! the primary's replication thread. `client` is the connection: the
 //! blocking [`ContextClient`] with its deadlines, poisoning, typed
 //! requests and errors. `resilient` is the client policy over it, in one
-//! place: [`ResilientClient`]'s retries, backoff, circuit breaker,
-//! fail-over and write-behind report buffer.
+//! place: [`ResilientClient`]'s retries, backoff, circuit breaker and
+//! fail-over. The breaker's rules take the time as an argument; only
+//! the client reads the clock.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -69,7 +70,7 @@ mod tests;
 
 pub use client::{ClientConfig, ClientError, ContextClient};
 use repl::replicate_to_backups;
-pub use resilient::{ResilienceConfig, ResilienceStats, ResilientClient, WriteBehindConfig};
+pub use resilient::{ResilienceConfig, ResilienceStats, ResilientClient};
 
 /// Server-side counters, readable while running.
 #[derive(Debug, Default)]

@@ -58,7 +58,7 @@ pub struct ResilienceStats {
     pub failures: u64,
     /// Connections (re-)established.
     pub connects: u64,
-    /// Open → closed breaker transitions.
+    /// Closed → open breaker transitions.
     pub breaker_trips: u64,
     /// Requests answered "no context" instantly by an open breaker.
     pub short_circuited: u64,
@@ -70,63 +70,55 @@ pub struct ResilienceStats {
     pub fenced: u64,
 }
 
-/// Tuning for the write-behind report buffer of a [`ResilientClient`].
-///
-/// Reports are end-of-connection telemetry, not queries: nothing blocks
-/// on their reply. Buffering them and shipping one
-/// [`crate::wire::Message::BatchReport`] amortizes codec and syscall cost
-/// the same way the replication delta stream does. The cost is
-/// staleness, and that cost is *bounded*: a buffered report is flushed no
-/// later than the first `buffer_report`/`flush_reports` call after the
-/// oldest entry turns `max_age` old, and no more than `max_items` reports
-/// are ever held. On a flush failure the buffer is dropped, not retried —
-/// a dead context plane degrades to lost telemetry, never to memory
-/// growth or a stalled sender.
-#[derive(Debug, Clone, Copy)]
-pub struct WriteBehindConfig {
-    /// Buffered reports that force a flush (also the largest batch ever
-    /// sent; capped by [`crate::wire::MAX_BATCH_ITEMS`]).
-    pub max_items: usize,
-    /// Staleness bound: how old the oldest buffered report may be before
-    /// the next buffering call flushes.
-    pub max_age: Duration,
+/// The circuit breaker: `breaker_threshold` failed requests in a row open
+/// it until `open_until`, the first request at or after that is the
+/// half-open probe, and any answer closes it. It reads no clock; each
+/// method takes the caller's `now`, as the replica takes `now_ns`.
+#[derive(Debug, Default)]
+struct Breaker {
+    /// Requests in a row that exhausted every retry.
+    consecutive_failures: u32,
+    /// Set from the first trip until the plane answers again.
+    open_until: Option<Instant>,
+    /// Consecutive open periods without a successful probe; the cooldown
+    /// doubles with each (bounded by `breaker_cooldown_max`).
+    open_streak: u32,
 }
 
-impl Default for WriteBehindConfig {
-    fn default() -> Self {
-        WriteBehindConfig {
-            max_items: 64,
-            max_age: Duration::from_millis(100),
+impl Breaker {
+    /// Whether a request at `now` is answered "no context" unsent.
+    fn is_open(&self, now: Instant) -> bool {
+        self.open_until.is_some_and(|t| now < t)
+    }
+
+    /// `breaker_cooldown * 2^open_streak`, capped at
+    /// `breaker_cooldown_max`: the length of the next open period.
+    fn cooldown(&self, cfg: &ResilienceConfig) -> Duration {
+        let doubled = cfg
+            .breaker_cooldown
+            .saturating_mul(1u32 << self.open_streak.min(16));
+        doubled.min(cfg.breaker_cooldown_max)
+    }
+
+    /// The plane answered: close, and forget the failures and the streak.
+    fn close(&mut self) {
+        *self = Breaker::default();
+    }
+
+    /// A request exhausted its retries at `now`. A failed half-open probe
+    /// re-opens the breaker, and reaching `breaker_threshold` trips it;
+    /// either way it stays open for [`Breaker::cooldown`].
+    fn fail(&mut self, now: Instant, cfg: &ResilienceConfig, stats: &mut ResilienceStats) {
+        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+        if self.open_until.is_some() {
+            stats.probe_failures += 1;
+        } else if self.consecutive_failures >= cfg.breaker_threshold {
+            stats.breaker_trips += 1;
+        } else {
+            return;
         }
-    }
-}
-
-/// The write-behind report buffer: what is waiting, since when, and the
-/// bounds that say when it must go. It reads no clock; the caller passes
-/// the time.
-#[derive(Default)]
-struct WriteBehind {
-    cfg: WriteBehindConfig,
-    pending: Vec<(PathKey, FlowSummary)>,
-    /// When the oldest entry in `pending` was buffered (the staleness
-    /// clock).
-    oldest: Option<Instant>,
-}
-
-impl WriteBehind {
-    /// Buffer one report at `now`; `true` when the count or the age
-    /// bound is reached and the caller must flush.
-    fn push(&mut self, now: Instant, path: PathKey, summary: FlowSummary) -> bool {
-        let oldest = *self.oldest.get_or_insert(now);
-        self.pending.push((path, summary));
-        self.pending.len() >= self.cfg.max_items.clamp(1, MAX_BATCH_ITEMS)
-            || now.saturating_duration_since(oldest) >= self.cfg.max_age
-    }
-
-    /// Empty the buffer and stop its clock; the caller ships what it held.
-    fn take(&mut self) -> Vec<(PathKey, FlowSummary)> {
-        self.oldest = None;
-        std::mem::take(&mut self.pending)
+        self.open_until = Some(now + self.cooldown(cfg));
+        self.open_streak = self.open_streak.saturating_add(1);
     }
 }
 
@@ -134,11 +126,12 @@ impl WriteBehind {
 /// **the context plane may fail; the sender must not.**
 ///
 /// Wraps [`ContextClient`] with bounded reconnects, exponential backoff
-/// with per-client jitter, a circuit breaker and a write-behind report
-/// buffer ([`WriteBehindConfig`]). All methods are
-/// infallible: any exhausted failure degrades to "no context" (`None` /
-/// `false`), which callers map to vanilla-TCP behaviour — never an error
-/// the data path has to handle, never an unbounded block.
+/// with per-client jitter, and a circuit breaker. Every request goes out
+/// when it is made; a caller batches reports with
+/// [`ResilientClient::report_batch`]. All methods are infallible: any
+/// exhausted failure degrades to "no context" (`None` / `false`), which
+/// callers map to vanilla-TCP behaviour — never an error the data path
+/// has to handle, never an unbounded block.
 ///
 /// ## Failover
 ///
@@ -158,14 +151,9 @@ pub struct ResilientClient {
     max_epoch: u64,
     config: ResilienceConfig,
     conn: Option<ContextClient>,
-    consecutive_failures: u32,
-    open_until: Option<Instant>,
-    /// Consecutive open periods without a successful probe; the cooldown
-    /// doubles with each (bounded by `breaker_cooldown_max`).
-    open_streak: u32,
+    breaker: Breaker,
     jitter: u64,
     stats: ResilienceStats,
-    buffer: WriteBehind,
 }
 
 impl ResilientClient {
@@ -196,18 +184,10 @@ impl ResilientClient {
             max_epoch: 0,
             config,
             conn: None,
-            consecutive_failures: 0,
-            open_until: None,
-            open_streak: 0,
+            breaker: Breaker::default(),
             jitter: jitter_seed(),
             stats: ResilienceStats::default(),
-            buffer: WriteBehind::default(),
         }
-    }
-
-    /// Replace the write-behind tuning (see [`WriteBehindConfig`]).
-    pub fn set_write_behind(&mut self, cfg: WriteBehindConfig) {
-        self.buffer.cfg = cfg;
     }
 
     /// Failure-handling counters.
@@ -218,18 +198,7 @@ impl ResilientClient {
     /// Whether the circuit breaker is currently open (requests are
     /// short-circuited to "no context" until the cooldown elapses).
     pub fn breaker_open(&self) -> bool {
-        self.open_until.is_some_and(|t| Instant::now() < t)
-    }
-
-    /// The cooldown the breaker will apply on its next trip or failed
-    /// probe: `breaker_cooldown * 2^open_streak`, capped. Deterministic,
-    /// so tests can assert the doubling exactly.
-    pub fn current_cooldown(&self) -> Duration {
-        let doubled = self
-            .config
-            .breaker_cooldown
-            .saturating_mul(1u32 << self.open_streak.min(16));
-        doubled.min(self.config.breaker_cooldown_max)
+        self.breaker.is_open(Instant::now())
     }
 
     /// The endpoint the next request will try first.
@@ -265,35 +234,6 @@ impl ResilientClient {
         ok
     }
 
-    /// Buffer a report for a later batched flush, bounded by the
-    /// configured [`WriteBehindConfig`] staleness bound. Returns `false`
-    /// only when this call triggered a flush and that flush failed (the
-    /// buffered reports are then dropped — a dead plane costs telemetry,
-    /// never memory or data-path stalls: the breaker short-circuits the
-    /// flush without touching the network).
-    pub fn buffer_report(&mut self, path: PathKey, summary: FlowSummary) -> bool {
-        !self.buffer.push(Instant::now(), path, summary) || self.flush_reports()
-    }
-
-    /// Flush every buffered report now; `true` when nothing was lost
-    /// (including the empty-buffer case). The buffer empties either way.
-    pub fn flush_reports(&mut self) -> bool {
-        let items = self.buffer.take();
-        self.report_batch(&items)
-    }
-
-    /// Reports currently held by the write-behind buffer.
-    pub fn pending_reports(&self) -> usize {
-        self.buffer.pending.len()
-    }
-
-    /// Flush the write-behind buffer and consume the client; `false`
-    /// when the final flush lost reports. Dropping the client flushes
-    /// too, silently.
-    pub fn close(mut self) -> bool {
-        self.flush_reports()
-    }
-
     /// Run one typed request against the current endpoint with all of
     /// this client's own machinery around it: breaker, bounded retries
     /// with backoff, reconnect, fail-over. `None` is "no context".
@@ -302,14 +242,9 @@ impl ResilientClient {
         request: impl Fn(&mut ContextClient) -> Result<T, ClientError>,
     ) -> Option<T> {
         self.stats.requests += 1;
-        if let Some(until) = self.open_until {
-            if Instant::now() < until {
-                self.stats.short_circuited += 1;
-                return None;
-            }
-            // Cooldown elapsed: half-open. Fall through with one probe
-            // request; success closes the breaker, failure re-opens it
-            // with a doubled cooldown.
+        if self.breaker.is_open(Instant::now()) {
+            self.stats.short_circuited += 1;
+            return None;
         }
         for attempt in 0..=self.config.max_retries {
             if attempt > 0 {
@@ -343,15 +278,15 @@ impl ResilientClient {
                 Err(_) => self.fail_over(),
             }
         }
-        self.on_exhausted();
+        self.stats.failures += 1;
+        self.breaker
+            .fail(Instant::now(), &self.config, &mut self.stats);
         None
     }
 
-    /// The plane answered: close the breaker and forget the failures.
+    /// The plane answered: close the breaker.
     fn answered<T>(&mut self, answer: Option<T>) -> Option<T> {
-        self.consecutive_failures = 0;
-        self.open_until = None;
-        self.open_streak = 0;
+        self.breaker.close();
         answer
     }
 
@@ -392,21 +327,6 @@ impl ResilientClient {
         None
     }
 
-    fn on_exhausted(&mut self) {
-        self.stats.failures += 1;
-        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        if self.open_until.is_some() {
-            // A half-open probe failed: re-open for twice as long.
-            self.stats.probe_failures += 1;
-        } else if self.consecutive_failures >= self.config.breaker_threshold {
-            self.stats.breaker_trips += 1;
-        } else {
-            return;
-        }
-        self.open_until = Some(Instant::now() + self.current_cooldown());
-        self.open_streak = self.open_streak.saturating_add(1);
-    }
-
     /// Exponential backoff with jitter in `[0.5, 1.0]` of the capped
     /// exponential term (this client's xorshift64 stream, see
     /// [`jitter_seed`], so a fleet of clients decorrelates).
@@ -434,67 +354,100 @@ fn jitter_seed() -> u64 {
     derive_seed(u64::from(std::process::id()), n) | 1
 }
 
-impl Drop for ResilientClient {
-    /// Last-chance flush of the write-behind buffer on orderly teardown.
-    /// Bounded even against a dead plane: the flush goes through the
-    /// normal retry/breaker machinery, so an open breaker short-circuits
-    /// it without touching the network. Skipped while panicking.
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            let _ = self.flush_reports();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(i: u64) -> (PathKey, FlowSummary) {
-        (
-            PathKey(i),
-            FlowSummary {
-                bytes: 1_000 * i,
-                duration_ns: 1_000_000_000,
-                mean_rtt_ms: 170.0,
-                min_rtt_ms: 150.0,
-                retransmits: 0,
-                timeouts: 0,
-            },
-        )
-    }
+    const COOLDOWN: Duration = Duration::from_secs(1);
 
-    fn buffer(max_items: usize, max_age: Duration) -> WriteBehind {
-        WriteBehind {
-            cfg: WriteBehindConfig { max_items, max_age },
-            ..WriteBehind::default()
+    fn config() -> ResilienceConfig {
+        ResilienceConfig {
+            breaker_threshold: 3,
+            breaker_cooldown: COOLDOWN,
+            breaker_cooldown_max: COOLDOWN * 5,
+            ..ResilienceConfig::default()
         }
     }
 
-    #[test]
-    fn write_behind_is_due_at_the_count_bound() {
-        let t0 = Instant::now();
-        let mut wb = buffer(3, Duration::from_secs(60));
-        let (p, s) = report(1);
-        assert!(!wb.push(t0, p, s));
-        assert!(!wb.push(t0, p, s));
-        assert!(wb.push(t0, p, s), "the third report reaches max_items");
-        assert_eq!(wb.take().len(), 3);
-        assert!(wb.pending.is_empty());
+    /// A breaker tripped at `t0` by `breaker_threshold` failures.
+    fn tripped(t0: Instant, stats: &mut ResilienceStats) -> Breaker {
+        let mut b = Breaker::default();
+        for _ in 0..config().breaker_threshold {
+            b.fail(t0, &config(), stats);
+        }
+        b
     }
 
     #[test]
-    fn write_behind_is_due_when_the_oldest_report_reaches_max_age() {
-        let max_age = Duration::from_millis(80);
+    fn breaker_trips_at_the_threshold() {
         let t0 = Instant::now();
-        let mut wb = buffer(100, max_age);
-        let (p, s) = report(2);
-        assert!(!wb.push(t0, p, s));
-        // The bound is on the oldest report, not the newest.
-        assert!(!wb.push(t0 + max_age / 2, p, s));
-        assert!(!wb.push(t0 + max_age - Duration::from_nanos(1), p, s));
-        assert!(wb.push(t0 + max_age, p, s), "the oldest is max_age old");
-        assert_eq!(wb.take().len(), 4);
+        let mut stats = ResilienceStats::default();
+        let mut b = Breaker::default();
+        b.fail(t0, &config(), &mut stats);
+        b.fail(t0, &config(), &mut stats);
+        assert!(!b.is_open(t0), "two failures are under the threshold");
+        b.fail(t0, &config(), &mut stats);
+        assert!(b.is_open(t0));
+        assert_eq!(stats.breaker_trips, 1);
+        assert_eq!(stats.probe_failures, 0);
+    }
+
+    #[test]
+    fn breaker_short_circuits_until_the_cooldown_runs_out() {
+        let t0 = Instant::now();
+        let b = tripped(t0, &mut ResilienceStats::default());
+        assert!(b.is_open(t0 + COOLDOWN / 2));
+        assert!(b.is_open(t0 + COOLDOWN - Duration::from_nanos(1)));
+    }
+
+    #[test]
+    fn breaker_goes_half_open_exactly_at_open_until() {
+        let t0 = Instant::now();
+        let b = tripped(t0, &mut ResilienceStats::default());
+        assert_eq!(b.open_until, Some(t0 + COOLDOWN));
+        assert!(
+            !b.is_open(t0 + COOLDOWN),
+            "the probe goes out at open_until"
+        );
+    }
+
+    #[test]
+    fn failed_probes_double_the_cooldown_up_to_the_cap() {
+        let mut now = Instant::now();
+        let mut stats = ResilienceStats::default();
+        let mut b = tripped(now, &mut stats);
+        // Each probe fails the moment the breaker goes half-open.
+        for want in [2, 4, 5, 5] {
+            now = b.open_until.expect("open");
+            assert!(!b.is_open(now));
+            b.fail(now, &config(), &mut stats);
+            assert_eq!(b.open_until, Some(now + COOLDOWN * want));
+        }
+        assert_eq!(stats.breaker_trips, 1);
+        assert_eq!(stats.probe_failures, 4);
+        assert_eq!(b.cooldown(&config()), COOLDOWN * 5);
+    }
+
+    #[test]
+    fn a_successful_probe_resets_the_streak_to_the_base_cooldown() {
+        let t0 = Instant::now();
+        let mut stats = ResilienceStats::default();
+        let mut b = tripped(t0, &mut stats);
+        let t1 = t0 + COOLDOWN;
+        b.fail(t1, &config(), &mut stats);
+        assert_eq!(b.cooldown(&config()), COOLDOWN * 4);
+        b.close();
+        assert_eq!(b.cooldown(&config()), COOLDOWN);
+        assert!(!b.is_open(t1));
+        // Closed again: it takes a full threshold of failures to re-trip,
+        // and the new period is the base cooldown.
+        let t2 = t1 + COOLDOWN;
+        b.fail(t2, &config(), &mut stats);
+        b.fail(t2, &config(), &mut stats);
+        assert!(!b.is_open(t2));
+        b.fail(t2, &config(), &mut stats);
+        assert_eq!(b.open_until, Some(t2 + COOLDOWN));
+        assert_eq!(stats.breaker_trips, 2);
     }
 
     #[test]
@@ -505,20 +458,5 @@ mod tests {
         assert_ne!(a.jitter, b.jitter);
         let first = |c: &mut ResilientClient| (1..=4).map(|k| c.backoff(k)).collect::<Vec<_>>();
         assert_ne!(first(&mut a), first(&mut b), "same backoff schedule");
-    }
-
-    #[test]
-    fn write_behind_take_empties_and_restarts_the_clock() {
-        let max_age = Duration::from_millis(80);
-        let t0 = Instant::now();
-        let mut wb = buffer(100, max_age);
-        let (p, s) = report(3);
-        assert!(!wb.push(t0, p, s));
-        assert_eq!(wb.take(), vec![(p, s)]);
-        assert!(wb.take().is_empty(), "a second take ships nothing");
-        // The next report starts a new clock: ten bounds later it is the
-        // oldest, and it is not yet due.
-        assert!(!wb.push(t0 + max_age * 10, p, s));
-        assert!(wb.push(t0 + max_age * 11, p, s));
     }
 }

@@ -1,4 +1,5 @@
 use super::*;
+use crate::server::client::acked;
 
 #[test]
 fn epoch_query_reports_epoch_and_role() {
@@ -187,7 +188,12 @@ fn shard_snapshot_sync_rejects_out_of_range_shard() {
     .expect("bind");
     let mut c = ContextClient::connect(server.addr()).expect("connect");
     let blob = server.shard_snapshot_blob(0);
-    match c.sync_shard_snapshot(7, 2, blob) {
+    let sync = Message::ShardSnapshotSync {
+        shard: 7,
+        epoch: 2,
+        blob,
+    };
+    match c.ask(&sync, acked) {
         Err(ClientError::Server { code: c, .. }) => assert_eq!(c, code::BAD_REQUEST),
         other => panic!("expected 400 for shard out of range, got {other:?}"),
     }
@@ -205,7 +211,12 @@ fn a_snapshot_claiming_more_paths_than_it_holds_is_a_bad_request() {
     let count_at = blob.len() - 4;
     blob[count_at..].copy_from_slice(&u32::MAX.to_be_bytes());
     let mut c = ContextClient::connect(addr).expect("connect");
-    match c.sync_shard_snapshot(0, 9, blob) {
+    let sync = Message::ShardSnapshotSync {
+        shard: 0,
+        epoch: 9,
+        blob,
+    };
+    match c.ask(&sync, acked) {
         Err(ClientError::Server { code: c, .. }) => assert_eq!(c, code::BAD_REQUEST),
         other => panic!("expected 400 for the oversized count, got {other:?}"),
     }
@@ -237,7 +248,12 @@ fn an_epoch_beyond_the_fencing_word_is_refused_at_the_boundary() {
     assert!(!server.promote(MAX_EPOCH + 1));
     let mut c = ContextClient::connect(addr).expect("connect");
     let blob = server.shard_snapshot_blob(0);
-    match c.sync_shard_snapshot(0, u64::MAX, blob) {
+    let sync = Message::ShardSnapshotSync {
+        shard: 0,
+        epoch: u64::MAX,
+        blob,
+    };
+    match c.ask(&sync, acked) {
         Err(ClientError::Server { code: c, .. }) => assert_eq!(c, code::BAD_REQUEST),
         other => panic!("expected 400 for the oversized epoch, got {other:?}"),
     }

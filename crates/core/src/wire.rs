@@ -204,8 +204,8 @@ pub enum Message {
     },
     /// Client → server: many finished connections in one frame. The
     /// server applies every item (in order) and answers with a single
-    /// [`Message::ReportOk`], so a write-behind client pays one
-    /// round-trip per flush instead of one per report.
+    /// [`Message::ReportOk`], so a client that batches pays one
+    /// round-trip per batch instead of one per report.
     BatchReport(Vec<(PathKey, FlowSummary)>),
     /// Primary → backup (or operator → restarted server): full state of
     /// *one shard* of a server (a one-shard server is shard 0).

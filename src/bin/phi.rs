@@ -145,6 +145,9 @@ fn cmd_lookup(opts: &Opts) -> Result<(), String> {
 fn cmd_top(opts: &Opts) -> Result<(), String> {
     let addr = opts.get("addr").ok_or("--addr is required")?;
     let limit: u16 = get_parse(opts, "limit", 10)?;
+    if limit == 0 {
+        return Err("--limit: 0 would list no path; give at least 1".into());
+    }
     let mut client = ContextClient::connect(addr.as_str()).map_err(|e| e.to_string())?;
     let paths = client.snapshot(limit).map_err(|e| e.to_string())?;
     if paths.is_empty() {

@@ -1,7 +1,7 @@
 //! The shipped `phi` binary against an in-process context server: the
 //! client subcommands speak the wire protocol to it over a real socket,
-//! and arguments that would overflow are refused with an error that names
-//! the flag.
+//! and arguments that would overflow, or ask for nothing, are refused
+//! with an error that names the flag.
 
 use std::process::{Command, Output, Stdio};
 use std::sync::atomic::Ordering;
@@ -99,7 +99,10 @@ fn report_lookup_and_top_reach_a_live_server() {
 #[test]
 fn overflowing_arguments_are_refused_by_name() {
     let (server, addr) = start_server();
-    let cases: [(&[&str], &str); 2] = [
+    // `top --limit 0` overflows nothing, but it would ask for an empty
+    // snapshot and read the empty reply as a server that knows no path.
+    let cases: [(&[&str], &str); 3] = [
+        (&["top", "--addr", &addr, "--limit", "0"], "--limit"),
         (
             &[
                 "serve",
@@ -127,7 +130,10 @@ fn overflowing_arguments_are_refused_by_name() {
         let out = phi(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "phi {args:?} accepted it");
-        assert!(stderr.contains(flag), "does not name {flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {flag}")),
+            "does not name {flag}: {stderr}"
+        );
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
     assert_eq!(server.stats().reports.load(Ordering::Relaxed), 0);
