@@ -60,13 +60,12 @@ pub struct ExperimentSpec {
     /// the classic single shared store and draws nothing from the crash
     /// RNG stream, so established run digests are untouched.
     pub ha: Option<HaSpec>,
-    /// Run budget: hard caps on events, simulated time, and wall-clock
-    /// time, for supervised sweeps whose cells must not run away. `None`
-    /// (the default) arms no cap: the run processes the same events in
-    /// the same order, so established run digests are untouched. A
-    /// budget-terminated run returns partial results with
-    /// [`RunResult::terminated`] set; supervised aggregation excludes
-    /// such cells (see `supervise`).
+    /// Run budget: a hard cap on dispatched events, for supervised sweeps
+    /// whose cells must not run away. `None` (the default) arms no cap:
+    /// the run processes the same events in the same order, so
+    /// established run digests are untouched. A budget-terminated run
+    /// returns partial results with [`RunResult::terminated`] set;
+    /// supervised aggregation excludes such cells (see `supervise`).
     pub budget: Option<RunBudget>,
     /// Shared-buffer switch model installed on *both* aggregation
     /// routers: per-port virtual queues drawing from one pool under

@@ -23,9 +23,9 @@
 //!   count, since cells are index-addressed either way.
 //!
 //! Terminated and quarantined cells are deliberately *not* journaled:
-//! on resume they run again, so a transient cause (a wall-clock budget
-//! on a loaded machine, an environmental panic) gets a fresh chance
-//! while a deterministic one reproduces evidence.
+//! on resume they run again, so a transient cause (an environmental
+//! panic) gets a fresh chance while a deterministic one (an event
+//! budget, a bug) reproduces evidence.
 
 use std::collections::HashMap;
 use std::io;

@@ -1,4 +1,5 @@
-//! The discrete-event simulation engine.
+//! The discrete-event simulation engine: the event loop, agent dispatch
+//! and timers.
 //!
 //! Execution model:
 //!
@@ -9,15 +10,13 @@
 //!   Deliver/Wake/timer events with a binary-heap overflow for
 //!   far-future events, popping in exactly the same total order a plain
 //!   heap would (see `sched.rs`).
-//! * **Links** do all store-and-forward work: a packet handed to a link is
-//!   queued (or dropped, drop-tail), serialized at the link rate, then
-//!   delivered to the far node after the propagation delay.
-//! * **The link clock is lazy.** A packet's crossing is settled when it
-//!   starts serializing (fault verdict as of `tx_end`, `Deliver` at
-//!   `tx_end` + propagation); the end of serialization gets an event, a
-//!   packet-less `Wake`, only when a packet waits behind it. A finished
-//!   frame is counted into the link's stats on the next `begin_tx`, on
-//!   every `run_until` return and on every [`Ctx::link_stats`] read.
+//! * **Links** do all store-and-forward work on a lazy clock: a packet's
+//!   crossing is settled when it starts serializing, and the end of
+//!   serialization gets an event only when a packet waits behind it
+//!   (`link.rs`, with the fault plane's link edges). PFC pause frames and
+//!   the watchdog's drain are in `pfc.rs`, beside the switch model; the
+//!   packet census, the scheduler's counters and the run budget in
+//!   `census.rs`.
 //! * **Packets move by handle.** [`Ctx::send`] puts the packet in the
 //!   engine's packet pool; from there to its terminal state (delivered,
 //!   dropped, blackholed, …) events and link queues carry a 4-byte handle,
@@ -38,17 +37,17 @@
 
 use std::any::Any;
 use std::sync::Mutex;
-use std::time::Instant;
 
 use phi_workload::SeedRng;
-use serde::Serialize;
 
-use crate::faults::{DownPolicy, EgressVerdict, FaultStats, ImpairmentPlan, LinkFault};
-use crate::packet::{splitmix64, AgentId, Flags, FlowId, LinkId, NodeId, Packet, SackBlocks};
-use crate::queue::{LinkQueue, PacketPool, PktRef, Verdict};
+pub use crate::census::{BudgetExceeded, PacketCensus, RunBudget, SchedStats};
+use crate::faults::{FaultStats, ImpairmentPlan, LinkFault};
+use crate::link::LinkState;
+use crate::packet::{AgentId, Flags, FlowId, LinkId, NodeId, Packet, SackBlocks};
+use crate::queue::{LinkQueue, PacketPool, PktRef};
 use crate::sched::TieredScheduler;
 use crate::stats::{LinkStats, RollingUtil};
-use crate::switch::{AdmitOutcome, PfcEdge, SwitchSpec, SwitchState, SwitchStats};
+use crate::switch::{SwitchSpec, SwitchState, SwitchStats};
 use crate::time::{Dur, Time};
 use crate::topology::Topology;
 use crate::trace::{TraceEvent, TraceOp, Tracer};
@@ -77,7 +76,7 @@ pub trait Agent: Any {
 /// token) is left out, which keeps an event — stored inline in the
 /// scheduler's entries — at 16 bytes.
 #[derive(Debug)]
-enum Event {
+pub(crate) enum Event {
     /// A packet reached the far end of `via`, the link it travelled
     /// (which is also its switch ingress attribution).
     Deliver { pkt: PktRef, via: LinkId },
@@ -179,51 +178,6 @@ impl TimerSlab {
     }
 }
 
-/// Runtime state of one link.
-struct LinkState {
-    queue: LinkQueue,
-    /// End of the serialization begun last; free from then on unless
-    /// `wake` (an [`Event::Wake`] at `tx_end`) is pending.
-    tx_end: Time,
-    /// That serialization's `(bytes, duration)` until it is settled.
-    unsettled: Option<(u32, Dur)>,
-    wake: bool,
-    stats: LinkStats,
-    rolling: RollingUtil,
-    /// PFC: true while the downstream switch has this link paused. A
-    /// paused link finishes the frame in flight but starts no new
-    /// serialization (head-of-line blocking on everything queued).
-    paused: bool,
-    /// When the current pause began (valid while `paused`).
-    paused_since: Time,
-    /// Accumulated paused nanoseconds over closed pause intervals.
-    paused_ns: u64,
-    /// Chaos-plane state, when an [`ImpairmentPlan`] is installed. Boxed:
-    /// the overwhelmingly common case is no faults, and the untouched
-    /// pointer keeps `LinkState` small for the hot path.
-    fault: Option<Box<LinkFault>>,
-}
-
-impl LinkState {
-    /// Nothing serializing and no wake pending: an arrival may start
-    /// transmitting at once.
-    fn is_free(&self, now: Time) -> bool {
-        !self.wake && self.tx_end <= now
-    }
-
-    /// Count the last serialization into `stats` and `rolling` if it
-    /// ended by `now`: the same values as counting it at its end.
-    fn settle(&mut self, now: Time) {
-        let ended = self.tx_end <= now;
-        if let Some((bytes, tx)) = self.unsettled.take_if(|_| ended) {
-            self.stats.transmitted += 1;
-            self.stats.bytes_transmitted += u64::from(bytes);
-            self.stats.busy += tx;
-            self.rolling.end_busy(self.tx_end);
-        }
-    }
-}
-
 /// Sentinel for "no agent bound" in the dense per-node port tables.
 const NO_AGENT: AgentId = AgentId(u32::MAX);
 
@@ -234,17 +188,17 @@ const NO_LINK: LinkId = LinkId(u32::MAX);
 /// Everything the engine owns except the agents themselves. Splitting this
 /// out lets [`Ctx`] hold `&mut SimCore` while an agent (removed from the
 /// agent table for the duration of its callback) runs.
-struct SimCore {
-    now: Time,
-    queue: TieredScheduler<Event>,
+pub(crate) struct SimCore {
+    pub(crate) now: Time,
+    pub(crate) queue: TieredScheduler<Event>,
     timers: TimerSlab,
     /// Every packet not yet in a terminal state; see [`PacketPool`].
-    pool: PacketPool,
-    topology: Topology,
-    links: Vec<LinkState>,
+    pub(crate) pool: PacketPool,
+    pub(crate) topology: Topology,
+    pub(crate) links: Vec<LinkState>,
     /// Shared-buffer switch state, indexed by node; `None` for hosts and
     /// plain (per-link-island) routers.
-    switches: Vec<Option<Box<SwitchState>>>,
+    pub(crate) switches: Vec<Option<Box<SwitchState>>>,
     /// Dense dispatch tables: `ports[node][port]` is the bound agent (or
     /// [`NO_AGENT`]). Replaces a per-delivery `HashMap<(NodeId, u16), _>`
     /// lookup with two array indexes; ports in use are small (well under
@@ -253,27 +207,24 @@ struct SimCore {
     agent_nodes: Vec<NodeId>,
     /// Packets injected via [`Ctx::send`] so far; doubles as the next
     /// packet id.
-    next_packet_id: u64,
+    pub(crate) next_packet_id: u64,
     /// Packets that arrived for a (node, port) with no agent bound.
-    pub undeliverable: u64,
+    pub(crate) undeliverable: u64,
     /// Packets consumed by a bound agent at their destination.
-    delivered: u64,
+    pub(crate) delivered: u64,
     /// Events dispatched (stale timers are skipped, not fired).
-    events_fired: u64,
+    pub(crate) events_fired: u64,
     /// Timer events discarded at pop time because their generation no
     /// longer matched (cancelled or superseded).
-    skipped_stale: u64,
+    pub(crate) skipped_stale: u64,
     /// Successful [`Ctx::cancel_timer`] calls.
-    cancelled: u64,
-    tracer: Option<Box<dyn Tracer>>,
+    pub(crate) cancelled: u64,
+    pub(crate) tracer: Option<Box<dyn Tracer>>,
     /// Resource budget; [`RunBudget::UNLIMITED`] until one is installed.
-    budget: RunBudget,
-    /// Host time of the first pump under a wall-clock limit (watchdog
-    /// base).
-    wall_start: Option<Instant>,
-    /// Set once a budget limit fires; the run stops dispatching and
-    /// reports the reason through [`Simulator::termination`].
-    terminated: Option<BudgetExceeded>,
+    pub(crate) budget: RunBudget,
+    /// Set once the budget fires; the run stops dispatching and reports
+    /// the reason through [`Simulator::termination`].
+    pub(crate) terminated: Option<BudgetExceeded>,
 }
 
 /// Carcasses kept in the pool; beyond this, retiring schedulers
@@ -313,13 +264,19 @@ impl Drop for SimCore {
 
 impl SimCore {
     /// Show the pooled packet `h` to the tracer, in place.
-    fn trace(&mut self, op: TraceOp, link: Option<LinkId>, node: Option<NodeId>, h: PktRef) {
+    pub(crate) fn trace(
+        &mut self,
+        op: TraceOp,
+        link: Option<LinkId>,
+        node: Option<NodeId>,
+        h: PktRef,
+    ) {
         if let Some(t) = self.tracer.as_mut() {
             t.event(&TraceEvent::new(self.now, op, link, node, &self.pool[h]));
         }
     }
 
-    fn schedule(&mut self, at: Time, event: Event) {
+    pub(crate) fn schedule(&mut self, at: Time, event: Event) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push(at, event);
     }
@@ -335,298 +292,6 @@ impl SimCore {
             return;
         };
         self.enqueue_on_link(link_id, h, via);
-    }
-
-    /// Every exit that does not leave `h` queued on the link releases it.
-    fn enqueue_on_link(&mut self, link_id: LinkId, h: PktRef, via: LinkId) {
-        let now = self.now;
-        let ls = &mut self.links[link_id.0 as usize];
-        // A downed link with the Drop policy destroys arrivals outright;
-        // under Park they queue normally and wait for the healing edge.
-        if let Some(f) = ls.fault.as_deref_mut() {
-            if !f.up && f.plan.down_policy == DownPolicy::Drop {
-                f.stats.blackholed += 1;
-                self.trace(TraceOp::Blackhole, Some(link_id), None, h);
-                self.pool.release(h);
-                return;
-            }
-        }
-        // Shared-buffer admission, when the transmitting node is a
-        // switch: Dynamic-Threshold rejection drops here (counted on the
-        // egress link), acceptance may CE-mark the packet in place and
-        // cross a PFC pause threshold.
-        let from = self.topology.link(link_id).from;
-        let mut pfc_edge = None;
-        if let Some(sw) = self.switches[from.0 as usize].as_deref_mut() {
-            match sw.admit(link_id, via, &mut self.pool[h]) {
-                AdmitOutcome::Rejected => {
-                    let ls = &mut self.links[link_id.0 as usize];
-                    ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-                    ls.stats.dropped += 1;
-                    self.trace(TraceOp::Drop, Some(link_id), None, h);
-                    self.pool.release(h);
-                    return;
-                }
-                AdmitOutcome::Admitted { ingress, edge } => {
-                    self.pool.set_ingress(h, ingress);
-                    pfc_edge = edge;
-                }
-            }
-        }
-        let ls = &mut self.links[link_id.0 as usize];
-        ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-        match ls.queue.offer(h, &self.pool, now) {
-            Verdict::Enqueued => {
-                ls.stats.enqueued += 1;
-                self.trace(TraceOp::Enqueue, Some(link_id), None, h);
-                let ls = &mut self.links[link_id.0 as usize];
-                if ls.is_free(now) {
-                    self.begin_tx(link_id);
-                } else if !ls.wake {
-                    // The first packet waiting behind this frame.
-                    ls.wake = true;
-                    let at = ls.tx_end;
-                    self.schedule(at, Event::Wake { link: link_id });
-                }
-            }
-            Verdict::Dropped => {
-                ls.stats.dropped += 1;
-                // The inner queue refused a packet the shared buffer
-                // admitted: give the pool its bytes back.
-                if let Some(e) = self.switch_release(from, link_id, h) {
-                    debug_assert!(pfc_edge.is_none());
-                    pfc_edge = Some(e);
-                }
-                self.trace(TraceOp::Drop, Some(link_id), None, h);
-                self.pool.release(h);
-            }
-        }
-        if let Some(edge) = pfc_edge {
-            self.emit_pfc(edge);
-        }
-    }
-
-    /// Packet `h` leaves the queue of `link_id`, an egress of `from`: if
-    /// `from` is a switch, return the packet's shared-buffer bytes and
-    /// ingress attribution. Falling to the resume threshold un-pauses the
-    /// ingress (the returned XON edge).
-    fn switch_release(&mut self, from: NodeId, link_id: LinkId, h: PktRef) -> Option<PfcEdge> {
-        let sw = self.switches[from.0 as usize].as_deref_mut()?;
-        sw.release(link_id, self.pool[h].size, self.pool.ingress(h))
-    }
-
-    /// Start serializing the next queued packet, if the link may, and
-    /// settle its whole crossing now (see the module docs).
-    fn begin_tx(&mut self, link_id: LinkId) {
-        let now = self.now;
-        let spec = self.topology.link(link_id);
-        let (rate, from, mut delay, jitter) = (spec.rate_bps, spec.from, spec.delay, spec.jitter);
-        let ls = &mut self.links[link_id.0 as usize];
-        debug_assert!(ls.is_free(now));
-        // A downed link does not serialize: parked packets stay queued
-        // until the healing edge calls `begin_tx` again.
-        if ls.fault.as_deref().is_some_and(|f| !f.up) {
-            return;
-        }
-        // A PFC-paused link holds its queue until the RESUME frame (or a
-        // watchdog drain) arrives — head-of-line blocking by design.
-        if ls.paused {
-            return;
-        }
-        ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-        let Some((pkt, enqueued_at)) = ls.queue.take(&mut self.pool) else {
-            return;
-        };
-        ls.settle(now);
-        let (id, size) = (self.pool[pkt].id, self.pool[pkt].size);
-        let tx = Dur::transmission(size, rate);
-        let tx_end = now + tx;
-        ls.tx_end = tx_end;
-        ls.unsettled = Some((size, tx));
-        ls.wake = ls.queue.len_packets() > 0;
-        ls.rolling.begin_busy(now, tx_end);
-        ls.stats
-            .queue_wait
-            .push(now.saturating_since(enqueued_at).as_secs_f64());
-        // Fault draws happen in dequeue order on the link's own stream.
-        let verdict = match ls.fault.as_deref_mut() {
-            Some(f) => f.egress(tx_end),
-            None => EgressVerdict::Forward {
-                extra: Dur::ZERO,
-                duplicate: false,
-            },
-        };
-        if ls.wake {
-            self.schedule(tx_end, Event::Wake { link: link_id });
-        }
-        // A switch releases shared-buffer bytes when serialization starts.
-        let edge = self.switch_release(from, link_id, pkt);
-        self.trace(TraceOp::Transmit, Some(link_id), None, pkt);
-        if !jitter.is_zero() {
-            // Deterministic per-packet jitter: splitmix64 of the packet id.
-            delay += Dur::from_nanos(splitmix64(id) % jitter.as_nanos().max(1));
-        }
-        match verdict {
-            EgressVerdict::Forward { extra, duplicate } => {
-                let (at, via) = (tx_end + delay + extra, link_id);
-                self.schedule(at, Event::Deliver { pkt, via });
-                if duplicate {
-                    let dup = self.pool.insert(self.pool[pkt].clone());
-                    self.trace(TraceOp::Duplicate, Some(link_id), None, dup);
-                    self.schedule(at, Event::Deliver { pkt: dup, via });
-                }
-            }
-            EgressVerdict::Blackhole => {
-                self.trace(TraceOp::Blackhole, Some(link_id), None, pkt);
-                self.pool.release(pkt);
-            }
-            EgressVerdict::Corrupt => {
-                self.trace(TraceOp::Corrupt, Some(link_id), None, pkt);
-                self.pool.release(pkt);
-            }
-        }
-        if let Some(e) = edge {
-            self.emit_pfc(e);
-        }
-    }
-
-    /// Start the next serialization if the link is free and has a
-    /// backlog (a drain may have emptied it since a wake was scheduled).
-    fn kick(&mut self, link_id: LinkId) {
-        let ls = &self.links[link_id.0 as usize];
-        if ls.is_free(self.now) && ls.queue.len_packets() > 0 {
-            self.begin_tx(link_id);
-        }
-    }
-
-    /// Execute a scheduled link up/down transition. Healing restarts
-    /// transmission of parked packets; a down edge under the Drop policy
-    /// drains the queue into the blackhole counter.
-    fn on_fault_edge(&mut self, link_id: LinkId, up: bool) {
-        let now = self.now;
-        let ls = &mut self.links[link_id.0 as usize];
-        let Some(f) = ls.fault.as_deref_mut() else {
-            return;
-        };
-        if !f.apply_edge(up) {
-            // Redundant edge (e.g. a flap regime ending while up).
-            return;
-        }
-        if up {
-            return self.kick(link_id);
-        }
-        if f.plan.down_policy != DownPolicy::Drop {
-            return;
-        }
-        let from = self.topology.link(link_id).from;
-        ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-        // On a switch egress the drained packets hold shared-buffer
-        // bytes: release them like any other departure, and send the
-        // RESUME an ingress falling to its threshold is owed.
-        let mut edges = Vec::new();
-        let mut killed = 0;
-        while let Some((h, _)) = self.links[link_id.0 as usize].queue.take(&mut self.pool) {
-            killed += 1;
-            edges.extend(self.switch_release(from, link_id, h));
-            self.trace(TraceOp::Blackhole, Some(link_id), None, h);
-            self.pool.release(h);
-        }
-        let f = self.links[link_id.0 as usize].fault.as_deref_mut();
-        f.expect("fault checked above").stats.blackholed += killed;
-        for e in edges {
-            self.emit_pfc(e);
-        }
-    }
-
-    /// Turn a switch-produced pause-plane transition into scheduled
-    /// events: the PAUSE/RESUME frame arrives at the transmitting end of
-    /// the ingress link one propagation delay upstream, and every XOFF
-    /// arms a watchdog at the emitting switch.
-    fn emit_pfc(&mut self, edge: PfcEdge) {
-        match edge {
-            PfcEdge::Xoff {
-                link,
-                epoch,
-                watchdog,
-            } => {
-                let delay = self.topology.link(link).delay;
-                self.schedule(self.now + delay, Event::Pfc { link, xoff: true });
-                self.schedule(self.now + watchdog, Event::PfcWatchdog { link, epoch });
-            }
-            PfcEdge::Xon { link } => {
-                let delay = self.topology.link(link).delay;
-                self.schedule(self.now + delay, Event::Pfc { link, xoff: false });
-            }
-        }
-    }
-
-    /// A PFC frame arrives at `link`'s transmitting end: gate (or
-    /// restart) serialization and account paused time.
-    fn on_pfc(&mut self, link_id: LinkId, xoff: bool) {
-        let now = self.now;
-        let ls = &mut self.links[link_id.0 as usize];
-        if xoff {
-            if !ls.paused {
-                ls.paused = true;
-                ls.paused_since = now;
-            }
-            return;
-        }
-        if !ls.paused {
-            return;
-        }
-        ls.paused = false;
-        ls.paused_ns += now.saturating_since(ls.paused_since).as_nanos();
-        self.kick(link_id);
-    }
-
-    /// A pause-storm watchdog expires. If the ingress has been
-    /// continuously paused since the XOFF that armed it (`epoch` still
-    /// matches), the switch is in a sustained pause — possibly a cyclic
-    /// buffer dependency that will never resolve on its own. Break it:
-    /// drain this switch's egress queues (ascending link id, FIFO order)
-    /// until the stuck ingress clears its resume threshold, counting the
-    /// victims as `pfc_dropped`, then force-resume.
-    fn on_pfc_watchdog(&mut self, link: LinkId, epoch: u64) {
-        let now = self.now;
-        let node = self.topology.link(link).to;
-        // Disjoint field borrows: the drain alternates between switch
-        // accounting, link queues and the packet pool.
-        let switches = &mut self.switches;
-        let links = &mut self.links;
-        let tracer = &mut self.tracer;
-        let pool = &mut self.pool;
-        let Some(sw) = switches[node.0 as usize].as_deref_mut() else {
-            return;
-        };
-        if !sw.watchdog_pending(link, epoch) {
-            return;
-        }
-        sw.note_watchdog_fire();
-        let xon = sw.spec.pfc.map_or(0, |p| p.xon_bytes);
-        let egress: Vec<LinkId> = sw.egress_links().to_vec();
-        'drain: for e in egress {
-            loop {
-                if sw.ingress_bytes(link) <= xon {
-                    break 'drain;
-                }
-                let ls = &mut links[e.0 as usize];
-                ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-                let Some((h, _)) = ls.queue.take(pool) else {
-                    break;
-                };
-                sw.drain_release(e, pool[h].size, pool.ingress(h));
-                if let Some(t) = tracer.as_mut() {
-                    let ev = TraceEvent::new(now, TraceOp::PfcDrop, Some(e), None, &pool[h]);
-                    t.event(&ev);
-                }
-                pool.release(h);
-            }
-        }
-        let resumes = sw.watchdog_resumes(link);
-        for edge in resumes {
-            self.emit_pfc(edge);
-        }
     }
 }
 
@@ -709,7 +374,7 @@ impl Ctx<'_> {
 
 /// The simulator: topology + agents + event loop.
 pub struct Simulator {
-    core: SimCore,
+    pub(crate) core: SimCore,
     agents: Vec<Option<Box<dyn Agent>>>,
     started: bool,
 }
@@ -739,17 +404,9 @@ impl Simulator {
             .links()
             .iter()
             .enumerate()
-            .map(|(idx, spec)| LinkState {
-                queue: factory(LinkId(idx as u32), spec),
-                tx_end: Time::ZERO,
-                unsettled: None,
-                wake: false,
-                stats: LinkStats::new(),
-                rolling: RollingUtil::new(UTIL_WINDOW),
-                paused: false,
-                paused_since: Time::ZERO,
-                paused_ns: 0,
-                fault: None,
+            .map(|(idx, spec)| {
+                let queue = factory(LinkId(idx as u32), spec);
+                LinkState::new(queue, RollingUtil::new(UTIL_WINDOW))
             })
             .collect();
         let (queue, timers) = recycled_scheduler();
@@ -774,7 +431,6 @@ impl Simulator {
                 cancelled: 0,
                 tracer: None,
                 budget: RunBudget::UNLIMITED,
-                wall_start: None,
                 terminated: None,
             },
             agents: Vec::new(),
@@ -874,10 +530,7 @@ impl Simulator {
 
     /// Whether `link` is currently up (always true without a plan).
     pub fn link_is_up(&self, link: LinkId) -> bool {
-        self.core.links[link.0 as usize]
-            .fault
-            .as_deref()
-            .is_none_or(|f| f.up)
+        !self.core.links[link.0 as usize].is_down()
     }
 
     /// Current simulated time.
@@ -889,98 +542,6 @@ impl Simulator {
     /// are counted separately — see [`Simulator::sched_stats`]).
     pub fn events_processed(&self) -> u64 {
         self.core.events_fired
-    }
-
-    /// Scheduler-level accounting: how events moved through the tiered
-    /// queue. The conservation identity
-    /// `scheduled == fired + skipped_stale + pending`
-    /// holds at every instant.
-    pub fn sched_stats(&self) -> SchedStats {
-        let c = self.core.queue.counters();
-        SchedStats {
-            scheduled: c.scheduled,
-            fired: self.core.events_fired,
-            skipped_stale: self.core.skipped_stale,
-            cancelled: self.core.cancelled,
-            overflowed: c.overflowed,
-            peak_pending: c.peak_pending,
-            pending: self.core.queue.len() as u64,
-        }
-    }
-
-    /// Packets that reached a node with no agent bound to their port.
-    pub fn undeliverable(&self) -> u64 {
-        self.core.undeliverable
-    }
-
-    /// A point-in-time census of every packet the simulation created.
-    ///
-    /// The conservation invariant — every injected packet is in exactly
-    /// one place — holds at any instant, mid-run or after completion:
-    /// see [`PacketCensus::conserved`].
-    pub fn packet_census(&self) -> PacketCensus {
-        let mut in_flight = 0u64;
-        for event in self.core.queue.iter() {
-            if matches!(event, Event::Deliver { .. }) {
-                in_flight += 1;
-            }
-        }
-        let mut queued = 0u64;
-        let mut dropped = 0u64;
-        let mut corrupted = 0u64;
-        let mut duplicated = 0u64;
-        let mut blackholed = 0u64;
-        let mut paused_ns = 0u64;
-        for ls in &self.core.links {
-            queued += ls.queue.len_packets() as u64;
-            dropped += ls.stats.dropped;
-            paused_ns += ls.paused_ns;
-            if ls.paused {
-                // Open pause interval: count it up to the current clock
-                // so the census is point-in-time accurate mid-pause.
-                paused_ns += self.core.now.saturating_since(ls.paused_since).as_nanos();
-            }
-            if let Some(f) = ls.fault.as_deref() {
-                corrupted += f.stats.corrupted;
-                duplicated += f.stats.duplicated;
-                blackholed += f.stats.blackholed;
-            }
-        }
-        let mut ecn_marked = 0u64;
-        let mut pfc_dropped = 0u64;
-        for sw in self.core.switches.iter().flatten() {
-            ecn_marked += sw.stats.ecn_marked;
-            pfc_dropped += sw.stats.pfc_dropped;
-        }
-        // Pool conservation: a handle is live exactly while its packet is
-        // queued or in flight. A leaked (or doubly released) handle is
-        // otherwise silent — it changes no result, only memory.
-        debug_assert_eq!(
-            self.live_packets(),
-            queued + in_flight,
-            "packet pool out of step with the census"
-        );
-        PacketCensus {
-            injected: self.core.next_packet_id,
-            delivered: self.core.delivered,
-            dropped,
-            undeliverable: self.core.undeliverable,
-            corrupted,
-            duplicated,
-            blackholed,
-            pfc_dropped,
-            queued,
-            in_flight,
-            ecn_marked,
-            paused_ns,
-        }
-    }
-
-    /// Packets the engine currently holds (its packet pool's live slots):
-    /// every packet not yet in a terminal state, so always
-    /// [`PacketCensus::outstanding`] and 0 after a drained run.
-    pub fn live_packets(&self) -> u64 {
-        self.core.pool.live() as u64
     }
 
     /// Bytes the switch on `node` holds right now, as `(shared pool
@@ -1109,7 +670,7 @@ impl Simulator {
                 ls.stats.advance_occupancy(now, ls.queue.len_bytes());
             }
             ls.settle(now);
-            let held = ls.wake || ls.paused || ls.fault.as_deref().is_some_and(|f| !f.up);
+            let held = ls.wake || ls.pause.paused || ls.is_down();
             debug_assert!(held || ls.queue.len_packets() == 0, "stalled backlog");
         }
     }
@@ -1119,14 +680,11 @@ impl Simulator {
     ///
     /// With a [`RunBudget`] installed the run may also stop early; the
     /// reason is readable from [`Simulator::termination`] and the clock is
-    /// only squared up over the span actually covered. The limit checks
-    /// follow every dispatch and never reorder one, so the events run (and
-    /// every digest derived from them) cannot depend on whether a budget
-    /// is installed.
+    /// only squared up over the span actually covered. The limit check
+    /// follows every dispatch and never reorders one, so the events run
+    /// (and every digest derived from them) cannot depend on whether a
+    /// budget is installed.
     pub fn run_until(&mut self, deadline: Time) -> Time {
-        /// Wall-clock reads are amortized: one `Instant::now` per this
-        /// many dispatched events.
-        const WALL_CHECK_INTERVAL: u64 = 1024;
         if !self.started {
             self.started = true;
             for i in 0..self.agents.len() {
@@ -1136,259 +694,26 @@ impl Simulator {
         if self.core.terminated.is_some() {
             return self.core.now;
         }
-        let budget = self.core.budget;
-        let cap = budget.sim_cap().filter(|&cap| cap < deadline);
-        let upto = cap.unwrap_or(deadline);
-        if budget.max_wall_ms.is_some() && self.core.wall_start.is_none() {
-            self.core.wall_start = Some(Instant::now());
-        }
-        let mut since_check = 0u64;
-        while let Some((at, event)) = self.core.queue.pop_if(upto) {
+        let max_events = self.core.budget.max_events;
+        while let Some((at, event)) = self.core.queue.pop_if(deadline) {
             self.core.now = at;
             self.dispatch(event);
-            // Events / wall-clock: the run stops mid-flight; advancing the
-            // clock further would count unsimulated span into occupancy
-            // and utilization integrals.
-            if let Some(max) = budget.max_events {
-                if self.core.events_fired >= max {
-                    self.core.terminated = Some(BudgetExceeded::Events);
-                    break;
-                }
-            }
-            if let Some(ms) = budget.max_wall_ms {
-                since_check += 1;
-                if since_check >= WALL_CHECK_INTERVAL {
-                    since_check = 0;
-                    let start = self.core.wall_start.expect("wall base set above");
-                    if start.elapsed().as_millis() as u64 >= ms {
-                        self.core.terminated = Some(BudgetExceeded::WallClock);
-                        break;
-                    }
-                }
+            // The run stops mid-flight; advancing the clock further would
+            // count unsimulated span into occupancy and utilization
+            // integrals.
+            if max_events.is_some_and(|max| self.core.events_fired >= max) {
+                self.core.terminated = Some(BudgetExceeded::Events);
+                break;
             }
         }
         let reached = self.core.terminated.is_none();
-        if reached && cap.is_some() && self.core.queue.next_time().is_some_and(|t| t <= deadline) {
-            // Events the caller asked for remain beyond the cap: the
-            // sim-time budget bound.
-            self.core.terminated = Some(BudgetExceeded::SimTime);
-        }
-        self.square_up(if reached { upto } else { self.core.now });
+        self.square_up(if reached { deadline } else { self.core.now });
         self.core.now
-    }
-
-    /// Install a resource [`RunBudget`] enforced from the next pump on.
-    /// Installing the unlimited budget is equivalent to never calling
-    /// this. Replaces any previously installed budget; the wall-clock
-    /// watchdog base is the first pump under a wall-clock limit.
-    pub fn set_budget(&mut self, budget: RunBudget) {
-        self.core.budget = budget;
-    }
-
-    /// Why the run terminated early, if a [`RunBudget`] limit fired.
-    /// `None` means no budget bound (the run completed or is still
-    /// resumable).
-    pub fn termination(&self) -> Option<BudgetExceeded> {
-        self.core.terminated
     }
 
     /// Run until no events remain.
     pub fn run_to_completion(&mut self) -> Time {
         self.run_until(Time::MAX)
-    }
-}
-
-/// Where every packet the simulation ever created currently is.
-///
-/// Taken with [`Simulator::packet_census`]. A packet is *injected* when an
-/// agent calls [`Ctx::send`] (or *duplicated* into existence by the fault
-/// plane); from then on it is in exactly one terminal or transient state,
-/// so [`PacketCensus::conserved`] must hold at every instant — it is the
-/// engine's bookkeeping invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PacketCensus {
-    /// Packets created via [`Ctx::send`].
-    pub injected: u64,
-    /// Packets consumed by a bound agent at their destination.
-    pub delivered: u64,
-    /// Packets dropped at link queues (summed over links).
-    pub dropped: u64,
-    /// Packets that hit a routing dead-end or an unbound port.
-    pub undeliverable: u64,
-    /// Packets corrupted in transit by the fault plane and discarded at
-    /// the link egress, as a failed checksum would be.
-    pub corrupted: u64,
-    /// Extra packet copies created by fault-plane duplication; each one
-    /// also shows up downstream as delivered/dropped/… like an injection.
-    pub duplicated: u64,
-    /// Packets destroyed by the fault plane: killed by a downed link
-    /// (arriving, queued, or mid-serialization) or by random loss.
-    pub blackholed: u64,
-    /// Packets destroyed by PFC pause-storm watchdog drains (summed over
-    /// switches) — a terminal state, like `dropped`.
-    pub pfc_dropped: u64,
-    /// Packets sitting in link queues right now.
-    pub queued: u64,
-    /// Packets serializing on a link or propagating toward a node
-    /// (scheduled `Deliver` events).
-    pub in_flight: u64,
-    /// Informational (not a packet state): packets CE-marked by switch
-    /// ECN on admission. A marked packet continues toward delivery.
-    pub ecn_marked: u64,
-    /// Informational (not a packet state): nanoseconds links spent
-    /// PFC-paused, summed over links, open intervals included.
-    pub paused_ns: u64,
-}
-
-impl PacketCensus {
-    /// Injected packets not yet in a terminal state.
-    pub fn outstanding(&self) -> u64 {
-        self.queued + self.in_flight
-    }
-
-    /// The conservation invariant, extended for the fault plane and the
-    /// backpressure plane:
-    /// `injected + duplicated == delivered + dropped + undeliverable
-    ///  + corrupted + blackholed + pfc_dropped + queued + in_flight`.
-    ///
-    /// Duplication mints a packet copy mid-network, so copies join the
-    /// injected side of the ledger; watchdog drains (`pfc_dropped`) are
-    /// a terminal state like queue drops. `ecn_marked` and `paused_ns`
-    /// are informational and deliberately outside the identity — a
-    /// marked packet is still in exactly one of the states above. With
-    /// no impairments or switches installed every extension term is zero
-    /// and this reduces to the original law.
-    pub fn conserved(&self) -> bool {
-        self.injected + self.duplicated
-            == self.delivered
-                + self.dropped
-                + self.undeliverable
-                + self.corrupted
-                + self.blackholed
-                + self.pfc_dropped
-                + self.queued
-                + self.in_flight
-    }
-}
-
-/// How events moved through the tiered scheduler, from
-/// [`Simulator::sched_stats`].
-///
-/// Like [`PacketCensus`] for packets, these counters obey a conservation
-/// identity — every scheduled event is eventually fired or skipped, or is
-/// still pending: see [`SchedStats::conserved`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Events ever pushed onto the queue.
-    pub scheduled: u64,
-    /// Events popped and dispatched.
-    pub fired: u64,
-    /// Timer events popped but discarded because their generation was
-    /// stale (cancelled or superseded before firing).
-    pub skipped_stale: u64,
-    /// Successful [`Ctx::cancel_timer`] calls (each later surfaces as one
-    /// `skipped_stale` pop).
-    pub cancelled: u64,
-    /// Events that took the far-future overflow heap at push time rather
-    /// than the near-future calendar.
-    pub overflowed: u64,
-    /// High-water mark of pending events.
-    pub peak_pending: u64,
-    /// Events currently pending.
-    pub pending: u64,
-}
-
-/// Resource budget for one run, enforced in the engine's pop loop. Every
-/// limit is optional; the default budget is unlimited and an unlimited
-/// budget arms no check, so runs without a budget replay bit-for-bit
-/// against their historical digests.
-///
-/// A run that hits a limit stops *gracefully*: agents keep their state,
-/// statistics and censuses stay conserved, and the caller reads the
-/// reason from [`Simulator::termination`]. The first limit observed
-/// wins.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
-pub struct RunBudget {
-    /// Stop after this many dispatched events (stale-timer skips do not
-    /// count). Deterministic for a fixed engine configuration: the same
-    /// run always terminates on the same event.
-    pub max_events: Option<u64>,
-    /// Cap the simulated span: the run never advances past
-    /// `Time::ZERO + max_sim_time`, even if the caller's deadline is
-    /// later. Deterministic.
-    pub max_sim_time: Option<Dur>,
-    /// Wall-clock watchdog, in milliseconds of host time since the first
-    /// pump under it. Inherently nondeterministic (it measures the host,
-    /// not the simulation); use it as a last-resort backstop against
-    /// runaway scenarios, not as a reproducible limit.
-    pub max_wall_ms: Option<u64>,
-}
-
-impl RunBudget {
-    /// The budget that never binds (the default).
-    pub const UNLIMITED: RunBudget = RunBudget {
-        max_events: None,
-        max_sim_time: None,
-        max_wall_ms: None,
-    };
-
-    /// A budget limited only by dispatched-event count.
-    pub fn events(max: u64) -> Self {
-        RunBudget {
-            max_events: Some(max),
-            ..RunBudget::UNLIMITED
-        }
-    }
-
-    /// A budget limited only by simulated time.
-    pub fn sim_time(max: Dur) -> Self {
-        RunBudget {
-            max_sim_time: Some(max),
-            ..RunBudget::UNLIMITED
-        }
-    }
-
-    /// A budget limited only by host wall-clock time.
-    pub fn wall_ms(max: u64) -> Self {
-        RunBudget {
-            max_wall_ms: Some(max),
-            ..RunBudget::UNLIMITED
-        }
-    }
-
-    /// The absolute sim-time ceiling, if a sim-time limit is set.
-    pub(crate) fn sim_cap(&self) -> Option<Time> {
-        self.max_sim_time.map(|d| Time::ZERO + d)
-    }
-}
-
-/// Why a budgeted run terminated early (see [`RunBudget`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetExceeded {
-    /// [`RunBudget::max_events`] was reached.
-    Events,
-    /// [`RunBudget::max_sim_time`] was reached with events still pending
-    /// inside the caller's deadline.
-    SimTime,
-    /// [`RunBudget::max_wall_ms`] elapsed on the host.
-    WallClock,
-}
-
-impl std::fmt::Display for BudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            BudgetExceeded::Events => "event budget exceeded",
-            BudgetExceeded::SimTime => "sim-time budget exceeded",
-            BudgetExceeded::WallClock => "wall-clock budget exceeded",
-        })
-    }
-}
-
-impl SchedStats {
-    /// The scheduler's conservation invariant:
-    /// `scheduled == fired + skipped_stale + pending`.
-    pub fn conserved(&self) -> bool {
-        self.scheduled == self.fired + self.skipped_stale + self.pending
     }
 }
 
@@ -1415,6 +740,7 @@ pub fn packet_to(dst: NodeId, dst_port: u16, src_port: u16, flow: FlowId, size: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{DownPolicy, EgressVerdict};
     use crate::queue::Capacity;
     use crate::topology::TopologyBuilder;
 
@@ -1609,7 +935,7 @@ mod tests {
             }),
         );
         sim.run_to_completion();
-        assert_eq!(sim.undeliverable(), 3);
+        assert_eq!(sim.packet_census().undeliverable, 3);
     }
 
     #[test]
@@ -2361,41 +1687,12 @@ mod tests {
     }
 
     #[test]
-    fn sim_time_budget_caps_the_clock() {
-        let mut sim = blast_sim(200);
-        sim.set_budget(RunBudget::sim_time(Dur::from_millis(10)));
-        let end = sim.run_until(Time::from_secs(5));
-        assert_eq!(end, Time::from_millis(10));
-        assert_eq!(sim.termination(), Some(BudgetExceeded::SimTime));
-        assert!(sim.packet_census().conserved());
-    }
-
-    #[test]
-    fn sim_time_budget_beyond_the_run_never_fires() {
-        // The workload drains long before the cap: no termination, and
-        // the result matches the un-budgeted run exactly.
-        let mut plain = blast_sim(20);
-        plain.run_until(Time::from_secs(2));
-        let mut capped = blast_sim(20);
-        capped.set_budget(RunBudget::sim_time(Dur::from_secs(60)));
-        capped.run_until(Time::from_secs(2));
-        assert_eq!(capped.termination(), None);
-        assert_eq!(capped.events_processed(), plain.events_processed());
-        assert_eq!(capped.now(), plain.now());
-    }
-
-    #[test]
     fn unlimited_budget_is_inert() {
         let mut plain = blast_sim(2_000);
         plain.run_to_completion();
-        // Long enough to pass the pop loop's amortized wall-clock check
-        // (one per 1 024 events) more than once.
-        assert!(plain.events_processed() > 2 * 1_024);
-        // Unarmed, and armed with limits no run reaches: the second pays
-        // every event-count and wall-clock check, and none may fire.
-        let mut out_of_reach = RunBudget::events(u64::MAX);
-        out_of_reach.max_wall_ms = Some(u64::MAX);
-        for budget in [RunBudget::UNLIMITED, out_of_reach] {
+        // Unarmed, and armed with a limit no run reaches: the second pays
+        // the event-count check after every dispatch, and it may not fire.
+        for budget in [RunBudget::UNLIMITED, RunBudget::events(u64::MAX)] {
             let mut budgeted = blast_sim(2_000);
             budgeted.set_budget(budget);
             budgeted.run_to_completion();
@@ -2415,9 +1712,9 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_budget_eventually_stops_a_runaway() {
-        // A self-perpetuating timer ping-pong never drains its queue; the
-        // watchdog is the only thing that can stop it.
+    fn an_event_budget_stops_a_runaway_on_the_same_event_every_run() {
+        // A self-perpetuating timer chain never drains its queue; the
+        // event cap stops it, one simulated nanosecond per event.
         struct Forever;
         impl Agent for Forever {
             fn start(&mut self, ctx: &mut Ctx<'_>) {
@@ -2434,12 +1731,18 @@ mod tests {
                 self
             }
         }
-        let (t, a, _z) = two_nodes(1_000_000, Dur::from_millis(1), Capacity::Packets(4));
-        let mut sim = Simulator::new(t);
-        sim.add_agent(a, 1, Box::new(Forever));
-        sim.set_budget(RunBudget::wall_ms(10));
-        sim.run_to_completion();
-        assert_eq!(sim.termination(), Some(BudgetExceeded::WallClock));
-        assert!(sim.events_processed() > 0);
+        let run = || {
+            let (t, a, _z) = two_nodes(1_000_000, Dur::from_millis(1), Capacity::Packets(4));
+            let mut sim = Simulator::new(t);
+            sim.add_agent(a, 1, Box::new(Forever));
+            sim.set_budget(RunBudget::events(10_000));
+            let end = sim.run_to_completion();
+            assert_eq!(sim.termination(), Some(BudgetExceeded::Events));
+            (end, sim.events_processed(), sim.sched_stats())
+        };
+        let first = run();
+        assert_eq!((first.0, first.1), (Time::from_nanos(9_999), 10_000));
+        assert_eq!(first.2.pending, 1, "{:?}", first.2);
+        assert_eq!(run(), first);
     }
 }

@@ -21,6 +21,18 @@
 //! Transport endpoints (TCP Cubic, NewReno, Remy) live in the `phi-tcp`
 //! and `phi-remy` crates and plug in through the [`engine::Agent`] trait.
 //!
+//! ## Layout
+//!
+//! [`engine`] holds the event loop, dispatch, timers and the agent API,
+//! and re-exports the census types. Three private modules hold the rest
+//! of the engine, one decision each: `link` the lazy link clock and the
+//! fault plane's link edges, `pfc` (beside [`switch`], which owns the
+//! thresholds and watchdog epochs) the pause frames, each link's pause
+//! state and the watchdog's drain, and `census` the packet census,
+//! [`engine::SchedStats`] and [`engine::RunBudget`]. The rest are the
+//! parts the engine is built from: [`sched`], [`queue`], [`faults`],
+//! [`switch`], [`stats`], [`topology`], [`trace`], [`packet`], [`time`].
+//!
 //! ## Quick tour
 //!
 //! ```
@@ -40,9 +52,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod census;
 pub mod engine;
 pub mod faults;
+mod link;
 pub mod packet;
+mod pfc;
 pub mod queue;
 pub mod sched;
 pub mod stats;

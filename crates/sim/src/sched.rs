@@ -254,28 +254,6 @@ impl<T> TieredScheduler<T> {
         self.pop_if(Time::MAX)
     }
 
-    /// Timestamp of the earliest pending event, without removing it.
-    ///
-    /// Buckets partition time into disjoint, index-ordered ranges, so the
-    /// global minimum lives in the first occupied bucket (or, when the
-    /// near tier is empty, at the overflow heap's root); within that
-    /// bucket a linear scan suffices because the bucket may not be
-    /// sorted yet.
-    pub fn next_time(&self) -> Option<Time> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.near_len == 0 {
-            return Some(self.overflow.peek().expect("len > 0").0.at);
-        }
-        let slot = (self.first_nonempty() & BUCKET_MASK) as usize;
-        self.buckets[slot]
-            .iter()
-            .map(|e| e.at)
-            .min()
-            .or_else(|| unreachable!("bitmap said non-empty"))
-    }
-
     /// Iterate over every pending item, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.buckets
