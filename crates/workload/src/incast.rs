@@ -52,12 +52,6 @@ impl IncastConfig {
             jitter_secs: 0.0,
         }
     }
-
-    /// Same fan-in with a uniform per-flow start jitter.
-    pub fn with_jitter(mut self, secs: f64) -> Self {
-        self.jitter_secs = secs;
-        self
-    }
 }
 
 /// One worker's flow plans in an incast fan-in.
@@ -167,7 +161,10 @@ mod tests {
 
     #[test]
     fn jitter_is_bounded_and_reproducible() {
-        let cfg = IncastConfig::fan_in(4).with_jitter(0.002);
+        let cfg = IncastConfig {
+            jitter_secs: 0.002,
+            ..IncastConfig::fan_in(4)
+        };
         let a: Vec<FlowPlan> = {
             let mut s = IncastSource::new(cfg, SeedRng::new(5));
             (0..50).map(|_| s.next_flow()).collect()

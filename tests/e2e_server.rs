@@ -116,7 +116,8 @@ fn server_survives_client_churn() {
             h.join().expect("wave client");
         }
     }
-    std::thread::sleep(Duration::from_millis(50));
+    // Every client was answered, and the server counts a connection at
+    // accept and a lookup before it replies: nothing is left to wait for.
     let stats = server.stats();
     assert_eq!(
         stats.connections.load(std::sync::atomic::Ordering::Relaxed),
