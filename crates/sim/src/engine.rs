@@ -655,20 +655,15 @@ impl Simulator {
         }
     }
 
-    /// Square the links up on the way out of `run_until`: advance the
-    /// clock to `upto` (so utilization denominators and occupancy
-    /// integrals cover the span the run reached) and count every
-    /// serialization that ended by then.
+    /// Square the links up on the way out of `run_until`: move the clock
+    /// to `upto` (so utilization denominators cover the span the run
+    /// reached) and count every serialization that ended by then.
     fn square_up(&mut self, upto: Time) {
-        let advance = self.core.now < upto && upto != Time::MAX;
-        if advance {
+        if self.core.now < upto && upto != Time::MAX {
             self.core.now = upto;
         }
         let now = self.core.now;
         for ls in &mut self.core.links {
-            if advance {
-                ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-            }
             ls.settle(now);
             let held = ls.wake || ls.pause.paused || ls.is_down();
             debug_assert!(held || ls.queue.len_packets() == 0, "stalled backlog");
@@ -699,8 +694,7 @@ impl Simulator {
             self.core.now = at;
             self.dispatch(event);
             // The run stops mid-flight; advancing the clock further would
-            // count unsimulated span into occupancy and utilization
-            // integrals.
+            // count unsimulated span into utilization.
             if max_events.is_some_and(|max| self.core.events_fired >= max) {
                 self.core.terminated = Some(BudgetExceeded::Events);
                 break;

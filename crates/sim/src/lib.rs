@@ -15,7 +15,8 @@
 //!    propagation delay — the three ingredients the paper's congestion
 //!    experiments actually exercise.
 //! 3. **Observability.** Links keep running statistics (utilization, loss,
-//!    queue wait, occupancy) that double as the "ideal oracle" feed for
+//!    mean queue wait); agents may read them mid-run, with a link's
+//!    rolling utilization and queued bytes: the "ideal oracle" feed for
 //!    Remy-Phi-ideal (§2.2.4 of the paper).
 //!
 //! Transport endpoints (TCP Cubic, NewReno, Remy) live in the `phi-tcp`

@@ -99,9 +99,7 @@ impl SimCore {
         if let Some(sw) = self.switches[from.0 as usize].as_deref_mut() {
             match sw.admit(link_id, via, &mut self.pool[h]) {
                 AdmitOutcome::Rejected => {
-                    let ls = &mut self.links[link_id.0 as usize];
-                    ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-                    ls.stats.dropped += 1;
+                    self.links[link_id.0 as usize].stats.dropped += 1;
                     self.trace(TraceOp::Drop, Some(link_id), None, h);
                     self.pool.release(h);
                     return;
@@ -113,7 +111,6 @@ impl SimCore {
             }
         }
         let ls = &mut self.links[link_id.0 as usize];
-        ls.stats.advance_occupancy(now, ls.queue.len_bytes());
         match ls.queue.offer(h, &self.pool, now) {
             Verdict::Enqueued => {
                 ls.stats.enqueued += 1;
@@ -163,7 +160,6 @@ impl SimCore {
         if ls.pause.paused {
             return;
         }
-        ls.stats.advance_occupancy(now, ls.queue.len_bytes());
         let Some((pkt, enqueued_at)) = ls.queue.take(&mut self.pool) else {
             return;
         };
@@ -233,7 +229,6 @@ impl SimCore {
     /// transmission of parked packets; a down edge under the Drop policy
     /// drains the queue into the blackhole counter.
     pub(crate) fn on_fault_edge(&mut self, link_id: LinkId, up: bool) {
-        let now = self.now;
         let ls = &mut self.links[link_id.0 as usize];
         let Some(f) = ls.fault.as_deref_mut() else {
             return;
@@ -249,7 +244,6 @@ impl SimCore {
             return;
         }
         let from = self.topology.link(link_id).from;
-        ls.stats.advance_occupancy(now, ls.queue.len_bytes());
         // On a switch egress the drained packets hold shared-buffer
         // bytes: release them like any other departure, and send the
         // RESUME an ingress falling to its threshold is owed.

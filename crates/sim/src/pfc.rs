@@ -122,9 +122,7 @@ impl SimCore {
                 if sw.ingress_bytes(link) <= xon {
                     break 'drain;
                 }
-                let ls = &mut links[e.0 as usize];
-                ls.stats.advance_occupancy(now, ls.queue.len_bytes());
-                let Some((h, _)) = ls.queue.take(pool) else {
+                let Some((h, _)) = links[e.0 as usize].queue.take(pool) else {
                     break;
                 };
                 sw.drain_release(e, pool[h].size, pool.ingress(h));

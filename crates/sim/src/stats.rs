@@ -4,69 +4,28 @@ use std::collections::VecDeque;
 
 use crate::time::{Dur, Time};
 
-/// Incremental mean / min / max / variance over f64 samples (Welford).
+/// Incremental mean over f64 samples.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
     /// An empty accumulator.
     pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        OnlineStats::default()
     }
 
     /// Fold in a sample.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.n
+        self.mean += (x - self.mean) / self.n as f64;
     }
 
     /// Sample mean (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 for fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample, if any.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
+        self.mean
     }
 }
 
@@ -189,10 +148,6 @@ pub struct LinkStats {
     pub busy: Dur,
     /// Per-packet wait between enqueue and transmission start, seconds.
     pub queue_wait: OnlineStats,
-    /// Time-weighted integral of queued bytes (for mean occupancy).
-    pub byte_time_integral: f64,
-    /// Last instant the occupancy integral was advanced.
-    pub last_change: Time,
 }
 
 impl LinkStats {
@@ -204,15 +159,7 @@ impl LinkStats {
             bytes_transmitted: 0,
             busy: Dur::ZERO,
             queue_wait: OnlineStats::new(),
-            byte_time_integral: 0.0,
-            last_change: Time::ZERO,
         }
-    }
-
-    pub(crate) fn advance_occupancy(&mut self, now: Time, queued_bytes: u64) {
-        let dt = now.saturating_since(self.last_change).as_secs_f64();
-        self.byte_time_integral += dt * queued_bytes as f64;
-        self.last_change = now;
     }
 
     /// Fraction of packet arrivals that were dropped.
@@ -231,15 +178,6 @@ impl LinkStats {
             0.0
         } else {
             (self.busy.as_secs_f64() / elapsed.as_secs_f64()).min(1.0)
-        }
-    }
-
-    /// Mean queue occupancy in bytes over `elapsed` of simulated time.
-    pub fn mean_queue_bytes(&self, elapsed: Dur) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.byte_time_integral / elapsed.as_secs_f64()
         }
     }
 
@@ -269,11 +207,8 @@ mod tests {
         for &x in &xs {
             s.push(x);
         }
-        assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
+        assert_eq!(OnlineStats::new().mean(), 0.0);
     }
 
     #[test]
@@ -367,14 +302,5 @@ mod tests {
         assert!((s.utilization(Dur::from_secs(1)) - 0.5).abs() < 1e-12);
         assert!((s.throughput_bps(Dur::from_secs(1)) - 8e6).abs() < 1e-6);
         assert_eq!(s.utilization(Dur::ZERO), 0.0);
-    }
-
-    #[test]
-    fn occupancy_integral() {
-        let mut s = LinkStats::new();
-        // 1000 bytes queued for 2 seconds then 0 for 2 seconds.
-        s.advance_occupancy(Time::from_secs(2), 1000);
-        s.advance_occupancy(Time::from_secs(4), 0);
-        assert!((s.mean_queue_bytes(Dur::from_secs(4)) - 500.0).abs() < 1e-9);
     }
 }

@@ -15,8 +15,8 @@
 //! The rules, as the engine documents them:
 //!
 //! * A packet reaching a link on a downed link under `DownPolicy::Drop`
-//!   is blackholed; otherwise the queue's occupancy integral is advanced
-//!   and the packet is admitted or dropped by the queue's capacity.
+//!   is blackholed; otherwise it is admitted or dropped by the switch it
+//!   leaves, if any (below), then by the queue's capacity.
 //! * A link is free when its last frame has ended and no start is pending.
 //!   An admitted packet starts at once on a free link. Otherwise the first
 //!   packet to wait behind a frame schedules the start of the next one
@@ -34,9 +34,6 @@
 //!   up edge starts the next frame if the link is free.
 //! * A packet sent to its own node, or reaching its destination on an
 //!   unbound port, is undeliverable.
-//! * A run stopped at a deadline moves the clock to the deadline and
-//!   advances every occupancy integral to it, unless an event other than
-//!   a frame's end fell on the deadline itself: then no integral moves.
 //!
 //! And at a node with a switch, of `B` bytes pooled under DT parameter α:
 //!
@@ -478,7 +475,6 @@ pub fn compare(model: &Outcome, engine: &Outcome) -> Result<(), String> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render(
     enqueued: u64,
     dropped: u64,
@@ -486,12 +482,10 @@ fn render(
     bytes: u64,
     busy: Dur,
     wait: &OnlineStats,
-    integral: f64,
-    last_change: Time,
 ) -> String {
     format!(
         "enqueued {enqueued} dropped {dropped} transmitted {transmitted} bytes {bytes} \
-         busy {busy:?} wait {wait:?} integral {integral:?} last_change {last_change:?}"
+         busy {busy:?} wait {wait:?}"
     )
 }
 
@@ -503,8 +497,6 @@ fn render_stats(s: &LinkStats) -> String {
         s.bytes_transmitted,
         s.busy,
         &s.queue_wait,
-        s.byte_time_integral,
-        s.last_change,
     )
 }
 
@@ -684,8 +676,6 @@ struct Tally {
     bytes: u64,
     busy: Dur,
     wait: OnlineStats,
-    integral: f64,
-    last_change: Time,
 }
 
 struct Link {
@@ -707,12 +697,6 @@ struct Link {
 }
 
 impl Link {
-    fn advance(&mut self, now: Time) {
-        let dt = now.saturating_since(self.tally.last_change).as_secs_f64();
-        self.tally.integral += dt * self.queued_bytes as f64;
-        self.tally.last_change = now;
-    }
-
     fn free(&self, now: Time) -> bool {
         !self.next && self.busy_until <= now
     }
@@ -895,10 +879,7 @@ impl<'a> Model<'a> {
                 fault: None,
                 paused: None,
                 paused_ns: 0,
-                tally: Tally {
-                    wait: OnlineStats::new(),
-                    ..Tally::default()
-                },
+                tally: Tally::default(),
             })
             .collect();
         let mut model = Model {
@@ -969,12 +950,7 @@ impl<'a> Model<'a> {
                 Ev::Watchdog { link, epoch } => self.watchdog(link, epoch),
             }
         }
-        if self.now < deadline {
-            self.now = deadline;
-            for link in &mut self.links {
-                link.advance(deadline);
-            }
-        }
+        self.now = deadline;
     }
 
     fn inject(&mut self, i: usize) {
@@ -1026,7 +1002,6 @@ impl<'a> Model<'a> {
                 return self.fate(pkt, Fate::Blackholed(l as u32, now));
             }
         }
-        link.advance(now);
         let node = link.spec.from.0 as usize;
         let (mut ingress, mut edge) = (None, None);
         if let Some(sw) = self.switches[node].as_mut() {
@@ -1074,7 +1049,6 @@ impl<'a> Model<'a> {
         if link.down() || link.paused.is_some() {
             return;
         }
-        link.advance(now);
         let Some((pkt, since, ingress)) = link.queue.pop_front() else {
             return;
         };
@@ -1144,7 +1118,6 @@ impl<'a> Model<'a> {
         if f.plan.down_policy != DownPolicy::Drop {
             return;
         }
-        link.advance(now);
         let drained: Vec<_> = link.queue.drain(..).collect();
         link.queued_bytes = 0;
         let f = link.fault.as_mut().expect("checked above");
@@ -1215,7 +1188,6 @@ impl<'a> Model<'a> {
                 continue;
             }
             while sw.ingress[v] > xon {
-                link.advance(now);
                 let Some((pkt, _, ingress)) = link.queue.pop_front() else {
                     continue 'drain;
                 };
@@ -1283,8 +1255,6 @@ impl<'a> Model<'a> {
                     t.bytes,
                     t.busy,
                     &t.wait,
-                    t.integral,
-                    t.last_change,
                 )
             })
             .collect();

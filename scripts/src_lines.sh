@@ -3,7 +3,8 @@
 # not under a tests/ directory and is not named tests.rs, the lines up to
 # the `#[cfg(test)]` that is followed by `mod tests {` (the whole file when
 # it has none). Each crate's total is followed by its files' counts,
-# indented, in path order. Run from the repo root.
+# indented, in path order; a file over 800 lines is marked. Printed, never
+# gated. Run from the repo root.
 #
 #   sh scripts/src_lines.sh sim core tcp remy
 set -eu
@@ -25,7 +26,7 @@ for c in "$@"; do
         ' {} + | sort)
     n=$(printf '%s\n' "$files" | awk '{ s += $2 } END { print s + 0 }')
     echo "$c $n"
-    printf '%s\n' "$files" | awk 'NF { print "  " $0 }'
+    printf '%s\n' "$files" | awk 'NF { print "  " $0 ($2 > 800 ? "  (over 800)" : "") }'
     total=$((total + n))
 done
 echo "total $total"

@@ -214,7 +214,7 @@ fn forward_multihop_observables_hold() {
     }
     assert_eq!(
         obs.digest("forward_multihop"),
-        0xfb23_42a6_dad7_69e5,
+        0xaf53_d18c_4246_cd83,
         "forward_multihop observables moved"
     );
 }
@@ -333,7 +333,7 @@ fn dumbbell_cubic_phi_observables_hold() {
         provision_cubic_phi(PolicyTable::reference()),
         false,
     );
-    assert_eq!(d, 0x56d9_42f0_50ac_f3c3, "dumbbell observables moved");
+    assert_eq!(d, 0xc5df_4fca_8ef9_5cf1, "dumbbell observables moved");
 }
 
 /// `incast_dctcp` at reduced scale: 32-way DCTCP incast through
@@ -370,7 +370,7 @@ fn incast_dctcp_observables_hold() {
         provision_dctcp(DctcpParams::default()),
         false,
     );
-    assert_eq!(d, 0x0af0_5417_c234_e348, "incast observables moved");
+    assert_eq!(d, 0xa228_1e03_ce97_f3a0, "incast observables moved");
 }
 
 /// The Remy-Phi-ideal oracle path: a probe reads the bottleneck's
@@ -391,7 +391,7 @@ fn oracle_probe_reads_hold() {
         provision_cubic(CubicParams::default()),
         true,
     );
-    assert_eq!(d, 0x147f_6f37_fdfa_cd7c, "oracle reads moved");
+    assert_eq!(d, 0xabf0_b47a_4606_843c, "oracle reads moved");
 }
 
 /// `e2e_faults`' impaired TCP transfer, moved one hop downstream: the
@@ -459,8 +459,8 @@ fn impaired_two_hop(policy: DownPolicy) -> u64 {
 fn impaired_two_hop_observables_hold_under_both_down_policies() {
     let drop = impaired_two_hop(DownPolicy::Drop);
     let park = impaired_two_hop(DownPolicy::Park);
-    assert_eq!(drop, 0x09b6_dd49_b87c_d66e, "Drop-policy observables moved");
-    assert_eq!(park, 0x5120_232c_38bd_e709, "Park-policy observables moved");
+    assert_eq!(drop, 0xfacb_2411_ab57_2e13, "Drop-policy observables moved");
+    assert_eq!(park, 0xdca5_79d9_dd24_3743, "Park-policy observables moved");
 }
 
 /// `e2e_incast`'s cyclic buffer dependency: a one-way three-switch ring,
@@ -521,7 +521,7 @@ fn pfc_ring_with_watchdog_observables_hold() {
     assert!(fires > 0, "the watchdog must break the cycle");
     assert_eq!(
         obs.digest("pfc_ring"),
-        0xaf9a_d00c_51c7_06d2,
+        0xeae2_8ec5_6743_09f4,
         "PFC ring observables moved"
     );
 }
