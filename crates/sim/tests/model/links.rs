@@ -176,8 +176,9 @@ impl Scenario {
     /// switch to one or two receivers, or a one-way ring of 2 to 4
     /// switches with a host on each. Every switch has the same spec; its
     /// egress queues hold the whole pool, or, without PFC, sometimes a
-    /// few packets. Fewer links carry impairment plans than in
-    /// [`Scenario::draw`].
+    /// few packets (with PFC, a queue that refuses an admitted packet can
+    /// trip `enqueue_on_link`'s debug assertion). Fewer links carry
+    /// impairment plans than in [`Scenario::draw`].
     pub fn draw_switched(rng: &mut SeedRng) -> Scenario {
         let mut links = Vec::new();
         let (nodes, switches, senders, receivers): (usize, Vec<usize>, Vec<usize>, Vec<usize>) =
