@@ -36,6 +36,8 @@
 //! by Remy-Phi-ideal, paper §2.2.4).
 
 use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Mutex;
 
 use phi_workload::SeedRng;
@@ -80,9 +82,9 @@ pub(crate) enum Event {
     /// A packet reached the far end of `via`, the link it travelled
     /// (which is also its switch ingress attribution).
     Deliver { pkt: PktRef, via: LinkId },
-    /// The serialization on `link` ended with a packet queued behind it:
-    /// start the next one. Scheduled only while the link has a backlog.
-    Wake { link: LinkId },
+    /// A serialization ended with a packet queued behind it: stop the loop
+    /// there. The next frame has started before it pops (`SimCore::ending`).
+    Wake,
     /// A PFC PAUSE (`xoff`) or RESUME frame arrives at the transmitting
     /// end of `link`.
     Pfc { link: LinkId, xoff: bool },
@@ -196,6 +198,9 @@ pub(crate) struct SimCore {
     pub(crate) pool: PacketPool,
     pub(crate) topology: Topology,
     pub(crate) links: Vec<LinkState>,
+    /// `(tx_end, link)` of each frame with packets waiting behind it: see
+    /// [`SimCore::end_frames`].
+    pub(crate) ending: BinaryHeap<Reverse<(Time, LinkId)>>,
     /// Shared-buffer switch state, indexed by node; `None` for hosts and
     /// plain (per-link-island) routers.
     pub(crate) switches: Vec<Option<Box<SwitchState>>>,
@@ -420,6 +425,7 @@ impl Simulator {
                 pool: PacketPool::default(),
                 topology,
                 links,
+                ending: BinaryHeap::new(),
                 switches,
                 ports,
                 agent_nodes: Vec::new(),
@@ -628,11 +634,7 @@ impl Simulator {
                     self.core.forward(node, h, via);
                 }
             }
-            Event::Wake { link } => {
-                self.core.events_fired += 1;
-                self.core.links[link.0 as usize].wake = false;
-                self.core.kick(link);
-            }
+            Event::Wake => self.core.events_fired += 1,
             Event::Timer { slot, gen } => match self.core.timers.retire(slot, gen) {
                 Some((agent, token)) => {
                     self.core.events_fired += 1;
@@ -692,6 +694,10 @@ impl Simulator {
         let max_events = self.core.budget.max_events;
         while let Some((at, event)) = self.core.queue.pop_if(deadline) {
             self.core.now = at;
+            // Frames ending now hand their links on first; edges outrank them.
+            if !matches!(event, Event::FaultEdge { .. }) {
+                self.core.end_frames();
+            }
             self.dispatch(event);
             // The run stops mid-flight; advancing the clock further would
             // count unsimulated span into utilization.
@@ -1426,6 +1432,79 @@ mod tests {
         fn as_any_mut(&mut self) -> &mut dyn Any {
             self
         }
+    }
+
+    /// Sends frame `i` (seq `i`, 1000 bytes) at `sends[i].0`, by a timer
+    /// set at `sends[i].1`, or at start.
+    struct Script {
+        peer: NodeId,
+        sends: Vec<(Time, Option<Time>)>,
+    }
+
+    impl Agent for Script {
+        fn start(&mut self, ctx: &mut Ctx<'_>) {
+            // Frame `i` is sent on token `2i`; token `2i + 1` sets its timer.
+            for (i, &(at, set_at)) in self.sends.iter().enumerate() {
+                match set_at {
+                    Some(set_at) => ctx.set_timer_at(set_at, 2 * i as u64 + 1),
+                    None => ctx.set_timer_at(at, 2 * i as u64),
+                };
+            }
+        }
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+            if token % 2 == 1 {
+                ctx.set_timer_at(self.sends[token as usize / 2].0, token - 1);
+                return;
+            }
+            let mut p = packet_to(self.peer, 2, 1, FlowId(1), 1000);
+            p.seq = token / 2;
+            ctx.send(p);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_frame_end_goes_first_however_its_wake_was_scheduled() {
+        // A frame takes 1 ms and the queue holds two. Frame 4 is sent at
+        // 2 ms, as a frame ends with the queue full behind it, by a timer
+        // set at 1.25 ms.
+        let us = Time::from_micros;
+        let run = |mut sends: Vec<(Time, Option<Time>)>| {
+            sends.push((us(2000), Some(us(1250))));
+            let (t, a, z) = two_nodes(8_000_000, Dur::from_millis(1), Capacity::Packets(2));
+            let mut sim = Simulator::new(t);
+            sim.add_agent(a, 1, Box::new(Script { peer: z, sends }));
+            let sink = sim.add_agent(z, 2, Box::<Sink>::default());
+            sim.run_to_completion();
+            let got = &sim.agent_as::<Sink>(sink).unwrap().received;
+            got.iter().find(|&&(seq, _)| seq == 4).map(|&(_, at)| at)
+        };
+        // The frame of 1–2 ms starts with frame 2 behind it, so `begin_tx`
+        // schedules its end's `Wake` at 1 ms, before the timer is set.
+        let behind = run(vec![
+            (us(0), None),
+            (us(0), None),
+            (us(0), None),
+            (us(1500), None),
+        ]);
+        // It starts alone, and the first of frames 2 and 3, queueing at
+        // 1.5 ms, schedules the `Wake`, after the timer was set.
+        let alone = run(vec![
+            (us(0), None),
+            (us(1000), None),
+            (us(1500), None),
+            (us(1500), None),
+        ]);
+        // Either way frame 2 starts at 2 ms and frame 4 queues behind
+        // frame 3: on the wire over 4–5 ms, delivered at 6 ms.
+        assert_eq!(behind, Some(us(6000)));
+        assert_eq!(alone, behind);
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! propagation delay. Its whole crossing is settled when it starts
 //! serializing: the fault verdict as of `tx_end`, and a `Deliver` at
 //! `tx_end` + propagation. The end of serialization gets an event, a
-//! packet-less `Wake`, only when a packet waits behind it. A finished
+//! packet-less `Wake`, only when a packet waits behind it; the next frame
+//! then starts before anything but a fault edge at that instant. A finished
 //! frame is counted into the link's stats on the next `begin_tx`, on
 //! every `run_until` return and on every `Ctx::link_stats` read.
+
+use std::cmp::Reverse;
 
 use crate::engine::{Event, SimCore};
 use crate::faults::{DownPolicy, EgressVerdict, LinkFault};
@@ -23,7 +26,7 @@ use crate::trace::TraceOp;
 pub(crate) struct LinkState {
     pub(crate) queue: LinkQueue,
     /// End of the serialization begun last; free from then on unless
-    /// `wake` (an [`Event::Wake`] at `tx_end`) is pending.
+    /// `wake` (a packet waits, and `tx_end` is on `SimCore::ending`).
     tx_end: Time,
     /// That serialization's `(bytes, duration)` until it is settled.
     unsettled: Option<(u32, Dur)>,
@@ -95,7 +98,6 @@ impl SimCore {
         // egress link), acceptance may CE-mark the packet in place and
         // cross a PFC pause threshold.
         let from = self.topology.link(link_id).from;
-        let mut pfc_edge = None;
         if let Some(sw) = self.switches[from.0 as usize].as_deref_mut() {
             match sw.admit(link_id, via, &mut self.pool[h]) {
                 AdmitOutcome::Rejected => {
@@ -106,7 +108,7 @@ impl SimCore {
                 }
                 AdmitOutcome::Admitted { ingress, edge } => {
                     self.pool.set_ingress(h, ingress);
-                    pfc_edge = edge;
+                    self.emit_pfc(edge);
                 }
             }
         }
@@ -122,23 +124,32 @@ impl SimCore {
                     // The first packet waiting behind this frame.
                     ls.wake = true;
                     let at = ls.tx_end;
-                    self.schedule(at, Event::Wake { link: link_id });
+                    self.ending.push(Reverse((at, link_id)));
+                    self.schedule(at, Event::Wake);
                 }
             }
             Verdict::Dropped => {
                 ls.stats.dropped += 1;
                 // The inner queue refused a packet the shared buffer
                 // admitted: give the pool its bytes back.
-                if let Some(e) = self.switch_release(from, link_id, h) {
-                    debug_assert!(pfc_edge.is_none());
-                    pfc_edge = Some(e);
-                }
+                let edge = self.switch_release(from, link_id, h);
                 self.trace(TraceOp::Drop, Some(link_id), None, h);
                 self.pool.release(h);
+                self.emit_pfc(edge);
             }
         }
-        if let Some(edge) = pfc_edge {
-            self.emit_pfc(edge);
+    }
+
+    /// Hand every link whose frame has ended with packets waiting to its
+    /// next packet, in ascending link id. The loop calls this before any
+    /// event but a fault edge at such an instant, so what happens there
+    /// does not depend on when the frame's `Wake` was scheduled.
+    #[inline]
+    pub(crate) fn end_frames(&mut self) {
+        while self.ending.peek().is_some_and(|e| e.0 .0 <= self.now) {
+            let Reverse((_, link_id)) = self.ending.pop().expect("peeked");
+            self.links[link_id.0 as usize].wake = false;
+            self.begin_tx(link_id);
         }
     }
 
@@ -149,15 +160,11 @@ impl SimCore {
         let spec = self.topology.link(link_id);
         let (rate, from, mut delay, jitter) = (spec.rate_bps, spec.from, spec.delay, spec.jitter);
         let ls = &mut self.links[link_id.0 as usize];
-        debug_assert!(ls.is_free(now));
-        // A downed link does not serialize: parked packets stay queued
-        // until the healing edge calls `begin_tx` again.
-        if ls.is_down() {
-            return;
-        }
-        // A PFC-paused link holds its queue until the RESUME frame (or a
-        // watchdog drain) arrives — head-of-line blocking by design.
-        if ls.pause.paused {
+        // Nothing starts while a frame is on the wire or the link is down
+        // (parked packets stay queued until the healing edge) or paused (a
+        // PFC pause holds the queue until the RESUME frame or a watchdog
+        // drain: head-of-line blocking by design).
+        if !ls.is_free(now) || ls.is_down() || ls.pause.paused {
             return;
         }
         let Some((pkt, enqueued_at)) = ls.queue.take(&mut self.pool) else {
@@ -183,7 +190,8 @@ impl SimCore {
             },
         };
         if ls.wake {
-            self.schedule(tx_end, Event::Wake { link: link_id });
+            self.ending.push(Reverse((tx_end, link_id)));
+            self.schedule(tx_end, Event::Wake);
         }
         // A switch releases shared-buffer bytes when serialization starts.
         let edge = self.switch_release(from, link_id, pkt);
@@ -211,18 +219,7 @@ impl SimCore {
                 self.pool.release(pkt);
             }
         }
-        if let Some(e) = edge {
-            self.emit_pfc(e);
-        }
-    }
-
-    /// Start the next serialization if the link is free and has a
-    /// backlog (a drain may have emptied it since a wake was scheduled).
-    pub(crate) fn kick(&mut self, link_id: LinkId) {
-        let ls = &self.links[link_id.0 as usize];
-        if ls.is_free(self.now) && ls.queue.len_packets() > 0 {
-            self.begin_tx(link_id);
-        }
+        self.emit_pfc(edge);
     }
 
     /// Execute a scheduled link up/down transition. Healing restarts
@@ -238,7 +235,7 @@ impl SimCore {
             return;
         }
         if up {
-            return self.kick(link_id);
+            return self.begin_tx(link_id);
         }
         if f.plan.down_policy != DownPolicy::Drop {
             return;
@@ -257,8 +254,6 @@ impl SimCore {
         }
         let f = self.links[link_id.0 as usize].fault.as_deref_mut();
         f.expect("fault checked above").stats.blackholed += killed;
-        for e in edges {
-            self.emit_pfc(e);
-        }
+        self.emit_pfc(edges);
     }
 }

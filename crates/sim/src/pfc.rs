@@ -50,24 +50,27 @@ impl SimCore {
         sw.release(link_id, self.pool[h].size, self.pool.ingress(h))
     }
 
-    /// Turn a switch-produced pause-plane transition into scheduled
-    /// events: the PAUSE/RESUME frame arrives at the transmitting end of
-    /// the ingress link one propagation delay upstream, and every XOFF
-    /// arms a watchdog at the emitting switch.
-    pub(crate) fn emit_pfc(&mut self, edge: PfcEdge) {
-        match edge {
-            PfcEdge::Xoff {
-                link,
-                epoch,
-                watchdog,
-            } => {
-                let delay = self.topology.link(link).delay;
-                self.schedule(self.now + delay, Event::Pfc { link, xoff: true });
-                self.schedule(self.now + watchdog, Event::PfcWatchdog { link, epoch });
-            }
-            PfcEdge::Xon { link } => {
-                let delay = self.topology.link(link).delay;
-                self.schedule(self.now + delay, Event::Pfc { link, xoff: false });
+    /// Turn switch-produced pause-plane transitions, in the order they
+    /// were decided, into scheduled events: each PAUSE/RESUME frame
+    /// arrives at the transmitting end of its ingress link one propagation
+    /// delay upstream, and every XOFF arms a watchdog at the emitting
+    /// switch.
+    pub(crate) fn emit_pfc(&mut self, edges: impl IntoIterator<Item = PfcEdge>) {
+        for edge in edges {
+            match edge {
+                PfcEdge::Xoff {
+                    link,
+                    epoch,
+                    watchdog,
+                } => {
+                    let delay = self.topology.link(link).delay;
+                    self.schedule(self.now + delay, Event::Pfc { link, xoff: true });
+                    self.schedule(self.now + watchdog, Event::PfcWatchdog { link, epoch });
+                }
+                PfcEdge::Xon { link } => {
+                    let delay = self.topology.link(link).delay;
+                    self.schedule(self.now + delay, Event::Pfc { link, xoff: false });
+                }
             }
         }
     }
@@ -89,7 +92,7 @@ impl SimCore {
         }
         p.paused = false;
         p.closed_ns += now.saturating_since(p.since).as_nanos();
-        self.kick(link_id);
+        self.begin_tx(link_id);
     }
 
     /// A pause-storm watchdog expires. If the ingress has been
@@ -134,8 +137,6 @@ impl SimCore {
             }
         }
         let resumes = sw.watchdog_resumes(link);
-        for edge in resumes {
-            self.emit_pfc(edge);
-        }
+        self.emit_pfc(resumes);
     }
 }

@@ -2,30 +2,24 @@
 //! way: the reference the engine's lazy link clock, packet pool and
 //! switch accounting are tested against.
 //!
-//! One `BinaryHeap` of events ordered by time, then push order. Packets
-//! travel by value. Every frame's end is an event of its own (`TxEnd`),
-//! which counts the frame into the link's tallies when it ends. The model
-//! covers drop-tail FIFO queues, serialization at the link rate,
-//! propagation delay, per-packet jitter, the fault plane of an
-//! `ImpairmentPlan` (its edges and verdicts, drawn from the same `SeedRng`
-//! streams in the documented order), and the `SwitchSpec` of DESIGN.md's
-//! "Datacenter backpressure": DT admission, ECN marking, PFC and its
-//! watchdog.
+//! One `BinaryHeap` of events ordered by time, then push order, except as
+//! below. Packets travel by value. Every frame's end is an event of its
+//! own (`TxEnd`), which counts the frame into the link's tallies and
+//! starts the next. The model covers drop-tail FIFO queues, serialization
+//! at the link rate, propagation delay, per-packet jitter, the fault plane
+//! of an `ImpairmentPlan` (its edges and verdicts, drawn from the same
+//! `SeedRng` streams in the documented order), and the `SwitchSpec` of
+//! DESIGN.md's "Datacenter backpressure": DT admission, ECN marking, PFC
+//! and its watchdog.
 //!
 //! The rules, as the engine documents them:
 //!
 //! * A packet reaching a link on a downed link under `DownPolicy::Drop`
 //!   is blackholed; otherwise it is admitted or dropped by the switch it
 //!   leaves, if any (below), then by the queue's capacity.
-//! * A link is free when its last frame has ended and no start is pending.
-//!   An admitted packet starts at once on a free link. Otherwise the first
-//!   packet to wait behind a frame schedules the start of the next one
-//!   (`Next`) at the frame's end, and that start takes its place among the
-//!   events of that instant by when it was scheduled: a frame that starts
-//!   with packets behind it schedules it then; a frame that starts alone,
-//!   when the first packet queues behind it. So a packet arriving at the
-//!   instant a frame ends queues behind the waiting packets if `Next` was
-//!   scheduled after the packet's arrival, and finds room freed if before.
+//! * An admitted packet starts at once on a link with no frame on the
+//!   wire, and a frame's end starts the next after its instant's fault
+//!   edges and before everything else there (frame ends in link id order).
 //! * A frame's crossing is decided when it starts: its fault verdict, for
 //!   the link state at its end (an edge at exactly that instant counts),
 //!   and its arrival at the far end, at end + delay + jitter + the
@@ -50,10 +44,8 @@
 //!   arrived on (none for one sent at the switch). An ingress reaching
 //!   XOFF bytes is paused, and falling to XON on a release resumes it;
 //!   each PAUSE or RESUME takes effect at the ingress's transmitting end
-//!   one propagation delay later, and every PAUSE arms a watchdog. The
-//!   frames are scheduled when the packet's handling ends: a frame
-//!   started on admission schedules its release's RESUME before the
-//!   admission's PAUSE.
+//!   one propagation delay later, and every PAUSE arms a watchdog. Each
+//!   frame is scheduled as soon as it is decided.
 //! * A watchdog finding its ingress paused since its PAUSE drains the
 //!   switch's egress queues, ascending link id, FIFO, until that ingress
 //!   holds at most XON bytes (the victims are `pfc_dropped`), then
@@ -175,10 +167,8 @@ impl Scenario {
     /// threshold × fan-in: either 2 to 6 hosts fanning in through one
     /// switch to one or two receivers, or a one-way ring of 2 to 4
     /// switches with a host on each. Every switch has the same spec; its
-    /// egress queues hold the whole pool, or, without PFC, sometimes a
-    /// few packets (with PFC, a queue that refuses an admitted packet can
-    /// trip `enqueue_on_link`'s debug assertion). Fewer links carry
-    /// impairment plans than in [`Scenario::draw`].
+    /// egress queues hold the whole pool, or sometimes a few packets.
+    /// Fewer links carry impairment plans than in [`Scenario::draw`].
     pub fn draw_switched(rng: &mut SeedRng) -> Scenario {
         let mut links = Vec::new();
         let (nodes, switches, senders, receivers): (usize, Vec<usize>, Vec<usize>, Vec<usize>) =
@@ -210,7 +200,7 @@ impl Scenario {
                 (2 * k, (0..k).collect(), hosts.clone(), hosts)
             };
         let spec = draw_switch(rng);
-        let shallow = spec.pfc.is_none() && rng.chance(0.3);
+        let shallow = rng.chance(0.3);
         for link in links.iter_mut() {
             if switches.contains(&(link.from.0 as usize)) {
                 link.capacity = if shallow && rng.chance(0.5) {
@@ -293,7 +283,8 @@ fn grid(rng: &mut SeedRng, steps: u64) -> Time {
 }
 
 /// A pool of 1 000 to 12 000 bytes; α from 1/4 to 8; no ECN, a step or a
-/// ramp; PFC on most, its watchdog on the 250 µs grid up to 250 ms.
+/// ramp; PFC on most, its watchdog on the 250 µs grid up to 25 ms, so
+/// that long pauses reach it, not only deadlocks (the sends span 100 ms).
 fn draw_switch(rng: &mut SeedRng) -> SwitchSpec {
     const ALPHAS: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 8.0];
     let pool = 125 * rng.range_u64(8, 97);
@@ -315,7 +306,7 @@ fn draw_switch(rng: &mut SeedRng) -> SwitchSpec {
         spec = spec.with_pfc(PfcSpec {
             xoff_bytes,
             xon_bytes: 125 * rng.range_u64(0, xoff_bytes / 125 + 1),
-            watchdog: Dur::from_micros(250 * rng.range_u64(1, 1001)),
+            watchdog: Dur::from_micros(250 * rng.range_u64(1, 101)),
         });
     }
     spec
@@ -537,25 +528,22 @@ enum Ev {
         size: u32,
         tx: Dur,
     },
-    /// The next queued frame may start on `link`.
-    Next {
-        link: usize,
-    },
     Edge {
         link: usize,
         up: bool,
     },
 }
 
+/// An event and its place: by time, then edges, frame ends in ascending
+/// link id, and the rest in push order.
 struct Entry {
-    at: Time,
-    seq: u64,
+    key: (Time, u8, u64),
     ev: Ev,
 }
 
 impl PartialEq for Entry {
     fn eq(&self, other: &Entry) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
+        self.key == other.key
     }
 }
 
@@ -568,9 +556,9 @@ impl PartialOrd for Entry {
 }
 
 impl Ord for Entry {
-    /// Reversed: the heap pops the earliest, then the first pushed.
+    /// Reversed: the heap pops the least key first.
     fn cmp(&self, other: &Entry) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -685,10 +673,8 @@ struct Link {
     /// bytes are attributed to.
     queue: VecDeque<(Pkt, Time, Option<usize>)>,
     queued_bytes: u64,
-    /// The end of the frame started last.
-    busy_until: Time,
-    /// A `Next` is scheduled.
-    next: bool,
+    /// A frame's `TxEnd` is pending.
+    sending: bool,
     fault: Option<Fault>,
     /// Since when a PAUSE holds the link.
     paused: Option<Time>,
@@ -698,10 +684,6 @@ struct Link {
 }
 
 impl Link {
-    fn free(&self, now: Time) -> bool {
-        !self.next && self.busy_until <= now
-    }
-
     fn down(&self) -> bool {
         self.fault.as_ref().is_some_and(|f| !f.up)
     }
@@ -875,8 +857,7 @@ impl<'a> Model<'a> {
                 spec: spec.clone(),
                 queue: VecDeque::new(),
                 queued_bytes: 0,
-                busy_until: Time::ZERO,
-                next: false,
+                sending: false,
                 fault: None,
                 paused: None,
                 paused_ns: 0,
@@ -914,11 +895,12 @@ impl<'a> Model<'a> {
     }
 
     fn push(&mut self, at: Time, ev: Ev) {
-        self.heap.push(Entry {
-            at,
-            seq: self.pushed,
-            ev,
-        });
+        let key = match ev {
+            Ev::Edge { .. } => (at, 0, self.pushed),
+            Ev::TxEnd { link, .. } => (at, 1, link as u64),
+            _ => (at, 2, self.pushed),
+        };
+        self.heap.push(Entry { key, ev });
         self.pushed += 1;
     }
 
@@ -927,24 +909,19 @@ impl<'a> Model<'a> {
     }
 
     fn run_until(&mut self, deadline: Time) {
-        while self.heap.peek().is_some_and(|e| e.at <= deadline) {
-            let Entry { at, ev, .. } = self.heap.pop().expect("peeked");
-            // A frame's end moves no clock: the engine keeps no event for it.
-            if !matches!(ev, Ev::TxEnd { .. }) {
-                self.now = at;
-            }
+        while self.heap.peek().is_some_and(|e| e.key.0 <= deadline) {
+            let Entry { key: (at, ..), ev } = self.heap.pop().expect("peeked");
+            self.now = at;
             match ev {
                 Ev::Inject(i) => self.inject(i),
                 Ev::Arrive { pkt, link } => self.arrive(pkt, link),
                 Ev::TxEnd { link, size, tx } => {
-                    let t = &mut self.links[link].tally;
-                    t.transmitted += 1;
-                    t.bytes += u64::from(size);
-                    t.busy += tx;
-                }
-                Ev::Next { link } => {
-                    self.links[link].next = false;
-                    self.kick(link);
+                    let l = &mut self.links[link];
+                    l.sending = false;
+                    l.tally.transmitted += 1;
+                    l.tally.bytes += u64::from(size);
+                    l.tally.busy += tx;
+                    self.start(link);
                 }
                 Ev::Edge { link, up } => self.edge(link, up),
                 Ev::Pfc { link, xoff } => self.pfc(link, xoff),
@@ -1004,50 +981,41 @@ impl<'a> Model<'a> {
             }
         }
         let node = link.spec.from.0 as usize;
-        let (mut ingress, mut edge) = (None, None);
+        let mut ingress = None;
         if let Some(sw) = self.switches[node].as_mut() {
-            let Some(admitted) = sw.admit(l, via, &mut pkt) else {
+            let Some((admitted, edge)) = sw.admit(l, via, &mut pkt) else {
                 self.links[l].tally.dropped += 1;
                 return self.fate(pkt, Fate::Dropped(l as u32, now));
             };
-            (ingress, edge) = admitted;
+            ingress = admitted;
+            if let Some(e) = edge {
+                self.emit(e);
+            }
         }
         let link = &mut self.links[l];
         if link.admits(pkt.size) {
             link.tally.enqueued += 1;
             link.queued_bytes += u64::from(pkt.size);
             link.queue.push_back((pkt, now, ingress));
-            if link.free(now) {
-                self.start(l);
-            } else if !link.next {
-                link.next = true;
-                let at = link.busy_until;
-                self.push(at, Ev::Next { link: l });
-            }
+            self.start(l);
         } else {
             link.tally.dropped += 1;
-            if let Some(sw) = self.switches[node].as_mut() {
-                edge = sw.release(l, pkt.size, ingress).or(edge);
-            }
+            let edge = self.switches[node]
+                .as_mut()
+                .and_then(|sw| sw.release(l, pkt.size, ingress));
             self.fate(pkt, Fate::Dropped(l as u32, now));
-        }
-        if let Some(e) = edge {
-            self.emit(e);
-        }
-    }
-
-    fn kick(&mut self, l: usize) {
-        let link = &self.links[l];
-        if link.free(self.now) && !link.queue.is_empty() {
-            self.start(l);
+            if let Some(e) = edge {
+                self.emit(e);
+            }
         }
     }
 
-    /// Start the head of the queue, unless the link is down or paused.
+    /// Start the head of the queue, unless a frame is on the wire or the
+    /// link is down or paused.
     fn start(&mut self, l: usize) {
         let now = self.now;
         let link = &mut self.links[l];
-        if link.down() || link.paused.is_some() {
+        if link.sending || link.down() || link.paused.is_some() {
             return;
         }
         let Some((pkt, since, ingress)) = link.queue.pop_front() else {
@@ -1056,7 +1024,7 @@ impl<'a> Model<'a> {
         link.queued_bytes -= u64::from(pkt.size);
         let tx = Dur::transmission(pkt.size, link.spec.rate_bps);
         let end = now + tx;
-        link.busy_until = end;
+        link.sending = true;
         link.tally
             .wait
             .push(now.saturating_since(since).as_secs_f64());
@@ -1071,8 +1039,6 @@ impl<'a> Model<'a> {
         if !link.spec.jitter.is_zero() {
             delay += Dur::from_nanos(mix(pkt.id) % link.spec.jitter.as_nanos());
         }
-        let waiting = !link.queue.is_empty();
-        link.next = waiting;
         let node = link.spec.from.0 as usize;
         self.push(
             end,
@@ -1082,9 +1048,6 @@ impl<'a> Model<'a> {
                 tx,
             },
         );
-        if waiting {
-            self.push(end, Ev::Next { link: l });
-        }
         let edge = self.switches[node]
             .as_mut()
             .and_then(|sw| sw.release(l, pkt.size, ingress));
@@ -1114,7 +1077,7 @@ impl<'a> Model<'a> {
         f.up = up;
         f.stats.edges += 1;
         if up {
-            return self.kick(l);
+            return self.start(l);
         }
         if f.plan.down_policy != DownPolicy::Drop {
             return;
@@ -1165,7 +1128,7 @@ impl<'a> Model<'a> {
             (false, Some(since)) => {
                 link.paused = None;
                 link.paused_ns += now.saturating_since(since).as_nanos();
-                self.kick(l);
+                self.start(l);
             }
             _ => {}
         }

@@ -7,6 +7,7 @@
 //! `FaultStats` at every stop. The property test beside the model runs
 //! only under `--workspace`.
 
+use phi::sim::time::Time;
 use phi::workload::SeedRng;
 
 #[path = "../crates/sim/tests/model/links.rs"]
@@ -64,4 +65,21 @@ fn engine_matches_the_switch_model_on_named_seeds() {
     }
     // Marks, shared drops, pauses and watchdog fires each occurred.
     assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+}
+
+#[test]
+fn no_link_ends_paused_toward_a_switch_that_holds_no_pause() {
+    for seed in 1..=40 {
+        let mut scenario = Scenario::draw_switched(&mut SeedRng::new(seed));
+        // Long after the traffic: each link still paused a second before
+        // the end observation adds a second to `paused_ns` by then.
+        scenario.cuts.push(Time::from_secs(99));
+        let engine = agree(seed, &scenario);
+        let [before, end] = &engine.observed[engine.observed.len() - 2..] else {
+            unreachable!("a cut and the end observation");
+        };
+        let paused = (end.census.paused_ns - before.census.paused_ns) / 1_000_000_000;
+        let held: u64 = end.switches.iter().map(|s| s.pauses - s.resumes).sum();
+        assert_eq!(paused, held, "seed {seed}: links paused, pauses held");
+    }
 }
