@@ -122,9 +122,9 @@ impl SchedStats {
 /// reason from [`Simulator::termination`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct RunBudget {
-    /// Stop after this many dispatched events (stale-timer skips do not
-    /// count). Deterministic for a fixed engine configuration: the same
-    /// run always terminates on the same event.
+    /// Stop after this many dispatched events (stale-timer skips and frame
+    /// ends, which are no events, do not count). Deterministic for a fixed
+    /// engine configuration: the same run always stops on the same event.
     pub max_events: Option<u64>,
 }
 

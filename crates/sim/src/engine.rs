@@ -6,13 +6,12 @@
 //! * A single event queue ordered by `(time, sequence)` — the sequence
 //!   number makes simultaneous events fire in scheduling order, so runs
 //!   are fully deterministic. The queue is a [`TieredScheduler`]: a
-//!   bucketed calendar for the dense near-future band of
-//!   Deliver/Wake/timer events with a binary-heap overflow for
-//!   far-future events, popping in exactly the same total order a plain
-//!   heap would (see `sched.rs`).
+//!   bucketed calendar for the dense near-future band of Deliver and
+//!   timer events with a binary-heap overflow for far-future events,
+//!   popping in exactly the same total order a plain heap would.
 //! * **Links** do all store-and-forward work on a lazy clock: a packet's
-//!   crossing is settled when it starts serializing, and the end of
-//!   serialization gets an event only when a packet waits behind it
+//!   crossing is settled when it starts serializing, and a frame's end is
+//!   no event: the run loop steps to it when a packet waits behind it
 //!   (`link.rs`, with the fault plane's link edges). PFC pause frames and
 //!   the watchdog's drain are in `pfc.rs`, beside the switch model; the
 //!   packet census, the scheduler's counters and the run budget in
@@ -82,9 +81,6 @@ pub(crate) enum Event {
     /// A packet reached the far end of `via`, the link it travelled
     /// (which is also its switch ingress attribution).
     Deliver { pkt: PktRef, via: LinkId },
-    /// A serialization ended with a packet queued behind it: stop the loop
-    /// there. The next frame has started before it pops (`SimCore::ending`).
-    Wake,
     /// A PFC PAUSE (`xoff`) or RESUME frame arrives at the transmitting
     /// end of `link`.
     Pfc { link: LinkId, xoff: bool },
@@ -198,8 +194,8 @@ pub(crate) struct SimCore {
     pub(crate) pool: PacketPool,
     pub(crate) topology: Topology,
     pub(crate) links: Vec<LinkState>,
-    /// `(tx_end, link)` of each frame with packets waiting behind it: see
-    /// [`SimCore::end_frames`].
+    /// `(tx_end, link)` of each frame with packets waiting behind it, no
+    /// event: `run_until` steps here, see [`SimCore::end_frames`].
     pub(crate) ending: BinaryHeap<Reverse<(Time, LinkId)>>,
     /// Shared-buffer switch state, indexed by node; `None` for hosts and
     /// plain (per-link-island) routers.
@@ -634,7 +630,6 @@ impl Simulator {
                     self.core.forward(node, h, via);
                 }
             }
-            Event::Wake => self.core.events_fired += 1,
             Event::Timer { slot, gen } => match self.core.timers.retire(slot, gen) {
                 Some((agent, token)) => {
                     self.core.events_fired += 1;
@@ -672,8 +667,8 @@ impl Simulator {
         }
     }
 
-    /// Run until the event queue drains or `deadline` passes, whichever is
-    /// first. Returns the time the run stopped.
+    /// Run until the event queue and the frame ends drain or `deadline`
+    /// passes, whichever is first. Returns the time the run stopped.
     ///
     /// With a [`RunBudget`] installed the run may also stop early; the
     /// reason is readable from [`Simulator::termination`] and the clock is
@@ -692,12 +687,20 @@ impl Simulator {
             return self.core.now;
         }
         let max_events = self.core.budget.max_events;
-        while let Some((at, event)) = self.core.queue.pop_if(deadline) {
+        loop {
+            // Step to the first frame end, unless an event comes no later.
+            let end = self.core.ending.peek().map(|e| e.0 .0);
+            let end = end.filter(|&t| t <= deadline);
+            let popped = self.core.queue.pop_if(end.unwrap_or(deadline));
+            let Some(at) = popped.as_ref().map(|p| p.0).or(end) else {
+                break;
+            };
             self.core.now = at;
             // Frames ending now hand their links on first; edges outrank them.
-            if !matches!(event, Event::FaultEdge { .. }) {
+            if !matches!(popped, Some((_, Event::FaultEdge { .. }))) {
                 self.core.end_frames();
             }
+            let Some((_, event)) = popped else { continue };
             self.dispatch(event);
             // The run stops mid-flight; advancing the clock further would
             // count unsimulated span into utilization.
@@ -1388,9 +1391,9 @@ mod tests {
     #[test]
     fn a_drop_drain_with_a_wake_pending_conserves_the_census() {
         // Three frames at 0: one on the wire until 8 ms, two queued behind
-        // it with a wake pending at 8 ms. The link fails at 4 ms: the drain
-        // takes the two, the frame on the wire was lost when it started,
-        // and the wake finds an empty queue.
+        // it, its end on `ending`. The link fails at 4 ms: the drain takes
+        // the two, the frame on the wire was lost when it started, and the
+        // frame end finds an empty queue.
         let mut sim = impaired_link(outage(4, 50), vec![(Time::ZERO, 3)]);
         sim.run_until(Time::from_millis(6));
         let mid = sim.packet_census();
@@ -1486,7 +1489,7 @@ mod tests {
             got.iter().find(|&&(seq, _)| seq == 4).map(|&(_, at)| at)
         };
         // The frame of 1–2 ms starts with frame 2 behind it, so `begin_tx`
-        // schedules its end's `Wake` at 1 ms, before the timer is set.
+        // puts its end on `ending` at 1 ms, before the timer is set.
         let behind = run(vec![
             (us(0), None),
             (us(0), None),
@@ -1494,7 +1497,7 @@ mod tests {
             (us(1500), None),
         ]);
         // It starts alone, and the first of frames 2 and 3, queueing at
-        // 1.5 ms, schedules the `Wake`, after the timer was set.
+        // 1.5 ms, puts its end on `ending`, after the timer was set.
         let alone = run(vec![
             (us(0), None),
             (us(1000), None),
@@ -1505,6 +1508,82 @@ mod tests {
         // frame 3: on the wire over 4–5 ms, delivered at 6 ms.
         assert_eq!(behind, Some(us(6000)));
         assert_eq!(alone, behind);
+    }
+
+    type Trace = std::rc::Rc<std::cell::RefCell<Vec<TraceEvent>>>;
+
+    /// `count` 1000-byte frames sent at 0 over a 1 Mbit/s link (8 ms a
+    /// frame, 2 ms propagation), traced.
+    fn backlog(count: u32) -> (Simulator, AgentId, Trace) {
+        let (t, a, z) = two_nodes(1_000_000, Dur::from_millis(2), Capacity::Packets(100));
+        let mut sim = Simulator::new(t);
+        sim.add_agent(
+            a,
+            1,
+            Box::new(Bursts {
+                peer: z,
+                bursts: vec![(Time::ZERO, count)],
+            }),
+        );
+        let sink = sim.add_agent(z, 2, Box::<Sink>::default());
+        let (tracer, trace) = crate::trace::SharedTraceCollector::new();
+        sim.set_tracer(tracer);
+        (sim, sink, trace)
+    }
+
+    fn transmits(trace: &Trace) -> usize {
+        let trace = trace.borrow();
+        trace.iter().filter(|e| e.op == TraceOp::Transmit).count()
+    }
+
+    #[test]
+    fn a_frame_end_schedules_nothing() {
+        let (mut sim, sink, _) = backlog(10);
+        sim.run_to_completion();
+        // One timer and ten `Deliver`s; the nine frame ends with a frame
+        // waiting behind them are no events.
+        let s = sim.sched_stats();
+        assert_eq!((s.scheduled, s.fired, s.pending), (11, 11, 0), "{s:?}");
+        let tx = Dur::from_millis(8);
+        let want: Vec<(u64, Time)> = (1..=10u32)
+            .map(|k| (0, Time::ZERO + tx * u64::from(k) + Dur::from_millis(2)))
+            .collect();
+        assert_eq!(sim.agent_as::<Sink>(sink).unwrap().received, want);
+    }
+
+    #[test]
+    fn a_run_to_a_frame_end_starts_the_next_frame() {
+        let started = |sim: &Simulator, trace: &Trace| {
+            (transmits(trace), sim.core.links[0].queue.len_packets())
+        };
+        let end = Time::from_millis(8);
+        let (mut sim, _, trace) = backlog(3);
+        sim.run_until(end - Dur::from_nanos(1));
+        assert_eq!(started(&sim, &trace), (1, 2));
+        assert_eq!(sim.link_stats(LinkId(0)).transmitted, 0);
+        sim.run_until(end);
+        assert_eq!(sim.now(), end);
+        assert_eq!(started(&sim, &trace), (2, 1));
+        assert_eq!(sim.link_stats(LinkId(0)).transmitted, 1);
+        // The same from a fresh run straight to the frame end.
+        let (mut sim, _, trace) = backlog(3);
+        sim.run_until(end);
+        assert_eq!(started(&sim, &trace), (2, 1));
+    }
+
+    #[test]
+    fn an_event_budget_counts_no_frame_end() {
+        // The timer at 0, then deliveries at 10, 18 and 26 ms: four
+        // events, with the frame ends of 8, 16 and 24 ms between them.
+        let (mut sim, sink, trace) = backlog(10);
+        sim.set_budget(RunBudget::events(4));
+        assert_eq!(sim.run_to_completion(), Time::from_millis(26));
+        assert_eq!(sim.termination(), Some(BudgetExceeded::Events));
+        assert_eq!(sim.events_processed(), 4);
+        assert_eq!(sim.agent_as::<Sink>(sink).unwrap().received.len(), 3);
+        // Frames started at 0, 8, 16 and 24 ms; three of them ended.
+        assert_eq!(transmits(&trace), 4);
+        assert_eq!(sim.link_stats(LinkId(0)).transmitted, 3);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! serialized at the link rate, then delivered to the far node after the
 //! propagation delay. Its whole crossing is settled when it starts
 //! serializing: the fault verdict as of `tx_end`, and a `Deliver` at
-//! `tx_end` + propagation. The end of serialization gets an event, a
-//! packet-less `Wake`, only when a packet waits behind it; the next frame
-//! then starts before anything but a fault edge at that instant. A finished
-//! frame is counted into the link's stats on the next `begin_tx`, on
-//! every `run_until` return and on every `Ctx::link_stats` read.
+//! `tx_end` + propagation. The end of serialization is no event; when a
+//! packet waits behind it, it goes on `SimCore::ending`, and the next frame
+//! starts there before anything but a fault edge at that instant. A
+//! finished frame is counted into the link's stats on the next `begin_tx`,
+//! on every `run_until` return and on every `Ctx::link_stats` read.
 
 use std::cmp::Reverse;
 
@@ -54,8 +54,8 @@ impl LinkState {
         }
     }
 
-    /// Nothing serializing and no wake pending: an arrival may start
-    /// transmitting at once.
+    /// Nothing serializing and no frame end on `ending`: an arrival may
+    /// start transmitting at once.
     pub(crate) fn is_free(&self, now: Time) -> bool {
         !self.wake && self.tx_end <= now
     }
@@ -123,9 +123,7 @@ impl SimCore {
                 } else if !ls.wake {
                     // The first packet waiting behind this frame.
                     ls.wake = true;
-                    let at = ls.tx_end;
-                    self.ending.push(Reverse((at, link_id)));
-                    self.schedule(at, Event::Wake);
+                    self.ending.push(Reverse((ls.tx_end, link_id)));
                 }
             }
             Verdict::Dropped => {
@@ -141,9 +139,9 @@ impl SimCore {
     }
 
     /// Hand every link whose frame has ended with packets waiting to its
-    /// next packet, in ascending link id. The loop calls this before any
-    /// event but a fault edge at such an instant, so what happens there
-    /// does not depend on when the frame's `Wake` was scheduled.
+    /// next packet, in ascending link id. The loop calls this at every
+    /// frame end, before any event but a fault edge at that instant, so
+    /// what happens there does not depend on when the end was pushed.
     #[inline]
     pub(crate) fn end_frames(&mut self) {
         while self.ending.peek().is_some_and(|e| e.0 .0 <= self.now) {
@@ -191,7 +189,6 @@ impl SimCore {
         };
         if ls.wake {
             self.ending.push(Reverse((tx_end, link_id)));
-            self.schedule(tx_end, Event::Wake);
         }
         // A switch releases shared-buffer bytes when serialization starts.
         let edge = self.switch_release(from, link_id, pkt);

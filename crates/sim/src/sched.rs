@@ -2,8 +2,8 @@
 //! far-future overflow heap.
 //!
 //! Discrete-event simulation of a network concentrates almost all events
-//! in a *dense near-future band*: serialization ends and propagation
-//! deliveries sit microseconds-to-milliseconds ahead of the clock, and
+//! in a *dense near-future band*: packet deliveries (serialization plus
+//! propagation) sit microseconds-to-milliseconds ahead of the clock, and
 //! retransmission timers a few hundred milliseconds. A binary heap pays
 //! `O(log n)` element moves on every push and pop; a calendar queue pays
 //! amortized `O(1)` — append into the bucket covering the event's time,

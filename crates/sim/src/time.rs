@@ -169,13 +169,13 @@ impl Dur {
         if rate_bps == 0 {
             return Dur::MAX;
         }
-        let bits = u128::from(bytes) * 8;
-        let nanos = bits * 1_000_000_000u128 / u128::from(rate_bps);
-        if nanos >= u128::from(u64::MAX) {
-            Dur::MAX
-        } else {
-            Dur(nanos as u64)
+        let bits = u64::from(bytes) * 8;
+        // Divide in 64 bits, far cheaper than in 128, while bits · 10⁹ fits.
+        if let Some(bit_ns) = bits.checked_mul(1_000_000_000) {
+            return Dur(bit_ns / rate_bps);
         }
+        let nanos = u128::from(bits) * 1_000_000_000 / u128::from(rate_bps);
+        Dur(u64::try_from(nanos).unwrap_or(u64::MAX))
     }
 }
 
@@ -330,6 +330,45 @@ mod tests {
         assert_eq!(Dur::transmission(1500, 15_000_000), Dur::from_micros(800));
         assert_eq!(Dur::transmission(1500, 0), Dur::MAX);
         assert_eq!(Dur::transmission(0, 1_000), Dur::ZERO);
+    }
+
+    /// `transmission` in 128 bits throughout.
+    fn wide(bytes: u32, rate_bps: u64) -> Dur {
+        if rate_bps == 0 {
+            return Dur::MAX;
+        }
+        let nanos = u128::from(bytes) * 8 * 1_000_000_000 / u128::from(rate_bps);
+        Dur(u64::try_from(nanos).unwrap_or(u64::MAX))
+    }
+
+    #[test]
+    fn transmission_is_exact_on_both_sides_of_the_64_bit_bound() {
+        // The largest packet whose bit-nanoseconds fit in a u64, and the
+        // next one, which takes the 128-bit path.
+        let fits = (u64::MAX / 8_000_000_000) as u32;
+        let bit_ns = |bytes: u32| u64::from(bytes).checked_mul(8_000_000_000);
+        assert!(bit_ns(fits).is_some() && bit_ns(fits + 1).is_none());
+        for bytes in [fits - 1, fits, fits + 1, fits + 2, u32::MAX] {
+            for rate in [1, 2, 3, 7, 1_000, 1 << 40, u64::MAX - 1, u64::MAX] {
+                assert_eq!(
+                    Dur::transmission(bytes, rate),
+                    wide(bytes, rate),
+                    "{bytes} B at {rate} bit/s"
+                );
+            }
+        }
+        // u32::MAX bytes take 34 359 738 360 s at 1 bit/s, past what a
+        // u64 of nanoseconds holds, and half that at 2 bit/s, within it.
+        assert_eq!(Dur::transmission(u32::MAX, 1), Dur::MAX);
+        assert_eq!(
+            Dur::transmission(u32::MAX, 2),
+            Dur::from_nanos(17_179_869_180_000_000_000)
+        );
+        assert_eq!(Dur::transmission(u32::MAX, u64::MAX), Dur::from_nanos(1));
+        assert_eq!(Dur::transmission(1, u64::MAX), Dur::ZERO);
+        assert_eq!(Dur::transmission(1, 1), Dur::from_secs(8));
+        assert_eq!(Dur::transmission(u32::MAX, 0), Dur::MAX);
+        assert_eq!(Dur::transmission(0, 0), Dur::MAX);
     }
 
     #[test]

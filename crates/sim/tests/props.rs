@@ -293,6 +293,21 @@ proptest! {
     }
 
     #[test]
+    fn transmission_matches_the_128_bit_formula(
+        bytes in prop_oneof![any::<u32>(), 0u32..10_000, 2_305_843_000u32..2_305_844_000],
+        rate_bps in prop_oneof![any::<u64>(), 0u64..4, 1_000u64..100_000_000_000],
+    ) {
+        let want = match rate_bps {
+            0 => Dur::MAX,
+            r => {
+                let nanos = u128::from(bytes) * 8_000_000_000 / u128::from(r);
+                Dur::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
+            }
+        };
+        prop_assert_eq!(Dur::transmission(bytes, rate_bps), want);
+    }
+
+    #[test]
     fn droptail_never_exceeds_capacity(
         limit in 1usize..64,
         sizes in proptest::collection::vec(40u32..2000, 1..200),
