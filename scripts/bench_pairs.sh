@@ -6,13 +6,16 @@
 #   sh scripts/bench_pairs.sh <parent-rev> <workload> [pairs] [seconds]
 #
 # Both sides are built in release under target/bench-pairs/: the parent
-# from `git archive <parent-rev>`, the change from the working tree. Pair
-# i runs both sides at seed i with `--seconds S --trace 0` (10 pairs of
-# 20 s by default), the parent first on odd pairs and second on even
-# ones. For work_per_s (higher is better) and setup_s (lower is better)
-# it prints every pair, both medians, the parent's interquartile range,
-# the ratio of the change's median to the parent's, and the pairs the
-# change won. Needs jq. Run from the repo root.
+# from `git archive <parent-rev>`, the change from the working tree. It
+# first prints each side's `exact:` line (the deterministic counts and
+# digest of one unit) at seed 1, so a change in them shows beside the
+# wall-clock ratio. Pair i runs both sides at seed i with `--seconds S
+# --trace 0` (10 pairs of 20 s by default), the parent first on odd
+# pairs and second on even ones. For work_per_s (higher is better) and
+# setup_s (lower is better) it prints every pair, both medians, the
+# parent's interquartile range, the ratio of the change's median to the
+# parent's, and the pairs the change won. Needs jq. Run from the repo
+# root.
 set -eu
 
 [ "$#" -ge 2 ] || {
@@ -56,9 +59,18 @@ run() {
     echo "$line" | jq -r '"\(.metrics.work_per_s.value) \(.metrics.setup_s.value)"'
 }
 
+# One side's `exact:` line at seed 1.
+exact() {
+    line=$("$2" --workload "$workload" --seed 1 --seconds 1 --trace 0 2>/dev/null |
+        grep '^exact: ')
+    printf '%-7s %s\n' "$1" "$line"
+}
+
 table="$out/$workload.pairs"
 : >"$table"
 echo "$workload: $pairs pairs of ${seconds} s, parent $(git rev-parse --short "$rev")"
+exact parent "$parent"
+exact change "$change"
 printf '%-5s %16s %16s %10s %10s\n' pair parent_work change_work parent_setup change_setup
 i=1
 while [ "$i" -le "$pairs" ]; do
