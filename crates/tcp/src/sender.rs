@@ -707,7 +707,11 @@ impl TcpSender {
                 return;
             }
             self.restart_rto(ctx);
-        } else if pkt.ack == conn.sb.una && conn.outstanding() {
+        } else if pkt.ack == conn.sb.una && conn.sb.una < conn.ever_sent {
+            // A duplicate ACK, with a segment above the cumulative ack
+            // sent at some point. Without one (a paced sender waiting out
+            // its gap with everything acked), a duplicated ACK would
+            // enter recovery and "retransmit" a segment never sent.
             conn.dup_acks += 1;
             // Early retransmit (RFC 5827): with fewer segments outstanding
             // than `dupack_threshold + 1` the full duplicate-ACK count can
