@@ -21,7 +21,6 @@
 //! sends are additionally spaced by that gap (Remy's rate dimension).
 
 use std::any::Any;
-use std::collections::VecDeque;
 
 use phi_sim::engine::{packet_to, Agent, Ctx, TimerHandle};
 use phi_sim::packet::{wire, Flags, FlowId, NodeId, Packet};
@@ -31,6 +30,12 @@ use phi_workload::FlowSource;
 use crate::cc::{AckEvent, CongestionControl, LossEvent};
 use crate::hook::{ContextSnapshot, SessionHook};
 use crate::report::FlowReport;
+
+mod rtt;
+mod scoreboard;
+
+use rtt::Rtt;
+use scoreboard::Scoreboard;
 
 /// Builds a congestion controller for a new connection, optionally using
 /// the shared context returned by the session hook's lookup.
@@ -78,139 +83,12 @@ impl SenderConfig {
     }
 }
 
-/// Lower bound on the retransmission timeout (Linux's `TCP_RTO_MIN`).
-const MIN_RTO: Dur = Dur::from_millis(200);
-
 // Timer tokens. Staleness is handled by the engine: timers are cancelled
 // (or superseded) through their [`TimerHandle`] and skipped at pop time,
 // so tokens no longer need to carry generation counters.
 const TIMER_START: u64 = 0;
 const TIMER_RTO: u64 = 1;
 const TIMER_PACE: u64 = 2;
-
-/// What the sender knows of one segment at or above the cumulative ack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mark {
-    /// Neither SACKed nor retransmitted this recovery episode.
-    Out,
-    /// The receiver holds it.
-    Sacked,
-    /// Retransmitted this episode when the send frontier (`ever_sent`)
-    /// stood at the value, and not SACKed since.
-    Retx(u64),
-}
-
-/// The SACK scoreboard and its recovery episode: segment `una + i` is
-/// `marks[i]`, and every segment past the end is `Out`. The ring reaches
-/// only as far as the highest SACKed or retransmitted segment, so it is
-/// empty outside loss recovery, and running counts spare the pipe
-/// estimate and the SACK-count loss signal a scan.
-#[derive(Default)]
-struct Scoreboard {
-    /// Cumulative acknowledgment (next expected by the receiver).
-    una: u64,
-    marks: VecDeque<Mark>,
-    /// `Sacked` marks.
-    sacked: u64,
-    /// `Retx` marks: retransmissions in flight.
-    retx: u64,
-    /// The highest SACKed segment, while there is one.
-    high: Option<u64>,
-    /// Recovery point: in recovery until the cumulative ack exceeds it.
-    recovery: Option<u64>,
-}
-
-impl Scoreboard {
-    fn mark(&self, seq: u64) -> Mark {
-        let i = (seq - self.una) as usize;
-        self.marks.get(i).copied().unwrap_or(Mark::Out)
-    }
-
-    /// `seq`'s mark, growing the ring to hold it.
-    fn slot(&mut self, seq: u64) -> &mut Mark {
-        let i = (seq - self.una) as usize;
-        if i >= self.marks.len() {
-            self.marks.resize(i + 1, Mark::Out);
-        }
-        &mut self.marks[i]
-    }
-
-    /// The receiver holds segments `lo..hi`.
-    fn sack(&mut self, lo: u64, hi: u64) {
-        for seq in lo..hi {
-            match std::mem::replace(self.slot(seq), Mark::Sacked) {
-                Mark::Sacked => continue,
-                // A retransmission that arrived no longer occupies the pipe.
-                Mark::Retx(_) => self.retx -= 1,
-                Mark::Out => {}
-            }
-            self.sacked += 1;
-            self.high = self.high.max(Some(seq));
-        }
-    }
-
-    /// Hole `seq` goes out again while the send frontier is `frontier`.
-    fn retransmit(&mut self, seq: u64, frontier: u64) {
-        let was = std::mem::replace(self.slot(seq), Mark::Retx(frontier));
-        debug_assert_eq!(was, Mark::Out, "retransmitting {seq}");
-        self.retx += 1;
-    }
-
-    /// In recovery, the lowest "known lost" hole not yet retransmitted
-    /// this episode: `Out`, and below the highest SACKed segment.
-    fn next_hole(&self) -> Option<u64> {
-        let high = self.high.filter(|_| self.recovery.is_some())?;
-        (self.una..high).find(|&seq| self.mark(seq) == Mark::Out)
-    }
-
-    /// Lost-retransmission detection (the RFC 6675 / RACK idea): if the
-    /// receiver SACKs a segment first sent *after* a hole was
-    /// retransmitted while the hole is still open, that retransmission
-    /// was itself dropped. Re-open the hole so recovery retransmits it
-    /// again instead of stalling until the RTO — with several drop-tail
-    /// bottlenecks on the path, lost retransmissions are common and every
-    /// one would otherwise cost a full timeout plus a window collapse.
-    /// Scans only while a retransmission is in flight.
-    fn reopen_lost(&mut self) {
-        let Some(high) = self.high.filter(|_| self.retx > 0) else {
-            return;
-        };
-        for m in &mut self.marks {
-            if matches!(*m, Mark::Retx(frontier) if frontier <= high) {
-                *m = Mark::Out;
-                self.retx -= 1;
-            }
-        }
-    }
-
-    /// The cumulative ack moved up to `ack`: forget the marks below it,
-    /// and end the episode once past the recovery point.
-    fn advance(&mut self, ack: u64) {
-        let n = ((ack - self.una) as usize).min(self.marks.len());
-        for m in self.marks.drain(..n) {
-            self.sacked -= u64::from(m == Mark::Sacked);
-            self.retx -= u64::from(matches!(m, Mark::Retx(_)));
-        }
-        self.una = ack;
-        self.high = self.high.filter(|&h| h >= ack);
-        if self.recovery.is_some_and(|point| ack > point) {
-            self.end_episode();
-        }
-    }
-
-    /// The recovery episode ended (the cumulative ack passed the recovery
-    /// point, or the RTO fired): forget its retransmissions. SACKs stay,
-    /// since the receiver still holds those segments.
-    fn end_episode(&mut self) {
-        for m in &mut self.marks {
-            if let Mark::Retx(_) = m {
-                *m = Mark::Out;
-            }
-        }
-        self.retx = 0;
-        self.recovery = None;
-    }
-}
 
 /// State of the in-progress connection.
 struct Conn {
@@ -222,26 +100,17 @@ struct Conn {
     bytes: u64,
     /// Payload bytes of the final segment.
     last_payload: u32,
-    /// Next new segment to send.
+    /// Next segment to send: the send frontier, or the cumulative ack
+    /// after an RTO (go-back-N declares everything beyond it lost). The
+    /// pipe counts the segments below it.
     next_seq: u64,
-    /// One past the highest segment currently counted in the pipe.
-    /// Reset to the cumulative ack on timeout (go-back-N declares
-    /// everything beyond it lost).
-    pipe_end: u64,
     /// One past the highest segment *ever* transmitted (monotone; used to
     /// mark re-sends with the RETX flag for Karn's rule).
     ever_sent: u64,
-    /// The cumulative ack, what is known of each segment above it, and
-    /// the recovery episode.
+    /// The cumulative ack, what is known of each segment above it, the
+    /// duplicate ACKs and the recovery episode.
     sb: Scoreboard,
-    dup_acks: u32,
-    // RTT estimation (Jacobson/Karels).
-    srtt: Option<Dur>,
-    rttvar: Dur,
-    rto: Dur,
-    min_rtt: Option<Dur>,
-    rtt_sum_ms: f64,
-    rtt_samples: u64,
+    rtt: Rtt,
     // Accounting.
     start: Time,
     retransmits: u64,
@@ -260,75 +129,15 @@ struct Conn {
 }
 
 impl Conn {
-    fn outstanding(&self) -> bool {
-        self.pipe_end > self.sb.una || self.next_seq < self.total
-    }
-
-    /// RFC 6675-style pipe estimate: segments believed in flight.
-    ///
-    /// Outstanding segments, minus those the receiver selectively holds,
-    /// minus the holes "known lost" (below the highest SACKed segment) —
-    /// that is, what was sent above the highest SACKed segment — plus
-    /// retransmissions currently in flight. Without SACK information it
-    /// degrades to the classic duplicate-ACK inflation.
-    fn pipe(&self) -> u64 {
-        let sb = &self.sb;
-        let departed = sb.high.map_or(sb.una + u64::from(self.dup_acks), |h| h + 1);
-        self.pipe_end.saturating_sub(departed) + sb.retx
-    }
-
-    /// Debug-build invariants, checked after every ACK and every RTO:
-    /// SACKed segments lie in `[una, ever_sent)`, the retransmissions
-    /// counted in flight are exactly this episode's retransmitted holes
-    /// that are not SACKed, and both send pointers lie between the
-    /// cumulative ack and the send frontier. The SACK counts match too.
+    /// Debug-build invariants, checked after every ACK and every RTO: the
+    /// scoreboard's (against the send frontier), and the send pointer
+    /// between the cumulative ack and the send frontier.
     fn check(&self) {
-        let (sb, sent) = (&self.sb, self.ever_sent);
-        let count = |f: fn(&Mark) -> bool| sb.marks.iter().filter(|m| f(m)).count() as u64;
-        let high = sb.marks.iter().rposition(|m| *m == Mark::Sacked);
-        let high = high.map(|i| sb.una + i as u64);
-        debug_assert!((sb.una..=sent).contains(&self.next_seq), "next_seq");
-        debug_assert!((sb.una..=sent).contains(&self.pipe_end), "pipe_end");
-        debug_assert!(high.is_none_or(|h| h < sent), "SACKed past {sent}");
-        debug_assert_eq!((sb.sacked, sb.high), (count(|m| *m == Mark::Sacked), high));
-        debug_assert_eq!(sb.retx, count(|m| matches!(m, Mark::Retx(_))), "in flight");
-    }
-
-    fn take_rtt_sample(&mut self, sample: Dur) {
-        match self.srtt {
-            None => {
-                self.srtt = Some(sample);
-                self.rttvar = sample / 2;
-            }
-            Some(srtt) => {
-                let err = if sample > srtt {
-                    sample - srtt
-                } else {
-                    srtt - sample
-                };
-                self.rttvar = Dur::from_nanos(
-                    (3 * self.rttvar.as_nanos() / 4).saturating_add(err.as_nanos() / 4),
-                );
-                self.srtt = Some(Dur::from_nanos(
-                    (7 * srtt.as_nanos() / 8).saturating_add(sample.as_nanos() / 8),
-                ));
-            }
-        }
-        self.min_rtt = Some(match self.min_rtt {
-            None => sample,
-            Some(m) => m.min(sample),
-        });
-        self.rtt_sum_ms += sample.as_millis_f64();
-        self.rtt_samples += 1;
-    }
-
-    fn computed_rto(&self, max_rto: Dur) -> Dur {
-        match self.srtt {
-            None => Dur::from_secs(1),
-            Some(srtt) => (srtt + (self.rttvar * 4).max(Dur::from_millis(1)))
-                .max(MIN_RTO)
-                .min(max_rto),
-        }
+        self.sb.check(self.ever_sent);
+        debug_assert!(
+            (self.sb.una..=self.ever_sent).contains(&self.next_seq),
+            "next_seq"
+        );
     }
 
     /// This connection's report as of `end`, covering what the cumulative
@@ -342,13 +151,9 @@ impl Conn {
             segments: self.sb.una,
             start: self.start,
             end,
-            min_rtt: self.min_rtt,
-            mean_rtt_ms: if self.rtt_samples > 0 {
-                self.rtt_sum_ms / self.rtt_samples as f64
-            } else {
-                0.0
-            },
-            rtt_samples: self.rtt_samples,
+            min_rtt: self.rtt.min,
+            mean_rtt_ms: self.rtt.mean_ms(),
+            rtt_samples: self.rtt.samples,
             retransmits: self.retransmits,
             timeouts: self.timeouts,
             recoveries: self.recoveries,
@@ -409,19 +214,6 @@ pub struct TcpSender {
     flows_started: u64,
     /// Bytes planned for the flow whose start timer is pending.
     pending_bytes: u64,
-    /// The single armed RTO timer (handle and its fire time), if any.
-    ///
-    /// Classic senders push a fresh RTO timer on every ACK, leaving a
-    /// trail of dead events in the engine queue. Instead we keep at most
-    /// one armed timer plus the *logical* deadline below: extending the
-    /// deadline is a field write, and when the armed timer fires early
-    /// (`now < rto_deadline`) it simply re-arms at the stored deadline —
-    /// roughly one queue event per RTO period instead of one per ACK,
-    /// with the real timeout firing at exactly the same instant.
-    rto_armed: Option<(TimerHandle, Time)>,
-    /// When the retransmission timeout is actually due.
-    rto_deadline: Time,
-    done: bool,
 }
 
 impl TcpSender {
@@ -443,9 +235,6 @@ impl TcpSender {
             reports: Vec::new(),
             flows_started: 0,
             pending_bytes: 0,
-            rto_armed: None,
-            rto_deadline: Time::ZERO,
-            done: false,
         }
     }
 
@@ -456,7 +245,11 @@ impl TcpSender {
 
     /// True once `max_flows` have completed.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.conn.is_none()
+            && self
+                .cfg
+                .max_flows
+                .is_some_and(|max| self.flows_started >= max)
     }
 
     /// A synthesized report for the *in-progress* connection, if any,
@@ -471,25 +264,13 @@ impl TcpSender {
         Some(conn.report(now.max(conn.start), false))
     }
 
-    /// The in-progress connection's current RTO, if a flow is active.
-    /// Under a persistent blackhole this exposes the exponential backoff
-    /// saturating at [`SenderConfig::max_rto`].
-    pub fn current_rto(&self) -> Option<Dur> {
-        self.conn.as_ref().map(|c| c.rto)
-    }
-
-    /// Consecutive RTO expirations without forward progress on the
-    /// in-progress connection (zero when idle or progressing).
-    pub fn consecutive_rtos(&self) -> u32 {
-        self.conn.as_ref().map_or(0, |c| c.consecutive_rtos)
-    }
-
     fn schedule_next_flow(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(max) = self.cfg.max_flows {
-            if self.flows_started >= max {
-                self.done = true;
-                return;
-            }
+        if self
+            .cfg
+            .max_flows
+            .is_some_and(|max| self.flows_started >= max)
+        {
+            return;
         }
         let plan = self.source.next_flow();
         self.pending_bytes = plan.bytes;
@@ -515,16 +296,9 @@ impl TcpSender {
             bytes,
             last_payload,
             next_seq: 0,
-            pipe_end: 0,
             ever_sent: 0,
             sb: Scoreboard::default(),
-            dup_acks: 0,
-            srtt: None,
-            rttvar: Dur::ZERO,
-            rto: Dur::from_secs(1),
-            min_rtt: None,
-            rtt_sum_ms: 0.0,
-            rtt_samples: 0,
+            rtt: Rtt::default(),
             start: now,
             retransmits: 0,
             timeouts: 0,
@@ -535,7 +309,8 @@ impl TcpSender {
             pace_handle: None,
         });
         self.try_send(ctx);
-        self.restart_rto(ctx);
+        let conn = self.conn.as_mut().expect("the flow just began");
+        conn.rtt.restart(self.cfg.max_rto, ctx);
     }
 
     /// End the in-progress flow, report it through the hook and move on
@@ -544,10 +319,8 @@ impl TcpSender {
     /// — its report carries the bytes delivered before the failure, and
     /// the next flow doubles as the retry path once the network heals.
     fn finish_flow(&mut self, aborted: bool, ctx: &mut Ctx<'_>) {
-        let conn = self.conn.take().expect("finish_flow with no connection");
-        if let Some((h, _)) = self.rto_armed.take() {
-            ctx.cancel_timer(h);
-        }
+        let mut conn = self.conn.take().expect("finish_flow with no connection");
+        conn.rtt.cancel(ctx);
         if let Some(h) = conn.pace_handle {
             ctx.cancel_timer(h);
         }
@@ -572,11 +345,11 @@ impl TcpSender {
             // accumulate enough duplicate ACKs to fast-retransmit instead
             // of stalling into a timeout.
             let limited = if conn.sb.recovery.is_none() {
-                u64::from(conn.dup_acks.min(2))
+                u64::from(conn.sb.dup_acks.min(2))
             } else {
                 0
             };
-            if conn.pipe() >= window + limited {
+            if conn.sb.pipe(conn.next_seq) >= window + limited {
                 return;
             }
             // Priority 1: fill known-lost holes during recovery.
@@ -600,9 +373,8 @@ impl TcpSender {
             }
             // Skip segments the receiver already holds (SACKed survivors
             // of a go-back-N restart).
-            while conn.next_seq < conn.total && conn.sb.mark(conn.next_seq) == Mark::Sacked {
+            while conn.next_seq < conn.total && conn.sb.is_sacked(conn.next_seq) {
                 conn.next_seq += 1;
-                conn.pipe_end = conn.pipe_end.max(conn.next_seq);
             }
             if conn.next_seq >= conn.total {
                 return;
@@ -610,39 +382,11 @@ impl TcpSender {
             let seq = conn.next_seq;
             let retx = seq < conn.ever_sent;
             conn.next_seq += 1;
-            conn.pipe_end = conn.pipe_end.max(conn.next_seq);
             conn.ever_sent = conn.ever_sent.max(conn.next_seq);
             if retx {
                 conn.retransmits += 1;
             }
             ctx.send(conn.segment(&self.cfg, seq, retx));
-        }
-    }
-
-    fn restart_rto(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(conn) = self.conn.as_mut() else {
-            return;
-        };
-        if !conn.outstanding() {
-            return;
-        }
-        conn.rto = conn.computed_rto(self.cfg.max_rto);
-        let deadline = ctx.now() + conn.rto;
-        self.rto_deadline = deadline;
-        match self.rto_armed {
-            // A timer due no later than the new deadline is already armed;
-            // let it fire early and re-arm itself (the per-ACK hot path is
-            // just the deadline write above).
-            Some((_, at)) if at <= deadline => {}
-            stale => {
-                // Deadline moved *earlier* (e.g. first RTT sample shrinks
-                // the initial 1 s RTO), or nothing armed.
-                if let Some((h, _)) = stale {
-                    ctx.cancel_timer(h);
-                }
-                let h = ctx.set_timer_at(deadline, TIMER_RTO);
-                self.rto_armed = Some((h, deadline));
-            }
         }
     }
 
@@ -664,11 +408,10 @@ impl TcpSender {
 
         if pkt.ack > conn.sb.una {
             let newly = pkt.ack - conn.sb.una;
-            conn.dup_acks = 0;
             // Forward progress ends any RTO-backoff spiral. Two or more
             // consecutive timeouts mean the path was dead for a while and
             // healed: count an idle restart (the window was already
-            // collapsed by `on_rto`, and `restart_rto` below re-derives
+            // collapsed by `on_rto`, and the restart below re-derives
             // the RTO from the surviving RTT state instead of the
             // backed-off value).
             if conn.consecutive_rtos >= 2 {
@@ -677,15 +420,15 @@ impl TcpSender {
             conn.consecutive_rtos = 0;
             conn.sb.advance(pkt.ack);
             // Late ACKs (e.g. for pre-timeout packets still in flight) can
-            // advance past a go-back-N reset point; keep the send pointers
+            // advance past a go-back-N reset point; keep the send pointer
             // from regressing below delivered data.
-            conn.pipe_end = conn.pipe_end.max(pkt.ack);
             conn.next_seq = conn.next_seq.max(pkt.ack);
 
-            // Karn's rule: only sample RTT for segments never retransmitted.
-            let rtt = if !pkt.is_retx() && pkt.echo <= now && pkt.echo > Time::ZERO {
+            // Karn's rule: only sample RTT for segments never
+            // retransmitted. A zero echo is no send time.
+            let rtt = if !pkt.is_retx() && pkt.echo > Time::ZERO {
                 let sample = now - pkt.echo;
-                conn.take_rtt_sample(sample);
+                conn.rtt.sample(sample);
                 Some(sample)
             } else {
                 None
@@ -694,7 +437,7 @@ impl TcpSender {
             let ev = AckEvent {
                 now,
                 rtt,
-                min_rtt: conn.min_rtt,
+                min_rtt: conn.rtt.min,
                 newly_acked: newly,
                 sent_at: pkt.echo,
                 shared_util: live_util,
@@ -706,19 +449,19 @@ impl TcpSender {
                 self.finish_flow(false, ctx);
                 return;
             }
-            self.restart_rto(ctx);
+            conn.rtt.restart(self.cfg.max_rto, ctx);
         } else if pkt.ack == conn.sb.una && conn.sb.una < conn.ever_sent {
             // A duplicate ACK, with a segment above the cumulative ack
             // sent at some point. Without one (a paced sender waiting out
             // its gap with everything acked), a duplicated ACK would
             // enter recovery and "retransmit" a segment never sent.
-            conn.dup_acks += 1;
+            conn.sb.dup_acks += 1;
             // Early retransmit (RFC 5827): with fewer segments outstanding
             // than `dupack_threshold + 1` the full duplicate-ACK count can
             // never arrive, so a squeezed flow (cwnd of 2–4 segments)
             // would convert every loss into a timeout. Lower the trigger
             // to outstanding − 1 in that regime.
-            let ownd = conn.pipe_end.saturating_sub(conn.sb.una);
+            let ownd = conn.next_seq - conn.sb.una;
             let threshold = if ownd < u64::from(self.cfg.dupack_threshold) + 1 {
                 ownd.saturating_sub(1).max(1) as u32
             } else {
@@ -729,39 +472,30 @@ impl TcpSender {
             // cumulative advances reset `dup_acks`, but a scoreboard with
             // `threshold` segments above the hole is proof enough.
             let signal = conn
+                .sb
                 .dup_acks
                 .max(u32::try_from(conn.sb.sacked).unwrap_or(u32::MAX));
             if conn.sb.recovery.is_none() && signal >= threshold {
                 conn.recoveries += 1;
-                conn.sb.recovery = Some(conn.pipe_end.saturating_sub(1));
+                conn.sb.recovery = Some(conn.next_seq.saturating_sub(1));
                 conn.cc.on_loss(&LossEvent { now });
                 // Fast retransmit of the first hole, unconditionally:
                 // outside recovery nothing is marked retransmitted, and
                 // the receiver never SACKs its cumulative ack.
                 let hole = conn.sb.una;
                 conn.retransmit_hole(&self.cfg, hole, ctx);
-                self.restart_rto(ctx);
+                conn.rtt.restart(self.cfg.max_rto, ctx);
             }
         }
         self.try_send(ctx);
     }
 
-    /// The armed RTO timer fired. If the logical deadline has moved past
-    /// the fire time (ACKs arrived since arming), this is a deferred
-    /// re-arm, not a timeout.
+    /// The armed RTO timer fired: a timeout, or a deferred re-arm if the
+    /// deadline has moved past the fire time.
     fn on_rto_fire(&mut self, ctx: &mut Ctx<'_>) {
-        self.rto_armed = None; // the firing timer is consumed
         let now = ctx.now();
-        let Some(conn) = self.conn.as_mut() else {
-            return;
-        };
-        if !conn.outstanding() {
-            return;
-        }
-        if now < self.rto_deadline {
-            let deadline = self.rto_deadline;
-            let h = ctx.set_timer_at(deadline, TIMER_RTO);
-            self.rto_armed = Some((h, deadline));
+        let conn = self.conn.as_mut().expect("an RTO timer outlived its flow");
+        if !conn.rtt.fired(ctx) {
             return;
         }
         conn.timeouts += 1;
@@ -777,20 +511,13 @@ impl TcpSender {
             return;
         }
         conn.cc.on_rto(now);
-        conn.dup_acks = 0;
         // SACKs stay, so the go-back-N resend below skips what the
         // receiver holds instead of wasting the pipe.
-        conn.sb.end_episode();
+        conn.sb.timeout();
         // Go-back-N: everything beyond the cumulative ack is presumed
         // lost; drain the pipe and resume from the ack point.
         conn.next_seq = conn.sb.una;
-        conn.pipe_end = conn.sb.una;
-        // Exponential backoff until the next valid RTT sample.
-        conn.rto = (conn.rto * 2).min(self.cfg.max_rto);
-        let deadline = now + conn.rto;
-        self.rto_deadline = deadline;
-        let h = ctx.set_timer_at(deadline, TIMER_RTO);
-        self.rto_armed = Some((h, deadline));
+        conn.rtt.back_off(self.cfg.max_rto, ctx);
         self.try_send(ctx);
     }
 }
@@ -809,11 +536,8 @@ impl Agent for TcpSender {
 
     fn on_timer(&mut self, tok: u64, ctx: &mut Ctx<'_>) {
         match tok {
-            TIMER_START => {
-                if self.conn.is_none() && !self.done {
-                    self.begin_flow(ctx);
-                }
-            }
+            // Armed only with no connection and flows left to start.
+            TIMER_START => self.begin_flow(ctx),
             TIMER_RTO => {
                 self.on_rto_fire(ctx);
                 self.conn.iter().for_each(Conn::check);
@@ -1103,16 +827,13 @@ mod tests {
         // consecutive timeouts on the books, flow still alive.
         sim.run_until(Time::from_secs(4));
         let sender = sim.agent_as::<TcpSender>(s).unwrap();
+        let conn = sender.conn.as_ref().expect("the flow is alive");
         assert!(
-            sender.consecutive_rtos() >= 3,
+            conn.consecutive_rtos >= 3,
             "expected an RTO spiral, got {}",
-            sender.consecutive_rtos()
+            conn.consecutive_rtos
         );
-        assert_eq!(
-            sender.current_rto(),
-            Some(max_rto),
-            "backoff must pin at max_rto"
-        );
+        assert_eq!(conn.rtt.rto, max_rto, "backoff must pin at max_rto");
         assert!(sender.reports().is_empty(), "no verdict before the cap");
 
         sim.run_until(Time::from_secs(60));
@@ -1125,7 +846,7 @@ mod tests {
         assert!(r.bytes > 0, "pre-outage progress is reported");
         assert!(r.bytes < 500_000, "the transfer cannot have finished");
         assert!(sender.is_done());
-        assert!(sender.current_rto().is_none(), "no connection after abort");
+        assert!(sender.conn.is_none(), "no connection after abort");
     }
 
     #[test]
@@ -1172,8 +893,9 @@ mod tests {
         let sender = sim.agent_as::<TcpSender>(s).unwrap();
         assert!(sender.reports().is_empty());
         assert!(!sender.is_done());
-        assert_eq!(sender.current_rto(), Some(Dur::from_secs(1)));
-        assert!(sender.consecutive_rtos() > 10);
+        let conn = sender.conn.as_ref().expect("the flow is alive");
+        assert_eq!(conn.rtt.rto, Dur::from_secs(1));
+        assert!(conn.consecutive_rtos > 10);
     }
 
     #[test]
