@@ -98,8 +98,6 @@ struct Conn {
     total: u64,
     /// Application bytes to transfer.
     bytes: u64,
-    /// Payload bytes of the final segment.
-    last_payload: u32,
     /// Next segment to send: the send frontier, or the cumulative ack
     /// after an RTO (go-back-N declares everything beyond it lost). The
     /// pipe counts the segments below it.
@@ -129,15 +127,11 @@ struct Conn {
 }
 
 impl Conn {
-    /// Debug-build invariants, checked after every ACK and every RTO: the
-    /// scoreboard's (against the send frontier), and the send pointer
-    /// between the cumulative ack and the send frontier.
+    /// Debug-build invariants, checked after every ACK and every RTO.
     fn check(&self) {
-        self.sb.check(self.ever_sent);
-        debug_assert!(
-            (self.sb.una..=self.ever_sent).contains(&self.next_seq),
-            "next_seq"
-        );
+        let (una, sent) = (self.sb.una, self.ever_sent);
+        self.sb.check(sent);
+        debug_assert!((una..=sent).contains(&self.next_seq), "next_seq");
     }
 
     /// This connection's report as of `end`, covering what the cumulative
@@ -152,7 +146,11 @@ impl Conn {
             start: self.start,
             end,
             min_rtt: self.rtt.min,
-            mean_rtt_ms: self.rtt.mean_ms(),
+            mean_rtt_ms: if self.rtt.samples > 0 {
+                self.rtt.sum_ms / self.rtt.samples as f64
+            } else {
+                0.0
+            },
             rtt_samples: self.rtt.samples,
             retransmits: self.retransmits,
             timeouts: self.timeouts,
@@ -164,7 +162,7 @@ impl Conn {
 
     fn segment(&self, cfg: &SenderConfig, seq: u64, retx: bool) -> Packet {
         let payload = if seq + 1 == self.total {
-            self.last_payload
+            (self.bytes - seq * u64::from(wire::MSS)) as u32
         } else {
             wire::MSS
         };
@@ -245,11 +243,12 @@ impl TcpSender {
 
     /// True once `max_flows` have completed.
     pub fn is_done(&self) -> bool {
-        self.conn.is_none()
-            && self
-                .cfg
-                .max_flows
-                .is_some_and(|max| self.flows_started >= max)
+        self.conn.is_none() && self.all_started()
+    }
+
+    fn all_started(&self) -> bool {
+        let max = self.cfg.max_flows;
+        max.is_some_and(|max| self.flows_started >= max)
     }
 
     /// A synthesized report for the *in-progress* connection, if any,
@@ -265,11 +264,7 @@ impl TcpSender {
     }
 
     fn schedule_next_flow(&mut self, ctx: &mut Ctx<'_>) {
-        if self
-            .cfg
-            .max_flows
-            .is_some_and(|max| self.flows_started >= max)
-        {
+        if self.all_started() {
             return;
         }
         let plan = self.source.next_flow();
@@ -285,7 +280,6 @@ impl TcpSender {
 
         let bytes = self.pending_bytes.max(1);
         let total = bytes.div_ceil(u64::from(wire::MSS));
-        let last_payload = (bytes - (total - 1) * u64::from(wire::MSS)) as u32;
         let flow = FlowId(self.cfg.flow_id_base + self.flows_started);
         self.flows_started += 1;
 
@@ -294,7 +288,6 @@ impl TcpSender {
             cc,
             total,
             bytes,
-            last_payload,
             next_seq: 0,
             ever_sent: 0,
             sb: Scoreboard::default(),
@@ -513,7 +506,8 @@ impl TcpSender {
         conn.cc.on_rto(now);
         // SACKs stay, so the go-back-N resend below skips what the
         // receiver holds instead of wasting the pipe.
-        conn.sb.timeout();
+        conn.sb.dup_acks = 0;
+        conn.sb.end_episode();
         // Go-back-N: everything beyond the cumulative ack is presumed
         // lost; drain the pipe and resume from the ack point.
         conn.next_seq = conn.sb.una;

@@ -27,7 +27,7 @@ pub(super) struct Rtt {
     /// restarts, or backed off since.
     pub(super) rto: Dur,
     pub(super) min: Option<Dur>,
-    sum_ms: f64,
+    pub(super) sum_ms: f64,
     pub(super) samples: u64,
     /// When the timeout is actually due.
     deadline: Time,
@@ -55,15 +55,6 @@ impl Rtt {
         self.min = Some(self.min.map_or(sample, |m| m.min(sample)));
         self.sum_ms += sample.as_millis_f64();
         self.samples += 1;
-    }
-
-    /// Mean of the samples, in milliseconds (zero with none).
-    pub(super) fn mean_ms(&self) -> f64 {
-        if self.samples > 0 {
-            self.sum_ms / self.samples as f64
-        } else {
-            0.0
-        }
     }
 
     /// Restart the timer one RTO, recomputed from the estimate, from now.

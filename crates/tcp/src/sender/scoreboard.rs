@@ -133,16 +133,10 @@ impl Scoreboard {
         }
     }
 
-    /// The RTO fired: forget the duplicate ACKs and the episode.
-    pub(super) fn timeout(&mut self) {
-        self.dup_acks = 0;
-        self.end_episode();
-    }
-
     /// The recovery episode ended (the cumulative ack passed the recovery
     /// point, or the RTO fired): forget its retransmissions. SACKs stay,
     /// since the receiver still holds those segments.
-    fn end_episode(&mut self) {
+    pub(super) fn end_episode(&mut self) {
         for m in &mut self.marks {
             if let Mark::Retx(_) = m {
                 *m = Mark::Out;
