@@ -65,12 +65,6 @@ impl PolicyTable {
         &self.entries
     }
 
-    /// A policy that always answers with the ns-2 defaults — what an
-    /// *unmodified* sender effectively runs.
-    pub fn always_default() -> Self {
-        PolicyTable::new(Vec::new(), CubicParams::default())
-    }
-
     /// A hand-seeded reference policy embodying the qualitative findings
     /// of §2.2.1:
     ///
@@ -161,8 +155,8 @@ mod tests {
     }
 
     #[test]
-    fn always_default_is_table1() {
-        let t = PolicyTable::always_default();
+    fn an_empty_table_answers_table1() {
+        let t = PolicyTable::new(Vec::new(), CubicParams::default());
         assert!(t.is_empty());
         assert_eq!(t.params_for(&ctx(0.5)), CubicParams::default());
     }

@@ -109,22 +109,6 @@ pub fn combine(partials: &[u64]) -> u64 {
     partials.iter().fold(0u64, |acc, &p| add_mod(acc, p))
 }
 
-/// Convenience: run a full round — each provider's private fractional
-/// measurement is shared across `aggregators` aggregators; returns the
-/// exact sum (and, divided by the count, the common barometer's mean).
-pub fn aggregate_round(measurements: &[f64], aggregators: usize, rng: &mut SeedRng) -> f64 {
-    assert!(!measurements.is_empty(), "no providers");
-    let mut aggs = vec![Aggregator::new(); aggregators];
-    for &m in measurements {
-        let shares = share(encode_fixed(m), aggregators, rng);
-        for (agg, &s) in aggs.iter_mut().zip(&shares.0) {
-            agg.absorb(s);
-        }
-    }
-    let partials: Vec<u64> = aggs.iter().map(Aggregator::partial).collect();
-    decode_fixed(combine(&partials))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,11 +148,20 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_round_sums_exactly() {
+    fn a_round_of_shares_sums_exactly() {
         let mut rng = SeedRng::new(3);
-        // Five providers' private congestion levels.
+        // Five providers' private congestion levels, each shared across
+        // three aggregators.
         let levels = [0.82, 0.15, 0.47, 0.0, 0.99];
-        let sum = aggregate_round(&levels, 3, &mut rng);
+        let mut aggs = vec![Aggregator::new(); 3];
+        for &m in &levels {
+            let shares = share(encode_fixed(m), 3, &mut rng);
+            for (agg, &s) in aggs.iter_mut().zip(&shares.0) {
+                agg.absorb(s);
+            }
+        }
+        let partials: Vec<u64> = aggs.iter().map(Aggregator::partial).collect();
+        let sum = decode_fixed(combine(&partials));
         let expect: f64 = levels.iter().sum();
         assert!(
             (sum - expect).abs() < 3.0 / SCALE,

@@ -197,14 +197,6 @@ impl<T> RunOutcome<T> {
         }
     }
 
-    /// Consume the outcome into its value, if any attempt completed.
-    pub fn into_value(self) -> Option<T> {
-        match self {
-            RunOutcome::Done(v) | RunOutcome::Flaky { value: v, .. } => Some(v),
-            RunOutcome::Quarantined(_) => None,
-        }
-    }
-
     /// The failure record, if any attempt panicked.
     pub fn failure(&self) -> Option<&RunFailure> {
         match self {
@@ -212,11 +204,6 @@ impl<T> RunOutcome<T> {
             RunOutcome::Flaky { failure, .. } => Some(failure),
             RunOutcome::Quarantined(f) => Some(f),
         }
-    }
-
-    /// Whether no attempt completed.
-    pub fn is_quarantined(&self) -> bool {
-        matches!(self, RunOutcome::Quarantined(_))
     }
 }
 
@@ -355,7 +342,7 @@ mod tests {
             for (i, o) in outcomes.iter().enumerate() {
                 if i == 13 {
                     let f = o.failure().expect("job 13 must carry a failure");
-                    assert!(o.is_quarantined());
+                    assert!(matches!(o, RunOutcome::Quarantined(_)));
                     assert_eq!(f.index, 13);
                     assert_eq!(f.attempts, 2, "one retry with the same seed");
                     assert!(f.last_panic().contains("job 13 failed"));
@@ -396,7 +383,7 @@ mod tests {
         let supervised: Vec<u64> = RunPool::new(3)
             .run_supervised(16, 1, |i| derive_seed(9, i as u64))
             .into_iter()
-            .map(|o| o.into_value().expect("no panics injected"))
+            .map(|o| *o.value().expect("no panics injected"))
             .collect();
         assert_eq!(plain, supervised);
     }

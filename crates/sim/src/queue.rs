@@ -436,11 +436,6 @@ impl Red {
         let b = buffer_pkts.max(5) as f64;
         Red::new(Capacity::Packets(buffer_pkts), b * 0.2, b * 0.6, 0.1)
     }
-
-    /// Current average queue estimate, packets.
-    pub fn avg_queue(&self) -> f64 {
-        self.avg
-    }
 }
 
 impl Discipline for Red {
@@ -656,7 +651,7 @@ mod tests {
             assert_eq!(q.offer(pkt(i, 100), Time::ZERO), Verdict::Enqueued);
             q.take().unwrap(); // drain immediately: avg stays ~0
         }
-        assert!(q.avg_queue() < 1.0);
+        assert!(q.avg < 1.0);
     }
 
     #[test]
@@ -675,7 +670,7 @@ mod tests {
             q.len_packets() < 1_000,
             "RED should not rely on the physical limit"
         );
-        assert!(q.avg_queue() > 5.0);
+        assert!(q.avg > 5.0);
     }
 
     #[test]

@@ -62,8 +62,6 @@ pub struct Dctcp {
     /// When the current observation window closes.
     window_end: Time,
     losses: u64,
-    /// Lifetime count of ECE-carrying ACK events (diagnostics).
-    ece_seen: u64,
 }
 
 /// Observation-window length when no RTT sample exists yet.
@@ -83,7 +81,6 @@ impl Dctcp {
             marked: 0,
             window_end: Time::ZERO,
             losses: 0,
-            ece_seen: 0,
         }
     }
 
@@ -95,11 +92,6 @@ impl Dctcp {
     /// Loss events (dup-ACK episodes and RTOs) on the current flow.
     pub fn loss_events(&self) -> u64 {
         self.losses
-    }
-
-    /// Lifetime count of ACKs that carried an ECN Echo.
-    pub fn ece_acks(&self) -> u64 {
-        self.ece_seen
     }
 
     /// True while in slow start.
@@ -139,7 +131,6 @@ impl CongestionControl for Dctcp {
         self.acked += ev.newly_acked;
         if ev.ece {
             self.marked += ev.newly_acked;
-            self.ece_seen += 1;
             // A mark ends slow start immediately: queues are already at
             // the threshold, growing exponentially past it defeats the
             // point of early signalling.
@@ -230,7 +221,7 @@ mod tests {
             d.on_ack(&ack(i * 2, 4, true));
         }
         assert!(d.alpha() > 0.9, "alpha {} should approach 1", d.alpha());
-        assert!(d.ece_acks() > 0);
+        assert_eq!(d.marked, d.acked, "every acked segment was marked");
     }
 
     #[test]
@@ -282,6 +273,6 @@ mod tests {
         assert!(d.alpha() > 0.0);
         d.on_flow_start(Time::from_secs(1));
         assert_eq!(d.alpha(), 0.0);
-        assert_eq!(d.ece_acks(), 0);
+        assert_eq!((d.acked, d.marked), (0, 0));
     }
 }

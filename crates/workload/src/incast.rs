@@ -40,20 +40,6 @@ pub struct IncastConfig {
     pub jitter_secs: f64,
 }
 
-impl IncastConfig {
-    /// A classic incast probe: `workers` senders, 64 KB blocks, ten
-    /// rounds, 10 ms barrier gaps, no jitter.
-    pub fn fan_in(workers: u32) -> Self {
-        IncastConfig {
-            workers,
-            bytes_per_worker: 64 * 1024,
-            rounds: 10,
-            round_gap_secs: 0.01,
-            jitter_secs: 0.0,
-        }
-    }
-}
-
 /// One worker's flow plans in an incast fan-in.
 #[derive(Debug)]
 pub struct IncastSource {
@@ -133,9 +119,21 @@ impl From<IncastSource> for FlowSource {
 mod tests {
     use super::*;
 
+    /// A classic incast probe: `workers` senders, 64 KB blocks, ten
+    /// rounds, 10 ms barrier gaps, no jitter.
+    fn fan_in(workers: u32) -> IncastConfig {
+        IncastConfig {
+            workers,
+            bytes_per_worker: 64 * 1024,
+            rounds: 10,
+            round_gap_secs: 0.01,
+            jitter_secs: 0.0,
+        }
+    }
+
     #[test]
     fn fixed_blocks_every_round() {
-        let cfg = IncastConfig::fan_in(8);
+        let cfg = fan_in(8);
         let mut s = IncastSource::new(cfg, SeedRng::new(3));
         for round in 0..20 {
             let p = s.next_flow();
@@ -145,7 +143,7 @@ mod tests {
 
     #[test]
     fn no_jitter_means_perfect_synchrony() {
-        let cfg = IncastConfig::fan_in(4);
+        let cfg = fan_in(4);
         // Different per-worker seeds, identical plans: the burst is
         // synchronized by construction.
         let mut a = IncastSource::new(cfg, SeedRng::new(1).fork_indexed("worker", 0));
@@ -163,7 +161,7 @@ mod tests {
     fn jitter_is_bounded_and_reproducible() {
         let cfg = IncastConfig {
             jitter_secs: 0.002,
-            ..IncastConfig::fan_in(4)
+            ..fan_in(4)
         };
         let a: Vec<FlowPlan> = {
             let mut s = IncastSource::new(cfg, SeedRng::new(5));
@@ -182,7 +180,7 @@ mod tests {
 
     #[test]
     fn flow_source_dispatches_to_either_model() {
-        let incast: FlowSource = IncastSource::new(IncastConfig::fan_in(2), SeedRng::new(1)).into();
+        let incast: FlowSource = IncastSource::new(fan_in(2), SeedRng::new(1)).into();
         let onoff: FlowSource =
             OnOffSource::new(crate::onoff::OnOffConfig::fig2(), SeedRng::new(1)).into();
         let mut incast = incast;
