@@ -16,6 +16,12 @@
 # parent's interquartile range, the ratio of the change's median to the
 # parent's, and the pairs the change won. Needs jq. Run from the repo
 # root.
+#
+# The header names the commit each side ran: the parent's short sha, and
+# HEAD's for the change, with `+dirty` when `git status --porcelain`
+# prints anything. The benchmark's own JSON `"git"` field means nothing
+# for a pair: it reads `.git/HEAD` in the working directory, which is
+# the repo root for both sides.
 set -eu
 
 [ "$#" -ge 2 ] || {
@@ -68,7 +74,9 @@ exact() {
 
 table="$out/$workload.pairs"
 : >"$table"
-echo "$workload: $pairs pairs of ${seconds} s, parent $(git rev-parse --short "$rev")"
+head=$(git rev-parse --short HEAD)
+[ -z "$(git status --porcelain)" ] || head="$head+dirty"
+echo "$workload: $pairs pairs of ${seconds} s, parent $(git rev-parse --short "$rev"), change $head"
 exact parent "$parent"
 exact change "$change"
 printf '%-5s %16s %16s %10s %10s\n' pair parent_work change_work parent_setup change_setup
